@@ -15,9 +15,8 @@ from .geometry import (
     Site,
     Space,
     angle_from_slopes,
-    boundary_margin,
+    cross_distance,
     distance,
-    norm,
 )
 from .processes import (
     CONSTRUCTIONS,
@@ -54,12 +53,10 @@ from .walk import (
     mirror_trajectory,
     run_walk,
     run_walk_naive,
-    step_candidates,
     stop_margin,
     trajectories_equal,
     trajectory_from_binary,
     trajectory_to_binary,
-    trajectory_to_json,
 )
 from .analysis import (
     ClusterDecomposition,

@@ -22,30 +22,19 @@ import sys
 
 from ._version import __version__
 from .analysis import (
-    audit_lemmas,
-    check_cluster_consecutive,
-    check_indented_entry,
-    check_povratak,
-    check_reduced_alignment,
-    compute_Dx,
     decompose_clusters,
     detect_crossings,
     extract_halfline_changes,
-    extract_UV_sequences,
-    last_visit_steps,
     mark_leading_and_indented,
     theoretical_bounds,
-    validate_dx_record,
 )
-from .errors import PrefixLimitError, ValidationError
-from .geometry import INTERSECTING, PARALLEL, SINGLE_LINE, Space
+from .checks import CHECKS
+from .errors import ValidationError
 from .processes import (
     CONSTRUCTIONS,
-    INTERSECTING_INDEPENDENT,
     PARALLEL_DUPLICATED,
     PARALLEL_SHIFTED,
     PARALLEL_THINNED,
-    SINGLE_POISSON,
     ProcessSpec,
     generate,
     realization_to_dict,
@@ -56,228 +45,20 @@ from .walk import (
     TRUNCATION_SAFE,
     StopRule,
     run_walk,
-    run_walk_naive,
-    trajectories_equal,
     trajectory_to_binary,
     trajectory_to_dicts,
 )
 
 DEFAULT_SEED = 1729
 
-
-def _build_spec(construction: str, a: argparse.Namespace) -> ProcessSpec:
-    if construction == SINGLE_POISSON:
-        space = Space(SINGLE_LINE, a.window_L)
-    elif construction == INTERSECTING_INDEPENDENT:
-        space = Space(INTERSECTING, a.window_L, alpha=a.alpha)
-    else:
-        space = Space(PARALLEL, a.window_L, separation_r=a.separation_r)
-    kwargs = dict(construction=construction, space=space,
-                  rate_lambda=a.rate_lambda)
-    if construction == PARALLEL_THINNED:
-        kwargs["thinning_p"] = a.thinning_p
-    if construction == PARALLEL_SHIFTED:
-        kwargs["shift_s"] = a.shift_s
-        kwargs["allow_unproven_shift"] = a.allow_unproven
-    return ProcessSpec(**kwargs)
+_SPEC_PARAMS = ("window_L", "rate_lambda", "alpha", "separation_r",
+                "thinning_p", "shift_s", "allow_unproven_shift")
 
 
-def _iter_runs(spec: ProcessSpec, base_seed: int, n_runs: int):
-    for i in range(n_runs):
-        real = generate(spec, stream_seed(base_seed, i))
-        yield real, run_walk(real)
-
-
-# ---------------------------------------------------------------------------
-# verify suites
-
-
-def _suite_audit(kind: str):
-    counters = {
-        "pair-distance": "pair_checks",
-        "replay-max": "replay_checks",
-        "empty-interval": "empty_interval_checks",
-    }
-
-    def run(args, specs):
-        checks = viol = 0
-        for label, spec in specs:
-            c = v = 0
-            for real, traj in _iter_runs(spec, args.seed, args.runs):
-                audit = audit_lemmas(real, traj)
-                c += getattr(audit, counters[kind])
-                v += sum(1 for x in audit.violations if x["kind"] == kind)
-            print(f"  {label}: runs={args.runs} checks={c} violations={v}")
-            checks += c
-            viol += v
-        return checks, viol
-
-    return run
-
-
-def _suite_povratak(args, specs):
-    checks = viol = unknowns = 0
-    for label, spec in specs:
-        occ = v = unk = 0
-        for real, traj in _iter_runs(spec, args.seed, args.runs):
-            s = check_povratak(real, traj)
-            occ += s.occurrences
-            v += s.violations
-            unk += s.unknowns
-        print(f"  {label}: runs={args.runs} occurrences={occ} "
-              f"violations={v} unknowns={unk}")
-        checks += occ
-        viol += v
-        unknowns += unk
-    return checks, viol
-
-
-def _suite_dx_bounds(args, specs):
-    checks = viol = 0
-    for label, spec in specs:
-        c = v = 0
-        for real, traj in _iter_runs(spec, args.seed, args.runs):
-            last = last_visit_steps(real, traj)
-            for x in real.base_points[real.base_points > 0.0]:
-                try:
-                    rec = compute_Dx(real, traj, float(x), last_steps=last)
-                except PrefixLimitError:
-                    continue
-                c += 1
-                v += len(validate_dx_record(spec.construction, rec))
-        print(f"  {label}: runs={args.runs} records={c} violations={v}")
-        checks += c
-        viol += v
-    return checks, viol
-
-
-def _suite_cluster_traversal(args, specs):
-    checks = viol = 0
-    for label, spec in specs:
-        ok = undecided = bad = 0
-        for real, traj in _iter_runs(spec, args.seed, args.runs):
-            consec = check_cluster_consecutive(real, traj)
-            aligned = check_reduced_alignment(real, traj)
-            if consec is False or not aligned:
-                bad += 1
-            elif consec is None:
-                undecided += 1
-            else:
-                ok += 1
-        print(f"  {label}: runs={args.runs} ok={ok} undecided={undecided} "
-              f"violations={bad}")
-        checks += ok + undecided + bad
-        viol += bad
-    return checks, viol
-
-
-def _suite_indented_entry(args, specs):
-    checks = viol = 0
-    for label, spec in specs:
-        c = v = undecided = early = 0
-        for real, traj in _iter_runs(spec, args.seed, args.runs):
-            _, marks = mark_leading_and_indented(real)
-            for rec in check_indented_entry(real, traj):
-                if rec.is_zero or rec.straddles:
-                    continue
-                mk = marks[rec.cluster]
-                if mk.indented:
-                    # whole cluster sits past its copies, so the indented
-                    # lead is the line-0 lead point itself
-                    at_lead = (rec.entry_line == 0
-                               and rec.entry_u == float(real.line0[mk.lead0]))
-                else:
-                    at_lead = rec.entered_at_line1_lead
-                if at_lead:
-                    c += 1
-                    if rec.consecutive is None:
-                        undecided += 1
-                    elif not rec.consecutive:
-                        v += 1
-                if rec.early_exit:
-                    early += 1
-        print(f"  {label}: runs={args.runs} indented_lead_entries={c} "
-              f"violations={v} undecided={undecided} early_exits={early}")
-        checks += c
-        viol += v
-    return checks, viol
-
-
-def _suite_uv_verdicts(args, specs):
-    checks = viol = 0
-    for label, spec in specs:
-        n_b = n_c = 0
-        for real, traj in _iter_runs(spec, args.seed, args.runs):
-            for rec in extract_UV_sequences(traj):
-                if rec.verdict == "C":
-                    n_c += 1
-                else:
-                    n_b += 1
-        print(f"  {label}: runs={args.runs} records={n_b + n_c} "
-              f"B={n_b} C={n_c}")
-        checks += n_b + n_c
-        viol += n_c
-    return checks, viol
-
-
-def _suite_oracle(args, specs):
-    checks = viol = 0
-    for label, spec in specs:
-        mismatches = 0
-        for i in range(args.runs):
-            real = generate(spec, stream_seed(args.seed, i))
-            if not trajectories_equal(run_walk(real), run_walk_naive(real)):
-                mismatches += 1
-        print(f"  {label}: runs={args.runs} mismatches={mismatches}")
-        checks += args.runs
-        viol += mismatches
-    return checks, viol
-
-
-_PARALLEL_ALL = (PARALLEL_DUPLICATED, PARALLEL_THINNED, PARALLEL_SHIFTED)
-
-SUITES = {
-    "lemma-distance": (
-        _suite_audit("pair-distance"), _PARALLEL_ALL,
-        "close cross-line pairs must lose a member once straddled",
-    ),
-    "lemma-replay": (
-        _suite_audit("replay-max"), (SINGLE_POISSON,) + _PARALLEL_ALL,
-        "steps into swept territory must hit the largest alive shadow",
-    ),
-    "empty-interval": (
-        _suite_audit("empty-interval"), (SINGLE_POISSON,) + _PARALLEL_ALL,
-        "killing the last copy at a crossed shadow leaves no alive site "
-        "above it up to and including the running max",
-    ),
-    "dx-bounds": (
-        _suite_dx_bounds, (PARALLEL_THINNED, PARALLEL_SHIFTED),
-        "deficiency records stay within their per-construction bounds",
-    ),
-    "povratak": (
-        _suite_povratak, (PARALLEL_THINNED, PARALLEL_SHIFTED),
-        "every occurred gap event returns to the negative half-axis before "
-        "passing the gap",
-    ),
-    "cluster-traversal": (
-        _suite_cluster_traversal, (PARALLEL_DUPLICATED,),
-        "entered non-zero clusters are swallowed whole, lead to lead",
-    ),
-    "indented-entry": (
-        _suite_indented_entry, (PARALLEL_SHIFTED,),
-        "clusters first entered at their indented leading point are "
-        "traversed consecutively",
-    ),
-    "uv-verdicts": (
-        _suite_uv_verdicts, (INTERSECTING_INDEPENDENT,),
-        "landmark pairs never produce a C verdict at a finite step",
-    ),
-    "oracle-equivalence": (
-        _suite_oracle, CONSTRUCTIONS,
-        "optimized walk engine matches the exhaustive-scan engine step "
-        "for step",
-    ),
-}
+def _spec_from_args(construction: str,
+                    args: argparse.Namespace) -> ProcessSpec:
+    return ProcessSpec.build(
+        construction, **{k: getattr(args, k) for k in _SPEC_PARAMS})
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +66,7 @@ SUITES = {
 
 
 def _cmd_simulate(args) -> int:
-    spec = _build_spec(args.construction, args)
+    spec = _spec_from_args(args.construction, args)
     real = generate(spec, args.seed)
     traj = run_walk(real, rule=StopRule(args.stop_mode))
     print(
@@ -313,25 +94,34 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.list_suites:
-        for name in SUITES:
-            print(f"{name}: {SUITES[name][2]}")
+        for check in CHECKS.values():
+            print(f"{check.name}: {check.description}")
         return 0
     if args.suite is None:
         print("error: --suite NAME or --list-suites required", file=sys.stderr)
         return 2
-    fn, applicable, _ = SUITES[args.suite]
+    check = CHECKS[args.suite]
     if args.construction is not None:
-        if args.construction not in applicable:
+        if args.construction not in check.constructions:
             raise ValidationError(
                 f"suite {args.suite!r} does not apply to {args.construction!r}"
             )
         constructions = (args.construction,)
     else:
-        constructions = applicable
-    specs = [(c, _build_spec(c, args)) for c in constructions]
+        constructions = check.constructions
+    specs = [(c, _spec_from_args(c, args)) for c in constructions]
     print(f"suite {args.suite}: {len(specs)} construction(s), "
           f"{args.runs} runs each, seed {args.seed}")
-    checks, violations = fn(args, specs)
+    checks = violations = 0
+    for label, spec in specs:
+        total = check.empty()
+        for i in range(args.runs):
+            real = generate(spec, stream_seed(args.seed, i))
+            total += check.per_run(real, run_walk(real))[check.name]
+        counts = " ".join(f"{k}={v}" for k, v in total.counts.items())
+        print(f"  {label}: runs={args.runs} {counts}")
+        checks += total.checks
+        violations += total.violations
     status = "PASS" if violations == 0 else "FAIL"
     print(f"{args.suite}: {status} ({violations} violations / {checks} checks)")
     return 0 if violations == 0 else 1
@@ -363,7 +153,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_export_plot_data(args) -> int:
-    spec = _build_spec(args.construction, args)
+    spec = _spec_from_args(args.construction, args)
     real = generate(spec, args.seed)
     traj = run_walk(real)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -409,7 +199,7 @@ def _add_process_args(p: argparse.ArgumentParser, *, required_construction):
     p.add_argument("--alpha", type=float, default=math.pi / 3)
     p.add_argument("--thinning-p", dest="thinning_p", type=float, default=0.5)
     p.add_argument("--shift-s", dest="shift_s", type=float, default=0.3)
-    p.add_argument("--allow-unproven-s", dest="allow_unproven",
+    p.add_argument("--allow-unproven-s", dest="allow_unproven_shift",
                    action="store_true",
                    help="widen the shift domain from r/sqrt(3) to r")
 
@@ -433,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("verify", help="run a seeded self-check suite")
-    p.add_argument("--suite", choices=sorted(SUITES), default=None)
+    p.add_argument("--suite", choices=sorted(CHECKS), default=None)
     p.add_argument("--list-suites", action="store_true")
     p.add_argument("--runs", type=int, default=100)
     _add_process_args(p, required_construction=False)

@@ -29,12 +29,11 @@ from .analysis import (
     extract_halfline_changes,
 )
 from .errors import ValidationError
-from .geometry import INTERSECTING, PARALLEL, SINGLE_LINE, Space
 from .processes import (
+    CONSTRUCTION_PARAMS,
     CONSTRUCTIONS,
     INTERSECTING_INDEPENDENT,
     PARALLEL_CONSTRUCTIONS,
-    SINGLE_POISSON,
     ProcessSpec,
     generate,
 )
@@ -52,10 +51,12 @@ CSV_COLUMNS = (
 class ExperimentConfig:
     """One sweep: n_runs independent realizations of a single spec.
 
-    audit toggles the per-run replay/pair audits (auto-skipped for
-    intersecting lines); detect_events toggles return-event detection
-    (parallel constructions only).  workers > 1 runs the sweep in a
-    process pool; the GWLAB_WORKERS environment variable overrides it.
+    The construction parameters (alpha, separation_r, thinning_p, shift_s,
+    allow_unproven_shift) must be left at their defaults unless the
+    construction reads them.  audit toggles the per-run replay/pair audits
+    (auto-skipped for intersecting lines); detect_events toggles
+    return-event detection (parallel constructions only).  workers > 1 runs
+    the sweep in a process pool.
     """
 
     name: str
@@ -80,24 +81,29 @@ class ExperimentConfig:
             raise ValidationError("n_runs must be >= 1")
         if self.workers < 1:
             raise ValidationError("workers must be >= 1")
+        used = CONSTRUCTION_PARAMS[self.construction]
+        unused = [f.name for f in dataclasses.fields(self)
+                  if f.name in _CONSTRUCTION_FIELDS and f.name not in used
+                  and getattr(self, f.name) is not f.default]
+        if unused:
+            raise ValidationError(
+                f"{self.construction} does not use {', '.join(unused)}")
 
     def to_spec(self) -> ProcessSpec:
-        c = self.construction
-        if c == SINGLE_POISSON:
-            space = Space(SINGLE_LINE, self.window_L)
-        elif c == INTERSECTING_INDEPENDENT:
-            space = Space(INTERSECTING, self.window_L, alpha=self.alpha)
-        else:
-            space = Space(PARALLEL, self.window_L,
-                          separation_r=self.separation_r)
-        return ProcessSpec(
-            construction=c,
-            space=space,
+        return ProcessSpec.build(
+            self.construction,
+            window_L=self.window_L,
             rate_lambda=self.rate_lambda,
+            alpha=self.alpha,
+            separation_r=self.separation_r,
             thinning_p=self.thinning_p,
             shift_s=self.shift_s,
             allow_unproven_shift=self.allow_unproven_shift,
         )
+
+
+_CONSTRUCTION_FIELDS = {name for names in CONSTRUCTION_PARAMS.values()
+                        for name in names}
 
 
 def load_config(path) -> ExperimentConfig:
@@ -132,24 +138,25 @@ class RunSummary:
 
 
 def summarize_run(cfg: ExperimentConfig, run_index: int, real, traj) -> RunSummary:
+    spec = real.spec
     a_events = None
-    if cfg.detect_events and cfg.construction in PARALLEL_CONSTRUCTIONS:
+    if cfg.detect_events and spec.construction in PARALLEL_CONSTRUCTIONS:
         a_events = sum(
             1 for rec in detect_A_events(real, traj) if rec.occurred is True
         )
     failures = None
-    if cfg.audit and cfg.construction != INTERSECTING_INDEPENDENT:
+    if cfg.audit and spec.construction != INTERSECTING_INDEPENDENT:
         failures = audit_lemmas(real, traj).n_violations
     return RunSummary(
         run_index=run_index,
         seed=real.seed,
-        construction=cfg.construction,
-        rate_lambda=cfg.rate_lambda,
-        separation_r=cfg.separation_r,
-        shift_s=cfg.shift_s,
-        thinning_p=cfg.thinning_p,
-        alpha=cfg.alpha,
-        window_L=real.spec.space.window_L,
+        construction=spec.construction,
+        rate_lambda=spec.rate_lambda,
+        separation_r=spec.space.separation_r,
+        shift_s=spec.shift_s,
+        thinning_p=spec.thinning_p,
+        alpha=spec.space.alpha,
+        window_L=spec.space.window_L,
         n_points=real.n_points,
         n_steps=len(traj),
         stop_reason=traj.stop_reason,
@@ -167,26 +174,12 @@ def _run_one(cfg: ExperimentConfig, run_index: int) -> RunSummary:
     return summarize_run(cfg, run_index, real, traj)
 
 
-def _worker_count(cfg: ExperimentConfig) -> int:
-    env = os.environ.get("GWLAB_WORKERS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ValidationError(f"GWLAB_WORKERS must be an integer, got {env!r}")
-        if n < 1:
-            raise ValidationError("GWLAB_WORKERS must be >= 1")
-        return n
-    return cfg.workers
-
-
 def run_experiment(cfg: ExperimentConfig) -> list[RunSummary]:
     cfg.to_spec()  # fail on domain errors before any work starts
-    workers = _worker_count(cfg)
-    if workers == 1:
+    if cfg.workers == 1:
         return [_run_one(cfg, i) for i in range(cfg.n_runs)]
-    chunk = max(1, cfg.n_runs // (8 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    chunk = max(1, cfg.n_runs // (8 * cfg.workers))
+    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
         rows = list(
             pool.map(_RunOne(cfg), range(cfg.n_runs), chunksize=chunk)
         )

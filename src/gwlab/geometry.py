@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ValidationError
 
@@ -41,6 +42,10 @@ class Space:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValidationError(f"unknown space kind: {self.kind!r}")
+        for name in ("window_L", "alpha", "separation_r"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite")
         if not self.window_L > 0:
             raise ValidationError("window_L must be positive")
         if self.kind == INTERSECTING:
@@ -57,6 +62,10 @@ class Space:
     @property
     def n_lines(self) -> int:
         return 1 if self.kind == SINGLE_LINE else 2
+
+    @cached_property
+    def cos_alpha(self) -> float:
+        return math.cos(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -82,50 +91,27 @@ def angle_from_slopes(m1: float, m2: float) -> float:
     return a
 
 
-def distance(space: Space, a: Site, b: Site) -> float:
-    """Euclidean distance between two sites of the space.
+def cross_distance(space: Space, u, v, sqrt=math.sqrt):
+    """Distance from abscissa u on one line to abscissa v on the other.
 
-    Same line: |a.u - b.u|.  Parallel cross-line: hypot of the abscissa gap
-    and the separation.  Intersecting cross-line: law of cosines on the two
-    arms, with signed abscissas (so opposite half-lines come out right).
+    Parallel lines: hypot of the abscissa gap and the separation.
+    Intersecting lines: law of cosines on the two arms, with signed
+    abscissas (so opposite half-lines come out right).  Pass numpy arrays
+    with sqrt=np.sqrt for an elementwise result.  Every engine computes the
+    metric here, in this expression order, so their distances agree bit for
+    bit.
     """
+    r = space.separation_r
+    if r is not None:
+        du = u - v
+        return sqrt(du * du + r * r)
+    return sqrt(u * u + v * v - 2.0 * u * v * space.cos_alpha)
+
+
+def distance(space: Space, a: Site, b: Site) -> float:
+    """Euclidean distance between two sites of the space."""
     if a.line == b.line:
         return abs(a.u - b.u)
-    if space.kind == PARALLEL:
-        du = a.u - b.u
-        r = space.separation_r
-        return math.sqrt(du * du + r * r)
-    if space.kind == INTERSECTING:
-        ca = math.cos(space.alpha)
-        return math.sqrt(a.u * a.u + b.u * b.u - 2.0 * a.u * b.u * ca)
-    raise ValidationError("single-line space has no second line")
-
-
-def norm(space: Space, a: Site) -> float:
-    """Distance from the origin used by the record machinery: |a.u|.
-
-    For single and intersecting lines this is the arc distance to the origin.
-    For parallel lines the convention is the shadow distance |u|, ignoring
-    the offset of line 1.
-    """
-    return abs(a.u)
-
-
-def boundary_margin(space: Space, a: Site) -> float:
-    """Minimum possible distance from `a` to any location outside the window.
-
-    The window is |u| <= window_L on every line of the space.  For a single
-    line and for parallel lines the nearest outside location is on the site's
-    own line, so the margin is min(L - u, L + u).  For intersecting lines the
-    minimum over each line's outside region is attained at one of the four
-    edge sites with abscissa +-L, so those are enumerated.
-    """
-    L = space.window_L
-    if space.kind == INTERSECTING:
-        m = min(L - a.u, L + a.u)
-        for e in (-L, L):
-            d = distance(space, a, Site(e, 1 - a.line))
-            if d < m:
-                m = d
-        return m
-    return min(L - a.u, L + a.u)
+    if space.kind == SINGLE_LINE:
+        raise ValidationError("single-line space has no second line")
+    return cross_distance(space, a.u, b.u)

@@ -63,6 +63,15 @@ _KIND_FOR = {
     PARALLEL_SHIFTED: PARALLEL,
 }
 
+# The parameters each construction reads besides window_L and rate_lambda.
+CONSTRUCTION_PARAMS = {
+    SINGLE_POISSON: (),
+    INTERSECTING_INDEPENDENT: ("alpha",),
+    PARALLEL_DUPLICATED: ("separation_r",),
+    PARALLEL_THINNED: ("separation_r", "thinning_p"),
+    PARALLEL_SHIFTED: ("separation_r", "shift_s", "allow_unproven_shift"),
+}
+
 
 @dataclass(frozen=True)
 class ProcessSpec:
@@ -75,8 +84,6 @@ class ProcessSpec:
         thinning_p: removal probability p in [0, 1]; thinned only.
         shift_s: line-1 offset s; shifted only, 0 < |s| < r/sqrt(3)
             (or < r with allow_unproven_shift).
-        rate_lambda_line1: optional second-line intensity for intersecting
-            lines; defaults to rate_lambda.  Exploratory knob, untested path.
         allow_unproven_shift: widen the shift_s domain to 0 < |s| < r.
     """
 
@@ -85,7 +92,6 @@ class ProcessSpec:
     rate_lambda: float = 1.0
     thinning_p: float | None = None
     shift_s: float | None = None
-    rate_lambda_line1: float | None = None
     allow_unproven_shift: bool = False
 
     def __post_init__(self):
@@ -96,6 +102,10 @@ class ProcessSpec:
                 f"construction {self.construction!r} needs a "
                 f"{_KIND_FOR[self.construction]!r} space, got {self.space.kind!r}"
             )
+        for name in ("rate_lambda", "thinning_p", "shift_s"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite")
         if not self.rate_lambda > 0:
             raise ValidationError("rate_lambda must be positive")
         if self.construction == PARALLEL_THINNED:
@@ -113,11 +123,29 @@ class ProcessSpec:
                 )
         elif self.shift_s is not None:
             raise ValidationError("shift_s only applies to parallel-shifted")
-        if self.rate_lambda_line1 is not None:
-            if self.construction != INTERSECTING_INDEPENDENT:
-                raise ValidationError("rate_lambda_line1 only applies to intersecting")
-            if not self.rate_lambda_line1 > 0:
-                raise ValidationError("rate_lambda_line1 must be positive")
+
+    @classmethod
+    def build(cls, construction: str, *, window_L: float,
+              rate_lambda: float = 1.0, alpha: float | None = None,
+              separation_r: float | None = None,
+              thinning_p: float | None = None, shift_s: float | None = None,
+              allow_unproven_shift: bool = False) -> "ProcessSpec":
+        """The validated spec for `construction`.
+
+        Only the parameters the construction reads (CONSTRUCTION_PARAMS) are
+        used; the others are ignored, so a caller may pass one full set.
+        """
+        if construction not in CONSTRUCTIONS:
+            raise ValidationError(f"unknown construction: {construction!r}")
+        given = dict(alpha=alpha, separation_r=separation_r,
+                     thinning_p=thinning_p, shift_s=shift_s,
+                     allow_unproven_shift=allow_unproven_shift)
+        used = {k: given[k] for k in CONSTRUCTION_PARAMS[construction]}
+        space = Space(_KIND_FOR[construction], window_L,
+                      alpha=used.pop("alpha", None),
+                      separation_r=used.pop("separation_r", None))
+        return cls(construction=construction, space=space,
+                   rate_lambda=rate_lambda, **used)
 
     def to_dict(self) -> dict:
         return {
@@ -131,7 +159,9 @@ class ProcessSpec:
             "rate_lambda": self.rate_lambda,
             "thinning_p": self.thinning_p,
             "shift_s": self.shift_s,
-            "rate_lambda_line1": self.rate_lambda_line1,
+            # always null: the gwlab-run/1 schema keeps the key, imports
+            # ignore it
+            "rate_lambda_line1": None,
             "allow_unproven_shift": self.allow_unproven_shift,
         }
 
@@ -149,7 +179,6 @@ class ProcessSpec:
             rate_lambda=d.get("rate_lambda", 1.0),
             thinning_p=d.get("thinning_p"),
             shift_s=d.get("shift_s"),
-            rate_lambda_line1=d.get("rate_lambda_line1"),
             allow_unproven_shift=d.get("allow_unproven_shift", False),
         )
 
@@ -270,7 +299,7 @@ def generate(spec: ProcessSpec, seed: int) -> Realization:
         line1 = np.empty(0)
     elif c == INTERSECTING_INDEPENDENT:
         line0 = sample_poisson(spec.rate_lambda, win, rng)
-        line1 = sample_poisson(spec.rate_lambda_line1 or spec.rate_lambda, win, rng)
+        line1 = sample_poisson(spec.rate_lambda, win, rng)
     elif c == PARALLEL_DUPLICATED:
         base = sample_poisson(spec.rate_lambda, win, rng)
         line0 = base
@@ -393,9 +422,11 @@ def realization_to_dict(real: Realization) -> dict:
 
 
 def realization_from_dict(d: dict) -> Realization:
+    """Inverse of realization_to_dict; raises ValidationError on any
+    structural violation, so an imported run walks like a generated one."""
     flags = d.get("flags")
     windows = d.get("windows")
-    return Realization(
+    real = Realization(
         spec=ProcessSpec.from_dict(d["spec"]),
         seed=d["seed"],
         line0=np.asarray(d["line0"], dtype=np.float64),
@@ -405,6 +436,8 @@ def realization_from_dict(d: dict) -> Realization:
         windows=(tuple(windows[0]), tuple(windows[1])) if windows else None,
         provenance=d.get("provenance", "imported"),
     )
+    real.check_invariants()
+    return real
 
 
 def realization_to_json(real: Realization) -> str:

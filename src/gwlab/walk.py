@@ -21,17 +21,15 @@ exactly the prefix of the walk on the unbounded process.
 
 from __future__ import annotations
 
-import json
 import struct
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from math import cos, sqrt
 
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import INTERSECTING, PARALLEL, SINGLE_LINE, Site
+from .geometry import INTERSECTING, PARALLEL, SINGLE_LINE, Site, cross_distance
 from .processes import Realization
 
 EXHAUSTED = "exhausted"
@@ -47,13 +45,10 @@ class StopRule:
 
     ``truncation-safe`` (default) stops at the first step whose distance is
     >= the margin to unseen territory; ``run-to-exhaustion`` visits every
-    point.  window_L, when given, overrides the realization's own windows
-    with symmetric +-window_L intervals (rarely needed; couple_restrict is
-    the normal way to shrink a window).
+    point.  couple_restrict is the way to walk a smaller window.
     """
 
     mode: str = TRUNCATION_SAFE
-    window_L: float | None = None
 
     def __post_init__(self):
         if self.mode not in (RUN_TO_EXHAUSTION, TRUNCATION_SAFE):
@@ -166,30 +161,15 @@ class SortedAliveIndex:
         self._next[i] = s
 
 
-def _effective_windows(real: Realization, rule: StopRule):
-    if rule.window_L is None:
-        return real.windows
-    L = rule.window_L
-    w0 = (-L, L)
-    w1 = (-L, L)
-    if real.spec.construction == "parallel-shifted":
-        s = real.spec.shift_s
-        w1 = (-L + s, L + s)
-    return (w0, w1)
-
-
-def stop_margin(real: Realization, u: float, line: int,
-                windows=None) -> float:
+def stop_margin(real: Realization, u: float, line: int) -> float:
     """Shortest distance from (u, line) to any location outside the windows.
 
-    Unlike geometry.boundary_margin this respects the realization's actual
-    per-line windows, which matters when line 1 was drawn on a shifted
-    interval or the realization was transformed.
+    It respects the realization's actual per-line windows, which matters
+    when line 1 was drawn on a shifted interval or the realization was
+    transformed.
     """
     space = real.spec.space
-    if windows is None:
-        windows = real.windows
-    (lo0, hi0), (lo1, hi1) = windows
+    (lo0, hi0), (lo1, hi1) = real.windows
     if line == 0:
         lo_s, hi_s, lo_o, hi_o = lo0, hi0, lo1, hi1
     else:
@@ -197,17 +177,16 @@ def stop_margin(real: Realization, u: float, line: int,
     m = min(u - lo_s, hi_s - u)
     kind = space.kind
     if kind == PARALLEL:
+        # the nearest outside location across sits h along the line from u
         h = min(u - lo_o, hi_o - u)
         if h < 0.0:
             h = 0.0
-        r = space.separation_r
-        mo = sqrt(h * h + r * r)
+        mo = cross_distance(space, h, 0.0)
         if mo < m:
             m = mo
     elif kind == INTERSECTING:
-        ca = cos(space.alpha)
         for e in (lo_o, hi_o):
-            mo = sqrt(u * u + e * e - 2.0 * u * e * ca)
+            mo = cross_distance(space, u, e)
             if mo < m:
                 m = mo
     return m
@@ -216,15 +195,11 @@ def stop_margin(real: Realization, u: float, line: int,
 class WalkState:
     """Mutable engine state: current site plus per-line alive indexes."""
 
-    def __init__(self, real: Realization, start: Site = Site(0.0, 0),
-                 windows=None):
+    def __init__(self, real: Realization, start: Site = Site(0.0, 0)):
         space = real.spec.space
         self.real = real
+        self.space = space
         self.kind = space.kind
-        self.windows = real.windows if windows is None else windows
-        self.cos_alpha = cos(space.alpha) if space.kind == INTERSECTING else 0.0
-        r = space.separation_r
-        self.rr = r * r if r is not None else 0.0
         self.idx = (
             SortedAliveIndex(real.line0.tolist()),
             SortedAliveIndex(real.line1.tolist()),
@@ -262,33 +237,17 @@ class WalkState:
             other = self.idx[ol]
             if other.n_alive:
                 pts = other.pts
-                if self.kind == PARALLEL:
-                    j = bisect_left(pts, cu)
-                    s = other.succ_alive(j)
-                    p = other.pred_alive(j - 1)
-                    rr = self.rr
-                    if s < len(pts):
-                        v = pts[s]
-                        out.append((sqrt((v - cu) * (v - cu) + rr), ol, v, s))
-                    if p >= 0:
-                        v = pts[p]
-                        out.append((sqrt((v - cu) * (v - cu) + rr), ol, v, p))
-                else:
-                    ca = self.cos_alpha
-                    c = cu * ca
-                    j = bisect_left(pts, c)
-                    s = other.succ_alive(j)
-                    p = other.pred_alive(j - 1)
-                    if s < len(pts):
-                        v = pts[s]
-                        out.append(
-                            (sqrt(cu * cu + v * v - 2.0 * cu * v * ca), ol, v, s)
-                        )
-                    if p >= 0:
-                        v = pts[p]
-                        out.append(
-                            (sqrt(cu * cu + v * v - 2.0 * cu * v * ca), ol, v, p)
-                        )
+                space = self.space
+                c = cu if self.kind == PARALLEL else cu * space.cos_alpha
+                j = bisect_left(pts, c)
+                s = other.succ_alive(j)
+                p = other.pred_alive(j - 1)
+                if s < len(pts):
+                    v = pts[s]
+                    out.append((cross_distance(space, cu, v), ol, v, s))
+                if p >= 0:
+                    v = pts[p]
+                    out.append((cross_distance(space, cu, v), ol, v, p))
         return out
 
     def choose(self) -> tuple[float, int, float, int] | None:
@@ -296,7 +255,7 @@ class WalkState:
         return min(cands) if cands else None
 
     def margin(self) -> float:
-        return stop_margin(self.real, self.cur_u, self.cur_line, self.windows)
+        return stop_margin(self.real, self.cur_u, self.cur_line)
 
     def visit(self, line: int, i: int) -> None:
         self.idx[line].remove(i)
@@ -306,16 +265,10 @@ class WalkState:
         self.cur_i = i
 
 
-def step_candidates(state: WalkState) -> list[Site]:
-    """The sites the next greedy step can possibly go to (at most four)."""
-    return [Site(u, line) for _, line, u, _ in state.candidates()]
-
-
 def run_walk(real: Realization, start: Site = Site(0.0, 0),
              rule: StopRule = StopRule()) -> Trajectory:
     """Greedy walk with the optimized neighbor-search engine."""
-    windows = _effective_windows(real, rule)
-    st = WalkState(real, start, windows)
+    st = WalkState(real, start)
     truncating = rule.mode == TRUNCATION_SAFE
     us: list[float] = []
     lines: list[int] = []
@@ -351,7 +304,6 @@ def run_walk(real: Realization, start: Site = Site(0.0, 0),
 def run_walk_naive(real: Realization, start: Site = Site(0.0, 0),
                    rule: StopRule = StopRule()) -> Trajectory:
     """Reference engine: full linear scan per step.  Oracle for run_walk."""
-    windows = _effective_windows(real, rule)
     space = real.spec.space
     n0, n1 = len(real.line0), len(real.line1)
     us_all = np.concatenate((real.line0, real.line1))
@@ -361,9 +313,6 @@ def run_walk_naive(real: Realization, start: Site = Site(0.0, 0),
     alive = np.ones(n0 + n1, dtype=bool)
     n_alive = n0 + n1
     truncating = rule.mode == TRUNCATION_SAFE
-    kind = space.kind
-    ca = cos(space.alpha) if kind == INTERSECTING else 0.0
-    rr = space.separation_r ** 2 if kind == PARALLEL else 0.0
     cu, cl = start.u, start.line
     us: list[float] = []
     lines: list[int] = []
@@ -379,12 +328,8 @@ def run_walk_naive(real: Realization, start: Site = Site(0.0, 0),
         d = np.empty(n0 + n1)
         d[same] = np.abs(us_all[same] - cu)
         cross = ~same
-        if kind == PARALLEL:
-            v = us_all[cross]
-            d[cross] = np.sqrt((v - cu) * (v - cu) + rr)
-        elif kind == INTERSECTING:
-            v = us_all[cross]
-            d[cross] = np.sqrt(cu * cu + v * v - 2.0 * cu * v * ca)
+        if space.kind != SINGLE_LINE:
+            d[cross] = cross_distance(space, cu, us_all[cross], np.sqrt)
         d_live = np.where(alive, d, np.inf)
         dmin = d_live.min()
         best = None
@@ -393,7 +338,7 @@ def run_walk_naive(real: Realization, start: Site = Site(0.0, 0),
             if best is None or key < best[0]:
                 best = (key, int(k))
         k = best[1]
-        if truncating and dmin >= stop_margin(real, cu, cl, windows):
+        if truncating and dmin >= stop_margin(real, cu, cl):
             reason = TRUNCATED
             break
         step += 1
@@ -494,10 +439,6 @@ def trajectory_to_dicts(traj: Trajectory) -> list[dict]:
             zip(traj.us, traj.lines, traj.step_distances)
         )
     ]
-
-
-def trajectory_to_json(traj: Trajectory) -> str:
-    return json.dumps(trajectory_to_dicts(traj))
 
 
 _BIN_MAGIC = b"GWTRAJ01"

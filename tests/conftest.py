@@ -1,45 +1,24 @@
-"""Shared builders: specs from short names, hand-built realizations and
-trajectories for fixture tests that need exact point placement."""
+"""Shared builders: specs with default parameters, hand-built realizations
+and trajectories for fixture tests that need exact point placement."""
 
 import math
 
 import numpy as np
 import pytest
 
-from gwlab import (
-    INTERSECTING,
-    PARALLEL,
-    SINGLE_LINE,
-    ProcessSpec,
-    Realization,
-    Site,
-    Space,
-    Trajectory,
-    distance,
-)
+from gwlab import ProcessSpec, Realization, Site, Trajectory, distance
+
+
+# the CLI's defaults; ProcessSpec.build ignores the ones a construction
+# does not read
+SPEC_DEFAULTS = dict(window_L=25.0, separation_r=1.0, alpha=math.pi / 3,
+                     thinning_p=0.5, shift_s=0.3)
 
 
 @pytest.fixture
 def spec_for():
-    def build(construction, L=25.0, rate=1.0, r=1.0, alpha=None, p=0.5,
-              s=0.3, allow=False):
-        if construction == "single-line":
-            return ProcessSpec(construction=construction,
-                               space=Space(SINGLE_LINE, L), rate_lambda=rate)
-        if construction == "intersecting":
-            a = alpha if alpha is not None else math.pi / 3
-            return ProcessSpec(construction=construction,
-                               space=Space(INTERSECTING, L, alpha=a),
-                               rate_lambda=rate)
-        space = Space(PARALLEL, L, separation_r=r)
-        kw = {}
-        if construction == "parallel-thinned":
-            kw["thinning_p"] = p
-        if construction == "parallel-shifted":
-            kw["shift_s"] = s
-            kw["allow_unproven_shift"] = allow
-        return ProcessSpec(construction=construction, space=space,
-                           rate_lambda=rate, **kw)
+    def build(construction, **params):
+        return ProcessSpec.build(construction, **{**SPEC_DEFAULTS, **params})
 
     return build
 

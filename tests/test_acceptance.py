@@ -20,114 +20,64 @@ import numpy as np
 import pytest
 
 from gwlab import (
-    INTERSECTING,
     INTERSECTING_INDEPENDENT,
-    PARALLEL,
     PARALLEL_DUPLICATED,
     PARALLEL_SHIFTED,
     PARALLEL_THINNED,
-    SINGLE_LINE,
     SINGLE_POISSON,
     ExperimentConfig,
-    PrefixLimitError,
     ProcessSpec,
-    Space,
-    audit_lemmas,
-    check_cluster_consecutive,
-    check_indented_entry,
-    check_povratak,
-    check_reduced_alignment,
-    compute_Dx,
     couple_restrict,
     coupled_window_study,
     detect_crossings,
     extract_UV_sequences,
     generate,
     intersect_Bn_bound,
-    mark_leading_and_indented,
     run_experiment,
     run_walk,
-    run_walk_naive,
     sign_test_p,
     stream_seed,
-    trajectories_equal,
-    validate_dx_record,
 )
-from gwlab.analysis import last_visit_steps
+from gwlab.checks import CHECKS, run_checks
 
 
 def _emit(num: int, ok: bool, detail: str) -> None:
     print(f"criterion {num}: {'PASS' if ok else 'FAIL'} - {detail}")
 
 
+# parameters of the specs built for every construction in turn
+PARAMS = dict(window_L=50.0, separation_r=1.0, alpha=math.pi / 3,
+              thinning_p=0.5, shift_s=0.3)
+
+
+def _check(name: str, real, traj):
+    return run_checks(real, traj, (name,))[name]
+
+
 # ---------------------------------------------------------------------------
 # shared audit / deficiency tally fed by the criterion 1-7 corpora
+
+_TALLIED = ("lemma-distance", "lemma-replay", "empty-interval", "dx-bounds")
 
 
 @dataclass
 class Tally:
-    pair_checks: int = 0
-    replay_checks: int = 0
-    empty_checks: int = 0
-    audit_violations: list = field(default_factory=list)
+    outcomes: dict = field(default_factory=lambda: {
+        name: CHECKS[name].empty() for name in _TALLIED})
     summary_failures: int = 0  # lemma failures reported by experiment rows
-    dx_records: int = 0
-    dx_violations: list = field(default_factory=list)
+
+    def add(self, real, traj) -> None:
+        # full per-level sweeps are capped at half-width 50 to keep the
+        # quadratic cost bounded; larger coupled windows are audited only
+        small = real.spec.space.window_L <= 50.0
+        names = [n for n in _TALLIED
+                 if real.spec.construction in CHECKS[n].constructions
+                 and (small or n != "dx-bounds")]
+        for name, outcome in run_checks(real, traj, names).items():
+            self.outcomes[name] += outcome
 
 
 TALLY = Tally()
-
-_AUDITABLE = (SINGLE_POISSON, PARALLEL_DUPLICATED, PARALLEL_THINNED,
-              PARALLEL_SHIFTED)
-
-
-def _feed_audit(real, traj) -> None:
-    if real.spec.construction not in _AUDITABLE:
-        return
-    rep = audit_lemmas(real, traj)
-    TALLY.pair_checks += rep.pair_checks
-    TALLY.replay_checks += rep.replay_checks
-    TALLY.empty_checks += rep.empty_interval_checks
-    for v in rep.violations:
-        TALLY.audit_violations.append((real.spec.construction, real.seed, v))
-
-
-def _feed_dx(real, traj) -> None:
-    # full per-level sweeps are capped at half-width 50 to keep the
-    # quadratic cost bounded; larger coupled windows are audited only
-    if real.spec.construction not in (PARALLEL_THINNED, PARALLEL_SHIFTED):
-        return
-    if real.spec.space.window_L > 50.0:
-        return
-    last = last_visit_steps(real, traj)
-    c = real.spec.construction
-    for x in real.base_points[real.base_points > 0.0]:
-        try:
-            rec = compute_Dx(real, traj, float(x), last_steps=last)
-        except PrefixLimitError:
-            continue
-        TALLY.dx_records += 1
-        problems = validate_dx_record(c, rec)
-        if problems:
-            TALLY.dx_violations.append((c, real.seed, float(x), problems))
-
-
-def _spec(construction: str, L: float = 50.0, r: float = 1.0,
-          alpha: float | None = None, p: float = 0.5,
-          s: float = 0.3) -> ProcessSpec:
-    if construction == SINGLE_POISSON:
-        space = Space(SINGLE_LINE, L)
-    elif construction == INTERSECTING_INDEPENDENT:
-        space = Space(INTERSECTING, L, alpha=alpha if alpha else math.pi / 3)
-    else:
-        space = Space(PARALLEL, L, separation_r=r)
-    return ProcessSpec(
-        construction=construction,
-        space=space,
-        rate_lambda=1.0,
-        thinning_p=p if construction == PARALLEL_THINNED else None,
-        shift_s=s if construction == PARALLEL_SHIFTED else None,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -163,15 +113,13 @@ def c2_stats():
     for ci, construction in enumerate([
             SINGLE_POISSON, PARALLEL_DUPLICATED, PARALLEL_THINNED,
             PARALLEL_SHIFTED, INTERSECTING_INDEPENDENT]):
-        spec = _spec(construction)
+        spec = ProcessSpec.build(construction, **PARAMS)
         bad = 0
         for i in range(1000):
             real = generate(spec, stream_seed(9102 + ci, i))
             traj = run_walk(real)
-            if not trajectories_equal(traj, run_walk_naive(real)):
-                bad += 1
-            _feed_audit(real, traj)
-            _feed_dx(real, traj)
+            bad += _check("oracle-equivalence", real, traj).violations
+            TALLY.add(real, traj)
         mismatches[construction] = bad
     return mismatches
 
@@ -194,7 +142,7 @@ def c3_stats():
     for ci, construction in enumerate([
             SINGLE_POISSON, PARALLEL_DUPLICATED, PARALLEL_THINNED,
             PARALLEL_SHIFTED, INTERSECTING_INDEPENDENT]):
-        spec = _spec(construction, L=50.0)
+        spec = ProcessSpec.build(construction, **PARAMS)
         bad = 0
         for i in range(1000):
             big = generate(spec, stream_seed(9103 + ci, i))
@@ -207,9 +155,8 @@ def c3_stats():
                       and np.array_equal(t_small.lines, t_big.lines[:ns]))
             if not strict:
                 bad += 1
-            for real, traj in ((big, t_big), (small, t_small)):
-                _feed_audit(real, traj)
-                _feed_dx(real, traj)
+            TALLY.add(big, t_big)
+            TALLY.add(small, t_small)
         non_prefix[construction] = bad
     return non_prefix
 
@@ -228,31 +175,24 @@ def test_criterion_3_prefix_stability(c3_stats):
 
 @pytest.fixture(scope="module")
 def c4_stats():
-    stats = {"false": 0, "undecided": 0, "align_bad": 0, "runs": 0}
+    stats = CHECKS["cluster-traversal"].empty()
     for k, (r, n_runs) in enumerate([(0.5, 334), (1.0, 333), (2.0, 333)]):
-        spec = _spec(PARALLEL_DUPLICATED, r=r)
+        spec = ProcessSpec.build(PARALLEL_DUPLICATED, window_L=50.0,
+                                 separation_r=r)
         for i in range(n_runs):
             real = generate(spec, stream_seed(91040 + k, i))
             traj = run_walk(real)
-            verdict = check_cluster_consecutive(real, traj)
-            if verdict is False:
-                stats["false"] += 1
-            elif verdict is None:
-                stats["undecided"] += 1
-            if not check_reduced_alignment(real, traj):
-                stats["align_bad"] += 1
-            stats["runs"] += 1
-            _feed_audit(real, traj)
+            stats += _check("cluster-traversal", real, traj)
+            TALLY.add(real, traj)
     return stats
 
 
 def test_criterion_4_cluster_traversal(c4_stats):
-    ok = c4_stats["false"] == 0 and c4_stats["align_bad"] == 0
-    _emit(4, ok, f"{c4_stats['false']} traversal and "
-                 f"{c4_stats['align_bad']} alignment violations over "
-                 f"{c4_stats['runs']} duplicated runs "
-                 f"({c4_stats['undecided']} prefix-cut, undecided)")
-    assert ok
+    ok = c4_stats.violations == 0
+    _emit(4, ok, f"{c4_stats.violations} traversal or alignment violations "
+                 f"over {c4_stats.checks} duplicated runs "
+                 f"({c4_stats.counts['undecided']} prefix-cut, undecided)")
+    assert ok, c4_stats.details[:3]
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +241,8 @@ def c6_stats():
     # growth, while still real, is invisible below L ~ 10^4
     out = {}
     for k, p in enumerate([0.2, 0.5, 1.0]):
-        spec = _spec(PARALLEL_THINNED, L=200.0, p=p, r=5.0)
+        spec = ProcessSpec.build(PARALLEL_THINNED, window_L=200.0,
+                                 separation_r=5.0, thinning_p=p)
         d = np.empty(2000, dtype=np.int64)
         c_small = np.empty(2000, dtype=np.int64)
         c_big = np.empty(2000, dtype=np.int64)
@@ -313,9 +254,8 @@ def c6_stats():
             c_big[i] = detect_crossings(t_big)
             c_small[i] = detect_crossings(t_small)
             d[i] = c_big[i] - c_small[i]
-            _feed_audit(big, t_big)
-            _feed_audit(small, t_small)
-            _feed_dx(small, t_small)
+            TALLY.add(big, t_big)
+            TALLY.add(small, t_small)
         out[p] = {
             "med_small": float(np.median(c_small)),
             "med_big": float(np.median(c_big)),
@@ -346,30 +286,26 @@ def c7_stats():
     # vacuous); shifted at r=1 where the cluster phenomena live
     out = {}
     for k, construction in enumerate([PARALLEL_THINNED, PARALLEL_SHIFTED]):
-        spec = _spec(construction, r=5.0 if construction == PARALLEL_THINNED
-                     else 1.0)
-        occ = vio = unk = 0
+        r = 5.0 if construction == PARALLEL_THINNED else 1.0
+        spec = ProcessSpec.build(construction, **dict(PARAMS, separation_r=r))
+        stats = CHECKS["povratak"].empty()
         for i in range(2000):
             real = generate(spec, stream_seed(91070 + k, i))
             traj = run_walk(real)
-            s = check_povratak(real, traj)
-            occ += s.occurrences
-            vio += s.violations
-            unk += s.unknowns
-            _feed_audit(real, traj)
-            _feed_dx(real, traj)
-        out[construction] = (occ, vio, unk)
+            stats += _check("povratak", real, traj)
+            TALLY.add(real, traj)
+        out[construction] = stats
     return out
 
 
 def test_criterion_7_povratak(c7_stats):
-    total_vio = sum(v for _, v, _ in c7_stats.values())
-    ok = total_vio == 0
+    ok = all(s.violations == 0 for s in c7_stats.values())
     pieces = "; ".join(
-        f"{c}: {o} occurrences, {v} violations, {u} undecided"
-        for c, (o, v, u) in c7_stats.items())
+        f"{c}: {s.counts['occurrences']} occurrences, {s.violations} "
+        f"violations, {s.counts['unknowns']} undecided"
+        for c, s in c7_stats.items())
     _emit(7, ok, f"4000 runs: {pieces}")
-    assert ok
+    assert ok, [s.details[:3] for s in c7_stats.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -378,17 +314,18 @@ def test_criterion_7_povratak(c7_stats):
 
 def test_criterion_8_audits_clean(c1_stats, c2_stats, c3_stats, c4_stats,
                                   c5_stats, c6_stats, c7_stats):
-    n_audit = len(TALLY.audit_violations)
-    n_dx = len(TALLY.dx_violations)
+    out = TALLY.outcomes
+    n_audit = sum(out[n].violations for n in _TALLIED[:3])
+    n_dx = out["dx-bounds"].violations
     ok = (n_audit == 0 and n_dx == 0 and TALLY.summary_failures == 0
-          and TALLY.pair_checks > 0 and TALLY.replay_checks > 0
-          and TALLY.empty_checks > 0 and TALLY.dx_records > 0)
-    _emit(8, ok, f"{TALLY.pair_checks} pair, {TALLY.replay_checks} replay, "
-                 f"{TALLY.empty_checks} empty-interval checks and "
-                 f"{TALLY.dx_records} deficiency records over the criterion "
-                 f"1-7 corpora: {n_audit} audit, {n_dx} deficiency, "
+          and all(o.checks > 0 for o in out.values()))
+    _emit(8, ok, f"{out['lemma-distance'].checks} pair, "
+                 f"{out['lemma-replay'].checks} replay, "
+                 f"{out['empty-interval'].checks} empty-interval checks and "
+                 f"{out['dx-bounds'].checks} deficiency records over the "
+                 f"criterion 1-7 corpora: {n_audit} audit, {n_dx} deficiency, "
                  f"{TALLY.summary_failures} summary-reported violations")
-    assert ok, (TALLY.audit_violations[:3], TALLY.dx_violations[:3])
+    assert ok, [o.details[:3] for o in out.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +335,8 @@ def test_criterion_8_audits_clean(c1_stats, c2_stats, c3_stats, c4_stats,
 @pytest.fixture(scope="module")
 def c9_stats():
     alpha = math.pi / 2
-    spec = _spec(INTERSECTING_INDEPENDENT, alpha=alpha)
+    spec = ProcessSpec.build(INTERSECTING_INDEPENDENT, window_L=50.0,
+                             alpha=alpha)
     n_runs = 10_000
     b_counts = np.zeros(16, dtype=np.int64)
     c_total = 0
@@ -439,63 +377,35 @@ def test_criterion_9_landmark_tail_bound(c9_stats):
 # early-exit phenomenon exists and is findable
 
 
-def _indented_entry_stats(real, traj):
-    """(entries, violations, undecided, early_exits) over one run."""
-    _, marks = mark_leading_and_indented(real)
-    entries = violations = undecided = early = 0
-    for rec in check_indented_entry(real, traj):
-        if rec.is_zero or rec.straddles:
-            continue
-        mk = marks[rec.cluster]
-        if mk.indented:
-            # indented side is line 0: the lead base point itself
-            at_lead = (rec.entry_line == 0
-                       and rec.entry_u == float(real.line0[mk.lead0]))
-        else:
-            at_lead = rec.entered_at_line1_lead
-        if at_lead:
-            entries += 1
-            if rec.consecutive is False:
-                violations += 1
-            elif rec.consecutive is None:
-                undecided += 1
-        if rec.early_exit is True:
-            early += 1
-    return entries, violations, undecided, early
-
-
 @pytest.fixture(scope="module")
 def c10_stats():
-    spec = _spec(PARALLEL_SHIFTED)
-    entries = violations = undecided = 0
+    spec = ProcessSpec.build(PARALLEL_SHIFTED, **PARAMS)
+    stats = CHECKS["indented-entry"].empty()
     first_early = None
     for i in range(1000):
         real = generate(spec, stream_seed(9110, i))
-        traj = run_walk(real)
-        e, v, u, early = _indented_entry_stats(real, traj)
-        entries += e
-        violations += v
-        undecided += u
-        if early and first_early is None:
+        run = _check("indented-entry", real, run_walk(real))
+        stats += run
+        if run.counts["early_exits"] and first_early is None:
             first_early = i
     scanned = 1000
     while first_early is None and scanned < 10_000:
         real = generate(spec, stream_seed(9110, scanned))
-        traj = run_walk(real)
-        if _indented_entry_stats(real, traj)[3]:
+        run = _check("indented-entry", real, run_walk(real))
+        if run.counts["early_exits"]:
             first_early = scanned
         scanned += 1
-    return {"entries": entries, "violations": violations,
-            "undecided": undecided, "first_early": first_early,
-            "scanned": scanned}
+    return {"stats": stats, "first_early": first_early, "scanned": scanned}
 
 
 def test_criterion_10_indented_entry_discipline(c10_stats):
-    ok = (c10_stats["violations"] == 0 and c10_stats["entries"] > 0
+    stats = c10_stats["stats"]
+    entries = stats.counts["indented_lead_entries"]
+    ok = (stats.violations == 0 and entries > 0
           and c10_stats["first_early"] is not None)
-    _emit(10, ok, f"{c10_stats['violations']} violations over "
-                  f"{c10_stats['entries']} indented-lead entries in 1000 "
-                  f"shifted runs ({c10_stats['undecided']} undecided); "
+    _emit(10, ok, f"{stats.violations} violations over {entries} "
+                  f"indented-lead entries in 1000 shifted runs "
+                  f"({stats.counts['undecided']} undecided); "
                   f"first early-exit at run {c10_stats['first_early']} "
                   f"of {c10_stats['scanned']} scanned")
-    assert ok
+    assert ok, stats.details[:3]

@@ -145,12 +145,12 @@ def test_deficiency_insertion_monotone(interior, w):
 
 
 def test_last_visit_steps(hand_real, hand_traj):
-    real = hand_real("parallel-duplicated", [1.0, 2.0], r=1.0)
+    real = hand_real("parallel-duplicated", [1.0, 2.0], separation_r=1.0)
     last = last_visit_steps(real, hand_traj(real, [1.0, 1.0], [0, 1]))
     assert last.tolist() == [2.0, math.inf]
 
     thinned = hand_real("parallel-thinned", [1.0, 2.0], line1=[1.0],
-                        flags=("both", FLAG_LINE0), r=1.0)
+                        flags=("both", FLAG_LINE0), separation_r=1.0)
     last = last_visit_steps(thinned,
                             hand_traj(thinned, [1.0, 2.0, 1.0], [0, 0, 1]))
     assert last.tolist() == [3.0, 2.0]
@@ -175,14 +175,15 @@ def test_extract_halfline_changes(hand_real, hand_traj):
     traj = hand_traj(real, [1.0, 2.0, -1.0, 3.0], [0, 0, 0, 0])
     assert extract_halfline_changes(traj).tolist() == [2, 3]
 
-    par = hand_real("parallel-duplicated", [-1.0, 1.0, 2.0], r=1.0)
+    par = hand_real("parallel-duplicated", [-1.0, 1.0, 2.0], separation_r=1.0)
     traj = hand_traj(par, [1.0, 2.0, -1.0, 1.0], [0, 1, 1, 1])
     # line change, then sign change, then a same-half-line step
     assert extract_halfline_changes(traj).tolist() == [1, 2, 3]
 
 
 def test_uv_single_record(hand_real, hand_traj):
-    real = hand_real("parallel-duplicated", [-4.0, -2.5, 1.0, 2.0, 3.0], r=1.0)
+    real = hand_real("parallel-duplicated", [-4.0, -2.5, 1.0, 2.0, 3.0],
+                     separation_r=1.0)
     traj = hand_traj(real, [1.0, 2.0, 3.0, -2.5, -4.0], [0, 0, 0, 1, 1])
     recs = extract_UV_sequences(traj)
     assert len(recs) == 1
@@ -194,7 +195,7 @@ def test_uv_single_record(hand_real, hand_traj):
 
 
 def test_uv_c_verdict(hand_real, hand_traj):
-    real = hand_real("parallel-duplicated", [-2.0, 1.5, 3.0], r=1.0)
+    real = hand_real("parallel-duplicated", [-2.0, 1.5, 3.0], separation_r=1.0)
     traj = hand_traj(real, [3.0, 1.5, -2.0], [0, 0, 1])
     recs = extract_UV_sequences(traj)
     assert len(recs) == 1
@@ -204,13 +205,13 @@ def test_uv_c_verdict(hand_real, hand_traj):
 
 def test_uv_needs_strict_record(hand_real, hand_traj):
     # |u| at the change equals the level, not exceeding it: no landmark
-    real = hand_real("parallel-duplicated", [-2.0, 1.0, 3.0], r=1.0)
+    real = hand_real("parallel-duplicated", [-2.0, 1.0, 3.0], separation_r=1.0)
     traj = hand_traj(real, [3.0, 1.0, -2.0], [0, 0, 1])
     assert extract_UV_sequences(traj) == []
 
 
 def test_uv_two_levels(hand_real, hand_traj):
-    real = hand_real("parallel-duplicated", [-2.5, 1.5, 3.5], r=1.0)
+    real = hand_real("parallel-duplicated", [-2.5, 1.5, 3.5], separation_r=1.0)
     traj = hand_traj(real, [1.5, -2.5, 3.5], [0, 1, 0])
     recs = extract_UV_sequences(traj)
     assert [(r.n, r.j, r.k, r.verdict) for r in recs] == [
@@ -329,7 +330,7 @@ def test_decompose_invariants(raw, thr):
 
 
 def test_reduce_to_cluster_leads(hand_real):
-    real = hand_real("parallel-duplicated", [1.0, 1.5, 4.0], r=1.0)
+    real = hand_real("parallel-duplicated", [1.0, 1.5, 4.0], separation_r=1.0)
     red = reduce_to_cluster_leads(real, run_walk(real, rule=EXH))
     assert red.lead_us.tolist() == [1.0, 4.0]
     assert red.first_steps.tolist() == [1, 5]
@@ -341,7 +342,7 @@ def test_reduce_to_cluster_leads(hand_real):
 
 
 def test_consecutive_holds_on_real_walk(hand_real):
-    real = hand_real("parallel-duplicated", [-0.5, 4.0, 4.4], r=1.0)
+    real = hand_real("parallel-duplicated", [-0.5, 4.0, 4.4], separation_r=1.0)
     traj = run_walk(real, rule=EXH)
     assert traj.us.tolist() == [-0.5, -0.5, 4.0, 4.4, 4.4, 4.0]
     assert traj.lines.tolist() == [0, 1, 1, 1, 0, 0]
@@ -350,30 +351,30 @@ def test_consecutive_holds_on_real_walk(hand_real):
 
 
 def test_consecutive_entry_not_at_lead(hand_real, hand_traj):
-    real = hand_real("parallel-duplicated", [-0.5, 4.0, 4.4], r=1.0)
+    real = hand_real("parallel-duplicated", [-0.5, 4.0, 4.4], separation_r=1.0)
     assert check_cluster_consecutive(real, hand_traj(real, [4.4], [0])) is False
 
 
 def test_consecutive_interrupted(hand_real, hand_traj):
-    real = hand_real("parallel-duplicated", [-0.5, 4.0, 4.4], r=1.0)
+    real = hand_real("parallel-duplicated", [-0.5, 4.0, 4.4], separation_r=1.0)
     traj = hand_traj(real, [4.0, -0.5, 4.4], [0, 0, 0])
     assert check_cluster_consecutive(real, traj) is False
 
 
 def test_consecutive_wrong_exit(hand_real, hand_traj):
-    real = hand_real("parallel-duplicated", [-0.5, 4.0, 4.4], r=1.0)
+    real = hand_real("parallel-duplicated", [-0.5, 4.0, 4.4], separation_r=1.0)
     traj = hand_traj(real, [4.0, 4.0, 4.4, 4.4], [0, 1, 0, 1])
     assert check_cluster_consecutive(real, traj) is False
 
 
 def test_consecutive_cut_by_prefix_is_undecided(hand_real, hand_traj):
-    real = hand_real("parallel-duplicated", [-0.5, 4.0, 4.4], r=1.0)
+    real = hand_real("parallel-duplicated", [-0.5, 4.0, 4.4], separation_r=1.0)
     traj = hand_traj(real, [4.0, 4.4], [0, 0])
     assert check_cluster_consecutive(real, traj) is None
 
 
 def test_alignment_violation(hand_real, hand_traj):
-    real = hand_real("parallel-duplicated", [-0.5, 4.0, 4.4], r=1.0)
+    real = hand_real("parallel-duplicated", [-0.5, 4.0, 4.4], separation_r=1.0)
     assert check_reduced_alignment(
         real, hand_traj(real, [4.4, -0.5], [0, 0])) is False
     assert check_reduced_alignment(
@@ -402,7 +403,7 @@ def test_consecutive_on_generated_runs(spec_for):
 
 
 def test_mark_leading_and_indented(hand_real):
-    real = hand_real("parallel-shifted", [-2.5, -2.0, 2.0, 2.5], s=0.3)
+    real = hand_real("parallel-shifted", [-2.5, -2.0, 2.0, 2.5], shift_s=0.3)
     dec, marks = mark_leading_and_indented(real)
     assert dec.threshold == pytest.approx(math.sqrt(1.0 + 0.09))
     assert dec.ranges == ((0, 2), (2, 4))
@@ -413,7 +414,7 @@ def test_mark_leading_and_indented(hand_real):
     assert (pos.lead0, pos.lead1) == (2, 2)
     assert not pos.indented and not pos.straddles
 
-    straddle = hand_real("parallel-shifted", [-0.2, 0.3], s=0.3)
+    straddle = hand_real("parallel-shifted", [-0.2, 0.3], shift_s=0.3)
     _, (mk,) = mark_leading_and_indented(straddle)
     assert mk.straddles
 
@@ -423,7 +424,7 @@ def test_mark_leading_and_indented(hand_real):
 
 
 def test_indented_entry_consecutive(hand_real, hand_traj):
-    real = hand_real("parallel-shifted", [-2.5, -2.0, 0.1], s=0.3)
+    real = hand_real("parallel-shifted", [-2.5, -2.0, 0.1], shift_s=0.3)
     traj = hand_traj(real, [-1.7, -2.0, -2.5, -2.2], [1, 0, 0, 1],
                      start=Site(-1.2, 1))
     recs = check_indented_entry(real, traj)
@@ -436,7 +437,7 @@ def test_indented_entry_consecutive(hand_real, hand_traj):
 
 
 def test_indented_entry_early_exit(hand_real, hand_traj):
-    real = hand_real("parallel-shifted", [2.0, 2.5, 6.0], s=0.3)
+    real = hand_real("parallel-shifted", [2.0, 2.5, 6.0], shift_s=0.3)
     traj = hand_traj(real, [2.0, 2.5, 6.0, 6.3, 2.3, 2.8],
                      [0, 0, 0, 1, 1, 1])
     recs = {r.cluster: r for r in check_indented_entry(real, traj)}
@@ -446,7 +447,7 @@ def test_indented_entry_early_exit(hand_real, hand_traj):
 
 
 def test_indented_entry_cut_prefix(hand_real, hand_traj):
-    real = hand_real("parallel-shifted", [2.0, 2.5, 6.0], s=0.3)
+    real = hand_real("parallel-shifted", [2.0, 2.5, 6.0], shift_s=0.3)
     recs = check_indented_entry(real, hand_traj(real, [2.0, 2.5], [0, 0]))
     assert recs[0].consecutive is None and recs[0].early_exit is None
 
@@ -457,7 +458,7 @@ def test_indented_entry_cut_prefix(hand_real, hand_traj):
 
 def test_thinned_events(hand_real, hand_traj):
     real = hand_real("parallel-thinned", [-1.0, 3.0, 4.0, 9.0], line1=[],
-                     flags=LINE0x4, r=1.0)
+                     flags=LINE0x4, separation_r=1.0)
     recs = detect_A_events(real, hand_traj(real, [4.0], [0]))
     assert [r.family for r in recs] == [A_K_THINNED] * 2
     assert [r.index for r in recs] == [1, 2]
@@ -471,7 +472,7 @@ def test_thinned_events(hand_real, hand_traj):
 
 def test_thinned_events_no_anchor(hand_real, hand_traj):
     real = hand_real("parallel-thinned", [3.0, 9.0, 11.0], line1=[],
-                     flags=(FLAG_LINE0,) * 3, r=1.0)
+                     flags=(FLAG_LINE0,) * 3, separation_r=1.0)
     recs = detect_A_events(real, hand_traj(real, [3.0], [0]))
     assert recs[0].occurred is None
     assert "anchor" in recs[0].details["note"]
@@ -479,14 +480,14 @@ def test_thinned_events_no_anchor(hand_real, hand_traj):
 
 def test_thinned_events_undecidable_deficiency(hand_real, hand_traj):
     real = hand_real("parallel-thinned", [-1.0, 2.0, 3.0, 9.0], line1=[],
-                     flags=LINE0x4, r=1.0)
+                     flags=LINE0x4, separation_r=1.0)
     recs = detect_A_events(real, hand_traj(real, [2.0], [0]))
     assert [r.occurred for r in recs] == [False, None]
     assert "undecidable" in recs[1].details["note"]
 
 
 def test_shifted_events(hand_real, hand_traj):
-    real = hand_real("parallel-shifted", [-1.0, 2.0, 8.0], s=0.3)
+    real = hand_real("parallel-shifted", [-1.0, 2.0, 8.0], shift_s=0.3)
     recs = detect_A_events(real, hand_traj(real, [2.0, 2.3], [0, 1]))
     assert len(recs) == 1
     rec = recs[0]
@@ -497,7 +498,7 @@ def test_shifted_events(hand_real, hand_traj):
 
 
 def test_shifted_events_negative_s_mirrors(hand_real, hand_traj):
-    real = hand_real("parallel-shifted", [-8.0, -2.0, 1.0], s=-0.3)
+    real = hand_real("parallel-shifted", [-8.0, -2.0, 1.0], shift_s=-0.3)
     recs = detect_A_events(real, hand_traj(real, [-2.0, -2.3], [0, 1]))
     assert len(recs) == 1
     assert recs[0].occurred is True
@@ -506,7 +507,7 @@ def test_shifted_events_negative_s_mirrors(hand_real, hand_traj):
 
 
 def test_parallel_band_events(hand_real, hand_traj):
-    real = hand_real("parallel-duplicated", [-0.5, 4.0, 4.4], r=1.0)
+    real = hand_real("parallel-duplicated", [-0.5, 4.0, 4.4], separation_r=1.0)
     traj = hand_traj(real, [4.0, 4.4, 4.4, 4.0, -0.5, -0.5],
                      [0, 0, 1, 1, 1, 0])
     recs = detect_A_events(real, traj)
@@ -528,7 +529,7 @@ def test_events_construction_guard(hand_real):
 
 def make_povratak_real(hand_real):
     return hand_real("parallel-thinned", [-1.0, 3.0, 4.0, 9.0], line1=[],
-                     flags=LINE0x4, r=1.0)
+                     flags=LINE0x4, separation_r=1.0)
 
 
 def test_povratak_unknown(hand_real, hand_traj):
@@ -558,7 +559,7 @@ def test_povratak_degenerate_holds_a_fortiori(hand_real, hand_traj):
 
 
 def test_povratak_mirrors_negative_shift(hand_real, hand_traj):
-    real = hand_real("parallel-shifted", [-8.0, -2.0, 1.0], s=-0.3)
+    real = hand_real("parallel-shifted", [-8.0, -2.0, 1.0], shift_s=-0.3)
     s = check_povratak(real, hand_traj(real, [-2.0, -2.3], [0, 1]))
     assert (s.occurrences, s.violations, s.unknowns) == (1, 0, 1)
 
@@ -574,7 +575,7 @@ def test_povratak_construction_guard(hand_real):
 
 
 def test_audit_flags_pair_distance(hand_real, hand_traj):
-    real = hand_real("parallel-duplicated", [0.9, 1.2, 1.5], r=1.0)
+    real = hand_real("parallel-duplicated", [0.9, 1.2, 1.5], separation_r=1.0)
     audit = audit_lemmas(real, hand_traj(real, [1.2, 0.9, 1.5], [0, 0, 1]))
     kinds = {v["kind"] for v in audit.violations}
     assert "pair-distance" in kinds
@@ -582,14 +583,14 @@ def test_audit_flags_pair_distance(hand_real, hand_traj):
 
 
 def test_audit_flags_replay_max(hand_real, hand_traj):
-    real = hand_real("parallel-duplicated", [1.0, 2.0, 3.0], r=1.0)
+    real = hand_real("parallel-duplicated", [1.0, 2.0, 3.0], separation_r=1.0)
     audit = audit_lemmas(real, hand_traj(real, [3.0, 1.0, 2.0], [0, 0, 0]))
     kinds = {v["kind"] for v in audit.violations}
     assert "replay-max" in kinds
 
 
 def test_audit_flags_empty_interval(hand_real, hand_traj):
-    real = hand_real("parallel-duplicated", [1.0, 2.0, 3.0], r=1.0)
+    real = hand_real("parallel-duplicated", [1.0, 2.0, 3.0], separation_r=1.0)
     audit = audit_lemmas(real, hand_traj(real, [3.0, 2.0, 2.0], [0, 0, 1]))
     kinds = {v["kind"] for v in audit.violations}
     assert "empty-interval" in kinds

@@ -2,10 +2,12 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from gwlab import (
+    ProcessSpec,
     __version__,
     generate,
     intersect_Bn_bound,
@@ -14,7 +16,8 @@ from gwlab import (
     run_walk,
     trajectory_from_binary,
 )
-from gwlab.cli import DEFAULT_SEED, SUITES, _build_spec, main
+from gwlab.checks import CHECKS, Check, Outcome
+from gwlab.cli import DEFAULT_SEED, main
 from gwlab.walk import trajectory_to_dicts
 
 
@@ -64,7 +67,7 @@ def test_default_seed_used(capsys):
 def test_verify_list_suites(capsys):
     assert main(["verify", "--list-suites"]) == 0
     out = capsys.readouterr().out
-    for name in SUITES:
+    for name in CHECKS:
         assert name in out
 
 
@@ -95,13 +98,25 @@ def test_verify_indented_entry_counts_lead_entries_only(capsys):
     assert "violations=0" in out
 
 
-def test_verify_failure_exit_code(monkeypatch, capsys):
-    def always_bad(args, specs):
-        return 1, 1
+def test_verify_output_pinned(capsys):
+    # every suite's full stdout at a small size, byte for byte; each block
+    # of the file is a "$ gwlab ARGS" line followed by what it printed
+    text = (Path(__file__).parent / "data" / "verify_pinned.txt").read_text()
+    blocks = text.split("$ gwlab ")[1:]
+    assert len(blocks) == 10
+    for block in blocks:
+        argv, expected = block.split("\n", 1)
+        assert main(argv.split()) == 0
+        assert capsys.readouterr().out == expected, argv
 
-    monkeypatch.setitem(SUITES, "always-bad",
-                        (always_bad, ("single-line",), "test shim"))
-    assert main(["verify", "--suite", "always-bad"]) == 1
+
+def test_verify_failure_exit_code(monkeypatch, capsys):
+    def always_bad(real, traj):
+        return {"always-bad": Outcome({"bad": 1}, 1, [{}])}
+
+    monkeypatch.setitem(CHECKS, "always-bad", Check(
+        "always-bad", ("single-line",), "test shim", ("bad",), always_bad))
+    assert main(["verify", "--suite", "always-bad", "--runs", "1"]) == 1
     assert "always-bad: FAIL (1 violations / 1 checks)" in capsys.readouterr().out
 
 
@@ -131,6 +146,14 @@ def test_domain_errors_exit_2(capsys):
     assert main(["simulate", "--construction", "parallel-shifted",
                  "--shift-s", "0.9", "--allow-unproven-s"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag", ["--window-L", "--rate-lambda",
+                                  "--separation-r"])
+def test_non_finite_flags_exit_2(capsys, flag):
+    assert main(["simulate", "--construction", "parallel-duplicated",
+                 flag, "inf"]) == 2
+    assert "must be finite" in capsys.readouterr().err
 
 
 def test_bounds_table(capsys):
@@ -178,6 +201,24 @@ def test_sweep_rejects_bad_config(tmp_path, capsys):
     assert "mystery_knob" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("construction, params", [
+    ("parallel-duplicated", {"separation_r": 1.0, "alpha": 1.0}),
+    ("single-line", {"separation_r": 7.0}),
+])
+def test_sweep_rejects_unused_parameter(tmp_path, capsys, construction,
+                                        params):
+    # it would land in the CSV without having had any effect
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "name": "x", "construction": construction, "n_runs": 1,
+        "base_seed": 0, **params,
+    }))
+    assert main(["sweep", "--config", str(cfg_path),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert "does not use" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_export_plot_data_parallel(tmp_path, capsys):
     out_dir = tmp_path / "plots"
     assert main(["export-plot-data", "--construction", "parallel-duplicated",
@@ -186,11 +227,8 @@ def test_export_plot_data_parallel(tmp_path, capsys):
     tlines = (out_dir / "prefix_trajectory.csv").read_text().splitlines()
     assert tlines[0] == "step,line,u"
 
-    import argparse
-
-    spec = _build_spec("parallel-duplicated", argparse.Namespace(
-        window_L=25.0, separation_r=1.0, rate_lambda=1.0, alpha=None,
-        thinning_p=None, shift_s=None, allow_unproven=False))
+    spec = ProcessSpec.build("parallel-duplicated", window_L=25.0,
+                             separation_r=1.0)
     traj = run_walk(generate(spec, 9))
     assert len(tlines) == 1 + len(traj)
     step, line, u = tlines[1].split(",")

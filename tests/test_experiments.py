@@ -96,18 +96,6 @@ def test_worker_count_equivalence():
     assert serial == pooled
 
 
-def test_workers_env_override(monkeypatch):
-    baseline = run_experiment(cfg_for("single-line", n_runs=3))
-    monkeypatch.setenv("GWLAB_WORKERS", "1")
-    assert run_experiment(cfg_for("single-line", n_runs=3, workers=4)) == baseline
-    monkeypatch.setenv("GWLAB_WORKERS", "zero")
-    with pytest.raises(ValidationError):
-        run_experiment(cfg_for("single-line", n_runs=3))
-    monkeypatch.setenv("GWLAB_WORKERS", "0")
-    with pytest.raises(ValidationError):
-        run_experiment(cfg_for("single-line", n_runs=3))
-
-
 def test_summary_optional_columns():
     inter = run_experiment(cfg_for("intersecting", n_runs=2))
     assert all(r.a_events is None for r in inter)     # no parallel events

@@ -1,4 +1,4 @@
-"""Metric layer: distances, norms, angles, window margins."""
+"""Metric layer: distances, angles, space validation."""
 
 import math
 
@@ -15,9 +15,7 @@ from gwlab import (
     Space,
     ValidationError,
     angle_from_slopes,
-    boundary_margin,
     distance,
-    norm,
 )
 
 SP_SINGLE = Space(SINGLE_LINE, 10.0)
@@ -75,6 +73,10 @@ def test_single_line_has_no_second_line():
         dict(kind=PARALLEL, window_L=1.0, separation_r=0.0),
         dict(kind=PARALLEL, window_L=1.0, separation_r=1.0, alpha=1.0),
         dict(kind=SINGLE_LINE, window_L=1.0, separation_r=1.0),
+        dict(kind=SINGLE_LINE, window_L=math.inf),
+        dict(kind=SINGLE_LINE, window_L=math.nan),
+        dict(kind=PARALLEL, window_L=1.0, separation_r=math.inf),
+        dict(kind=INTERSECTING, window_L=1.0, alpha=math.nan),
     ],
 )
 def test_space_validation_rejects(kwargs):
@@ -96,23 +98,6 @@ def test_angle_from_slopes():
     assert angle_from_slopes(-t, t) == pytest.approx(math.radians(20.0))
     with pytest.raises(ValidationError):
         angle_from_slopes(0.7, 0.7)
-
-
-def test_norm_is_abscissa_magnitude():
-    assert norm(SP_PAR, Site(-3.5, 1)) == 3.5
-    assert norm(SP_RIGHT, Site(2.0, 1)) == 2.0
-
-
-def test_boundary_margin_single_and_parallel():
-    assert boundary_margin(SP_SINGLE, Site(3.0, 0)) == 7.0
-    assert boundary_margin(SP_SINGLE, Site(-3.0, 0)) == 7.0
-    assert boundary_margin(SP_PAR, Site(-9.0, 1)) == 1.0
-
-
-def test_boundary_margin_intersecting():
-    sp = Space(INTERSECTING, 50.0, alpha=math.pi / 2)
-    assert boundary_margin(sp, Site(30.0, 0)) == 20.0
-    assert boundary_margin(sp, Site(0.0, 1)) == 50.0
 
 
 @pytest.mark.parametrize(
@@ -146,3 +131,4 @@ def test_distance_symmetric_nonnegative(u, v, la, lb):
 @given(u=finite_u, v=finite_u)
 def test_parallel_cross_distance_dominates_separation(u, v):
     assert distance(SP_PAR, Site(u, 0), Site(v, 1)) >= SP_PAR.separation_r
+

@@ -18,7 +18,9 @@ from gwlab import (
     generate,
     make_generator,
     mirror_realization,
+    realization_from_dict,
     realization_from_json,
+    realization_to_dict,
     realization_to_json,
     sample_poisson,
     shift_realization,
@@ -65,7 +67,7 @@ def test_duplicated_twins(spec_for):
 
 
 def test_thinned_flags_describe_lines(spec_for):
-    real = generate(spec_for("parallel-thinned", p=0.5), SEED)
+    real = generate(spec_for("parallel-thinned", thinning_p=0.5), SEED)
     i0 = [i for i, f in enumerate(real.duplicate_flags) if f != FLAG_LINER]
     i1 = [i for i, f in enumerate(real.duplicate_flags) if f != FLAG_LINE0]
     assert np.array_equal(real.base_points[i0], real.line0)
@@ -73,11 +75,12 @@ def test_thinned_flags_describe_lines(spec_for):
 
 
 def test_thinned_limits(spec_for):
-    keep_all = generate(spec_for("parallel-thinned", p=0.0), SEED)
+    keep_all = generate(spec_for("parallel-thinned", thinning_p=0.0), SEED)
     assert all(f == FLAG_BOTH for f in keep_all.duplicate_flags)
     assert np.array_equal(keep_all.line0, keep_all.line1)
 
-    one_copy = generate(spec_for("parallel-thinned", p=1.0, L=200.0), SEED)
+    one_copy = generate(spec_for("parallel-thinned", thinning_p=1.0,
+                                 window_L=200.0), SEED)
     assert all(f != FLAG_BOTH for f in one_copy.duplicate_flags)
     assert len(one_copy.line0) + len(one_copy.line1) == len(one_copy.base_points)
     # assignment is a fair coin: 5 sigma band around half
@@ -87,7 +90,7 @@ def test_thinned_limits(spec_for):
 
 
 def test_shifted_construction(spec_for):
-    spec = spec_for("parallel-shifted", s=0.3, L=25.0)
+    spec = spec_for("parallel-shifted", shift_s=0.3, window_L=25.0)
     real = generate(spec, SEED)
     assert np.array_equal(real.line1, real.line0 + 0.3)
     assert real.windows == ((-25.0, 25.0), (-24.7, 25.3))
@@ -97,14 +100,14 @@ def test_shift_domain_validation(spec_for):
     limit = SHIFT_RATIO_LIMIT  # 1/sqrt(3)
     assert limit == pytest.approx(1 / math.sqrt(3))
     with pytest.raises(ValidationError):
-        spec_for("parallel-shifted", s=limit + 1e-9)
+        spec_for("parallel-shifted", shift_s=limit + 1e-9)
     with pytest.raises(ValidationError):
-        spec_for("parallel-shifted", s=0.0)
+        spec_for("parallel-shifted", shift_s=0.0)
     # widened domain accepts |s| < r but still rejects |s| >= r
-    spec_for("parallel-shifted", s=0.8, allow=True)
-    spec_for("parallel-shifted", s=-0.8, allow=True)
+    spec_for("parallel-shifted", shift_s=0.8, allow_unproven_shift=True)
+    spec_for("parallel-shifted", shift_s=-0.8, allow_unproven_shift=True)
     with pytest.raises(ValidationError):
-        spec_for("parallel-shifted", s=1.0, allow=True)
+        spec_for("parallel-shifted", shift_s=1.0, allow_unproven_shift=True)
 
 
 def test_spec_field_scoping(spec_for):
@@ -146,7 +149,7 @@ def test_sample_poisson_mean_count():
 
 
 def test_mirror_is_involution(spec_for):
-    real = generate(spec_for("parallel-thinned", p=0.5), SEED)
+    real = generate(spec_for("parallel-thinned", thinning_p=0.5), SEED)
     back = mirror_realization(mirror_realization(real))
     assert np.array_equal(back.line0, real.line0)
     assert np.array_equal(back.line1, real.line1)
@@ -155,7 +158,7 @@ def test_mirror_is_involution(spec_for):
 
 
 def test_mirror_reverses_and_negates(spec_for):
-    real = generate(spec_for("parallel-shifted", s=0.3), SEED)
+    real = generate(spec_for("parallel-shifted", shift_s=0.3), SEED)
     m = mirror_realization(real)
     assert np.array_equal(m.line0, np.sort(-real.line0))
     assert m.spec.shift_s == -0.3
@@ -179,7 +182,7 @@ def test_recenter_on_line0(spec_for):
 
 
 def test_recenter_on_line1_swaps_lines(spec_for):
-    real = generate(spec_for("parallel-thinned", p=0.5), SEED)
+    real = generate(spec_for("parallel-thinned", thinning_p=0.5), SEED)
     x = float(real.line1[0])
     rec = shift_realization(real, Site(x, 1))
     assert np.allclose(rec.line0, real.line1 - x)
@@ -187,7 +190,7 @@ def test_recenter_on_line1_swaps_lines(spec_for):
     swap = {FLAG_LINE0: FLAG_LINER, FLAG_LINER: FLAG_LINE0, FLAG_BOTH: FLAG_BOTH}
     assert rec.duplicate_flags == tuple(swap[f] for f in real.duplicate_flags)
 
-    shifted = generate(spec_for("parallel-shifted", s=0.3), SEED)
+    shifted = generate(spec_for("parallel-shifted", shift_s=0.3), SEED)
     rec2 = shift_realization(shifted, Site(float(shifted.line1[0]), 1))
     assert rec2.spec.shift_s == -0.3
     rec2.check_invariants()
@@ -214,6 +217,15 @@ def test_serialization_roundtrip(spec_for, construction):
     assert back.windows == real.windows
     assert back.spec == real.spec
     back.check_invariants()
+
+
+def test_import_validates(spec_for):
+    d = realization_to_dict(generate(spec_for("parallel-thinned"), SEED))
+    d["spec"]["rate_lambda_line1"] = 2.0  # key of older exports, ignored
+    realization_from_dict(d)
+    d["line0"] = d["line0"][::-1]
+    with pytest.raises(ValidationError):
+        realization_from_dict(d)
 
 
 def test_invariants_catch_corruption(spec_for):

@@ -18,20 +18,19 @@ from gwlab import (
     StopRule,
     ValidationError,
     couple_restrict,
+    distance,
     generate,
     mirror_realization,
     mirror_trajectory,
     run_walk,
     run_walk_naive,
-    step_candidates,
     stop_margin,
     stream_seed,
     trajectories_equal,
     trajectory_from_binary,
     trajectory_to_binary,
-    trajectory_to_json,
 )
-from gwlab.walk import SortedAliveIndex, WalkState
+from gwlab.walk import SortedAliveIndex, WalkState, trajectory_to_dicts
 
 EXH = StopRule(mode=RUN_TO_EXHAUSTION)
 
@@ -56,7 +55,7 @@ def test_single_line_order(hand_real):
 
 
 def test_truncation_stops_before_unsafe_step(hand_real):
-    real = hand_real("single-line", [-9.0, 1.0, 2.0], L=10.0)
+    real = hand_real("single-line", [-9.0, 1.0, 2.0], window_L=10.0)
     # from u=2 the far point sits 11 away but the window edge is only 8
     check_both_engines(real, [1.0, 2.0], [0, 0], TRUNCATED)
     check_both_engines(real, [1.0, 2.0, -9.0], [0, 0, 0], EXHAUSTED, rule=EXH)
@@ -65,7 +64,7 @@ def test_truncation_stops_before_unsafe_step(hand_real):
 
 
 def test_duplicated_twin_order(hand_real):
-    real = hand_real("parallel-duplicated", [1.0, 1.5, 4.0], r=1.0)
+    real = hand_real("parallel-duplicated", [1.0, 1.5, 4.0], separation_r=1.0)
     us = [1.0, 1.5, 1.5, 1.0, 4.0, 4.0]
     lines = [0, 0, 1, 1, 1, 0]
     check_both_engines(real, us, lines, EXHAUSTED)
@@ -81,7 +80,7 @@ def test_distance_tie_prefers_smaller_u(hand_real):
 def test_distance_tie_prefers_lower_line(hand_real):
     # 3-4-5 triangle: (5, 0) same-line at 5, (4, 1) across at exactly 5
     real = hand_real("parallel-thinned", [5.0], line1=[4.0],
-                     flags=(FLAG_LINER, FLAG_LINE0), r=3.0)
+                     flags=(FLAG_LINER, FLAG_LINE0), separation_r=3.0)
     check_both_engines(real, [5.0, 4.0], [0, 1], EXHAUSTED, rule=EXH)
 
 
@@ -113,31 +112,54 @@ def test_stop_rule_validation():
 
 
 def test_stop_margin_values(hand_real):
-    single = hand_real("single-line", [0.0], L=25.0)
+    single = hand_real("single-line", [0.0], window_L=25.0)
     assert stop_margin(single, 10.0, 0) == 15.0
+    assert stop_margin(single, -10.0, 0) == 15.0
 
-    par = hand_real("parallel-duplicated", [0.0], r=1.0, L=25.0)
+    par = hand_real("parallel-duplicated", [0.0], separation_r=1.0,
+                    window_L=25.0)
     assert stop_margin(par, 24.0, 0) == 1.0
+    assert stop_margin(par, -24.0, 1) == 1.0
     # cross-line escape can undercut the same-line edges
-    shifted = hand_real("parallel-shifted", [0.0], s=0.3, L=25.0)
+    shifted = hand_real("parallel-shifted", [0.0], shift_s=0.3, window_L=25.0)
     assert shifted.windows == ((-25.0, 25.0), (-24.7, 25.3))
     assert stop_margin(shifted, 0.0, 0) == pytest.approx(math.hypot(24.7, 1.0))
 
-    inter = hand_real("intersecting", [0.0], line1=[], alpha=math.pi / 2, L=50.0)
+    inter = hand_real("intersecting", [0.0], line1=[], alpha=math.pi / 2,
+                      window_L=50.0)
     assert stop_margin(inter, 30.0, 0) == 20.0
     assert stop_margin(inter, 0.0, 1) == 50.0
 
 
-def test_step_candidates_bounded(spec_for):
+@pytest.mark.parametrize("construction", [
+    "single-line", "intersecting", "parallel-shifted",
+])
+def test_stop_margin_lower_bounds_outside_distance(hand_real, construction):
+    # every site beyond the drawn windows is at least the margin away
+    real = hand_real(construction, [0.0], line1=[], alpha=0.4, window_L=10.0)
+    space = real.spec.space
+    rng = np.random.default_rng(3)
+    for line in range(space.n_lines):
+        for u in rng.uniform(*real.windows[line], size=50):
+            here = Site(float(u), line)
+            m = stop_margin(real, here.u, line)
+            for other in range(space.n_lines):
+                lo, hi = real.windows[other]
+                gaps = rng.exponential(2.0, size=20)
+                for e in np.concatenate((lo - gaps, hi + gaps)):
+                    assert m <= distance(space, here, Site(float(e), other))
+
+
+def test_candidates_bounded(spec_for):
     real = generate(spec_for("parallel-thinned"), stream_seed(11, 0))
     st_ = WalkState(real)
     seen = 0
     while st_.n_alive:
-        cands = step_candidates(st_)
+        cands = st_.candidates()
         assert 1 <= len(cands) <= 4
-        d, line, u, i = st_.choose()
-        assert Site(u, line) in cands
-        st_.visit(line, i)
+        best = st_.choose()
+        assert best in cands
+        st_.visit(best[1], best[3])
         seen += 1
     assert seen == len(real.line0) + len(real.line1)
 
@@ -196,7 +218,7 @@ def test_mirror_equivariance(spec_for, construction):
 
 
 def test_couple_restrict_masks_points(spec_for):
-    real = generate(spec_for("parallel-shifted", s=0.3, L=50.0),
+    real = generate(spec_for("parallel-shifted", shift_s=0.3, window_L=50.0),
                     stream_seed(903, 0))
     small = couple_restrict(real, 25.0)
     assert small.windows == ((-25.0, 25.0), (-24.7, 25.3))
@@ -218,7 +240,8 @@ def test_couple_restrict_masks_points(spec_for):
 def test_coupling_gives_strict_prefix(spec_for, construction):
     hits = 0
     for i in range(10):
-        real = generate(spec_for(construction, L=50.0), stream_seed(904, i))
+        real = generate(spec_for(construction, window_L=50.0),
+                        stream_seed(904, i))
         small = couple_restrict(real, 25.0)
         ts = run_walk(small)
         tb = run_walk(real)
@@ -231,7 +254,8 @@ def test_coupling_gives_strict_prefix(spec_for, construction):
 
 
 def test_flag_restriction(spec_for):
-    real = generate(spec_for("parallel-thinned", L=50.0), stream_seed(905, 0))
+    real = generate(spec_for("parallel-thinned", window_L=50.0),
+                    stream_seed(905, 0))
     small = couple_restrict(real, 20.0)
     assert len(small.duplicate_flags) == len(small.base_points)
     kept = {u: f for u, f in zip(real.base_points, real.duplicate_flags)}
@@ -240,7 +264,7 @@ def test_flag_restriction(spec_for):
 
 
 def test_binary_roundtrip(tmp_path, hand_real):
-    real = hand_real("parallel-duplicated", [1.0, 1.5, 4.0], r=1.0)
+    real = hand_real("parallel-duplicated", [1.0, 1.5, 4.0], separation_r=1.0)
     traj = run_walk(real, rule=EXH)
     path = tmp_path / "walk.bin"
     trajectory_to_binary(traj, path)
@@ -262,10 +286,8 @@ def test_binary_roundtrip(tmp_path, hand_real):
 
 
 def test_trajectory_json(hand_real):
-    import json
-
     real = hand_real("single-line", [-1.0, 1.0])
-    rows = json.loads(trajectory_to_json(run_walk(real, rule=EXH)))
+    rows = trajectory_to_dicts(run_walk(real, rule=EXH))
     assert rows == [
         {"step": 1, "line": 0, "u": -1.0, "dist": 1.0},
         {"step": 2, "line": 0, "u": 1.0, "dist": 2.0},
@@ -323,7 +345,8 @@ half_grid = st.integers(-40, 40).map(lambda k: k / 2)
 @given(st.lists(half_grid, min_size=1, max_size=10, unique=True),
        st.sampled_from(["single-line", "parallel-duplicated"]))
 def test_engines_agree_on_arbitrary_points(hand_real, pts, construction):
-    kw = {"r": 1.0} if construction == "parallel-duplicated" else {}
+    kw = ({"separation_r": 1.0} if construction == "parallel-duplicated"
+          else {})
     real = hand_real(construction, sorted(pts), **kw)
     for rule in (StopRule(), EXH):
         a = run_walk(real, rule=rule)
