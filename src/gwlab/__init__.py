@@ -32,6 +32,7 @@ from .processes import (
     SINGLE_POISSON,
     ProcessSpec,
     Realization,
+    couple_restrict,
     generate,
     mirror_realization,
     realization_from_dict,
@@ -39,7 +40,6 @@ from .processes import (
     realization_to_dict,
     realization_to_json,
     sample_poisson,
-    shift_realization,
 )
 from .seeding import RNG_ALGORITHM, make_generator, splitmix64, stream_seed
 from .walk import (
@@ -49,7 +49,6 @@ from .walk import (
     TRUNCATION_SAFE,
     StopRule,
     Trajectory,
-    couple_restrict,
     mirror_trajectory,
     run_walk,
     run_walk_naive,

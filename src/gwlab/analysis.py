@@ -320,10 +320,6 @@ class ClusterDecomposition:
         """Signed position relative to the zero cluster."""
         return ci - self.zero_cluster
 
-    def cluster_of_point(self, pi: int) -> int:
-        starts = [lo for lo, _ in self.ranges]
-        return bisect_right(starts, pi) - 1
-
     def lead_us(self) -> np.ndarray:
         return self.points[list(self.leads)]
 

@@ -100,6 +100,8 @@ def _cmd_verify(args) -> int:
     if args.suite is None:
         print("error: --suite NAME or --list-suites required", file=sys.stderr)
         return 2
+    if args.runs < 1:
+        raise ValidationError(f"--runs must be at least 1, got {args.runs}")
     check = CHECKS[args.suite]
     if args.construction is not None:
         if args.construction not in check.constructions:

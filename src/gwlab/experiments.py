@@ -18,6 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -35,10 +36,11 @@ from .processes import (
     INTERSECTING_INDEPENDENT,
     PARALLEL_CONSTRUCTIONS,
     ProcessSpec,
+    couple_restrict,
     generate,
 )
 from .seeding import RNG_ALGORITHM, stream_seed
-from .walk import couple_restrict, run_walk
+from .walk import run_walk
 
 CSV_COLUMNS = (
     "run_index", "seed", "construction", "lambda", "r", "s", "p", "alpha",
@@ -106,14 +108,34 @@ _CONSTRUCTION_FIELDS = {name for names in CONSTRUCTION_PARAMS.values()
                         for name in names}
 
 
+# JSON types per ExperimentConfig annotation; load_config rejects bools as numbers
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool}
+
+
 def load_config(path) -> ExperimentConfig:
-    """Strict JSON loader: unknown keys are config bugs, not extensions."""
-    with open(path, "r", encoding="utf-8") as fh:
-        d = json.load(fh)
-    allowed = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = sorted(set(d) - allowed)
+    """Strict JSON loader: unknown keys are config bugs, not extensions,
+    and every value must have its field's type."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            d = json.load(fh)
+    except (OSError, ValueError) as e:
+        raise ValidationError(f"cannot read config {path}: {e}") from None
+    if not isinstance(d, dict):
+        raise ValidationError("config must be a JSON object")
+    fields = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+    unknown = sorted(set(d) - set(fields))
     if unknown:
         raise ValidationError(f"unknown config keys: {unknown}")
+    for name, f in fields.items():
+        value = d.get(name, f.default)
+        if value is dataclasses.MISSING:
+            raise ValidationError(f"missing config key {name!r}")
+        kind, _, optional = f.type.partition(" | ")
+        if not (value is None and optional) and (
+                not isinstance(value, _JSON_TYPES[kind])
+                or isinstance(value, bool) and kind != "bool"):
+            raise ValidationError(
+                f"config key {name!r} must be {f.type}, got {value!r}")
     return ExperimentConfig(**d)
 
 
@@ -180,21 +202,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[RunSummary]:
         return [_run_one(cfg, i) for i in range(cfg.n_runs)]
     chunk = max(1, cfg.n_runs // (8 * cfg.workers))
     with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-        rows = list(
-            pool.map(_RunOne(cfg), range(cfg.n_runs), chunksize=chunk)
-        )
+        rows = list(pool.map(partial(_run_one, cfg), range(cfg.n_runs),
+                             chunksize=chunk))
     rows.sort(key=lambda r: r.run_index)
     return rows
-
-
-class _RunOne:
-    """Picklable bound worker (plain closures cannot cross processes)."""
-
-    def __init__(self, cfg: ExperimentConfig):
-        self.cfg = cfg
-
-    def __call__(self, run_index: int) -> RunSummary:
-        return _run_one(self.cfg, run_index)
 
 
 def coupled_window_study(cfg: ExperimentConfig,

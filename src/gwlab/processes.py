@@ -13,10 +13,12 @@ Five constructions are supported:
 * ``parallel-shifted``: one Poisson process on line 0 and the same points
   shifted by s on line 1.
 
-A realization also records per-line windows so that transformed or
-restricted realizations keep exact bookkeeping of which regions were drawn.
-``base_points`` is the sorted set union of the two per-line abscissa arrays:
-the shadow of all points of the process.
+A realization is its two per-line abscissa arrays plus the per-line windows
+they were drawn on, so that mirrored or restricted realizations keep exact
+bookkeeping of which regions were drawn.  Everything else is derived from
+the two arrays: ``base_points`` is their sorted union (the shadow of all
+points of the process) and, when thinned, ``duplicate_flags`` is each base
+point's fate.
 """
 
 from __future__ import annotations
@@ -24,11 +26,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import INTERSECTING, PARALLEL, SINGLE_LINE, Site, Space
+from .geometry import INTERSECTING, PARALLEL, SINGLE_LINE, Space
 from .seeding import make_generator
 
 SINGLE_POISSON = "single-line"
@@ -189,51 +192,63 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def drawn_windows(spec: ProcessSpec) -> tuple[tuple[float, float],
+                                              tuple[float, float]]:
+    """The per-line intervals a draw of `spec` covers: (-L, L) on both
+    lines, with line 1 moved by s when shifted."""
+    L = spec.space.window_L
+    if spec.construction != PARALLEL_SHIFTED:
+        return (-L, L), (-L, L)
+    s = spec.shift_s
+    return (-L, L), (-L + s, L + s)
+
+
 @dataclass(frozen=True)
 class Realization:
     """One drawn point configuration.
 
     line0/line1 are sorted abscissa arrays (line1 empty for a single line).
-    base_points is the sorted union of the two (the shadow process).
-    duplicate_flags, thinned only, records each base point's fate and is
-    aligned with base_points.  windows holds the per-line drawn intervals;
-    they differ from (-L, L) only for the shifted line 1 and after
-    transformations.
+    windows holds the per-line drawn intervals; they differ from
+    drawn_windows(spec) only after transformations.  base_points and
+    duplicate_flags are derived from line0/line1.
     """
 
     spec: ProcessSpec
     seed: int
     line0: np.ndarray
     line1: np.ndarray
-    base_points: np.ndarray
-    duplicate_flags: tuple[str, ...] | None = None
     windows: tuple[tuple[float, float], tuple[float, float]] | None = None
     provenance: str = "generated"
 
     def __post_init__(self):
         object.__setattr__(self, "line0", _frozen(self.line0))
         object.__setattr__(self, "line1", _frozen(self.line1))
-        object.__setattr__(self, "base_points", _frozen(self.base_points))
         if self.windows is None:
-            L = self.spec.space.window_L
-            w0 = (-L, L)
-            w1 = (-L, L)
-            if self.spec.construction == PARALLEL_SHIFTED:
-                s = self.spec.shift_s
-                w1 = (-L + s, L + s)
-            object.__setattr__(self, "windows", (w0, w1))
+            object.__setattr__(self, "windows", drawn_windows(self.spec))
+
+    @cached_property
+    def base_points(self) -> np.ndarray:
+        """The sorted union of line0 and line1: the shadow process."""
+        return _frozen(np.union1d(self.line0, self.line1))
+
+    @cached_property
+    def duplicate_flags(self) -> tuple[str, ...] | None:
+        """Thinned only: each base point's fate (FLAG_BOTH, FLAG_LINE0 or
+        FLAG_LINER), aligned with base_points; None otherwise."""
+        if self.spec.construction != PARALLEL_THINNED:
+            return None
+        on0 = np.isin(self.base_points, self.line0)
+        on1 = np.isin(self.base_points, self.line1)
+        return tuple(np.where(on0 & on1, FLAG_BOTH,
+                              np.where(on0, FLAG_LINE0, FLAG_LINER)).tolist())
 
     @property
     def n_points(self) -> int:
         return len(self.line0) + len(self.line1)
 
-    def points_on(self, line: int) -> np.ndarray:
-        return self.line0 if line == 0 else self.line1
-
     def check_invariants(self) -> None:
         """Raise ValidationError on any structural violation."""
-        for arr, name in ((self.line0, "line0"), (self.line1, "line1"),
-                          (self.base_points, "base_points")):
+        for arr, name in ((self.line0, "line0"), (self.line1, "line1")):
             if len(arr) > 1 and not np.all(np.diff(arr) > 0):
                 raise ValidationError(f"{name} not strictly increasing")
         (lo0, hi0), (lo1, hi1) = self.windows
@@ -241,9 +256,6 @@ class Realization:
             raise ValidationError("line0 points outside window")
         if len(self.line1) and not (lo1 <= self.line1[0] and self.line1[-1] <= hi1):
             raise ValidationError("line1 points outside window")
-        union = np.union1d(self.line0, self.line1)
-        if not np.array_equal(union, self.base_points):
-            raise ValidationError("base_points != union of per-line points")
         c = self.spec.construction
         if c == SINGLE_POISSON and len(self.line1):
             raise ValidationError("single line realization has line1 points")
@@ -254,20 +266,6 @@ class Realization:
                 self.line0 + self.spec.shift_s, self.line1
             ):
                 raise ValidationError("line1 != line0 + shift_s")
-        if c == PARALLEL_THINNED:
-            if self.duplicate_flags is None or len(self.duplicate_flags) != len(
-                self.base_points
-            ):
-                raise ValidationError("thinned realization needs aligned flags")
-            n_both = sum(1 for f in self.duplicate_flags if f == FLAG_BOTH)
-            if len(self.line0) + len(self.line1) != len(self.base_points) + n_both:
-                raise ValidationError("per-line counts inconsistent with flags")
-            i0 = [i for i, f in enumerate(self.duplicate_flags) if f != FLAG_LINER]
-            i1 = [i for i, f in enumerate(self.duplicate_flags) if f != FLAG_LINE0]
-            if not np.array_equal(self.base_points[i0], self.line0) or not np.array_equal(
-                self.base_points[i1], self.line1
-            ):
-                raise ValidationError("flags do not reproduce per-line arrays")
 
 
 def sample_poisson(rate: float, window: tuple[float, float],
@@ -290,9 +288,7 @@ def sample_poisson(rate: float, window: tuple[float, float],
 def generate(spec: ProcessSpec, seed: int) -> Realization:
     """Draw the realization for (spec, seed); bit-stable for a fixed seed."""
     rng = make_generator(seed)
-    L = spec.space.window_L
-    win = (-L, L)
-    flags: tuple[str, ...] | None = None
+    win = drawn_windows(spec)[0]
     c = spec.construction
     if c == SINGLE_POISSON:
         line0 = sample_poisson(spec.rate_lambda, win, rng)
@@ -311,104 +307,60 @@ def generate(spec: ProcessSpec, seed: int) -> Realization:
         to_line0 = rng.random(n) < 0.5
         line0 = base[keep_both | to_line0]
         line1 = base[keep_both | ~to_line0]
-        flags = tuple(
-            FLAG_BOTH if b else (FLAG_LINE0 if z else FLAG_LINER)
-            for b, z in zip(keep_both, to_line0)
-        )
     else:  # PARALLEL_SHIFTED
         line0 = sample_poisson(spec.rate_lambda, win, rng)
         line1 = line0 + spec.shift_s
-    real = Realization(
-        spec=spec,
-        seed=seed,
-        line0=line0,
-        line1=line1,
-        base_points=np.union1d(line0, line1),
-        duplicate_flags=flags,
-    )
+    real = Realization(spec=spec, seed=seed, line0=line0, line1=line1)
     real.check_invariants()
     return real
-
-
-def _swap_flags(flags: tuple[str, ...] | None) -> tuple[str, ...] | None:
-    if flags is None:
-        return None
-    swap = {FLAG_LINE0: FLAG_LINER, FLAG_LINER: FLAG_LINE0, FLAG_BOTH: FLAG_BOTH}
-    return tuple(swap[f] for f in flags)
-
-
-def shift_realization(real: Realization, at: Site) -> Realization:
-    """Recenter the realization at `at`: subtract its abscissa from every
-    point, and when `at` is on line 1 also swap the two lines.
-
-    This is the move-to-the-current-point operator: the walk seen from the
-    visited site.  Not defined for intersecting lines (their origin is the
-    intersection and cannot move).
-    """
-    if real.spec.space.kind == INTERSECTING:
-        raise ValidationError("cannot recenter an intersecting-lines realization")
-    if at.line not in (0, 1):
-        raise ValidationError("site line must be 0 or 1")
-    if at.line == 1 and real.spec.space.kind == SINGLE_LINE:
-        raise ValidationError("single line has no line 1")
-    x = at.u
-    a0 = real.line0 - x
-    a1 = real.line1 - x
-    (lo0, hi0), (lo1, hi1) = real.windows
-    w0 = (lo0 - x, hi0 - x)
-    w1 = (lo1 - x, hi1 - x)
-    spec = real.spec
-    flags = real.duplicate_flags
-    if at.line == 1:
-        a0, a1 = a1, a0
-        w0, w1 = w1, w0
-        flags = _swap_flags(flags)
-        if spec.construction == PARALLEL_SHIFTED:
-            spec = replace(spec, shift_s=-spec.shift_s)
-    if spec.construction == PARALLEL_SHIFTED:
-        # derive line 1 from line 0 so the identity line1 == line0 + s stays
-        # bit-exact; subtracting x from each line independently drifts by ulps
-        s = spec.shift_s
-        a1 = a0 + s
-        w1 = (w0[0] + s, w0[1] + s)
-    return Realization(
-        spec=spec,
-        seed=real.seed,
-        line0=a0,
-        line1=a1,
-        base_points=np.union1d(a0, a1),
-        duplicate_flags=flags,
-        windows=(w0, w1),
-        provenance=f"{real.provenance}; recentered at ({at.u!r}, line {at.line})",
-    )
 
 
 def mirror_realization(real: Realization) -> Realization:
     """Reflect the realization through the vertical axis u -> -u."""
     if real.spec.space.kind == INTERSECTING:
         raise ValidationError("cannot mirror an intersecting-lines realization")
-    a0 = np.sort(-real.line0)
-    a1 = np.sort(-real.line1)
     (lo0, hi0), (lo1, hi1) = real.windows
     spec = real.spec
     if spec.construction == PARALLEL_SHIFTED:
         spec = replace(spec, shift_s=-spec.shift_s)
-    flags = real.duplicate_flags
-    if flags is not None:
-        flags = tuple(reversed(flags))
     return Realization(
         spec=spec,
         seed=real.seed,
-        line0=a0,
-        line1=a1,
-        base_points=np.union1d(a0, a1),
-        duplicate_flags=flags,
+        line0=np.sort(-real.line0),
+        line1=np.sort(-real.line1),
         windows=((-hi0, -lo0), (-hi1, -lo1)),
         provenance=f"{real.provenance}; mirrored",
     )
 
 
+def couple_restrict(real: Realization, smaller_L: float) -> Realization:
+    """Restrict a realization to the symmetric window of half-width smaller_L.
+
+    The result is exactly what generate would have produced had the smaller
+    window been drawn from the same underlying process, so walks on the pair
+    are coupled: the truncation-safe walk on the restriction is a prefix of
+    the walk on the original.
+    """
+    spec = real.spec
+    if not 0 < smaller_L <= spec.space.window_L:
+        raise ValidationError("smaller_L must be in (0, window_L]")
+    if smaller_L == spec.space.window_L:
+        return real
+    spec = replace(spec, space=replace(spec.space, window_L=smaller_L))
+    (lo0, hi0), (lo1, hi1) = windows = drawn_windows(spec)
+    return Realization(
+        spec=spec,
+        seed=real.seed,
+        line0=real.line0[(real.line0 >= lo0) & (real.line0 <= hi0)],
+        line1=real.line1[(real.line1 >= lo1) & (real.line1 <= hi1)],
+        windows=windows,
+        provenance=f"{real.provenance}; restricted to L={smaller_L!r}",
+    )
+
+
 def realization_to_dict(real: Realization) -> dict:
+    """The gwlab-run/1 form.  base_points and flags are derived from
+    line0/line1 and written for compatibility; import checks them."""
     return {
         "spec": real.spec.to_dict(),
         "seed": real.seed,
@@ -423,20 +375,23 @@ def realization_to_dict(real: Realization) -> dict:
 
 def realization_from_dict(d: dict) -> Realization:
     """Inverse of realization_to_dict; raises ValidationError on any
-    structural violation, so an imported run walks like a generated one."""
-    flags = d.get("flags")
+    structural violation, so an imported run walks like a generated one.
+    base_points and flags, when present, must equal the values derived from
+    line0/line1."""
     windows = d.get("windows")
     real = Realization(
         spec=ProcessSpec.from_dict(d["spec"]),
         seed=d["seed"],
         line0=np.asarray(d["line0"], dtype=np.float64),
         line1=np.asarray(d["line1"], dtype=np.float64),
-        base_points=np.asarray(d["base_points"], dtype=np.float64),
-        duplicate_flags=tuple(flags) if flags else None,
         windows=(tuple(windows[0]), tuple(windows[1])) if windows else None,
         provenance=d.get("provenance", "imported"),
     )
     real.check_invariants()
+    derived = realization_to_dict(real)
+    for key in ("base_points", "flags"):
+        if key in d and d[key] != derived[key]:
+            raise ValidationError(f"{key} disagrees with line0/line1")
     return real
 
 

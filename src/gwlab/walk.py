@@ -78,10 +78,6 @@ class Trajectory:
         return len(self.us)
 
     @cached_property
-    def steps(self) -> tuple[Site, ...]:
-        return tuple(Site(float(u), int(l)) for u, l in zip(self.us, self.lines))
-
-    @cached_property
     def prefix_max(self) -> np.ndarray:
         """Running max of the shadow over steps 1..N."""
         return np.maximum.accumulate(self.us) if len(self.us) else self.us
@@ -391,46 +387,6 @@ def mirror_trajectory(traj: Trajectory) -> Trajectory:
     )
 
 
-def couple_restrict(real: Realization, smaller_L: float) -> Realization:
-    """Restrict a realization to the symmetric window of half-width smaller_L.
-
-    The result is exactly what generate would have produced had the smaller
-    window been drawn from the same underlying process, so walks on the pair
-    are coupled: the truncation-safe walk on the restriction is a prefix of
-    the walk on the original.
-    """
-    from dataclasses import replace as _replace
-
-    spec = real.spec
-    L = spec.space.window_L
-    if not 0 < smaller_L <= L:
-        raise ValidationError("smaller_L must be in (0, window_L]")
-    if smaller_L == L:
-        return real
-    s = spec.shift_s if spec.construction == "parallel-shifted" else 0.0
-    lo0, hi0 = -smaller_L, smaller_L
-    lo1, hi1 = -smaller_L + s, smaller_L + s
-    m0 = (real.line0 >= lo0) & (real.line0 <= hi0)
-    m1 = (real.line1 >= lo1) & (real.line1 <= hi1)
-    line0 = real.line0[m0]
-    line1 = real.line1[m1]
-    flags = real.duplicate_flags
-    if flags is not None:
-        mb = (real.base_points >= lo0) & (real.base_points <= hi0)
-        flags = tuple(f for f, keep in zip(flags, mb) if keep)
-    new_spec = _replace(spec, space=_replace(spec.space, window_L=smaller_L))
-    return Realization(
-        spec=new_spec,
-        seed=real.seed,
-        line0=line0,
-        line1=line1,
-        base_points=np.union1d(line0, line1),
-        duplicate_flags=flags,
-        windows=((lo0, hi0), (lo1, hi1)),
-        provenance=f"{real.provenance}; restricted to L={smaller_L!r}",
-    )
-
-
 def trajectory_to_dicts(traj: Trajectory) -> list[dict]:
     """JSON-friendly per-step rows: {step, line, u, dist}."""
     return [
@@ -462,13 +418,14 @@ def trajectory_to_binary(traj: Trajectory, path) -> None:
 def trajectory_from_binary(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read back a trajectory_to_binary dump as (us, lines, dists)."""
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _BIN_MAGIC:
-            raise ValidationError("not a trajectory dump (bad magic)")
-        (n,) = struct.unpack("<Q", fh.read(8))
-        raw = fh.read(3 * 8 * n)
-    if len(raw) != 3 * 8 * n:
-        raise ValidationError("truncated trajectory dump")
+        header = fh.read(16)
+        raw = fh.read()
+    if header[:8] != _BIN_MAGIC:
+        raise ValidationError("not a trajectory dump (bad magic)")
+    # nothing is sized by the header's step count before it matches the file
+    if len(header) < 16 or len(raw) != 24 * struct.unpack("<Q", header[8:])[0]:
+        raise ValidationError("trajectory dump size does not match its step count")
+    n = len(raw) // 24
     us = np.frombuffer(raw[: 8 * n], dtype="<f8")
     lines = np.frombuffer(raw[8 * n : 16 * n], dtype="<f8").astype(np.int8)
     dists = np.frombuffer(raw[16 * n :], dtype="<f8")

@@ -27,7 +27,7 @@ def spec_for():
 def hand_real(spec_for):
     """Realization from explicit point lists, bypassing the sampler."""
 
-    def build(construction, line0, line1=None, flags=None, **kw):
+    def build(construction, line0, line1=None, **kw):
         spec = spec_for(construction, **kw)
         a0 = np.asarray(line0, dtype=np.float64)
         if construction == "single-line":
@@ -38,14 +38,7 @@ def hand_real(spec_for):
             a1 = a0 + spec.shift_s
         else:
             a1 = np.asarray([] if line1 is None else line1, dtype=np.float64)
-        real = Realization(
-            spec=spec,
-            seed=0,
-            line0=a0,
-            line1=a1,
-            base_points=np.union1d(a0, a1),
-            duplicate_flags=tuple(flags) if flags else None,
-        )
+        real = Realization(spec=spec, seed=0, line0=a0, line1=a1)
         real.check_invariants()
         return real
 

@@ -13,7 +13,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gwlab import (
-    FLAG_LINE0,
     RUN_TO_EXHAUSTION,
     HittingTimes,
     PrefixLimitError,
@@ -50,7 +49,6 @@ from gwlab.analysis import (
     last_visit_steps,
 )
 
-LINE0x4 = (FLAG_LINE0,) * 4
 EXH = StopRule(mode=RUN_TO_EXHAUSTION)
 
 
@@ -150,7 +148,7 @@ def test_last_visit_steps(hand_real, hand_traj):
     assert last.tolist() == [2.0, math.inf]
 
     thinned = hand_real("parallel-thinned", [1.0, 2.0], line1=[1.0],
-                        flags=("both", FLAG_LINE0), separation_r=1.0)
+                        separation_r=1.0)
     last = last_visit_steps(thinned,
                             hand_traj(thinned, [1.0, 2.0, 1.0], [0, 0, 1]))
     assert last.tolist() == [3.0, 2.0]
@@ -279,7 +277,6 @@ def test_decompose_basic():
     assert dec.zero_cluster == 0
     assert dec.n_clusters == 2
     assert dec.cluster_number(1) == 1
-    assert dec.cluster_of_point(2) == 1
     assert dec.lead_us().tolist() == [0.5, 3.0]
 
 
@@ -458,7 +455,7 @@ def test_indented_entry_cut_prefix(hand_real, hand_traj):
 
 def test_thinned_events(hand_real, hand_traj):
     real = hand_real("parallel-thinned", [-1.0, 3.0, 4.0, 9.0], line1=[],
-                     flags=LINE0x4, separation_r=1.0)
+                     separation_r=1.0)
     recs = detect_A_events(real, hand_traj(real, [4.0], [0]))
     assert [r.family for r in recs] == [A_K_THINNED] * 2
     assert [r.index for r in recs] == [1, 2]
@@ -472,7 +469,7 @@ def test_thinned_events(hand_real, hand_traj):
 
 def test_thinned_events_no_anchor(hand_real, hand_traj):
     real = hand_real("parallel-thinned", [3.0, 9.0, 11.0], line1=[],
-                     flags=(FLAG_LINE0,) * 3, separation_r=1.0)
+                     separation_r=1.0)
     recs = detect_A_events(real, hand_traj(real, [3.0], [0]))
     assert recs[0].occurred is None
     assert "anchor" in recs[0].details["note"]
@@ -480,7 +477,7 @@ def test_thinned_events_no_anchor(hand_real, hand_traj):
 
 def test_thinned_events_undecidable_deficiency(hand_real, hand_traj):
     real = hand_real("parallel-thinned", [-1.0, 2.0, 3.0, 9.0], line1=[],
-                     flags=LINE0x4, separation_r=1.0)
+                     separation_r=1.0)
     recs = detect_A_events(real, hand_traj(real, [2.0], [0]))
     assert [r.occurred for r in recs] == [False, None]
     assert "undecidable" in recs[1].details["note"]
@@ -529,7 +526,7 @@ def test_events_construction_guard(hand_real):
 
 def make_povratak_real(hand_real):
     return hand_real("parallel-thinned", [-1.0, 3.0, 4.0, 9.0], line1=[],
-                     flags=LINE0x4, separation_r=1.0)
+                     separation_r=1.0)
 
 
 def test_povratak_unknown(hand_real, hand_traj):

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from gwlab import (
+    CONSTRUCTIONS,
     ProcessSpec,
     __version__,
     generate,
@@ -57,6 +58,20 @@ def test_simulate_exports(tmp_path, capsys):
     assert us.tolist() == traj.us.tolist()
     assert lines.tolist() == traj.lines.tolist()
     assert dists.tolist() == traj.step_distances.tolist()
+
+
+@pytest.mark.parametrize("construction", CONSTRUCTIONS)
+def test_export_run_pinned(tmp_path, capsys, construction):
+    # the gwlab-run/1 export, byte for byte; the realization's base_points
+    # and flags in it are derived from line0/line1
+    path = tmp_path / "run.json"
+    assert main(["simulate", "--construction", construction,
+                 "--window-L", "10", "--seed", "11",
+                 "--export-run", str(path)]) == 0
+    capsys.readouterr()
+    pinned = Path(__file__).parent / "data" / "export_run" / f"{construction}.json"
+    assert path.read_bytes() == pinned.read_bytes()
+    realization_from_dict(json.loads(pinned.read_text())["realization"])
 
 
 def test_default_seed_used(capsys):
@@ -123,6 +138,15 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
 def test_verify_requires_suite(capsys):
     assert main(["verify"]) == 2
     assert "--suite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("runs", ["0", "-3"])
+def test_verify_rejects_non_positive_runs(capsys, runs):
+    # running nothing must not read as a clean verification
+    assert main(["verify", "--suite", "povratak", "--runs", runs]) == 2
+    captured = capsys.readouterr()
+    assert "error: --runs must be at least 1" in captured.err
+    assert "PASS" not in captured.out
 
 
 def test_verify_rejects_inapplicable_construction(capsys):
@@ -199,6 +223,37 @@ def test_sweep_rejects_bad_config(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg_path),
                  "--out-dir", str(tmp_path / "out")]) == 2
     assert "mystery_knob" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n_runs", 2.5), ("n_runs", True), ("base_seed", "7"),
+    ("window_L", "50"), ("rate_lambda", [1.0]), ("separation_r", False),
+    ("audit", 1), ("detect_events", "yes"), ("allow_unproven_shift", 0),
+    ("workers", 1.0), ("name", 3),
+])
+def test_sweep_rejects_wrong_types(tmp_path, capsys, key, value):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "name": "x", "construction": "parallel-duplicated", "n_runs": 2,
+        "base_seed": 0, "separation_r": 1.0, key: value,
+    }))
+    assert main(["sweep", "--config", str(cfg_path),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"config key {key!r} must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{", "cannot read config"),
+    ("[]", "must be a JSON object"),
+    ('{"name": "x", "construction": "single-line"}', "missing config key 'n_runs'"),
+])
+def test_sweep_rejects_malformed_config(tmp_path, capsys, text, message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert main(["sweep", "--config", str(cfg_path),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("construction, params", [

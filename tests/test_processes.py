@@ -1,5 +1,6 @@
 """Point-process sampling, construction shapes, transforms, serialization."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from gwlab import (
     SHIFT_RATIO_LIMIT,
     ProcessSpec,
     Realization,
-    Site,
     Space,
     ValidationError,
     generate,
@@ -23,7 +23,6 @@ from gwlab import (
     realization_to_dict,
     realization_to_json,
     sample_poisson,
-    shift_realization,
     stream_seed,
 )
 
@@ -172,37 +171,6 @@ def test_mirror_intersecting_rejected(spec_for):
         mirror_realization(real)
 
 
-def test_recenter_on_line0(spec_for):
-    real = generate(spec_for("parallel-duplicated"), SEED)
-    x = float(real.line0[3])
-    rec = shift_realization(real, Site(x, 0))
-    assert rec.line0[3] == 0.0
-    assert np.allclose(rec.line0, real.line0 - x)
-    assert rec.windows[0] == (-25.0 - x, 25.0 - x)
-
-
-def test_recenter_on_line1_swaps_lines(spec_for):
-    real = generate(spec_for("parallel-thinned", thinning_p=0.5), SEED)
-    x = float(real.line1[0])
-    rec = shift_realization(real, Site(x, 1))
-    assert np.allclose(rec.line0, real.line1 - x)
-    assert np.allclose(rec.line1, real.line0 - x)
-    swap = {FLAG_LINE0: FLAG_LINER, FLAG_LINER: FLAG_LINE0, FLAG_BOTH: FLAG_BOTH}
-    assert rec.duplicate_flags == tuple(swap[f] for f in real.duplicate_flags)
-
-    shifted = generate(spec_for("parallel-shifted", shift_s=0.3), SEED)
-    rec2 = shift_realization(shifted, Site(float(shifted.line1[0]), 1))
-    assert rec2.spec.shift_s == -0.3
-    rec2.check_invariants()
-
-    single = generate(spec_for("single-line"), SEED)
-    with pytest.raises(ValidationError):
-        shift_realization(single, Site(0.0, 1))
-    inter = generate(spec_for("intersecting"), SEED)
-    with pytest.raises(ValidationError):
-        shift_realization(inter, Site(0.0, 0))
-
-
 @pytest.mark.parametrize("construction", [
     "single-line", "intersecting", "parallel-duplicated",
     "parallel-thinned", "parallel-shifted",
@@ -223,26 +191,49 @@ def test_import_validates(spec_for):
     d = realization_to_dict(generate(spec_for("parallel-thinned"), SEED))
     d["spec"]["rate_lambda_line1"] = 2.0  # key of older exports, ignored
     realization_from_dict(d)
-    d["line0"] = d["line0"][::-1]
+    # base_points and flags are derived from line0/line1; an export whose
+    # copies disagree with them is corrupt
+    for key, bad in [
+        ("line0", d["line0"][::-1]),
+        ("base_points", d["base_points"][1:]),
+        ("base_points", [u + 1e-9 for u in d["base_points"]]),
+        ("flags", d["flags"][1:]),
+        ("flags", [FLAG_BOTH] * len(d["flags"])),
+        ("flags", ["line1" if f == FLAG_LINER else f for f in d["flags"]]),
+    ]:
+        with pytest.raises(ValidationError):
+            realization_from_dict({**d, key: bad})
+    # the derived keys are optional on import
+    realization_from_dict({k: v for k, v in d.items()
+                           if k not in ("base_points", "flags")})
+    duplicated = realization_to_dict(
+        generate(spec_for("parallel-duplicated"), SEED))
     with pytest.raises(ValidationError):
-        realization_from_dict(d)
+        realization_from_dict({**duplicated,
+                               "flags": [FLAG_BOTH] * len(duplicated["line0"])})
 
 
 def test_invariants_catch_corruption(spec_for):
     spec = spec_for("parallel-duplicated")
     pts = np.array([3.0, 1.0, 2.0])
     with pytest.raises(ValidationError):
-        Realization(spec=spec, seed=0, line0=pts, line1=pts.copy(),
-                    base_points=np.sort(pts)).check_invariants()
+        Realization(spec=spec, seed=0, line0=pts,
+                    line1=pts.copy()).check_invariants()
     a = np.array([1.0, 2.0])
     b = np.array([1.0, 3.0])
     with pytest.raises(ValidationError):
-        Realization(spec=spec, seed=0, line0=a, line1=b,
-                    base_points=np.union1d(a, b)).check_invariants()
-    thinned = spec_for("parallel-thinned")
-    with pytest.raises(ValidationError):
-        Realization(spec=thinned, seed=0, line0=a, line1=a.copy(),
-                    base_points=a.copy()).check_invariants()
+        Realization(spec=spec, seed=0, line0=a, line1=b).check_invariants()
+
+
+def test_shadow_and_flags_are_derived(hand_real):
+    real = hand_real("parallel-thinned", [1.0, 2.0], line1=[1.0, 3.0])
+    assert real.base_points.tolist() == [1.0, 2.0, 3.0]
+    assert real.duplicate_flags == (FLAG_BOTH, FLAG_LINE0, FLAG_LINER)
+    with pytest.raises(ValueError):
+        real.base_points[0] = 0.0
+    assert hand_real("parallel-duplicated", [1.0]).duplicate_flags is None
+    assert [f.name for f in dataclasses.fields(Realization)] == [
+        "spec", "seed", "line0", "line1", "windows", "provenance"]
 
 
 def test_points_are_frozen(spec_for):
