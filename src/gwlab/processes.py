@@ -170,7 +170,9 @@ class ProcessSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProcessSpec":
+        _require(d, ("construction", "space"), "spec")
         sp = d["space"]
+        _require(sp, ("kind", "window_L"), "spec.space")
         return cls(
             construction=d["construction"],
             space=Space(
@@ -184,6 +186,15 @@ class ProcessSpec:
             shift_s=d.get("shift_s"),
             allow_unproven_shift=d.get("allow_unproven_shift", False),
         )
+
+
+def _require(d, keys: tuple[str, ...], what: str) -> None:
+    """Raise ValidationError unless d is a JSON object holding every key."""
+    if not isinstance(d, dict):
+        raise ValidationError(f"{what} must be an object")
+    missing = [k for k in keys if k not in d]
+    if missing:
+        raise ValidationError(f"{what} lacks {', '.join(missing)}")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -378,6 +389,7 @@ def realization_from_dict(d: dict) -> Realization:
     structural violation, so an imported run walks like a generated one.
     base_points and flags, when present, must equal the values derived from
     line0/line1."""
+    _require(d, ("spec", "seed", "line0", "line1"), "run")
     windows = d.get("windows")
     real = Realization(
         spec=ProcessSpec.from_dict(d["spec"]),

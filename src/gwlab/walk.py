@@ -6,9 +6,17 @@ lower line label, then smaller abscissa.
 
 Two engines produce step-for-step identical trajectories:
 
-* ``run_walk``: per-line sorted indexes with alive-neighbor queries, so each
-  step inspects at most four candidate points (the nearest unvisited point
-  on each side of the relevant center on each line).
+* ``run_walk``: the nearest unvisited point is one of at most four: the
+  alive neighbors of the current point on its own line, and the alive
+  neighbors of its projection (u, or u*cos(alpha) on intersecting lines) on
+  the other line.  Neither where that projection falls nor the stop margin
+  depends on the walk's history, so both are tabulated per realization
+  point with numpy before the first step.  A step then reads its own-line
+  neighbors from the spliced links of the point it just left, starts the
+  cross-line search at the tabulated position, and searches the alive
+  index only when the point there is already visited.  The start site is
+  not a realization point: the first step alone bisects both lines and
+  computes its margin directly.
 * ``run_walk_naive``: a linear scan over every unvisited point per step.
   It exists purely as a differential oracle for the optimized engine.
 
@@ -21,7 +29,9 @@ exactly the prefix of the walk on the unbounded process.
 
 from __future__ import annotations
 
+import math
 import struct
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -92,7 +102,9 @@ class SortedAliveIndex:
 
     Alive nodes keep exact prev/next links (spliced on delete); entry from an
     arbitrary bisect position skips dead nodes with path compression, so the
-    amortized query cost stays near the O(log n) of the bisect itself.
+    amortized query cost stays near the O(log n) of the bisect itself.  A
+    removed node keeps the links it had when it was removed: the alive
+    neighbors it had at that moment.
     """
 
     __slots__ = ("pts", "n_alive", "_next", "_prev", "_alive")
@@ -101,8 +113,8 @@ class SortedAliveIndex:
         n = len(pts)
         self.pts = pts
         self.n_alive = n
-        self._next = list(range(1, n + 1))
-        self._prev = list(range(-1, n))
+        self._next = array("q", np.arange(1, n + 1, dtype=np.int64).tobytes())
+        self._prev = array("q", np.arange(-1, n - 1, dtype=np.int64).tobytes())
         self._alive = bytearray(b"\x01") * n
 
     def succ_alive(self, j: int) -> int:
@@ -145,155 +157,126 @@ class SortedAliveIndex:
         return self.pred_alive(bisect_left(self.pts, x) - 1)
 
     def remove(self, i: int) -> None:
+        """Delete the alive index i."""
         self._alive[i] = 0
         self.n_alive -= 1
-        p = self.pred_alive(self._prev[i])
-        s = self.succ_alive(self._next[i])
+        p, s = self._prev[i], self._next[i]
         if p >= 0:
             self._next[p] = s
         if s < len(self.pts):
             self._prev[s] = p
-        self._prev[i] = p
-        self._next[i] = s
 
 
-def stop_margin(real: Realization, u: float, line: int) -> float:
-    """Shortest distance from (u, line) to any location outside the windows.
+def stop_margin(real: Realization, u, line: int):
+    """Shortest distance from abscissa u on `line` to any location outside
+    the windows; u may be a float or a numpy array (elementwise).
 
     It respects the realization's actual per-line windows, which matters
     when line 1 was drawn on a shifted interval or the realization was
     transformed.
     """
     space = real.spec.space
-    (lo0, hi0), (lo1, hi1) = real.windows
-    if line == 0:
-        lo_s, hi_s, lo_o, hi_o = lo0, hi0, lo1, hi1
-    else:
-        lo_s, hi_s, lo_o, hi_o = lo1, hi1, lo0, hi0
-    m = min(u - lo_s, hi_s - u)
-    kind = space.kind
-    if kind == PARALLEL:
+    (lo_s, hi_s), (lo_o, hi_o) = real.windows[line], real.windows[1 - line]
+    m = np.minimum(u - lo_s, hi_s - u)
+    if space.kind == PARALLEL:
         # the nearest outside location across sits h along the line from u
-        h = min(u - lo_o, hi_o - u)
-        if h < 0.0:
-            h = 0.0
-        mo = cross_distance(space, h, 0.0)
-        if mo < m:
-            m = mo
-    elif kind == INTERSECTING:
+        h = np.maximum(np.minimum(u - lo_o, hi_o - u), 0.0)
+        m = np.minimum(m, cross_distance(space, h, 0.0, np.sqrt))
+    elif space.kind == INTERSECTING:
         for e in (lo_o, hi_o):
-            mo = cross_distance(space, u, e)
-            if mo < m:
-                m = mo
+            m = np.minimum(m, cross_distance(space, u, e, np.sqrt))
     return m
 
 
-class WalkState:
-    """Mutable engine state: current site plus per-line alive indexes."""
-
-    def __init__(self, real: Realization, start: Site = Site(0.0, 0)):
-        space = real.spec.space
-        self.real = real
-        self.space = space
-        self.kind = space.kind
-        self.idx = (
-            SortedAliveIndex(real.line0.tolist()),
-            SortedAliveIndex(real.line1.tolist()),
-        )
-        self.cur_u = start.u
-        self.cur_line = start.line
-        self.cur_i: int | None = None
-        self.n_alive = self.idx[0].n_alive + self.idx[1].n_alive
-
-    def candidates(self) -> list[tuple[float, int, float, int]]:
-        """(distance, line, u, index) for at most 4 nearest-unvisited sites.
-
-        At most two per line: the alive neighbors on each side of the
-        relevant center (the current abscissa on the same line; its
-        projection u or u*cos(alpha) on the other line).
-        """
-        out = []
-        cu, cl = self.cur_u, self.cur_line
-        same = self.idx[cl]
-        if same.n_alive:
-            if self.cur_i is None:
-                j = bisect_left(same.pts, cu)
-                s = same.succ_alive(j)
-                p = same.pred_alive(j - 1)
-            else:
-                s = same.succ_alive(same._next[self.cur_i])
-                p = same.pred_alive(same._prev[self.cur_i])
-            pts = same.pts
-            if s < len(pts):
-                out.append((pts[s] - cu, cl, pts[s], s))
-            if p >= 0:
-                out.append((cu - pts[p], cl, pts[p], p))
-        if self.kind != SINGLE_LINE:
-            ol = 1 - cl
-            other = self.idx[ol]
-            if other.n_alive:
-                pts = other.pts
-                space = self.space
-                c = cu if self.kind == PARALLEL else cu * space.cos_alpha
-                j = bisect_left(pts, c)
-                s = other.succ_alive(j)
-                p = other.pred_alive(j - 1)
-                if s < len(pts):
-                    v = pts[s]
-                    out.append((cross_distance(space, cu, v), ol, v, s))
-                if p >= 0:
-                    v = pts[p]
-                    out.append((cross_distance(space, cu, v), ol, v, p))
-        return out
-
-    def choose(self) -> tuple[float, int, float, int] | None:
-        cands = self.candidates()
-        return min(cands) if cands else None
-
-    def margin(self) -> float:
-        return stop_margin(self.real, self.cur_u, self.cur_line)
-
-    def visit(self, line: int, i: int) -> None:
-        self.idx[line].remove(i)
-        self.n_alive -= 1
-        self.cur_u = self.idx[line].pts[i]
-        self.cur_line = line
-        self.cur_i = i
+def _centre(space, u):
+    """Where abscissa u projects onto the other line: the foot of the
+    perpendicular, which the nearest points across surround."""
+    return u * space.cos_alpha if space.kind == INTERSECTING else u
 
 
 def run_walk(real: Realization, start: Site = Site(0.0, 0),
              rule: StopRule = StopRule()) -> Trajectory:
     """Greedy walk with the optimized neighbor-search engine."""
-    st = WalkState(real, start)
-    truncating = rule.mode == TRUNCATION_SAFE
-    us: list[float] = []
-    lines: list[int] = []
-    dists: list[float] = []
-    vis = (
-        np.full(len(real.line0), -1, dtype=np.int64),
-        np.full(len(real.line1), -1, dtype=np.int64),
+    space = real.spec.space
+    arrs = (real.line0, real.line1)
+    idx = (SortedAliveIndex(real.line0.tolist()),
+           SortedAliveIndex(real.line1.tolist()))
+    pts = (idx[0].pts, idx[1].pts)
+    n = (len(pts[0]), len(pts[1]))
+    alive = (idx[0]._alive, idx[1]._alive)
+    prv = (idx[0]._prev, idx[1]._prev)
+    nxt = (idx[0]._next, idx[1]._next)
+    # per point: where its projection falls in the other line, and its margin
+    cross = tuple(
+        array("q", np.searchsorted(arrs[1 - l], _centre(space, arrs[l]))
+              .astype(np.int64).tobytes())
+        for l in (0, 1)
     )
+    truncating = rule.mode == TRUNCATION_SAFE
+    if truncating:
+        margin = tuple(array("d", stop_margin(real, arrs[l], l).tobytes())
+                       for l in (0, 1))
+    # the start site is no realization point: bisect and margin it directly
+    cu, cl = start.u, start.line
+    j = bisect_left(pts[cl], cu)
+    p, s = idx[cl].pred_alive(j - 1), idx[cl].succ_alive(j)
+    j = bisect_left(pts[1 - cl], _centre(space, cu))
+    m = stop_margin(real, cu, cl) if truncating else None
+    us = array("d")
+    lines = array("b")
+    dists = array("d")
+    vis = (array("q", [-1]) * n[0], array("q", [-1]) * n[1])
+    n_alive = n[0] + n[1]
     reason = EXHAUSTED
     step = 0
-    while st.n_alive:
-        d, line, u, i = st.choose()
-        if truncating and d >= st.margin():
+    inf = math.inf
+    while n_alive:
+        # the nearest alive point on each side of cu on its own line, then
+        # on each side of its projection on the other line; on a tie the
+        # lower line wins, then the smaller u (the pred side)
+        same = pts[cl]
+        d = cu - same[p] if p >= 0 else inf
+        d_s = same[s] - cu if s < n[cl] else inf
+        if d_s < d:
+            d, i = d_s, s
+        else:
+            i = p
+        ol = 1 - cl
+        other = pts[ol]
+        xp, xs = j - 1, j
+        if xp >= 0 and not alive[ol][xp]:
+            xp = idx[ol].pred_alive(xp)
+        if xs < n[ol] and not alive[ol][xs]:
+            xs = idx[ol].succ_alive(xs)
+        dc = cross_distance(space, cu, other[xp]) if xp >= 0 else inf
+        d_s = cross_distance(space, cu, other[xs]) if xs < n[ol] else inf
+        if d_s < dc:
+            dc, xp = d_s, xs
+        line = cl
+        if dc < d or (dc == d and ol == 0):
+            d, i, line = dc, xp, ol
+        if truncating and d >= m:
             reason = TRUNCATED
             break
         step += 1
         vis[line][i] = step
-        st.visit(line, i)
-        us.append(u)
+        idx[line].remove(i)
+        n_alive -= 1
+        cu, cl = pts[line][i], line
+        p, s, j = prv[line][i], nxt[line][i], cross[line][i]
+        if truncating:
+            m = margin[line][i]
+        us.append(cu)
         lines.append(line)
         dists.append(d)
     return Trajectory(
         start=start,
-        us=np.asarray(us, dtype=np.float64),
-        lines=np.asarray(lines, dtype=np.int8),
-        step_distances=np.asarray(dists, dtype=np.float64),
+        us=np.array(us),
+        lines=np.array(lines),
+        step_distances=np.array(dists),
         stop_reason=reason,
-        visited_step0=vis[0],
-        visited_step1=vis[1],
+        visited_step0=np.array(vis[0]),
+        visited_step1=np.array(vis[1]),
     )
 
 
@@ -416,7 +399,11 @@ def trajectory_to_binary(traj: Trajectory, path) -> None:
 
 
 def trajectory_from_binary(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read back a trajectory_to_binary dump as (us, lines, dists)."""
+    """Read back a trajectory_to_binary dump as (us, lines, dists).
+
+    Raises ValidationError unless every line is 0 or 1, every abscissa is
+    finite and every step distance is finite and non-negative.
+    """
     with open(path, "rb") as fh:
         header = fh.read(16)
         raw = fh.read()
@@ -427,6 +414,13 @@ def trajectory_from_binary(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValidationError("trajectory dump size does not match its step count")
     n = len(raw) // 24
     us = np.frombuffer(raw[: 8 * n], dtype="<f8")
-    lines = np.frombuffer(raw[8 * n : 16 * n], dtype="<f8").astype(np.int8)
+    lines = np.frombuffer(raw[8 * n : 16 * n], dtype="<f8")
     dists = np.frombuffer(raw[16 * n :], dtype="<f8")
-    return us, lines, dists
+    if not np.all((lines == 0.0) | (lines == 1.0)):
+        raise ValidationError("trajectory dump has a line other than 0 or 1")
+    if not np.all(np.isfinite(us)):
+        raise ValidationError("trajectory dump has a non-finite abscissa")
+    if not np.all(np.isfinite(dists) & (dists >= 0.0)):
+        raise ValidationError("trajectory dump has a negative or non-finite "
+                              "step distance")
+    return us, lines.astype(np.int8), dists

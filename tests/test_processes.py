@@ -203,6 +203,17 @@ def test_import_validates(spec_for):
     ]:
         with pytest.raises(ValidationError):
             realization_from_dict({**d, key: bad})
+    # a missing or mistyped required key names itself
+    for key in ("spec", "seed", "line0", "line1"):
+        with pytest.raises(ValidationError, match=key):
+            realization_from_dict({k: v for k, v in d.items() if k != key})
+    for spec in (None, [d["spec"]], "parallel-thinned",
+                 {k: v for k, v in d["spec"].items() if k != "space"},
+                 {**d["spec"], "space": 25.0}):
+        with pytest.raises(ValidationError, match="spec"):
+            realization_from_dict({**d, "spec": spec})
+    with pytest.raises(ValidationError):
+        realization_from_dict([d])
     # the derived keys are optional on import
     realization_from_dict({k: v for k, v in d.items()
                            if k not in ("base_points", "flags")})

@@ -1,7 +1,11 @@
 """Walk engines: hand-checked step orders, tie-breaks, stopping, transforms,
 the alive-index structure, and engine-vs-oracle equality."""
 
+import hashlib
+import json
 import math
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gwlab import (
+    CONSTRUCTIONS,
     EXHAUSTED,
     RUN_TO_EXHAUSTION,
     TRUNCATED,
@@ -28,7 +33,7 @@ from gwlab import (
     trajectory_from_binary,
     trajectory_to_binary,
 )
-from gwlab.walk import SortedAliveIndex, WalkState, trajectory_to_dicts
+from gwlab.walk import SortedAliveIndex, trajectory_to_dicts
 
 EXH = StopRule(mode=RUN_TO_EXHAUSTION)
 
@@ -73,6 +78,10 @@ def test_duplicated_twin_order(hand_real):
 def test_distance_tie_prefers_smaller_u(hand_real):
     real = hand_real("single-line", [-1.0, 1.0])
     check_both_engines(real, [-1.0, 1.0], [0, 0], EXHAUSTED)
+    # the same tie across the lines: both at sqrt(2) from the origin
+    real = hand_real("parallel-thinned", [5.0], line1=[-1.0, 1.0],
+                     separation_r=1.0)
+    check_both_engines(real, [-1.0, 1.0, 5.0], [1, 1, 0], EXHAUSTED, rule=EXH)
 
 
 def test_distance_tie_prefers_lower_line(hand_real):
@@ -87,6 +96,17 @@ def test_intersecting_walk_through_crossing(hand_real):
     check_both_engines(real, [-0.5, 1.0], [1, 0], EXHAUSTED, rule=EXH)
     traj = run_walk(real, rule=EXH)
     assert traj.step_distances.tolist() == [0.5, math.sqrt(1.25)]
+
+
+def test_intersecting_start_projects_across(hand_real):
+    # from u=2 on line 0 the nearest point across surrounds 2*cos(pi/3) = 1,
+    # not 2: v=1 is sqrt(3) away, v=1.5 sqrt(3.25)
+    real = hand_real("intersecting", [10.0], line1=[0.5, 1.0, 1.5, 3.0],
+                     alpha=math.pi / 3)
+    for engine in (run_walk, run_walk_naive):
+        traj = engine(real, start=Site(2.0, 0), rule=EXH)
+        assert traj.us.tolist() == [1.0, 0.5, 1.5, 3.0, 10.0]
+        assert traj.lines.tolist() == [1, 1, 1, 1, 0]
 
 
 def test_nonzero_start(hand_real):
@@ -147,20 +167,6 @@ def test_stop_margin_lower_bounds_outside_distance(hand_real, construction):
                     assert m <= distance(space, here, Site(float(e), other))
 
 
-def test_candidates_bounded(spec_for):
-    real = generate(spec_for("parallel-thinned"), stream_seed(11, 0))
-    st_ = WalkState(real)
-    seen = 0
-    while st_.n_alive:
-        cands = st_.candidates()
-        assert 1 <= len(cands) <= 4
-        best = st_.choose()
-        assert best in cands
-        st_.visit(best[1], best[3])
-        seen += 1
-    assert seen == len(real.line0) + len(real.line1)
-
-
 @pytest.mark.parametrize("construction", [
     "single-line", "intersecting", "parallel-duplicated",
     "parallel-thinned", "parallel-shifted",
@@ -178,19 +184,94 @@ def test_truncated_walk_is_prefix_of_exhaustive(spec_for, construction):
         assert np.array_equal(short.step_distances, full.step_distances[:n])
 
 
-@pytest.mark.parametrize("construction", [
-    "single-line", "intersecting", "parallel-duplicated",
-    "parallel-thinned", "parallel-shifted",
-])
+def windows_variants(real):
+    """The realization as drawn, restricted to half its window and, where
+    defined, mirrored: three sets of per-line windows for one draw."""
+    out = [real, couple_restrict(real, real.spec.space.window_L / 2)]
+    if real.spec.space.kind != "intersecting":
+        out.append(mirror_realization(real))
+    return out
+
+
+@pytest.mark.parametrize("construction", CONSTRUCTIONS)
 def test_engines_agree(spec_for, construction):
+    rng = np.random.default_rng(901)
     for i in range(8):
-        real = generate(spec_for(construction), stream_seed(901, i))
-        for rule in (StopRule(), EXH):
-            a = run_walk(real, rule=rule)
-            b = run_walk_naive(real, rule=rule)
-            assert trajectories_equal(a, b)
-            assert np.array_equal(a.visited_step0, b.visited_step0)
-            assert np.array_equal(a.visited_step1, b.visited_step1)
+        drawn = generate(spec_for(construction), stream_seed(901, i))
+        for real in windows_variants(drawn):
+            starts = [Site(0.0, 0)] + [
+                Site(float(rng.uniform(*real.windows[line])), line)
+                for line in range(real.spec.space.n_lines)]
+            for start in starts:
+                for rule in (StopRule(), EXH):
+                    a = run_walk(real, start=start, rule=rule)
+                    b = run_walk_naive(real, start=start, rule=rule)
+                    assert trajectories_equal(a, b)
+                    assert np.array_equal(a.visited_step0, b.visited_step0)
+                    assert np.array_equal(a.visited_step1, b.visited_step1)
+
+
+@pytest.mark.parametrize("construction", CONSTRUCTIONS)
+def test_stop_margin_array_matches_scalar(spec_for, construction):
+    # the engine tabulates margins with one array call; each entry must be
+    # the margin a scalar call gives, bit for bit
+    drawn = generate(spec_for(construction), stream_seed(907, 0))
+    rng = np.random.default_rng(907)
+    for real in windows_variants(drawn):
+        for line in range(2):
+            lo, hi = real.windows[line]
+            u = np.concatenate(((real.line0, real.line1)[line],
+                                [lo, hi, 0.0, lo - 1.0, hi + 1.0],
+                                rng.uniform(lo - 2.0, hi + 2.0, size=50)))
+            table = stop_margin(real, u, line)
+            scalar = np.array([stop_margin(real, float(x), line) for x in u])
+            assert table.dtype == np.float64
+            assert table.tobytes() == scalar.tobytes()
+
+
+PINS = Path(__file__).parent / "data" / "walk_pins.json"
+
+
+def pinned_walks(spec_for):
+    """(name, trajectory) for every walk whose digests walk_pins.json pins:
+    each construction at L=2000, as drawn, restricted to L=1000 and (where
+    defined) mirrored, under both stop rules, from the origin and from
+    u=3.25 on the second line (the only line, for single-line)."""
+    for construction in CONSTRUCTIONS:
+        real = generate(spec_for(construction, window_L=2000.0),
+                        stream_seed(906, 0))
+        far = Site(3.25, real.spec.space.n_lines - 1)
+        for variant, r in zip(("drawn", "restricted", "mirrored"),
+                              windows_variants(real)):
+            for rule in (StopRule(), EXH):
+                for start in (Site(0.0, 0), far):
+                    name = (f"{construction}/{variant}/{rule.mode}/"
+                            f"{start.u}@{start.line}")
+                    yield name, run_walk(r, start=start, rule=rule)
+
+
+def trajectory_digests(traj):
+    fields = {
+        "us": traj.us.astype("<f8"),
+        "lines": traj.lines.astype("i1"),
+        "step_distances": traj.step_distances.astype("<f8"),
+        "visited_step0": traj.visited_step0.astype("<i8"),
+        "visited_step1": traj.visited_step1.astype("<i8"),
+    }
+    out = {k: hashlib.sha256(v.tobytes()).hexdigest() for k, v in fields.items()}
+    out["stop_reason"] = hashlib.sha256(traj.stop_reason.encode()).hexdigest()
+    return out
+
+
+def test_trajectories_pinned(spec_for):
+    # the digests were recorded with the list-based engine that preceded the
+    # per-point tables; every field of every walk must stay bit-identical
+    pinned = json.loads(PINS.read_text())
+    got = {name: trajectory_digests(t) for name, t in pinned_walks(spec_for)}
+    assert sorted(got) == sorted(pinned)
+    changed = [f"{name}:{field}" for name, digests in got.items()
+               for field, h in digests.items() if pinned[name][field] != h]
+    assert changed == []
 
 
 def test_trajectories_equal_detects_difference(hand_real):
@@ -283,6 +364,18 @@ def test_binary_roundtrip(tmp_path, hand_real):
         (tmp_path / name).write_bytes(data)
         with pytest.raises(ValidationError):
             trajectory_from_binary(tmp_path / name)
+    # one-step dumps whose columns hold values no walk emits
+    for u, line, dist in [(1.0, 7.5, 1.0), (1.0, 7.0, 1.0), (1.0, -1.0, 1.0),
+                          (1.0, math.nan, 1.0), (math.nan, 0.0, 1.0),
+                          (math.inf, 1.0, 1.0), (1.0, 0.0, -1.0),
+                          (1.0, 0.0, math.nan), (1.0, 1.0, math.inf)]:
+        row = tmp_path / "row.bin"
+        row.write_bytes(b"GWTRAJ01" + struct.pack("<Q3d", 1, u, line, dist))
+        with pytest.raises(ValidationError):
+            trajectory_from_binary(row)
+    row.write_bytes(b"GWTRAJ01" + struct.pack("<Q3d", 1, -2.5, 1.0, 0.0))
+    us, lines, dists = trajectory_from_binary(row)
+    assert (us.tolist(), lines.tolist(), dists.tolist()) == ([-2.5], [1], [0.0])
 
 
 def test_trajectory_json(hand_real):
@@ -340,15 +433,20 @@ def test_alive_index_fuzz_against_set_model():
 half_grid = st.integers(-40, 40).map(lambda k: k / 2)
 
 
-@settings(max_examples=60, deadline=None,
+@settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.lists(half_grid, min_size=1, max_size=10, unique=True),
-       st.sampled_from(["single-line", "parallel-duplicated"]))
-def test_engines_agree_on_arbitrary_points(hand_real, pts, construction):
-    kw = ({"separation_r": 1.0} if construction == "parallel-duplicated"
-          else {})
-    real = hand_real(construction, sorted(pts), **kw)
+       st.lists(half_grid, max_size=10, unique=True),
+       st.sampled_from(["single-line", "parallel-duplicated",
+                        "parallel-thinned"]),
+       half_grid, st.integers(0, 1))
+def test_engines_agree_on_arbitrary_points(hand_real, pts, pts1, construction,
+                                           start_u, start_line):
+    # line1 is independent of line0 only for parallel-thinned
+    kw = {} if construction == "single-line" else {"separation_r": 1.0}
+    real = hand_real(construction, sorted(pts), line1=sorted(pts1), **kw)
+    start = Site(start_u, min(start_line, real.spec.space.n_lines - 1))
     for rule in (StopRule(), EXH):
-        a = run_walk(real, rule=rule)
-        b = run_walk_naive(real, rule=rule)
+        a = run_walk(real, start=start, rule=rule)
+        b = run_walk_naive(real, start=start, rule=rule)
         assert trajectories_equal(a, b)
