@@ -59,20 +59,21 @@ from .walk import (
 )
 from .analysis import (
     ClusterDecomposition,
-    ClusterMark,
+    ClusterVisits,
     DxRecord,
     EventRecord,
     HittingTimes,
-    IndentedEntryRecord,
+    IndentedEntrySummary,
     LemmaAudit,
     PovratakSummary,
-    ReducedWalk,
     UVRecord,
     audit_lemmas,
     check_cluster_consecutive,
     check_indented_entry,
     check_povratak,
     check_reduced_alignment,
+    cluster_visits,
+    clusters_of,
     compute_Dx,
     decompose_clusters,
     detect_A_events,
@@ -81,7 +82,6 @@ from .analysis import (
     extract_UV_sequences,
     extract_halfline_changes,
     intersect_Bn_bound,
-    mark_leading_and_indented,
     parallel_Am_first_term,
     reduce_to_cluster_leads,
     theoretical_bounds,

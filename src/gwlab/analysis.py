@@ -5,8 +5,8 @@ walk engines and extracts derived quantities:
 
 * hitting times of half-axes, and deficiency records built from them,
 * origin crossings and half-line change bookkeeping,
-* cluster structure of the parallel constructions, the reduced walk on
-  cluster leads, and traversal-order checks,
+* the clusters of the parallel constructions and one table of how the
+  walk visited each, which the reduced walk and traversal checks read,
 * return-event detection ("A_*" record families) and the implication check
   tying those events to an early return to the negative half-axis (the
   povratak check),
@@ -323,12 +323,27 @@ class ClusterDecomposition:
     def lead_us(self) -> np.ndarray:
         return self.points[list(self.leads)]
 
+    @property
+    def starts(self) -> np.ndarray:
+        return np.asarray([lo for lo, _ in self.ranges], dtype=np.int64)
 
-def _lead_index(us: np.ndarray) -> int:
-    """Index of the (|u|, -u)-minimal element: closest to 0, ties right."""
-    k = np.abs(us)
-    cand = np.nonzero(k == k.min())[0]
-    return int(cand[np.argmax(us[cand])])
+    @property
+    def sizes(self) -> np.ndarray:
+        return np.asarray([hi - lo for lo, hi in self.ranges], dtype=np.int64)
+
+    def nonzero(self) -> np.ndarray:
+        """Mask of the clusters other than the zero cluster."""
+        return np.arange(self.n_clusters) != self.zero_cluster
+
+
+def _leads(us: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per run of the sorted us beginning at starts, the index of its
+    (|u|, -u)-minimal element: closest to 0, ties right."""
+    a = np.abs(us)
+    least = np.repeat(np.minimum.reduceat(a, starts),
+                      np.diff(np.append(starts, len(us))))
+    return np.maximum.reduceat(np.where(a == least, np.arange(len(us)), -1),
+                               starts)
 
 
 def decompose_clusters(points, threshold: float) -> ClusterDecomposition:
@@ -337,52 +352,101 @@ def decompose_clusters(points, threshold: float) -> ClusterDecomposition:
         raise ValidationError("cluster threshold must be positive")
     if len(pts) == 0:
         return ClusterDecomposition(pts, threshold, (), (), -1)
-    breaks = np.nonzero(np.diff(pts) >= threshold)[0]
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.concatenate((breaks + 1, [len(pts)]))
-    ranges = tuple((int(a), int(b)) for a, b in zip(starts, ends))
-    leads = tuple(lo + _lead_index(pts[lo:hi]) for lo, hi in ranges)
-    zero = min(
-        range(len(ranges)),
-        key=lambda c: (abs(pts[leads[c]]), -pts[leads[c]]),
-    )
-    return ClusterDecomposition(pts, threshold, ranges, leads, zero)
+    breaks = np.nonzero(np.diff(pts) >= threshold)[0] + 1
+    starts = np.concatenate(([0], breaks))
+    ranges = tuple(zip(starts.tolist(), np.append(breaks, len(pts)).tolist()))
+    leads = _leads(pts, starts)
+    zero = int(_leads(pts[leads], np.zeros(1, dtype=np.int64))[0])
+    return ClusterDecomposition(pts, threshold, ranges, tuple(leads.tolist()),
+                                zero)
+
+
+def clusters_of(real: Realization) -> ClusterDecomposition:
+    """The shadow clusters of a parallel pair: the union's points at gap
+    threshold r (duplicated, thinned), or line 0's at the distance
+    sqrt(r^2 + s^2) from a point to its shifted copy's neighbour."""
+    c = real.spec.construction
+    r = real.spec.space.separation_r
+    if c in (PARALLEL_DUPLICATED, PARALLEL_THINNED):
+        return decompose_clusters(real.base_points, r)
+    if c == PARALLEL_SHIFTED:
+        s = real.spec.shift_s
+        return decompose_clusters(real.line0, math.sqrt(r * r + s * s))
+    raise ValidationError(f"no shadow clusters for construction {c!r}")
 
 
 @dataclass(frozen=True)
-class ReducedWalk:
-    """Clusters in first-visit order, represented by their lead shadows."""
+class ClusterVisits:
+    """How one trajectory met each cluster of a decomposition over line-0
+    indexes whose line-1 copies share those indexes (duplicated, shifted).
 
-    lead_us: np.ndarray
-    first_steps: np.ndarray
-    cluster_order: tuple[int, ...]
-    decomposition: ClusterDecomposition
+    Per cluster: count visited copies out of 2m, first/last their steps,
+    entry and exit the (line, index) of those steps; all -1 where count is
+    0.  The traversal verdict has three states: True (consecutive) when
+    all 2m copies took 2m consecutive steps; None (undecided) when fewer
+    copies took consecutive steps up to the prefix end; False when an
+    entered cluster is in neither mask.
+    """
+
+    count: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+    entry_line: np.ndarray
+    entry_index: np.ndarray
+    exit_line: np.ndarray
+    exit_index: np.ndarray
+    consecutive: np.ndarray
+    undecided: np.ndarray
+
+    @property
+    def entered(self) -> np.ndarray:
+        return self.count > 0
+
+    @property
+    def broken(self) -> np.ndarray:
+        """Entered clusters whose verdict is False."""
+        return self.entered & ~self.consecutive & ~self.undecided
 
 
-def reduce_to_cluster_leads(real: Realization, traj: Trajectory) -> ReducedWalk:
+def cluster_visits(dec: ClusterDecomposition, traj: Trajectory) -> ClusterVisits:
+    starts, m = dec.starts, dec.sizes
+    v0, v1 = traj.visited_step0, traj.visited_step1
+    n = len(traj)
+    count = np.add.reduceat((v0 >= 1).astype(np.int64) + (v1 >= 1), starts)
+    big = np.iinfo(np.int64).max
+    first = np.minimum.reduceat(
+        np.minimum(np.where(v0 >= 1, v0, big), np.where(v1 >= 1, v1, big)),
+        starts)
+    last = np.maximum.reduceat(np.maximum(v0, v1), starts)
+    # step -> (line, index) of the copy it visited; step 0 maps to (-1, -1)
+    line_of = np.full(n + 1, -1, dtype=np.int64)
+    index_of = np.full(n + 1, -1, dtype=np.int64)
+    for line, vis in enumerate((v0, v1)):
+        w = np.nonzero(vis >= 1)[0]
+        line_of[vis[w]] = line
+        index_of[vis[w]] = w
+    entered = count > 0
+    t_in = np.where(entered, first, 0)
+    t_out = np.where(entered, last, 0)
+    run = entered & (last - t_in + 1 == count)
+    return ClusterVisits(
+        count=count, first=np.where(entered, first, -1), last=last,
+        entry_line=line_of[t_in], entry_index=index_of[t_in],
+        exit_line=line_of[t_out], exit_index=index_of[t_out],
+        consecutive=run & (count == 2 * m),
+        undecided=run & (count < 2 * m) & (last == n),
+    )
+
+
+def reduce_to_cluster_leads(real: Realization, traj: Trajectory) -> np.ndarray:
+    """Lead shadows of the entered clusters of a duplicated realization, in
+    first-visit order: the walk reduced to one site per cluster."""
     if real.spec.construction != PARALLEL_DUPLICATED:
         raise ValidationError("reduced walk is defined for parallel-duplicated")
-    dec = decompose_clusters(real.base_points, real.spec.space.separation_r)
-    big = np.iinfo(np.int64).max
-    s0 = np.where(traj.visited_step0 >= 1, traj.visited_step0, big)
-    s1 = np.where(traj.visited_step1 >= 1, traj.visited_step1, big)
-    site_first = np.minimum(s0, s1)
-    order, firsts = [], []
-    for ci, (lo, hi) in enumerate(dec.ranges):
-        f = int(site_first[lo:hi].min())
-        if f < big:
-            order.append(ci)
-            firsts.append(f)
-    perm = np.argsort(firsts, kind="stable")
-    ordered = tuple(order[int(i)] for i in perm)
-    return ReducedWalk(
-        lead_us=np.asarray(
-            [dec.points[dec.leads[ci]] for ci in ordered], dtype=np.float64
-        ),
-        first_steps=np.asarray([firsts[int(i)] for i in perm], dtype=np.int64),
-        cluster_order=ordered,
-        decomposition=dec,
-    )
+    dec = clusters_of(real)
+    t = cluster_visits(dec, traj)
+    entered = t.entered
+    return dec.lead_us()[entered][np.argsort(t.first[entered])]
 
 
 def check_cluster_consecutive(real: Realization,
@@ -397,39 +461,15 @@ def check_cluster_consecutive(real: Realization,
     """
     if real.spec.construction != PARALLEL_DUPLICATED:
         raise ValidationError("traversal check is defined for parallel-duplicated")
-    dec = decompose_clusters(real.base_points, real.spec.space.separation_r)
-    verdict: bool | None = True
-    n = len(traj)
-    for ci, (lo, hi) in enumerate(dec.ranges):
-        if ci == dec.zero_cluster:
-            continue
-        m = hi - lo
-        steps = np.concatenate((traj.visited_step0[lo:hi],
-                                traj.visited_step1[lo:hi]))
-        visited = steps[steps >= 1]
-        if len(visited) == 0:
-            continue
-        t0, t1 = int(visited.min()), int(visited.max())
-        lead_u = float(real.base_points[dec.leads[ci]])
-        i0 = int(np.nonzero(steps == t0)[0][0])
-        u_in = float(real.base_points[lo + (i0 % m)])
-        if u_in != lead_u:
-            return False
-        if len(visited) < 2 * m:
-            # cut cluster: fine only if the visited block runs to the
-            # prefix end without interruption, and then undecidable
-            if t1 - t0 + 1 != len(visited) or t1 != n:
-                return False
-            verdict = None
-            continue
-        if t1 - t0 != 2 * m - 1:
-            return False
-        i1 = int(np.nonzero(steps == t1)[0][0])
-        u_out = float(real.base_points[lo + (i1 % m)])
-        line_in, line_out = i0 // m, i1 // m
-        if u_out != lead_u or line_in == line_out:
-            return False
-    return verdict
+    dec = clusters_of(real)
+    t = cluster_visits(dec, traj)
+    entered = t.entered & dec.nonzero()
+    lead = np.asarray(dec.leads, dtype=np.int64)
+    # entry and exit at the lead are its two copies, so on opposite lines
+    wrong_exit = t.consecutive & (t.exit_index != lead)
+    if np.any(entered & ((t.entry_index != lead) | t.broken | wrong_exit)):
+        return False
+    return None if np.any(entered & t.undecided) else True
 
 
 def check_reduced_alignment(real: Realization, traj: Trajectory) -> bool:
@@ -438,136 +478,66 @@ def check_reduced_alignment(real: Realization, traj: Trajectory) -> bool:
     abscissas, except on the zero-cluster side of a transition."""
     if real.spec.construction != PARALLEL_DUPLICATED:
         raise ValidationError("alignment check is defined for parallel-duplicated")
-    dec = decompose_clusters(real.base_points, real.spec.space.separation_r)
+    dec = clusters_of(real)
     if len(traj) < 2:
         return True
-    base = real.base_points
-    cid = np.empty(len(base), dtype=np.int64)
-    for ci, (lo, hi) in enumerate(dec.ranges):
-        cid[lo:hi] = ci
-    sc = cid[np.searchsorted(base, traj.us)]
-    lead_u = {ci: float(base[dec.leads[ci]]) for ci in range(dec.n_clusters)}
-    for t in np.nonzero(sc[:-1] != sc[1:])[0]:
-        a, b = int(sc[t]), int(sc[t + 1])
-        if a != dec.zero_cluster and float(traj.us[t]) != lead_u[a]:
-            return False
-        if b != dec.zero_cluster and float(traj.us[t + 1]) != lead_u[b]:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# shifted-pair cluster marks and entry discipline
+    cid = np.repeat(np.arange(dec.n_clusters), dec.sizes)
+    sc = cid[np.searchsorted(dec.points, traj.us)]
+    lead_u = dec.lead_us()
+    t = np.nonzero(sc[:-1] != sc[1:])[0]
+    bad = np.zeros(len(t), dtype=bool)
+    for side in (t, t + 1):
+        c = sc[side]
+        bad |= (c != dec.zero_cluster) & (traj.us[side] != lead_u[c])
+    return not np.any(bad)
 
 
 @dataclass(frozen=True)
-class ClusterMark:
-    """Cluster bookkeeping for a shifted pair.
+class IndentedEntrySummary:
+    """How the walk entered a shifted pair's non-zero clusters that do not
+    straddle the origin.
 
-    lead0/lead1 are line-0 point indexes; lead1 names the point whose
-    line-1 copy is that line's closest-to-origin member.  indented: every
-    member's copy is strictly closer to the origin than the member itself.
+    The shift keeps such a cluster's lead the member nearest the origin on
+    line 1 too, so its indented lead is the lead itself when the cluster is
+    indented (each copy strictly nearer the origin than its point), else
+    the lead's copy.  An entry there must traverse the cluster
+    consecutively (a violation otherwise; undecided when cut).
+    early_exits counts the clusters the walk definitely left unfinished.
     """
 
-    cluster: int
-    lo: int
-    hi: int
-    lead0: int
-    lead1: int
-    indented: bool
-    straddles: bool
-
-
-def mark_leading_and_indented(
-    real: Realization,
-) -> tuple[ClusterDecomposition, list[ClusterMark]]:
-    if real.spec.construction != PARALLEL_SHIFTED:
-        raise ValidationError("cluster marks are defined for parallel-shifted")
-    s = real.spec.shift_s
-    r = real.spec.space.separation_r
-    thr = math.sqrt(r * r + s * s)
-    dec = decompose_clusters(real.line0, thr)
-    marks = []
-    for ci, (lo, hi) in enumerate(dec.ranges):
-        seg = real.line0[lo:hi]
-        v = seg + s
-        lead1 = lo + _lead_index(v)
-        allu = np.concatenate((seg, v))
-        marks.append(
-            ClusterMark(
-                cluster=ci,
-                lo=lo,
-                hi=hi,
-                lead0=dec.leads[ci],
-                lead1=lead1,
-                indented=bool(np.all(np.abs(seg) > np.abs(v))),
-                straddles=bool(allu.min() < 0.0 < allu.max()),
-            )
-        )
-    return dec, marks
-
-
-@dataclass(frozen=True)
-class IndentedEntryRecord:
-    """How the walk first touched one cluster of a shifted pair.
-
-    consecutive/early_exit are None when the prefix got cut mid-cluster
-    before the question was settled.
-    """
-
-    cluster: int
-    indented: bool
-    straddles: bool
-    is_zero: bool
-    entry_line: int
-    entry_u: float
-    entered_at_line1_lead: bool
-    consecutive: bool | None
-    early_exit: bool | None
+    entries: int
+    undecided: int
+    early_exits: int
+    violation_details: tuple = ()
 
 
 def check_indented_entry(real: Realization,
-                         traj: Trajectory) -> list[IndentedEntryRecord]:
-    dec, marks = mark_leading_and_indented(real)
-    n = len(traj)
-    out = []
-    for mk in marks:
-        lo, hi = mk.lo, mk.hi
-        m = hi - lo
-        steps = np.concatenate((traj.visited_step0[lo:hi],
-                                traj.visited_step1[lo:hi]))
-        visited = steps[steps >= 1]
-        if len(visited) == 0:
-            continue
-        t0, t1 = int(visited.min()), int(visited.max())
-        i0 = int(np.nonzero(steps == t0)[0][0])
-        entry_line = i0 // m
-        pi = lo + (i0 % m)
-        entry_u = float(real.line0[pi] if entry_line == 0
-                        else real.line0[pi] + real.spec.shift_s)
-        if len(visited) == 2 * m:
-            consecutive = t1 - t0 == 2 * m - 1
-            early_exit: bool | None = not consecutive
-        elif t1 - t0 + 1 == len(visited) and t1 == n:
-            consecutive = None
-            early_exit = None
-        else:
-            consecutive = False
-            early_exit = True
-        out.append(
-            IndentedEntryRecord(
-                cluster=mk.cluster,
-                indented=mk.indented,
-                straddles=mk.straddles,
-                is_zero=mk.cluster == dec.zero_cluster,
-                entry_line=entry_line,
-                entry_u=entry_u,
-                entered_at_line1_lead=entry_line == 1 and pi == mk.lead1,
-                consecutive=consecutive,
-                early_exit=early_exit,
-            )
-        )
-    return out
+                         traj: Trajectory) -> IndentedEntrySummary:
+    if real.spec.construction != PARALLEL_SHIFTED:
+        raise ValidationError("indented-entry check is defined for "
+                              "parallel-shifted")
+    dec = clusters_of(real)
+    t = cluster_visits(dec, traj)
+    u0, u1 = real.line0, real.line1
+    starts = dec.starts
+    ends = starts + dec.sizes - 1
+    indented = np.logical_and.reduceat(np.abs(u0) > np.abs(u1), starts)
+    straddles = ((np.minimum(u0[starts], u1[starts]) < 0.0)
+                 & (np.maximum(u0[ends], u1[ends]) > 0.0))
+    counted = t.entered & dec.nonzero() & ~straddles
+    at_lead = (counted & (t.entry_index == np.asarray(dec.leads))
+               & (t.entry_line == np.where(indented, 0, 1)))
+    bad = np.nonzero(at_lead & t.broken)[0]
+    details = tuple(
+        {"cluster": int(ci),
+         "entry_u": float((u0, u1)[t.entry_line[ci]][t.entry_index[ci]])}
+        for ci in bad)
+    return IndentedEntrySummary(
+        entries=int(np.count_nonzero(at_lead)),
+        undecided=int(np.count_nonzero(at_lead & t.undecided)),
+        early_exits=int(np.count_nonzero(counted & t.broken)),
+        violation_details=details,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -593,44 +563,35 @@ def detect_A_events(real: Realization, traj: Trajectory) -> list[EventRecord]:
     if c == PARALLEL_DUPLICATED:
         return _detect_Am_parallel(real, traj)
     if c == PARALLEL_THINNED:
-        return _detect_Ak_thinned(real, traj)
+        r = real.spec.space.separation_r
+        return _consecutive_pair_events(A_K_THINNED, real.base_points, 0.0, r,
+                                        real, traj, mirrored=False)
     if c == PARALLEL_SHIFTED:
-        if real.spec.shift_s < 0:
-            return _detect_Ak_shifted(mirror_realization(real),
-                                      mirror_trajectory(traj), mirrored=True)
-        return _detect_Ak_shifted(real, traj)
+        mirrored = real.spec.shift_s < 0
+        if mirrored:
+            real, traj = mirror_realization(real), mirror_trajectory(traj)
+        r, s = real.spec.space.separation_r, real.spec.shift_s
+        return _consecutive_pair_events(A_K_SHIFTED, real.line0, s, r + s,
+                                        real, traj, mirrored)
     raise ValidationError(f"no return-event families for construction {c!r}")
 
 
 def _detect_Am_parallel(real: Realization, traj: Trajectory) -> list[EventRecord]:
     """Band events of the reduced walk: the lead shadow sits in
     [r*m, r*(m+1)) and the next lead shadow is negative."""
-    r = real.spec.space.separation_r
-    red = reduce_to_cluster_leads(real, traj)
-    lead_us = red.lead_us
-    witnessed: set[int] = set()
-    entered: set[int] = set()
-    for i in range(len(lead_us)):
-        u = float(lead_us[i])
-        if u < 0.0:
-            continue
-        m = int(u // r)
-        entered.add(m)
-        # the final reduced position has an unknown successor
-        if i + 1 < len(lead_us) and float(lead_us[i + 1]) < 0.0:
-            witnessed.add(m)
-    out = []
-    for m in range(max(witnessed | entered, default=-1) + 1):
-        if m in witnessed:
-            out.append(EventRecord(A_M_PARALLEL, m, True, {"entered": True}))
-        else:
-            out.append(EventRecord(
-                A_M_PARALLEL, m, None, {"entered": m in entered}
-            ))
-    return out
+    u = reduce_to_cluster_leads(real, traj)
+    band = (u // real.spec.space.separation_r).astype(np.int64)
+    pos = u >= 0.0
+    entered = set(band[pos].tolist())
+    # the final reduced position has an unknown successor
+    witnessed = set(band[:-1][pos[:-1] & (u[1:] < 0.0)].tolist())
+    return [EventRecord(A_M_PARALLEL, m, True, {"entered": True})
+            if m in witnessed else
+            EventRecord(A_M_PARALLEL, m, None, {"entered": m in entered})
+            for m in range(max(entered, default=-1) + 1)]
 
 
-def _consecutive_pair_events(family: str, pts: np.ndarray, trivial_gap: float,
+def _consecutive_pair_events(family: str, pts: np.ndarray,
                              level_offset: float, extra: float,
                              real: Realization, traj: Trajectory,
                              mirrored: bool) -> list[EventRecord]:
@@ -655,7 +616,7 @@ def _consecutive_pair_events(family: str, pts: np.ndarray, trivial_gap: float,
                         "gap": gap}
         if mirrored:
             base_details["mirrored"] = True
-        if gap <= trivial_gap:
+        if gap <= extra:
             records.append(EventRecord(family, k, False, base_details))
             continue
         if anchor is None:
@@ -676,24 +637,6 @@ def _consecutive_pair_events(family: str, pts: np.ndarray, trivial_gap: float,
         )
         records.append(EventRecord(family, k, bool(gap > rhs), base_details))
     return records
-
-
-def _detect_Ak_thinned(real: Realization, traj: Trajectory) -> list[EventRecord]:
-    r = real.spec.space.separation_r
-    return _consecutive_pair_events(
-        A_K_THINNED, real.base_points, trivial_gap=r, level_offset=0.0,
-        extra=r, real=real, traj=traj, mirrored=False,
-    )
-
-
-def _detect_Ak_shifted(real: Realization, traj: Trajectory,
-                       mirrored: bool = False) -> list[EventRecord]:
-    r = real.spec.space.separation_r
-    s = real.spec.shift_s
-    return _consecutive_pair_events(
-        A_K_SHIFTED, real.line0, trivial_gap=r + s, level_offset=s,
-        extra=r + s, real=real, traj=traj, mirrored=mirrored,
-    )
 
 
 @dataclass(frozen=True)

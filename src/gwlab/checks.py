@@ -26,7 +26,6 @@ from .analysis import (
     compute_Dx,
     extract_UV_sequences,
     last_visit_steps,
-    mark_leading_and_indented,
     validate_dx_record,
 )
 from .errors import PrefixLimitError
@@ -146,33 +145,12 @@ def _cluster_traversal(real, traj):
 
 
 def _indented_entry(real, traj):
-    _, marks = mark_leading_and_indented(real)
-    entries = undecided = early = 0
-    bad = []
-    for rec in check_indented_entry(real, traj):
-        if rec.is_zero or rec.straddles:
-            continue
-        mk = marks[rec.cluster]
-        if mk.indented:
-            # whole cluster sits past its copies, so the indented lead is
-            # the line-0 lead point itself
-            at_lead = (rec.entry_line == 0
-                       and rec.entry_u == float(real.line0[mk.lead0]))
-        else:
-            at_lead = rec.entered_at_line1_lead
-        if at_lead:
-            entries += 1
-            if rec.consecutive is None:
-                undecided += 1
-            elif not rec.consecutive:
-                bad.append(_where(real, cluster=rec.cluster,
-                                  entry_u=rec.entry_u))
-        if rec.early_exit:
-            early += 1
+    s = check_indented_entry(real, traj)
+    bad = [_where(real, **d) for d in s.violation_details]
     return {"indented-entry": Outcome(
-        {"indented_lead_entries": entries, "violations": len(bad),
-         "undecided": undecided, "early_exits": early},
-        entries, bad)}
+        {"indented_lead_entries": s.entries, "violations": len(bad),
+         "undecided": s.undecided, "early_exits": s.early_exits},
+        s.entries, bad)}
 
 
 def _uv_verdicts(real, traj):

@@ -22,19 +22,17 @@ import sys
 
 from ._version import __version__
 from .analysis import (
-    decompose_clusters,
+    clusters_of,
     detect_crossings,
     extract_halfline_changes,
-    mark_leading_and_indented,
     theoretical_bounds,
 )
 from .checks import CHECKS
 from .errors import ValidationError
 from .processes import (
+    BUILD_PARAMS,
     CONSTRUCTIONS,
-    PARALLEL_DUPLICATED,
-    PARALLEL_SHIFTED,
-    PARALLEL_THINNED,
+    PARALLEL_CONSTRUCTIONS,
     ProcessSpec,
     generate,
     realization_to_dict,
@@ -51,14 +49,11 @@ from .walk import (
 
 DEFAULT_SEED = 1729
 
-_SPEC_PARAMS = ("window_L", "rate_lambda", "alpha", "separation_r",
-                "thinning_p", "shift_s", "allow_unproven_shift")
-
 
 def _spec_from_args(construction: str,
                     args: argparse.Namespace) -> ProcessSpec:
     return ProcessSpec.build(
-        construction, **{k: getattr(args, k) for k in _SPEC_PARAMS})
+        construction, **{k: getattr(args, k) for k in BUILD_PARAMS})
 
 
 # ---------------------------------------------------------------------------
@@ -167,13 +162,8 @@ def _cmd_export_plot_data(args) -> int:
     cpath = os.path.join(args.out_dir, "prefix_clusters.csv")
     with open(cpath, "w", encoding="utf-8") as fh:
         fh.write("cluster_index,signed_index,lo_u,hi_u,lead_u,size,is_zero\n")
-        dec = None
-        if args.construction in (PARALLEL_DUPLICATED, PARALLEL_THINNED):
-            dec = decompose_clusters(real.base_points,
-                                     spec.space.separation_r)
-        elif args.construction == PARALLEL_SHIFTED:
-            dec, _ = mark_leading_and_indented(real)
-        if dec is not None:
+        if args.construction in PARALLEL_CONSTRUCTIONS:
+            dec = clusters_of(real)
             for ci, (lo, hi) in enumerate(dec.ranges):
                 fh.write(
                     f"{ci},{dec.cluster_number(ci)},"

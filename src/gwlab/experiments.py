@@ -31,6 +31,7 @@ from .analysis import (
 )
 from .errors import ValidationError
 from .processes import (
+    BUILD_PARAMS,
     CONSTRUCTION_PARAMS,
     CONSTRUCTIONS,
     INTERSECTING_INDEPENDENT,
@@ -41,13 +42,6 @@ from .processes import (
 )
 from .seeding import RNG_ALGORITHM, stream_seed
 from .walk import run_walk
-
-CSV_COLUMNS = (
-    "run_index", "seed", "construction", "lambda", "r", "s", "p", "alpha",
-    "L", "n_points", "n_steps", "stop_reason", "crossings",
-    "halfline_changes", "a_events", "lemma_failures",
-)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -93,15 +87,7 @@ class ExperimentConfig:
 
     def to_spec(self) -> ProcessSpec:
         return ProcessSpec.build(
-            self.construction,
-            window_L=self.window_L,
-            rate_lambda=self.rate_lambda,
-            alpha=self.alpha,
-            separation_r=self.separation_r,
-            thinning_p=self.thinning_p,
-            shift_s=self.shift_s,
-            allow_unproven_shift=self.allow_unproven_shift,
-        )
+            self.construction, **{k: getattr(self, k) for k in BUILD_PARAMS})
 
 
 _CONSTRUCTION_FIELDS = {name for names in CONSTRUCTION_PARAMS.values()
@@ -157,6 +143,16 @@ class RunSummary:
     halfline_changes: int
     a_events: int | None
     lemma_failures: int | None
+
+
+# the sweep CSV has one column per RunSummary field, in field order, named
+# after the field except for these
+_CSV_RENAMED = {"rate_lambda": "lambda", "separation_r": "r", "shift_s": "s",
+                "thinning_p": "p", "window_L": "L"}
+_CSV_FIELDS = dataclasses.fields(RunSummary)
+CSV_COLUMNS = tuple(_CSV_RENAMED.get(f.name, f.name) for f in _CSV_FIELDS)
+# cell parsers per RunSummary annotation; an empty cell is None where allowed
+_CSV_TYPES = {"int": int, "float": float, "str": str}
 
 
 def summarize_run(cfg: ExperimentConfig, run_index: int, real, traj) -> RunSummary:
@@ -303,54 +299,30 @@ def aggregate(rows: list[RunSummary]) -> dict:
 # persistence
 
 
-def _row_to_csv(r: RunSummary) -> list:
-    def cell(v):
-        return "" if v is None else v
-
-    return [
-        r.run_index, r.seed, r.construction, r.rate_lambda,
-        cell(r.separation_r), cell(r.shift_s), cell(r.thinning_p),
-        cell(r.alpha), r.window_L, r.n_points, r.n_steps, r.stop_reason,
-        r.crossings, r.halfline_changes, cell(r.a_events),
-        cell(r.lemma_failures),
-    ]
-
-
 def write_summaries_csv(rows: list[RunSummary], path) -> None:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(CSV_COLUMNS)
     for r in rows:
-        w.writerow(_row_to_csv(r))
+        w.writerow(["" if v is None else v
+                    for v in (getattr(r, f.name) for f in _CSV_FIELDS)])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(buf.getvalue())
 
 
+def _csv_cell(f: dataclasses.Field, cell: str):
+    kind, _, optional = f.type.partition(" | ")
+    return None if optional and cell == "" else _CSV_TYPES[kind](cell)
+
+
 def read_summaries_csv(path) -> list[RunSummary]:
-    def opt_float(s):
-        return None if s == "" else float(s)
-
-    def opt_int(s):
-        return None if s == "" else int(s)
-
-    out = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = tuple(next(reader))
         if header != CSV_COLUMNS:
             raise ValidationError(f"unexpected CSV header: {header}")
-        for row in reader:
-            out.append(RunSummary(
-                run_index=int(row[0]), seed=int(row[1]), construction=row[2],
-                rate_lambda=float(row[3]), separation_r=opt_float(row[4]),
-                shift_s=opt_float(row[5]), thinning_p=opt_float(row[6]),
-                alpha=opt_float(row[7]), window_L=float(row[8]),
-                n_points=int(row[9]), n_steps=int(row[10]),
-                stop_reason=row[11], crossings=int(row[12]),
-                halfline_changes=int(row[13]), a_events=opt_int(row[14]),
-                lemma_failures=opt_int(row[15]),
-            ))
-    return out
+        return [RunSummary(*(_csv_cell(f, c) for f, c in zip(_CSV_FIELDS, row)))
+                for row in reader]
 
 
 def write_outputs(cfg: ExperimentConfig, rows: list[RunSummary],

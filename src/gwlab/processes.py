@@ -76,6 +76,11 @@ CONSTRUCTION_PARAMS = {
 }
 
 
+# The keyword parameters of ProcessSpec.build.
+BUILD_PARAMS = ("window_L", "rate_lambda", "alpha", "separation_r",
+                "thinning_p", "shift_s", "allow_unproven_shift")
+
+
 @dataclass(frozen=True)
 class ProcessSpec:
     """Everything needed to draw a realization, minus the seed.
@@ -384,19 +389,40 @@ def realization_to_dict(real: Realization) -> dict:
     }
 
 
+def _finite_list(v, what: str) -> np.ndarray:
+    """v as a float64 array; ValidationError unless it is a flat list of
+    finite numbers."""
+    if not isinstance(v, list) or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in v):
+        raise ValidationError(f"{what} must be a list of numbers")
+    a = np.asarray(v, dtype=np.float64)
+    if not np.all(np.isfinite(a)):
+        raise ValidationError(f"{what} holds a non-finite number")
+    return a
+
+
 def realization_from_dict(d: dict) -> Realization:
     """Inverse of realization_to_dict; raises ValidationError on any
     structural violation, so an imported run walks like a generated one.
     base_points and flags, when present, must equal the values derived from
     line0/line1."""
     _require(d, ("spec", "seed", "line0", "line1"), "run")
-    windows = d.get("windows")
+    seed, windows = d["seed"], d.get("windows")
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise ValidationError(f"seed must be an integer, got {seed!r}")
+    if windows is not None:
+        if not (isinstance(windows, list) and len(windows) == 2 and all(
+                len(_finite_list(w, "windows")) == 2 and w[0] <= w[1]
+                for w in windows)):
+            raise ValidationError("windows must be two [lo, hi] pairs of "
+                                  "finite numbers with lo <= hi")
+        windows = (tuple(windows[0]), tuple(windows[1]))
     real = Realization(
         spec=ProcessSpec.from_dict(d["spec"]),
-        seed=d["seed"],
-        line0=np.asarray(d["line0"], dtype=np.float64),
-        line1=np.asarray(d["line1"], dtype=np.float64),
-        windows=(tuple(windows[0]), tuple(windows[1])) if windows else None,
+        seed=seed,
+        line0=_finite_list(d["line0"], "line0"),
+        line1=_finite_list(d["line1"], "line1"),
+        windows=windows,
         provenance=d.get("provenance", "imported"),
     )
     real.check_invariants()

@@ -194,9 +194,18 @@ def _centre(space, u):
     return u * space.cos_alpha if space.kind == INTERSECTING else u
 
 
+def _check_start(real: Realization, start: Site) -> None:
+    """Both engines' guard: start must be on a line of the space, at a
+    finite abscissa."""
+    if not (isinstance(start.line, (int, np.integer)) and math.isfinite(start.u)
+            and 0 <= start.line < real.spec.space.n_lines):
+        raise ValidationError(f"start {start} is not a site of the space")
+
+
 def run_walk(real: Realization, start: Site = Site(0.0, 0),
              rule: StopRule = StopRule()) -> Trajectory:
     """Greedy walk with the optimized neighbor-search engine."""
+    _check_start(real, start)
     space = real.spec.space
     arrs = (real.line0, real.line1)
     idx = (SortedAliveIndex(real.line0.tolist()),
@@ -283,6 +292,7 @@ def run_walk(real: Realization, start: Site = Site(0.0, 0),
 def run_walk_naive(real: Realization, start: Site = Site(0.0, 0),
                    rule: StopRule = StopRule()) -> Trajectory:
     """Reference engine: full linear scan per step.  Oracle for run_walk."""
+    _check_start(real, start)
     space = real.spec.space
     n0, n1 = len(real.line0), len(real.line1)
     us_all = np.concatenate((real.line0, real.line1))

@@ -5,7 +5,10 @@ Fixture trajectories are hand-built (see conftest.hand_traj), so expected
 values are checked against pencil-and-paper runs of the definitions.
 """
 
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +27,8 @@ from gwlab import (
     check_indented_entry,
     check_povratak,
     check_reduced_alignment,
+    cluster_visits,
+    clusters_of,
     compute_Dx,
     decompose_clusters,
     detect_A_events,
@@ -33,7 +38,6 @@ from gwlab import (
     extract_halfline_changes,
     generate,
     intersect_Bn_bound,
-    mark_leading_and_indented,
     parallel_Am_first_term,
     reduce_to_cluster_leads,
     run_walk,
@@ -41,6 +45,8 @@ from gwlab import (
     theoretical_bounds,
     validate_dx_record,
 )
+from gwlab.checks import run_checks
+from gwlab.walk import Trajectory
 from gwlab.analysis import (
     A_K_SHIFTED,
     A_K_THINNED,
@@ -326,16 +332,95 @@ def test_decompose_invariants(raw, thr):
 # reduced walk and traversal discipline (duplicated pairs)
 
 
-def test_reduce_to_cluster_leads(hand_real):
+def cut_prefix(traj, k):
+    """The first k steps of traj, as a walk stopped after step k reports
+    them."""
+    def seen(vis):
+        return np.where(vis <= k, vis, -1)
+
+    return Trajectory(start=traj.start, us=traj.us[:k], lines=traj.lines[:k],
+                      step_distances=traj.step_distances[:k],
+                      stop_reason="truncated",
+                      visited_step0=seen(traj.visited_step0),
+                      visited_step1=seen(traj.visited_step1))
+
+
+def swap_steps(traj, k):
+    """traj with steps k and k+1 (1-based) visited in the other order: not
+    a greedy walk, so the cluster checks see entries, exits and
+    interruptions that generated walks never show."""
+    order = np.arange(len(traj))
+    order[[k - 1, k]] = order[[k, k - 1]]
+
+    def moved(vis):
+        out = vis.copy()
+        out[vis == k], out[vis == k + 1] = k + 1, k
+        return out
+
+    return Trajectory(start=traj.start, us=traj.us[order],
+                      lines=traj.lines[order],
+                      step_distances=traj.step_distances[order],
+                      stop_reason=traj.stop_reason,
+                      visited_step0=moved(traj.visited_step0),
+                      visited_step1=moved(traj.visited_step1))
+
+
+def test_reduce_to_cluster_leads(hand_real, hand_traj):
     real = hand_real("parallel-duplicated", [1.0, 1.5, 4.0], separation_r=1.0)
-    red = reduce_to_cluster_leads(real, run_walk(real, rule=EXH))
-    assert red.lead_us.tolist() == [1.0, 4.0]
-    assert red.first_steps.tolist() == [1, 5]
-    assert red.cluster_order == (0, 1)
+    leads = reduce_to_cluster_leads(real, run_walk(real, rule=EXH))
+    assert leads.tolist() == [1.0, 4.0]
+    # first-visit order, not cluster order; unentered clusters drop out
+    traj = hand_traj(real, [4.0, 1.5], [1, 0])
+    assert reduce_to_cluster_leads(real, traj).tolist() == [4.0, 1.0]
+    assert reduce_to_cluster_leads(real, hand_traj(real, [], [])).size == 0
 
     single = hand_real("single-line", [1.0])
     with pytest.raises(ValidationError):
         reduce_to_cluster_leads(single, run_walk(single))
+
+
+def test_clusters_of(hand_real):
+    dup = hand_real("parallel-duplicated", [0.5, 1.0, 3.0], separation_r=1.0)
+    assert clusters_of(dup).ranges == ((0, 2), (2, 3))
+    thin = hand_real("parallel-thinned", [0.5], line1=[1.0, 3.0],
+                     separation_r=1.0)
+    assert clusters_of(thin).ranges == ((0, 2), (2, 3))
+    # shifted: line 0 alone, at the point-to-shifted-neighbour distance
+    shifted = hand_real("parallel-shifted", [-2.5, -2.0, 2.0, 2.5],
+                        shift_s=0.3)
+    dec = clusters_of(shifted)
+    assert dec.threshold == math.sqrt(1.0 + 0.3 * 0.3)
+    assert dec.ranges == ((0, 2), (2, 4))
+    assert dec.zero_cluster == 1
+    for construction in ("single-line", "intersecting"):
+        with pytest.raises(ValidationError):
+            clusters_of(hand_real(construction, [1.0]))
+
+
+def test_cluster_visits_table(hand_real, hand_traj):
+    real = hand_real("parallel-duplicated", [-0.5, 4.0, 4.4], separation_r=1.0)
+    traj = run_walk(real, rule=EXH)
+    t = cluster_visits(clusters_of(real), traj)
+    assert t.count.tolist() == [2, 4]
+    assert (t.first.tolist(), t.last.tolist()) == ([1, 3], [2, 6])
+    assert t.entry_line.tolist() == [0, 1] and t.entry_index.tolist() == [0, 1]
+    assert t.exit_line.tolist() == [1, 0] and t.exit_index.tolist() == [0, 1]
+    assert t.consecutive.tolist() == [True, True]
+    assert not t.undecided.any() and not t.broken.any()
+    # cut after step 4: the open cluster is undecided, not broken
+    t = cluster_visits(clusters_of(real), cut_prefix(traj, 4))
+    assert t.count.tolist() == [2, 2]
+    assert (t.exit_line[1], t.exit_index[1]) == (1, 2)
+    assert t.consecutive.tolist() == [True, False]
+    assert t.undecided.tolist() == [False, True]
+    # an unentered cluster has no steps or sites; one left early is broken
+    t = cluster_visits(clusters_of(real), hand_traj(real, [4.0], [1]))
+    assert t.entered.tolist() == [False, True]
+    assert (t.first[0], t.last[0], t.entry_line[0], t.entry_index[0],
+            t.exit_line[0], t.exit_index[0]) == (-1,) * 6
+    assert t.undecided.tolist() == [False, True]
+    t = cluster_visits(clusters_of(real), hand_traj(real, [4.0, -0.5], [0, 0]))
+    assert t.broken.tolist() == [False, True]
 
 
 def test_consecutive_holds_on_real_walk(hand_real):
@@ -395,58 +480,188 @@ def test_consecutive_on_generated_runs(spec_for):
         assert check_reduced_alignment(real, traj) is True
 
 
+def entry_counts(real, trajs):
+    """The indented-entry counts per trajectory, as "e.v.u.x" words."""
+    return " ".join(
+        ".".join(str(v) for v in run_checks(
+            real, t, ("indented-entry",))["indented-entry"].counts.values())
+        for t in trajs)
+
+
+def cluster_pin_values(spec_for):
+    """What cluster_pins.json pins, per run: the duplicated traversal
+    verdicts and reduced lead shadows, and the shifted indented-entry
+    counts, on the full walk and on prefixes cut every 3rd (duplicated) or
+    2nd (shifted) step, and on the full walk with steps k, k+1 swapped for
+    every 5th k.  Verdict strings hold one character per cut or swap: T, F
+    or N (None)."""
+    verdict = {True: "T", False: "F", None: "N"}
+    out = {}
+    for i in range(100):
+        r = (1.0, 0.5, 2.0)[i % 3]
+        real = generate(spec_for("parallel-duplicated", separation_r=r),
+                        stream_seed(5, i))
+        traj = run_walk(real)
+        n = len(traj)
+        consec, aligned, leads = "", "", hashlib.sha256()
+        for k in [*range(1, n, 3), n]:
+            t = cut_prefix(traj, k)
+            consec += verdict[check_cluster_consecutive(real, t)]
+            aligned += verdict[check_reduced_alignment(real, t)]
+            lead_us = np.asarray(reduce_to_cluster_leads(real, t), dtype="<f8")
+            leads.update(lead_us.tobytes() + b"|")
+        swapped = "".join(
+            verdict[check_cluster_consecutive(real, t)]
+            + verdict[check_reduced_alignment(real, t)]
+            for t in (swap_steps(traj, k) for k in range(1, n - 1, 5)))
+        out[f"duplicated/r={r}/{i}"] = {"steps": n, "consecutive": consec,
+                                        "aligned": aligned,
+                                        "leads": leads.hexdigest(),
+                                        "swapped": swapped}
+    for i in range(100):
+        s = (0.3, -0.3, 0.1, 0.5)[i % 4]
+        real = generate(spec_for("parallel-shifted", shift_s=s),
+                        stream_seed(6, i))
+        traj = run_walk(real)
+        n = len(traj)
+        out[f"shifted/s={s}/{i}"] = {
+            "steps": n,
+            "counts": entry_counts(real, (cut_prefix(traj, k)
+                                          for k in [*range(1, n, 2), n])),
+            "swapped": entry_counts(real, (swap_steps(traj, k)
+                                           for k in range(1, n - 1, 5))),
+        }
+    return out
+
+
+CLUSTER_PINS = Path(__file__).parent / "data" / "cluster_pins.json"
+
+
+def test_cluster_checks_pinned(spec_for):
+    # recorded with the per-cluster loops that preceded the visit table;
+    # every verdict, lead shadow and count must stay the same
+    pinned = json.loads(CLUSTER_PINS.read_text())["runs"]
+    got = cluster_pin_values(spec_for)
+    assert sorted(got) == sorted(pinned)
+    assert [name for name in got if got[name] != pinned[name]] == []
+    # the cuts reach undecided verdicts and early exits, the swaps reach
+    # definite violations
+    runs = pinned.values()
+    assert any("N" in v.get("consecutive", "") for v in runs)
+    assert any("F" in v.get("swapped", "") for v in runs)
+    shifted = [[int(x) for x in c.split(".")] for v in runs if "counts" in v
+               for c in v["counts"].split() + v["swapped"].split()]
+    assert all(any(c[j] for c in shifted) for j in range(4))
+
+
+def visits_by_definition(dec, traj):
+    """cluster_visits' fields, one cluster at a time from the visit-step
+    arrays."""
+    rows = []
+    for lo, hi in dec.ranges:
+        m = hi - lo
+        steps = {int(v): (line, lo + i) for line, vis in
+                 enumerate((traj.visited_step0, traj.visited_step1))
+                 for i, v in enumerate(vis[lo:hi]) if v >= 1}
+        if not steps:
+            rows.append((0, -1, -1, (-1, -1), (-1, -1), False, False))
+            continue
+        t0, t1 = min(steps), max(steps)
+        run = sorted(steps) == list(range(t0, t1 + 1))
+        rows.append((len(steps), t0, t1, steps[t0], steps[t1],
+                     run and len(steps) == 2 * m,
+                     run and len(steps) < 2 * m and t1 == len(traj)))
+    return rows
+
+
+@pytest.mark.parametrize("construction", ["parallel-duplicated",
+                                          "parallel-shifted"])
+def test_cluster_visits_matches_definition(spec_for, construction):
+    for i in range(6):
+        real = generate(spec_for(construction, window_L=12.0),
+                        stream_seed(13, i))
+        traj = run_walk(real)
+        n = len(traj)
+        dec = clusters_of(real)
+        for t in ([cut_prefix(traj, k) for k in range(0, n + 1, 4)]
+                  + [swap_steps(traj, k) for k in range(1, n - 1, 3)]):
+            v = cluster_visits(dec, t)
+            got = [(c, f, l, (el, ei), (xl, xi), bool(ok), bool(cut))
+                   for c, f, l, el, ei, xl, xi, ok, cut in zip(
+                       v.count.tolist(), v.first.tolist(), v.last.tolist(),
+                       v.entry_line.tolist(), v.entry_index.tolist(),
+                       v.exit_line.tolist(), v.exit_index.tolist(),
+                       v.consecutive, v.undecided)]
+            assert got == visits_by_definition(dec, t)
+
+
 # ---------------------------------------------------------------------------
-# shifted-pair marks and entry discipline
+# indented-entry discipline (shifted pairs)
 
 
-def test_mark_leading_and_indented(hand_real):
+def test_indented_entry_leads(hand_real, hand_traj):
+    # the negative cluster is indented (each copy is nearer the origin than
+    # its point), so its indented lead is the lead -2.0 on line 0, not its
+    # copy -1.7; the positive cluster is the zero cluster and never counts
     real = hand_real("parallel-shifted", [-2.5, -2.0, 2.0, 2.5], shift_s=0.3)
-    dec, marks = mark_leading_and_indented(real)
-    assert dec.threshold == pytest.approx(math.sqrt(1.0 + 0.09))
-    assert dec.ranges == ((0, 2), (2, 4))
-    assert dec.zero_cluster == 1
-    neg, pos = marks
-    assert (neg.lead0, neg.lead1) == (1, 1)
-    assert neg.indented and not neg.straddles
-    assert (pos.lead0, pos.lead1) == (2, 2)
-    assert not pos.indented and not pos.straddles
-
-    straddle = hand_real("parallel-shifted", [-0.2, 0.3], shift_s=0.3)
-    _, (mk,) = mark_leading_and_indented(straddle)
-    assert mk.straddles
+    at_lead0 = check_indented_entry(real, hand_traj(
+        real, [-2.0, -2.5, -2.2, -1.7], [0, 0, 1, 1]))
+    assert (at_lead0.entries, len(at_lead0.violation_details)) == (1, 0)
+    at_lead1 = check_indented_entry(real, hand_traj(
+        real, [-1.7, -2.0, -2.5, -2.2, 2.0], [1, 0, 0, 1, 0]))
+    assert at_lead1.entries == 0
+    # not indented: the indented lead is the lead's copy, 2.3 on line 1
+    real = hand_real("parallel-shifted", [0.1, 2.0, 2.5], shift_s=0.3)
+    for us, lines, entries in (([2.3, 2.0, 2.5, 2.8], [1, 0, 0, 1], 1),
+                               ([2.0, 2.3, 2.8, 2.5], [0, 1, 1, 0], 0),
+                               ([2.8, 2.5, 2.0, 2.3], [1, 0, 0, 1], 0)):
+        assert check_indented_entry(
+            real, hand_traj(real, us, lines)).entries == entries
+    # a cluster straddling the origin never counts (only reachable with an
+    # unproven shift, where a non-zero cluster can have a copy past 0)
+    real = hand_real("parallel-shifted", [-0.875, 0.625], shift_s=0.9375,
+                     allow_unproven_shift=True)
+    assert clusters_of(real).zero_cluster == 1
+    assert check_indented_entry(
+        real, hand_traj(real, [-0.875, 0.0625], [0, 1])).entries == 0
 
     single = hand_real("single-line", [1.0])
     with pytest.raises(ValidationError):
-        mark_leading_and_indented(single)
+        check_indented_entry(single, run_walk(single))
 
 
 def test_indented_entry_consecutive(hand_real, hand_traj):
     real = hand_real("parallel-shifted", [-2.5, -2.0, 0.1], shift_s=0.3)
+    traj = hand_traj(real, [-2.0, -2.5, -2.2, -1.7], [0, 0, 1, 1],
+                     start=Site(-1.2, 1))
+    s = check_indented_entry(real, traj)
+    assert (s.entries, s.undecided, s.early_exits, s.violation_details) == (1, 0, 0, ())
+    # the same whole traversal entered off the lead: no entry, no exit
     traj = hand_traj(real, [-1.7, -2.0, -2.5, -2.2], [1, 0, 0, 1],
                      start=Site(-1.2, 1))
-    recs = check_indented_entry(real, traj)
-    assert len(recs) == 1  # the zero cluster was never touched
-    rec = recs[0]
-    assert rec.indented and not rec.straddles and not rec.is_zero
-    assert rec.entry_line == 1 and rec.entry_u == pytest.approx(-1.7)
-    assert rec.entered_at_line1_lead
-    assert rec.consecutive is True and rec.early_exit is False
+    s = check_indented_entry(real, traj)
+    assert (s.entries, s.early_exits) == (0, 0)
 
 
 def test_indented_entry_early_exit(hand_real, hand_traj):
-    real = hand_real("parallel-shifted", [2.0, 2.5, 6.0], shift_s=0.3)
-    traj = hand_traj(real, [2.0, 2.5, 6.0, 6.3, 2.3, 2.8],
-                     [0, 0, 0, 1, 1, 1])
-    recs = {r.cluster: r for r in check_indented_entry(real, traj)}
-    assert recs[0].early_exit is True and recs[0].consecutive is False
-    assert recs[0].is_zero and not recs[0].entered_at_line1_lead
-    assert recs[1].early_exit is False and recs[1].consecutive is True
+    real = hand_real("parallel-shifted", [0.1, 2.0, 2.5], shift_s=0.3)
+    # entered at the lead 2.3, left for the zero cluster before finishing
+    s = check_indented_entry(real, hand_traj(
+        real, [2.3, 2.0, 0.1, 2.5, 2.8], [1, 0, 0, 0, 1]))
+    assert (s.entries, s.undecided, s.early_exits) == (1, 0, 1)
+    assert s.violation_details == ({"cluster": 1, "entry_u": 2.3},)
+    # entered off the lead and left early: an early exit, no violation
+    s = check_indented_entry(real, hand_traj(real, [2.0, 0.1], [0, 0]))
+    assert (s.entries, s.early_exits, s.violation_details) == (0, 1, ())
+    # the zero cluster left early does not count
+    s = check_indented_entry(real, hand_traj(real, [0.1, 2.3, 0.4], [0, 1, 1]))
+    assert (s.entries, s.early_exits) == (1, 1)
 
 
 def test_indented_entry_cut_prefix(hand_real, hand_traj):
-    real = hand_real("parallel-shifted", [2.0, 2.5, 6.0], shift_s=0.3)
-    recs = check_indented_entry(real, hand_traj(real, [2.0, 2.5], [0, 0]))
-    assert recs[0].consecutive is None and recs[0].early_exit is None
+    real = hand_real("parallel-shifted", [0.1, 2.0, 2.5], shift_s=0.3)
+    s = check_indented_entry(real, hand_traj(real, [2.3, 2.0], [1, 0]))
+    assert (s.entries, s.undecided, s.early_exits, s.violation_details) == (1, 1, 0, ())
 
 
 # ---------------------------------------------------------------------------

@@ -298,6 +298,22 @@ def test_export_plot_data_parallel(tmp_path, capsys):
     assert zero_rows[0][1] == "0"  # the zero cluster has signed index 0
 
 
+@pytest.mark.parametrize("construction", ["parallel-duplicated",
+                                          "parallel-thinned",
+                                          "parallel-shifted"])
+def test_export_plot_data_clusters_pinned(tmp_path, capsys, construction):
+    # prefix_clusters.csv byte for byte, as recorded before the cluster
+    # rule moved into analysis.clusters_of
+    out_dir = tmp_path / construction
+    assert main(["export-plot-data", "--construction", construction,
+                 "--seed", "9", "--out-dir", str(out_dir)]) == 0
+    capsys.readouterr()
+    pins = json.loads((Path(__file__).parent / "data"
+                       / "cluster_pins.json").read_text())
+    got = (out_dir / "prefix_clusters.csv").read_text()
+    assert got == pins["prefix_clusters"][construction]
+
+
 @pytest.mark.parametrize("construction", ["single-line", "intersecting"])
 def test_export_plot_data_no_clusters(tmp_path, capsys, construction):
     out_dir = tmp_path / construction

@@ -200,9 +200,37 @@ def test_import_validates(spec_for):
         ("flags", d["flags"][1:]),
         ("flags", [FLAG_BOTH] * len(d["flags"])),
         ("flags", ["line1" if f == FLAG_LINER else f for f in d["flags"]]),
+        # values of the wrong shape or type
+        ("windows", [[-25, 25]]),
+        ("windows", 5),
+        ("windows", [[-25, "x"], [-25, 25]]),
+        ("windows", [[-25, 25], [-25, 25], [-25, 25]]),
+        ("windows", [[-25, 25, 0], [-25, 25]]),
+        ("windows", [[25, -25], [-25, 25]]),
+        ("windows", [[-25, math.inf], [-25, 25]]),
+        ("windows", [[-25, 25], 7]),
+        ("windows", [[-25, True], [-25, 25]]),
+        ("line0", "xyz"),
+        ("line0", [d["line0"]]),
+        ("line0", d["line0"][:-1] + [math.nan]),
+        ("line1", d["line1"][:-1] + ["7"]),
+        ("line1", [True]),
+        ("line1", None),
+        ("seed", "abc"),
+        ("seed", 1.5),
+        ("seed", True),
+        ("seed", None),
     ]:
         with pytest.raises(ValidationError):
             realization_from_dict({**d, key: bad})
+    # integer windows are numbers too; a reversed window holds no point, so
+    # only an empty line shows that it is rejected
+    realization_from_dict({**d, "windows": [[-25, 25], [-25, 25]]})
+    bare = {k: v for k, v in d.items() if k not in ("base_points", "flags")}
+    realization_from_dict({**bare, "line1": []})
+    with pytest.raises(ValidationError):
+        realization_from_dict({**bare, "line1": [],
+                               "windows": [[-25, 25], [25, -25]]})
     # a missing or mistyped required key names itself
     for key in ("spec", "seed", "line0", "line1"):
         with pytest.raises(ValidationError, match=key):

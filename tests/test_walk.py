@@ -116,6 +116,19 @@ def test_nonzero_start(hand_real):
     assert traj.start == Site(2.0, 0)
 
 
+@pytest.mark.parametrize("engine", [run_walk, run_walk_naive])
+def test_start_must_be_a_site(spec_for, engine):
+    single = generate(spec_for("single-line", window_L=10.0), 1)
+    pair = generate(spec_for("parallel-duplicated", window_L=10.0), 1)
+    for real, start in ((single, Site(1.0, 1)), (single, Site(math.nan, 0)),
+                        (single, Site(math.inf, 0)), (single, Site(0.0, -1)),
+                        (pair, Site(0.0, 2)), (pair, Site(0.0, 0.5)),
+                        (pair, Site(-math.inf, 1))):
+        with pytest.raises(ValidationError):
+            engine(real, start=start)
+    assert len(engine(pair, start=Site(0.5, 1))) > 0
+
+
 def test_empty_realization(hand_real):
     real = hand_real("single-line", [])
     traj = run_walk(real)
