@@ -10,8 +10,8 @@ walk engines and extracts derived quantities:
 * return-event detection ("A_*" record families) and the implication check
   tying those events to an early return to the negative half-axis (the
   povratak check),
-* replay audits that re-run a trajectory against an alive-site index and
-  flag any step contradicting the structural facts the analysis relies on.
+* lemma audits that flag any step contradicting the structural facts the
+  analysis relies on, as queries on when each point was visited.
 
 Decidability convention: a trajectory is only a prefix of the unbounded
 walk, so detectors report True (witnessed), False (ruled out), or None
@@ -22,7 +22,6 @@ when the prefix cannot answer them.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +35,7 @@ from .processes import (
     Realization,
     mirror_realization,
 )
-from .walk import SortedAliveIndex, Trajectory, mirror_trajectory
+from .walk import Trajectory, mirror_trajectory
 
 A_M_PARALLEL = "A_m_parallel"
 A_K_THINNED = "A_k_thinned"
@@ -103,18 +102,8 @@ def last_visit_steps(real: Realization, traj: Trajectory) -> np.ndarray:
     +inf where some copy was never visited within the prefix.  Aligned
     with real.base_points.
     """
-    base = real.base_points
-    last = np.full(len(base), -np.inf)
-    for arr, vis in (
-        (real.line0, traj.visited_step0),
-        (real.line1, traj.visited_step1),
-    ):
-        if len(arr) == 0:
-            continue
-        idx = np.searchsorted(base, arr)
-        steps = np.where(vis >= 1, vis.astype(np.float64), np.inf)
-        np.maximum.at(last, idx, steps)
-    return last
+    mu, _, ms = _merged_shadows(real, traj)
+    return np.maximum.reduceat(ms, np.flatnonzero(np.diff(mu, prepend=-np.inf)))
 
 
 def compute_Dx(real: Realization, traj: Trajectory, x: float,
@@ -409,8 +398,12 @@ class ClusterVisits:
 
 
 def cluster_visits(dec: ClusterDecomposition, traj: Trajectory) -> ClusterVisits:
-    starts, m = dec.starts, dec.sizes
     v0, v1 = traj.visited_step0, traj.visited_step1
+    if not len(v0) == len(v1) == len(dec.points):
+        raise ValidationError(
+            f"cluster visits need {len(dec.points)} points on each line, "
+            f"got {len(v0)} and {len(v1)}")
+    starts, m = dec.starts, dec.sizes
     n = len(traj)
     count = np.add.reduceat((v0 >= 1).astype(np.int64) + (v1 >= 1), starts)
     big = np.iinfo(np.int64).max
@@ -723,13 +716,32 @@ def _first_max_geq(traj: Trajectory, ys: np.ndarray) -> np.ndarray:
 
 
 def _merged_shadows(real: Realization, traj: Trajectory):
+    """The merged visit-step table: every point's shadow, sorted (line 0
+    first on a tie), with its line and the step that visited it (+inf when
+    none did).  A shadow is alive at step t iff its visit step is >= t."""
     n0 = len(real.line0)
     mu = np.concatenate((real.line0, real.line1))
     ml = np.concatenate((np.zeros(n0, dtype=np.int8),
                          np.ones(len(real.line1), dtype=np.int8)))
     ms = np.concatenate((traj.visited_step0, traj.visited_step1)).astype(np.float64)
     order = np.argsort(mu, kind="stable")
-    return mu[order], ml[order], np.where(ms >= 1, ms, np.inf)[order], order
+    return mu[order], ml[order], np.where(ms >= 1, ms, np.inf)[order]
+
+
+def _range_max(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """max(values[lo:hi]) per pair of index arrays (-inf for an empty
+    range), all from one sparse table: row k holds the maxima of the
+    windows of width 2**k, and two overlapping windows cover any range."""
+    M = len(values)
+    table = np.full((M.bit_length(), M), -np.inf)
+    table[0] = values
+    for k in range(1, len(table)):
+        w = 1 << (k - 1)
+        table[k, :-w] = np.maximum(table[k - 1, :-w], table[k - 1, w:])
+    k = np.frexp(np.maximum(hi - lo, 1))[1] - 1
+    out = np.maximum(table[k, np.minimum(lo, M - 1)],
+                     table[k, np.maximum(hi - (1 << k), 0)])
+    return np.where(hi > lo, out, -np.inf)
 
 
 def _audit_pairs(real: Realization, traj: Trajectory, audit: LemmaAudit,
@@ -740,88 +752,73 @@ def _audit_pairs(real: Realization, traj: Trajectory, audit: LemmaAudit,
     extremes hold; the pair must break within one step of it."""
     r = real.spec.space.separation_r
     M = len(mu)
-    if M < 2:
-        return
-    for o in range(1, M):
-        i = np.arange(0, M - o)
-        gap = mu[i + o] - mu[i]
-        if not np.any(gap <= r):
-            break
-        sel = (gap <= r) & (gap > 0.0) & (ml[i] != ml[i + o])
-        if not np.any(sel):
-            continue
-        ii = i[sel]
-        jj = ii + o
-        audit.pair_checks += len(ii)
-        gate = np.maximum(_first_min_leq(traj, mu[ii]),
-                          _first_max_geq(traj, mu[jj]))
-        t_break = np.minimum(ms[ii], ms[jj])
-        bad = (gate < np.inf) & (gate < t_break)
-        for b in np.nonzero(bad)[0]:
-            audit.violations.append({
-                "kind": "pair-distance",
-                "x": float(mu[ii[b]]), "y": float(mu[jj[b]]),
-                "gate": float(gate[b]), "t_break": float(t_break[b]),
-            })
+    # candidates j > i up to a bound padded past every rounding of the
+    # exact gap test below; listed by offset j - i, then by i
+    ends = np.searchsorted(mu, mu + r + 1e-12 * (np.abs(mu) + r), "right")
+    count = ends - np.arange(M) - 1
+    ii = np.repeat(np.arange(M), count)
+    off = np.arange(len(ii)) - np.repeat(np.cumsum(count) - count, count) + 1
+    by_offset = np.argsort(off, kind="stable")
+    ii = ii[by_offset]
+    jj = ii + off[by_offset]
+    gap = mu[jj] - mu[ii]
+    sel = (gap <= r) & (gap > 0.0) & (ml[ii] != ml[jj])
+    ii, jj = ii[sel], jj[sel]
+    audit.pair_checks += len(ii)
+    gate = np.maximum(_first_min_leq(traj, mu[ii]), _first_max_geq(traj, mu[jj]))
+    t_break = np.minimum(ms[ii], ms[jj])
+    audit.violations.extend(
+        {"kind": "pair-distance", "x": float(mu[ii[b]]), "y": float(mu[jj[b]]),
+         "gate": float(gate[b]), "t_break": float(t_break[b])}
+        for b in np.flatnonzero((gate < np.inf) & (gate < t_break)))
 
 
-def _audit_replay(real: Realization, traj: Trajectory, audit: LemmaAudit,
-                  mu, order) -> None:
-    """Step-by-step replay against an alive-site index.
+def _audit_replay(traj: Trajectory, audit: LemmaAudit, mu, ms) -> None:
+    """The two facts about each step t with previous shadow z and running
+    extremes a_prev/b_prev (start included), as range-max queries over the
+    visit steps of the sorted shadows:
 
-    Two facts are checked at every step t with previous shadow z and
-    running extremes a_prev/b_prev (start included):
-
-    * landing inside the swept stretch [a_prev, z] must hit the largest
-      alive shadow <= z;
-    * when the visit kills the last copy at its shadow value c, with
-      z >= c and a_prev < c strictly (the walk has crossed c from the
-      left before, so at most one copy at c could survive that crossing),
-      no alive shadow may remain in (c, b_prev].
+    * landing on u inside the swept stretch [a_prev, z] must hit the
+      largest alive shadow <= z: every shadow in (u, z] was visited before t;
+    * when the visit kills the last copy at its shadow value c = u (no twin
+      at c visited after t), with z >= c and a_prev < c strictly (the walk
+      has crossed c from the left before, so at most one copy at c could
+      survive that crossing), no alive shadow may remain in (c, b_prev]:
+      every shadow there was visited by step t.
     """
-    M = len(mu)
-    if M == 0:
-        return
-    mu_list = mu.tolist()
-    alive = SortedAliveIndex(mu_list)
-    pos_of = np.empty(M, dtype=np.int64)
-    pos_of[order] = np.arange(M)
     n = len(traj)
-    step_to_merged = np.empty(n, dtype=np.int64)
-    for line_offset, vis in ((0, traj.visited_step0),
-                             (len(real.line0), traj.visited_step1)):
-        w = vis >= 1
-        step_to_merged[vis[w] - 1] = pos_of[np.nonzero(w)[0] + line_offset]
-    z = traj.start.u
-    a_prev = b_prev = z
-    for t in range(1, n + 1):
-        q = int(step_to_merged[t - 1])
-        u = mu_list[q]
-        if a_prev <= u <= z:
-            audit.replay_checks += 1
-            jq = alive.pred_alive(bisect_right(mu_list, z) - 1)
-            if jq < 0 or mu_list[jq] != u:
-                audit.violations.append({
-                    "kind": "replay-max", "step": t, "u": u, "z": z,
-                    "expected": mu_list[jq] if jq >= 0 else None,
-                })
-        alive.remove(q)
-        twin = (
-            (q + 1 < M and mu_list[q + 1] == u and alive._alive[q + 1])
-            or (q - 1 >= 0 and mu_list[q - 1] == u and alive._alive[q - 1])
-        )
-        if not twin and z >= u and a_prev < u:
-            audit.empty_interval_checks += 1
-            sq = alive.succ_alive(bisect_right(mu_list, u))
-            nxt = mu_list[sq] if sq < M else math.inf
-            if nxt <= b_prev:
-                audit.violations.append({
-                    "kind": "empty-interval", "step": t, "c": u,
-                    "b_prev": b_prev, "alive_inside": nxt,
-                })
-        z = u
-        a_prev = min(a_prev, u)
-        b_prev = max(b_prev, u)
+    if n == 0:
+        return
+    t = np.arange(1, n + 1)
+    u = mu[np.argsort(ms)[:n]]  # the visited shadows, in step order
+    z = np.concatenate(([traj.start.u], u[:-1]))
+    a_prev, b_prev = np.minimum.accumulate(z), np.maximum.accumulate(z)
+    at_u, past_u, past_z, past_b = (
+        np.searchsorted(mu, v, side) for v, side in
+        ((u, "left"), (u, "right"), (z, "right"), (b_prev, "right")))
+    twin, left_alive, right_alive = _range_max(
+        ms, np.stack((at_u, past_u, past_u)),
+        np.stack((past_u, past_z, past_b)))
+    replay = (a_prev <= u) & (u <= z)
+    empty = (twin <= t) & (z >= u) & (a_prev < u)
+    audit.replay_checks += int(np.count_nonzero(replay))
+    audit.empty_interval_checks += int(np.count_nonzero(empty))
+    bad_max = replay & (left_alive >= t)
+    bad_empty = empty & (right_alive > t)
+    for i in np.flatnonzero(bad_max | bad_empty):
+        step, lo = int(i) + 1, past_u[i]
+        if bad_max[i]:
+            k = lo + np.flatnonzero(ms[lo:past_z[i]] >= step)[-1]
+            audit.violations.append({
+                "kind": "replay-max", "step": step, "u": float(u[i]),
+                "z": float(z[i]), "expected": float(mu[k]),
+            })
+        if bad_empty[i]:
+            k = lo + np.flatnonzero(ms[lo:past_b[i]] > step)[0]
+            audit.violations.append({
+                "kind": "empty-interval", "step": step, "c": float(u[i]),
+                "b_prev": float(b_prev[i]), "alive_inside": float(mu[k]),
+            })
 
 
 def audit_lemmas(real: Realization, traj: Trajectory) -> LemmaAudit:
@@ -833,8 +830,8 @@ def audit_lemmas(real: Realization, traj: Trajectory) -> LemmaAudit:
     if kind == INTERSECTING:
         raise ValidationError("audits are defined for parallel/single-line runs")
     audit = LemmaAudit()
-    mu, ml, ms, order = _merged_shadows(real, traj)
+    mu, ml, ms = _merged_shadows(real, traj)
     if kind == PARALLEL:
         _audit_pairs(real, traj, audit, mu, ml, ms)
-    _audit_replay(real, traj, audit, mu, order)
+    _audit_replay(traj, audit, mu, ms)
     return audit

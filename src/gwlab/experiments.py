@@ -316,13 +316,24 @@ def _csv_cell(f: dataclasses.Field, cell: str):
 
 
 def read_summaries_csv(path) -> list[RunSummary]:
+    """Read a sweep CSV back; ValidationError for a wrong header, a row
+    whose cell count differs from it, or a cell its column cannot parse."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
+        header = tuple(next(reader, ()))
         if header != CSV_COLUMNS:
             raise ValidationError(f"unexpected CSV header: {header}")
-        return [RunSummary(*(_csv_cell(f, c) for f, c in zip(_CSV_FIELDS, row)))
-                for row in reader]
+        rows = []
+        for row in reader:
+            where = f"CSV line {reader.line_num}"
+            if len(row) != len(CSV_COLUMNS):
+                raise ValidationError(f"{where} has {len(row)} cells, "
+                                      f"not {len(CSV_COLUMNS)}")
+            try:
+                rows.append(RunSummary(*map(_csv_cell, _CSV_FIELDS, row)))
+            except ValueError as e:
+                raise ValidationError(f"{where}: {e}") from None
+        return rows
 
 
 def write_outputs(cfg: ExperimentConfig, rows: list[RunSummary],

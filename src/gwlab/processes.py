@@ -76,6 +76,11 @@ CONSTRUCTION_PARAMS = {
 }
 
 
+# The most points a draw may expect on one line (rate_lambda * 2 * window_L);
+# beyond it generate refuses before drawing, since the sampler would ask
+# for an array no host can hold.
+MAX_EXPECTED_POINTS = 10**8
+
 # The keyword parameters of ProcessSpec.build.
 BUILD_PARAMS = ("window_L", "rate_lambda", "alpha", "separation_r",
                 "thinning_p", "shift_s", "allow_unproven_shift")
@@ -303,6 +308,10 @@ def sample_poisson(rate: float, window: tuple[float, float],
 
 def generate(spec: ProcessSpec, seed: int) -> Realization:
     """Draw the realization for (spec, seed); bit-stable for a fixed seed."""
+    expected = spec.rate_lambda * 2 * spec.space.window_L
+    if not expected <= MAX_EXPECTED_POINTS:
+        raise ValidationError(f"a draw would expect {expected:g} points per "
+                              f"line, above the cap of {MAX_EXPECTED_POINTS:g}")
     rng = make_generator(seed)
     win = drawn_windows(spec)[0]
     c = spec.construction

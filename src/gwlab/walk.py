@@ -13,10 +13,10 @@ Two engines produce step-for-step identical trajectories:
   depends on the walk's history, so both are tabulated per realization
   point with numpy before the first step.  A step then reads its own-line
   neighbors from the spliced links of the point it just left, starts the
-  cross-line search at the tabulated position, and searches the alive
-  index only when the point there is already visited.  The start site is
-  not a realization point: the first step alone bisects both lines and
-  computes its margin directly.
+  cross-line search at the tabulated position, and follows the links past
+  visited points only when the point there is already visited.  The start
+  site is not a realization point: the first step alone bisects both lines
+  and computes its margin directly.
 * ``run_walk_naive``: a linear scan over every unvisited point per step.
   It exists purely as a differential oracle for the optimized engine.
 
@@ -97,74 +97,18 @@ class Trajectory:
         return np.minimum.accumulate(self.us) if len(self.us) else self.us
 
 
-class SortedAliveIndex:
-    """Static sorted abscissas supporting delete and alive-neighbor queries.
-
-    Alive nodes keep exact prev/next links (spliced on delete); entry from an
-    arbitrary bisect position skips dead nodes with path compression, so the
-    amortized query cost stays near the O(log n) of the bisect itself.  A
-    removed node keeps the links it had when it was removed: the alive
-    neighbors it had at that moment.
-    """
-
-    __slots__ = ("pts", "n_alive", "_next", "_prev", "_alive")
-
-    def __init__(self, pts: list[float]):
-        n = len(pts)
-        self.pts = pts
-        self.n_alive = n
-        self._next = array("q", np.arange(1, n + 1, dtype=np.int64).tobytes())
-        self._prev = array("q", np.arange(-1, n - 1, dtype=np.int64).tobytes())
-        self._alive = bytearray(b"\x01") * n
-
-    def succ_alive(self, j: int) -> int:
-        """Smallest alive index >= j; len(pts) when none."""
-        n = len(self.pts)
-        if j < 0:
-            j = 0
-        alive, nxt = self._alive, self._next
-        if j >= n or alive[j]:
-            return j
-        path = [j]
-        j = nxt[j]
-        while j < n and not alive[j]:
-            path.append(j)
-            j = nxt[j]
-        for k in path:
-            nxt[k] = j
-        return j
-
-    def pred_alive(self, j: int) -> int:
-        """Largest alive index <= j; -1 when none."""
-        if j >= len(self.pts):
-            j = len(self.pts) - 1
-        alive, prv = self._alive, self._prev
-        if j < 0 or alive[j]:
-            return j
-        path = [j]
-        j = prv[j]
-        while j >= 0 and not alive[j]:
-            path.append(j)
-            j = prv[j]
-        for k in path:
-            prv[k] = j
-        return j
-
-    def first_geq(self, x: float) -> int:
-        return self.succ_alive(bisect_left(self.pts, x))
-
-    def last_lt(self, x: float) -> int:
-        return self.pred_alive(bisect_left(self.pts, x) - 1)
-
-    def remove(self, i: int) -> None:
-        """Delete the alive index i."""
-        self._alive[i] = 0
-        self.n_alive -= 1
-        p, s = self._prev[i], self._next[i]
-        if p >= 0:
-            self._next[p] = s
-        if s < len(self.pts):
-            self._prev[s] = p
+def _skip_visited(vis, link, j: int, end: int) -> int:
+    """The first unvisited index reached from j by following link (prev or
+    next links of one line), or end when none is; vis[k] >= 0 marks a
+    visited k.  Every visited index passed on the way is re-linked to the
+    result (path compression), so repeated searches stay short."""
+    path = []
+    while j != end and vis[j] >= 0:
+        path.append(j)
+        j = link[j]
+    for k in path:
+        link[k] = j
+    return j
 
 
 def stop_margin(real: Realization, u, line: int):
@@ -208,13 +152,13 @@ def run_walk(real: Realization, start: Site = Site(0.0, 0),
     _check_start(real, start)
     space = real.spec.space
     arrs = (real.line0, real.line1)
-    idx = (SortedAliveIndex(real.line0.tolist()),
-           SortedAliveIndex(real.line1.tolist()))
-    pts = (idx[0].pts, idx[1].pts)
+    pts = (real.line0.tolist(), real.line1.tolist())
     n = (len(pts[0]), len(pts[1]))
-    alive = (idx[0]._alive, idx[1]._alive)
-    prv = (idx[0]._prev, idx[1]._prev)
-    nxt = (idx[0]._next, idx[1]._next)
+    # per line: links to the unvisited neighbours, exact for unvisited
+    # points and spliced on each visit; a visited point keeps the ones it
+    # had then, its unvisited neighbours at that moment
+    nxt = tuple(array("q", range(1, k + 1)) for k in n)
+    prv = tuple(array("q", range(-1, k - 1)) for k in n)
     # per point: where its projection falls in the other line, and its margin
     cross = tuple(
         array("q", np.searchsorted(arrs[1 - l], _centre(space, arrs[l]))
@@ -227,22 +171,23 @@ def run_walk(real: Realization, start: Site = Site(0.0, 0),
                        for l in (0, 1))
     # the start site is no realization point: bisect and margin it directly
     cu, cl = start.u, start.line
-    j = bisect_left(pts[cl], cu)
-    p, s = idx[cl].pred_alive(j - 1), idx[cl].succ_alive(j)
+    s = bisect_left(pts[cl], cu)
+    p = s - 1
     j = bisect_left(pts[1 - cl], _centre(space, cu))
     m = stop_margin(real, cu, cl) if truncating else None
     us = array("d")
     lines = array("b")
     dists = array("d")
+    # the visit step per point, -1 while unvisited
     vis = (array("q", [-1]) * n[0], array("q", [-1]) * n[1])
     n_alive = n[0] + n[1]
     reason = EXHAUSTED
     step = 0
     inf = math.inf
     while n_alive:
-        # the nearest alive point on each side of cu on its own line, then
-        # on each side of its projection on the other line; on a tie the
-        # lower line wins, then the smaller u (the pred side)
+        # the nearest unvisited point on each side of cu on its own line,
+        # then on each side of its projection on the other line; on a tie
+        # the lower line wins, then the smaller u (the pred side)
         same = pts[cl]
         d = cu - same[p] if p >= 0 else inf
         d_s = same[s] - cu if s < n[cl] else inf
@@ -253,10 +198,10 @@ def run_walk(real: Realization, start: Site = Site(0.0, 0),
         ol = 1 - cl
         other = pts[ol]
         xp, xs = j - 1, j
-        if xp >= 0 and not alive[ol][xp]:
-            xp = idx[ol].pred_alive(xp)
-        if xs < n[ol] and not alive[ol][xs]:
-            xs = idx[ol].succ_alive(xs)
+        if xp >= 0 and vis[ol][xp] >= 0:
+            xp = _skip_visited(vis[ol], prv[ol], xp, -1)
+        if xs < n[ol] and vis[ol][xs] >= 0:
+            xs = _skip_visited(vis[ol], nxt[ol], xs, n[ol])
         dc = cross_distance(space, cu, other[xp]) if xp >= 0 else inf
         d_s = cross_distance(space, cu, other[xs]) if xs < n[ol] else inf
         if d_s < dc:
@@ -269,10 +214,13 @@ def run_walk(real: Realization, start: Site = Site(0.0, 0),
             break
         step += 1
         vis[line][i] = step
-        idx[line].remove(i)
         n_alive -= 1
-        cu, cl = pts[line][i], line
         p, s, j = prv[line][i], nxt[line][i], cross[line][i]
+        if p >= 0:
+            nxt[line][p] = s
+        if s < n[line]:
+            prv[line][s] = p
+        cu, cl = pts[line][i], line
         if truncating:
             m = margin[line][i]
         us.append(cu)

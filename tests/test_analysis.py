@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from gwlab import (
@@ -345,17 +345,16 @@ def cut_prefix(traj, k):
                       visited_step1=seen(traj.visited_step1))
 
 
-def swap_steps(traj, k):
-    """traj with steps k and k+1 (1-based) visited in the other order: not
-    a greedy walk, so the cluster checks see entries, exits and
-    interruptions that generated walks never show."""
-    order = np.arange(len(traj))
-    order[[k - 1, k]] = order[[k, k - 1]]
+def reorder_steps(traj, order):
+    """traj with its steps taken in `order`, a permutation of the 0-based
+    step indexes: new step t visits what old step order[t-1] + 1 visited.
+    Step distances move with their steps and are not recomputed."""
+    order = np.asarray(order, dtype=np.int64)
+    new_step = np.zeros(len(order) + 1, dtype=np.int64)
+    new_step[order + 1] = np.arange(1, len(order) + 1)
 
     def moved(vis):
-        out = vis.copy()
-        out[vis == k], out[vis == k + 1] = k + 1, k
-        return out
+        return np.where(vis >= 1, new_step[vis], -1)
 
     return Trajectory(start=traj.start, us=traj.us[order],
                       lines=traj.lines[order],
@@ -363,6 +362,15 @@ def swap_steps(traj, k):
                       stop_reason=traj.stop_reason,
                       visited_step0=moved(traj.visited_step0),
                       visited_step1=moved(traj.visited_step1))
+
+
+def swap_steps(traj, k):
+    """traj with steps k and k+1 (1-based) visited in the other order: not
+    a greedy walk, so the cluster checks see entries, exits and
+    interruptions that generated walks never show."""
+    order = np.arange(len(traj))
+    order[[k - 1, k]] = order[[k, k - 1]]
+    return reorder_steps(traj, order)
 
 
 def test_reduce_to_cluster_leads(hand_real, hand_traj):
@@ -574,11 +582,16 @@ def visits_by_definition(dec, traj):
     return rows
 
 
-@pytest.mark.parametrize("construction", ["parallel-duplicated",
-                                          "parallel-shifted"])
-def test_cluster_visits_matches_definition(spec_for, construction):
+@pytest.mark.parametrize("construction,params", [
+    pytest.param("parallel-duplicated", {}, id="parallel-duplicated"),
+    pytest.param("parallel-shifted", {}, id="parallel-shifted"),
+    # nothing thinned away: line 1 shares line 0's indexes
+    pytest.param("parallel-thinned", {"thinning_p": 0.0},
+                 id="parallel-thinned-p0"),
+])
+def test_cluster_visits_matches_definition(spec_for, construction, params):
     for i in range(6):
-        real = generate(spec_for(construction, window_L=12.0),
+        real = generate(spec_for(construction, window_L=12.0, **params),
                         stream_seed(13, i))
         traj = run_walk(real)
         n = len(traj)
@@ -593,6 +606,14 @@ def test_cluster_visits_matches_definition(spec_for, construction):
                        v.exit_line.tolist(), v.exit_index.tolist(),
                        v.consecutive, v.undecided)]
             assert got == visits_by_definition(dec, t)
+
+
+def test_cluster_visits_needs_shared_indexes(spec_for):
+    # a thinned run's lines differ in length (21 and 22 points here)
+    real = generate(spec_for("parallel-thinned", window_L=10.0), 3)
+    assert len(real.line0) != len(real.line1)
+    with pytest.raises(ValidationError):
+        cluster_visits(clusters_of(real), run_walk(real))
 
 
 # ---------------------------------------------------------------------------
@@ -830,3 +851,150 @@ def test_audit_clean_on_generated_runs(spec_for, construction):
             assert audit.empty_interval_checks == 0
         else:
             assert audit.pair_checks > 0
+
+
+def audits_by_definition(real, traj):
+    """audit_lemmas' counts and violations by brute force: every pair of
+    sorted shadows by offset, and each step against the set of points not
+    visited before it."""
+    pts = sorted([(u, 0, v) for u, v in zip(real.line0.tolist(),
+                                             traj.visited_step0.tolist())]
+                 + [(u, 1, v) for u, v in zip(real.line1.tolist(),
+                                               traj.visited_step1.tolist())],
+                 key=lambda p: p[0])
+    mu = [p[0] for p in pts]
+    step = [p[2] if p[2] >= 1 else math.inf for p in pts]
+    seen = [traj.start.u] + traj.us.tolist()
+    counts, out = [0, 0, 0], []
+    if real.spec.space.kind == "parallel":
+        r = real.spec.space.separation_r
+        for o in range(1, len(pts)):
+            for i in range(len(pts) - o):
+                x, y = mu[i], mu[i + o]
+                if not (0.0 < y - x <= r and pts[i][1] != pts[i + o][1]):
+                    continue
+                counts[0] += 1
+                gate = next((float(t) for t in range(len(seen))
+                             if min(seen[:t + 1]) <= x
+                             and max(seen[:t + 1]) >= y), math.inf)
+                t_break = float(min(step[i], step[i + o]))
+                if gate < t_break:
+                    out.append({"kind": "pair-distance", "x": x, "y": y,
+                                "gate": gate, "t_break": t_break})
+    for t in range(1, len(seen)):
+        q = step.index(t)
+        u, z = mu[q], seen[t - 1]
+        a, b = min(seen[:t]), max(seen[:t])
+        if a <= u <= z:
+            counts[1] += 1
+            expected = max(m for m, s in zip(mu, step) if s >= t and m <= z)
+            if expected != u:
+                out.append({"kind": "replay-max", "step": t, "u": u, "z": z,
+                            "expected": expected})
+        twin = any(m == u and s > t for m, s in zip(mu, step))
+        if not twin and z >= u and a < u:
+            counts[2] += 1
+            inside = min((m for m, s in zip(mu, step) if s > t and m > u),
+                         default=math.inf)
+            if inside <= b:
+                out.append({"kind": "empty-interval", "step": t, "c": u,
+                            "b_prev": b, "alive_inside": inside})
+    return counts, out
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(["single-line", "parallel-duplicated",
+                        "parallel-thinned", "parallel-shifted"]),
+       st.lists(quarters, min_size=1, max_size=9, unique=True),
+       st.lists(quarters, max_size=9, unique=True),
+       st.sampled_from([0.5, 1.0, 2.0]), quarters, st.randoms(),
+       st.floats(0.0, 1.0))
+def test_audits_match_definition(hand_real, hand_traj, construction, line0,
+                                 line1, r, start_u, rnd, keep):
+    # any visit order, cut anywhere, from any start: the greedy walk's
+    # facts fail often, so every violation kind is compared too
+    real = hand_real(construction, sorted(line0), sorted(line1),
+                     separation_r=r, shift_s=r / 4)
+    order = [(u, 0) for u in real.line0] + [(u, 1) for u in real.line1]
+    rnd.shuffle(order)
+    order = order[:round(keep * len(order))]
+    traj = hand_traj(real, [u for u, _ in order], [l for _, l in order],
+                     start=Site(start_u, 0))
+    audit = audit_lemmas(real, traj)
+    counts = [audit.pair_checks, audit.replay_checks,
+              audit.empty_interval_checks]
+    assert (counts, audit.violations) == audits_by_definition(real, traj)
+
+
+def audit_pin_values(spec_for):
+    """What audit_pins.json pins, per run and order: the three audit
+    counts, the violation count per kind, and sha256 digests of the
+    violation lists (JSON, in order) and of the last_visit_steps bytes.
+    Each run is audited as the greedy walk, cut at half its length, with
+    steps k, k+1 swapped for every 8th k (summed over the swaps, digests
+    chained), with its middle third reversed, and fully shuffled; only the
+    non-greedy orders reach violations."""
+    kinds = ("pair-distance", "replay-max", "empty-interval")
+    runs = [(c, kw, 50.0, i)
+            for c, kw in (("single-line", {}), ("parallel-duplicated", {}),
+                          ("parallel-thinned", {"separation_r": 1.0}),
+                          ("parallel-thinned", {"separation_r": 5.0}),
+                          ("parallel-shifted", {"shift_s": 0.3}),
+                          ("parallel-shifted", {"shift_s": -0.3}))
+            for i in range(4)]
+    runs += [("parallel-duplicated", {}, 1000.0, 0),
+             ("parallel-thinned", {"separation_r": 5.0}, 1000.0, 0),
+             ("parallel-shifted", {"shift_s": 0.3}, 1000.0, 0)]
+    out = {}
+    for c, kw, L, i in runs:
+        real = generate(spec_for(c, window_L=L, **kw), stream_seed(8, i))
+        traj = run_walk(real)
+        n = len(traj)
+        middle = np.arange(n)
+        middle[n // 3:2 * n // 3] = middle[n // 3:2 * n // 3][::-1]
+        orders = {
+            "greedy": [traj], "cut": [cut_prefix(traj, n // 2)],
+            "swapped": [swap_steps(traj, k) for k in range(1, n - 1, 8)],
+            "reversed": [reorder_steps(traj, middle)],
+            "shuffled": [reorder_steps(
+                traj, np.random.default_rng(i).permutation(n))],
+        }
+        name = "/".join([c, *(f"{k}={v}" for k, v in kw.items()),
+                         f"L={L:g}", str(i)])
+        for order, trajs in orders.items():
+            checks, found = [0, 0, 0], [0, 0, 0]
+            violations, last = hashlib.sha256(), hashlib.sha256()
+            for t in trajs:
+                audit = audit_lemmas(real, t)
+                for j, got in enumerate((audit.pair_checks,
+                                         audit.replay_checks,
+                                         audit.empty_interval_checks)):
+                    checks[j] += got
+                    found[j] += sum(v["kind"] == kinds[j]
+                                    for v in audit.violations)
+                violations.update(json.dumps(audit.violations).encode())
+                last.update(last_visit_steps(real, t).astype("<f8").tobytes())
+            out[f"{name}/{order}"] = {
+                "checks": checks, "violations": found,
+                "violations_sha256": violations.hexdigest(),
+                "last_visit_sha256": last.hexdigest(),
+            }
+    return out
+
+
+AUDIT_PINS = Path(__file__).parent / "data" / "audit_pins.json"
+
+
+def test_audits_pinned(spec_for):
+    # recorded with the step-by-step replay audit and the per-offset pair
+    # scan that preceded the visit-step queries; every count, violation and
+    # last-visit step must stay the same
+    pinned = json.loads(AUDIT_PINS.read_text())
+    got = audit_pin_values(spec_for)
+    assert sorted(got) == sorted(pinned)
+    assert [name for name in got if got[name] != pinned[name]] == []
+    # every kind of check and of violation is reached
+    for j in range(3):
+        assert any(v["checks"][j] for v in pinned.values())
+        assert any(v["violations"][j] for v in pinned.values())

@@ -172,6 +172,18 @@ def test_domain_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("window", ["1e19", "1e12"])
+def test_window_above_point_cap_exits_2(capsys, monkeypatch, window):
+    # refused before any draw: a draw would raise the sentinel instead
+    def no_draw(seed):
+        raise LookupError("drew")
+
+    monkeypatch.setattr("gwlab.processes.make_generator", no_draw)
+    assert main(["simulate", "--construction", "single-line",
+                 "--window-L", window]) == 2
+    assert "cap" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--window-L", "--rate-lambda",
                                   "--separation-r"])
 def test_non_finite_flags_exit_2(capsys, flag):

@@ -185,6 +185,27 @@ def test_csv_header_rejected(tmp_path):
         read_summaries_csv(bad)
 
 
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda lines: lines[:1] + [",".join(lines[1].split(",")[:4])],
+                 id="short-row"),
+    pytest.param(lambda lines: lines[:1] + [lines[1] + ",7"], id="extra-cell"),
+    pytest.param(lambda lines: lines[:1] + ["x" + lines[1][lines[1].index(","):]],
+                 id="non-numeric-run-index"),
+    pytest.param(lambda lines: lines[:1] + [lines[1].replace(",1.0,", ",fast,")],
+                 id="non-numeric-lambda"),
+    pytest.param(lambda lines: [], id="empty-file"),
+])
+def test_csv_malformed_rows_rejected(tmp_path, edit):
+    path = tmp_path / "rows.csv"
+    write_summaries_csv(run_experiment(cfg_for("single-line", n_runs=2)), path)
+    lines = edit(path.read_text().splitlines())
+    assert lines != path.read_text().splitlines()[:2]
+    bad = tmp_path / "bad.csv"
+    bad.write_text("".join(line + "\n" for line in lines))
+    with pytest.raises(ValidationError):
+        read_summaries_csv(bad)
+
+
 def test_write_outputs(tmp_path):
     cfg = cfg_for("parallel-shifted", n_runs=3)
     rows = run_experiment(cfg)

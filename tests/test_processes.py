@@ -147,6 +147,21 @@ def test_sample_poisson_mean_count():
     assert abs(mean - 100.0) < 5 * math.sqrt(100.0 / 300)
 
 
+def test_generate_caps_expected_points(spec_for, monkeypatch):
+    # the cap is checked before anything is drawn: a draw here would fail
+    # with the sentinel instead of allocating
+    def no_draw(seed):
+        raise LookupError("drew")
+
+    monkeypatch.setattr("gwlab.processes.make_generator", no_draw)
+    for L, rate in ((1e19, 1.0), (1e12, 1.0), (1e5, 1e4), (5.0000001e7, 1.0)):
+        with pytest.raises(ValidationError, match="cap"):
+            generate(spec_for("single-line", window_L=L, rate_lambda=rate), 1)
+    # exactly at the cap is allowed, and reaches the draw
+    with pytest.raises(LookupError):
+        generate(spec_for("parallel-duplicated", window_L=5e7), 1)
+
+
 def test_mirror_is_involution(spec_for):
     real = generate(spec_for("parallel-thinned", thinning_p=0.5), SEED)
     back = mirror_realization(mirror_realization(real))

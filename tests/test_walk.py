@@ -1,10 +1,11 @@
 """Walk engines: hand-checked step orders, tie-breaks, stopping, transforms,
-the alive-index structure, and engine-vs-oracle equality."""
+the visited-point skip search, and engine-vs-oracle equality."""
 
 import hashlib
 import json
 import math
 import struct
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from gwlab import (
     trajectory_from_binary,
     trajectory_to_binary,
 )
-from gwlab.walk import SortedAliveIndex, trajectory_to_dicts
+from gwlab.walk import _skip_visited, trajectory_to_dicts
 
 EXH = StopRule(mode=RUN_TO_EXHAUSTION)
 
@@ -400,41 +401,35 @@ def test_trajectory_json(hand_real):
     ]
 
 
-def test_alive_index_basics():
-    idx = SortedAliveIndex([1.0, 2.0, 3.0, 5.0])
-    assert idx.first_geq(2.5) == 2
-    assert idx.last_lt(2.0) == 0
-    idx.remove(2)
-    assert idx.first_geq(2.5) == 3
-    assert idx.succ_alive(2) == 3
-    assert idx.pred_alive(2) == 1
-    idx.remove(0)
-    assert idx.last_lt(2.0) == -1
-    assert idx.first_geq(10.0) == 4
-    assert idx.n_alive == 2
-
-
-def test_alive_index_fuzz_against_set_model():
+def test_skip_visited_against_set_model():
+    # run_walk's discipline: visit the points in random order, splice each
+    # visited point out of both link arrays, and search from random
+    # indexes in both directions, each search twice so the second follows
+    # the links the first compressed
     rng = np.random.default_rng(20250815)
+    n = 30
     for trial in range(20):
-        pts = np.sort(rng.uniform(-10, 10, size=30)).tolist()
-        idx = SortedAliveIndex(pts)
-        alive = set(range(30))
-        order = rng.permutation(30).tolist()
-        for i in order:
-            q = float(rng.uniform(-11, 11))
-            want_geq = min((j for j in alive if pts[j] >= q), default=30)
-            want_lt = max((j for j in alive if pts[j] < q), default=-1)
-            assert idx.first_geq(q) == want_geq
-            assert idx.last_lt(q) == want_lt
-            j = int(rng.integers(0, 30))
-            want_s = min((k for k in alive if k >= j), default=30)
-            want_p = max((k for k in alive if k <= j), default=-1)
-            assert idx.succ_alive(j) == want_s
-            assert idx.pred_alive(j) == want_p
-            idx.remove(i)
+        vis = array("q", [-1]) * n
+        nxt, prv = array("q", range(1, n + 1)), array("q", range(-1, n - 1))
+        alive = set(range(n))
+        for step, i in enumerate(rng.permutation(n).tolist(), start=1):
+            for j in rng.integers(0, n, size=4).tolist():
+                want_s = min((k for k in alive if k >= j), default=n)
+                want_p = max((k for k in alive if k <= j), default=-1)
+                for _ in range(2):
+                    assert _skip_visited(vis, nxt, j, n) == want_s
+                    assert _skip_visited(vis, prv, j, -1) == want_p
+                if j not in alive:
+                    assert (nxt[j], prv[j]) == (want_s, want_p)
+            vis[i] = step
             alive.discard(i)
-        assert idx.n_alive == 0
+            p, s = prv[i], nxt[i]
+            if p >= 0:
+                nxt[p] = s
+            if s < n:
+                prv[s] = p
+        assert _skip_visited(vis, nxt, 0, n) == n
+        assert _skip_visited(vis, prv, n - 1, -1) == -1
 
 
 # Half-integer abscissas keep all distance arithmetic exact in float64, so
