@@ -2,7 +2,7 @@
 
 Seeded construction of point processes on one or two lines, two equivalent
 greedy-walk engines with truncation-safe stopping, trajectory analysis
-(hitting times, deficiency records, clusters, return events, replay
+(first passages, deficiency records, clusters, return events, replay
 audits), batch experiment drivers, and a CLI (``gwlab``).
 """
 
@@ -60,9 +60,9 @@ from .walk import (
 from .analysis import (
     ClusterDecomposition,
     ClusterVisits,
+    DeficiencyRecords,
     DxRecord,
     EventRecord,
-    HittingTimes,
     IndentedEntrySummary,
     LemmaAudit,
     PovratakSummary,
@@ -76,6 +76,7 @@ from .analysis import (
     clusters_of,
     compute_Dx,
     decompose_clusters,
+    deficiency_records,
     detect_A_events,
     detect_crossings,
     empirical_survival,

@@ -3,7 +3,8 @@
 Everything here consumes a (realization, trajectory) pair produced by the
 walk engines and extracts derived quantities:
 
-* hitting times of half-axes, and deficiency records built from them,
+* first passages of the running shadow extremes, and the deficiency
+  records built from them, every level of a run in one pass,
 * origin crossings and half-line change bookkeeping,
 * the clusters of the parallel constructions and one table of how the
   walk visited each, which the reduced walk and traversal checks read,
@@ -43,33 +44,25 @@ A_K_SHIFTED = "A_k_shifted"
 
 
 # ---------------------------------------------------------------------------
-# hitting times and deficiency
+# first passage and deficiency
 
 
-@dataclass(frozen=True)
-class HittingTimes:
-    """First-passage queries over the shadow sequence of one trajectory.
+def first_passage(traj: Trajectory, levels, down: bool = False,
+                  strict: bool = False) -> np.ndarray:
+    """Per level, the first step (0 = the start site) at which the running
+    max of the shadow is >= the level (> when strict), or with down the
+    running min is <= it (<); +inf when that does not happen within the
+    prefix (it may or may not happen in the unbounded walk)."""
+    sign = -1.0 if down else 1.0
+    run = np.maximum.accumulate(sign * np.append(traj.start.u, traj.us))
+    t = np.searchsorted(run, sign * np.asarray(levels, dtype=np.float64),
+                        "right" if strict else "left")
+    return np.where(t < len(run), t, np.inf)
 
-    Steps are 1-based; step 0 is the start site.  None means the passage
-    did not happen within the emitted prefix (it may or may not happen in
-    the unbounded walk).
-    """
 
-    traj: Trajectory
-
-    def first_step_geq(self, x: float) -> int | None:
-        if self.traj.start.u >= x:
-            return 0
-        pm = self.traj.prefix_max
-        i = int(np.searchsorted(pm, x, side="left"))
-        return i + 1 if i < len(pm) else None
-
-    def first_step_lt(self, c: float) -> int | None:
-        if self.traj.start.u < c:
-            return 0
-        nm = -self.traj.prefix_min
-        i = int(np.searchsorted(nm, -c, side="right"))
-        return i + 1 if i < len(nm) else None
+def _step(t: float) -> int | None:
+    """A first-passage time as a step number; None beyond the prefix."""
+    return int(t) if t < np.inf else None
 
 
 @dataclass(frozen=True)
@@ -89,11 +82,32 @@ class DxRecord:
     n_interior: int
 
 
-def deficiency_value(interior: np.ndarray, x: float) -> float:
-    """max over consecutive z-pairs of (2*z_next - z_prev - x), z padded
-    with 0 and x.  interior must lie strictly inside (0, x), sorted."""
-    z = np.concatenate(([0.0], np.asarray(interior, dtype=np.float64), [x]))
-    return float(np.max(2.0 * z[1:] - z[:-1] - x))
+@dataclass(frozen=True)
+class DeficiencyRecords:
+    """Deficiency records at ascending levels x, one entry per level.
+
+    t_ray is each level's first passage into [x, inf) and t_left the first
+    passage into the negative half-axis (+inf: beyond the prefix).  A level
+    is degenerate when t_left < t_ray (value 0) and decided when it is
+    degenerate or t_ray is finite; undecided levels have value NaN.
+    """
+
+    x: np.ndarray
+    value: np.ndarray
+    degenerate: np.ndarray
+    decided: np.ndarray
+    t_ray: np.ndarray
+    t_left: float
+    n_interior: np.ndarray
+
+    def records(self) -> list[DxRecord]:
+        """The decided levels as DxRecords, in level order."""
+        t_left = _step(self.t_left)
+        return [DxRecord(x, v, g, _step(t), t_left, n)
+                for x, v, g, t, n, d in zip(
+                    self.x.tolist(), self.value.tolist(),
+                    self.degenerate.tolist(), self.t_ray.tolist(),
+                    self.n_interior.tolist(), self.decided.tolist()) if d]
 
 
 def last_visit_steps(real: Realization, traj: Trajectory) -> np.ndarray:
@@ -106,30 +120,59 @@ def last_visit_steps(real: Realization, traj: Trajectory) -> np.ndarray:
     return np.maximum.reduceat(ms, np.flatnonzero(np.diff(mu, prepend=-np.inf)))
 
 
-def compute_Dx(real: Realization, traj: Trajectory, x: float,
-               last_steps: np.ndarray | None = None) -> DxRecord:
-    """Deficiency record at level x > 0.
+def deficiency_records(real: Realization, traj: Trajectory,
+                       xs) -> DeficiencyRecords:
+    """Deficiency records at the ascending positive levels xs, in one pass.
+
+    At a decided, non-degenerate level x the interior points are the
+    positive base points b < x whose last copy was visited at or after
+    t_ray(x), and the value is the max over consecutive z-pairs of
+    2*z_next - z_prev - x, z the interior padded with 0 and x.  t_ray
+    does not decrease as x grows, so the decided, non-degenerate levels
+    are a prefix and each point is interior on one contiguous run of them.
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    if not np.all(xs > 0.0) or np.any(np.diff(xs) < 0.0):
+        raise ValidationError("deficiency levels must be positive and ascending")
+    t_ray = first_passage(traj, xs)
+    t_left = float(first_passage(traj, [0.0], down=True, strict=True)[0])
+    n = int(np.searchsorted(t_ray, t_left))  # the decided, non-degenerate prefix
+    pos = real.base_points > 0.0
+    b = real.base_points[pos]
+    lo = np.searchsorted(xs[:n], b, "right")
+    hi = np.searchsorted(t_ray[:n], last_visit_steps(real, traj)[pos], "right")
+    count = np.maximum(hi - lo, 0)
+    # the (level, point) pairs, ordered by level and then by point
+    level = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
+    by_level = np.argsort(level, kind="stable")
+    level = level[by_level]
+    n_interior = np.bincount(level, minlength=len(xs))
+    # per level the sequence 0, interior points, x, all levels end to end
+    seg = n_interior[:n] + 2
+    ends = np.cumsum(seg)
+    z = np.zeros(seg.sum())
+    z[np.arange(len(level)) + 2 * level + 1] = np.repeat(b, count)[by_level]
+    z[ends - 1] = xs[:n]
+    # a pair (x, 0) spanning two levels is < 0, below each level's last term x - z
+    terms = 2.0 * z[1:] - z[:-1] - np.repeat(xs[:n], seg)[1:]
+    degenerate = t_left < t_ray
+    value = np.where(degenerate, 0.0, np.nan)
+    value[:n] = np.maximum.reduceat(terms, ends - seg)
+    return DeficiencyRecords(xs, value, degenerate, degenerate | (t_ray < np.inf),
+                             t_ray, t_left, n_interior)
+
+
+def compute_Dx(real: Realization, traj: Trajectory, x: float) -> DxRecord:
+    """Deficiency record at level x > 0: one level of deficiency_records.
 
     Raises PrefixLimitError when the prefix reaches neither [x, inf) nor
     the negative half-axis, so the record is undecidable.
     """
-    if not x > 0.0:
-        raise ValidationError("deficiency level x must be positive")
-    ht = HittingTimes(traj)
-    t_ray = ht.first_step_geq(x)
-    t_left = ht.first_step_lt(0.0)
-    if t_left is not None and (t_ray is None or t_left < t_ray):
-        return DxRecord(x, 0.0, True, t_ray, t_left, 0)
-    if t_ray is None:
-        raise PrefixLimitError(
-            f"prefix reaches neither [{x!r}, inf) nor the negative half-axis"
-        )
-    if last_steps is None:
-        last_steps = last_visit_steps(real, traj)
-    base = real.base_points
-    mask = (base > 0.0) & (base < x) & (last_steps >= t_ray)
-    value = deficiency_value(base[mask], x)
-    return DxRecord(x, value, False, t_ray, t_left, int(mask.sum()))
+    recs = deficiency_records(real, traj, [x]).records()
+    if not recs:
+        raise PrefixLimitError(f"prefix reaches neither [{x!r}, inf) nor the "
+                               "negative half-axis")
+    return recs[0]
 
 
 def validate_dx_record(construction: str, rec: DxRecord,
@@ -268,16 +311,21 @@ def empirical_survival(samples, thresholds) -> dict[float, float]:
 
 def theoretical_bounds(family: str, *, alpha: float | None = None,
                        r: float | None = None, n_max: int = 20) -> dict[int, float]:
-    """Closed-form bound tables, keyed by level/band index."""
+    """Closed-form bound tables, keyed by level/band index up to n_max
+    (levels start at 1, bands at 0); a table with no entry is an error."""
     if family == "intersecting-Bn":
         if alpha is None:
             raise ValidationError("intersecting-Bn needs alpha")
-        return {n: intersect_Bn_bound(alpha, n) for n in range(1, n_max + 1)}
-    if family == "parallel-Am":
+        table = {n: intersect_Bn_bound(alpha, n) for n in range(1, n_max + 1)}
+    elif family == "parallel-Am":
         if r is None:
             raise ValidationError("parallel-Am needs r")
-        return {m: parallel_Am_first_term(r, m) for m in range(0, n_max + 1)}
-    raise ValidationError(f"unknown bound family: {family!r}")
+        table = {m: parallel_Am_first_term(r, m) for m in range(0, n_max + 1)}
+    else:
+        raise ValidationError(f"unknown bound family: {family!r}")
+    if not table:
+        raise ValidationError(f"n_max={n_max} leaves the {family} table empty")
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -593,42 +641,36 @@ def _consecutive_pair_events(family: str, pts: np.ndarray,
     For the k-th positive point X_k with in-window successor X_{k+1}:
     the event holds iff the gap beats (deficiency at X_k + level_offset)
     - anchor + extra, where the anchor is the last point <= 0.  Gaps not
-    exceeding `extra` alone cannot beat it, and skip the deficiency
-    computation entirely.
+    exceeding `extra` alone cannot beat it, and need no deficiency level.
     """
-    pos = np.nonzero(pts > 0.0)[0]
+    pos = np.nonzero(pts[:-1] > 0.0)[0]
     neg = np.nonzero(pts <= 0.0)[0]
     anchor = float(pts[neg[-1]]) if len(neg) else None
-    last = last_visit_steps(real, traj)
+    gaps = pts[pos + 1] - pts[pos]
+    wide = gaps > extra
+    dx = deficiency_records(real, traj, pts[pos[wide]] + level_offset)
+    row = np.cumsum(wide) - 1  # the deficiency level of each wide gap
     records: list[EventRecord] = []
-    for k, bi in enumerate(pos, start=1):
-        if bi + 1 >= len(pts):
-            break
-        gap = float(pts[bi + 1] - pts[bi])
-        base_details = {"x": float(pts[bi]), "next_x": float(pts[bi + 1]),
-                        "gap": gap}
+    for k, (bi, gap, i) in enumerate(
+            zip(pos.tolist(), gaps.tolist(), row.tolist()), start=1):
+        details = {"x": float(pts[bi]), "next_x": float(pts[bi + 1]),
+                   "gap": gap}
         if mirrored:
-            base_details["mirrored"] = True
+            details["mirrored"] = True
+        occurred = None
         if gap <= extra:
-            records.append(EventRecord(family, k, False, base_details))
-            continue
-        if anchor is None:
-            base_details["note"] = "no anchor point <= 0 in window"
-            records.append(EventRecord(family, k, None, base_details))
-            continue
-        try:
-            dx = compute_Dx(real, traj, float(pts[bi]) + level_offset,
-                            last_steps=last)
-        except PrefixLimitError:
-            base_details["note"] = "deficiency undecidable within prefix"
-            records.append(EventRecord(family, k, None, base_details))
-            continue
-        rhs = dx.value - anchor + extra
-        base_details.update(
-            rhs=rhs, dx=dx.value, degenerate=dx.degenerate,
-            ray_x=float(pts[bi + 1]),
-        )
-        records.append(EventRecord(family, k, bool(gap > rhs), base_details))
+            occurred = False
+        elif anchor is None:
+            details["note"] = "no anchor point <= 0 in window"
+        elif not dx.decided[i]:
+            details["note"] = "deficiency undecidable within prefix"
+        else:
+            value = float(dx.value[i])
+            rhs = value - anchor + extra
+            details.update(rhs=rhs, dx=value, degenerate=bool(dx.degenerate[i]),
+                           ray_x=float(pts[bi + 1]))
+            occurred = bool(gap > rhs)
+        records.append(EventRecord(family, k, occurred, details))
     return records
 
 
@@ -657,28 +699,18 @@ def check_povratak(real: Realization, traj: Trajectory) -> PovratakSummary:
     if c == PARALLEL_SHIFTED and real.spec.shift_s < 0:
         real = mirror_realization(real)
         traj = mirror_trajectory(traj)
-    records = detect_A_events(real, traj)
-    ht = HittingTimes(traj)
-    t_left = ht.first_step_lt(0.0)
-    occurrences = violations = unknowns = 0
-    details = []
-    for rec in records:
-        if rec.occurred is not True:
-            continue
-        occurrences += 1
-        if rec.details.get("degenerate"):
-            # the walk went negative before even reaching the gap's level;
-            # the conclusion holds a fortiori
-            continue
-        t_ray = ht.first_step_geq(rec.details["ray_x"])
-        if t_ray is None and t_left is None:
-            unknowns += 1
-        elif t_ray is not None and (t_left is None or t_left > t_ray):
-            violations += 1
-            details.append({"family": rec.family, "index": rec.index,
-                            "t_ray": t_ray, "t_left": t_left,
-                            **rec.details})
-    return PovratakSummary(occurrences, violations, unknowns, tuple(details))
+    occurred = [rec for rec in detect_A_events(real, traj)
+                if rec.occurred is True]
+    # a degenerate event went negative before even reaching the gap's
+    # level; the conclusion holds a fortiori
+    checked = [rec for rec in occurred if not rec.details["degenerate"]]
+    t_left = first_passage(traj, [0.0], down=True, strict=True)[0]
+    t_ray = first_passage(traj, [rec.details["ray_x"] for rec in checked])
+    details = tuple({"family": rec.family, "index": rec.index,
+                     "t_ray": _step(t), "t_left": _step(t_left), **rec.details}
+                    for rec, t in zip(checked, t_ray) if t < t_left)
+    unknowns = int(np.count_nonzero(np.isinf(t_ray) & np.isinf(t_left)))
+    return PovratakSummary(len(occurred), len(details), unknowns, details)
 
 
 # ---------------------------------------------------------------------------
@@ -697,22 +729,6 @@ class LemmaAudit:
     @property
     def n_violations(self) -> int:
         return len(self.violations)
-
-
-def _first_min_leq(traj: Trajectory, xs: np.ndarray) -> np.ndarray:
-    """Per x: first time (0 = start) the running shadow minimum is <= x;
-    +inf when that never happens within the prefix."""
-    nm = -traj.prefix_min
-    idx = np.searchsorted(nm, -xs, side="left")
-    t = np.where(idx < len(nm), idx + 1.0, np.inf)
-    return np.where(traj.start.u <= xs, 0.0, t)
-
-
-def _first_max_geq(traj: Trajectory, ys: np.ndarray) -> np.ndarray:
-    pm = traj.prefix_max
-    idx = np.searchsorted(pm, ys, side="left")
-    t = np.where(idx < len(pm), idx + 1.0, np.inf)
-    return np.where(traj.start.u >= ys, 0.0, t)
 
 
 def _merged_shadows(real: Realization, traj: Trajectory):
@@ -765,7 +781,8 @@ def _audit_pairs(real: Realization, traj: Trajectory, audit: LemmaAudit,
     sel = (gap <= r) & (gap > 0.0) & (ml[ii] != ml[jj])
     ii, jj = ii[sel], jj[sel]
     audit.pair_checks += len(ii)
-    gate = np.maximum(_first_min_leq(traj, mu[ii]), _first_max_geq(traj, mu[jj]))
+    gate = np.maximum(first_passage(traj, mu[ii], down=True),
+                      first_passage(traj, mu[jj]))
     t_break = np.minimum(ms[ii], ms[jj])
     audit.violations.extend(
         {"kind": "pair-distance", "x": float(mu[ii[b]]), "y": float(mu[jj[b]]),

@@ -23,12 +23,10 @@ from .analysis import (
     check_indented_entry,
     check_povratak,
     check_reduced_alignment,
-    compute_Dx,
+    deficiency_records,
     extract_UV_sequences,
-    last_visit_steps,
     validate_dx_record,
 )
-from .errors import PrefixLimitError
 from .processes import (
     CONSTRUCTIONS,
     INTERSECTING_INDEPENDENT,
@@ -105,19 +103,12 @@ def _audits(real, traj):
 
 
 def _dx_bounds(real, traj):
-    last = last_visit_steps(real, traj)
-    records = 0
-    bad = []
-    for x in real.base_points[real.base_points > 0.0]:
-        try:
-            rec = compute_Dx(real, traj, float(x), last_steps=last)
-        except PrefixLimitError:
-            continue
-        records += 1
-        bad += [_where(real, x=float(x), problem=p)
-                for p in validate_dx_record(real.spec.construction, rec)]
-    return {"dx-bounds": Outcome({"records": records, "violations": len(bad)},
-                                 records, bad)}
+    recs = deficiency_records(
+        real, traj, real.base_points[real.base_points > 0.0]).records()
+    bad = [_where(real, x=rec.x, problem=p) for rec in recs
+           for p in validate_dx_record(real.spec.construction, rec)]
+    return {"dx-bounds": Outcome({"records": len(recs), "violations": len(bad)},
+                                 len(recs), bad)}
 
 
 def _povratak(real, traj):

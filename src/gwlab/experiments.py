@@ -208,8 +208,8 @@ def coupled_window_study(cfg: ExperimentConfig,
                          window_Ls) -> dict[float, list[RunSummary]]:
     """Per seed, one realization drawn at the largest window and replayed
     at every requested window via exact restriction, so rows at different
-    windows are coupled run-for-run."""
-    Ls = sorted(float(L) for L in window_Ls)
+    windows are coupled run-for-run.  A window listed twice is run once."""
+    Ls = sorted({float(L) for L in window_Ls})
     if not Ls:
         raise ValidationError("need at least one window half-width")
     if Ls[0] <= 0:

@@ -34,7 +34,6 @@ import struct
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -72,8 +71,7 @@ class Trajectory:
     us/lines/step_distances are parallel arrays over steps 1..N (the start
     site is not part of them).  visited_step0/visited_step1 map each
     realization point index to the 1-based step that visited it, -1 if it
-    was never reached.  Hitting-time queries are served by
-    analysis.HittingTimes, which consumes these arrays.
+    was never reached.
     """
 
     start: Site
@@ -86,15 +84,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.us)
-
-    @cached_property
-    def prefix_max(self) -> np.ndarray:
-        """Running max of the shadow over steps 1..N."""
-        return np.maximum.accumulate(self.us) if len(self.us) else self.us
-
-    @cached_property
-    def prefix_min(self) -> np.ndarray:
-        return np.minimum.accumulate(self.us) if len(self.us) else self.us
 
 
 def _skip_visited(vis, link, j: int, end: int) -> int:

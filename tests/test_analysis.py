@@ -1,4 +1,4 @@
-"""Trajectory analysis: hitting times, deficiency records, landmark and
+"""Trajectory analysis: first passages, deficiency records, landmark and
 cluster machinery, return events, and the structural audits.
 
 Fixture trajectories are hand-built (see conftest.hand_traj), so expected
@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from gwlab import (
     RUN_TO_EXHAUSTION,
-    HittingTimes,
     PrefixLimitError,
     Site,
     StopRule,
@@ -31,6 +30,7 @@ from gwlab import (
     clusters_of,
     compute_Dx,
     decompose_clusters,
+    deficiency_records,
     detect_A_events,
     detect_crossings,
     empirical_survival,
@@ -51,7 +51,7 @@ from gwlab.analysis import (
     A_K_SHIFTED,
     A_K_THINNED,
     A_M_PARALLEL,
-    deficiency_value,
+    first_passage,
     last_visit_steps,
 )
 
@@ -59,20 +59,33 @@ EXH = StopRule(mode=RUN_TO_EXHAUSTION)
 
 
 # ---------------------------------------------------------------------------
-# hitting times
+# first passages
 
 
 def test_hitting_times(hand_real, hand_traj):
-    real = hand_real("single-line", [-1.0, 1.0, 2.0, 3.0])
-    ht = HittingTimes(hand_traj(real, [1.0, 2.0, -1.0, 3.0], [0, 0, 0, 0]))
-    assert ht.first_step_geq(0.5) == 1
-    assert ht.first_step_geq(2.0) == 2
-    assert ht.first_step_geq(2.5) == 4
-    assert ht.first_step_geq(4.0) is None
-    assert ht.first_step_geq(0.0) == 0   # the start site counts as step 0
-    assert ht.first_step_lt(0.0) == 3
-    assert ht.first_step_lt(5.0) == 0
-    assert ht.first_step_lt(-2.0) is None
+    real = hand_real("single-line", [-1.0, 0.0, 1.0, 2.0, 3.0])
+    traj = hand_traj(real, [1.0, 2.0, -1.0, 3.0], [0, 0, 0, 0])
+    # the start site counts as step 0
+    assert first_passage(traj, [0.5, 2.0, 2.5, 4.0, 0.0]).tolist() == [
+        1, 2, 4, math.inf, 0]
+    assert first_passage(traj, [2.0], strict=True).tolist() == [4]
+    assert first_passage(traj, [0.0, 5.0, -2.0], down=True,
+                         strict=True).tolist() == [3, 0, math.inf]
+    assert first_passage(traj, [-1.0, 0.0], down=True).tolist() == [3, 0]
+    assert first_passage(traj, [-1.0], down=True, strict=True).tolist() == [
+        math.inf]
+    # the same passages as compute_Dx reports them: t_ray at or beyond x,
+    # t_left strictly below 0, None past the prefix
+    rec = compute_Dx(real, traj, 2.0)
+    assert (rec.t_ray, rec.t_left, rec.degenerate) == (2, 3, False)
+    rec = compute_Dx(real, traj, 4.0)
+    assert (rec.t_ray, rec.t_left, rec.degenerate) == (None, 3, True)
+    started = hand_traj(real, [3.0], [0], start=Site(2.0, 0))
+    assert compute_Dx(real, started, 1.5).t_ray == 0
+    at_zero = hand_traj(real, [1.0, 0.0, 3.0], [0, 0, 0])
+    rec = compute_Dx(real, at_zero, 3.0)
+    assert (rec.t_ray, rec.t_left, rec.degenerate) == (3, None, False)
+    assert compute_Dx(real, hand_traj(real, [1.0], [0]), 0.5).t_left is None
 
 
 # ---------------------------------------------------------------------------
@@ -130,22 +143,86 @@ def test_validate_dx_record_limits():
 
 
 tenths = st.integers(1, 99).map(lambda k: k / 10)
+quarters = st.integers(-60, 60).map(lambda k: k / 4)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.lists(tenths, max_size=15, unique=True))
-def test_deficiency_in_range(interior):
-    d = deficiency_value(np.asarray(sorted(interior)), 10.0)
-    assert 0.0 < d <= 10.0
+def test_deficiency_in_range(hand_real, hand_traj, interior):
+    # a walk that jumps straight to 10 leaves every point below it interior
+    real = hand_real("single-line", sorted(interior) + [10.0])
+    rec = compute_Dx(real, hand_traj(real, [10.0], [0]), 10.0)
+    assert rec.n_interior == len(interior)
+    assert 0.0 < rec.value <= 10.0
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.lists(tenths, max_size=15, unique=True), tenths)
-def test_deficiency_insertion_monotone(interior, w):
+def test_deficiency_insertion_monotone(hand_real, hand_traj, interior, w):
+    # visiting w before the passage takes it out of the interior
     assume(w not in interior)
-    base = np.asarray(sorted(interior))
-    more = np.asarray(sorted(interior + [w]))
-    assert deficiency_value(more, 10.0) <= deficiency_value(base, 10.0)
+    real = hand_real("single-line", sorted(interior + [w]) + [10.0])
+    more = compute_Dx(real, hand_traj(real, [10.0], [0]), 10.0)
+    less = compute_Dx(real, hand_traj(real, [w, 10.0], [0, 0]), 10.0)
+    assert less.n_interior == more.n_interior - 1
+    assert more.value <= less.value
+
+
+def deficiency_by_definition(real, traj, x):
+    """(value, degenerate, decided, n_interior, t_ray, t_left) at level x,
+    from a scan of the steps and of every copy's visit step; value None
+    and n_interior 0 when the prefix cannot decide the level."""
+    sites = [traj.start.u, *traj.us.tolist()]
+    t_ray = next((t for t, u in enumerate(sites) if u >= x), None)
+    t_left = next((t for t, u in enumerate(sites) if u < 0.0), None)
+    if t_left is not None and (t_ray is None or t_left < t_ray):
+        return 0.0, True, True, 0, t_ray, t_left
+    if t_ray is None:
+        return None, False, False, 0, t_ray, t_left
+    copies = [(u, v) for line, vis in ((real.line0, traj.visited_step0),
+                                       (real.line1, traj.visited_step1))
+              for u, v in zip(line.tolist(), vis.tolist())]
+    # a point stays interior while some copy is unvisited before t_ray
+    z = [0.0, *sorted({u for u, v in copies
+                       if 0.0 < u < x and (v < 0 or v >= t_ray)}), x]
+    return (max(2.0 * b - a - x for a, b in zip(z, z[1:])), False, True,
+            len(z) - 2, t_ray, t_left)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(["single-line", "parallel-duplicated",
+                        "parallel-thinned", "parallel-shifted"]),
+       st.lists(quarters, min_size=1, max_size=9, unique=True),
+       st.lists(quarters, max_size=9, unique=True),
+       st.lists(quarters.filter(lambda q: q > 0.0), max_size=4),
+       quarters, st.randoms(), st.floats(0.0, 1.0))
+def test_deficiency_records_match_definition(hand_real, hand_traj,
+                                             construction, line0, line1,
+                                             levels, start_u, rnd, keep):
+    # any visit order, cut anywhere, from any start; levels at the base
+    # points and between them
+    real = hand_real(construction, sorted(line0), sorted(line1),
+                     separation_r=1.0, shift_s=0.25)
+    order = [(u, 0) for u in real.line0] + [(u, 1) for u in real.line1]
+    rnd.shuffle(order)
+    order = order[:round(keep * len(order))]
+    traj = hand_traj(real, [u for u, _ in order], [l for _, l in order],
+                     start=Site(start_u, 0))
+    xs = np.unique(np.append(real.base_points[real.base_points > 0.0], levels))
+    dx = deficiency_records(real, traj, xs)
+
+    def step(t):
+        return int(t) if t < math.inf else None
+
+    got = [(float(dx.value[i]) if dx.decided[i] else None,
+            bool(dx.degenerate[i]), bool(dx.decided[i]),
+            int(dx.n_interior[i]), step(dx.t_ray[i]), step(dx.t_left))
+           for i in range(len(xs))]
+    assert got == [deficiency_by_definition(real, traj, x)
+                   for x in xs.tolist()]
 
 
 def test_last_visit_steps(hand_real, hand_traj):
@@ -302,9 +379,6 @@ def test_decompose_validation():
         decompose_clusters([1.0], 0.0)
     empty = decompose_clusters([], 1.0)
     assert empty.n_clusters == 0 and empty.zero_cluster == -1
-
-
-quarters = st.integers(-60, 60).map(lambda k: k / 4)
 
 
 @settings(max_examples=200, deadline=None)
@@ -801,6 +875,81 @@ def test_povratak_construction_guard(hand_real):
     single = hand_real("single-line", [1.0])
     with pytest.raises(ValidationError):
         check_povratak(single, run_walk(single))
+
+
+def dx_pin_values(spec_for):
+    """What dx_pins.json pins, per run and order: sha256 digests of the
+    dx-bounds outcome, of the detect_A_events records with their details
+    and of the check_povratak summary, each as JSON in order, plus the
+    record, verdict and povratak counts.  Each thinned and shifted run of
+    the audit_pins.json corpus, and an r=5, s=2.5 shifted regime, is
+    checked as the greedy walk, cut at half its length, with steps k, k+1
+    swapped for spaced k (summed over the swaps, digests chained), and
+    fully shuffled."""
+    regimes = (("parallel-thinned", {"separation_r": 1.0}),
+               ("parallel-thinned", {"separation_r": 5.0}),
+               ("parallel-shifted", {"shift_s": 0.3}),
+               ("parallel-shifted", {"shift_s": -0.3}),
+               ("parallel-shifted", {"separation_r": 5.0, "shift_s": 2.5}))
+    runs = [(c, kw, 50.0, i) for c, kw in regimes for i in range(4)]
+    runs += [(c, kw, 1000.0, 0) for c, kw in regimes[1:3] + regimes[4:]]
+    out = {}
+    for c, kw, L, i in runs:
+        real = generate(spec_for(c, window_L=L, **kw), stream_seed(8, i))
+        traj = run_walk(real)
+        n = len(traj)
+        orders = {
+            "greedy": [traj], "cut": [cut_prefix(traj, n // 2)],
+            "swapped": [swap_steps(traj, k)
+                        for k in range(1, n - 1, max(8, n // 64))],
+            "shuffled": [reorder_steps(
+                traj, np.random.default_rng(i).permutation(n))],
+        }
+        name = "/".join([c, *(f"{k}={v}" for k, v in kw.items()),
+                         f"L={L:g}", str(i)])
+        for order, trajs in orders.items():
+            digests = [hashlib.sha256() for _ in range(3)]
+            records, verdicts, povratak = 0, [0, 0, 0], [0, 0, 0]
+            for t in trajs:
+                dx = run_checks(real, t, ["dx-bounds"])["dx-bounds"]
+                events = detect_A_events(real, t)
+                summary = check_povratak(real, t)
+                records += dx.checks
+                for rec in events:
+                    verdicts[(True, False, None).index(rec.occurred)] += 1
+                for j, got in enumerate((summary.occurrences,
+                                         summary.violations,
+                                         summary.unknowns)):
+                    povratak[j] += got
+                for h, value in zip(digests, (
+                        vars(dx), [vars(rec) for rec in events],
+                        vars(summary))):
+                    h.update(json.dumps(value).encode())
+            out[f"{name}/{order}"] = {
+                "records": records, "verdicts": verdicts,
+                "povratak": povratak,
+                "dx_bounds_sha256": digests[0].hexdigest(),
+                "events_sha256": digests[1].hexdigest(),
+                "povratak_sha256": digests[2].hexdigest(),
+            }
+    return out
+
+
+DX_PINS = Path(__file__).parent / "data" / "dx_pins.json"
+
+
+def test_deficiency_pinned(spec_for):
+    # recorded with the per-level compute_Dx loops that preceded
+    # deficiency_records; every record, event and povratak verdict must
+    # stay the same
+    pinned = json.loads(DX_PINS.read_text())
+    got = dx_pin_values(spec_for)
+    assert sorted(got) == sorted(pinned)
+    assert [name for name in got if got[name] != pinned[name]] == []
+    # True, False and None verdicts and povratak violations are reached
+    for j in range(3):
+        assert any(v["verdicts"][j] for v in pinned.values())
+    assert any(v["povratak"][1] for v in pinned.values())
 
 
 # ---------------------------------------------------------------------------

@@ -208,6 +208,17 @@ def test_bounds_parallel_family(capsys):
                  "--n-max", "2"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert [row.split("\t")[0] for row in lines] == ["0", "1", "2"]
+    assert main(["bounds", "--family", "parallel-Am", "--n-max", "0"]) == 0
+    assert capsys.readouterr().out.startswith("0\t")
+
+
+@pytest.mark.parametrize("family,n_max", [("intersecting-Bn", "0"),
+                                          ("intersecting-Bn", "-1"),
+                                          ("parallel-Am", "-1")])
+def test_bounds_empty_table_exits_2(capsys, family, n_max):
+    assert main(["bounds", "--family", family, "--n-max", n_max]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "table empty" in captured.err
 
 
 def test_sweep_end_to_end(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Batch drivers: config handling, deterministic sweeps, worker equivalence,
 coupled windows, aggregation, and the CSV/report/manifest outputs."""
 
+import dataclasses
 import json
 import math
 
@@ -123,6 +124,11 @@ def test_coupled_window_study():
         assert small.window_L == 25.0 and big.window_L == 50.0
         assert small.n_steps <= big.n_steps
         assert small.n_points <= big.n_points
+    # a repeated window is one window: each run is summarized once there
+    res = coupled_window_study(dataclasses.replace(cfg, n_runs=3),
+                               [25.0, 25.0, 10.0])
+    assert sorted(res) == [10.0, 25.0]
+    assert [row.run_index for row in res[25.0]] == [0, 1, 2]
     with pytest.raises(ValidationError):
         coupled_window_study(cfg, [])
     with pytest.raises(ValidationError):

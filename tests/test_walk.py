@@ -54,8 +54,6 @@ def test_single_line_order(hand_real):
     traj = run_walk(real)
     assert traj.step_distances.tolist() == [1.0, 1.0, 3.0, 6.5]
     assert traj.visited_step0.tolist() == [4, 1, 2, 3]
-    assert traj.prefix_max.tolist() == [1.0, 2.0, 5.0, 5.0]
-    assert traj.prefix_min.tolist() == [1.0, 1.0, 1.0, -1.5]
 
 
 def test_truncation_stops_before_unsafe_step(hand_real):
