@@ -14,7 +14,6 @@ from .geometry import (
     SINGLE_LINE,
     Site,
     Space,
-    angle_from_slopes,
     cross_distance,
     distance,
 )
@@ -36,9 +35,7 @@ from .processes import (
     generate,
     mirror_realization,
     realization_from_dict,
-    realization_from_json,
     realization_to_dict,
-    realization_to_json,
     sample_poisson,
 )
 from .seeding import RNG_ALGORITHM, make_generator, splitmix64, stream_seed
@@ -61,7 +58,6 @@ from .analysis import (
     ClusterDecomposition,
     ClusterVisits,
     DeficiencyRecords,
-    DxRecord,
     EventRecord,
     IndentedEntrySummary,
     LemmaAudit,

@@ -4,10 +4,12 @@ Everything here consumes a (realization, trajectory) pair produced by the
 walk engines and extracts derived quantities:
 
 * first passages of the running shadow extremes, and the deficiency
-  records built from them, every level of a run in one pass,
+  records built from them: every level of a run in one pass, as one table
+  of numpy columns (compute_Dx is its one-level view),
 * origin crossings and half-line change bookkeeping,
-* the clusters of the parallel constructions and one table of how the
-  walk visited each, which the reduced walk and traversal checks read,
+* the clusters of the parallel constructions, as index arrays of each
+  cluster's first member and lead, and one table of how the walk visited
+  each, which the reduced walk and traversal checks read,
 * return-event detection ("A_*" record families) and the implication check
   tying those events to an early return to the negative half-axis (the
   povratak check),
@@ -66,23 +68,6 @@ def _step(t: float) -> int | None:
 
 
 @dataclass(frozen=True)
-class DxRecord:
-    """Deficiency of the swept region at the first passage beyond x.
-
-    degenerate means the walk entered the negative half-axis before ever
-    reaching [x, inf); the value is 0 by convention then.  t_ray / t_left
-    are the passage steps (None: beyond the prefix).
-    """
-
-    x: float
-    value: float
-    degenerate: bool
-    t_ray: int | None
-    t_left: int | None
-    n_interior: int
-
-
-@dataclass(frozen=True)
 class DeficiencyRecords:
     """Deficiency records at ascending levels x, one entry per level.
 
@@ -99,15 +84,6 @@ class DeficiencyRecords:
     t_ray: np.ndarray
     t_left: float
     n_interior: np.ndarray
-
-    def records(self) -> list[DxRecord]:
-        """The decided levels as DxRecords, in level order."""
-        t_left = _step(self.t_left)
-        return [DxRecord(x, v, g, _step(t), t_left, n)
-                for x, v, g, t, n, d in zip(
-                    self.x.tolist(), self.value.tolist(),
-                    self.degenerate.tolist(), self.t_ray.tolist(),
-                    self.n_interior.tolist(), self.decided.tolist()) if d]
 
 
 def last_visit_steps(real: Realization, traj: Trajectory) -> np.ndarray:
@@ -162,38 +138,42 @@ def deficiency_records(real: Realization, traj: Trajectory,
                              t_ray, t_left, n_interior)
 
 
-def compute_Dx(real: Realization, traj: Trajectory, x: float) -> DxRecord:
-    """Deficiency record at level x > 0: one level of deficiency_records.
+def compute_Dx(real: Realization, traj: Trajectory,
+               x: float) -> DeficiencyRecords:
+    """The one-level deficiency_records table at level x > 0.
 
     Raises PrefixLimitError when the prefix reaches neither [x, inf) nor
-    the negative half-axis, so the record is undecidable.
+    the negative half-axis, so the level is undecidable.
     """
-    recs = deficiency_records(real, traj, [x]).records()
-    if not recs:
+    dx = deficiency_records(real, traj, [x])
+    if not dx.decided[0]:
         raise PrefixLimitError(f"prefix reaches neither [{x!r}, inf) nor the "
                                "negative half-axis")
-    return recs[0]
+    return dx
 
 
-def validate_dx_record(construction: str, rec: DxRecord,
-                       tol: float = 1e-9) -> list[str]:
-    """Contract violations (empty list = record is in bounds).
+def validate_dx_record(construction: str, dx: DeficiencyRecords,
+                       tol: float = 1e-9) -> list[tuple[float, str]]:
+    """Bound violations of the decided levels as (x, problem) pairs, in
+    level order and within a level in rule order (empty: all in bounds).
 
     All constructions: 0 <= value <= x, degenerate records are exactly 0.
     Thinned additionally promises strictly positive non-degenerate values.
+    No rule can fail on a deficiency_records table: every term
+    2*z_next - z_prev - x is <= x (z_next <= x, z_prev >= 0) and the last
+    one, x - z, is > 0 (z < x).  So the check tests the deficiency
+    computation, not the walk.
     """
-    out = []
-    if rec.degenerate:
-        if rec.value != 0.0:
-            out.append(f"degenerate record has value {rec.value!r} != 0")
-        return out
-    if rec.value > rec.x + tol:
-        out.append(f"value {rec.value!r} exceeds level x={rec.x!r}")
-    if rec.value < -tol:
-        out.append(f"value {rec.value!r} negative")
-    if construction == PARALLEL_THINNED and not rec.value > 0.0:
-        out.append(f"non-degenerate value {rec.value!r} not strictly positive")
-    return out
+    v, x = dx.value, dx.x
+    live = dx.decided & ~dx.degenerate
+    bad = np.stack((dx.decided & dx.degenerate & (v != 0.0),
+                    live & (v > x + tol), live & (v < -tol),
+                    live & ~(v > 0.0) & (construction == PARALLEL_THINNED)))
+    problems = ("degenerate record has value {v!r} != 0",
+                "value {v!r} exceeds level x={x!r}", "value {v!r} negative",
+                "non-degenerate value {v!r} not strictly positive")
+    return [(float(x[i]), problems[r].format(v=float(v[i]), x=float(x[i])))
+            for i, r in zip(*np.nonzero(bad.T))]
 
 
 # ---------------------------------------------------------------------------
@@ -337,40 +317,25 @@ class ClusterDecomposition:
     """Maximal runs of points whose neighbor gaps stay strictly below the
     threshold (a gap equal to the threshold splits).
 
-    ranges are half-open index intervals into points.  leads[i] is the
-    point index of cluster i's lead: the member closest to the origin,
-    ties to the right.  zero_cluster is the cluster whose lead wins that
-    same contest globally.
+    starts[i] is the index into points of cluster i's first member, and
+    leads[i] that of its lead: the member closest to the origin, ties to
+    the right.  zero_cluster is the cluster whose lead wins that same
+    contest globally; cluster i sits at signed position i - zero_cluster.
     """
 
     points: np.ndarray
     threshold: float
-    ranges: tuple[tuple[int, int], ...]
-    leads: tuple[int, ...]
+    starts: np.ndarray
+    leads: np.ndarray
     zero_cluster: int
 
     @property
-    def n_clusters(self) -> int:
-        return len(self.ranges)
-
-    def cluster_number(self, ci: int) -> int:
-        """Signed position relative to the zero cluster."""
-        return ci - self.zero_cluster
-
-    def lead_us(self) -> np.ndarray:
-        return self.points[list(self.leads)]
-
-    @property
-    def starts(self) -> np.ndarray:
-        return np.asarray([lo for lo, _ in self.ranges], dtype=np.int64)
-
-    @property
     def sizes(self) -> np.ndarray:
-        return np.asarray([hi - lo for lo, hi in self.ranges], dtype=np.int64)
+        return np.diff(self.starts, append=len(self.points))
 
     def nonzero(self) -> np.ndarray:
         """Mask of the clusters other than the zero cluster."""
-        return np.arange(self.n_clusters) != self.zero_cluster
+        return np.arange(len(self.starts)) != self.zero_cluster
 
 
 def _leads(us: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -388,14 +353,12 @@ def decompose_clusters(points, threshold: float) -> ClusterDecomposition:
     if not threshold > 0.0:
         raise ValidationError("cluster threshold must be positive")
     if len(pts) == 0:
-        return ClusterDecomposition(pts, threshold, (), (), -1)
-    breaks = np.nonzero(np.diff(pts) >= threshold)[0] + 1
-    starts = np.concatenate(([0], breaks))
-    ranges = tuple(zip(starts.tolist(), np.append(breaks, len(pts)).tolist()))
+        none = np.empty(0, dtype=np.int64)
+        return ClusterDecomposition(pts, threshold, none, none, -1)
+    starts = np.flatnonzero(np.diff(pts, prepend=-np.inf) >= threshold)
     leads = _leads(pts, starts)
     zero = int(_leads(pts[leads], np.zeros(1, dtype=np.int64))[0])
-    return ClusterDecomposition(pts, threshold, ranges, tuple(leads.tolist()),
-                                zero)
+    return ClusterDecomposition(pts, threshold, starts, leads, zero)
 
 
 def clusters_of(real: Realization) -> ClusterDecomposition:
@@ -487,7 +450,7 @@ def reduce_to_cluster_leads(real: Realization, traj: Trajectory) -> np.ndarray:
     dec = clusters_of(real)
     t = cluster_visits(dec, traj)
     entered = t.entered
-    return dec.lead_us()[entered][np.argsort(t.first[entered])]
+    return dec.points[dec.leads[entered]][np.argsort(t.first[entered])]
 
 
 def check_cluster_consecutive(real: Realization,
@@ -505,10 +468,9 @@ def check_cluster_consecutive(real: Realization,
     dec = clusters_of(real)
     t = cluster_visits(dec, traj)
     entered = t.entered & dec.nonzero()
-    lead = np.asarray(dec.leads, dtype=np.int64)
     # entry and exit at the lead are its two copies, so on opposite lines
-    wrong_exit = t.consecutive & (t.exit_index != lead)
-    if np.any(entered & ((t.entry_index != lead) | t.broken | wrong_exit)):
+    wrong_exit = t.consecutive & (t.exit_index != dec.leads)
+    if np.any(entered & ((t.entry_index != dec.leads) | t.broken | wrong_exit)):
         return False
     return None if np.any(entered & t.undecided) else True
 
@@ -522,9 +484,9 @@ def check_reduced_alignment(real: Realization, traj: Trajectory) -> bool:
     dec = clusters_of(real)
     if len(traj) < 2:
         return True
-    cid = np.repeat(np.arange(dec.n_clusters), dec.sizes)
-    sc = cid[np.searchsorted(dec.points, traj.us)]
-    lead_u = dec.lead_us()
+    sc = np.searchsorted(dec.starts, np.searchsorted(dec.points, traj.us),
+                         "right") - 1
+    lead_u = dec.points[dec.leads]
     t = np.nonzero(sc[:-1] != sc[1:])[0]
     bad = np.zeros(len(t), dtype=bool)
     for side in (t, t + 1):
@@ -566,7 +528,7 @@ def check_indented_entry(real: Realization,
     straddles = ((np.minimum(u0[starts], u1[starts]) < 0.0)
                  & (np.maximum(u0[ends], u1[ends]) > 0.0))
     counted = t.entered & dec.nonzero() & ~straddles
-    at_lead = (counted & (t.entry_index == np.asarray(dec.leads))
+    at_lead = (counted & (t.entry_index == dec.leads)
                & (t.entry_line == np.where(indented, 0, 1)))
     bad = np.nonzero(at_lead & t.broken)[0]
     details = tuple(
@@ -696,11 +658,10 @@ def check_povratak(real: Realization, traj: Trajectory) -> PovratakSummary:
         raise ValidationError(
             "return-implication check applies to thinned and shifted pairs"
         )
-    if c == PARALLEL_SHIFTED and real.spec.shift_s < 0:
-        real = mirror_realization(real)
-        traj = mirror_trajectory(traj)
     occurred = [rec for rec in detect_A_events(real, traj)
                 if rec.occurred is True]
+    if c == PARALLEL_SHIFTED and real.spec.shift_s < 0:
+        traj = mirror_trajectory(traj)  # the frame of the events' details
     # a degenerate event went negative before even reaching the gap's
     # level; the conclusion holds a fortiori
     checked = [rec for rec in occurred if not rec.details["degenerate"]]

@@ -103,12 +103,11 @@ def _audits(real, traj):
 
 
 def _dx_bounds(real, traj):
-    recs = deficiency_records(
-        real, traj, real.base_points[real.base_points > 0.0]).records()
-    bad = [_where(real, x=rec.x, problem=p) for rec in recs
-           for p in validate_dx_record(real.spec.construction, rec)]
-    return {"dx-bounds": Outcome({"records": len(recs), "violations": len(bad)},
-                                 len(recs), bad)}
+    dx = deficiency_records(real, traj, real.base_points[real.base_points > 0.0])
+    bad = [_where(real, x=x, problem=p)
+           for x, p in validate_dx_record(real.spec.construction, dx)]
+    n = int(dx.decided.sum())
+    return {"dx-bounds": Outcome({"records": n, "violations": len(bad)}, n, bad)}
 
 
 def _povratak(real, traj):

@@ -164,13 +164,12 @@ def _cmd_export_plot_data(args) -> int:
         fh.write("cluster_index,signed_index,lo_u,hi_u,lead_u,size,is_zero\n")
         if args.construction in PARALLEL_CONSTRUCTIONS:
             dec = clusters_of(real)
-            for ci, (lo, hi) in enumerate(dec.ranges):
-                fh.write(
-                    f"{ci},{dec.cluster_number(ci)},"
-                    f"{float(dec.points[lo])!r},{float(dec.points[hi - 1])!r},"
-                    f"{float(dec.points[dec.leads[ci]])!r},{hi - lo},"
-                    f"{int(ci == dec.zero_cluster)}\n"
-                )
+            lo = dec.points[dec.starts].tolist()
+            hi = dec.points[dec.starts + dec.sizes - 1].tolist()
+            lead = dec.points[dec.leads].tolist()
+            for ci, m in enumerate(dec.sizes.tolist()):
+                fh.write(f"{ci},{ci - dec.zero_cluster},{lo[ci]!r},{hi[ci]!r},"
+                         f"{lead[ci]!r},{m},{int(ci == dec.zero_cluster)}\n")
     print(f"wrote {tpath}")
     print(f"wrote {cpath}")
     return 0

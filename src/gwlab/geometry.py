@@ -81,16 +81,6 @@ class Site:
     line: int = 0
 
 
-def angle_from_slopes(m1: float, m2: float) -> float:
-    """Acute angle between the lines y = m1*x and y = m2*x through the origin."""
-    if m1 == m2:
-        raise ValidationError("slopes must differ (distinct lines)")
-    a = abs(math.atan(m1) - math.atan(m2))
-    if a > math.pi / 2:
-        a = math.pi - a
-    return a
-
-
 def cross_distance(space: Space, u, v, sqrt=math.sqrt):
     """Distance from abscissa u on one line to abscissa v on the other.
 

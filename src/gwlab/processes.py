@@ -23,7 +23,6 @@ point's fate.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -440,11 +439,3 @@ def realization_from_dict(d: dict) -> Realization:
         if key in d and d[key] != derived[key]:
             raise ValidationError(f"{key} disagrees with line0/line1")
     return real
-
-
-def realization_to_json(real: Realization) -> str:
-    return json.dumps(realization_to_dict(real), sort_keys=True)
-
-
-def realization_from_json(s: str) -> Realization:
-    return realization_from_dict(json.loads(s))

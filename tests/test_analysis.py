@@ -8,6 +8,7 @@ values are checked against pencil-and-paper runs of the definitions.
 import hashlib
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from gwlab import (
     RUN_TO_EXHAUSTION,
+    DeficiencyRecords,
     PrefixLimitError,
     Site,
     StopRule,
@@ -74,18 +76,21 @@ def test_hitting_times(hand_real, hand_traj):
     assert first_passage(traj, [-1.0, 0.0], down=True).tolist() == [3, 0]
     assert first_passage(traj, [-1.0], down=True, strict=True).tolist() == [
         math.inf]
-    # the same passages as compute_Dx reports them: t_ray at or beyond x,
-    # t_left strictly below 0, None past the prefix
-    rec = compute_Dx(real, traj, 2.0)
-    assert (rec.t_ray, rec.t_left, rec.degenerate) == (2, 3, False)
-    rec = compute_Dx(real, traj, 4.0)
-    assert (rec.t_ray, rec.t_left, rec.degenerate) == (None, 3, True)
+    # the same passages as compute_Dx's one-level table reports them: t_ray
+    # at or beyond x, t_left strictly below 0, inf past the prefix
+    dx = compute_Dx(real, traj, 2.0)
+    assert (dx.t_ray.tolist(), dx.t_left, dx.degenerate.tolist()) == (
+        [2], 3, [False])
+    dx = compute_Dx(real, traj, 4.0)
+    assert (dx.t_ray.tolist(), dx.t_left, dx.degenerate.tolist()) == (
+        [math.inf], 3, [True])
     started = hand_traj(real, [3.0], [0], start=Site(2.0, 0))
-    assert compute_Dx(real, started, 1.5).t_ray == 0
+    assert compute_Dx(real, started, 1.5).t_ray.tolist() == [0]
     at_zero = hand_traj(real, [1.0, 0.0, 3.0], [0, 0, 0])
-    rec = compute_Dx(real, at_zero, 3.0)
-    assert (rec.t_ray, rec.t_left, rec.degenerate) == (3, None, False)
-    assert compute_Dx(real, hand_traj(real, [1.0], [0]), 0.5).t_left is None
+    dx = compute_Dx(real, at_zero, 3.0)
+    assert (dx.t_ray.tolist(), dx.t_left, dx.degenerate.tolist()) == (
+        [3], math.inf, [False])
+    assert compute_Dx(real, hand_traj(real, [1.0], [0]), 0.5).t_left == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -94,29 +99,29 @@ def test_hitting_times(hand_real, hand_traj):
 
 def test_compute_dx_interior_point(hand_real, hand_traj):
     real = hand_real("single-line", [-1.0, 3.0, 10.0])
-    rec = compute_Dx(real, hand_traj(real, [10.0], [0]), 10.0)
+    dx = compute_Dx(real, hand_traj(real, [10.0], [0]), 10.0)
     # interior {3}: max(2*3 - 0 - 10, 2*10 - 3 - 10) = 7
-    assert rec.value == 7.0
-    assert not rec.degenerate
-    assert rec.t_ray == 1 and rec.t_left is None
-    assert rec.n_interior == 1
-    assert validate_dx_record("single-line", rec) == []
+    assert dx.x.tolist() == [10.0] and dx.value.tolist() == [7.0]
+    assert dx.decided.tolist() == [True] and dx.degenerate.tolist() == [False]
+    assert dx.t_ray.tolist() == [1] and dx.t_left == math.inf
+    assert dx.n_interior.tolist() == [1]
+    assert validate_dx_record("single-line", dx) == []
 
 
 def test_compute_dx_consumed_interior(hand_real, hand_traj):
     real = hand_real("single-line", [-1.0, 3.0, 10.0])
-    rec = compute_Dx(real, hand_traj(real, [3.0, 10.0], [0, 0]), 10.0)
+    dx = compute_Dx(real, hand_traj(real, [3.0, 10.0], [0, 0]), 10.0)
     # 3 was visited before the passage step, so the region is bare
-    assert rec.value == 10.0
-    assert rec.n_interior == 0
+    assert dx.value.tolist() == [10.0]
+    assert dx.n_interior.tolist() == [0]
 
 
 def test_compute_dx_degenerate(hand_real, hand_traj):
     real = hand_real("single-line", [-1.0, 3.0, 10.0])
-    rec = compute_Dx(real, hand_traj(real, [-1.0], [0]), 10.0)
-    assert rec.degenerate
-    assert rec.value == 0.0
-    assert rec.t_left == 1 and rec.t_ray is None
+    dx = compute_Dx(real, hand_traj(real, [-1.0], [0]), 10.0)
+    assert dx.degenerate.tolist() == [True] and dx.decided.tolist() == [True]
+    assert dx.value.tolist() == [0.0]
+    assert dx.t_left == 1 and dx.t_ray.tolist() == [math.inf]
 
 
 def test_compute_dx_undecidable(hand_real, hand_traj):
@@ -129,17 +134,34 @@ def test_compute_dx_undecidable(hand_real, hand_traj):
 
 
 def test_validate_dx_record_limits():
-    from gwlab import DxRecord
-
-    bad_deg = DxRecord(5.0, 0.5, True, None, 1, 0)
-    assert len(validate_dx_record("single-line", bad_deg)) == 1
-    too_big = DxRecord(5.0, 5.5, False, 1, None, 0)
-    assert len(validate_dx_record("single-line", too_big)) == 1
-    negative = DxRecord(5.0, -0.5, False, 1, None, 0)
-    assert len(validate_dx_record("single-line", negative)) == 1
-    zero = DxRecord(5.0, 0.0, False, 1, None, 0)
-    assert validate_dx_record("single-line", zero) == []
-    assert len(validate_dx_record("parallel-thinned", zero)) == 1
+    # levels 1..10: undecided (skipped whatever its value), degenerate but
+    # not 0, above x, negative, zero, just inside the tolerance of x and of
+    # 0, degenerate at 0, above x again, in bounds
+    value = [-1.0, 0.5, 3.5, -0.5, 0.0, 6.0 + 1e-9, -1e-9, 0.0, 9.5, 2.0]
+    degenerate = np.array([0, 1, 0, 0, 0, 0, 0, 1, 0, 0], dtype=bool)
+    dx = DeficiencyRecords(
+        x=np.arange(1.0, 11.0), value=np.asarray(value), degenerate=degenerate,
+        decided=np.arange(10) > 0, t_ray=np.full(10, 1.0), t_left=math.inf,
+        n_interior=np.zeros(10, dtype=np.int64))
+    deg, above, neg, above_again = (
+        (2.0, "degenerate record has value 0.5 != 0"),
+        (3.0, "value 3.5 exceeds level x=3.0"), (4.0, "value -0.5 negative"),
+        (9.0, "value 9.5 exceeds level x=9.0"))
+    # in level order, not rule order
+    for construction in ("single-line", "parallel-shifted"):
+        assert validate_dx_record(construction, dx) == [
+            deg, above, neg, above_again]
+    # thinned also needs strictly positive values: level 4 breaks two rules,
+    # listed in rule order
+    assert validate_dx_record("parallel-thinned", dx) == [
+        deg, above, neg,
+        (4.0, "non-degenerate value -0.5 not strictly positive"),
+        (5.0, "non-degenerate value 0.0 not strictly positive"),
+        (7.0, "non-degenerate value -1e-09 not strictly positive"),
+        above_again]
+    # every level undecided: nothing to check
+    assert validate_dx_record("parallel-thinned", replace(
+        dx, decided=np.zeros(10, dtype=bool))) == []
 
 
 tenths = st.integers(1, 99).map(lambda k: k / 10)
@@ -152,9 +174,9 @@ quarters = st.integers(-60, 60).map(lambda k: k / 4)
 def test_deficiency_in_range(hand_real, hand_traj, interior):
     # a walk that jumps straight to 10 leaves every point below it interior
     real = hand_real("single-line", sorted(interior) + [10.0])
-    rec = compute_Dx(real, hand_traj(real, [10.0], [0]), 10.0)
-    assert rec.n_interior == len(interior)
-    assert 0.0 < rec.value <= 10.0
+    dx = compute_Dx(real, hand_traj(real, [10.0], [0]), 10.0)
+    assert dx.n_interior.tolist() == [len(interior)]
+    assert 0.0 < dx.value[0] <= 10.0
 
 
 @settings(max_examples=200, deadline=None,
@@ -166,8 +188,8 @@ def test_deficiency_insertion_monotone(hand_real, hand_traj, interior, w):
     real = hand_real("single-line", sorted(interior + [w]) + [10.0])
     more = compute_Dx(real, hand_traj(real, [10.0], [0]), 10.0)
     less = compute_Dx(real, hand_traj(real, [w, 10.0], [0, 0]), 10.0)
-    assert less.n_interior == more.n_interior - 1
-    assert more.value <= less.value
+    assert less.n_interior[0] == more.n_interior[0] - 1
+    assert more.value[0] <= less.value[0]
 
 
 def deficiency_by_definition(real, traj, x):
@@ -355,30 +377,31 @@ def test_empirical_survival():
 
 def test_decompose_basic():
     dec = decompose_clusters([0.5, 1.0, 3.0], 1.0)
-    assert dec.ranges == ((0, 2), (2, 3))
-    assert dec.leads == (0, 2)
+    assert dec.starts.tolist() == [0, 2] and dec.sizes.tolist() == [2, 1]
+    assert dec.leads.tolist() == [0, 2]
+    assert dec.starts.dtype == dec.sizes.dtype == dec.leads.dtype == np.int64
     assert dec.zero_cluster == 0
-    assert dec.n_clusters == 2
-    assert dec.cluster_number(1) == 1
-    assert dec.lead_us().tolist() == [0.5, 3.0]
+    assert dec.nonzero().tolist() == [False, True]
+    assert dec.points[dec.leads].tolist() == [0.5, 3.0]
 
 
 def test_decompose_gap_equal_threshold_splits():
     dec = decompose_clusters([0.0, 1.0, 2.0], 1.0)
-    assert dec.ranges == ((0, 1), (1, 2), (2, 3))
+    assert dec.starts.tolist() == [0, 1, 2] and dec.sizes.tolist() == [1, 1, 1]
 
 
 def test_decompose_lead_tie_goes_right():
     dec = decompose_clusters([-1.0, 1.0], 3.0)
-    assert dec.ranges == ((0, 2),)
-    assert dec.leads == (1,)
+    assert dec.starts.tolist() == [0] and dec.sizes.tolist() == [2]
+    assert dec.leads.tolist() == [1]
 
 
 def test_decompose_validation():
     with pytest.raises(ValidationError):
         decompose_clusters([1.0], 0.0)
     empty = decompose_clusters([], 1.0)
-    assert empty.n_clusters == 0 and empty.zero_cluster == -1
+    assert empty.starts.size == empty.sizes.size == empty.leads.size == 0
+    assert empty.zero_cluster == -1 and empty.nonzero().size == 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -387,19 +410,20 @@ def test_decompose_validation():
 def test_decompose_invariants(raw, thr):
     pts = sorted(raw)
     dec = decompose_clusters(pts, thr)
-    assert dec.ranges[0][0] == 0 and dec.ranges[-1][1] == len(pts)
-    for (_, b1), (a2, _) in zip(dec.ranges, dec.ranges[1:]):
-        assert b1 == a2
-        assert pts[a2] - pts[a2 - 1] >= thr
-    for (lo, hi), lead in zip(dec.ranges, dec.leads):
-        seg = pts[lo:hi]
+    starts, sizes, leads = (a.tolist() for a in (dec.starts, dec.sizes,
+                                                 dec.leads))
+    assert starts[0] == 0 and min(sizes) >= 1
+    assert [lo + m for lo, m in zip(starts, sizes)] == starts[1:] + [len(pts)]
+    for lo in starts[1:]:
+        assert pts[lo] - pts[lo - 1] >= thr
+    for lo, m, lead in zip(starts, sizes, leads):
+        seg = pts[lo:lo + m]
         assert all(y - x < thr for x, y in zip(seg, seg[1:]))
-        assert lo <= lead < hi
+        assert lo <= lead < lo + m
         key = (abs(pts[lead]), -pts[lead])
         assert all(key <= (abs(v), -v) for v in seg)
-    zkey = (abs(pts[dec.leads[dec.zero_cluster]]),
-            -pts[dec.leads[dec.zero_cluster]])
-    assert all(zkey <= (abs(pts[l]), -pts[l]) for l in dec.leads)
+    zkey = (abs(pts[leads[dec.zero_cluster]]), -pts[leads[dec.zero_cluster]])
+    assert all(zkey <= (abs(pts[l]), -pts[l]) for l in leads)
 
 
 # ---------------------------------------------------------------------------
@@ -463,16 +487,19 @@ def test_reduce_to_cluster_leads(hand_real, hand_traj):
 
 def test_clusters_of(hand_real):
     dup = hand_real("parallel-duplicated", [0.5, 1.0, 3.0], separation_r=1.0)
-    assert clusters_of(dup).ranges == ((0, 2), (2, 3))
     thin = hand_real("parallel-thinned", [0.5], line1=[1.0, 3.0],
                      separation_r=1.0)
-    assert clusters_of(thin).ranges == ((0, 2), (2, 3))
+    for real in (dup, thin):
+        dec = clusters_of(real)
+        assert dec.starts.tolist() == [0, 2] and dec.sizes.tolist() == [2, 1]
+        assert dec.leads.tolist() == [0, 2]
     # shifted: line 0 alone, at the point-to-shifted-neighbour distance
     shifted = hand_real("parallel-shifted", [-2.5, -2.0, 2.0, 2.5],
                         shift_s=0.3)
     dec = clusters_of(shifted)
     assert dec.threshold == math.sqrt(1.0 + 0.3 * 0.3)
-    assert dec.ranges == ((0, 2), (2, 4))
+    assert dec.starts.tolist() == [0, 2] and dec.sizes.tolist() == [2, 2]
+    assert dec.leads.tolist() == [1, 2]
     assert dec.zero_cluster == 1
     for construction in ("single-line", "intersecting"):
         with pytest.raises(ValidationError):
@@ -640,11 +667,10 @@ def visits_by_definition(dec, traj):
     """cluster_visits' fields, one cluster at a time from the visit-step
     arrays."""
     rows = []
-    for lo, hi in dec.ranges:
-        m = hi - lo
+    for lo, m in zip(dec.starts.tolist(), dec.sizes.tolist()):
         steps = {int(v): (line, lo + i) for line, vis in
                  enumerate((traj.visited_step0, traj.visited_step1))
-                 for i, v in enumerate(vis[lo:hi]) if v >= 1}
+                 for i, v in enumerate(vis[lo:lo + m]) if v >= 1}
         if not steps:
             rows.append((0, -1, -1, (-1, -1), (-1, -1), False, False))
             continue
@@ -869,6 +895,13 @@ def test_povratak_mirrors_negative_shift(hand_real, hand_traj):
     real = hand_real("parallel-shifted", [-8.0, -2.0, 1.0], shift_s=-0.3)
     s = check_povratak(real, hand_traj(real, [-2.0, -2.3], [0, 1]))
     assert (s.occurrences, s.violations, s.unknowns) == (1, 0, 1)
+    # a violation is reported in its event's mirrored frame, and says so:
+    # the walk reaches -8 before it ever goes positive
+    s = check_povratak(real, hand_traj(real, [-2.0, -2.3, -8.0], [0, 1, 0]))
+    assert (s.occurrences, s.violations, s.unknowns) == (1, 1, 0)
+    (v,) = s.violation_details
+    assert v["mirrored"] is True
+    assert (v["x"], v["ray_x"], v["t_ray"], v["t_left"]) == (2.0, 8.0, 3, None)
 
 
 def test_povratak_construction_guard(hand_real):
@@ -941,7 +974,8 @@ DX_PINS = Path(__file__).parent / "data" / "dx_pins.json"
 def test_deficiency_pinned(spec_for):
     # recorded with the per-level compute_Dx loops that preceded
     # deficiency_records; every record, event and povratak verdict must
-    # stay the same
+    # stay the same.  One povratak digest (shift_s=-0.3/L=50/0/shuffled)
+    # was re-recorded when its 4 violations gained "mirrored": True
     pinned = json.loads(DX_PINS.read_text())
     got = dx_pin_values(spec_for)
     assert sorted(got) == sorted(pinned)

@@ -14,7 +14,6 @@ from gwlab import (
     Site,
     Space,
     ValidationError,
-    angle_from_slopes,
     distance,
 )
 
@@ -88,16 +87,6 @@ def test_n_lines():
     assert SP_SINGLE.n_lines == 1
     assert SP_PAR.n_lines == 2
     assert SP_RIGHT.n_lines == 2
-
-
-def test_angle_from_slopes():
-    assert angle_from_slopes(0.0, 1.0) == pytest.approx(math.pi / 4)
-    assert angle_from_slopes(1.0, -1.0) == pytest.approx(math.pi / 2)
-    # the obtuse reading folds back to the acute angle
-    t = math.tan(math.radians(80.0))
-    assert angle_from_slopes(-t, t) == pytest.approx(math.radians(20.0))
-    with pytest.raises(ValidationError):
-        angle_from_slopes(0.7, 0.7)
 
 
 @pytest.mark.parametrize(
