@@ -2,12 +2,12 @@
 
 Seeded construction of point processes on one or two lines, two equivalent
 greedy-walk engines with truncation-safe stopping, trajectory analysis
-(first passages, deficiency records, clusters, return events, replay
+(first passages, deficiency records, clusters, return events, lemma
 audits), batch experiment drivers, and a CLI (``gwlab``).
 """
 
 from ._version import __version__
-from .errors import PrefixLimitError, ValidationError
+from .errors import ValidationError
 from .geometry import (
     INTERSECTING,
     PARALLEL,
@@ -72,10 +72,8 @@ from .analysis import (
     clusters_of,
     compute_Dx,
     decompose_clusters,
-    deficiency_records,
     detect_A_events,
     detect_crossings,
-    empirical_survival,
     extract_UV_sequences,
     extract_halfline_changes,
     intersect_Bn_bound,

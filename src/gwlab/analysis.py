@@ -4,8 +4,8 @@ Everything here consumes a (realization, trajectory) pair produced by the
 walk engines and extracts derived quantities:
 
 * first passages of the running shadow extremes, and the deficiency
-  records built from them: every level of a run in one pass, as one table
-  of numpy columns (compute_Dx is its one-level view),
+  records built from them: every level of a run in one pass (compute_Dx),
+  as one table of numpy columns,
 * origin crossings and half-line change bookkeeping,
 * the clusters of the parallel constructions, as index arrays of each
   cluster's first member and lead, and one table of how the walk visited
@@ -18,8 +18,8 @@ walk engines and extracts derived quantities:
 
 Decidability convention: a trajectory is only a prefix of the unbounded
 walk, so detectors report True (witnessed), False (ruled out), or None
-(not decidable from this prefix).  Numeric queries raise PrefixLimitError
-when the prefix cannot answer them.
+(not decidable from this prefix).  Numeric tables say the same per entry:
+an undecided entry has decided False and value NaN.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PrefixLimitError, ValidationError
+from .errors import ValidationError
 from .geometry import INTERSECTING, PARALLEL, Site
 from .processes import (
     PARALLEL_DUPLICATED,
@@ -92,13 +92,16 @@ def last_visit_steps(real: Realization, traj: Trajectory) -> np.ndarray:
     +inf where some copy was never visited within the prefix.  Aligned
     with real.base_points.
     """
-    mu, _, ms = _merged_shadows(real, traj)
-    return np.maximum.reduceat(ms, np.flatnonzero(np.diff(mu, prepend=-np.inf)))
+    last = np.zeros(len(real.base_points))
+    for line, vis in ((real.line0, traj.visited_step0),
+                      (real.line1, traj.visited_step1)):
+        at = np.searchsorted(real.base_points, line)
+        last[at] = np.maximum(last[at], np.where(vis >= 1, vis, np.inf))
+    return last
 
 
-def deficiency_records(real: Realization, traj: Trajectory,
-                       xs) -> DeficiencyRecords:
-    """Deficiency records at the ascending positive levels xs, in one pass.
+def compute_Dx(real: Realization, traj: Trajectory, xs) -> DeficiencyRecords:
+    """Deficiency records at the ascending positive level(s) xs, in one pass.
 
     At a decided, non-degenerate level x the interior points are the
     positive base points b < x whose last copy was visited at or after
@@ -107,7 +110,7 @@ def deficiency_records(real: Realization, traj: Trajectory,
     does not decrease as x grows, so the decided, non-degenerate levels
     are a prefix and each point is interior on one contiguous run of them.
     """
-    xs = np.asarray(xs, dtype=np.float64)
+    xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
     if not np.all(xs > 0.0) or np.any(np.diff(xs) < 0.0):
         raise ValidationError("deficiency levels must be positive and ascending")
     t_ray = first_passage(traj, xs)
@@ -138,20 +141,6 @@ def deficiency_records(real: Realization, traj: Trajectory,
                              t_ray, t_left, n_interior)
 
 
-def compute_Dx(real: Realization, traj: Trajectory,
-               x: float) -> DeficiencyRecords:
-    """The one-level deficiency_records table at level x > 0.
-
-    Raises PrefixLimitError when the prefix reaches neither [x, inf) nor
-    the negative half-axis, so the level is undecidable.
-    """
-    dx = deficiency_records(real, traj, [x])
-    if not dx.decided[0]:
-        raise PrefixLimitError(f"prefix reaches neither [{x!r}, inf) nor the "
-                               "negative half-axis")
-    return dx
-
-
 def validate_dx_record(construction: str, dx: DeficiencyRecords,
                        tol: float = 1e-9) -> list[tuple[float, str]]:
     """Bound violations of the decided levels as (x, problem) pairs, in
@@ -159,7 +148,7 @@ def validate_dx_record(construction: str, dx: DeficiencyRecords,
 
     All constructions: 0 <= value <= x, degenerate records are exactly 0.
     Thinned additionally promises strictly positive non-degenerate values.
-    No rule can fail on a deficiency_records table: every term
+    No rule can fail on a compute_Dx table: every term
     2*z_next - z_prev - x is <= x (z_next <= x, z_prev >= 0) and the last
     one, x - z, is > 0 (z < x).  So the check tests the deficiency
     computation, not the walk.
@@ -276,17 +265,6 @@ def parallel_Am_first_term(r: float, m: int) -> float:
     if m < 0:
         raise ValidationError("band index m must be >= 0")
     return 0.5 * math.exp(-2.0 * r * m) * (1.0 - math.exp(-2.0 * r))
-
-
-def empirical_survival(samples, thresholds) -> dict[float, float]:
-    """P(sample > t) for each threshold t, from the given samples."""
-    s = np.sort(np.asarray(samples, dtype=np.float64))
-    n = len(s)
-    out = {}
-    for t in thresholds:
-        t = float(t)
-        out[t] = float(n - np.searchsorted(s, t, side="right")) / n if n else 0.0
-    return out
 
 
 def theoretical_bounds(family: str, *, alpha: float | None = None,
@@ -610,7 +588,7 @@ def _consecutive_pair_events(family: str, pts: np.ndarray,
     anchor = float(pts[neg[-1]]) if len(neg) else None
     gaps = pts[pos + 1] - pts[pos]
     wide = gaps > extra
-    dx = deficiency_records(real, traj, pts[pos[wide]] + level_offset)
+    dx = compute_Dx(real, traj, pts[pos[wide]] + level_offset)
     row = np.cumsum(wide) - 1  # the deficiency level of each wide gap
     records: list[EventRecord] = []
     for k, (bi, gap, i) in enumerate(
@@ -687,10 +665,6 @@ class LemmaAudit:
     empty_interval_checks: int = 0
     violations: list = field(default_factory=list)
 
-    @property
-    def n_violations(self) -> int:
-        return len(self.violations)
-
 
 def _merged_shadows(real: Realization, traj: Trajectory):
     """The merged visit-step table: every point's shadow, sorted (line 0
@@ -764,11 +738,10 @@ def _audit_replay(traj: Trajectory, audit: LemmaAudit, mu, ms) -> None:
       survive that crossing), no alive shadow may remain in (c, b_prev]:
       every shadow there was visited by step t.
     """
-    n = len(traj)
-    if n == 0:
+    u = traj.us  # the visited shadows, in step order
+    if len(u) == 0:
         return
-    t = np.arange(1, n + 1)
-    u = mu[np.argsort(ms)[:n]]  # the visited shadows, in step order
+    t = np.arange(1, len(u) + 1)
     z = np.concatenate(([traj.start.u], u[:-1]))
     a_prev, b_prev = np.minimum.accumulate(z), np.maximum.accumulate(z)
     at_u, past_u, past_z, past_b = (

@@ -23,7 +23,7 @@ from .analysis import (
     check_indented_entry,
     check_povratak,
     check_reduced_alignment,
-    deficiency_records,
+    compute_Dx,
     extract_UV_sequences,
     validate_dx_record,
 )
@@ -103,7 +103,7 @@ def _audits(real, traj):
 
 
 def _dx_bounds(real, traj):
-    dx = deficiency_records(real, traj, real.base_points[real.base_points > 0.0])
+    dx = compute_Dx(real, traj, real.base_points[real.base_points > 0.0])
     bad = [_where(real, x=x, problem=p)
            for x, p in validate_dx_record(real.spec.construction, dx)]
     n = int(dx.decided.sum())

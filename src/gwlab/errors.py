@@ -4,11 +4,3 @@
 class ValidationError(ValueError):
     """Invalid parameter domain, malformed input, or inconsistent configuration."""
 
-
-class PrefixLimitError(ValueError):
-    """A query cannot be decided from the emitted walk prefix.
-
-    Raised e.g. when a hitting time needed by an event detector lies beyond
-    the truncation-safe portion of a trajectory.  Callers that tolerate
-    unknowns catch this and record the event as undecided.
-    """

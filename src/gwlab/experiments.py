@@ -52,7 +52,7 @@ class ExperimentConfig:
     construction reads them.  audit toggles the per-run replay/pair audits
     (auto-skipped for intersecting lines); detect_events toggles
     return-event detection (parallel constructions only).  workers > 1 runs
-    the sweep in a process pool.
+    the sweep in a process pool, capped at n_runs and the core count.
     """
 
     name: str
@@ -164,7 +164,7 @@ def summarize_run(cfg: ExperimentConfig, run_index: int, real, traj) -> RunSumma
         )
     failures = None
     if cfg.audit and spec.construction != INTERSECTING_INDEPENDENT:
-        failures = audit_lemmas(real, traj).n_violations
+        failures = len(audit_lemmas(real, traj).violations)
     return RunSummary(
         run_index=run_index,
         seed=real.seed,
@@ -194,10 +194,12 @@ def _run_one(cfg: ExperimentConfig, run_index: int) -> RunSummary:
 
 def run_experiment(cfg: ExperimentConfig) -> list[RunSummary]:
     cfg.to_spec()  # fail on domain errors before any work starts
-    if cfg.workers == 1:
+    # no more processes than runs or cores: a fork pool starts them all
+    workers = min(cfg.workers, cfg.n_runs, os.cpu_count() or 1)
+    if workers == 1:
         return [_run_one(cfg, i) for i in range(cfg.n_runs)]
-    chunk = max(1, cfg.n_runs // (8 * cfg.workers))
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    chunk = max(1, cfg.n_runs // (8 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         rows = list(pool.map(partial(_run_one, cfg), range(cfg.n_runs),
                              chunksize=chunk))
     rows.sort(key=lambda r: r.run_index)

@@ -11,6 +11,7 @@ are Euclidean in the plane embedding.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,6 +22,17 @@ INTERSECTING = "intersecting"
 PARALLEL = "parallel"
 
 _KINDS = (SINGLE_LINE, INTERSECTING, PARALLEL)
+
+
+def check_finite(name: str, value) -> None:
+    """ValidationError naming the field unless value is None or a finite
+    real number (a bool is not a number)."""
+    if value is None:
+        return
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -43,9 +55,7 @@ class Space:
         if self.kind not in _KINDS:
             raise ValidationError(f"unknown space kind: {self.kind!r}")
         for name in ("window_L", "alpha", "separation_r"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite")
+            check_finite(name, getattr(self, name))
         if not self.window_L > 0:
             raise ValidationError("window_L must be positive")
         if self.kind == INTERSECTING:

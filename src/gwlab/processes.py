@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import INTERSECTING, PARALLEL, SINGLE_LINE, Space
+from .geometry import INTERSECTING, PARALLEL, SINGLE_LINE, Space, check_finite
 from .seeding import make_generator
 
 SINGLE_POISSON = "single-line"
@@ -115,9 +115,9 @@ class ProcessSpec:
                 f"{_KIND_FOR[self.construction]!r} space, got {self.space.kind!r}"
             )
         for name in ("rate_lambda", "thinning_p", "shift_s"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite")
+            check_finite(name, getattr(self, name))
+        if not isinstance(self.allow_unproven_shift, bool):
+            raise ValidationError("allow_unproven_shift must be true or false")
         if not self.rate_lambda > 0:
             raise ValidationError("rate_lambda must be positive")
         if self.construction == PARALLEL_THINNED:

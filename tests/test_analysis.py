@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from gwlab import (
     RUN_TO_EXHAUSTION,
     DeficiencyRecords,
-    PrefixLimitError,
     Site,
     StopRule,
     ValidationError,
@@ -32,10 +31,8 @@ from gwlab import (
     clusters_of,
     compute_Dx,
     decompose_clusters,
-    deficiency_records,
     detect_A_events,
     detect_crossings,
-    empirical_survival,
     extract_UV_sequences,
     extract_halfline_changes,
     generate,
@@ -76,7 +73,7 @@ def test_hitting_times(hand_real, hand_traj):
     assert first_passage(traj, [-1.0, 0.0], down=True).tolist() == [3, 0]
     assert first_passage(traj, [-1.0], down=True, strict=True).tolist() == [
         math.inf]
-    # the same passages as compute_Dx's one-level table reports them: t_ray
+    # the same passages as a one-level compute_Dx table reports them: t_ray
     # at or beyond x, t_left strictly below 0, inf past the prefix
     dx = compute_Dx(real, traj, 2.0)
     assert (dx.t_ray.tolist(), dx.t_left, dx.degenerate.tolist()) == (
@@ -127,8 +124,8 @@ def test_compute_dx_degenerate(hand_real, hand_traj):
 def test_compute_dx_undecidable(hand_real, hand_traj):
     real = hand_real("single-line", [-1.0, 3.0, 10.0])
     traj = hand_traj(real, [3.0], [0])
-    with pytest.raises(PrefixLimitError):
-        compute_Dx(real, traj, 10.0)
+    dx = compute_Dx(real, traj, 10.0)
+    assert dx.decided.tolist() == [False] and math.isnan(dx.value[0])
     with pytest.raises(ValidationError):
         compute_Dx(real, traj, 0.0)
 
@@ -234,7 +231,7 @@ def test_deficiency_records_match_definition(hand_real, hand_traj,
     traj = hand_traj(real, [u for u, _ in order], [l for _, l in order],
                      start=Site(start_u, 0))
     xs = np.unique(np.append(real.base_points[real.base_points > 0.0], levels))
-    dx = deficiency_records(real, traj, xs)
+    dx = compute_Dx(real, traj, xs)
 
     def step(t):
         return int(t) if t < math.inf else None
@@ -324,7 +321,7 @@ def test_uv_two_levels(hand_real, hand_traj):
 
 
 # ---------------------------------------------------------------------------
-# closed-form bounds and survival curves
+# closed-form bounds
 
 
 def test_bn_bound_values():
@@ -363,12 +360,6 @@ def test_theoretical_bounds_tables():
         theoretical_bounds("parallel-Am", n_max=3)
     with pytest.raises(ValidationError):
         theoretical_bounds("nope", alpha=1.0)
-
-
-def test_empirical_survival():
-    out = empirical_survival([1.0, 2.0, 3.0], [0.0, 1.0, 2.5, 3.0])
-    assert out == {0.0: 1.0, 1.0: 2 / 3, 2.5: 1 / 3, 3.0: 0.0}
-    assert empirical_survival([], [1.0]) == {1.0: 0.0}
 
 
 # ---------------------------------------------------------------------------
@@ -972,8 +963,8 @@ DX_PINS = Path(__file__).parent / "data" / "dx_pins.json"
 
 
 def test_deficiency_pinned(spec_for):
-    # recorded with the per-level compute_Dx loops that preceded
-    # deficiency_records; every record, event and povratak verdict must
+    # recorded with the per-level deficiency loops that preceded the
+    # one-pass compute_Dx; every record, event and povratak verdict must
     # stay the same.  One povratak digest (shift_s=-0.3/L=50/0/shuffled)
     # was re-recorded when its 4 violations gained "mirrored": True
     pinned = json.loads(DX_PINS.read_text())

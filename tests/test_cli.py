@@ -1,5 +1,7 @@
 """CLI behavior, exercised in-process through main(argv)."""
 
+import importlib
+import importlib.util
 import json
 import math
 from pathlib import Path
@@ -350,3 +352,17 @@ def test_export_plot_data_no_clusters(tmp_path, capsys, construction):
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert __version__ in capsys.readouterr().out
+
+
+def test_bench_traced_functions_exist():
+    # bench/tracer.py wraps gwlab functions by name for `bench/run.py
+    # --trace 1`; a renamed function would only break that run
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{mod}.{name}" for mod, funcs in tracer.TRACED.items()
+               for name in funcs
+               if not callable(getattr(importlib.import_module(mod), name,
+                                       None))]
+    assert missing == []

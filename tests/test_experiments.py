@@ -4,6 +4,7 @@ coupled windows, aggregation, and the CSV/report/manifest outputs."""
 import dataclasses
 import json
 import math
+import os
 
 import pytest
 
@@ -20,6 +21,7 @@ from gwlab import (
     write_outputs,
     write_summaries_csv,
 )
+from gwlab import experiments
 from gwlab.experiments import CSV_COLUMNS, mean_and_se
 
 
@@ -95,6 +97,38 @@ def test_worker_count_equivalence():
     serial = run_experiment(cfg_for("parallel-duplicated", n_runs=6))
     pooled = run_experiment(cfg_for("parallel-duplicated", n_runs=6, workers=2))
     assert serial == pooled
+
+
+def test_pool_size_capped(monkeypatch):
+    # a fork pool starts every worker at once, so the pool never outnumbers
+    # the runs or the cores; a pool of one runs in-process.  The fake pool
+    # records its size and maps in-process: nothing is forked
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+    serial = run_experiment(cfg_for("parallel-duplicated", n_runs=3))
+    for cores, workers, n_runs, size in [(64, 500, 3, 3), (2, 500, 3, 2),
+                                         (64, 2, 3, 2), (None, 500, 3, None),
+                                         (64, 500, 1, None)]:
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        sizes.clear()
+        rows = run_experiment(cfg_for("parallel-duplicated", n_runs=n_runs,
+                                      workers=workers))
+        assert sizes == ([] if size is None else [size])
+        assert rows == serial[:n_runs]
 
 
 def test_summary_optional_columns():

@@ -76,6 +76,10 @@ def test_single_line_has_no_second_line():
         dict(kind=SINGLE_LINE, window_L=math.nan),
         dict(kind=PARALLEL, window_L=1.0, separation_r=math.inf),
         dict(kind=INTERSECTING, window_L=1.0, alpha=math.nan),
+        dict(kind=SINGLE_LINE, window_L="5"),
+        dict(kind=SINGLE_LINE, window_L=True),
+        dict(kind=PARALLEL, window_L=1.0, separation_r=[1]),
+        dict(kind=INTERSECTING, window_L=1.0, alpha="1"),
     ],
 )
 def test_space_validation_rejects(kwargs):

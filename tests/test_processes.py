@@ -254,6 +254,22 @@ def test_import_validates(spec_for):
                  {**d["spec"], "space": 25.0}):
         with pytest.raises(ValidationError, match="spec"):
             realization_from_dict({**d, "spec": spec})
+    # spec values of the wrong type name their field
+    space = d["spec"]["space"]
+    for field, spec in [
+        ("window_L", {**d["spec"], "space": {**space, "window_L": "5"}}),
+        ("window_L", {**d["spec"], "space": {**space, "window_L": True}}),
+        ("separation_r", {**d["spec"], "space": {**space,
+                                                 "separation_r": [1]}}),
+        ("rate_lambda", {**d["spec"], "rate_lambda": "1"}),
+        ("thinning_p", {**d["spec"], "thinning_p": False}),
+        ("shift_s", {**d["spec"], "construction": "parallel-shifted",
+                     "thinning_p": None, "shift_s": "0.3"}),
+        ("allow_unproven_shift", {**d["spec"], "allow_unproven_shift": "yes"}),
+        ("allow_unproven_shift", {**d["spec"], "allow_unproven_shift": 1}),
+    ]:
+        with pytest.raises(ValidationError, match=field):
+            realization_from_dict({**d, "spec": spec})
     with pytest.raises(ValidationError):
         realization_from_dict([d])
     # the derived keys are optional on import
