@@ -9,14 +9,24 @@ Two engines produce step-for-step identical trajectories:
 * ``run_walk``: the nearest unvisited point is one of at most four: the
   alive neighbors of the current point on its own line, and the alive
   neighbors of its projection (u, or u*cos(alpha) on intersecting lines) on
-  the other line.  Neither where that projection falls nor the stop margin
-  depends on the walk's history, so both are tabulated per realization
-  point with numpy before the first step.  A step then reads its own-line
-  neighbors from the spliced links of the point it just left, starts the
-  cross-line search at the tabulated position, and follows the links past
-  visited points only when the point there is already visited.  The start
-  site is not a realization point: the first step alone bisects both lines
-  and computes its margin directly.
+  the other line.  Both lines sit in one flat table,
+  ``[-inf, line0..., +inf, -inf, line1..., +inf]``, whose sentinels are
+  never visited, so the step loop needs no bounds checks and a step of
+  distance inf means every point is visited.  Nothing that does not depend
+  on the walk's history is computed in the loop: per point, numpy tabulates
+  where its projection falls in the other line, the distances to the two
+  points around it and its stop margin before the first step.  A step
+  reads its own-line neighbors from the spliced links of the point it just
+  left, and measures a cross point only when the tabulated one is visited
+  and the links lead past it.  The start site is not a realization point:
+  the first step alone bisects both lines and measures directly.
+
+  The run path: the walk escapes along one line in long runs of unit steps
+  (each to the next point of its own line).  From step 64 on, the loop
+  probes now and then, backing off while probes fail; after 4 unit steps
+  in one direction it tests the next 64..4096 unit steps in numpy and takes
+  the longest prefix in which every step is the greedy choice, written
+  into the tables as slices (``_own_line_run`` has the rule).
 * ``run_walk_naive``: a linear scan over every unvisited point per step.
   It exists purely as a differential oracle for the optimized engine.
 
@@ -86,13 +96,14 @@ class Trajectory:
         return len(self.us)
 
 
-def _skip_visited(vis, link, j: int, end: int) -> int:
-    """The first unvisited index reached from j by following link (prev or
-    next links of one line), or end when none is; vis[k] >= 0 marks a
-    visited k.  Every visited index passed on the way is re-linked to the
-    result (path compression), so repeated searches stay short."""
+def _skip_visited(vis, link, j: int) -> int:
+    """The first unvisited index reached from j by following link (the prev
+    or next links of the flat table); vis[k] >= 0 marks a visited k.  A
+    sentinel is never visited, so every search ends at a point or at its
+    line's sentinel.  Every visited index passed on the way is re-linked to
+    the result (path compression), so repeated searches stay short."""
     path = []
-    while j != end and vis[j] >= 0:
+    while vis[j] >= 0:
         path.append(j)
         j = link[j]
     for k in path:
@@ -135,94 +146,210 @@ def _check_start(real: Realization, start: Site) -> None:
         raise ValidationError(f"start {start} is not a site of the space")
 
 
+# the run path: probes start at step RUN_FROM and come every 1..WAIT_MAX
+# steps, the wait doubling while probes fail; a run looks ahead over a chunk
+# of RUN_MIN..RUN_MAX unit steps, doubling while runs fill it
+_RUN_FROM = 64
+_WAIT_MAX = 1024
+_RUN_MIN, _RUN_MAX = 64, 4096
+
+
+def _table(typecode: str, n: int, fill=0):
+    """An 8-byte array of n copies of fill for the step loop, and a writable
+    numpy view of the same memory for the table-wide and run-path work."""
+    a = array(typecode, [fill]) * n
+    return a, np.frombuffer(a, dtype=np.float64 if typecode == "d" else np.int64)
+
+
+def _own_line_run(tab, c: int, end: int, behind: float, step: int,
+                  ol: int) -> int:
+    """Take the walk's unit steps from flat point c, visited at `step`, on
+    toward `end`, a point of c's own line, for as long as each is the
+    greedy choice; write them into the visit, order and distance tables and
+    return how many were taken.
+
+    The step from point a to its neighbour b is greedy when b is unvisited;
+    the gap |b - a| beats the distance from a to `behind`, the abscissa of
+    the alive point on the other side (strictly when moving right: the pred
+    side wins ties); both tabulated cross points of a are unvisited and no
+    nearer than the gap (strictly farther when the other line `ol` is 0: the
+    lower line wins ties); and the gap is below a's stop margin.
+    """
+    F, vis, cross, cp, cs, margin, order, dists = tab
+    dr = 1 if end > c else -1
+    src, dst = slice(c, end, dr), slice(c + dr, end + dr, dr)
+    a, b = F[src], F[dst]
+    if dr > 0:
+        gap = b - a
+        ok = gap < a - behind
+    else:
+        gap = a - b
+        ok = gap <= behind - a
+    ok &= vis[dst] < 0
+    k = cross[src]
+    ok &= (vis[k - 1] < 0) & (vis[k] < 0)
+    dc = np.minimum(cp[src], cs[src])
+    ok &= (dc >= gap) if ol else (dc > gap)
+    ok &= gap < margin[src]
+    t = int(ok.argmin())
+    if ok[t]:
+        t = len(ok)
+    vis[dst][:t] = np.arange(step + 1, step + t + 1)
+    order[step:step + t] = np.arange(c + dr, c + dr * (t + 1), dr)
+    dists[step:step + t] = gap[:t]
+    return t
+
+
 def run_walk(real: Realization, start: Site = Site(0.0, 0),
              rule: StopRule = StopRule()) -> Trajectory:
     """Greedy walk with the optimized neighbor-search engine."""
     _check_start(real, start)
     space = real.spec.space
     arrs = (real.line0, real.line1)
-    pts = (real.line0.tolist(), real.line1.tolist())
-    n = (len(pts[0]), len(pts[1]))
-    # per line: links to the unvisited neighbours, exact for unvisited
-    # points and spliced on each visit; a visited point keeps the ones it
-    # had then, its unvisited neighbours at that moment
-    nxt = tuple(array("q", range(1, k + 1)) for k in n)
-    prv = tuple(array("q", range(-1, k - 1)) for k in n)
-    # per point: where its projection falls in the other line, and its margin
-    cross = tuple(
-        array("q", np.searchsorted(arrs[1 - l], _centre(space, arrs[l]))
-              .astype(np.int64).tobytes())
-        for l in (0, 1)
-    )
-    truncating = rule.mode == TRUNCATION_SAFE
-    if truncating:
-        margin = tuple(array("d", stop_margin(real, arrs[l], l).tobytes())
-                       for l in (0, 1))
-    # the start site is no realization point: bisect and margin it directly
-    cu, cl = start.u, start.line
-    s = bisect_left(pts[cl], cu)
-    p = s - 1
-    j = bisect_left(pts[1 - cl], _centre(space, cu))
-    m = stop_margin(real, cu, cl) if truncating else None
-    us = array("d")
-    lines = array("b")
-    dists = array("d")
-    # the visit step per point, -1 while unvisited
-    vis = (array("q", [-1]) * n[0], array("q", [-1]) * n[1])
-    n_alive = n[0] + n[1]
-    reason = EXHAUSTED
-    step = 0
+    n = (len(arrs[0]), len(arrs[1]))
     inf = math.inf
-    while n_alive:
+    # one flat table [-inf, line0..., +inf, -inf, line1..., +inf]: line l's
+    # points sit at first[l]..hi[l] - 1 between its sentinels lo[l], hi[l]
+    first = (1, n[0] + 3)
+    lo = (0, n[0] + 2)
+    hi = (n[0] + 1, n[0] + n[1] + 3)
+    size = n[0] + n[1] + 4
+    F, F_np = _table("d", size)
+    # links to the unvisited neighbours, exact for unvisited points and
+    # spliced on each visit; a visited point keeps links past which every
+    # point is visited
+    nxt, nxt_np = _table("q", size)
+    prv, prv_np = _table("q", size)
+    nxt_np[:] = np.arange(1, size + 1)
+    prv_np[:] = np.arange(-1, size - 1)
+    # the visit step per flat index, -1 while unvisited (a sentinel always)
+    vis, vis_np = _table("q", size, -1)
+    # per point: where its projection falls in the other line (the flat
+    # index of the first point at or after it), the distances to the two
+    # points around it (inf where one is a sentinel), and its stop margin
+    cross, cross_np = _table("q", size)
+    cp, cp_np = _table("d", size, inf)
+    cs, cs_np = _table("d", size, inf)
+    margin, margin_np = _table("d", size, inf)
+    truncating = rule.mode == TRUNCATION_SAFE
+    for l in (0, 1):
+        F_np[lo[l]], F_np[first[l]:hi[l]], F_np[hi[l]] = -inf, arrs[l], inf
+    for l in (0, 1):
+        u, seg = arrs[l], slice(first[l], hi[l])
+        cross_np[seg] = k = first[1 - l] + np.searchsorted(
+            arrs[1 - l], _centre(space, u))
+        if truncating:
+            margin_np[seg] = stop_margin(real, u, l)
+        # with a line empty (always on a single line) every pair is a
+        # sentinel pair
+        if n[0] and n[1]:
+            for out, j in ((cp_np, k - 1), (cs_np, k)):
+                v = F_np[j]
+                pair = np.isfinite(v)
+                out[seg][pair] = cross_distance(space, u[pair], v[pair],
+                                                np.sqrt)
+    # the flat index visited at each step, and the step's distance
+    order, order_np = _table("q", n[0] + n[1])
+    dists, dists_np = _table("d", n[0] + n[1])
+    tab = (F_np, vis_np, cross_np, cp_np, cs_np, margin_np, order_np,
+           dists_np)
+    # the start site is no realization point: bisect and measure it directly
+    cu, cl = start.u, start.line
+    ol = 1 - cl
+    s = bisect_left(F, cu, first[cl], hi[cl])
+    p = s - 1
+    xs = bisect_left(F, _centre(space, cu), first[ol], hi[ol])
+    xp = xs - 1
+    dcp = inf if xp == lo[ol] else cross_distance(space, cu, F[xp])
+    dcs = inf if xs == hi[ol] else cross_distance(space, cu, F[xs])
+    m = stop_margin(real, cu, cl) if truncating else inf
+    step = 0
+    probe, wait, chunk = _RUN_FROM, 1, _RUN_MIN
+    while True:
         # the nearest unvisited point on each side of cu on its own line,
         # then on each side of its projection on the other line; on a tie
         # the lower line wins, then the smaller u (the pred side)
-        same = pts[cl]
-        d = cu - same[p] if p >= 0 else inf
-        d_s = same[s] - cu if s < n[cl] else inf
+        d = cu - F[p]
+        d_s = F[s] - cu
         if d_s < d:
             d, i = d_s, s
         else:
             i = p
-        ol = 1 - cl
-        other = pts[ol]
-        xp, xs = j - 1, j
-        if xp >= 0 and vis[ol][xp] >= 0:
-            xp = _skip_visited(vis[ol], prv[ol], xp, -1)
-        if xs < n[ol] and vis[ol][xs] >= 0:
-            xs = _skip_visited(vis[ol], nxt[ol], xs, n[ol])
-        dc = cross_distance(space, cu, other[xp]) if xp >= 0 else inf
-        d_s = cross_distance(space, cu, other[xs]) if xs < n[ol] else inf
-        if d_s < dc:
-            dc, xp = d_s, xs
-        line = cl
-        if dc < d or (dc == d and ol == 0):
-            d, i, line = dc, xp, ol
-        if truncating and d >= m:
-            reason = TRUNCATED
+        if dcs < dcp:
+            dcp, xp = dcs, xs
+        if dcp < d or (dcp == d and ol == 0):
+            d, i, cl, ol = dcp, xp, ol, cl
+        # a step of inf means every point is visited, and without a margin
+        # m is inf, so one test covers both stops
+        if d >= m:
             break
+        order[step] = i
+        dists[step] = d
         step += 1
-        vis[line][i] = step
-        n_alive -= 1
-        p, s, j = prv[line][i], nxt[line][i], cross[line][i]
-        if p >= 0:
-            nxt[line][p] = s
-        if s < n[line]:
-            prv[line][s] = p
-        cu, cl = pts[line][i], line
-        if truncating:
-            m = margin[line][i]
-        us.append(cu)
-        lines.append(line)
-        dists.append(d)
+        vis[i] = step
+        p, s = prv[i], nxt[i]
+        nxt[p] = s
+        prv[s] = p
+        if step >= probe:
+            # after 4 unit steps one way, take the greedy unit steps that
+            # follow in numpy; back off while probes find no full chunk
+            dr = i - order[step - 2]
+            t = span = 0
+            if ((dr == 1 or dr == -1) and order[step - 3] == i - 2 * dr
+                    and order[step - 4] == i - 3 * dr
+                    and order[step - 5] == i - 4 * dr):
+                end = (min(i + chunk, hi[cl] - 1) if dr > 0
+                       else max(i - chunk, first[cl]))
+                span = abs(end - i)
+                if span:
+                    t = _own_line_run(tab, i, end, F[p if dr > 0 else s],
+                                      step, ol)
+            if t:
+                step += t
+                i += dr * t
+                # splice the run's last point; the others keep links along
+                # the run, past which every point is visited
+                if dr > 0:
+                    s = nxt[i]
+                else:
+                    p = prv[i]
+                nxt[p] = s
+                prv[s] = p
+            if t and t == span:
+                wait, chunk = 1, min(2 * chunk, _RUN_MAX)
+            else:
+                wait, chunk = min(2 * wait, _WAIT_MAX), _RUN_MIN
+            probe = step + wait
+        cu = F[i]
+        m = margin[i]
+        xs = cross[i]
+        xp = xs - 1
+        dcp, dcs = cp[i], cs[i]
+        # past a visited cross point, measure the point the links lead to
+        # (_skip_visited with its first hop inline: mostly the only one);
+        # a sentinel by index, since on intersecting lines the formula is
+        # NaN at +-inf
+        if vis[xp] >= 0:
+            k = prv[xp]
+            if vis[k] >= 0:
+                prv[xp] = k = _skip_visited(vis, prv, k)
+            xp = k
+            dcp = inf if xp == lo[ol] else cross_distance(space, cu, F[xp])
+        if vis[xs] >= 0:
+            k = nxt[xs]
+            if vis[k] >= 0:
+                nxt[xs] = k = _skip_visited(vis, nxt, k)
+            xs = k
+            dcs = inf if xs == hi[ol] else cross_distance(space, cu, F[xs])
+    steps = order_np[:step]
     return Trajectory(
         start=start,
-        us=np.array(us),
-        lines=np.array(lines),
-        step_distances=np.array(dists),
-        stop_reason=reason,
-        visited_step0=np.array(vis[0]),
-        visited_step1=np.array(vis[1]),
+        us=F_np[steps],
+        lines=(steps > hi[0]).astype(np.int8),
+        step_distances=dists_np[:step].copy(),
+        stop_reason=EXHAUSTED if d == inf else TRUNCATED,
+        visited_step0=vis_np[first[0]:hi[0]].copy(),
+        visited_step1=vis_np[first[1]:hi[1]].copy(),
     )
 
 
@@ -257,13 +384,10 @@ def run_walk_naive(real: Realization, start: Site = Site(0.0, 0),
         if space.kind != SINGLE_LINE:
             d[cross] = cross_distance(space, cu, us_all[cross], np.sqrt)
         d_live = np.where(alive, d, np.inf)
-        dmin = d_live.min()
-        best = None
-        for k in np.nonzero(d_live == dmin)[0]:
-            key = (int(ln_all[k]), float(us_all[k]))
-            if best is None or key < best[0]:
-                best = (key, int(k))
-        k = best[1]
+        # us_all is line 0 then line 1, each sorted, so the first minimum
+        # is the tie-break winner: the lower line, then the smaller u
+        k = int(np.argmin(d_live))
+        dmin = d_live[k]
         if truncating and dmin >= stop_margin(real, cu, cl):
             reason = TRUNCATED
             break
