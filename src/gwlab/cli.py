@@ -8,7 +8,8 @@ Subcommands:
 * bounds: closed-form bound tables.
 * export-plot-data: per-run CSV files ready for plotting.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
+Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
+or an output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from .analysis import (
 from .checks import CHECKS
 from .errors import ValidationError
 from .processes import (
-    BUILD_PARAMS,
     CONSTRUCTIONS,
     PARALLEL_CONSTRUCTIONS,
+    SPEC_PARAMS,
     ProcessSpec,
     generate,
     realization_to_dict,
@@ -53,7 +54,7 @@ DEFAULT_SEED = 1729
 def _spec_from_args(construction: str,
                     args: argparse.Namespace) -> ProcessSpec:
     return ProcessSpec.build(
-        construction, **{k: getattr(args, k) for k in BUILD_PARAMS})
+        construction, **{k: getattr(args, k) for k in SPEC_PARAMS})
 
 
 # ---------------------------------------------------------------------------
@@ -138,12 +139,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    if args.family == "intersecting-Bn":
-        table = theoretical_bounds("intersecting-Bn", alpha=args.alpha,
-                                   n_max=args.n_max)
-    else:
-        table = theoretical_bounds("parallel-Am", r=args.separation_r,
-                                   n_max=args.n_max)
+    table = theoretical_bounds(args.family, alpha=args.alpha,
+                               r=args.separation_r, n_max=args.n_max)
     for k in sorted(table):
         print(f"{k}\t{table[k]:.9g}")
     return 0
@@ -252,7 +249,8 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.handler(args)
-    except ValidationError as e:
+    except (ValidationError, OSError) as e:
+        # an OSError here is an output path that cannot be written
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -31,11 +31,10 @@ from .analysis import (
 )
 from .errors import ValidationError
 from .processes import (
-    BUILD_PARAMS,
-    CONSTRUCTION_PARAMS,
     CONSTRUCTIONS,
     INTERSECTING_INDEPENDENT,
     PARALLEL_CONSTRUCTIONS,
+    SPEC_PARAMS,
     ProcessSpec,
     couple_restrict,
     generate,
@@ -47,12 +46,13 @@ from .walk import run_walk
 class ExperimentConfig:
     """One sweep: n_runs independent realizations of a single spec.
 
-    The construction parameters (alpha, separation_r, thinning_p, shift_s,
-    allow_unproven_shift) must be left at their defaults unless the
-    construction reads them.  audit toggles the per-run replay/pair audits
-    (auto-skipped for intersecting lines); detect_events toggles
-    return-event detection (parallel constructions only).  workers > 1 runs
-    the sweep in a process pool, capped at n_runs and the core count.
+    name is the stem of the output files: not empty, "." or "..", and
+    without a path separator.  The spec parameters follow the spec's rule,
+    checked by to_spec: one the construction does not read stays at its
+    default.  audit toggles the per-run replay/pair audits (auto-skipped
+    for intersecting lines); detect_events toggles return-event detection
+    (parallel constructions only).  workers > 1 runs the sweep in a process
+    pool, capped at n_runs and the core count.
     """
 
     name: str
@@ -71,27 +71,19 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        if self.name in ("", ".", "..") or "\0" in self.name or any(
+                sep and sep in self.name for sep in (os.sep, os.altsep)):
+            raise ValidationError(f"name {self.name!r} is not a file stem")
         if self.construction not in CONSTRUCTIONS:
             raise ValidationError(f"unknown construction: {self.construction!r}")
         if self.n_runs < 1:
             raise ValidationError("n_runs must be >= 1")
         if self.workers < 1:
             raise ValidationError("workers must be >= 1")
-        used = CONSTRUCTION_PARAMS[self.construction]
-        unused = [f.name for f in dataclasses.fields(self)
-                  if f.name in _CONSTRUCTION_FIELDS and f.name not in used
-                  and getattr(self, f.name) is not f.default]
-        if unused:
-            raise ValidationError(
-                f"{self.construction} does not use {', '.join(unused)}")
 
     def to_spec(self) -> ProcessSpec:
-        return ProcessSpec.build(
-            self.construction, **{k: getattr(self, k) for k in BUILD_PARAMS})
-
-
-_CONSTRUCTION_FIELDS = {name for names in CONSTRUCTION_PARAMS.values()
-                        for name in names}
+        return ProcessSpec(self.construction,
+                           **{k: getattr(self, k) for k in SPEC_PARAMS})
 
 
 # JSON types per ExperimentConfig annotation; load_config rejects bools as numbers
@@ -170,11 +162,11 @@ def summarize_run(cfg: ExperimentConfig, run_index: int, real, traj) -> RunSumma
         seed=real.seed,
         construction=spec.construction,
         rate_lambda=spec.rate_lambda,
-        separation_r=spec.space.separation_r,
+        separation_r=spec.separation_r,
         shift_s=spec.shift_s,
         thinning_p=spec.thinning_p,
-        alpha=spec.space.alpha,
-        window_L=spec.space.window_L,
+        alpha=spec.alpha,
+        window_L=spec.window_L,
         n_points=real.n_points,
         n_steps=len(traj),
         stop_reason=traj.stop_reason,

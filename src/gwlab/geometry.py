@@ -26,12 +26,17 @@ _KINDS = (SINGLE_LINE, INTERSECTING, PARALLEL)
 
 def check_finite(name: str, value) -> None:
     """ValidationError naming the field unless value is None or a finite
-    real number (a bool is not a number)."""
+    real number (a bool is not a number; an int beyond float range is not
+    finite)."""
     if value is None:
         return
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise ValidationError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
         raise ValidationError(f"{name} must be finite")
 
 
@@ -56,7 +61,7 @@ class Space:
             raise ValidationError(f"unknown space kind: {self.kind!r}")
         for name in ("window_L", "alpha", "separation_r"):
             check_finite(name, getattr(self, name))
-        if not self.window_L > 0:
+        if self.window_L is None or not self.window_L > 0:
             raise ValidationError("window_L must be positive")
         if self.kind == INTERSECTING:
             if self.alpha is None or not 0.0 < self.alpha < math.pi:

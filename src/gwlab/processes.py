@@ -13,18 +13,18 @@ Five constructions are supported:
 * ``parallel-shifted``: one Poisson process on line 0 and the same points
   shifted by s on line 1.
 
-A realization is its two per-line abscissa arrays plus the per-line windows
-they were drawn on, so that mirrored or restricted realizations keep exact
-bookkeeping of which regions were drawn.  Everything else is derived from
-the two arrays: ``base_points`` is their sorted union (the shadow of all
-points of the process) and, when thinned, ``duplicate_flags`` is each base
+A spec holds each run parameter once and checks it once.  A realization
+is its spec, seed and two per-line abscissa arrays; everything else is
+derived: ``windows``, the per-line intervals drawn, from the spec;
+``base_points``, the sorted union of the two arrays (the shadow of all
+points of the process); and, when thinned, ``duplicate_flags``, each base
 point's fate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -80,19 +80,20 @@ CONSTRUCTION_PARAMS = {
 # for an array no host can hold.
 MAX_EXPECTED_POINTS = 10**8
 
-# The keyword parameters of ProcessSpec.build.
-BUILD_PARAMS = ("window_L", "rate_lambda", "alpha", "separation_r",
-                "thinning_p", "shift_s", "allow_unproven_shift")
-
 
 @dataclass(frozen=True)
 class ProcessSpec:
     """Everything needed to draw a realization, minus the seed.
 
+    A parameter the construction does not read (CONSTRUCTION_PARAMS) must
+    stay at its default.
+
     Args:
         construction: one of CONSTRUCTIONS.
-        space: the geometry; its kind must match the construction.
+        window_L: half-width of the drawn abscissa window, > 0.
         rate_lambda: Poisson intensity, > 0.
+        alpha: angle between the lines in (0, pi); intersecting only.
+        separation_r: distance between the lines, > 0; parallel only.
         thinning_p: removal probability p in [0, 1]; thinned only.
         shift_s: line-1 offset s; shifted only, 0 < |s| < r/sqrt(3)
             (or < r with allow_unproven_shift).
@@ -100,8 +101,10 @@ class ProcessSpec:
     """
 
     construction: str
-    space: Space
+    window_L: float
     rate_lambda: float = 1.0
+    alpha: float | None = None
+    separation_r: float | None = None
     thinning_p: float | None = None
     shift_s: float | None = None
     allow_unproven_shift: bool = False
@@ -109,32 +112,36 @@ class ProcessSpec:
     def __post_init__(self):
         if self.construction not in CONSTRUCTIONS:
             raise ValidationError(f"unknown construction: {self.construction!r}")
-        if _KIND_FOR[self.construction] != self.space.kind:
+        reads = ("window_L", "rate_lambda",
+                 *CONSTRUCTION_PARAMS[self.construction])
+        unused = [f.name for f in fields(self)[1:] if f.name not in reads
+                  and getattr(self, f.name) is not f.default]
+        if unused:
             raise ValidationError(
-                f"construction {self.construction!r} needs a "
-                f"{_KIND_FOR[self.construction]!r} space, got {self.space.kind!r}"
-            )
+                f"{self.construction} does not use {', '.join(unused)}")
+        self.space  # checks window_L, alpha and separation_r
         for name in ("rate_lambda", "thinning_p", "shift_s"):
             check_finite(name, getattr(self, name))
         if not isinstance(self.allow_unproven_shift, bool):
             raise ValidationError("allow_unproven_shift must be true or false")
-        if not self.rate_lambda > 0:
+        if self.rate_lambda is None or not self.rate_lambda > 0:
             raise ValidationError("rate_lambda must be positive")
         if self.construction == PARALLEL_THINNED:
             if self.thinning_p is None or not 0.0 <= self.thinning_p <= 1.0:
                 raise ValidationError("parallel-thinned needs thinning_p in [0, 1]")
-        elif self.thinning_p is not None:
-            raise ValidationError("thinning_p only applies to parallel-thinned")
         if self.construction == PARALLEL_SHIFTED:
-            r = self.space.separation_r
+            r = self.separation_r
             limit = r if self.allow_unproven_shift else r * SHIFT_RATIO_LIMIT
             if self.shift_s is None or not 0.0 < abs(self.shift_s) < limit:
                 raise ValidationError(
                     f"parallel-shifted needs 0 < |shift_s| < {limit:.6g}"
                     + ("" if self.allow_unproven_shift else " (= r/sqrt(3))")
                 )
-        elif self.shift_s is not None:
-            raise ValidationError("shift_s only applies to parallel-shifted")
+
+    @cached_property
+    def space(self) -> Space:
+        return Space(_KIND_FOR[self.construction], self.window_L,
+                     self.alpha, self.separation_r)
 
     @classmethod
     def build(cls, construction: str, *, window_L: float,
@@ -142,31 +149,23 @@ class ProcessSpec:
               separation_r: float | None = None,
               thinning_p: float | None = None, shift_s: float | None = None,
               allow_unproven_shift: bool = False) -> "ProcessSpec":
-        """The validated spec for `construction`.
-
-        Only the parameters the construction reads (CONSTRUCTION_PARAMS) are
-        used; the others are ignored, so a caller may pass one full set.
-        """
-        if construction not in CONSTRUCTIONS:
-            raise ValidationError(f"unknown construction: {construction!r}")
+        """The spec for `construction` from one full parameter set: the
+        parameters it does not read (CONSTRUCTION_PARAMS) are dropped, so
+        the CLI and tests may pass every one."""
         given = dict(alpha=alpha, separation_r=separation_r,
                      thinning_p=thinning_p, shift_s=shift_s,
                      allow_unproven_shift=allow_unproven_shift)
-        used = {k: given[k] for k in CONSTRUCTION_PARAMS[construction]}
-        space = Space(_KIND_FOR[construction], window_L,
-                      alpha=used.pop("alpha", None),
-                      separation_r=used.pop("separation_r", None))
-        return cls(construction=construction, space=space,
-                   rate_lambda=rate_lambda, **used)
+        return cls(construction, window_L, rate_lambda, **{
+            k: given[k] for k in CONSTRUCTION_PARAMS.get(construction, ())})
 
     def to_dict(self) -> dict:
         return {
             "construction": self.construction,
             "space": {
                 "kind": self.space.kind,
-                "window_L": self.space.window_L,
-                "alpha": self.space.alpha,
-                "separation_r": self.space.separation_r,
+                "window_L": self.window_L,
+                "alpha": self.alpha,
+                "separation_r": self.separation_r,
             },
             "rate_lambda": self.rate_lambda,
             "thinning_p": self.thinning_p,
@@ -182,19 +181,24 @@ class ProcessSpec:
         _require(d, ("construction", "space"), "spec")
         sp = d["space"]
         _require(sp, ("kind", "window_L"), "spec.space")
-        return cls(
+        spec = cls(
             construction=d["construction"],
-            space=Space(
-                kind=sp["kind"],
-                window_L=sp["window_L"],
-                alpha=sp.get("alpha"),
-                separation_r=sp.get("separation_r"),
-            ),
+            window_L=sp["window_L"],
             rate_lambda=d.get("rate_lambda", 1.0),
+            alpha=sp.get("alpha"),
+            separation_r=sp.get("separation_r"),
             thinning_p=d.get("thinning_p"),
             shift_s=d.get("shift_s"),
             allow_unproven_shift=d.get("allow_unproven_shift", False),
         )
+        if sp["kind"] != spec.space.kind:
+            raise ValidationError(f"spec.space.kind {sp['kind']!r} does not "
+                                  f"match construction {spec.construction}")
+        return spec
+
+
+# The parameters of a spec: its fields after the construction.
+SPEC_PARAMS = tuple(f.name for f in fields(ProcessSpec)[1:])
 
 
 def _require(d, keys: tuple[str, ...], what: str) -> None:
@@ -216,7 +220,7 @@ def drawn_windows(spec: ProcessSpec) -> tuple[tuple[float, float],
                                               tuple[float, float]]:
     """The per-line intervals a draw of `spec` covers: (-L, L) on both
     lines, with line 1 moved by s when shifted."""
-    L = spec.space.window_L
+    L = spec.window_L
     if spec.construction != PARALLEL_SHIFTED:
         return (-L, L), (-L, L)
     s = spec.shift_s
@@ -225,26 +229,27 @@ def drawn_windows(spec: ProcessSpec) -> tuple[tuple[float, float],
 
 @dataclass(frozen=True)
 class Realization:
-    """One drawn point configuration.
+    """One drawn point configuration, checked on construction.
 
     line0/line1 are sorted abscissa arrays (line1 empty for a single line).
-    windows holds the per-line drawn intervals; they differ from
-    drawn_windows(spec) only after transformations.  base_points and
-    duplicate_flags are derived from line0/line1.
+    windows, base_points and duplicate_flags are derived.
     """
 
     spec: ProcessSpec
     seed: int
     line0: np.ndarray
     line1: np.ndarray
-    windows: tuple[tuple[float, float], tuple[float, float]] | None = None
     provenance: str = "generated"
 
     def __post_init__(self):
         object.__setattr__(self, "line0", _frozen(self.line0))
         object.__setattr__(self, "line1", _frozen(self.line1))
-        if self.windows is None:
-            object.__setattr__(self, "windows", drawn_windows(self.spec))
+        self.check_invariants()
+
+    @property
+    def windows(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        """The per-line drawn intervals, drawn_windows(spec)."""
+        return drawn_windows(self.spec)
 
     @cached_property
     def base_points(self) -> np.ndarray:
@@ -307,7 +312,7 @@ def sample_poisson(rate: float, window: tuple[float, float],
 
 def generate(spec: ProcessSpec, seed: int) -> Realization:
     """Draw the realization for (spec, seed); bit-stable for a fixed seed."""
-    expected = spec.rate_lambda * 2 * spec.space.window_L
+    expected = spec.rate_lambda * 2 * spec.window_L
     if not expected <= MAX_EXPECTED_POINTS:
         raise ValidationError(f"a draw would expect {expected:g} points per "
                               f"line, above the cap of {MAX_EXPECTED_POINTS:g}")
@@ -334,16 +339,13 @@ def generate(spec: ProcessSpec, seed: int) -> Realization:
     else:  # PARALLEL_SHIFTED
         line0 = sample_poisson(spec.rate_lambda, win, rng)
         line1 = line0 + spec.shift_s
-    real = Realization(spec=spec, seed=seed, line0=line0, line1=line1)
-    real.check_invariants()
-    return real
+    return Realization(spec=spec, seed=seed, line0=line0, line1=line1)
 
 
 def mirror_realization(real: Realization) -> Realization:
     """Reflect the realization through the vertical axis u -> -u."""
     if real.spec.space.kind == INTERSECTING:
         raise ValidationError("cannot mirror an intersecting-lines realization")
-    (lo0, hi0), (lo1, hi1) = real.windows
     spec = real.spec
     if spec.construction == PARALLEL_SHIFTED:
         spec = replace(spec, shift_s=-spec.shift_s)
@@ -352,7 +354,6 @@ def mirror_realization(real: Realization) -> Realization:
         seed=real.seed,
         line0=np.sort(-real.line0),
         line1=np.sort(-real.line1),
-        windows=((-hi0, -lo0), (-hi1, -lo1)),
         provenance=f"{real.provenance}; mirrored",
     )
 
@@ -365,26 +366,24 @@ def couple_restrict(real: Realization, smaller_L: float) -> Realization:
     are coupled: the truncation-safe walk on the restriction is a prefix of
     the walk on the original.
     """
-    spec = real.spec
-    if not 0 < smaller_L <= spec.space.window_L:
+    if not 0 < smaller_L <= real.spec.window_L:
         raise ValidationError("smaller_L must be in (0, window_L]")
-    if smaller_L == spec.space.window_L:
+    if smaller_L == real.spec.window_L:
         return real
-    spec = replace(spec, space=replace(spec.space, window_L=smaller_L))
-    (lo0, hi0), (lo1, hi1) = windows = drawn_windows(spec)
+    spec = replace(real.spec, window_L=smaller_L)
+    (lo0, hi0), (lo1, hi1) = drawn_windows(spec)
     return Realization(
         spec=spec,
         seed=real.seed,
         line0=real.line0[(real.line0 >= lo0) & (real.line0 <= hi0)],
         line1=real.line1[(real.line1 >= lo1) & (real.line1 <= hi1)],
-        windows=windows,
         provenance=f"{real.provenance}; restricted to L={smaller_L!r}",
     )
 
 
 def realization_to_dict(real: Realization) -> dict:
-    """The gwlab-run/1 form.  base_points and flags are derived from
-    line0/line1 and written for compatibility; import checks them."""
+    """The gwlab-run/1 form.  base_points, flags and windows are derived
+    and written for compatibility; import checks them."""
     return {
         "spec": real.spec.to_dict(),
         "seed": real.seed,
@@ -403,7 +402,10 @@ def _finite_list(v, what: str) -> np.ndarray:
     if not isinstance(v, list) or not all(
             isinstance(x, (int, float)) and not isinstance(x, bool) for x in v):
         raise ValidationError(f"{what} must be a list of numbers")
-    a = np.asarray(v, dtype=np.float64)
+    try:
+        a = np.asarray(v, dtype=np.float64)
+    except OverflowError:  # an int beyond float range
+        raise ValidationError(f"{what} holds a non-finite number") from None
     if not np.all(np.isfinite(a)):
         raise ValidationError(f"{what} holds a non-finite number")
     return a
@@ -412,30 +414,24 @@ def _finite_list(v, what: str) -> np.ndarray:
 def realization_from_dict(d: dict) -> Realization:
     """Inverse of realization_to_dict; raises ValidationError on any
     structural violation, so an imported run walks like a generated one.
-    base_points and flags, when present, must equal the values derived from
-    line0/line1."""
+    base_points, flags and windows, when present, must equal the values
+    derived from spec, line0 and line1."""
     _require(d, ("spec", "seed", "line0", "line1"), "run")
-    seed, windows = d["seed"], d.get("windows")
+    seed, provenance = d["seed"], d.get("provenance", "imported")
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ValidationError(f"seed must be an integer, got {seed!r}")
-    if windows is not None:
-        if not (isinstance(windows, list) and len(windows) == 2 and all(
-                len(_finite_list(w, "windows")) == 2 and w[0] <= w[1]
-                for w in windows)):
-            raise ValidationError("windows must be two [lo, hi] pairs of "
-                                  "finite numbers with lo <= hi")
-        windows = (tuple(windows[0]), tuple(windows[1]))
+    if not isinstance(provenance, str):
+        raise ValidationError("provenance must be a string")
     real = Realization(
         spec=ProcessSpec.from_dict(d["spec"]),
         seed=seed,
         line0=_finite_list(d["line0"], "line0"),
         line1=_finite_list(d["line1"], "line1"),
-        windows=windows,
-        provenance=d.get("provenance", "imported"),
+        provenance=provenance,
     )
-    real.check_invariants()
     derived = realization_to_dict(real)
-    for key in ("base_points", "flags"):
+    for key in ("base_points", "flags", "windows"):
         if key in d and d[key] != derived[key]:
-            raise ValidationError(f"{key} disagrees with line0/line1")
+            raise ValidationError(f"{key} disagrees with its value derived "
+                                  "from spec, line0 and line1")
     return real

@@ -38,9 +38,7 @@ def hand_real(spec_for):
             a1 = a0 + spec.shift_s
         else:
             a1 = np.asarray([] if line1 is None else line1, dtype=np.float64)
-        real = Realization(spec=spec, seed=0, line0=a0, line1=a1)
-        real.check_invariants()
-        return real
+        return Realization(spec=spec, seed=0, line0=a0, line1=a1)
 
     return build
 

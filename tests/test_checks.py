@@ -1,0 +1,56 @@
+"""Every verify suite can fail: each reports no violation on greedy walks
+and at least one once a small corpus of them is made non-greedy."""
+
+import numpy as np
+import pytest
+
+from gwlab import generate, run_walk, stream_seed
+from gwlab.checks import CHECKS
+
+# a construction each suite applies to and can fail on; povratak and
+# indented-entry flag perturbed walks only at r ~ 1 (the spec_for default)
+REGIMES = {
+    "lemma-distance": "parallel-duplicated",
+    "lemma-replay": "single-line",
+    "empty-interval": "single-line",
+    "dx-bounds": "parallel-thinned",
+    "povratak": "parallel-thinned",
+    "cluster-traversal": "parallel-duplicated",
+    "indented-entry": "parallel-shifted",
+    "uv-verdicts": "intersecting",
+    "oracle-equivalence": "single-line",
+}
+
+DX_BOUNDS_CANNOT_FAIL = pytest.mark.xfail(strict=True, reason=(
+    "FOUND in CHANGES.md: dx-bounds cannot fail; each term "
+    "2*z_next - z_prev - x of a deficiency record is <= x and the last "
+    "term is > 0"))
+
+
+def _perturbed(hand_traj, real, traj, rng):
+    """The walk with three random adjacent steps swapped, then fully
+    shuffled, each rebuilt with consistent visit steps."""
+    swapped = np.arange(len(traj))
+    for j in rng.integers(0, len(traj) - 1, size=3):
+        swapped[[j, j + 1]] = swapped[[j + 1, j]]
+    for order in (swapped, rng.permutation(len(traj))):
+        yield hand_traj(real, traj.us[order], traj.lines[order])
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=DX_BOUNDS_CANNOT_FAIL) if name == "dx-bounds"
+    else name for name in CHECKS])
+def test_every_suite_can_fail(spec_for, hand_traj, name):
+    check = CHECKS[name]
+    spec = spec_for(REGIMES[name], window_L=50.0)
+    assert spec.construction in check.constructions
+    greedy, perturbed = check.empty(), check.empty()
+    for i in range(10):
+        real = generate(spec, stream_seed(2024, i))
+        traj = run_walk(real)
+        greedy += check.per_run(real, traj)[name]
+        for bad in _perturbed(hand_traj, real, traj,
+                              np.random.default_rng(i)):
+            perturbed += check.per_run(real, bad)[name]
+    assert greedy.violations == 0
+    assert perturbed.violations >= 1

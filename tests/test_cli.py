@@ -299,6 +299,39 @@ def test_sweep_rejects_unused_parameter(tmp_path, capsys, construction,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("name", ["a/b", "", "../escaped", ".."])
+def test_sweep_rejects_name_outside_out_dir(tmp_path, capsys, name):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "name": name, "construction": "single-line", "n_runs": 1,
+        "base_seed": 0,
+    }))
+    assert main(["sweep", "--config", str(cfg_path),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert "is not a file stem" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--construction", "single-line", "--export-run", "{missing}"],
+    ["simulate", "--construction", "single-line",
+     "--export-binary", "{missing}"],
+    ["sweep", "--config", "{config}", "--out-dir", "{file}"],
+    ["export-plot-data", "--construction", "single-line",
+     "--out-dir", "{file}"],
+])
+def test_unwritable_output_path_exits_2(tmp_path, capsys, argv):
+    (tmp_path / "file").write_text("")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"name": "x", "construction": "single-line",
+                                  "n_runs": 1, "base_seed": 0}))
+    paths = dict(missing=tmp_path / "missing" / "x", file=tmp_path / "file",
+                 config=config)
+    assert main([a.format(**paths) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
+
+
 def test_export_plot_data_parallel(tmp_path, capsys):
     out_dir = tmp_path / "plots"
     assert main(["export-plot-data", "--construction", "parallel-duplicated",

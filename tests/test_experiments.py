@@ -9,6 +9,7 @@ import os
 import pytest
 
 from gwlab import (
+    CONSTRUCTIONS,
     RNG_ALGORITHM,
     ExperimentConfig,
     ValidationError,
@@ -47,6 +48,15 @@ def test_config_validation():
         cfg_for("single-line", n_runs=0)
     with pytest.raises(ValidationError):
         cfg_for("single-line", workers=0)
+
+
+def test_config_name_is_a_file_stem():
+    # name is the stem of the output files, so it may not leave --out-dir
+    for name in ("", ".", "..", "a/b", "../escaped", "/abs", "a\0b"):
+        with pytest.raises(ValidationError, match="not a file stem"):
+            cfg_for("single-line", name=name)
+    for name in ("probe", "x.y", "..x", *CONSTRUCTIONS):
+        assert cfg_for("single-line", name=name).name == name
 
 
 def test_to_spec_surfaces_domain_errors():

@@ -14,7 +14,6 @@ from gwlab import (
     SHIFT_RATIO_LIMIT,
     ProcessSpec,
     Realization,
-    Space,
     ValidationError,
     generate,
     make_generator,
@@ -108,24 +107,19 @@ def test_shift_domain_validation(spec_for):
         spec_for("parallel-shifted", shift_s=1.0, allow_unproven_shift=True)
 
 
-def test_spec_field_scoping(spec_for):
-    with pytest.raises(ValidationError):
-        ProcessSpec(construction="parallel-duplicated",
-                    space=Space("parallel", 10.0, separation_r=1.0),
-                    thinning_p=0.5)
-    with pytest.raises(ValidationError):
-        ProcessSpec(construction="single-line",
-                    space=Space("single-line", 10.0), shift_s=0.1)
-    with pytest.raises(ValidationError):
-        ProcessSpec(construction="single-line",
-                    space=Space("parallel", 10.0, separation_r=1.0))
-    with pytest.raises(ValidationError):
-        ProcessSpec(construction="single-line",
-                    space=Space("single-line", 10.0), rate_lambda=0.0)
-    with pytest.raises(ValidationError):
-        ProcessSpec(construction="parallel-thinned",
-                    space=Space("parallel", 10.0, separation_r=1.0),
-                    thinning_p=1.5)
+def test_spec_field_scoping():
+    for construction, params, message in [
+        ("parallel-duplicated", dict(separation_r=1.0, thinning_p=0.5),
+         "parallel-duplicated does not use thinning_p"),
+        ("single-line", dict(shift_s=0.1), "single-line does not use shift_s"),
+        ("single-line", dict(separation_r=1.0),
+         "single-line does not use separation_r"),
+        ("single-line", dict(rate_lambda=0.0), "rate_lambda"),
+        ("parallel-thinned", dict(separation_r=1.0, thinning_p=1.5),
+         "thinning_p"),
+    ]:
+        with pytest.raises(ValidationError, match=message):
+            ProcessSpec(construction, window_L=10.0, **params)
 
 
 def test_sample_poisson_window_and_order():
@@ -237,8 +231,8 @@ def test_import_validates(spec_for):
     ]:
         with pytest.raises(ValidationError):
             realization_from_dict({**d, key: bad})
-    # integer windows are numbers too; a reversed window holds no point, so
-    # only an empty line shows that it is rejected
+    # windows must equal the spec's, integers included; any other value is
+    # rejected, even where every point lies inside it
     realization_from_dict({**d, "windows": [[-25, 25], [-25, 25]]})
     bare = {k: v for k, v in d.items() if k not in ("base_points", "flags")}
     realization_from_dict({**bare, "line1": []})
@@ -282,6 +276,26 @@ def test_import_validates(spec_for):
                                "flags": [FLAG_BOTH] * len(duplicated["line0"])})
 
 
+def test_import_rejects_what_the_spec_rules_out(spec_for):
+    # allow_unproven_shift on a spec that draws no shift
+    d = realization_to_dict(generate(spec_for("parallel-thinned"), SEED))
+    with pytest.raises(ValidationError, match="parallel-thinned does not "
+                                              "use allow_unproven_shift"):
+        realization_from_dict(
+            {**d, "spec": {**d["spec"], "allow_unproven_shift": True}})
+    # windows wider than the spec's would widen the walk's stop margin
+    d = realization_to_dict(
+        generate(spec_for("parallel-duplicated", window_L=10.0), SEED))
+    assert d["windows"] == [[-10.0, 10.0], [-10.0, 10.0]]
+    with pytest.raises(ValidationError, match="windows"):
+        realization_from_dict({**d, "windows": [[-10.0, 10.0],
+                                                [-10.05, 10.05]]})
+    # a space kind other than the construction's
+    space = {**d["spec"]["space"], "kind": "intersecting"}
+    with pytest.raises(ValidationError, match="kind"):
+        realization_from_dict({**d, "spec": {**d["spec"], "space": space}})
+
+
 def test_invariants_catch_corruption(spec_for):
     spec = spec_for("parallel-duplicated")
     pts = np.array([3.0, 1.0, 2.0])
@@ -302,7 +316,7 @@ def test_shadow_and_flags_are_derived(hand_real):
         real.base_points[0] = 0.0
     assert hand_real("parallel-duplicated", [1.0]).duplicate_flags is None
     assert [f.name for f in dataclasses.fields(Realization)] == [
-        "spec", "seed", "line0", "line1", "windows", "provenance"]
+        "spec", "seed", "line0", "line1", "provenance"]
 
 
 def test_points_are_frozen(spec_for):
