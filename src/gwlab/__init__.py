@@ -13,7 +13,6 @@ from .geometry import (
     PARALLEL,
     SINGLE_LINE,
     Site,
-    Space,
     cross_distance,
     distance,
 )

@@ -344,7 +344,7 @@ def clusters_of(real: Realization) -> ClusterDecomposition:
     threshold r (duplicated, thinned), or line 0's at the distance
     sqrt(r^2 + s^2) from a point to its shifted copy's neighbour."""
     c = real.spec.construction
-    r = real.spec.space.separation_r
+    r = real.spec.separation_r
     if c in (PARALLEL_DUPLICATED, PARALLEL_THINNED):
         return decompose_clusters(real.base_points, r)
     if c == PARALLEL_SHIFTED:
@@ -544,14 +544,14 @@ def detect_A_events(real: Realization, traj: Trajectory) -> list[EventRecord]:
     if c == PARALLEL_DUPLICATED:
         return _detect_Am_parallel(real, traj)
     if c == PARALLEL_THINNED:
-        r = real.spec.space.separation_r
+        r = real.spec.separation_r
         return _consecutive_pair_events(A_K_THINNED, real.base_points, 0.0, r,
                                         real, traj, mirrored=False)
     if c == PARALLEL_SHIFTED:
         mirrored = real.spec.shift_s < 0
         if mirrored:
             real, traj = mirror_realization(real), mirror_trajectory(traj)
-        r, s = real.spec.space.separation_r, real.spec.shift_s
+        r, s = real.spec.separation_r, real.spec.shift_s
         return _consecutive_pair_events(A_K_SHIFTED, real.line0, s, r + s,
                                         real, traj, mirrored)
     raise ValidationError(f"no return-event families for construction {c!r}")
@@ -561,7 +561,7 @@ def _detect_Am_parallel(real: Realization, traj: Trajectory) -> list[EventRecord
     """Band events of the reduced walk: the lead shadow sits in
     [r*m, r*(m+1)) and the next lead shadow is negative."""
     u = reduce_to_cluster_leads(real, traj)
-    band = (u // real.spec.space.separation_r).astype(np.int64)
+    band = (u // real.spec.separation_r).astype(np.int64)
     pos = u >= 0.0
     entered = set(band[pos].tolist())
     # the final reduced position has an unknown successor
@@ -701,7 +701,7 @@ def _audit_pairs(real: Realization, traj: Trajectory, audit: LemmaAudit,
     of y, a cross-line pair x < y at shadow gap <= r must already have lost
     a member.  The gate is the first time (start counts as time 0) both
     extremes hold; the pair must break within one step of it."""
-    r = real.spec.space.separation_r
+    r = real.spec.separation_r
     M = len(mu)
     # candidates j > i up to a bound padded past every rounding of the
     # exact gap test below; listed by offset j - i, then by i
@@ -777,7 +777,7 @@ def audit_lemmas(real: Realization, traj: Trajectory) -> LemmaAudit:
 
     Not defined for intersecting lines (their cross-line metric has no
     shadow ordering to audit)."""
-    kind = real.spec.space.kind
+    kind = real.spec.kind
     if kind == INTERSECTING:
         raise ValidationError("audits are defined for parallel/single-line runs")
     audit = LemmaAudit()

@@ -46,7 +46,7 @@ class Outcome:
 
     counts are the named counts verify prints, in print order; checks is
     the check total of its PASS/FAIL line; details hold one dict per
-    violation, with the construction and seed of its run.
+    violation, with the spec dict and seed of its run.
     """
 
     counts: dict[str, int]
@@ -80,8 +80,8 @@ class Check:
 
 
 def _where(real: Realization, **detail) -> dict:
-    return {"construction": real.spec.construction, "seed": real.seed,
-            **detail}
+    """detail plus what rebuilds the run: its spec dict and seed."""
+    return {"spec": real.spec.to_dict(), "seed": real.seed, **detail}
 
 
 _AUDITS = (

@@ -13,24 +13,25 @@ Five constructions are supported:
 * ``parallel-shifted``: one Poisson process on line 0 and the same points
   shifted by s on line 1.
 
-A spec holds each run parameter once and checks it once.  A realization
-is its spec, seed and two per-line abscissa arrays; everything else is
-derived: ``windows``, the per-line intervals drawn, from the spec;
-``base_points``, the sorted union of the two arrays (the shadow of all
-points of the process); and, when thinned, ``duplicate_flags``, each base
-point's fate.
+A spec holds each run parameter once, checks it once, and is the geometry
+the metric reads.  A realization is its spec, seed and two per-line
+abscissa arrays; everything else is derived: ``windows``, the per-line
+intervals drawn, from the spec; ``base_points``, the sorted union of the
+two arrays (the shadow of all points of the process); and, when thinned,
+``duplicate_flags``, each base point's fate.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import INTERSECTING, PARALLEL, SINGLE_LINE, Space, check_finite
+from .geometry import INTERSECTING, PARALLEL, SINGLE_LINE
 from .seeding import make_generator
 
 SINGLE_POISSON = "single-line"
@@ -83,7 +84,8 @@ MAX_EXPECTED_POINTS = 10**8
 
 @dataclass(frozen=True)
 class ProcessSpec:
-    """Everything needed to draw a realization, minus the seed.
+    """Everything needed to draw a realization, minus the seed; also the
+    geometry the walk measures on (kind, n_lines, cos_alpha).
 
     A parameter the construction does not read (CONSTRUCTION_PARAMS) must
     stay at its default.
@@ -119,13 +121,18 @@ class ProcessSpec:
         if unused:
             raise ValidationError(
                 f"{self.construction} does not use {', '.join(unused)}")
-        self.space  # checks window_L, alpha and separation_r
-        for name in ("rate_lambda", "thinning_p", "shift_s"):
+        for name in SPEC_PARAMS[:-1]:  # the numbers: all but the flag
             check_finite(name, getattr(self, name))
         if not isinstance(self.allow_unproven_shift, bool):
             raise ValidationError("allow_unproven_shift must be true or false")
+        if self.window_L is None or not self.window_L > 0:
+            raise ValidationError("window_L must be positive")
         if self.rate_lambda is None or not self.rate_lambda > 0:
             raise ValidationError("rate_lambda must be positive")
+        if self.kind == INTERSECTING and not 0.0 < (self.alpha or 0.0) < math.pi:
+            raise ValidationError("intersecting lines need alpha in (0, pi)")
+        if self.kind == PARALLEL and not (self.separation_r or 0.0) > 0:
+            raise ValidationError("parallel lines need separation_r > 0")
         if self.construction == PARALLEL_THINNED:
             if self.thinning_p is None or not 0.0 <= self.thinning_p <= 1.0:
                 raise ValidationError("parallel-thinned needs thinning_p in [0, 1]")
@@ -138,10 +145,18 @@ class ProcessSpec:
                     + ("" if self.allow_unproven_shift else " (= r/sqrt(3))")
                 )
 
+    @property
+    def kind(self) -> str:
+        """SINGLE_LINE, INTERSECTING or PARALLEL: the lines it draws on."""
+        return _KIND_FOR[self.construction]
+
+    @property
+    def n_lines(self) -> int:
+        return 1 if self.kind == SINGLE_LINE else 2
+
     @cached_property
-    def space(self) -> Space:
-        return Space(_KIND_FOR[self.construction], self.window_L,
-                     self.alpha, self.separation_r)
+    def cos_alpha(self) -> float:
+        return math.cos(self.alpha)
 
     @classmethod
     def build(cls, construction: str, *, window_L: float,
@@ -162,7 +177,7 @@ class ProcessSpec:
         return {
             "construction": self.construction,
             "space": {
-                "kind": self.space.kind,
+                "kind": self.kind,
                 "window_L": self.window_L,
                 "alpha": self.alpha,
                 "separation_r": self.separation_r,
@@ -171,16 +186,22 @@ class ProcessSpec:
             "thinning_p": self.thinning_p,
             "shift_s": self.shift_s,
             # always null: the gwlab-run/1 schema keeps the key, imports
-            # ignore it
+            # reject any other value
             "rate_lambda_line1": None,
             "allow_unproven_shift": self.allow_unproven_shift,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProcessSpec":
-        _require(d, ("construction", "space"), "spec")
+        _require(d, ("construction", "space"), "spec",
+                 ("rate_lambda", "thinning_p", "shift_s", "rate_lambda_line1",
+                  "allow_unproven_shift"))
         sp = d["space"]
-        _require(sp, ("kind", "window_L"), "spec.space")
+        _require(sp, ("kind", "window_L"), "spec.space",
+                 ("alpha", "separation_r"))
+        if d.get("rate_lambda_line1") is not None:
+            raise ValidationError("rate_lambda_line1 must be null: both "
+                                  "lines are drawn at rate_lambda")
         spec = cls(
             construction=d["construction"],
             window_L=sp["window_L"],
@@ -191,7 +212,7 @@ class ProcessSpec:
             shift_s=d.get("shift_s"),
             allow_unproven_shift=d.get("allow_unproven_shift", False),
         )
-        if sp["kind"] != spec.space.kind:
+        if sp["kind"] != spec.kind:
             raise ValidationError(f"spec.space.kind {sp['kind']!r} does not "
                                   f"match construction {spec.construction}")
         return spec
@@ -201,13 +222,34 @@ class ProcessSpec:
 SPEC_PARAMS = tuple(f.name for f in fields(ProcessSpec)[1:])
 
 
-def _require(d, keys: tuple[str, ...], what: str) -> None:
-    """Raise ValidationError unless d is a JSON object holding every key."""
+def check_finite(name: str, value) -> None:
+    """ValidationError naming the field unless value is None or a finite
+    real number (a bool is not a number; an int beyond float range is not
+    finite)."""
+    if value is None:
+        return
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValidationError(f"{name} must be finite")
+
+
+def _require(d, keys: tuple[str, ...], what: str,
+             optional: tuple[str, ...]) -> None:
+    """Raise ValidationError unless d is a JSON object holding every key of
+    keys and no key outside keys and optional (a typo, not an extension)."""
     if not isinstance(d, dict):
         raise ValidationError(f"{what} must be an object")
     missing = [k for k in keys if k not in d]
     if missing:
         raise ValidationError(f"{what} lacks {', '.join(missing)}")
+    unknown = [k for k in d if k not in keys and k not in optional]
+    if unknown:
+        raise ValidationError(f"unknown {what} keys: {unknown}")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -344,7 +386,7 @@ def generate(spec: ProcessSpec, seed: int) -> Realization:
 
 def mirror_realization(real: Realization) -> Realization:
     """Reflect the realization through the vertical axis u -> -u."""
-    if real.spec.space.kind == INTERSECTING:
+    if real.spec.kind == INTERSECTING:
         raise ValidationError("cannot mirror an intersecting-lines realization")
     spec = real.spec
     if spec.construction == PARALLEL_SHIFTED:
@@ -413,10 +455,11 @@ def _finite_list(v, what: str) -> np.ndarray:
 
 def realization_from_dict(d: dict) -> Realization:
     """Inverse of realization_to_dict; raises ValidationError on any
-    structural violation, so an imported run walks like a generated one.
-    base_points, flags and windows, when present, must equal the values
-    derived from spec, line0 and line1."""
-    _require(d, ("spec", "seed", "line0", "line1"), "run")
+    structural violation or unknown key, so an imported run walks like a
+    generated one.  base_points, flags and windows, when present, must
+    equal the values derived from spec, line0 and line1."""
+    _require(d, ("spec", "seed", "line0", "line1"), "run",
+             ("base_points", "flags", "windows", "provenance"))
     seed, provenance = d["seed"], d.get("provenance", "imported")
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ValidationError(f"seed must be an integer, got {seed!r}")

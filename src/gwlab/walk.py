@@ -119,30 +119,30 @@ def stop_margin(real: Realization, u, line: int):
     when line 1 was drawn on a shifted interval or the realization was
     transformed.
     """
-    space = real.spec.space
+    spec = real.spec
     (lo_s, hi_s), (lo_o, hi_o) = real.windows[line], real.windows[1 - line]
     m = np.minimum(u - lo_s, hi_s - u)
-    if space.kind == PARALLEL:
+    if spec.kind == PARALLEL:
         # the nearest outside location across sits h along the line from u
         h = np.maximum(np.minimum(u - lo_o, hi_o - u), 0.0)
-        m = np.minimum(m, cross_distance(space, h, 0.0, np.sqrt))
-    elif space.kind == INTERSECTING:
+        m = np.minimum(m, cross_distance(spec, h, 0.0, np.sqrt))
+    elif spec.kind == INTERSECTING:
         for e in (lo_o, hi_o):
-            m = np.minimum(m, cross_distance(space, u, e, np.sqrt))
+            m = np.minimum(m, cross_distance(spec, u, e, np.sqrt))
     return m
 
 
-def _centre(space, u):
+def _centre(spec, u):
     """Where abscissa u projects onto the other line: the foot of the
     perpendicular, which the nearest points across surround."""
-    return u * space.cos_alpha if space.kind == INTERSECTING else u
+    return u * spec.cos_alpha if spec.kind == INTERSECTING else u
 
 
 def _check_start(real: Realization, start: Site) -> None:
     """Both engines' guard: start must be on a line of the space, at a
     finite abscissa."""
     if not (isinstance(start.line, (int, np.integer)) and math.isfinite(start.u)
-            and 0 <= start.line < real.spec.space.n_lines):
+            and 0 <= start.line < real.spec.n_lines):
         raise ValidationError(f"start {start} is not a site of the space")
 
 
@@ -204,7 +204,7 @@ def run_walk(real: Realization, start: Site = Site(0.0, 0),
              rule: StopRule = StopRule()) -> Trajectory:
     """Greedy walk with the optimized neighbor-search engine."""
     _check_start(real, start)
-    space = real.spec.space
+    spec = real.spec
     arrs = (real.line0, real.line1)
     n = (len(arrs[0]), len(arrs[1]))
     inf = math.inf
@@ -237,7 +237,7 @@ def run_walk(real: Realization, start: Site = Site(0.0, 0),
     for l in (0, 1):
         u, seg = arrs[l], slice(first[l], hi[l])
         cross_np[seg] = k = first[1 - l] + np.searchsorted(
-            arrs[1 - l], _centre(space, u))
+            arrs[1 - l], _centre(spec, u))
         if truncating:
             margin_np[seg] = stop_margin(real, u, l)
         # with a line empty (always on a single line) every pair is a
@@ -246,7 +246,7 @@ def run_walk(real: Realization, start: Site = Site(0.0, 0),
             for out, j in ((cp_np, k - 1), (cs_np, k)):
                 v = F_np[j]
                 pair = np.isfinite(v)
-                out[seg][pair] = cross_distance(space, u[pair], v[pair],
+                out[seg][pair] = cross_distance(spec, u[pair], v[pair],
                                                 np.sqrt)
     # the flat index visited at each step, and the step's distance
     order, order_np = _table("q", n[0] + n[1])
@@ -258,10 +258,10 @@ def run_walk(real: Realization, start: Site = Site(0.0, 0),
     ol = 1 - cl
     s = bisect_left(F, cu, first[cl], hi[cl])
     p = s - 1
-    xs = bisect_left(F, _centre(space, cu), first[ol], hi[ol])
+    xs = bisect_left(F, _centre(spec, cu), first[ol], hi[ol])
     xp = xs - 1
-    dcp = inf if xp == lo[ol] else cross_distance(space, cu, F[xp])
-    dcs = inf if xs == hi[ol] else cross_distance(space, cu, F[xs])
+    dcp = inf if xp == lo[ol] else cross_distance(spec, cu, F[xp])
+    dcs = inf if xs == hi[ol] else cross_distance(spec, cu, F[xs])
     m = stop_margin(real, cu, cl) if truncating else inf
     step = 0
     probe, wait, chunk = _RUN_FROM, 1, _RUN_MIN
@@ -334,13 +334,13 @@ def run_walk(real: Realization, start: Site = Site(0.0, 0),
             if vis[k] >= 0:
                 prv[xp] = k = _skip_visited(vis, prv, k)
             xp = k
-            dcp = inf if xp == lo[ol] else cross_distance(space, cu, F[xp])
+            dcp = inf if xp == lo[ol] else cross_distance(spec, cu, F[xp])
         if vis[xs] >= 0:
             k = nxt[xs]
             if vis[k] >= 0:
                 nxt[xs] = k = _skip_visited(vis, nxt, k)
             xs = k
-            dcs = inf if xs == hi[ol] else cross_distance(space, cu, F[xs])
+            dcs = inf if xs == hi[ol] else cross_distance(spec, cu, F[xs])
     steps = order_np[:step]
     return Trajectory(
         start=start,
@@ -357,7 +357,7 @@ def run_walk_naive(real: Realization, start: Site = Site(0.0, 0),
                    rule: StopRule = StopRule()) -> Trajectory:
     """Reference engine: full linear scan per step.  Oracle for run_walk."""
     _check_start(real, start)
-    space = real.spec.space
+    spec = real.spec
     n0, n1 = len(real.line0), len(real.line1)
     us_all = np.concatenate((real.line0, real.line1))
     ln_all = np.concatenate(
@@ -381,8 +381,8 @@ def run_walk_naive(real: Realization, start: Site = Site(0.0, 0),
         d = np.empty(n0 + n1)
         d[same] = np.abs(us_all[same] - cu)
         cross = ~same
-        if space.kind != SINGLE_LINE:
-            d[cross] = cross_distance(space, cu, us_all[cross], np.sqrt)
+        if spec.kind != SINGLE_LINE:
+            d[cross] = cross_distance(spec, cu, us_all[cross], np.sqrt)
         d_live = np.where(alive, d, np.inf)
         # us_all is line 0 then line 1, each sorted, so the first minimum
         # is the tie-break winner: the lower line, then the smaller u

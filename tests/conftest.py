@@ -65,7 +65,7 @@ def hand_traj():
             assert i < len(arr) and arr[i] == u, f"({u}, {l}) not in realization"
             (vis0 if l == 0 else vis1)[i] = t
             here = Site(float(u), int(l))
-            dists.append(distance(real.spec.space, prev, here))
+            dists.append(distance(real.spec, prev, here))
             prev = here
         return Trajectory(
             start=start,

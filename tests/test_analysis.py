@@ -1040,8 +1040,8 @@ def audits_by_definition(real, traj):
     step = [p[2] if p[2] >= 1 else math.inf for p in pts]
     seen = [traj.start.u] + traj.us.tolist()
     counts, out = [0, 0, 0], []
-    if real.spec.space.kind == "parallel":
-        r = real.spec.space.separation_r
+    if real.spec.kind == "parallel":
+        r = real.spec.separation_r
         for o in range(1, len(pts)):
             for i in range(len(pts) - o):
                 x, y = mu[i], mu[i + o]

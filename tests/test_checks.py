@@ -1,10 +1,11 @@
 """Every verify suite can fail: each reports no violation on greedy walks
-and at least one once a small corpus of them is made non-greedy."""
+and at least one once a small corpus of them is made non-greedy, and each
+violation names the run it was found on."""
 
 import numpy as np
 import pytest
 
-from gwlab import generate, run_walk, stream_seed
+from gwlab import ProcessSpec, generate, run_walk, stream_seed
 from gwlab.checks import CHECKS
 
 # a construction each suite applies to and can fail on; povratak and
@@ -51,6 +52,13 @@ def test_every_suite_can_fail(spec_for, hand_traj, name):
         greedy += check.per_run(real, traj)[name]
         for bad in _perturbed(hand_traj, real, traj,
                               np.random.default_rng(i)):
-            perturbed += check.per_run(real, bad)[name]
+            outcome = check.per_run(real, bad)[name]
+            for d in outcome.details:
+                # its spec dict and seed draw the very run the check saw
+                again = generate(ProcessSpec.from_dict(d["spec"]), d["seed"])
+                assert again.spec == real.spec
+                assert np.array_equal(again.line0, real.line0)
+                assert np.array_equal(again.line1, real.line1)
+            perturbed += outcome
     assert greedy.violations == 0
     assert perturbed.violations >= 1

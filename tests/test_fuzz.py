@@ -117,6 +117,7 @@ _RUN_PATHS = [
     ("windows",), ("provenance",), ("spec", "construction"),
     ("spec", "space"), ("spec", "rate_lambda"), ("spec", "thinning_p"),
     ("spec", "shift_s"), ("spec", "allow_unproven_shift"),
+    ("spec", "rate_lambda_line1"),
     ("spec", "space", "kind"), ("spec", "space", "window_L"),
     ("spec", "space", "alpha"), ("spec", "space", "separation_r")]
 _RUN_VALUES = (JSON | NUMBER | st.lists(NUMBER, max_size=4)
@@ -141,10 +142,17 @@ def _edited(d, path, value):
 @example(d=_edited(_EXPORTS[0], ("spec", "rate_lambda"), None))
 @example(d=_edited(_EXPORTS[0], ("spec", "rate_lambda"), 10**400))
 @example(d=_edited(_EXPORTS[0], ("line0",), [10**400]))
+@example(d=_edited(_edited(_edited(
+    _EXPORTS[CONSTRUCTIONS.index("parallel-shifted")], ("bogus",), 1),
+    ("spec", "thining_p"), 0.9), ("spec", "allow_unproven_shfit"), True))
 def test_run_import_loads_or_is_rejected(d):
     real = _load_or_reject(realization_from_dict, d)
     if real is not None:
         again = realization_to_dict(real)
+        # no key given is dropped unread
+        assert set(d) <= set(again)
+        assert set(d["spec"]) <= set(again["spec"])
+        assert set(d["spec"]["space"]) <= set(again["spec"]["space"])
         assert realization_to_dict(realization_from_dict(again)) == again
 
 

@@ -1,4 +1,5 @@
-"""Metric layer: distances, angles, space validation."""
+"""Metric layer: distances and angles on a spec's lines, and the spec's
+checks of its geometry."""
 
 import math
 
@@ -9,17 +10,21 @@ from hypothesis import strategies as st
 
 from gwlab import (
     INTERSECTING,
+    INTERSECTING_INDEPENDENT,
     PARALLEL,
+    PARALLEL_DUPLICATED,
     SINGLE_LINE,
+    SINGLE_POISSON,
+    ProcessSpec,
     Site,
-    Space,
     ValidationError,
     distance,
 )
 
-SP_SINGLE = Space(SINGLE_LINE, 10.0)
-SP_PAR = Space(PARALLEL, 10.0, separation_r=1.0)
-SP_RIGHT = Space(INTERSECTING, 10.0, alpha=math.pi / 2)
+SP_SINGLE = ProcessSpec(SINGLE_POISSON, window_L=10.0)
+SP_PAR = ProcessSpec(PARALLEL_DUPLICATED, window_L=10.0, separation_r=1.0)
+SP_RIGHT = ProcessSpec(INTERSECTING_INDEPENDENT, window_L=10.0,
+                       alpha=math.pi / 2)
 
 finite_u = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
@@ -44,7 +49,8 @@ def test_intersecting_right_angle_distance():
 
 
 def test_intersecting_sign_matters():
-    sp = Space(INTERSECTING, 10.0, alpha=math.pi / 3)
+    sp = ProcessSpec(INTERSECTING_INDEPENDENT, window_L=10.0,
+                     alpha=math.pi / 3)
     near = distance(sp, Site(2.0, 0), Site(2.0, 1))
     far = distance(sp, Site(2.0, 0), Site(-2.0, 1))
     assert near < far
@@ -59,64 +65,81 @@ def test_single_line_has_no_second_line():
         distance(SP_SINGLE, Site(0.0, 0), Site(1.0, 1))
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        dict(kind="diagonal", window_L=1.0),
-        dict(kind=SINGLE_LINE, window_L=0.0),
-        dict(kind=SINGLE_LINE, window_L=-3.0),
-        dict(kind=INTERSECTING, window_L=1.0),
-        dict(kind=INTERSECTING, window_L=1.0, alpha=0.0),
-        dict(kind=INTERSECTING, window_L=1.0, alpha=math.pi),
-        dict(kind=PARALLEL, window_L=1.0),
-        dict(kind=PARALLEL, window_L=1.0, separation_r=0.0),
-        dict(kind=PARALLEL, window_L=1.0, separation_r=1.0, alpha=1.0),
-        dict(kind=SINGLE_LINE, window_L=1.0, separation_r=1.0),
-        dict(kind=SINGLE_LINE, window_L=math.inf),
-        dict(kind=SINGLE_LINE, window_L=math.nan),
-        dict(kind=PARALLEL, window_L=1.0, separation_r=math.inf),
-        dict(kind=INTERSECTING, window_L=1.0, alpha=math.nan),
-        dict(kind=SINGLE_LINE, window_L="5"),
-        dict(kind=SINGLE_LINE, window_L=True),
-        dict(kind=PARALLEL, window_L=1.0, separation_r=[1]),
-        dict(kind=INTERSECTING, window_L=1.0, alpha="1"),
-    ],
-)
-def test_space_validation_rejects(kwargs):
-    with pytest.raises(ValidationError):
-        Space(**kwargs)
+# the geometry values a spec rejects, with the message naming the rule
+SPEC_REJECTS = [
+    (dict(construction="diagonal", window_L=1.0), "unknown construction"),
+    (dict(construction=SINGLE_POISSON, window_L=0.0), "window_L must be positive"),
+    (dict(construction=SINGLE_POISSON, window_L=-3.0),
+     "window_L must be positive"),
+    (dict(construction=INTERSECTING_INDEPENDENT, window_L=1.0), "alpha in"),
+    (dict(construction=INTERSECTING_INDEPENDENT, window_L=1.0, alpha=0.0),
+     "alpha in"),
+    (dict(construction=INTERSECTING_INDEPENDENT, window_L=1.0, alpha=math.pi),
+     "alpha in"),
+    (dict(construction=PARALLEL_DUPLICATED, window_L=1.0), "separation_r > 0"),
+    (dict(construction=PARALLEL_DUPLICATED, window_L=1.0, separation_r=0.0),
+     "separation_r > 0"),
+    (dict(construction=PARALLEL_DUPLICATED, window_L=1.0, separation_r=1.0,
+          alpha=1.0), "parallel-duplicated does not use alpha"),
+    (dict(construction=SINGLE_POISSON, window_L=1.0, separation_r=1.0),
+     "single-line does not use separation_r"),
+    (dict(construction=SINGLE_POISSON, window_L=math.inf),
+     "window_L must be finite"),
+    (dict(construction=SINGLE_POISSON, window_L=math.nan),
+     "window_L must be finite"),
+    (dict(construction=PARALLEL_DUPLICATED, window_L=1.0,
+          separation_r=math.inf), "separation_r must be finite"),
+    (dict(construction=INTERSECTING_INDEPENDENT, window_L=1.0,
+          alpha=math.nan), "alpha must be finite"),
+    (dict(construction=SINGLE_POISSON, window_L="5"),
+     "window_L must be a number"),
+    (dict(construction=SINGLE_POISSON, window_L=True),
+     "window_L must be a number"),
+    (dict(construction=PARALLEL_DUPLICATED, window_L=1.0, separation_r=[1]),
+     "separation_r must be a number"),
+    (dict(construction=INTERSECTING_INDEPENDENT, window_L=1.0, alpha="1"),
+     "alpha must be a number"),
+]
+
+
+@pytest.mark.parametrize("kwargs, message", SPEC_REJECTS,
+                         ids=[f"kwargs{i}" for i in range(len(SPEC_REJECTS))])
+def test_space_validation_rejects(kwargs, message):
+    with pytest.raises(ValidationError, match=message):
+        ProcessSpec(**kwargs)
 
 
 def test_n_lines():
-    assert SP_SINGLE.n_lines == 1
-    assert SP_PAR.n_lines == 2
-    assert SP_RIGHT.n_lines == 2
+    assert (SP_SINGLE.kind, SP_SINGLE.n_lines) == (SINGLE_LINE, 1)
+    assert (SP_PAR.kind, SP_PAR.n_lines) == (PARALLEL, 2)
+    assert (SP_RIGHT.kind, SP_RIGHT.n_lines) == (INTERSECTING, 2)
 
 
 @pytest.mark.parametrize(
-    "space",
-    [SP_SINGLE, SP_PAR, SP_RIGHT, Space(INTERSECTING, 10.0, alpha=0.4)],
+    "spec",
+    [SP_SINGLE, SP_PAR, SP_RIGHT,
+     ProcessSpec(INTERSECTING_INDEPENDENT, window_L=10.0, alpha=0.4)],
     ids=["single", "parallel", "right-angle", "narrow-angle"],
 )
-def test_triangle_inequality_sweep(space):
+def test_triangle_inequality_sweep(spec):
     # 10^4 random site triples per geometry; d(a,c) <= d(a,b) + d(b,c)
     rng = np.random.default_rng(20250815)
     n = 10_000
     us = rng.uniform(-10.0, 10.0, size=(n, 3))
-    lines = rng.integers(0, space.n_lines, size=(n, 3))
+    lines = rng.integers(0, spec.n_lines, size=(n, 3))
     worst = -math.inf
     for (u1, u2, u3), (l1, l2, l3) in zip(us, lines):
         a, b, c = Site(u1, int(l1)), Site(u2, int(l2)), Site(u3, int(l3))
-        slack = distance(space, a, b) + distance(space, b, c) - distance(space, a, c)
+        slack = distance(spec, a, b) + distance(spec, b, c) - distance(spec, a, c)
         worst = max(worst, -slack)
     assert worst <= 1e-12
 
 
 @given(u=finite_u, v=finite_u, la=st.integers(0, 1), lb=st.integers(0, 1))
 def test_distance_symmetric_nonnegative(u, v, la, lb):
-    for space in (SP_PAR, SP_RIGHT):
-        d1 = distance(space, Site(u, la), Site(v, lb))
-        d2 = distance(space, Site(v, lb), Site(u, la))
+    for spec in (SP_PAR, SP_RIGHT):
+        d1 = distance(spec, Site(u, la), Site(v, lb))
+        d2 = distance(spec, Site(v, lb), Site(u, la))
         assert d1 == d2
         assert d1 >= 0.0
 

@@ -197,7 +197,6 @@ def test_serialization_roundtrip(spec_for, construction):
 
 def test_import_validates(spec_for):
     d = realization_to_dict(generate(spec_for("parallel-thinned"), SEED))
-    d["spec"]["rate_lambda_line1"] = 2.0  # key of older exports, ignored
     realization_from_dict(d)
     # base_points and flags are derived from line0/line1; an export whose
     # copies disagree with them is corrupt
@@ -228,6 +227,7 @@ def test_import_validates(spec_for):
         ("seed", 1.5),
         ("seed", True),
         ("seed", None),
+        ("bogus", 1),  # a key no export writes
     ]:
         with pytest.raises(ValidationError):
             realization_from_dict({**d, key: bad})
@@ -248,7 +248,9 @@ def test_import_validates(spec_for):
                  {**d["spec"], "space": 25.0}):
         with pytest.raises(ValidationError, match="spec"):
             realization_from_dict({**d, "spec": spec})
-    # spec values of the wrong type name their field
+    # spec values of the wrong type, and spec keys no export writes, name
+    # their field; an export writes rate_lambda_line1 as null, as both lines
+    # share rate_lambda
     space = d["spec"]["space"]
     for field, spec in [
         ("window_L", {**d["spec"], "space": {**space, "window_L": "5"}}),
@@ -261,6 +263,10 @@ def test_import_validates(spec_for):
                      "thinning_p": None, "shift_s": "0.3"}),
         ("allow_unproven_shift", {**d["spec"], "allow_unproven_shift": "yes"}),
         ("allow_unproven_shift", {**d["spec"], "allow_unproven_shift": 1}),
+        ("thining_p", {**d["spec"], "thining_p": 0.9}),
+        ("allow_unproven_shfit", {**d["spec"], "allow_unproven_shfit": True}),
+        ("shift_s", {**d["spec"], "space": {**space, "shift_s": 0.3}}),
+        ("rate_lambda_line1", {**d["spec"], "rate_lambda_line1": 2.0}),
     ]:
         with pytest.raises(ValidationError, match=field):
             realization_from_dict({**d, "spec": spec})

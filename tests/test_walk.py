@@ -167,17 +167,17 @@ def test_stop_margin_values(hand_real):
 def test_stop_margin_lower_bounds_outside_distance(hand_real, construction):
     # every site beyond the drawn windows is at least the margin away
     real = hand_real(construction, [0.0], line1=[], alpha=0.4, window_L=10.0)
-    space = real.spec.space
+    spec = real.spec
     rng = np.random.default_rng(3)
-    for line in range(space.n_lines):
+    for line in range(spec.n_lines):
         for u in rng.uniform(*real.windows[line], size=50):
             here = Site(float(u), line)
             m = stop_margin(real, here.u, line)
-            for other in range(space.n_lines):
+            for other in range(spec.n_lines):
                 lo, hi = real.windows[other]
                 gaps = rng.exponential(2.0, size=20)
                 for e in np.concatenate((lo - gaps, hi + gaps)):
-                    assert m <= distance(space, here, Site(float(e), other))
+                    assert m <= distance(spec, here, Site(float(e), other))
 
 
 @pytest.mark.parametrize("construction", [
@@ -200,8 +200,8 @@ def test_truncated_walk_is_prefix_of_exhaustive(spec_for, construction):
 def windows_variants(real):
     """The realization as drawn, restricted to half its window and, where
     defined, mirrored: three sets of per-line windows for one draw."""
-    out = [real, couple_restrict(real, real.spec.space.window_L / 2)]
-    if real.spec.space.kind != "intersecting":
+    out = [real, couple_restrict(real, real.spec.window_L / 2)]
+    if real.spec.kind != "intersecting":
         out.append(mirror_realization(real))
     return out
 
@@ -214,7 +214,7 @@ def test_engines_agree(spec_for, construction):
         for real in windows_variants(drawn):
             starts = [Site(0.0, 0)] + [
                 Site(float(rng.uniform(*real.windows[line])), line)
-                for line in range(real.spec.space.n_lines)]
+                for line in range(real.spec.n_lines)]
             for start in starts:
                 for rule in (StopRule(), EXH):
                     a = run_walk(real, start=start, rule=rule)
@@ -343,7 +343,7 @@ def test_engines_agree_on_long_grid_walks(hand_real, run_path, construction):
     # off the grid and far from the origin: on intersecting lines at pi/2
     # every projection falls next to the origin, so runs (which need the
     # tabulated cross points unvisited) come only on the way in
-    for start in (Site(0.0, 0), Site(100.5, real.spec.space.n_lines - 1)):
+    for start in (Site(0.0, 0), Site(100.5, real.spec.n_lines - 1)):
         for rule in (StopRule(), EXH):
             a = run_walk(real, start=start, rule=rule)
             b = run_walk_naive(real, start=start, rule=rule)
@@ -382,7 +382,7 @@ def pinned_walks(spec_for):
     for construction in CONSTRUCTIONS:
         real = generate(spec_for(construction, window_L=2000.0),
                         stream_seed(906, 0))
-        far = Site(3.25, real.spec.space.n_lines - 1)
+        far = Site(3.25, real.spec.n_lines - 1)
         for variant, r in zip(("drawn", "restricted", "mirrored"),
                               windows_variants(real)):
             for rule in (StopRule(), EXH):
@@ -580,7 +580,7 @@ def test_engines_agree_on_arbitrary_points(hand_real, pts, pts1, construction,
     # line1 is independent of line0 only for parallel-thinned
     kw = {} if construction == "single-line" else {"separation_r": 1.0}
     real = hand_real(construction, sorted(pts), line1=sorted(pts1), **kw)
-    start = Site(start_u, min(start_line, real.spec.space.n_lines - 1))
+    start = Site(start_u, min(start_line, real.spec.n_lines - 1))
     for rule in (StopRule(), EXH):
         a = run_walk(real, start=start, rule=rule)
         b = run_walk_naive(real, start=start, rule=rule)
