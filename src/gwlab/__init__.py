@@ -8,25 +8,20 @@ audits), batch experiment drivers, and a CLI (``gwlab``).
 
 from ._version import __version__
 from .errors import ValidationError
-from .geometry import (
-    INTERSECTING,
-    PARALLEL,
-    SINGLE_LINE,
-    Site,
-    cross_distance,
-    distance,
-)
 from .processes import (
     CONSTRUCTIONS,
     FLAG_BOTH,
     FLAG_LINE0,
     FLAG_LINER,
+    INTERSECTING,
     INTERSECTING_INDEPENDENT,
+    PARALLEL,
     PARALLEL_CONSTRUCTIONS,
     PARALLEL_DUPLICATED,
     PARALLEL_SHIFTED,
     PARALLEL_THINNED,
     SHIFT_RATIO_LIMIT,
+    SINGLE_LINE,
     SINGLE_POISSON,
     ProcessSpec,
     Realization,
@@ -43,8 +38,11 @@ from .walk import (
     RUN_TO_EXHAUSTION,
     TRUNCATED,
     TRUNCATION_SAFE,
+    Site,
     StopRule,
     Trajectory,
+    cross_distance,
+    distance,
     mirror_trajectory,
     run_walk,
     run_walk_naive,

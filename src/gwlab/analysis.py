@@ -30,15 +30,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import INTERSECTING, PARALLEL, Site
 from .processes import (
+    INTERSECTING,
+    PARALLEL,
     PARALLEL_DUPLICATED,
     PARALLEL_SHIFTED,
     PARALLEL_THINNED,
     Realization,
     mirror_realization,
 )
-from .walk import Trajectory, mirror_trajectory
+from .walk import Site, Trajectory, mirror_trajectory
 
 A_M_PARALLEL = "A_m_parallel"
 A_K_THINNED = "A_k_thinned"
@@ -211,38 +212,25 @@ class UVRecord:
 def extract_UV_sequences(traj: Trajectory,
                          n_max: int | None = None) -> list[UVRecord]:
     us, lines = traj.us, traj.lines
-    changes = extract_halfline_changes(traj)
     records: list[UVRecord] = []
-    j_prev = 0
     norm_prev = abs(traj.start.u)
-    n = 1
-    ci = 0
-    while n_max is None or n <= n_max:
-        while ci < len(changes) and changes[ci] <= j_prev:
-            ci += 1
-        j = None
-        scan = ci
-        while scan < len(changes):
-            k = int(changes[scan])
-            if abs(us[k - 1]) > max(float(n), norm_prev):
-                j = k
-                break
-            scan += 1
-        if j is None:
+    # the changes list every half-line switch, so the run ending at change
+    # j starts one past the change before it, or at step 1
+    k = 1
+    for j in extract_halfline_changes(traj).tolist():
+        n = len(records) + 1
+        if n_max is not None and n > n_max:
             break
-        hl = (int(lines[j - 1]), bool(us[j - 1] > 0.0))
-        k = j
-        while k > 1 and (int(lines[k - 2]), bool(us[k - 2] > 0.0)) == hl:
-            k -= 1
-        U = Site(float(us[k - 1]), int(lines[k - 1]))
-        V = Site(float(us[j - 1]), int(lines[j - 1]))
-        records.append(
-            UVRecord(n=n, j=j, k=k, U=U, V=V,
-                     verdict="B" if abs(U.u) <= abs(V.u) else "C")
-        )
-        j_prev = j
-        norm_prev = abs(us[j - 1])
-        n += 1
+        norm = abs(us[j - 1])
+        if norm > max(float(n), norm_prev):
+            U = Site(float(us[k - 1]), int(lines[k - 1]))
+            V = Site(float(us[j - 1]), int(lines[j - 1]))
+            records.append(
+                UVRecord(n=n, j=j, k=k, U=U, V=V,
+                         verdict="B" if abs(U.u) <= abs(V.u) else "C")
+            )
+            norm_prev = norm
+        k = j + 1
     return records
 
 

@@ -3,13 +3,14 @@
 Subcommands:
 
 * simulate: one seeded run, optional JSON/binary export.
-* verify: seeded self-check suites over many runs; exits 1 on violations.
+* verify: seeded self-check suites over many runs; exits 1 on violations
+  or when a suite checked nothing.
 * sweep: batch runs from a JSON config, CSV/report/manifest outputs.
 * bounds: closed-form bound tables.
 * export-plot-data: per-run CSV files ready for plotting.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or domain error,
-or an output path that cannot be written.
+Exit codes: 0 success, 1 verification failure or nothing checked, 2 usage
+or domain error, or an output path that cannot be written.
 """
 
 from __future__ import annotations
@@ -120,9 +121,10 @@ def _cmd_verify(args) -> int:
         print(f"  {label}: runs={args.runs} {counts}")
         checks += total.checks
         violations += total.violations
-    status = "PASS" if violations == 0 else "FAIL"
+    # a suite that checked nothing has not verified anything
+    status = "FAIL" if violations else "PASS" if checks else "NO CHECKS"
     print(f"{args.suite}: {status} ({violations} violations / {checks} checks)")
-    return 0 if violations == 0 else 1
+    return 0 if status == "PASS" else 1
 
 
 def _cmd_sweep(args) -> int:

@@ -177,23 +177,24 @@ def summarize_run(cfg: ExperimentConfig, run_index: int, real, traj) -> RunSumma
     )
 
 
-def _run_one(cfg: ExperimentConfig, run_index: int) -> RunSummary:
+def _run_one(cfg: ExperimentConfig, spec: ProcessSpec,
+             run_index: int) -> RunSummary:
     seed = stream_seed(cfg.base_seed, run_index)
-    real = generate(cfg.to_spec(), seed)
+    real = generate(spec, seed)
     traj = run_walk(real)
     return summarize_run(cfg, run_index, real, traj)
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[RunSummary]:
-    cfg.to_spec()  # fail on domain errors before any work starts
+    # built once, so domain errors fail before any work starts
+    run_one = partial(_run_one, cfg, cfg.to_spec())
     # no more processes than runs or cores: a fork pool starts them all
     workers = min(cfg.workers, cfg.n_runs, os.cpu_count() or 1)
     if workers == 1:
-        return [_run_one(cfg, i) for i in range(cfg.n_runs)]
+        return [run_one(i) for i in range(cfg.n_runs)]
     chunk = max(1, cfg.n_runs // (8 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(partial(_run_one, cfg), range(cfg.n_runs),
-                             chunksize=chunk))
+        rows = list(pool.map(run_one, range(cfg.n_runs), chunksize=chunk))
     rows.sort(key=lambda r: r.run_index)
     return rows
 

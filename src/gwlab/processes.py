@@ -14,7 +14,7 @@ Five constructions are supported:
   shifted by s on line 1.
 
 A spec holds each run parameter once, checks it once, and is the geometry
-the metric reads.  A realization is its spec, seed and two per-line
+the walk's metric reads.  A realization is its spec, seed and two per-line
 abscissa arrays; everything else is derived: ``windows``, the per-line
 intervals drawn, from the spec; ``base_points``, the sorted union of the
 two arrays (the shadow of all points of the process); and, when thinned,
@@ -31,7 +31,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import INTERSECTING, PARALLEL, SINGLE_LINE
 from .seeding import make_generator
 
 SINGLE_POISSON = "single-line"
@@ -57,6 +56,12 @@ FLAG_LINER = "lineR"
 # Proven shift regime: 0 < |s| < separation_r / sqrt(3).  The wider regime
 # |s| < separation_r can be explored behind allow_unproven_shift.
 SHIFT_RATIO_LIMIT = 1.0 / math.sqrt(3.0)
+
+# The line kinds: the lines a construction draws on, and so the metric the
+# walk measures with.
+SINGLE_LINE = "single-line"
+INTERSECTING = "intersecting"
+PARALLEL = "parallel"
 
 _KIND_FOR = {
     SINGLE_POISSON: SINGLE_LINE,

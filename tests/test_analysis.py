@@ -320,6 +320,64 @@ def test_uv_two_levels(hand_real, hand_traj):
     assert recs[1].U == Site(-2.5, 1)
 
 
+def uv_pin_values(spec_for):
+    """What uv_pins.json pins, per run and order: the number of landmark
+    records, the B and C verdict counts and a sha256 digest of every
+    record (n, j, k, U, V, verdict) as JSON in order.  Intersecting walks
+    at three angles, from the origin and from two starts off it (the
+    first landmark must beat |start.u|), are taken greedy, cut at half
+    their length, with steps k, k+1 swapped for every 7th k (summed over
+    the swaps, digests chained), and fully shuffled."""
+    alphas = {"pi/3": math.pi / 3, "pi/2": math.pi / 2,
+              "2pi/3": 2 * math.pi / 3}
+    starts = (Site(0.0, 0), Site(1.5, 1), Site(-2.25, 0))
+    runs = [(a, 50.0, i, starts[i % 3]) for a in alphas for i in range(24)]
+    runs += [(a, 400.0, 0, starts[0]) for a in alphas]
+    out = {}
+    for a, L, i, start in runs:
+        spec = spec_for("intersecting", window_L=L, alpha=alphas[a])
+        real = generate(spec, stream_seed(14, i))
+        traj = run_walk(real, start)
+        n = len(traj)
+        orders = {
+            "greedy": [traj], "cut": [cut_prefix(traj, n // 2)],
+            "swapped": [swap_steps(traj, k) for k in range(1, n - 1, 7)],
+            "shuffled": [reorder_steps(
+                traj, np.random.default_rng(i).permutation(n))],
+        }
+        name = f"alpha={a}/L={L:g}/{i}/start={start.u:g},{start.line}"
+        for order, trajs in orders.items():
+            digest = hashlib.sha256()
+            records, verdicts = 0, [0, 0]
+            for t in trajs:
+                recs = extract_UV_sequences(t)
+                records += len(recs)
+                for r in recs:
+                    verdicts["BC".index(r.verdict)] += 1
+                digest.update(json.dumps(
+                    [[r.n, r.j, r.k, r.U.u, r.U.line, r.V.u, r.V.line,
+                      r.verdict] for r in recs]).encode())
+            out[f"{name}/{order}"] = {"records": records,
+                                      "verdicts": verdicts,
+                                      "records_sha256": digest.hexdigest()}
+    return out
+
+
+UV_PINS = Path(__file__).parent / "data" / "uv_pins.json"
+
+
+def test_uv_sequences_pinned(spec_for):
+    # recorded with the nested-loop extraction that preceded the one
+    # forward pass over the half-line changes; every record must stay
+    pinned = json.loads(UV_PINS.read_text())
+    got = uv_pin_values(spec_for)
+    assert sorted(got) == sorted(pinned)
+    assert [name for name in got if got[name] != pinned[name]] == []
+    # both verdicts are reached
+    for j in range(2):
+        assert any(v["verdicts"][j] for v in pinned.values())
+
+
 # ---------------------------------------------------------------------------
 # closed-form bounds
 

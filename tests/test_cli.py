@@ -4,6 +4,8 @@ import importlib
 import importlib.util
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,8 @@ from gwlab import (
 from gwlab.checks import CHECKS, Check, Outcome
 from gwlab.cli import DEFAULT_SEED, main
 from gwlab.walk import trajectory_to_dicts
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_simulate_summary_line(capsys):
@@ -135,6 +139,21 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
         "always-bad", ("single-line",), "test shim", ("bad",), always_bad))
     assert main(["verify", "--suite", "always-bad", "--runs", "1"]) == 1
     assert "always-bad: FAIL (1 violations / 1 checks)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, ran", [
+    ("--suite povratak --runs 20 --window-L 2 --construction parallel-thinned",
+     "  parallel-thinned: runs=20 occurrences=0 violations=0 unknowns=0\n"),
+    ("--suite uv-verdicts --runs 3 --window-L 0.01",
+     "  intersecting: runs=3 records=0 B=0 C=0\n"),
+], ids=["povratak", "uv-verdicts"])
+def test_verify_without_checks_does_not_pass(capsys, argv, ran):
+    # runs that give a suite nothing to check must not read as a clean
+    # verification; the per-construction lines still show what ran
+    assert main(["verify", *argv.split()]) == 1
+    out = capsys.readouterr().out
+    assert ran in out
+    assert out.endswith(": NO CHECKS (0 violations / 0 checks)\n")
 
 
 def test_verify_requires_suite(capsys):
@@ -390,7 +409,7 @@ def test_version_flag(capsys):
 def test_bench_traced_functions_exist():
     # bench/tracer.py wraps gwlab functions by name for `bench/run.py
     # --trace 1`; a renamed function would only break that run
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    path = ROOT / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
@@ -399,3 +418,18 @@ def test_bench_traced_functions_exist():
                if not callable(getattr(importlib.import_module(mod), name,
                                        None))]
     assert missing == []
+
+
+@pytest.mark.parametrize("workload", [
+    w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())
+    ["workloads"]])
+def test_bench_smoke_pass(workload):
+    # the benchmark builds ExperimentConfig, passes CLI flags and reads
+    # result attributes in its traced spans; a traced smoke pass fails on
+    # any of those the library no longer offers
+    done = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
+         "--seconds", "0.1", "--smoke", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert json.loads(done.stdout.splitlines()[-1])["correct"] is True
