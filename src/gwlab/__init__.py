@@ -56,6 +56,7 @@ from .analysis import (
     ClusterVisits,
     DeficiencyRecords,
     EventRecord,
+    EventTable,
     IndentedEntrySummary,
     LemmaAudit,
     PovratakSummary,

@@ -10,9 +10,9 @@ walk engines and extracts derived quantities:
 * the clusters of the parallel constructions, as index arrays of each
   cluster's first member and lead, and one table of how the walk visited
   each, which the reduced walk and traversal checks read,
-* return-event detection ("A_*" record families) and the implication check
-  tying those events to an early return to the negative half-axis (the
-  povratak check),
+* return-event detection ("A_*" families, one table of numpy columns per
+  run) and the implication check tying those events to an early return to
+  the negative half-axis (the povratak check),
 * lemma audits that flag any step contradicting the structural facts the
   analysis relies on, as queries on when each point was visited.
 
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -527,43 +528,129 @@ class EventRecord:
     details: dict = field(default_factory=dict)
 
 
-def detect_A_events(real: Realization, traj: Trajectory) -> list[EventRecord]:
+_VERDICTS = {1: True, 0: False, -1: None}
+_NOTES = (None, "no anchor point <= 0 in window",
+          "deficiency undecidable within prefix")
+
+
+@dataclass(frozen=True)
+class EventTable:
+    """The return events of one run, one row per event and one numpy column
+    per field; family and mirrored hold for every row.
+
+    occurred is 1, 0 or -1 for True, False and None (not decidable from the
+    prefix).  A gap event (A_k families) has its point x, the successor
+    next_x and the gap between them; a gap wider than the family's extra
+    has a note code (1: no anchor, 2: deficiency undecided) or, when
+    decided, rhs, dx, degenerate and ray_x, which are NaN (False) where not
+    computed.  A band event (A_m) has entered instead, and NaN gap columns.
+    len, indexing and iteration give the rows as EventRecords.
+    """
+
+    family: str
+    mirrored: bool
+    index: np.ndarray
+    occurred: np.ndarray
+    x: np.ndarray
+    next_x: np.ndarray
+    gap: np.ndarray
+    rhs: np.ndarray
+    dx: np.ndarray
+    ray_x: np.ndarray
+    degenerate: np.ndarray
+    note: np.ndarray
+    entered: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, i):
+        """Row i as an EventRecord; a slice or an index array gives a list
+        of them."""
+        if isinstance(i, (int, np.integer)):
+            return self._rows([i])[0]
+        return self._rows(i)
+
+    def __iter__(self):
+        return iter(self._rows(slice(None)))
+
+    def _rows(self, sel) -> list[EventRecord]:
+        if self.family == A_M_PARALLEL:
+            details = [{"entered": e} for e in self.entered[sel].tolist()]
+        else:
+            details = list(map(self._gap_details, *(
+                getattr(self, c)[sel].tolist() for c in
+                ("x", "next_x", "gap", "rhs", "dx", "ray_x", "degenerate",
+                 "note"))))
+        return list(map(EventRecord, repeat(self.family),
+                        self.index[sel].tolist(),
+                        map(_VERDICTS.get, self.occurred[sel].tolist()),
+                        details))
+
+    def _gap_details(self, x, next_x, gap, rhs, dx, ray_x, degenerate,
+                     note) -> dict:
+        details = {"x": x, "next_x": next_x, "gap": gap}
+        if self.mirrored:
+            details["mirrored"] = True
+        if note:
+            details["note"] = _NOTES[note]
+        elif not math.isnan(ray_x):
+            details.update(rhs=rhs, dx=dx, degenerate=degenerate, ray_x=ray_x)
+        return details
+
+
+_EMPTY = dict(x=np.nan, next_x=np.nan, gap=np.nan, rhs=np.nan, dx=np.nan,
+              ray_x=np.nan, degenerate=False, note=np.int8(0), entered=False)
+
+
+def _event_table(family: str, index: np.ndarray, occurred: np.ndarray,
+                 mirrored: bool = False, **columns) -> EventTable:
+    """An EventTable whose unnamed columns hold their empty value."""
+    for c, fill in _EMPTY.items():
+        if c not in columns:
+            columns[c] = np.full(len(index), fill)
+    return EventTable(family, mirrored, index, occurred.astype(np.int8),
+                      **columns)
+
+
+def detect_A_events(real: Realization, traj: Trajectory) -> EventTable:
     c = real.spec.construction
     if c == PARALLEL_DUPLICATED:
-        return _detect_Am_parallel(real, traj)
+        return _band_events(real, traj)
     if c == PARALLEL_THINNED:
         r = real.spec.separation_r
-        return _consecutive_pair_events(A_K_THINNED, real.base_points, 0.0, r,
-                                        real, traj, mirrored=False)
+        return _gap_events(A_K_THINNED, real.base_points, 0.0, r,
+                           real, traj, mirrored=False)
     if c == PARALLEL_SHIFTED:
         mirrored = real.spec.shift_s < 0
         if mirrored:
             real, traj = mirror_realization(real), mirror_trajectory(traj)
         r, s = real.spec.separation_r, real.spec.shift_s
-        return _consecutive_pair_events(A_K_SHIFTED, real.line0, s, r + s,
-                                        real, traj, mirrored)
+        return _gap_events(A_K_SHIFTED, real.line0, s, r + s,
+                           real, traj, mirrored)
     raise ValidationError(f"no return-event families for construction {c!r}")
 
 
-def _detect_Am_parallel(real: Realization, traj: Trajectory) -> list[EventRecord]:
+def _band_events(real: Realization, traj: Trajectory) -> EventTable:
     """Band events of the reduced walk: the lead shadow sits in
-    [r*m, r*(m+1)) and the next lead shadow is negative."""
+    [r*m, r*(m+1)) and the next lead shadow is negative.  Bands 0 up to the
+    highest one entered are listed; an event is witnessed (True) or, as the
+    final reduced position has an unknown successor, undecided."""
     u = reduce_to_cluster_leads(real, traj)
     band = (u // real.spec.separation_r).astype(np.int64)
     pos = u >= 0.0
-    entered = set(band[pos].tolist())
-    # the final reduced position has an unknown successor
-    witnessed = set(band[:-1][pos[:-1] & (u[1:] < 0.0)].tolist())
-    return [EventRecord(A_M_PARALLEL, m, True, {"entered": True})
-            if m in witnessed else
-            EventRecord(A_M_PARALLEL, m, None, {"entered": m in entered})
-            for m in range(max(entered, default=-1) + 1)]
+    n = int(band[pos].max()) + 1 if pos.any() else 0
+    entered = np.zeros(n, dtype=bool)
+    entered[band[pos]] = True
+    witnessed = np.zeros(n, dtype=bool)
+    witnessed[band[:-1][pos[:-1] & (u[1:] < 0.0)]] = True
+    return _event_table(A_M_PARALLEL, np.arange(n),
+                        np.where(witnessed, 1, -1), entered=entered)
 
 
-def _consecutive_pair_events(family: str, pts: np.ndarray,
-                             level_offset: float, extra: float,
-                             real: Realization, traj: Trajectory,
-                             mirrored: bool) -> list[EventRecord]:
+def _gap_events(family: str, pts: np.ndarray, level_offset: float,
+                extra: float, real: Realization, traj: Trajectory,
+                mirrored: bool) -> EventTable:
     """Shared gap-event scan for the thinned and shifted constructions.
 
     For the k-th positive point X_k with in-window successor X_{k+1}:
@@ -572,34 +659,29 @@ def _consecutive_pair_events(family: str, pts: np.ndarray,
     exceeding `extra` alone cannot beat it, and need no deficiency level.
     """
     pos = np.nonzero(pts[:-1] > 0.0)[0]
-    neg = np.nonzero(pts <= 0.0)[0]
-    anchor = float(pts[neg[-1]]) if len(neg) else None
-    gaps = pts[pos + 1] - pts[pos]
-    wide = gaps > extra
-    dx = compute_Dx(real, traj, pts[pos[wide]] + level_offset)
-    row = np.cumsum(wide) - 1  # the deficiency level of each wide gap
-    records: list[EventRecord] = []
-    for k, (bi, gap, i) in enumerate(
-            zip(pos.tolist(), gaps.tolist(), row.tolist()), start=1):
-        details = {"x": float(pts[bi]), "next_x": float(pts[bi + 1]),
-                   "gap": gap}
-        if mirrored:
-            details["mirrored"] = True
-        occurred = None
-        if gap <= extra:
-            occurred = False
-        elif anchor is None:
-            details["note"] = "no anchor point <= 0 in window"
-        elif not dx.decided[i]:
-            details["note"] = "deficiency undecidable within prefix"
-        else:
-            value = float(dx.value[i])
-            rhs = value - anchor + extra
-            details.update(rhs=rhs, dx=value, degenerate=bool(dx.degenerate[i]),
-                           ray_x=float(pts[bi + 1]))
-            occurred = bool(gap > rhs)
-        records.append(EventRecord(family, k, occurred, details))
-    return records
+    neg = pts[pts <= 0.0]
+    anchor = neg[-1] if len(neg) else np.nan
+    x, next_x = pts[pos], pts[pos + 1]
+    gap = next_x - x
+    wide = np.nonzero(gap > extra)[0]
+    dx = compute_Dx(real, traj, x[wide] + level_offset)
+    decided = dx.decided & (len(neg) > 0)
+    occurred = np.zeros(len(pos), dtype=np.int8)
+    occurred[wide] = -1
+    note = np.zeros(len(pos), dtype=np.int8)
+    note[wide[~decided]] = 2 if len(neg) else 1
+    value, rhs, ray_x = (np.full(len(pos), np.nan) for _ in range(3))
+    degenerate = np.zeros(len(pos), dtype=bool)
+    k = wide[decided]
+    value[k] = dx.value[decided]
+    rhs[k] = value[k] - anchor + extra
+    ray_x[k] = next_x[k]
+    degenerate[k] = dx.degenerate[decided]
+    occurred[k] = gap[k] > rhs[k]
+    return _event_table(family, np.arange(1, len(pos) + 1), occurred,
+                        mirrored, x=x, next_x=next_x, gap=gap, rhs=rhs,
+                        dx=value, ray_x=ray_x, degenerate=degenerate,
+                        note=note)
 
 
 @dataclass(frozen=True)
@@ -624,20 +706,24 @@ def check_povratak(real: Realization, traj: Trajectory) -> PovratakSummary:
         raise ValidationError(
             "return-implication check applies to thinned and shifted pairs"
         )
-    occurred = [rec for rec in detect_A_events(real, traj)
-                if rec.occurred is True]
-    if c == PARALLEL_SHIFTED and real.spec.shift_s < 0:
-        traj = mirror_trajectory(traj)  # the frame of the events' details
+    ev = detect_A_events(real, traj)
+    occurred = ev.occurred == 1
     # a degenerate event went negative before even reaching the gap's
     # level; the conclusion holds a fortiori
-    checked = [rec for rec in occurred if not rec.details["degenerate"]]
-    t_left = first_passage(traj, [0.0], down=True, strict=True)[0]
-    t_ray = first_passage(traj, [rec.details["ray_x"] for rec in checked])
+    checked = np.nonzero(occurred & ~ev.degenerate)[0]
+    # the passages in the events' frame: a mirrored event's ray [x, inf)
+    # is (-inf, -x] here, and its negative half-axis is (0, inf)
+    sign = -1.0 if ev.mirrored else 1.0
+    t_left = first_passage(traj, [0.0], down=not ev.mirrored, strict=True)[0]
+    t_ray = first_passage(traj, sign * ev.ray_x[checked], down=ev.mirrored)
+    late = t_ray < t_left
+    bad = ev[checked[late]] if late.any() else []
     details = tuple({"family": rec.family, "index": rec.index,
                      "t_ray": _step(t), "t_left": _step(t_left), **rec.details}
-                    for rec, t in zip(checked, t_ray) if t < t_left)
+                    for rec, t in zip(bad, t_ray[late]))
     unknowns = int(np.count_nonzero(np.isinf(t_ray) & np.isinf(t_left)))
-    return PovratakSummary(len(occurred), len(details), unknowns, details)
+    return PovratakSummary(int(np.count_nonzero(occurred)), len(details),
+                           unknowns, details)
 
 
 # ---------------------------------------------------------------------------

@@ -151,9 +151,8 @@ def summarize_run(cfg: ExperimentConfig, run_index: int, real, traj) -> RunSumma
     spec = real.spec
     a_events = None
     if cfg.detect_events and spec.construction in PARALLEL_CONSTRUCTIONS:
-        a_events = sum(
-            1 for rec in detect_A_events(real, traj) if rec.occurred is True
-        )
+        events = detect_A_events(real, traj)
+        a_events = int(np.count_nonzero(events.occurred == 1))
     failures = None
     if cfg.audit and spec.construction != INTERSECTING_INDEPENDENT:
         failures = len(audit_lemmas(real, traj).violations)

@@ -262,10 +262,14 @@ def c6_stats():
     # What this shows: at r=5, returns appear by L=200 whether or not
     # points are thinned.  The control, parallel-duplicated, whose walk
     # provably leaves points unvisited, draws the same base points as the
-    # p=0.5 runs, seed for seed.  Its crossings too grow in far more pairs
-    # than they shrink (its sign test is as small), though its median
-    # stays at 1.  So the criterion does not test the thinning theorem.
-    # The control is printed, not asserted, and does not feed TALLY.
+    # p=0.5 runs, seed for seed.  Its crossings too grow in many pairs
+    # (its sign test is as small), though its median stays at 1.  So the
+    # criterion does not test the thinning theorem.  The control's medians
+    # and sign test are printed, not asserted, and it does not feed TALLY.
+    # Every regime, the control included, must lose crossings in no pair:
+    # the L=50 walk is a prefix of the L=200 walk (criterion 3's coupling
+    # invariant), so a lost pair is a bug.  The sign test then reduces to
+    # 0.5^gained.
     thinned = {
         p: _coupled_crossings(
             ProcessSpec.build(PARALLEL_THINNED, window_L=200.0,
@@ -280,8 +284,9 @@ def c6_stats():
 
 def test_criterion_6_crossings_grow_under_thinning(c6_stats):
     thinned, control = c6_stats
-    ok = all(st["med_big"] > st["med_small"] and st["p_value"] < 0.01
-             for st in thinned.values())
+    ok = (all(st["med_big"] > st["med_small"] and st["p_value"] < 0.01
+              for st in thinned.values())
+          and all(st["lost"] == 0 for st in (*thinned.values(), control)))
     pieces = "; ".join(
         f"{label}: median {st['med_small']:.1f}->{st['med_big']:.1f}, "
         f"{st['gained']} gained / {st['lost']} lost, "

@@ -6,6 +6,7 @@ values are checked against pencil-and-paper runs of the definitions.
 """
 
 import hashlib
+import importlib.util
 import json
 import math
 from dataclasses import replace
@@ -19,6 +20,9 @@ from hypothesis import strategies as st
 from gwlab import (
     RUN_TO_EXHAUSTION,
     DeficiencyRecords,
+    EventRecord,
+    EventTable,
+    PovratakSummary,
     Site,
     StopRule,
     ValidationError,
@@ -37,6 +41,8 @@ from gwlab import (
     extract_halfline_changes,
     generate,
     intersect_Bn_bound,
+    mirror_realization,
+    mirror_trajectory,
     parallel_Am_first_term,
     reduce_to_cluster_leads,
     run_walk,
@@ -957,6 +963,193 @@ def test_povratak_construction_guard(hand_real):
     single = hand_real("single-line", [1.0])
     with pytest.raises(ValidationError):
         check_povratak(single, run_walk(single))
+
+
+# ---------------------------------------------------------------------------
+# the event table against the per-record loops that preceded it
+
+
+def oracle_events(real, traj):
+    """detect_A_events as one EventRecord per event, built in a loop."""
+    c = real.spec.construction
+    if c == "parallel-duplicated":
+        u = reduce_to_cluster_leads(real, traj)
+        band = (u // real.spec.separation_r).astype(np.int64)
+        pos = u >= 0.0
+        entered = set(band[pos].tolist())
+        # the final reduced position has an unknown successor
+        witnessed = set(band[:-1][pos[:-1] & (u[1:] < 0.0)].tolist())
+        return [EventRecord(A_M_PARALLEL, m, True, {"entered": True})
+                if m in witnessed else
+                EventRecord(A_M_PARALLEL, m, None, {"entered": m in entered})
+                for m in range(max(entered, default=-1) + 1)]
+    if c == "parallel-thinned":
+        return oracle_gap_events(A_K_THINNED, real.base_points, 0.0,
+                                 real.spec.separation_r, real, traj, False)
+    mirrored = real.spec.shift_s < 0
+    if mirrored:
+        real, traj = mirror_realization(real), mirror_trajectory(traj)
+    r, s = real.spec.separation_r, real.spec.shift_s
+    return oracle_gap_events(A_K_SHIFTED, real.line0, s, r + s, real, traj,
+                             mirrored)
+
+
+def oracle_gap_events(family, pts, level_offset, extra, real, traj, mirrored):
+    pos = np.nonzero(pts[:-1] > 0.0)[0]
+    neg = np.nonzero(pts <= 0.0)[0]
+    anchor = float(pts[neg[-1]]) if len(neg) else None
+    gaps = pts[pos + 1] - pts[pos]
+    wide = gaps > extra
+    dx = compute_Dx(real, traj, pts[pos[wide]] + level_offset)
+    row = np.cumsum(wide) - 1  # the deficiency level of each wide gap
+    records = []
+    for k, (bi, gap, i) in enumerate(
+            zip(pos.tolist(), gaps.tolist(), row.tolist()), start=1):
+        details = {"x": float(pts[bi]), "next_x": float(pts[bi + 1]),
+                   "gap": gap}
+        if mirrored:
+            details["mirrored"] = True
+        occurred = None
+        if gap <= extra:
+            occurred = False
+        elif anchor is None:
+            details["note"] = "no anchor point <= 0 in window"
+        elif not dx.decided[i]:
+            details["note"] = "deficiency undecidable within prefix"
+        else:
+            value = float(dx.value[i])
+            rhs = value - anchor + extra
+            details.update(rhs=rhs, dx=value, degenerate=bool(dx.degenerate[i]),
+                           ray_x=float(pts[bi + 1]))
+            occurred = bool(gap > rhs)
+        records.append(EventRecord(family, k, occurred, details))
+    return records
+
+
+def oracle_povratak(real, traj):
+    """check_povratak over the oracle's records."""
+    occurred = [rec for rec in oracle_events(real, traj)
+                if rec.occurred is True]
+    if real.spec.construction == "parallel-shifted" and real.spec.shift_s < 0:
+        traj = mirror_trajectory(traj)  # the frame of the events' details
+    checked = [rec for rec in occurred if not rec.details["degenerate"]]
+    t_left = first_passage(traj, [0.0], down=True, strict=True)[0]
+    t_ray = first_passage(traj, [rec.details["ray_x"] for rec in checked])
+
+    def step(t):
+        return int(t) if t < np.inf else None
+
+    details = tuple({"family": rec.family, "index": rec.index,
+                     "t_ray": step(t), "t_left": step(t_left), **rec.details}
+                    for rec, t in zip(checked, t_ray) if t < t_left)
+    unknowns = int(np.count_nonzero(np.isinf(t_ray) & np.isinf(t_left)))
+    return PovratakSummary(len(occurred), len(details), unknowns, details)
+
+
+def assert_events_match_oracle(real, traj):
+    """Rows, fields, key order and value types (repr tells True from 1,
+    a float from np.float64 and 0.0 from -0.0) all agree."""
+    events = detect_A_events(real, traj)
+    assert isinstance(events, EventTable)
+    want = [vars(rec) for rec in oracle_events(real, traj)]
+    assert repr([vars(rec) for rec in events]) == repr(want)
+    assert repr([vars(events[i]) for i in range(len(events))]) == repr(want)
+    assert len(events) == len(want)
+    if real.spec.construction != "parallel-duplicated":
+        assert (repr(vars(check_povratak(real, traj)))
+                == repr(vars(oracle_povratak(real, traj))))
+    return events
+
+
+EVENT_REGIMES = (("parallel-thinned", {"separation_r": 1.0}),
+                 ("parallel-thinned", {"separation_r": 5.0}),
+                 ("parallel-shifted", {"shift_s": 0.3}),
+                 ("parallel-shifted", {"shift_s": -0.3}),
+                 ("parallel-shifted", {"separation_r": 5.0, "shift_s": 2.5}),
+                 ("parallel-duplicated", {"separation_r": 1.0}))
+
+
+@pytest.mark.parametrize("construction,kw", EVENT_REGIMES,
+                         ids=lambda v: v if isinstance(v, str) else
+                         ",".join(f"{k}={x}" for k, x in v.items()))
+def test_event_table_matches_oracle(spec_for, construction, kw):
+    # the dx_pin_values regimes plus duplicated r=1, each as the greedy
+    # walk, cut at half its length and fully shuffled
+    verdicts = {True: 0, False: 0, None: 0}
+    for i in range(6):
+        L = 300.0 if i == 0 else 50.0
+        real = generate(spec_for(construction, window_L=L, **kw),
+                        stream_seed(15, i))
+        traj = run_walk(real)
+        n = len(traj)
+        for t in (traj, cut_prefix(traj, n // 2), reorder_steps(
+                traj, np.random.default_rng(i).permutation(n))):
+            events = assert_events_match_oracle(real, t)
+            for rec in events:
+                verdicts[rec.occurred] += 1
+    assert sum(verdicts.values()) > 0
+    if kw.get("separation_r", 1.0) == 1.0:
+        # at r=1 every verdict state the family has occurs
+        assert verdicts[True] and verdicts[None]
+        assert verdicts[False] or construction == "parallel-duplicated"
+
+
+@pytest.mark.parametrize("construction,line0,kw,us,lines", [
+    # no point <= 0: every wide gap has no anchor
+    ("parallel-thinned", [3.0, 9.0, 11.0], {}, [3.0], [0]),
+    # no gap wider than r: compute_Dx gets zero levels
+    ("parallel-thinned", [-1.0, 1.0, 1.5, 2.0], {}, [1.0, 1.5], [0, 0]),
+    # a single positive point, with and without a point <= 0
+    ("parallel-thinned", [-1.0, 2.0], {}, [2.0], [0]),
+    ("parallel-thinned", [2.0], {}, [2.0], [0]),
+    # no point at all
+    ("parallel-thinned", [], {}, [], []),
+    # the level at 2 is undecided at the cut
+    ("parallel-thinned", [-1.0, 2.0, 3.0, 9.0], {}, [2.0], [0]),
+    # decided: one occurred event, then a violation, then a return
+    ("parallel-thinned", [-1.0, 3.0, 4.0, 9.0], {}, [4.0], [0]),
+    ("parallel-thinned", [-1.0, 3.0, 4.0, 9.0], {}, [4.0, 9.0], [0, 0]),
+    ("parallel-thinned", [-1.0, 3.0, 4.0, 9.0], {}, [-1.0, 4.0, 9.0],
+     [0, 0, 0]),
+    # a negative shift, undecided and violated
+    ("parallel-shifted", [-8.0, -2.0, 1.0], {"shift_s": -0.3},
+     [-2.0, -2.3], [0, 1]),
+    ("parallel-shifted", [-8.0, -2.0, 1.0], {"shift_s": -0.3},
+     [-2.0, -2.3, -8.0], [0, 1, 0]),
+    ("parallel-shifted", [-1.0, 2.0, 8.0], {"shift_s": 0.3},
+     [2.0, 2.3], [0, 1]),
+    # bands never entered, and a walk that never went positive
+    ("parallel-duplicated", [-0.5, 4.0, 4.4], {},
+     [4.0, 4.4, 4.4, 4.0, -0.5, -0.5], [0, 0, 1, 1, 1, 0]),
+    ("parallel-duplicated", [-0.5, 4.0, 4.4], {}, [-0.5, -0.5], [0, 1]),
+])
+def test_event_table_edge_cases(hand_real, hand_traj, construction, line0,
+                                kw, us, lines):
+    real = hand_real(construction, line0, line1=[], separation_r=1.0, **kw)
+    assert_events_match_oracle(real, hand_traj(real, us, lines))
+
+
+def test_bench_tracer_event_counts(spec_for):
+    # bench/tracer.py counts a detect_A_events result through its row view:
+    # the rows, and those whose verdict is decided
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    module = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(module)
+    module.loader.exec_module(tracer)
+    count = tracer.TRACED["gwlab.analysis"]["detect_A_events"][1]
+    # each walk cut where some verdicts are decided and some are not
+    for construction, kw, seed, steps in (
+            ("parallel-thinned", {}, 1, 2),
+            ("parallel-shifted", {"shift_s": -0.3}, 5, 61),
+            ("parallel-duplicated", {}, 2, None)):
+        real = generate(spec_for(construction, window_L=50.0, **kw), seed)
+        traj = run_walk(real)
+        traj = cut_prefix(traj, steps or len(traj))
+        events = detect_A_events(real, traj)
+        decided = int(np.count_nonzero(events.occurred != -1))
+        assert 0 < decided < len(events.index)
+        assert count(events, (real, traj), {}) == {
+            "records": len(events.index), "decided": decided}
 
 
 def dx_pin_values(spec_for):
