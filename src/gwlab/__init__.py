@@ -75,9 +75,7 @@ from .analysis import (
     extract_UV_sequences,
     extract_halfline_changes,
     intersect_Bn_bound,
-    parallel_Am_first_term,
     reduce_to_cluster_leads,
-    theoretical_bounds,
     validate_dx_record,
 )
 from .experiments import (

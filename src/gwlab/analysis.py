@@ -210,8 +210,7 @@ class UVRecord:
     verdict: str
 
 
-def extract_UV_sequences(traj: Trajectory,
-                         n_max: int | None = None) -> list[UVRecord]:
+def extract_UV_sequences(traj: Trajectory) -> list[UVRecord]:
     us, lines = traj.us, traj.lines
     records: list[UVRecord] = []
     norm_prev = abs(traj.start.u)
@@ -220,8 +219,6 @@ def extract_UV_sequences(traj: Trajectory,
     k = 1
     for j in extract_halfline_changes(traj).tolist():
         n = len(records) + 1
-        if n_max is not None and n > n_max:
-            break
         norm = abs(us[j - 1])
         if norm > max(float(n), norm_prev):
             U = Site(float(us[k - 1]), int(lines[k - 1]))
@@ -244,35 +241,6 @@ def intersect_Bn_bound(alpha: float, n: int) -> float:
         raise ValidationError("level n must be >= 1")
     sa = math.sin(alpha)
     return 4.0 * math.exp(1.0 - n * sa) / (1.0 - math.exp(-sa))
-
-
-def parallel_Am_first_term(r: float, m: int) -> float:
-    """Closed-form part of the band-m return bound for parallel lines at
-    separation r (the other part is an empirical lead-gap survival)."""
-    if not r > 0.0:
-        raise ValidationError("separation r must be positive")
-    if m < 0:
-        raise ValidationError("band index m must be >= 0")
-    return 0.5 * math.exp(-2.0 * r * m) * (1.0 - math.exp(-2.0 * r))
-
-
-def theoretical_bounds(family: str, *, alpha: float | None = None,
-                       r: float | None = None, n_max: int = 20) -> dict[int, float]:
-    """Closed-form bound tables, keyed by level/band index up to n_max
-    (levels start at 1, bands at 0); a table with no entry is an error."""
-    if family == "intersecting-Bn":
-        if alpha is None:
-            raise ValidationError("intersecting-Bn needs alpha")
-        table = {n: intersect_Bn_bound(alpha, n) for n in range(1, n_max + 1)}
-    elif family == "parallel-Am":
-        if r is None:
-            raise ValidationError("parallel-Am needs r")
-        table = {m: parallel_Am_first_term(r, m) for m in range(0, n_max + 1)}
-    else:
-        raise ValidationError(f"unknown bound family: {family!r}")
-    if not table:
-        raise ValidationError(f"n_max={n_max} leaves the {family} table empty")
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -664,6 +632,10 @@ def _gap_events(family: str, pts: np.ndarray, level_offset: float,
     x, next_x = pts[pos], pts[pos + 1]
     gap = next_x - x
     wide = np.nonzero(gap > extra)[0]
+    index = np.arange(1, len(pos) + 1)
+    if not len(wide):  # no deficiency level to compute: every event refuted
+        return _event_table(family, index, np.zeros(len(pos)), mirrored,
+                            x=x, next_x=next_x, gap=gap)
     dx = compute_Dx(real, traj, x[wide] + level_offset)
     decided = dx.decided & (len(neg) > 0)
     occurred = np.zeros(len(pos), dtype=np.int8)
@@ -678,10 +650,9 @@ def _gap_events(family: str, pts: np.ndarray, level_offset: float,
     ray_x[k] = next_x[k]
     degenerate[k] = dx.degenerate[decided]
     occurred[k] = gap[k] > rhs[k]
-    return _event_table(family, np.arange(1, len(pos) + 1), occurred,
-                        mirrored, x=x, next_x=next_x, gap=gap, rhs=rhs,
-                        dx=value, ray_x=ray_x, degenerate=degenerate,
-                        note=note)
+    return _event_table(family, index, occurred, mirrored, x=x,
+                        next_x=next_x, gap=gap, rhs=rhs, dx=value,
+                        ray_x=ray_x, degenerate=degenerate, note=note)
 
 
 @dataclass(frozen=True)

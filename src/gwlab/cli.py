@@ -6,7 +6,7 @@ Subcommands:
 * verify: seeded self-check suites over many runs; exits 1 on violations
   or when a suite checked nothing.
 * sweep: batch runs from a JSON config, CSV/report/manifest outputs.
-* bounds: closed-form bound tables.
+* bounds: the closed-form landmark tail bound on intersecting lines.
 * export-plot-data: per-run CSV files ready for plotting.
 
 Exit codes: 0 success, 1 verification failure or nothing checked, 2 usage
@@ -27,7 +27,7 @@ from .analysis import (
     clusters_of,
     detect_crossings,
     extract_halfline_changes,
-    theoretical_bounds,
+    intersect_Bn_bound,
 )
 from .checks import CHECKS
 from .errors import ValidationError
@@ -141,10 +141,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    table = theoretical_bounds(args.family, alpha=args.alpha,
-                               r=args.separation_r, n_max=args.n_max)
-    for k in sorted(table):
-        print(f"{k}\t{table[k]:.9g}")
+    if args.n_max < 1:
+        raise ValidationError(f"n_max={args.n_max} leaves the table empty")
+    for n in range(1, args.n_max + 1):
+        print(f"{n}\t{intersect_Bn_bound(args.alpha, n):.9g}")
     return 0
 
 
@@ -225,12 +225,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None)
     p.set_defaults(handler=_cmd_sweep)
 
-    p = sub.add_parser("bounds", help="print closed-form bound tables")
-    p.add_argument("--family", choices=("intersecting-Bn", "parallel-Am"),
-                   required=True)
+    p = sub.add_parser("bounds", help="print the landmark tail bound on "
+                                      "intersecting lines, level 1 to n-max")
     p.add_argument("--alpha", type=float, default=math.pi / 3)
-    p.add_argument("--separation-r", dest="separation_r", type=float,
-                   default=1.0)
     p.add_argument("--n-max", dest="n_max", type=int, default=15)
     p.set_defaults(handler=_cmd_bounds)
 

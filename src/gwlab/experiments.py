@@ -266,7 +266,7 @@ def aggregate(rows: list[RunSummary]) -> dict:
         reasons[r.stop_reason] = reasons.get(r.stop_reason, 0) + 1
     a_total = sum(r.a_events for r in rows if r.a_events is not None)
     audited = [r for r in rows if r.lemma_failures is not None]
-    out = {
+    return {
         "n_runs": len(rows),
         "crossings": {"mean": mean_c, "se": se_c, **_quantiles(crossings)},
         "n_steps": _quantiles(steps),
@@ -275,18 +275,6 @@ def aggregate(rows: list[RunSummary]) -> dict:
         "audited_runs": len(audited),
         "lemma_failures_total": sum(r.lemma_failures for r in audited),
     }
-    windows = sorted({r.window_L for r in rows})
-    if len(windows) > 1:
-        out["by_window"] = {
-            str(L): {
-                "n_runs": sum(1 for r in rows if r.window_L == L),
-                "crossings_mean": mean_and_se(
-                    [r.crossings for r in rows if r.window_L == L]
-                )[0],
-            }
-            for L in windows
-        }
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -43,11 +43,9 @@ from gwlab import (
     intersect_Bn_bound,
     mirror_realization,
     mirror_trajectory,
-    parallel_Am_first_term,
     reduce_to_cluster_leads,
     run_walk,
     stream_seed,
-    theoretical_bounds,
     validate_dx_record,
 )
 from gwlab.checks import run_checks
@@ -297,7 +295,6 @@ def test_uv_single_record(hand_real, hand_traj):
     assert (rec.n, rec.j, rec.k) == (1, 3, 1)
     assert rec.U == Site(1.0, 0) and rec.V == Site(3.0, 0)
     assert rec.verdict == "B"
-    assert extract_UV_sequences(traj, n_max=0) == []
 
 
 def test_uv_c_verdict(hand_real, hand_traj):
@@ -399,31 +396,6 @@ def test_bn_bound_values():
         intersect_Bn_bound(math.pi, 1)
     with pytest.raises(ValidationError):
         intersect_Bn_bound(math.pi / 2, 0)
-
-
-def test_am_first_term_values():
-    got = parallel_Am_first_term(1.0, 1)
-    assert got == 0.5 * math.exp(-2.0) * (1.0 - math.exp(-2.0))
-    assert got == pytest.approx(0.05851, rel=1e-3)
-    assert parallel_Am_first_term(1.0, 0) == 0.5 * (1.0 - math.exp(-2.0))
-    with pytest.raises(ValidationError):
-        parallel_Am_first_term(0.0, 1)
-    with pytest.raises(ValidationError):
-        parallel_Am_first_term(1.0, -1)
-
-
-def test_theoretical_bounds_tables():
-    bn = theoretical_bounds("intersecting-Bn", alpha=math.pi / 2, n_max=3)
-    assert sorted(bn) == [1, 2, 3]
-    assert bn[3] == intersect_Bn_bound(math.pi / 2, 3)
-    am = theoretical_bounds("parallel-Am", r=1.0, n_max=2)
-    assert sorted(am) == [0, 1, 2]
-    with pytest.raises(ValidationError):
-        theoretical_bounds("intersecting-Bn", n_max=3)
-    with pytest.raises(ValidationError):
-        theoretical_bounds("parallel-Am", n_max=3)
-    with pytest.raises(ValidationError):
-        theoretical_bounds("nope", alpha=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -1127,6 +1099,22 @@ def test_event_table_edge_cases(hand_real, hand_traj, construction, line0,
                                 kw, us, lines):
     real = hand_real(construction, line0, line1=[], separation_r=1.0, **kw)
     assert_events_match_oracle(real, hand_traj(real, us, lines))
+
+
+def test_gap_events_without_wide_gap_skip_deficiency(spec_for, monkeypatch):
+    # thinned r=5 runs with no gap wider than r have no deficiency level
+    # to compute: compute_Dx is not called, and the table is the oracle's
+    def no_call(*args):
+        raise AssertionError("compute_Dx called without a wide gap")
+
+    monkeypatch.setattr("gwlab.analysis.compute_Dx", no_call)
+    spec = spec_for("parallel-thinned", window_L=50.0, separation_r=5.0)
+    reals = [generate(spec, stream_seed(5, i)) for i in range(20)]
+    narrow = [real for real in reals if np.diff(real.base_points).max() <= 5.0]
+    assert len(narrow) >= 5
+    for real in narrow:
+        events = assert_events_match_oracle(real, run_walk(real))
+        assert len(events) > 0 and not events.occurred.any()
 
 
 def test_bench_tracer_event_counts(spec_for):

@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import json
 import math
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +23,7 @@ from gwlab import (
     trajectory_from_binary,
 )
 from gwlab.checks import CHECKS, Check, Outcome
-from gwlab.cli import DEFAULT_SEED, main
+from gwlab.cli import DEFAULT_SEED, _build_parser, main
 from gwlab.walk import trajectory_to_dicts
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -180,7 +181,8 @@ def test_usage_errors_exit_2(capsys):
     assert main([]) == 2
     assert main(["simulate"]) == 2  # --construction is required
     assert main(["simulate", "--construction", "diagonal"]) == 2
-    assert main(["bounds"]) == 2    # --family is required
+    # the one bound left has no family to choose
+    assert main(["bounds", "--family", "intersecting-Bn"]) == 2
     capsys.readouterr()
 
 
@@ -214,8 +216,7 @@ def test_non_finite_flags_exit_2(capsys, flag):
 
 
 def test_bounds_table(capsys):
-    assert main(["bounds", "--family", "intersecting-Bn",
-                 "--alpha", repr(math.pi / 2), "--n-max", "3"]) == 0
+    assert main(["bounds", "--alpha", repr(math.pi / 2), "--n-max", "3"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 3
     n, value = lines[2].split("\t")
@@ -224,22 +225,53 @@ def test_bounds_table(capsys):
                                          rel=1e-8)
 
 
-def test_bounds_parallel_family(capsys):
-    assert main(["bounds", "--family", "parallel-Am", "--separation-r", "1.0",
-                 "--n-max", "2"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert [row.split("\t")[0] for row in lines] == ["0", "1", "2"]
-    assert main(["bounds", "--family", "parallel-Am", "--n-max", "0"]) == 0
-    assert capsys.readouterr().out.startswith("0\t")
+def test_bounds_prints_every_level(capsys):
+    for alpha in (math.pi / 2, 0.4):
+        assert main(["bounds", "--alpha", repr(alpha), "--n-max", "12"]) == 0
+        assert capsys.readouterr().out == "".join(
+            f"{n}\t{intersect_Bn_bound(alpha, n):.9g}\n" for n in range(1, 13))
 
 
-@pytest.mark.parametrize("family,n_max", [("intersecting-Bn", "0"),
-                                          ("intersecting-Bn", "-1"),
-                                          ("parallel-Am", "-1")])
-def test_bounds_empty_table_exits_2(capsys, family, n_max):
-    assert main(["bounds", "--family", family, "--n-max", n_max]) == 2
+@pytest.mark.parametrize("n_max", ["0", "-1"],
+                         ids=["intersecting-Bn-0", "intersecting-Bn--1"])
+def test_bounds_empty_table_exits_2(capsys, n_max):
+    assert main(["bounds", "--n-max", n_max]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "table empty" in captured.err
+
+
+def readme_commands():
+    """Every `$ gwlab ...` line of README.md's code blocks as argv, with the
+    output lines shown under it; a trailing backslash continues a line."""
+    found = []
+    for block in (ROOT / "README.md").read_text().split("```")[1::2]:
+        shown = None
+        for line in block.replace("\\\n", "").splitlines():
+            if line.startswith("$ "):
+                shown = []
+                found.append((shlex.split(line[2:]), shown))
+            elif shown is not None and line.strip():
+                shown.append(" ".join(line.split()))
+    return [(argv[1:], shown) for argv, shown in found if argv[0] == "gwlab"]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert {argv[0] for argv, _ in commands} == {
+        "simulate", "verify", "sweep", "bounds", "export-plot-data"}
+    stale = []
+    for argv, _ in commands:
+        try:
+            _build_parser().parse_args(argv)
+        except SystemExit:
+            stale.append(argv)
+    assert stale == []
+
+
+def test_readme_simulate_output(capsys):
+    [(argv, shown)] = [c for c in readme_commands() if c[0][0] == "simulate"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == shown
 
 
 def test_sweep_end_to_end(tmp_path, capsys):

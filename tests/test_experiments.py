@@ -205,13 +205,6 @@ def test_aggregate():
     assert agg["lemma_failures_total"] == 0
     assert sum(agg["stop_reasons"].values()) == 5
     assert agg["crossings"]["min"] <= agg["crossings"]["mean"] <= agg["crossings"]["max"]
-    assert "by_window" not in agg
-
-    cfg = cfg_for("parallel-duplicated", n_runs=3, window_L=50.0)
-    res = coupled_window_study(cfg, [25.0, 50.0])
-    both = aggregate(res[25.0] + res[50.0])
-    assert sorted(both["by_window"]) == ["25.0", "50.0"]
-    assert both["by_window"]["25.0"]["n_runs"] == 3
 
 
 def test_csv_roundtrip(tmp_path):
