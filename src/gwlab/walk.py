@@ -11,22 +11,32 @@ abscissa is the first coordinate (the "shadow") of the point.  All
 distances are Euclidean in the plane embedding; the metric reads the run's
 ProcessSpec: its kind, alpha and separation_r.
 
-Two engines produce step-for-step identical trajectories:
+Three engines produce step-for-step identical trajectories.  The first
+two walk one flat table of both lines, ``[-inf, line0..., +inf, -inf,
+line1..., +inf]``, whose sentinels are never visited, so a step needs no
+bounds checks and a step of distance inf means every point is visited.
+The nearest unvisited point is one of at most four: the alive neighbors of
+the current point on its own line, read from prev/next links spliced on
+each visit, and the alive neighbors of its projection (u, or u*cos(alpha)
+on intersecting lines) on the other line, found past visited points with a
+path-compressing skip.
 
-* ``run_walk``: the nearest unvisited point is one of at most four: the
-  alive neighbors of the current point on its own line, and the alive
-  neighbors of its projection (u, or u*cos(alpha) on intersecting lines) on
-  the other line.  Both lines sit in one flat table,
-  ``[-inf, line0..., +inf, -inf, line1..., +inf]``, whose sentinels are
-  never visited, so the step loop needs no bounds checks and a step of
-  distance inf means every point is visited.  Nothing that does not depend
-  on the walk's history is computed in the loop: per point, numpy tabulates
-  where its projection falls in the other line, the distances to the two
-  points around it and its stop margin before the first step.  A step
-  reads its own-line neighbors from the spliced links of the point it just
-  left, and measures a cross point only when the tabulated one is visited
-  and the links lead past it.  The start site is not a realization point:
-  the first step alone bisects both lines and measures directly.
+* The compiled step loop, ``gw_walk`` in ``_walk.c``: ``run_walk`` runs it
+  wherever it loads.  The C source ships with the package.  On the first
+  walk of a process it is compiled with the system C compiler (``cc``,
+  else ``gcc``) into ``$XDG_CACHE_HOME/gwlab`` (default ``~/.cache/gwlab``),
+  once per source and flag set, and loaded with ``ctypes``.  At each step
+  it bisects the other line, galloping out from the walk's last index
+  there, and measures directly: it keeps no per-point tables.
+* The Python loop, ``_run_walk_py``: ``run_walk`` runs it where there is no
+  C compiler or the build fails, with the same output, only slower.  It is
+  also the second engine of the large-L differential tests.  Before the
+  first step numpy tabulates everything that does not depend on the walk's
+  history: per point, where its projection falls in the other line, the
+  distances to the two points around it and its stop margin.  A step
+  measures a cross point only when the tabulated one is visited and the
+  links lead past it.  The start site is not a realization point: the
+  first step alone bisects both lines and measures directly.
 
   The run path: the walk escapes along one line in long runs of unit steps
   (each to the next point of its own line).  From step 64 on, the loop
@@ -35,7 +45,7 @@ Two engines produce step-for-step identical trajectories:
   the longest prefix in which every step is the greedy choice, written
   into the tables as slices (``_own_line_run`` has the rule).
 * ``run_walk_naive``: a linear scan over every unvisited point per step.
-  It exists purely as a differential oracle for the optimized engine.
+  It exists purely as a differential oracle for the other two.
 
 Stopping.  With the default truncation-safe rule the walk stops as soon as
 the chosen step distance reaches the shortest distance to any location
@@ -46,11 +56,20 @@ exactly the prefix of the walk on the unbounded process.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
 import math
+import os
+import platform
+import shutil
 import struct
+import subprocess
+import tempfile
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -245,10 +264,111 @@ def _own_line_run(tab, c: int, end: int, behind: float, step: int,
     return t
 
 
+# the compiled step loop: _walk.c, built by the system C compiler into the
+# user's cache once per source and flag set, and loaded with ctypes
+_SOURCE = Path(__file__).with_name("_walk.c")
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_KINDS = {SINGLE_LINE: 0, INTERSECTING: 1, PARALLEL: 2}  # _walk.c's enum
+_P, _D, _I = ctypes.c_void_p, ctypes.c_double, ctypes.c_int
+_ARGTYPES = (_P, ctypes.c_int64, ctypes.c_int64,  # F, n0, n1
+             _I, _D, _D,  # kind, r, cos_alpha
+             _D, _D, _D, _D,  # lo0, hi0, lo1, hi1
+             _I, _D, _I, _D,  # truncating, cu, cl, m
+             _P, _P, _P, _P, _P,  # prv, nxt, vis, order, dists
+             ctypes.POINTER(_I))  # exhausted
+
+
+def _build(cc: str | None, cache: Path):
+    """_walk.c's gw_walk, loaded from its build in `cache`; the build is
+    made with the compiler `cc` when the cache has none.  None when that
+    fails.  The compiler writes a temporary file that is then renamed into
+    place, so processes building at once never load a partial library."""
+    try:
+        key = hashlib.sha256(b"\0".join(
+            (_SOURCE.read_bytes(), " ".join(_CFLAGS).encode(),
+             platform.machine().encode()))).hexdigest()[:16]
+        lib = cache / f"_walk-{key}.so"
+        if not lib.exists():
+            if cc is None:
+                return None
+            cache.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=cache)
+            os.close(fd)
+            try:
+                subprocess.run([cc, *_CFLAGS, "-o", tmp, str(_SOURCE), "-lm"],
+                               check=True, capture_output=True, timeout=120)
+                os.replace(tmp, lib)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        fn = ctypes.CDLL(str(lib)).gw_walk
+    except (OSError, AttributeError, subprocess.SubprocessError):
+        return None
+    fn.argtypes = _ARGTYPES
+    fn.restype = ctypes.c_int64
+    return fn
+
+
+@functools.cache
+def _kernel():
+    """The compiled step loop, built or loaded on first use from
+    $XDG_CACHE_HOME/gwlab (default ~/.cache/gwlab); None where there is no
+    C compiler or no home directory, or the build fails."""
+    try:
+        cache = Path(os.environ.get("XDG_CACHE_HOME")
+                     or Path.home() / ".cache") / "gwlab"
+    except RuntimeError:  # no home directory
+        return None
+    return _build(shutil.which("cc") or shutil.which("gcc"), cache)
+
+
 def run_walk(real: Realization, start: Site = Site(0.0, 0),
              rule: StopRule = StopRule()) -> Trajectory:
-    """Greedy walk with the optimized neighbor-search engine."""
+    """Greedy walk with the compiled step loop where it loads, else with
+    the Python loop; both give the same trajectory bit for bit."""
     _check_start(real, start)
+    kernel = _kernel()
+    if kernel is None:
+        return _run_walk_py(real, start, rule)
+    inf = math.inf
+    F = np.concatenate(([-inf], real.line0, [inf, -inf], real.line1, [inf]))
+    n0, n1 = len(real.line0), len(real.line1)
+    links = np.empty((2, len(F)), dtype=np.int64)
+    vis = np.empty(len(F), dtype=np.int64)
+    order = np.empty(n0 + n1, dtype=np.int64)
+    dists = np.empty(n0 + n1)
+    (lo0, hi0), (lo1, hi1) = real.windows
+    spec = real.spec
+    truncating = rule.mode == TRUNCATION_SAFE
+    exhausted = ctypes.c_int()
+    step = kernel(
+        F.ctypes.data, n0, n1, _KINDS[spec.kind], spec.separation_r or 0.0,
+        spec.cos_alpha if spec.kind == INTERSECTING else 0.0,
+        lo0, hi0, lo1, hi1, truncating, start.u, int(start.line),
+        stop_margin(real, start.u, start.line) if truncating else inf,
+        links[0].ctypes.data, links[1].ctypes.data, vis.ctypes.data,
+        order.ctypes.data, dists.ctypes.data, ctypes.byref(exhausted))
+    return _trajectory(start, F, order[:step], dists[:step], vis, n0,
+                       exhausted.value)
+
+
+def _trajectory(start: Site, F, steps, dists, vis, n0: int,
+                exhausted) -> Trajectory:
+    """A step loop's Trajectory from its flat table F, the flat index and
+    distance of each step, and the visit step per flat index."""
+    return Trajectory(
+        start=start,
+        us=F[steps],
+        lines=(steps > n0 + 1).astype(np.int8),
+        step_distances=dists.copy(),
+        stop_reason=EXHAUSTED if exhausted else TRUNCATED,
+        visited_step0=vis[1:n0 + 1].copy(),
+        visited_step1=vis[n0 + 3:-1].copy(),
+    )
+
+
+def _run_walk_py(real: Realization, start: Site, rule: StopRule) -> Trajectory:
+    """run_walk's Python loop, for where the compiled one does not load."""
     spec = real.spec
     arrs = (real.line0, real.line1)
     n = (len(arrs[0]), len(arrs[1]))
@@ -386,16 +506,8 @@ def run_walk(real: Realization, start: Site = Site(0.0, 0),
                 nxt[xs] = k = _skip_visited(vis, nxt, k)
             xs = k
             dcs = inf if xs == hi[ol] else cross_distance(spec, cu, F[xs])
-    steps = order_np[:step]
-    return Trajectory(
-        start=start,
-        us=F_np[steps],
-        lines=(steps > hi[0]).astype(np.int8),
-        step_distances=dists_np[:step].copy(),
-        stop_reason=EXHAUSTED if d == inf else TRUNCATED,
-        visited_step0=vis_np[first[0]:hi[0]].copy(),
-        visited_step1=vis_np[first[1]:hi[1]].copy(),
-    )
+    return _trajectory(start, F_np, order_np[:step], dists_np[:step], vis_np,
+                       n[0], d == inf)
 
 
 def run_walk_naive(real: Realization, start: Site = Site(0.0, 0),

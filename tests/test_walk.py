@@ -1,10 +1,15 @@
 """Walk engines: hand-checked step orders, tie-breaks, stopping, transforms,
-the visited-point skip search, and engine-vs-oracle equality."""
+the visited-point skip search, the compiled loop's build, and the equality
+of the compiled loop, the Python loop and the oracle."""
 
 import hashlib
 import json
 import math
+import os
+import shutil
 import struct
+import subprocess
+import sys
 from array import array
 from pathlib import Path
 
@@ -38,11 +43,31 @@ from gwlab import walk
 from gwlab.walk import _skip_visited, trajectory_to_dicts
 
 EXH = StopRule(mode=RUN_TO_EXHAUSTION)
+COMPILER = shutil.which("cc") or shutil.which("gcc")
 
 
-def check_both_engines(real, expect_us, expect_lines, expect_reason,
-                       rule=StopRule()):
-    for engine in (run_walk, run_walk_naive):
+def python_loop(real, start=Site(0.0, 0), rule=StopRule()):
+    """run_walk's Python loop, which runs where the compiled one does not."""
+    return walk._run_walk_py(real, start, rule)
+
+
+# run_walk is the compiled loop wherever it loads
+ENGINES = (run_walk, python_loop, run_walk_naive)
+
+
+def assert_engines_agree(real, start, rule, engines=ENGINES):
+    """Each engine walks `real` to the same trajectory, visit steps
+    included."""
+    a, *others = (engine(real, start=start, rule=rule) for engine in engines)
+    for b in others:
+        assert trajectories_equal(a, b)
+        assert np.array_equal(a.visited_step0, b.visited_step0)
+        assert np.array_equal(a.visited_step1, b.visited_step1)
+
+
+def check_engines(real, expect_us, expect_lines, expect_reason,
+                  rule=StopRule()):
+    for engine in ENGINES:
         traj = engine(real, rule=rule)
         assert traj.us.tolist() == expect_us
         assert traj.lines.tolist() == expect_lines
@@ -51,7 +76,7 @@ def check_both_engines(real, expect_us, expect_lines, expect_reason,
 
 def test_single_line_order(hand_real):
     real = hand_real("single-line", [-1.5, 1.0, 2.0, 5.0])
-    check_both_engines(real, [1.0, 2.0, 5.0, -1.5], [0, 0, 0, 0], EXHAUSTED)
+    check_engines(real, [1.0, 2.0, 5.0, -1.5], [0, 0, 0, 0], EXHAUSTED)
     traj = run_walk(real)
     assert traj.step_distances.tolist() == [1.0, 1.0, 3.0, 6.5]
     assert traj.visited_step0.tolist() == [4, 1, 2, 3]
@@ -60,8 +85,8 @@ def test_single_line_order(hand_real):
 def test_truncation_stops_before_unsafe_step(hand_real):
     real = hand_real("single-line", [-9.0, 1.0, 2.0], window_L=10.0)
     # from u=2 the far point sits 11 away but the window edge is only 8
-    check_both_engines(real, [1.0, 2.0], [0, 0], TRUNCATED)
-    check_both_engines(real, [1.0, 2.0, -9.0], [0, 0, 0], EXHAUSTED, rule=EXH)
+    check_engines(real, [1.0, 2.0], [0, 0], TRUNCATED)
+    check_engines(real, [1.0, 2.0, -9.0], [0, 0, 0], EXHAUSTED, rule=EXH)
     traj = run_walk(real)
     assert traj.visited_step0.tolist() == [-1, 1, 2]
 
@@ -70,30 +95,30 @@ def test_duplicated_twin_order(hand_real):
     real = hand_real("parallel-duplicated", [1.0, 1.5, 4.0], separation_r=1.0)
     us = [1.0, 1.5, 1.5, 1.0, 4.0, 4.0]
     lines = [0, 0, 1, 1, 1, 0]
-    check_both_engines(real, us, lines, EXHAUSTED)
+    check_engines(real, us, lines, EXHAUSTED)
     traj = run_walk(real)
     assert traj.step_distances.tolist() == [1.0, 0.5, 1.0, 0.5, 3.0, 1.0]
 
 
 def test_distance_tie_prefers_smaller_u(hand_real):
     real = hand_real("single-line", [-1.0, 1.0])
-    check_both_engines(real, [-1.0, 1.0], [0, 0], EXHAUSTED)
+    check_engines(real, [-1.0, 1.0], [0, 0], EXHAUSTED)
     # the same tie across the lines: both at sqrt(2) from the origin
     real = hand_real("parallel-thinned", [5.0], line1=[-1.0, 1.0],
                      separation_r=1.0)
-    check_both_engines(real, [-1.0, 1.0, 5.0], [1, 1, 0], EXHAUSTED, rule=EXH)
+    check_engines(real, [-1.0, 1.0, 5.0], [1, 1, 0], EXHAUSTED, rule=EXH)
 
 
 def test_distance_tie_prefers_lower_line(hand_real):
     # 3-4-5 triangle: (5, 0) same-line at 5, (4, 1) across at exactly 5
     real = hand_real("parallel-thinned", [5.0], line1=[4.0],
                      separation_r=3.0)
-    check_both_engines(real, [5.0, 4.0], [0, 1], EXHAUSTED, rule=EXH)
+    check_engines(real, [5.0, 4.0], [0, 1], EXHAUSTED, rule=EXH)
 
 
 def test_intersecting_walk_through_crossing(hand_real):
     real = hand_real("intersecting", [1.0], line1=[-0.5], alpha=math.pi / 2)
-    check_both_engines(real, [-0.5, 1.0], [1, 0], EXHAUSTED, rule=EXH)
+    check_engines(real, [-0.5, 1.0], [1, 0], EXHAUSTED, rule=EXH)
     traj = run_walk(real, rule=EXH)
     assert traj.step_distances.tolist() == [0.5, math.sqrt(1.25)]
 
@@ -103,7 +128,7 @@ def test_intersecting_start_projects_across(hand_real):
     # not 2: v=1 is sqrt(3) away, v=1.5 sqrt(3.25)
     real = hand_real("intersecting", [10.0], line1=[0.5, 1.0, 1.5, 3.0],
                      alpha=math.pi / 3)
-    for engine in (run_walk, run_walk_naive):
+    for engine in ENGINES:
         traj = engine(real, start=Site(2.0, 0), rule=EXH)
         assert traj.us.tolist() == [1.0, 0.5, 1.5, 3.0, 10.0]
         assert traj.lines.tolist() == [1, 1, 1, 1, 0]
@@ -217,11 +242,7 @@ def test_engines_agree(spec_for, construction):
                 for line in range(real.spec.n_lines)]
             for start in starts:
                 for rule in (StopRule(), EXH):
-                    a = run_walk(real, start=start, rule=rule)
-                    b = run_walk_naive(real, start=start, rule=rule)
-                    assert trajectories_equal(a, b)
-                    assert np.array_equal(a.visited_step0, b.visited_step0)
-                    assert np.array_equal(a.visited_step1, b.visited_step1)
+                    assert_engines_agree(real, start, rule)
 
 
 def run_model(tab, c, end, behind, ol):
@@ -247,8 +268,9 @@ def run_model(tab, c, end, behind, ol):
 
 @pytest.fixture
 def run_path(monkeypatch):
-    """Wrap run_walk's run path: each run must take exactly the steps the
-    step-at-a-time rule allows, and the list collects how many it took."""
+    """Wrap the Python loop's run path: each run must take exactly the
+    steps the step-at-a-time rule allows, and the list collects how many it
+    took."""
     taken = []
     helper = walk._own_line_run
 
@@ -345,12 +367,104 @@ def test_engines_agree_on_long_grid_walks(hand_real, run_path, construction):
     # tabulated cross points unvisited) come only on the way in
     for start in (Site(0.0, 0), Site(100.5, real.spec.n_lines - 1)):
         for rule in (StopRule(), EXH):
-            a = run_walk(real, start=start, rule=rule)
-            b = run_walk_naive(real, start=start, rule=rule)
-            assert trajectories_equal(a, b)
-            assert np.array_equal(a.visited_step0, b.visited_step0)
-            assert np.array_equal(a.visited_step1, b.visited_step1)
+            assert_engines_agree(real, start, rule)
     assert sum(run_path) > 0
+
+
+def test_kernel_loads_where_there_is_a_compiler():
+    # a broken build must not fall back to the Python loop unnoticed
+    assert walk._kernel() is not None or not COMPILER
+
+
+def test_python_loop_runs_without_a_kernel(monkeypatch, tmp_path, spec_for):
+    # with no compiler the build gives up and leaves no file behind, and
+    # run_walk runs the Python loop, with the oracle's trajectories
+    cache = tmp_path / "cache"
+    assert walk._build(str(tmp_path / "no-such-cc"), cache) is None
+    assert list(cache.iterdir()) == []
+    ran = []
+    loop = walk._run_walk_py
+
+    def spy(*args):
+        ran.append(args)
+        return loop(*args)
+
+    monkeypatch.setattr(walk, "_kernel", lambda: None)
+    monkeypatch.setattr(walk, "_run_walk_py", spy)
+    for construction in CONSTRUCTIONS:
+        real = generate(spec_for(construction), stream_seed(909, 0))
+        for rule in (StopRule(), EXH):
+            assert_engines_agree(real, Site(0.0, 0), rule,
+                                 engines=(run_walk, run_walk_naive))
+    assert len(ran) == 2 * len(CONSTRUCTIONS)
+
+
+def test_kernel_edge_cases(hand_real):
+    reals = [
+        # an empty line 1 on two lines, and an empty line 0
+        hand_real("parallel-thinned", [-3.0, 1.0, 2.5], line1=[]),
+        hand_real("intersecting", [-3.0, 1.0, 2.5], line1=[]),
+        hand_real("parallel-thinned", [], line1=[-2.0, 0.5]),
+        # one point on a line
+        hand_real("single-line", [1.0]),
+        hand_real("parallel-duplicated", [1.0]),
+        hand_real("parallel-shifted", [1.0]),
+        hand_real("intersecting", [1.0], line1=[-2.0]),
+        # a point at the crossing on both lines: the lower line wins the tie
+        hand_real("intersecting", [0.0, 1.0], line1=[-1.0, 0.0]),
+    ]
+    for real in reals:
+        # at the origin, on a point (1.0 on line 0, 0.5 or 0.0 on line 1
+        # where there is one) and at either window edge, on each line
+        starts = [Site(u, line) for line in range(real.spec.n_lines)
+                  for u in (0.0, (1.0, 0.5)[line], *real.windows[line])]
+        for start in starts:
+            for rule in (StopRule(), EXH):
+                assert_engines_agree(real, start, rule)
+
+
+@pytest.mark.parametrize("construction", CONSTRUCTIONS)
+def test_kernel_matches_python_loop_at_large_L(spec_for, construction):
+    # the oracle is quadratic, so at L = 20,000 the Python loop checks the
+    # compiled one
+    real = generate(spec_for(construction, window_L=20000.0),
+                    stream_seed(908, 0))
+    assert len(python_loop(real)) > 10000
+    assert_engines_agree(real, Site(0.0, 0), StopRule(),
+                         engines=(run_walk, python_loop))
+
+
+# prints whether the compiled loop loaded and a digest of one walk
+DIGEST_WALK = """
+import hashlib
+from gwlab import ProcessSpec, generate, run_walk, walk
+spec = ProcessSpec.build("parallel-shifted", window_L=200.0, separation_r=1.0,
+                         shift_s=0.3)
+t = run_walk(generate(spec, 5))
+print(walk._kernel() is not None, hashlib.sha256(
+    b"".join(a.tobytes() for a in (t.us, t.lines, t.step_distances,
+                                   t.visited_step0, t.visited_step1))
+).hexdigest())
+"""
+
+
+@pytest.mark.skipif(not COMPILER, reason="no C compiler on PATH")
+def test_concurrent_cold_compile(tmp_path):
+    # two processes start on one empty cache: each builds and loads the
+    # compiled loop, and one library is left, with no temporary file
+    src = str(Path(walk.__file__).resolve().parents[1])
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path),
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, (src, os.environ.get("PYTHONPATH")))))
+    procs = [subprocess.Popen([sys.executable, "-c", DIGEST_WALK], env=env,
+                              stdout=subprocess.PIPE, text=True)
+             for _ in range(2)]
+    outs = [proc.communicate(timeout=120)[0].split() for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0]
+    assert outs[0][0] == "True"
+    assert outs[0] == outs[1]
+    files = [f.name for f in (tmp_path / "gwlab").iterdir()]
+    assert len(files) == 1 and files[0].endswith(".so")
 
 
 @pytest.mark.parametrize("construction", CONSTRUCTIONS)
@@ -582,6 +696,4 @@ def test_engines_agree_on_arbitrary_points(hand_real, pts, pts1, construction,
     real = hand_real(construction, sorted(pts), line1=sorted(pts1), **kw)
     start = Site(start_u, min(start_line, real.spec.n_lines - 1))
     for rule in (StopRule(), EXH):
-        a = run_walk(real, start=start, rule=rule)
-        b = run_walk_naive(real, start=start, rule=rule)
-        assert trajectories_equal(a, b)
+        assert_engines_agree(real, start, rule)
