@@ -1,11 +1,15 @@
-/* The greedy walk's step loop, compiled.  walk.py builds this file into a
- * shared library, calls gw_walk through ctypes and builds the Trajectory
- * from what it writes.  Its trajectories must equal the Python loop's bit
- * for bit: every distance is computed in the expression order of
- * cross_distance and stop_margin, the build turns floating-point
- * contraction off (no fused multiply-add), and a target that evaluates
- * doubles in wider precision (x87) refuses to build, so walk.py falls back
- * to the Python loop there.
+/* The compiled library: the greedy walk's step loop gw_walk and the lemma
+ * audits gw_audit.  walk.py builds this file into a shared library and
+ * loads it through ctypes; run_walk calls gw_walk and builds the
+ * Trajectory from what it writes, and analysis.audit_lemmas calls gw_audit.
+ * Where the library does not build, the Python loop and the numpy audit
+ * run instead, with the same results.
+ *
+ * The walk's trajectories must equal the Python loop's bit for bit: every
+ * distance is computed in the expression order of cross_distance and
+ * stop_margin, the build turns floating-point contraction off (no fused
+ * multiply-add), and a target that evaluates doubles in wider precision
+ * (x87) refuses to build, so walk.py falls back there.
  *
  * Both lines sit in one flat table [-inf, line0..., +inf, -inf, line1...,
  * +inf]; a sentinel is never visited, so a search along a line ends at a
@@ -14,6 +18,7 @@
 #include <float.h>
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
 
 #if !defined(FLT_EVAL_METHOD) || FLT_EVAL_METHOD != 0
 #error "the step loop needs double expressions evaluated in double"
@@ -186,4 +191,209 @@ int64_t gw_walk(const double *F, int64_t n0, int64_t n1, int kind, double r,
     }
     *exhausted = d == INFINITY;
     return step;
+}
+
+/* ------------------------------------------------------------------------
+ * The lemma audits: the numpy audit of analysis.py (_audit_numpy) in one
+ * linear pass, with its counts and its violations in its order. */
+
+typedef struct { /* a close cross-line pair that broke too late */
+    int64_t off, i; /* j - i and i, by which the list is sorted */
+    double x, y, gate, t_break;
+} PairViolation;
+
+typedef struct { /* kind 0: replay-max (u, z, expected); kind 1:
+                  * empty-interval (c, b_prev, alive_inside) */
+    int64_t kind, step;
+    double u, ref, value;
+} StepViolation;
+
+/* np.maximum.accumulate's step, which keeps the new value on a tie (the
+ * sign of a zero shows in b_prev) */
+static double max_acc(double acc, double x) { return acc > x ? acc : x; }
+
+/* the root of k in a deletion array: link[k] == k while k is alive, and a
+ * deleted k links toward its neighbour; every index passed on the way is
+ * re-linked to the root (path compression) */
+static int64_t root(int64_t *link, int64_t k)
+{
+    int64_t r = k, next;
+    while (link[r] != r)
+        r = link[r];
+    while (k != r) {
+        next = link[k];
+        link[k] = r;
+        k = next;
+    }
+    return r;
+}
+
+static int by_offset(const void *a, const void *b)
+{
+    const PairViolation *p = a, *q = b;
+    if (p->off != q->off)
+        return p->off < q->off ? -1 : 1;
+    return p->i < q->i ? -1 : p->i > q->i;
+}
+
+/* 1 unless the line is finite and strictly increasing */
+static int unsorted(const double *a, int64_t n)
+{
+    int64_t i;
+    for (i = 0; i < n; i++)
+        if (!isfinite(a[i]) || (i > 0 && !(a[i - 1] < a[i])))
+            return 1;
+    return 0;
+}
+
+/* Audit the n steps us (from abscissa start) over line0 and line1, whose
+ * visit steps are vis0 and vis1 (< 1: never visited); the pair audit runs
+ * when pairs is set, with separation r.  Writes up to pcap pair and scap
+ * step violations and sets counts to the pair, replay and empty-interval
+ * checks and the pair and step violations found, all of them even past a
+ * capacity.  Returns 0, or 1 when the trajectory is not one this pass can
+ * read (a line not finite and increasing, a visit step past n, a step
+ * given to no point or to two, us[t - 1] not the point visited at t, a
+ * start that is NaN) and 2 when memory runs out; then nothing is written.
+ *
+ * The points merge into one sorted table mu (line 0 first on a tie), with
+ * each point's line and visit step (n + 1 when never visited).  Step t
+ * visits mu[q]; at_u..past_u is its run of equal values (at most one per
+ * line), and past_z and past_b, where the previous step's shadow and the
+ * running max fall in mu, are the previous step's past_u and its running
+ * max.  By step t every point visited up to t is deleted from two
+ * deletion arrays, which find the last point still alive before past_z
+ * (replay-max's witness) and the first one from past_u on (empty-interval's
+ * witness). */
+int gw_audit(const double *line0, int64_t n0, const double *line1,
+             int64_t n1, const int64_t *vis0, const int64_t *vis1,
+             const double *us, int64_t n, double start, int pairs, double r,
+             PairViolation *pv, int64_t pcap, StepViolation *sv,
+             int64_t scap, int64_t *counts)
+{
+    const int64_t m = n0 + n1, never = n + 1;
+    int64_t i, j, k, t, q, at_u, past_u, past_z, past_b, gate, brk;
+    int64_t *ms, *pos, *nx, *pr, *up, *down;
+    int64_t npv = 0, nsv = 0, checks[3] = {0, 0, 0};
+    double *mu, a, b, z, u, run;
+    unsigned char *ml;
+    void *mem;
+
+    if (unsorted(line0, n0) || unsorted(line1, n1) || isnan(start))
+        return 1;
+    mem = malloc((size_t)(5 * m + n + 3) * sizeof(int64_t)
+                 + (size_t)m * (sizeof(double) + 1));
+    if (mem == NULL)
+        return 2;
+    ms = mem;
+    pos = ms + m;  /* n + 1: the merged index visited at step t */
+    nx = pos + n + 1;  /* m + 1: the next-alive links, m a sentinel */
+    pr = nx + m + 1;  /* m + 1: the last-alive links of k at k + 1 */
+    up = pr + m + 1;  /* m: the first passage of the running max */
+    down = up + m;  /* m: the first passage of the running min */
+    mu = (double *)(down + m);
+    ml = (unsigned char *)(mu + m);
+
+    for (i = j = k = 0; k < m; k++) {
+        int l = i == n0 || (j < n1 && line1[j] < line0[i]);
+        int64_t v = l ? vis1[j] : vis0[i];
+        mu[k] = l ? line1[j++] : line0[i++];
+        ml[k] = (unsigned char)l;
+        if (v > n)
+            goto bad;
+        ms[k] = v < 1 ? never : v;
+    }
+    for (t = 0; t <= n; t++)
+        pos[t] = -1;
+    for (k = 0; k < m; k++) {
+        if (ms[k] == never)
+            continue;
+        if (pos[ms[k]] >= 0)
+            goto bad;
+        pos[ms[k]] = k;
+    }
+    for (t = 1; t <= n; t++)
+        if (pos[t] < 0 || !(us[t - 1] == mu[pos[t]]))
+            goto bad;
+
+    if (pairs) {
+        /* first passages, 0 at the start and never beyond the prefix:
+         * each level's is the first step at which the running max is
+         * >= it (up) or the running min <= it (down) */
+        for (t = 0, run = start, k = 0; k < m; k++) {
+            while (t <= n && run < mu[k])
+                if (++t <= n && us[t - 1] > run)
+                    run = us[t - 1];
+            up[k] = t;
+        }
+        for (t = 0, run = start, k = m - 1; k >= 0; k--) {
+            while (t <= n && run > mu[k])
+                if (++t <= n && us[t - 1] < run)
+                    run = us[t - 1];
+            down[k] = t;
+        }
+        /* mu[j] - mu[i] grows with j, so the scan stops at the first gap
+         * past r */
+        for (i = 0; i < m; i++) {
+            for (j = i + 1; j < m && mu[j] - mu[i] <= r; j++) {
+                if (!(mu[j] - mu[i] > 0.0) || ml[i] == ml[j])
+                    continue;
+                checks[0]++;
+                gate = down[i] > up[j] ? down[i] : up[j];
+                brk = ms[i] < ms[j] ? ms[i] : ms[j];
+                if (gate <= n && gate < brk && npv++ < pcap)
+                    pv[npv - 1] = (PairViolation){
+                        j - i, i, mu[i], mu[j], (double)gate,
+                        brk == never ? INFINITY : (double)brk};
+            }
+        }
+        if (npv <= pcap)
+            qsort(pv, (size_t)npv, sizeof *pv, by_offset);
+    }
+
+    for (k = 0; k <= m; k++)
+        nx[k] = pr[k] = k;
+    for (i = 0, past_z = 0; i < m; i++) /* where start falls in mu */
+        past_z += mu[i] <= start;
+    past_b = past_z;
+    a = b = z = start;
+    for (t = 1; t <= n; t++) {
+        q = pos[t];
+        u = us[t - 1];
+        nx[q] = q + 1;
+        pr[q + 1] = q;
+        at_u = q > 0 && mu[q - 1] == u ? q - 1 : q;
+        past_u = q + 1 < m && mu[q + 1] == u ? q + 2 : q + 1;
+        if (a <= u && u <= z) {
+            /* every shadow in (u, z] was visited before t */
+            checks[1]++;
+            k = root(pr, past_z) - 1;
+            if (k >= past_u && nsv++ < scap)
+                sv[nsv - 1] = (StepViolation){0, t, u, z, mu[k]};
+        }
+        if (ms[at_u] <= t && ms[past_u - 1] <= t && z >= u && a < u) {
+            /* no twin at u outlives t: (u, b] is empty after t */
+            checks[2]++;
+            k = root(nx, past_u);
+            if (k < past_b && nsv++ < scap)
+                sv[nsv - 1] = (StepViolation){1, t, u, b, mu[k]};
+        }
+        if (u < a)
+            a = u;
+        if (u >= b)
+            past_b = past_u;
+        b = max_acc(b, u);
+        z = u;
+        past_z = past_u;
+    }
+    free(mem);
+    counts[0] = checks[0];
+    counts[1] = checks[1];
+    counts[2] = checks[2];
+    counts[3] = npv;
+    counts[4] = nsv;
+    return 0;
+bad:
+    free(mem);
+    return 1;
 }

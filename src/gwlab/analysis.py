@@ -14,7 +14,10 @@ walk engines and extracts derived quantities:
   run) and the implication check tying those events to an early return to
   the negative half-axis (the povratak check),
 * lemma audits that flag any step contradicting the structural facts the
-  analysis relies on, as queries on when each point was visited.
+  analysis relies on, as queries on when each point was visited: one
+  linear pass in the compiled library that holds the walk (``gw_audit`` in
+  ``_walk.c``) wherever it loads, else the numpy audit, which is also the
+  reference the compiled one is tested against.
 
 Decidability convention: a trajectory is only a prefix of the unbounded
 walk, so detectors report True (witnessed), False (ruled out), or None
@@ -40,6 +43,7 @@ from .processes import (
     Realization,
     mirror_realization,
 )
+from . import walk
 from .walk import Site, Trajectory, mirror_trajectory
 
 A_M_PARALLEL = "A_m_parallel"
@@ -817,17 +821,79 @@ def _audit_replay(traj: Trajectory, audit: LemmaAudit, mu, ms) -> None:
             })
 
 
-def audit_lemmas(real: Realization, traj: Trajectory) -> LemmaAudit:
-    """Run every structural audit that applies to this construction.
+# gw_audit's violation rows (_walk.c's PairViolation and StepViolation),
+# and the keys of a step violation's dict by its kind
+_PAIR_ROW = np.dtype([("off", np.int64), ("i", np.int64), ("x", np.float64),
+                      ("y", np.float64), ("gate", np.float64),
+                      ("t_break", np.float64)])
+_STEP_ROW = np.dtype([("kind", np.int64), ("step", np.int64),
+                      ("u", np.float64), ("ref", np.float64),
+                      ("value", np.float64)])
+_STEP_KEYS = (("replay-max", "u", "z", "expected"),
+              ("empty-interval", "c", "b_prev", "alive_inside"))
 
-    Not defined for intersecting lines (their cross-line metric has no
-    shadow ordering to audit)."""
-    kind = real.spec.kind
-    if kind == INTERSECTING:
-        raise ValidationError("audits are defined for parallel/single-line runs")
+
+def _audit_compiled(lib, real: Realization, traj: Trajectory):
+    """The numpy audit's LemmaAudit, from gw_audit in the compiled library
+    `lib`, which makes one linear pass; None where the trajectory is not
+    one it reads (a dtype or length is off, or the visit steps and us
+    disagree), which the numpy audit takes at face value."""
+    lines = [np.ascontiguousarray(a) for a in (real.line0, real.line1)]
+    vis = [np.ascontiguousarray(v) for v in (traj.visited_step0,
+                                            traj.visited_step1)]
+    us = np.ascontiguousarray(traj.us)
+    if (us.dtype != np.float64 or us.ndim != 1
+            or any(v.dtype != np.int64 or v.shape != a.shape
+                   for v, a in zip(vis, lines))):
+        return None
+    counts = np.zeros(5, dtype=np.int64)
+    caps = (16, 16)
+    while True:  # twice at most: the second time with every violation's room
+        pairs, steps = np.empty(caps[0], _PAIR_ROW), np.empty(caps[1], _STEP_ROW)
+        if lib.gw_audit(
+                lines[0].ctypes.data, len(lines[0]), lines[1].ctypes.data,
+                len(lines[1]), vis[0].ctypes.data, vis[1].ctypes.data,
+                us.ctypes.data, len(us), traj.start.u,
+                real.spec.kind == PARALLEL, real.spec.separation_r or 0.0,
+                pairs.ctypes.data, caps[0], steps.ctypes.data, caps[1],
+                counts.ctypes.data):
+            return None
+        found = (int(counts[3]), int(counts[4]))
+        if found[0] <= caps[0] and found[1] <= caps[1]:
+            break
+        caps = found
+    audit = LemmaAudit(*counts[:3].tolist())
+    audit.violations.extend(
+        {"kind": "pair-distance", "x": x, "y": y, "gate": gate,
+         "t_break": t_break}
+        for _, _, x, y, gate, t_break in pairs[:found[0]].tolist())
+    for kind, step, u, ref, value in steps[:found[1]].tolist():
+        name, key_u, key_ref, key_value = _STEP_KEYS[kind]
+        audit.violations.append({"kind": name, "step": step, key_u: u,
+                                 key_ref: ref, key_value: value})
+    return audit
+
+
+def _audit_numpy(real: Realization, traj: Trajectory) -> LemmaAudit:
+    """audit_lemmas in numpy: the fallback where the compiled library does
+    not load, and the reference the compiled audit is tested against."""
     audit = LemmaAudit()
     mu, ml, ms = _merged_shadows(real, traj)
-    if kind == PARALLEL:
+    if real.spec.kind == PARALLEL:
         _audit_pairs(real, traj, audit, mu, ml, ms)
     _audit_replay(traj, audit, mu, ms)
     return audit
+
+
+def audit_lemmas(real: Realization, traj: Trajectory) -> LemmaAudit:
+    """Run every structural audit that applies to this construction: in
+    the compiled library where it loads, else in numpy, with the same
+    result.
+
+    Not defined for intersecting lines (their cross-line metric has no
+    shadow ordering to audit)."""
+    if real.spec.kind == INTERSECTING:
+        raise ValidationError("audits are defined for parallel/single-line runs")
+    lib = walk._kernel()
+    audit = None if lib is None else _audit_compiled(lib, real, traj)
+    return _audit_numpy(real, traj) if audit is None else audit

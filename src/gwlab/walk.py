@@ -22,10 +22,12 @@ on intersecting lines) on the other line, found past visited points with a
 path-compressing skip.
 
 * The compiled step loop, ``gw_walk`` in ``_walk.c``: ``run_walk`` runs it
-  wherever it loads.  The C source ships with the package.  On the first
-  walk of a process it is compiled with the system C compiler (``cc``,
-  else ``gcc``) into ``$XDG_CACHE_HOME/gwlab`` (default ``~/.cache/gwlab``),
-  once per source and flag set, and loaded with ``ctypes``.  At each step
+  wherever it loads.  The C source ships with the package, and its library
+  also holds ``gw_audit``, the lemma audits ``analysis.audit_lemmas`` runs.
+  On first use in a process the library is compiled with the system C
+  compiler (``cc``, else ``gcc``) into ``$XDG_CACHE_HOME/gwlab`` (default
+  ``~/.cache/gwlab``), once per source and flag set, and loaded with
+  ``ctypes``.  At each step
   it bisects the other line, galloping out from the walk's last index
   there, and measures directly: it keeps no per-point tables.
 * The Python loop, ``_run_walk_py``: ``run_walk`` runs it where there is no
@@ -66,6 +68,7 @@ import shutil
 import struct
 import subprocess
 import tempfile
+import threading
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -264,31 +267,40 @@ def _own_line_run(tab, c: int, end: int, behind: float, step: int,
     return t
 
 
-# the compiled step loop: _walk.c, built by the system C compiler into the
-# user's cache once per source and flag set, and loaded with ctypes
+# the compiled library: _walk.c, with the step loop gw_walk and the lemma
+# audits gw_audit (which analysis.audit_lemmas calls), built by the system C
+# compiler into the user's cache once per source and flag set, and loaded
+# with ctypes
 _SOURCE = Path(__file__).with_name("_walk.c")
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _KINDS = {SINGLE_LINE: 0, INTERSECTING: 1, PARALLEL: 2}  # _walk.c's enum
-_P, _D, _I = ctypes.c_void_p, ctypes.c_double, ctypes.c_int
-_ARGTYPES = (_P, ctypes.c_int64, ctypes.c_int64,  # F, n0, n1
-             _I, _D, _D,  # kind, r, cos_alpha
-             _D, _D, _D, _D,  # lo0, hi0, lo1, hi1
-             _I, _D, _I, _D,  # truncating, cu, cl, m
-             _P, _P, _P, _P, _P,  # prv, nxt, vis, order, dists
-             ctypes.POINTER(_I))  # exhausted
+_P, _D, _I, _Q = ctypes.c_void_p, ctypes.c_double, ctypes.c_int, ctypes.c_int64
+_SIGNATURES = {  # symbol: (argument types, result type)
+    "gw_walk": ((_P, _Q, _Q,  # F, n0, n1
+                 _I, _D, _D,  # kind, r, cos_alpha
+                 _D, _D, _D, _D,  # lo0, hi0, lo1, hi1
+                 _I, _D, _I, _D,  # truncating, cu, cl, m
+                 _P, _P, _P, _P, _P,  # prv, nxt, vis, order, dists
+                 ctypes.POINTER(_I)), _Q),  # exhausted
+    "gw_audit": ((_P, _Q, _P, _Q,  # line0, n0, line1, n1
+                  _P, _P, _P, _Q, _D,  # vis0, vis1, us, n, start
+                  _I, _D,  # pairs, r
+                  _P, _Q, _P, _Q, _P), _I),  # pv, pcap, sv, scap, counts
+}
 
 
 def _build(cc: str | None, cache: Path):
-    """_walk.c's gw_walk, loaded from its build in `cache`; the build is
-    made with the compiler `cc` when the cache has none.  None when that
-    fails.  The compiler writes a temporary file that is then renamed into
-    place, so processes building at once never load a partial library."""
+    """The library built from _walk.c, loaded from its build in `cache`
+    with gw_walk and gw_audit typed; the build is made with the compiler
+    `cc` when the cache has none.  None when that fails.  The compiler
+    writes a temporary file that is then renamed into place, so processes
+    building at once never load a partial library."""
     try:
         key = hashlib.sha256(b"\0".join(
             (_SOURCE.read_bytes(), " ".join(_CFLAGS).encode(),
              platform.machine().encode()))).hexdigest()[:16]
-        lib = cache / f"_walk-{key}.so"
-        if not lib.exists():
+        path = cache / f"_walk-{key}.so"
+        if not path.exists():
             if cc is None:
                 return None
             cache.mkdir(parents=True, exist_ok=True)
@@ -297,29 +309,47 @@ def _build(cc: str | None, cache: Path):
             try:
                 subprocess.run([cc, *_CFLAGS, "-o", tmp, str(_SOURCE), "-lm"],
                                check=True, capture_output=True, timeout=120)
-                os.replace(tmp, lib)
+                os.replace(tmp, path)
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
-        fn = ctypes.CDLL(str(lib)).gw_walk
+        lib = ctypes.CDLL(str(path))
+        for name, (argtypes, restype) in _SIGNATURES.items():
+            fn = getattr(lib, name)
+            fn.argtypes, fn.restype = argtypes, restype
     except (OSError, AttributeError, subprocess.SubprocessError):
         return None
-    fn.argtypes = _ARGTYPES
-    fn.restype = ctypes.c_int64
-    return fn
+    return lib
 
 
 @functools.cache
 def _kernel():
-    """The compiled step loop, built or loaded on first use from
-    $XDG_CACHE_HOME/gwlab (default ~/.cache/gwlab); None where there is no
-    C compiler or no home directory, or the build fails."""
+    """The compiled library (its gw_walk and gw_audit), built or loaded on
+    first use from $XDG_CACHE_HOME/gwlab (default ~/.cache/gwlab); None
+    where there is no C compiler or no home directory, or the build fails."""
     try:
         cache = Path(os.environ.get("XDG_CACHE_HOME")
                      or Path.home() / ".cache") / "gwlab"
     except RuntimeError:  # no home directory
         return None
     return _build(shutil.which("cc") or shutil.which("gcc"), cache)
+
+
+# per thread, the compiled loop's buffers, grown to the largest walk yet:
+# fresh ones cost a page fault per touched page on every walk
+_scratch = threading.local()
+
+
+def _buffers(size: int):
+    """This thread's flat table, links, visit steps, order and distances,
+    sized for at least `size` flat entries."""
+    bufs = getattr(_scratch, "bufs", None)
+    if bufs is None or len(bufs[0]) < size:
+        bufs = _scratch.bufs = (
+            np.empty(size), np.empty((2, size), dtype=np.int64),
+            np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64),
+            np.empty(size))
+    return bufs
 
 
 def run_walk(real: Realization, start: Site = Site(0.0, 0),
@@ -331,17 +361,17 @@ def run_walk(real: Realization, start: Site = Site(0.0, 0),
     if kernel is None:
         return _run_walk_py(real, start, rule)
     inf = math.inf
-    F = np.concatenate(([-inf], real.line0, [inf, -inf], real.line1, [inf]))
     n0, n1 = len(real.line0), len(real.line1)
-    links = np.empty((2, len(F)), dtype=np.int64)
-    vis = np.empty(len(F), dtype=np.int64)
-    order = np.empty(n0 + n1, dtype=np.int64)
-    dists = np.empty(n0 + n1)
+    size = n0 + n1 + 4
+    F, links, vis, order, dists = _buffers(size)
+    F, vis = F[:size], vis[:size]
+    F[0], F[n0 + 1:n0 + 3], F[-1] = -inf, (inf, -inf), inf
+    F[1:n0 + 1], F[n0 + 3:-1] = real.line0, real.line1
     (lo0, hi0), (lo1, hi1) = real.windows
     spec = real.spec
     truncating = rule.mode == TRUNCATION_SAFE
     exhausted = ctypes.c_int()
-    step = kernel(
+    step = kernel.gw_walk(
         F.ctypes.data, n0, n1, _KINDS[spec.kind], spec.separation_r or 0.0,
         spec.cos_alpha if spec.kind == INTERSECTING else 0.0,
         lo0, hi0, lo1, hi1, truncating, start.u, int(start.line),

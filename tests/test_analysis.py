@@ -48,6 +48,7 @@ from gwlab import (
     stream_seed,
     validate_dx_record,
 )
+from gwlab import analysis, walk
 from gwlab.checks import run_checks
 from gwlab.walk import Trajectory
 from gwlab.analysis import (
@@ -1220,27 +1221,54 @@ def test_deficiency_pinned(spec_for):
 # structural audits
 
 
+def compiled_audit(real, traj):
+    """The audit in the compiled library, which must read every trajectory
+    these tests build.  Where the library does not load it is audit_lemmas'
+    numpy fallback, and test_kernel_loads_where_there_is_a_compiler fails
+    wherever there is a compiler."""
+    lib = walk._kernel()
+    if lib is None:
+        return audit_lemmas(real, traj)
+    audit = analysis._audit_compiled(lib, real, traj)
+    assert audit is not None
+    return audit
+
+
+# the two audit engines, which must give one answer
+AUDITS = (compiled_audit, analysis._audit_numpy)
+
+
+def audit_result(audit):
+    """A LemmaAudit's three counts and its violations, as JSON text: equal
+    text means equal values, zero signs included, in the same order."""
+    return ([audit.pair_checks, audit.replay_checks,
+             audit.empty_interval_checks], json.dumps(audit.violations))
+
+
 def test_audit_flags_pair_distance(hand_real, hand_traj):
     real = hand_real("parallel-duplicated", [0.9, 1.2, 1.5], separation_r=1.0)
-    audit = audit_lemmas(real, hand_traj(real, [1.2, 0.9, 1.5], [0, 0, 1]))
-    kinds = {v["kind"] for v in audit.violations}
-    assert "pair-distance" in kinds
-    assert audit.pair_checks > 0
+    for run_audit in AUDITS:
+        audit = run_audit(real, hand_traj(real, [1.2, 0.9, 1.5], [0, 0, 1]))
+        kinds = {v["kind"] for v in audit.violations}
+        assert "pair-distance" in kinds
+        assert audit.pair_checks > 0
 
 
 def test_audit_flags_replay_max(hand_real, hand_traj):
     real = hand_real("parallel-duplicated", [1.0, 2.0, 3.0], separation_r=1.0)
-    audit = audit_lemmas(real, hand_traj(real, [3.0, 1.0, 2.0], [0, 0, 0]))
-    kinds = {v["kind"] for v in audit.violations}
-    assert "replay-max" in kinds
+    for run_audit in AUDITS:
+        audit = run_audit(real, hand_traj(real, [3.0, 1.0, 2.0], [0, 0, 0]))
+        kinds = {v["kind"] for v in audit.violations}
+        assert "replay-max" in kinds
 
 
 def test_audit_flags_empty_interval(hand_real, hand_traj):
     real = hand_real("parallel-duplicated", [1.0, 2.0, 3.0], separation_r=1.0)
-    audit = audit_lemmas(real, hand_traj(real, [3.0, 2.0, 2.0], [0, 0, 1]))
-    kinds = {v["kind"] for v in audit.violations}
-    assert "empty-interval" in kinds
-    assert audit.empty_interval_checks > 0
+    for run_audit in AUDITS:
+        audit = run_audit(real, hand_traj(real, [3.0, 2.0, 2.0], [0, 0, 1]))
+        kinds = {v["kind"] for v in audit.violations}
+        assert "empty-interval" in kinds
+        assert audit.empty_interval_checks > 0
 
 
 def test_audit_rejects_intersecting(spec_for):
@@ -1334,13 +1362,15 @@ def test_audits_match_definition(hand_real, hand_traj, construction, line0,
     order = order[:round(keep * len(order))]
     traj = hand_traj(real, [u for u, _ in order], [l for _, l in order],
                      start=Site(start_u, 0))
-    audit = audit_lemmas(real, traj)
-    counts = [audit.pair_checks, audit.replay_checks,
-              audit.empty_interval_checks]
-    assert (counts, audit.violations) == audits_by_definition(real, traj)
+    want = audits_by_definition(real, traj)
+    for run_audit in AUDITS:
+        audit = run_audit(real, traj)
+        counts = [audit.pair_checks, audit.replay_checks,
+                  audit.empty_interval_checks]
+        assert (counts, audit.violations) == want
 
 
-def audit_pin_values(spec_for):
+def audit_pin_values(spec_for, run_audit):
     """What audit_pins.json pins, per run and order: the three audit
     counts, the violation count per kind, and sha256 digests of the
     violation lists (JSON, in order) and of the last_visit_steps bytes.
@@ -1379,7 +1409,7 @@ def audit_pin_values(spec_for):
             checks, found = [0, 0, 0], [0, 0, 0]
             violations, last = hashlib.sha256(), hashlib.sha256()
             for t in trajs:
-                audit = audit_lemmas(real, t)
+                audit = run_audit(real, t)
                 for j, got in enumerate((audit.pair_checks,
                                          audit.replay_checks,
                                          audit.empty_interval_checks)):
@@ -1404,10 +1434,92 @@ def test_audits_pinned(spec_for):
     # scan that preceded the visit-step queries; every count, violation and
     # last-visit step must stay the same
     pinned = json.loads(AUDIT_PINS.read_text())
-    got = audit_pin_values(spec_for)
-    assert sorted(got) == sorted(pinned)
-    assert [name for name in got if got[name] != pinned[name]] == []
+    for run_audit in AUDITS:
+        got = audit_pin_values(spec_for, run_audit)
+        assert sorted(got) == sorted(pinned)
+        assert [name for name in got if got[name] != pinned[name]] == []
     # every kind of check and of violation is reached
     for j in range(3):
         assert any(v["checks"][j] for v in pinned.values())
         assert any(v["violations"][j] for v in pinned.values())
+
+
+@pytest.mark.parametrize("construction", [
+    "single-line", "parallel-duplicated", "parallel-thinned",
+    "parallel-shifted",
+])
+def test_audit_engines_agree_at_large_L(spec_for, construction):
+    # the greedy walk and the fully shuffled one at L = 20,000, where the
+    # shuffled walk breaks every fact tens of thousands of times
+    real = generate(spec_for(construction, window_L=20000.0),
+                    stream_seed(918, 0))
+    traj = run_walk(real)
+    shuffled = reorder_steps(
+        traj, np.random.default_rng(918).permutation(len(traj)))
+    for t in (traj, shuffled):
+        want = analysis._audit_numpy(real, t)
+        assert audit_result(compiled_audit(real, t)) == audit_result(want)
+    assert len(want.violations) > 10000
+
+
+def test_audit_engines_agree_on_signed_zeros(hand_real, hand_traj):
+    # an empty-interval violation's b_prev is the running max of the
+    # shadows, which keeps the later of two equal zeros, as numpy does
+    real = hand_real("single-line", [-3.0, -1.0, -0.75, -0.5, 0.0, 1.0])
+    for us, b_prev in (([-3.0, -0.5, -1.0], "-0.0"),
+                       ([0.0, -3.0, -0.5, -1.0], "0.0")):
+        traj = hand_traj(real, us, [0] * len(us), start=Site(-0.0, 0))
+        got = audit_result(compiled_audit(real, traj))
+        assert got == audit_result(analysis._audit_numpy(real, traj))
+        assert f'"b_prev": {b_prev},' in got[1]
+
+
+def test_audit_runs_numpy_without_a_kernel(monkeypatch, spec_for):
+    # where the compiled library loads, audit_lemmas never runs the numpy
+    # audit on a walk; where it does not, it runs it, with the same result
+    runs = []
+    for construction in ("single-line", "parallel-duplicated",
+                         "parallel-thinned", "parallel-shifted"):
+        real = generate(spec_for(construction, window_L=100.0),
+                        stream_seed(919, 0))
+        traj = run_walk(real)
+        runs += [(real, traj), (real, reorder_steps(
+            traj, np.random.default_rng(919).permutation(len(traj))))]
+    ran = []
+    numpy_audit = analysis._audit_numpy
+
+    def spy(*args):
+        ran.append(args)
+        return numpy_audit(*args)
+
+    monkeypatch.setattr(analysis, "_audit_numpy", spy)
+    want = [audit_result(audit_lemmas(real, t)) for real, t in runs]
+    assert len(ran) == (0 if walk._kernel() else len(runs))
+    monkeypatch.setattr(walk, "_kernel", lambda: None)
+    ran.clear()
+    assert [audit_result(audit_lemmas(real, t)) for real, t in runs] == want
+    assert len(ran) == len(runs)
+
+
+def test_inconsistent_trajectories_take_the_numpy_audit(hand_real,
+                                                         hand_traj):
+    # the compiled audit refuses a trajectory whose visit steps and us
+    # disagree, and audit_lemmas then reads it at face value in numpy
+    real = hand_real("parallel-thinned", [0.5, 1.0, 2.0, 3.0],
+                     line1=[1.0, 1.5, 2.5], separation_r=1.0)
+    good = hand_traj(real, [1.0, 1.5, 2.0, 0.5], [0, 1, 0, 0])
+    trajs = []
+    for step in (len(good) + 5, 2**40):
+        late = good.visited_step0.copy()
+        late[3] = step  # 3.0, never visited, at a step past the prefix
+        trajs.append(replace(good, visited_step0=late))
+    twice = good.visited_step1.copy()
+    twice[2] = 2  # 2.5, never visited, at 1.5's step
+    moved = good.us.copy()
+    moved[2] = 2.5  # step 3 visits 2.0
+    trajs += [replace(good, visited_step1=twice), replace(good, us=moved)]
+    lib = walk._kernel()
+    for bad in trajs:
+        assert lib is None or analysis._audit_compiled(lib, real, bad) is None
+        assert (audit_result(audit_lemmas(real, bad))
+                == audit_result(analysis._audit_numpy(real, bad)))

@@ -372,8 +372,30 @@ def test_engines_agree_on_long_grid_walks(hand_real, run_path, construction):
 
 
 def test_kernel_loads_where_there_is_a_compiler():
-    # a broken build must not fall back to the Python loop unnoticed
-    assert walk._kernel() is not None or not COMPILER
+    # a broken build must not fall back to the Python loop or the numpy
+    # audit unnoticed
+    lib = walk._kernel()
+    assert lib is not None or not COMPILER
+    if lib is not None:
+        assert lib.gw_walk.argtypes and lib.gw_audit.argtypes
+
+
+@pytest.mark.skipif(not COMPILER, reason="no C compiler on PATH")
+def test_c_sources_compile_without_warnings():
+    # every C source in the package, each listed in pyproject.toml's
+    # package-data so that it ships, passes the build's flags with the
+    # common warnings as errors
+    package = Path(walk.__file__).resolve().parent
+    pyproject = (package.parents[1] / "pyproject.toml").read_text()
+    sources = sorted(package.glob("*.c"))
+    assert sources
+    for source in sources:
+        assert f'"{source.name}"' in pyproject
+        proc = subprocess.run(
+            [COMPILER, *walk._CFLAGS, "-Wall", "-Wextra", "-Werror",
+             "-fsyntax-only", str(source)],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 def test_python_loop_runs_without_a_kernel(monkeypatch, tmp_path, spec_for):
