@@ -5,6 +5,9 @@
  * Where the library does not build, the Python loop and the numpy audit
  * run instead, with the same results.
  *
+ * walk._run_walk_py is gw_walk line for line in Python, so a change to
+ * gw_walk changes _run_walk_py in the same commit.
+ *
  * The walk's trajectories must equal the Python loop's bit for bit: every
  * distance is computed in the expression order of cross_distance and
  * stop_margin, the build turns floating-point contraction off (no fused
@@ -48,7 +51,7 @@ static double centre(const Space *sp, double u)
     return sp->kind == INTERSECTING ? u * sp->cos_alpha : u;
 }
 
-/* np.minimum for the values here, which are never NaN */
+/* Python's min(a, b), as stop_margin takes it */
 static double min2(double a, double b) { return b < a ? b : a; }
 
 /* stop_margin: the shortest distance from u on `line` to any location

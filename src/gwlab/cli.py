@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -97,6 +98,9 @@ def _cmd_verify(args) -> int:
     if args.suite is None:
         print("error: --suite NAME or --list-suites required", file=sys.stderr)
         return 2
+    if args.suite not in CHECKS:
+        raise ValidationError(f"unknown suite {args.suite!r}; known suites: "
+                              f"{', '.join(sorted(CHECKS))}")
     if args.runs < 1:
         raise ValidationError(f"--runs must be at least 1, got {args.runs}")
     check = CHECKS[args.suite]
@@ -194,7 +198,11 @@ def _add_process_args(p: argparse.ArgumentParser, *, required_construction):
                    help="widen the shift domain from r/sqrt(3) to r")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  --suite takes any name
+    (the handler checks it against CHECKS), so a suite registered after the
+    first build still runs."""
     parser = argparse.ArgumentParser(
         prog="gwlab",
         description="nearest-unvisited-point walks on pairs of lines",
@@ -213,7 +221,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("verify", help="run a seeded self-check suite")
-    p.add_argument("--suite", choices=sorted(CHECKS), default=None)
+    p.add_argument("--suite", default=None,
+                   help="the suite to run; --list-suites names them")
     p.add_argument("--list-suites", action="store_true")
     p.add_argument("--runs", type=int, default=100)
     _add_process_args(p, required_construction=False)

@@ -12,14 +12,16 @@ distances are Euclidean in the plane embedding; the metric reads the run's
 ProcessSpec: its kind, alpha and separation_r.
 
 Three engines produce step-for-step identical trajectories.  The first
-two walk one flat table of both lines, ``[-inf, line0..., +inf, -inf,
-line1..., +inf]``, whose sentinels are never visited, so a step needs no
-bounds checks and a step of distance inf means every point is visited.
-The nearest unvisited point is one of at most four: the alive neighbors of
-the current point on its own line, read from prev/next links spliced on
-each visit, and the alive neighbors of its projection (u, or u*cos(alpha)
-on intersecting lines) on the other line, found past visited points with a
-path-compressing skip.
+two are one algorithm in two languages.  They walk one flat table of both
+lines, ``[-inf, line0..., +inf, -inf, line1..., +inf]``, whose sentinels
+are never visited, so a step needs no bounds checks and a step of distance
+inf means every point is visited.  The nearest unvisited point is one of at
+most four: the alive neighbors of the current point on its own line, read
+from prev/next links spliced on each visit, and the alive neighbors of its
+projection (u, or u*cos(alpha) on intersecting lines) on the other line,
+found by bisecting that line and skipping past visited points with a
+path-compressing search.  Each step measures those four directly; neither
+loop keeps per-point tables.
 
 * The compiled step loop, ``gw_walk`` in ``_walk.c``: ``run_walk`` runs it
   wherever it loads.  The C source ships with the package, and its library
@@ -27,25 +29,12 @@ path-compressing skip.
   On first use in a process the library is compiled with the system C
   compiler (``cc``, else ``gcc``) into ``$XDG_CACHE_HOME/gwlab`` (default
   ``~/.cache/gwlab``), once per source and flag set, and loaded with
-  ``ctypes``.  At each step
-  it bisects the other line, galloping out from the walk's last index
-  there, and measures directly: it keeps no per-point tables.
-* The Python loop, ``_run_walk_py``: ``run_walk`` runs it where there is no
-  C compiler or the build fails, with the same output, only slower.  It is
-  also the second engine of the large-L differential tests.  Before the
-  first step numpy tabulates everything that does not depend on the walk's
-  history: per point, where its projection falls in the other line, the
-  distances to the two points around it and its stop margin.  A step
-  measures a cross point only when the tabulated one is visited and the
-  links lead past it.  The start site is not a realization point: the
-  first step alone bisects both lines and measures directly.
-
-  The run path: the walk escapes along one line in long runs of unit steps
-  (each to the next point of its own line).  From step 64 on, the loop
-  probes now and then, backing off while probes fail; after 4 unit steps
-  in one direction it tests the next 64..4096 unit steps in numpy and takes
-  the longest prefix in which every step is the greedy choice, written
-  into the tables as slices (``_own_line_run`` has the rule).
+  ``ctypes``.  Its bisect gallops out from the walk's last index on the
+  other line.
+* The Python loop, ``_run_walk_py``: ``gw_walk`` line for line, on lists.
+  ``run_walk`` runs it where there is no C compiler or the build fails,
+  with the same output, only slower.  It is also the second engine of the
+  large-L differential tests.
 * ``run_walk_naive``: a linear scan over every unvisited point per step.
   It exists purely as a differential oracle for the other two.
 
@@ -69,7 +58,6 @@ import struct
 import subprocess
 import tempfile
 import threading
-from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
@@ -178,24 +166,25 @@ def _skip_visited(vis, link, j: int) -> int:
     return j
 
 
-def stop_margin(real: Realization, u, line: int):
+def stop_margin(real: Realization, u: float, line: int) -> float:
     """Shortest distance from abscissa u on `line` to any location outside
-    the windows; u may be a float or a numpy array (elementwise).
+    the windows.
 
     It respects the realization's actual per-line windows, which matters
     when line 1 was drawn on a shifted interval or the realization was
-    transformed.
+    transformed.  It takes minima as _walk.c's margin does, so both loops
+    stop at the same step.
     """
     spec = real.spec
     (lo_s, hi_s), (lo_o, hi_o) = real.windows[line], real.windows[1 - line]
-    m = np.minimum(u - lo_s, hi_s - u)
+    m = min(u - lo_s, hi_s - u)
     if spec.kind == PARALLEL:
         # the nearest outside location across sits h along the line from u
-        h = np.maximum(np.minimum(u - lo_o, hi_o - u), 0.0)
-        m = np.minimum(m, cross_distance(spec, h, 0.0, np.sqrt))
+        h = max(0.0, min(u - lo_o, hi_o - u))
+        m = min(m, cross_distance(spec, h, 0.0))
     elif spec.kind == INTERSECTING:
-        for e in (lo_o, hi_o):
-            m = np.minimum(m, cross_distance(spec, u, e, np.sqrt))
+        m = min(m, cross_distance(spec, u, lo_o))
+        m = min(m, cross_distance(spec, u, hi_o))
     return m
 
 
@@ -211,60 +200,6 @@ def _check_start(real: Realization, start: Site) -> None:
     if not (isinstance(start.line, (int, np.integer)) and math.isfinite(start.u)
             and 0 <= start.line < real.spec.n_lines):
         raise ValidationError(f"start {start} is not a site of the space")
-
-
-# the run path: probes start at step RUN_FROM and come every 1..WAIT_MAX
-# steps, the wait doubling while probes fail; a run looks ahead over a chunk
-# of RUN_MIN..RUN_MAX unit steps, doubling while runs fill it
-_RUN_FROM = 64
-_WAIT_MAX = 1024
-_RUN_MIN, _RUN_MAX = 64, 4096
-
-
-def _table(typecode: str, n: int, fill=0):
-    """An 8-byte array of n copies of fill for the step loop, and a writable
-    numpy view of the same memory for the table-wide and run-path work."""
-    a = array(typecode, [fill]) * n
-    return a, np.frombuffer(a, dtype=np.float64 if typecode == "d" else np.int64)
-
-
-def _own_line_run(tab, c: int, end: int, behind: float, step: int,
-                  ol: int) -> int:
-    """Take the walk's unit steps from flat point c, visited at `step`, on
-    toward `end`, a point of c's own line, for as long as each is the
-    greedy choice; write them into the visit, order and distance tables and
-    return how many were taken.
-
-    The step from point a to its neighbour b is greedy when b is unvisited;
-    the gap |b - a| beats the distance from a to `behind`, the abscissa of
-    the alive point on the other side (strictly when moving right: the pred
-    side wins ties); both tabulated cross points of a are unvisited and no
-    nearer than the gap (strictly farther when the other line `ol` is 0: the
-    lower line wins ties); and the gap is below a's stop margin.
-    """
-    F, vis, cross, cp, cs, margin, order, dists = tab
-    dr = 1 if end > c else -1
-    src, dst = slice(c, end, dr), slice(c + dr, end + dr, dr)
-    a, b = F[src], F[dst]
-    if dr > 0:
-        gap = b - a
-        ok = gap < a - behind
-    else:
-        gap = a - b
-        ok = gap <= behind - a
-    ok &= vis[dst] < 0
-    k = cross[src]
-    ok &= (vis[k - 1] < 0) & (vis[k] < 0)
-    dc = np.minimum(cp[src], cs[src])
-    ok &= (dc >= gap) if ol else (dc > gap)
-    ok &= gap < margin[src]
-    t = int(ok.argmin())
-    if ok[t]:
-        t = len(ok)
-    vis[dst][:t] = np.arange(step + 1, step + t + 1)
-    order[step:step + t] = np.arange(c + dr, c + dr * (t + 1), dr)
-    dists[step:step + t] = gap[:t]
-    return t
 
 
 # the compiled library: _walk.c, with the step loop gw_walk and the lemma
@@ -398,72 +333,34 @@ def _trajectory(start: Site, F, steps, dists, vis, n0: int,
 
 
 def _run_walk_py(real: Realization, start: Site, rule: StopRule) -> Trajectory:
-    """run_walk's Python loop, for where the compiled one does not load."""
+    """run_walk's Python loop, for where the compiled one does not load:
+    gw_walk in _walk.c line for line, on lists."""
     spec = real.spec
-    arrs = (real.line0, real.line1)
-    n = (len(arrs[0]), len(arrs[1]))
     inf = math.inf
-    # one flat table [-inf, line0..., +inf, -inf, line1..., +inf]: line l's
-    # points sit at first[l]..hi[l] - 1 between its sentinels lo[l], hi[l]
-    first = (1, n[0] + 3)
-    lo = (0, n[0] + 2)
-    hi = (n[0] + 1, n[0] + n[1] + 3)
-    size = n[0] + n[1] + 4
-    F, F_np = _table("d", size)
-    # links to the unvisited neighbours, exact for unvisited points and
-    # spliced on each visit; a visited point keeps links past which every
-    # point is visited
-    nxt, nxt_np = _table("q", size)
-    prv, prv_np = _table("q", size)
-    nxt_np[:] = np.arange(1, size + 1)
-    prv_np[:] = np.arange(-1, size - 1)
-    # the visit step per flat index, -1 while unvisited (a sentinel always)
-    vis, vis_np = _table("q", size, -1)
-    # per point: where its projection falls in the other line (the flat
-    # index of the first point at or after it), the distances to the two
-    # points around it (inf where one is a sentinel), and its stop margin
-    cross, cross_np = _table("q", size)
-    cp, cp_np = _table("d", size, inf)
-    cs, cs_np = _table("d", size, inf)
-    margin, margin_np = _table("d", size, inf)
+    n0, n1 = len(real.line0), len(real.line1)
+    F = [-inf, *real.line0.tolist(), inf, -inf, *real.line1.tolist(), inf]
+    size = n0 + n1 + 4
+    lo, hi = (0, n0 + 2), (n0 + 1, n0 + n1 + 3)
+    prv = list(range(-1, size - 1))
+    nxt = list(range(1, size + 1))
+    vis = [-1] * size
+    order, dists = [], []
     truncating = rule.mode == TRUNCATION_SAFE
-    for l in (0, 1):
-        F_np[lo[l]], F_np[first[l]:hi[l]], F_np[hi[l]] = -inf, arrs[l], inf
-    for l in (0, 1):
-        u, seg = arrs[l], slice(first[l], hi[l])
-        cross_np[seg] = k = first[1 - l] + np.searchsorted(
-            arrs[1 - l], _centre(spec, u))
-        if truncating:
-            margin_np[seg] = stop_margin(real, u, l)
-        # with a line empty (always on a single line) every pair is a
-        # sentinel pair
-        if n[0] and n[1]:
-            for out, j in ((cp_np, k - 1), (cs_np, k)):
-                v = F_np[j]
-                pair = np.isfinite(v)
-                out[seg][pair] = cross_distance(spec, u[pair], v[pair],
-                                                np.sqrt)
-    # the flat index visited at each step, and the step's distance
-    order, order_np = _table("q", n[0] + n[1])
-    dists, dists_np = _table("d", n[0] + n[1])
-    tab = (F_np, vis_np, cross_np, cp_np, cs_np, margin_np, order_np,
-           dists_np)
-    # the start site is no realization point: bisect and measure it directly
     cu, cl = start.u, start.line
     ol = 1 - cl
-    s = bisect_left(F, cu, first[cl], hi[cl])
-    p = s - 1
-    xs = bisect_left(F, _centre(spec, cu), first[ol], hi[ol])
-    xp = xs - 1
-    dcp = inf if xp == lo[ol] else cross_distance(spec, cu, F[xp])
-    dcs = inf if xs == hi[ol] else cross_distance(spec, cu, F[xs])
     m = stop_margin(real, cu, cl) if truncating else inf
-    step = 0
-    probe, wait, chunk = _RUN_FROM, 1, _RUN_MIN
+    s = bisect_left(F, cu, lo[cl] + 1, hi[cl])
+    p = s - 1
+    xs = bisect_left(F, _centre(spec, cu), lo[ol] + 1, hi[ol])
+    xp = xs - 1
     while True:
         # the nearest unvisited point on each side of cu on its own line,
         # then on each side of its projection on the other line; on a tie
-        # the lower line wins, then the smaller u (the pred side)
+        # the lower line wins, then the smaller u (the pred side).  A cross
+        # sentinel is inf by index: on intersecting lines the formula is
+        # NaN at +-inf
+        dcp = inf if xp == lo[ol] else cross_distance(spec, cu, F[xp])
+        dcs = inf if xs == hi[ol] else cross_distance(spec, cu, F[xs])
         d = cu - F[p]
         d_s = F[s] - cu
         if d_s < d:
@@ -478,66 +375,21 @@ def _run_walk_py(real: Realization, start: Site, rule: StopRule) -> Trajectory:
         # m is inf, so one test covers both stops
         if d >= m:
             break
-        order[step] = i
-        dists[step] = d
-        step += 1
-        vis[i] = step
+        order.append(i)
+        dists.append(d)
+        vis[i] = len(order)
         p, s = prv[i], nxt[i]
         nxt[p] = s
         prv[s] = p
-        if step >= probe:
-            # after 4 unit steps one way, take the greedy unit steps that
-            # follow in numpy; back off while probes find no full chunk
-            dr = i - order[step - 2]
-            t = span = 0
-            if ((dr == 1 or dr == -1) and order[step - 3] == i - 2 * dr
-                    and order[step - 4] == i - 3 * dr
-                    and order[step - 5] == i - 4 * dr):
-                end = (min(i + chunk, hi[cl] - 1) if dr > 0
-                       else max(i - chunk, first[cl]))
-                span = abs(end - i)
-                if span:
-                    t = _own_line_run(tab, i, end, F[p if dr > 0 else s],
-                                      step, ol)
-            if t:
-                step += t
-                i += dr * t
-                # splice the run's last point; the others keep links along
-                # the run, past which every point is visited
-                if dr > 0:
-                    s = nxt[i]
-                else:
-                    p = prv[i]
-                nxt[p] = s
-                prv[s] = p
-            if t and t == span:
-                wait, chunk = 1, min(2 * chunk, _RUN_MAX)
-            else:
-                wait, chunk = min(2 * wait, _WAIT_MAX), _RUN_MIN
-            probe = step + wait
         cu = F[i]
-        m = margin[i]
-        xs = cross[i]
-        xp = xs - 1
-        dcp, dcs = cp[i], cs[i]
-        # past a visited cross point, measure the point the links lead to
-        # (_skip_visited with its first hop inline: mostly the only one);
-        # a sentinel by index, since on intersecting lines the formula is
-        # NaN at +-inf
-        if vis[xp] >= 0:
-            k = prv[xp]
-            if vis[k] >= 0:
-                prv[xp] = k = _skip_visited(vis, prv, k)
-            xp = k
-            dcp = inf if xp == lo[ol] else cross_distance(spec, cu, F[xp])
-        if vis[xs] >= 0:
-            k = nxt[xs]
-            if vis[k] >= 0:
-                nxt[xs] = k = _skip_visited(vis, nxt, k)
-            xs = k
-            dcs = inf if xs == hi[ol] else cross_distance(spec, cu, F[xs])
-    return _trajectory(start, F_np, order_np[:step], dists_np[:step], vis_np,
-                       n[0], d == inf)
+        if truncating:
+            m = stop_margin(real, cu, cl)
+        xs = bisect_left(F, _centre(spec, cu), lo[ol] + 1, hi[ol])
+        xp = _skip_visited(vis, prv, xs - 1)
+        xs = _skip_visited(vis, nxt, xs)
+    return _trajectory(start, np.array(F), np.array(order, dtype=np.int64),
+                       np.array(dists), np.array(vis, dtype=np.int64), n0,
+                       d == inf)
 
 
 def run_walk_naive(real: Realization, start: Site = Site(0.0, 0),

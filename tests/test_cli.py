@@ -157,6 +157,31 @@ def test_verify_without_checks_does_not_pass(capsys, argv, ran):
     assert out.endswith(": NO CHECKS (0 violations / 0 checks)\n")
 
 
+def test_verify_rejects_unknown_suite(capsys):
+    assert main(["verify", "--suite", "nope", "--runs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "'nope'" in err
+    assert all(name in err for name in CHECKS)
+
+
+def test_verify_runs_suite_registered_after_parser_build(monkeypatch, capsys):
+    # the parser is built once per process, so it must not freeze the
+    # suite names it saw
+    _build_parser()
+
+    def clean(real, traj):
+        return {"late": Outcome({"good": 1}, 1, [])}
+
+    monkeypatch.setitem(CHECKS, "late", Check(
+        "late", ("single-line",), "test shim", ("good",), clean))
+    assert main(["verify", "--suite", "late", "--runs", "1"]) == 0
+    assert "late: PASS (0 violations / 1 checks)" in capsys.readouterr().out
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
 def test_verify_requires_suite(capsys):
     assert main(["verify"]) == 2
     assert "--suite" in capsys.readouterr().err

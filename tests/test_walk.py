@@ -245,105 +245,9 @@ def test_engines_agree(spec_for, construction):
                     assert_engines_agree(real, start, rule)
 
 
-def run_model(tab, c, end, behind, ol):
-    """The run path's rule, one step at a time: how many unit steps from
-    flat point c toward end are each the greedy choice (see
-    walk._own_line_run)."""
-    F, vis, cross, cp, cs, margin = (x.tolist() for x in tab[:6])
-    dr = 1 if end > c else -1
-    t = 0
-    for a in range(c, end, dr):
-        b = a + dr
-        gap = F[b] - F[a] if dr > 0 else F[a] - F[b]
-        beats_behind = gap < F[a] - behind if dr > 0 else gap <= behind - F[a]
-        dc = min(cp[a], cs[a])
-        beats_cross = dc > gap or (dc == gap and ol == 1)
-        if not (vis[b] < 0 and beats_behind
-                and vis[cross[a] - 1] < 0 and vis[cross[a]] < 0
-                and beats_cross and gap < margin[a]):
-            break
-        t += 1
-    return t
-
-
-@pytest.fixture
-def run_path(monkeypatch):
-    """Wrap the Python loop's run path: each run must take exactly the
-    steps the step-at-a-time rule allows, and the list collects how many it
-    took."""
-    taken = []
-    helper = walk._own_line_run
-
-    def checked(tab, c, end, behind, step, ol):
-        want = run_model(tab, c, end, behind, ol)
-        t = helper(tab, c, end, behind, step, ol)
-        assert t == want
-        taken.append(t)
-        return t
-
-    monkeypatch.setattr(walk, "_own_line_run", checked)
-    return taken
-
-
-def run_tables(line0, line1=(), cross=None, cp=math.inf, cs=math.inf,
-               margin=math.inf, visited=()):
-    """run_walk's flat tables for hand-placed points: cross[i] is point
-    i's cross index as a flat index, cp, cs and margin one value or one per
-    flat index, visited the flat indexes already visited."""
-    inf = math.inf
-    F = np.array([-inf, *line0, inf, -inf, *line1, inf])
-    size = len(F)
-    vis = np.full(size, -1, dtype=np.int64)
-    vis[list(visited)] = 0
-    if cross is None:
-        cross = np.full(size, size - 1, dtype=np.int64)
-    return (F, vis, np.asarray(cross, dtype=np.int64),
-            np.broadcast_to(np.asarray(cp, dtype=float), size),
-            np.broadcast_to(np.asarray(cs, dtype=float), size),
-            np.broadcast_to(np.asarray(margin, dtype=float), size),
-            np.zeros(size, dtype=np.int64), np.zeros(size))
-
-
-def test_own_line_run_conditions():
-    # each case is one condition of the run path at its tie; line 0 sits
-    # at flat indexes 1.., and the other line is empty unless given
-    run = walk._own_line_run
-    unit = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
-    # right: a gap equal to the distance back loses (the pred side wins)
-    assert run(run_tables(unit + [16.0]), 1, 7, -6.0, 1, 1) == 5
-    assert run(run_tables(unit + [15.5]), 1, 7, -6.0, 1, 1) == 6
-    # left: a gap equal to the distance ahead wins
-    assert run(run_tables([-16.0] + [-u for u in unit[::-1]]),
-               7, 1, 6.0, 1, 1) == 6
-    assert run(run_tables([-16.5] + [-u for u in unit[::-1]]),
-               7, 1, 6.0, 1, 1) == 5
-    # a cross point as near as the gap wins when its line is 0 (ol = 0)
-    assert run(run_tables(unit, cp=1.0), 1, 6, -math.inf, 1, 1) == 5
-    assert run(run_tables(unit, cs=1.0), 1, 6, -math.inf, 1, 0) == 0
-    assert run(run_tables(unit, cs=1.5), 1, 6, -math.inf, 1, 0) == 5
-    # the run stops before a visited successor
-    assert run(run_tables(unit, visited=[4]), 1, 6, -math.inf, 1, 1) == 2
-    # ... before a point whose tabulated cross points are not both alive
-    # (flat 8 and 11 are the other line's sentinels, 9 and 10 its points)
-    cross = [10, 9, 9, 9, 11, 11, 11, 10, 10, 10, 10, 10]
-    tab = run_tables(unit, line1=[100.0, 200.0], cross=cross, visited=[9])
-    assert run(tab, 1, 6, -math.inf, 1, 1) == 0
-    tab = run_tables(unit, line1=[100.0, 200.0], cross=cross, visited=[10])
-    assert run(tab, 1, 6, -math.inf, 1, 1) == 3
-    # ... and before a gap that reaches the stop margin
-    margin = [math.inf] * 4 + [1.0] + [math.inf] * 5
-    assert run(run_tables(unit, margin=margin), 1, 6, -math.inf, 1, 1) == 3
-    # the steps taken are written after `step` into the walk's tables
-    _, vis, _, _, _, _, order, dists = tab = run_tables(unit + [16.0])
-    assert run(tab, 1, 7, -6.0, 3, 1) == 5
-    assert vis.tolist()[1:8] == [-1, 4, 5, 6, 7, 8, -1]
-    assert order.tolist()[3:9] == [2, 3, 4, 5, 6, 0]
-    assert dists.tolist()[3:9] == [1.0] * 5 + [0.0]
-
-
-# Long walks on an integer grid, where runs are long and cross ties come
-# up: at r equal to the grid step, a gap equals the distance to the twin
-# across.  The own-line ties are test_own_line_run_conditions' cases.
+# Long walks on an integer grid, where own-line gaps tie and cross ties
+# come up: at r equal to the grid step, a gap equals the distance to the
+# twin across.
 GRID = np.arange(-240.0, 241.0)
 FATE = np.random.default_rng(20261018).integers(0, 3, size=len(GRID))
 GRIDS = {  # construction: (line0, line1, parameters)
@@ -357,18 +261,16 @@ GRIDS = {  # construction: (line0, line1, parameters)
 
 
 @pytest.mark.parametrize("construction", sorted(GRIDS))
-def test_engines_agree_on_long_grid_walks(hand_real, run_path, construction):
+def test_engines_agree_on_long_grid_walks(hand_real, construction):
     line0, line1, params = GRIDS[construction]
     real = hand_real(construction, line0, line1=line1, window_L=240.0,
                      **params)
     assert all(len(a) >= 300 for a in (real.line0, real.line1) if len(a))
-    # off the grid and far from the origin: on intersecting lines at pi/2
-    # every projection falls next to the origin, so runs (which need the
-    # tabulated cross points unvisited) come only on the way in
+    # from the origin, and off the grid far from it: on intersecting lines
+    # at pi/2 every projection then falls next to the origin
     for start in (Site(0.0, 0), Site(100.5, real.spec.n_lines - 1)):
         for rule in (StopRule(), EXH):
             assert_engines_agree(real, start, rule)
-    assert sum(run_path) > 0
 
 
 def test_kernel_loads_where_there_is_a_compiler():
@@ -448,7 +350,8 @@ def test_kernel_edge_cases(hand_real):
 @pytest.mark.parametrize("construction", CONSTRUCTIONS)
 def test_kernel_matches_python_loop_at_large_L(spec_for, construction):
     # the oracle is quadratic, so at L = 20,000 the Python loop checks the
-    # compiled one
+    # compiled one; being gw_walk's line-for-line twin, it catches slips in
+    # either copy, and the oracle tests at small L catch flaws they share
     real = generate(spec_for(construction, window_L=20000.0),
                     stream_seed(908, 0))
     assert len(python_loop(real)) > 10000
@@ -487,24 +390,6 @@ def test_concurrent_cold_compile(tmp_path):
     assert outs[0] == outs[1]
     files = [f.name for f in (tmp_path / "gwlab").iterdir()]
     assert len(files) == 1 and files[0].endswith(".so")
-
-
-@pytest.mark.parametrize("construction", CONSTRUCTIONS)
-def test_stop_margin_array_matches_scalar(spec_for, construction):
-    # the engine tabulates margins with one array call; each entry must be
-    # the margin a scalar call gives, bit for bit
-    drawn = generate(spec_for(construction), stream_seed(907, 0))
-    rng = np.random.default_rng(907)
-    for real in windows_variants(drawn):
-        for line in range(2):
-            lo, hi = real.windows[line]
-            u = np.concatenate(((real.line0, real.line1)[line],
-                                [lo, hi, 0.0, lo - 1.0, hi + 1.0],
-                                rng.uniform(lo - 2.0, hi + 2.0, size=50)))
-            table = stop_margin(real, u, line)
-            scalar = np.array([stop_margin(real, float(x), line) for x in u])
-            assert table.dtype == np.float64
-            assert table.tobytes() == scalar.tobytes()
 
 
 PINS = Path(__file__).parent / "data" / "walk_pins.json"
