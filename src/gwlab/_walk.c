@@ -55,18 +55,19 @@ static double centre(const Space *sp, double u)
 static double min2(double a, double b) { return b < a ? b : a; }
 
 /* stop_margin: the shortest distance from u on `line` to any location
- * outside the windows */
+ * outside the windows.  Only two kinds of term can bind.  The own line's
+ * window ends, and on parallel lines the cross term from h, the distance
+ * along the line from u to the other window's nearer end; where h < 0, u
+ * lies outside the other window, so the own-line term is below |s| < r
+ * and wins.  On intersecting lines both windows are (-L, L), and by the
+ * triangle inequality a place on the other line outside its window is at
+ * least L - |u| away, the own-line term. */
 static double margin(const Space *sp, double u, int line)
 {
     int o = 1 - line;
     double m = min2(u - sp->lo[line], sp->hi[line] - u);
-    if (sp->kind == PARALLEL) {
-        double h = min2(u - sp->lo[o], sp->hi[o] - u);
-        m = min2(m, cross(sp, h > 0.0 ? h : 0.0, 0.0));
-    } else if (sp->kind == INTERSECTING) {
-        m = min2(m, cross(sp, u, sp->lo[o]));
-        m = min2(m, cross(sp, u, sp->hi[o]));
-    }
+    if (sp->kind == PARALLEL)
+        m = min2(m, cross(sp, min2(u - sp->lo[o], sp->hi[o] - u), 0.0));
     return m;
 }
 
@@ -119,25 +120,25 @@ static int64_t skip(const int64_t *vis, int64_t *link, int64_t j)
     return k;
 }
 
-/* Walk from abscissa cu on line cl, whose stop margin is m (inf under
- * run-to-exhaustion), over the flat table F of n0 + n1 points drawn on the
- * windows [lo0, hi0] and [lo1, hi1].  prv and nxt are scratch of
- * n0 + n1 + 4 entries; vis (as many) receives each flat index's 1-based
- * visit step, -1 if unvisited; order and dists (n0 + n1) receive the flat
- * index and the distance of each step.  Returns the step count and sets
- * *exhausted when every point was visited. */
+/* Walk from abscissa cu on line cl over the flat table F of n0 + n1 points
+ * drawn on the windows [lo0, hi0] and [lo1, hi1], stopping at the first
+ * step whose distance reaches the stop margin when truncating, else when
+ * every point is visited.  prv and nxt are scratch of n0 + n1 + 4 entries;
+ * vis (as many) receives each flat index's 1-based visit step, -1 if
+ * unvisited; order and dists (n0 + n1) receive the flat index and the
+ * distance of each step.  Returns the step count, which is n0 + n1
+ * exactly when every point was visited. */
 int64_t gw_walk(const double *F, int64_t n0, int64_t n1, int kind, double r,
                 double cos_alpha, double lo0, double hi0, double lo1,
-                double hi1, int truncating, double cu, int cl, double m,
-                int64_t *prv, int64_t *nxt, int64_t *vis, int64_t *order,
-                double *dists, int *exhausted)
+                double hi1, int truncating, double cu, int cl, int64_t *prv,
+                int64_t *nxt, int64_t *vis, int64_t *order, double *dists)
 {
     const Space sp = {kind, r, cos_alpha, {lo0, lo1}, {hi0, hi1}};
     const int64_t size = n0 + n1 + 4;
     const int64_t lo[2] = {0, n0 + 2}, hi[2] = {n0 + 1, n0 + n1 + 3};
     int ol = 1 - cl, t;
     int64_t k, i, p, s, xp, xs, near[2], step = 0;
-    double d, d_s, dcp, dcs;
+    double d, d_s, dcp, dcs, m = truncating ? margin(&sp, cu, cl) : INFINITY;
 
     for (k = 0; k < size; k++) {
         prv[k] = k - 1;
@@ -192,7 +193,6 @@ int64_t gw_walk(const double *F, int64_t n0, int64_t n1, int kind, double r,
         xp = skip(vis, prv, xs - 1);
         xs = skip(vis, nxt, xs);
     }
-    *exhausted = d == INFINITY;
     return step;
 }
 
@@ -201,7 +201,6 @@ int64_t gw_walk(const double *F, int64_t n0, int64_t n1, int kind, double r,
  * linear pass, with its counts and its violations in its order. */
 
 typedef struct { /* a close cross-line pair that broke too late */
-    int64_t off, i; /* j - i and i, by which the list is sorted */
     double x, y, gate, t_break;
 } PairViolation;
 
@@ -231,14 +230,6 @@ static int64_t root(int64_t *link, int64_t k)
     return r;
 }
 
-static int by_offset(const void *a, const void *b)
-{
-    const PairViolation *p = a, *q = b;
-    if (p->off != q->off)
-        return p->off < q->off ? -1 : 1;
-    return p->i < q->i ? -1 : p->i > q->i;
-}
-
 /* 1 unless the line is finite and strictly increasing */
 static int unsorted(const double *a, int64_t n)
 {
@@ -251,13 +242,15 @@ static int unsorted(const double *a, int64_t n)
 
 /* Audit the n steps us (from abscissa start) over line0 and line1, whose
  * visit steps are vis0 and vis1 (< 1: never visited); the pair audit runs
- * when pairs is set, with separation r.  Writes up to pcap pair and scap
- * step violations and sets counts to the pair, replay and empty-interval
- * checks and the pair and step violations found, all of them even past a
- * capacity.  Returns 0, or 1 when the trajectory is not one this pass can
- * read (a line not finite and increasing, a visit step past n, a step
- * given to no point or to two, us[t - 1] not the point visited at t, a
- * start that is NaN) and 2 when memory runs out; then nothing is written.
+ * when the separation r is positive, which it is on parallel lines only.
+ * Writes up to pcap pair violations, in scan order (by i, then j, over the
+ * merged table), and up to scap step violations, in step order, and sets
+ * counts to the pair, replay and empty-interval checks and the pair and
+ * step violations found, all of them even past a capacity.  Returns 0,
+ * or 1 when the trajectory is not one this pass can read (a line not
+ * finite and increasing, a visit step past n, a step given to no point or
+ * to two, us[t - 1] not the point visited at t, a start that is NaN) and 2
+ * when memory runs out; then nothing is written.
  *
  * The points merge into one sorted table mu (line 0 first on a tie), with
  * each point's line and visit step (n + 1 when never visited).  Step t
@@ -270,7 +263,7 @@ static int unsorted(const double *a, int64_t n)
  * witness). */
 int gw_audit(const double *line0, int64_t n0, const double *line1,
              int64_t n1, const int64_t *vis0, const int64_t *vis1,
-             const double *us, int64_t n, double start, int pairs, double r,
+             const double *us, int64_t n, double start, double r,
              PairViolation *pv, int64_t pcap, StepViolation *sv,
              int64_t scap, int64_t *counts)
 {
@@ -319,7 +312,7 @@ int gw_audit(const double *line0, int64_t n0, const double *line1,
         if (pos[t] < 0 || !(us[t - 1] == mu[pos[t]]))
             goto bad;
 
-    if (pairs) {
+    if (r > 0.0) {
         /* first passages, 0 at the start and never beyond the prefix:
          * each level's is the first step at which the running max is
          * >= it (up) or the running min <= it (down) */
@@ -346,12 +339,10 @@ int gw_audit(const double *line0, int64_t n0, const double *line1,
                 brk = ms[i] < ms[j] ? ms[i] : ms[j];
                 if (gate <= n && gate < brk && npv++ < pcap)
                     pv[npv - 1] = (PairViolation){
-                        j - i, i, mu[i], mu[j], (double)gate,
+                        mu[i], mu[j], (double)gate,
                         brk == never ? INFINITY : (double)brk};
             }
         }
-        if (npv <= pcap)
-            qsort(pv, (size_t)npv, sizeof *pv, by_offset);
     }
 
     for (k = 0; k <= m; k++)

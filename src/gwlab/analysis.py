@@ -753,14 +753,12 @@ def _audit_pairs(real: Realization, traj: Trajectory, audit: LemmaAudit,
     r = real.spec.separation_r
     M = len(mu)
     # candidates j > i up to a bound padded past every rounding of the
-    # exact gap test below; listed by offset j - i, then by i
+    # exact gap test below; listed by i, then by j, as gw_audit scans them
     ends = np.searchsorted(mu, mu + r + 1e-12 * (np.abs(mu) + r), "right")
     count = ends - np.arange(M) - 1
     ii = np.repeat(np.arange(M), count)
     off = np.arange(len(ii)) - np.repeat(np.cumsum(count) - count, count) + 1
-    by_offset = np.argsort(off, kind="stable")
-    ii = ii[by_offset]
-    jj = ii + off[by_offset]
+    jj = ii + off
     gap = mu[jj] - mu[ii]
     sel = (gap <= r) & (gap > 0.0) & (ml[ii] != ml[jj])
     ii, jj = ii[sel], jj[sel]
@@ -823,9 +821,8 @@ def _audit_replay(traj: Trajectory, audit: LemmaAudit, mu, ms) -> None:
 
 # gw_audit's violation rows (_walk.c's PairViolation and StepViolation),
 # and the keys of a step violation's dict by its kind
-_PAIR_ROW = np.dtype([("off", np.int64), ("i", np.int64), ("x", np.float64),
-                      ("y", np.float64), ("gate", np.float64),
-                      ("t_break", np.float64)])
+_PAIR_ROW = np.dtype([("x", np.float64), ("y", np.float64),
+                      ("gate", np.float64), ("t_break", np.float64)])
 _STEP_ROW = np.dtype([("kind", np.int64), ("step", np.int64),
                       ("u", np.float64), ("ref", np.float64),
                       ("value", np.float64)])
@@ -854,7 +851,7 @@ def _audit_compiled(lib, real: Realization, traj: Trajectory):
                 lines[0].ctypes.data, len(lines[0]), lines[1].ctypes.data,
                 len(lines[1]), vis[0].ctypes.data, vis[1].ctypes.data,
                 us.ctypes.data, len(us), traj.start.u,
-                real.spec.kind == PARALLEL, real.spec.separation_r or 0.0,
+                real.spec.separation_r or 0.0,
                 pairs.ctypes.data, caps[0], steps.ctypes.data, caps[1],
                 counts.ctypes.data):
             return None
@@ -866,7 +863,7 @@ def _audit_compiled(lib, real: Realization, traj: Trajectory):
     audit.violations.extend(
         {"kind": "pair-distance", "x": x, "y": y, "gate": gate,
          "t_break": t_break}
-        for _, _, x, y, gate, t_break in pairs[:found[0]].tolist())
+        for x, y, gate, t_break in pairs[:found[0]].tolist())
     for kind, step, u, ref, value in steps[:found[1]].tolist():
         name, key_u, key_ref, key_value = _STEP_KEYS[kind]
         audit.violations.append({"kind": name, "step": step, key_u: u,

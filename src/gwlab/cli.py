@@ -40,7 +40,7 @@ from .processes import (
     generate,
     realization_to_dict,
 )
-from .seeding import stream_seed
+from .seeding import check_seed, stream_seed
 from .walk import (
     RUN_TO_EXHAUSTION,
     TRUNCATION_SAFE,
@@ -256,6 +256,8 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
+        if "seed" in args:
+            check_seed("--seed", args.seed)
         return args.handler(args)
     except (ValidationError, OSError) as e:
         # an OSError here is an output path that cannot be written

@@ -39,7 +39,7 @@ from .processes import (
     couple_restrict,
     generate,
 )
-from .seeding import RNG_ALGORITHM, stream_seed
+from .seeding import RNG_ALGORITHM, check_seed, stream_seed
 from .walk import run_walk
 
 @dataclass(frozen=True)
@@ -78,6 +78,7 @@ class ExperimentConfig:
             raise ValidationError(f"unknown construction: {self.construction!r}")
         if self.n_runs < 1:
             raise ValidationError("n_runs must be >= 1")
+        check_seed("base_seed", self.base_seed)
         if self.workers < 1:
             raise ValidationError("workers must be >= 1")
 

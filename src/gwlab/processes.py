@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .seeding import make_generator
+from .seeding import check_seed, make_generator
 
 SINGLE_POISSON = "single-line"
 INTERSECTING_INDEPENDENT = "intersecting"
@@ -466,8 +466,7 @@ def realization_from_dict(d: dict) -> Realization:
     _require(d, ("spec", "seed", "line0", "line1"), "run",
              ("base_points", "flags", "windows", "provenance"))
     seed, provenance = d["seed"], d.get("provenance", "imported")
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ValidationError(f"seed must be an integer, got {seed!r}")
+    check_seed("seed", seed)
     if not isinstance(provenance, str):
         raise ValidationError("provenance must be a string")
     real = Realization(

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError
+
 RNG_ALGORITHM = "philox4x64(key=splitmix64-stream(base_seed,run_index))/v1"
 
 _MASK64 = (1 << 64) - 1
@@ -23,6 +25,15 @@ def splitmix64(x: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+def check_seed(name: str, seed) -> None:
+    """ValidationError unless seed is an integer in [0, 2**64): the
+    generators read any other modulo 2**64, as another seed."""
+    if (isinstance(seed, bool) or not isinstance(seed, int)
+            or not 0 <= seed <= _MASK64):
+        raise ValidationError(
+            f"{name} must be an integer in [0, 2**64), got {seed!r}")
 
 
 def stream_seed(base_seed: int, run_index: int) -> int:

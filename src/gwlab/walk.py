@@ -40,9 +40,11 @@ loop keeps per-point tables.
 
 Stopping.  With the default truncation-safe rule the walk stops as soon as
 the chosen step distance reaches the shortest distance to any location
-outside the drawn windows (``stop_margin``).  Every emitted step therefore
-beats every point the window did not sample, so the emitted prefix is
-exactly the prefix of the walk on the unbounded process.
+outside the drawn windows (``stop_margin``; ``margin`` in ``_walk.c``),
+which each loop computes itself, the start's included.  Every emitted step
+therefore beats every point the window did not sample, so the emitted
+prefix is exactly the prefix of the walk on the unbounded process.  A walk
+that took one step per point exhausted them; any other stopped at the margin.
 """
 
 from __future__ import annotations
@@ -168,23 +170,17 @@ def _skip_visited(vis, link, j: int) -> int:
 
 def stop_margin(real: Realization, u: float, line: int) -> float:
     """Shortest distance from abscissa u on `line` to any location outside
-    the windows.
-
-    It respects the realization's actual per-line windows, which matters
-    when line 1 was drawn on a shifted interval or the realization was
-    transformed.  It takes minima as _walk.c's margin does, so both loops
-    stop at the same step.
-    """
-    spec = real.spec
+    the realization's per-line windows, with minima taken as _walk.c's
+    margin takes them, so both loops stop at the same step.  Only two terms
+    can bind: the own line's window ends, and on parallel lines the way
+    across from h, the distance along the line to the other window's nearer
+    end (h < 0 puts u outside that window, where the own-line term is below
+    |s| < r).  On intersecting lines both windows are (-L, L), so by the
+    triangle inequality the other line's outside is L - |u| away or more."""
     (lo_s, hi_s), (lo_o, hi_o) = real.windows[line], real.windows[1 - line]
     m = min(u - lo_s, hi_s - u)
-    if spec.kind == PARALLEL:
-        # the nearest outside location across sits h along the line from u
-        h = max(0.0, min(u - lo_o, hi_o - u))
-        m = min(m, cross_distance(spec, h, 0.0))
-    elif spec.kind == INTERSECTING:
-        m = min(m, cross_distance(spec, u, lo_o))
-        m = min(m, cross_distance(spec, u, hi_o))
+    if real.spec.kind == PARALLEL:
+        m = min(m, cross_distance(real.spec, min(u - lo_o, hi_o - u), 0.0))
     return m
 
 
@@ -214,12 +210,10 @@ _SIGNATURES = {  # symbol: (argument types, result type)
     "gw_walk": ((_P, _Q, _Q,  # F, n0, n1
                  _I, _D, _D,  # kind, r, cos_alpha
                  _D, _D, _D, _D,  # lo0, hi0, lo1, hi1
-                 _I, _D, _I, _D,  # truncating, cu, cl, m
-                 _P, _P, _P, _P, _P,  # prv, nxt, vis, order, dists
-                 ctypes.POINTER(_I)), _Q),  # exhausted
+                 _I, _D, _I,  # truncating, cu, cl
+                 _P, _P, _P, _P, _P), _Q),  # prv, nxt, vis, order, dists
     "gw_audit": ((_P, _Q, _P, _Q,  # line0, n0, line1, n1
-                  _P, _P, _P, _Q, _D,  # vis0, vis1, us, n, start
-                  _I, _D,  # pairs, r
+                  _P, _P, _P, _Q, _D, _D,  # vis0, vis1, us, n, start, r
                   _P, _Q, _P, _Q, _P), _I),  # pv, pcap, sv, scap, counts
 }
 
@@ -304,29 +298,25 @@ def run_walk(real: Realization, start: Site = Site(0.0, 0),
     F[1:n0 + 1], F[n0 + 3:-1] = real.line0, real.line1
     (lo0, hi0), (lo1, hi1) = real.windows
     spec = real.spec
-    truncating = rule.mode == TRUNCATION_SAFE
-    exhausted = ctypes.c_int()
     step = kernel.gw_walk(
         F.ctypes.data, n0, n1, _KINDS[spec.kind], spec.separation_r or 0.0,
         spec.cos_alpha if spec.kind == INTERSECTING else 0.0,
-        lo0, hi0, lo1, hi1, truncating, start.u, int(start.line),
-        stop_margin(real, start.u, start.line) if truncating else inf,
-        links[0].ctypes.data, links[1].ctypes.data, vis.ctypes.data,
-        order.ctypes.data, dists.ctypes.data, ctypes.byref(exhausted))
-    return _trajectory(start, F, order[:step], dists[:step], vis, n0,
-                       exhausted.value)
+        lo0, hi0, lo1, hi1, rule.mode == TRUNCATION_SAFE, start.u,
+        int(start.line), links[0].ctypes.data, links[1].ctypes.data,
+        vis.ctypes.data, order.ctypes.data, dists.ctypes.data)
+    return _trajectory(start, F, order[:step], dists[:step], vis, n0)
 
 
-def _trajectory(start: Site, F, steps, dists, vis, n0: int,
-                exhausted) -> Trajectory:
+def _trajectory(start: Site, F, steps, dists, vis, n0: int) -> Trajectory:
     """A step loop's Trajectory from its flat table F, the flat index and
-    distance of each step, and the visit step per flat index."""
+    distance of each step, and the visit step per flat index; a loop that
+    took one step per point exhausted them (it steps inf only then)."""
     return Trajectory(
         start=start,
         us=F[steps],
         lines=(steps > n0 + 1).astype(np.int8),
         step_distances=dists.copy(),
-        stop_reason=EXHAUSTED if exhausted else TRUNCATED,
+        stop_reason=EXHAUSTED if len(steps) == len(F) - 4 else TRUNCATED,
         visited_step0=vis[1:n0 + 1].copy(),
         visited_step1=vis[n0 + 3:-1].copy(),
     )
@@ -388,8 +378,7 @@ def _run_walk_py(real: Realization, start: Site, rule: StopRule) -> Trajectory:
         xp = _skip_visited(vis, prv, xs - 1)
         xs = _skip_visited(vis, nxt, xs)
     return _trajectory(start, np.array(F), np.array(order, dtype=np.int64),
-                       np.array(dists), np.array(vis, dtype=np.int64), n0,
-                       d == inf)
+                       np.array(dists), np.array(vis, dtype=np.int64), n0)
 
 
 def run_walk_naive(real: Realization, start: Site = Site(0.0, 0),

@@ -232,6 +232,21 @@ def test_window_above_point_cap_exits_2(capsys, monkeypatch, window):
     assert "cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("command", ["simulate", "verify", "export-plot-data"])
+def test_seeds_outside_64_bits_exit_2(tmp_path, capsys, seed, command):
+    # the generators read a seed modulo 2**64: -1 would draw the points
+    # of 2**64 - 1, and 2**64 those of 0
+    args = {"simulate": ["--construction", "parallel-thinned",
+                         "--window-L", "50"],
+            "verify": ["--suite", "lemma-replay", "--runs", "1"],
+            "export-plot-data": ["--construction", "single-line",
+                                 "--out-dir", str(tmp_path / "out")]}
+    assert main([command, *args[command], f"--seed={seed}"]) == 2
+    assert "--seed must be an integer in [0, 2**64)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("flag", ["--window-L", "--rate-lambda",
                                   "--separation-r"])
 def test_non_finite_flags_exit_2(capsys, flag):
@@ -324,6 +339,20 @@ def test_sweep_rejects_bad_config(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg_path),
                  "--out-dir", str(tmp_path / "out")]) == 2
     assert "mystery_knob" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_sweep_rejects_seeds_outside_64_bits(tmp_path, capsys, seed):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "name": "x", "construction": "single-line", "n_runs": 1,
+        "base_seed": seed,
+    }))
+    assert main(["sweep", "--config", str(cfg_path),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert "base_seed must be an integer in [0, 2**64)" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("key, value", [

@@ -227,6 +227,9 @@ def test_import_validates(spec_for):
         ("seed", 1.5),
         ("seed", True),
         ("seed", None),
+        # beyond 64 bits a seed would draw what a seed in range draws
+        ("seed", -1),
+        ("seed", 2**64),
         ("bogus", 1),  # a key no export writes
     ]:
         with pytest.raises(ValidationError):

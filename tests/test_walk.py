@@ -2,10 +2,12 @@
 the visited-point skip search, the compiled loop's build, and the equality
 of the compiled loop, the Python loop and the oracle."""
 
+import ctypes
 import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -187,7 +189,8 @@ def test_stop_margin_values(hand_real):
 
 
 @pytest.mark.parametrize("construction", [
-    "single-line", "intersecting", "parallel-shifted",
+    "single-line", "intersecting", "parallel-duplicated", "parallel-thinned",
+    "parallel-shifted",
 ])
 def test_stop_margin_lower_bounds_outside_distance(hand_real, construction):
     # every site beyond the drawn windows is at least the margin away
@@ -300,6 +303,25 @@ def test_c_sources_compile_without_warnings():
         assert proc.returncode == 0, proc.stderr
 
 
+def test_ctypes_signatures_match_the_c_prototypes():
+    # ctypes does not check arity: a stale argument list would hand the
+    # compiled functions garbage with no error
+    c_types = {"int64_t": ctypes.c_int64, "double": ctypes.c_double,
+               "int": ctypes.c_int}
+    source = walk._SOURCE.read_text()
+    parsed = {}
+    for name in walk._SIGNATURES:
+        match = re.search(r"^(\w+)\s+" + name + r"\(([^)]*)\)\s*\{",
+                          source, re.MULTILINE)
+        assert match, name
+        args = tuple(
+            ctypes.c_void_p if "*" in param
+            else c_types[param.replace("const", "").split()[0]]
+            for param in match[2].split(","))
+        parsed[name] = (args, c_types[match[1]])
+    assert parsed == walk._SIGNATURES
+
+
 def test_python_loop_runs_without_a_kernel(monkeypatch, tmp_path, spec_for):
     # with no compiler the build gives up and leaves no file behind, and
     # run_walk runs the Python loop, with the oracle's trajectories
@@ -339,12 +361,19 @@ def test_kernel_edge_cases(hand_real):
     ]
     for real in reals:
         # at the origin, on a point (1.0 on line 0, 0.5 or 0.0 on line 1
-        # where there is one) and at either window edge, on each line
-        starts = [Site(u, line) for line in range(real.spec.n_lines)
-                  for u in (0.0, (1.0, 0.5)[line], *real.windows[line])]
-        for start in starts:
-            for rule in (StopRule(), EXH):
-                assert_engines_agree(real, start, rule)
+        # where there is one), at either window edge and one past it, on
+        # each line
+        for line in range(real.spec.n_lines):
+            lo, hi = real.windows[line]
+            for u in (0.0, (1.0, 0.5)[line], lo, hi, lo - 1.0, hi + 1.0):
+                for rule in (StopRule(), EXH):
+                    assert_engines_agree(real, Site(u, line), rule)
+                if not lo <= u <= hi:
+                    # outside the window the margin is negative
+                    for engine in ENGINES:
+                        traj = engine(real, start=Site(u, line))
+                        assert len(traj) == 0
+                        assert traj.stop_reason == TRUNCATED
 
 
 @pytest.mark.parametrize("construction", CONSTRUCTIONS)
