@@ -42,7 +42,7 @@ static double cross(const Space *sp, double u, double v)
         double du = u - v;
         return sqrt(du * du + sp->r * sp->r);
     }
-    return sqrt(u * u + v * v - 2.0 * u * v * sp->cos_alpha);
+    return sqrt(fabs(u * u + v * v - 2.0 * u * v * sp->cos_alpha));
 }
 
 /* where abscissa u projects onto the other line */

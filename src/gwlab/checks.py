@@ -119,18 +119,20 @@ def _povratak(real, traj):
         s.occurrences, bad)}
 
 
+# The traversal verdict alone sets the counts.  Unless it is False, each
+# entered non-zero cluster is one block of consecutive steps that enters
+# and, if finished, leaves at its lead, so every step between clusters
+# leaves from or lands on a lead or the zero cluster: the alignment check
+# holds, and it runs only to fill a violation's detail.
+_TRAVERSAL_COUNT = {True: "ok", None: "undecided", False: "violations"}
+
+
 def _cluster_traversal(real, traj):
     consec = check_cluster_consecutive(real, traj)
-    aligned = check_reduced_alignment(real, traj)
-    counts = {"ok": 0, "undecided": 0, "violations": 0}
-    bad = []
-    if consec is False or not aligned:
-        counts["violations"] = 1
-        bad.append(_where(real, consecutive=consec, aligned=aligned))
-    elif consec is None:
-        counts["undecided"] = 1
-    else:
-        counts["ok"] = 1
+    counts = dict.fromkeys(_TRAVERSAL_COUNT.values(), 0)
+    counts[_TRAVERSAL_COUNT[consec]] = 1
+    bad = [] if consec is not False else [_where(
+        real, consecutive=False, aligned=check_reduced_alignment(real, traj))]
     return {"cluster-traversal": Outcome(counts, 1, bad)}
 
 

@@ -86,6 +86,16 @@ CONSTRUCTION_PARAMS = {
 # for an array no host can hold.
 MAX_EXPECTED_POINTS = 10**8
 
+# The domain on which the engines agree.  The metric squares abscissa gaps
+# and the separation; with window_L in [1/MAX_SCALE, MAX_SCALE] and
+# separation_r and |shift_s| at most MAX_SCALE, no square of a gap at the
+# window's scale overflows or underflows.  sqrt(du*du + r*r) rounds to r for
+# |du| below about r * 1e-8, so with more than MAX_SEPARATION_POINTS points
+# per separation (separation_r * rate_lambda) points across tie by rounding,
+# and the full scan and the step loops' two neighbours break the tie apart.
+MAX_SCALE = 1e150
+MAX_SEPARATION_POINTS = 1e4
+
 
 @dataclass(frozen=True)
 class ProcessSpec:
@@ -134,6 +144,17 @@ class ProcessSpec:
             raise ValidationError("window_L must be positive")
         if self.rate_lambda is None or not self.rate_lambda > 0:
             raise ValidationError("rate_lambda must be positive")
+        if not 1.0 / MAX_SCALE <= self.window_L <= MAX_SCALE:
+            raise ValidationError(f"window_L must be in [{1.0 / MAX_SCALE:g}, "
+                                  f"{MAX_SCALE:g}]")
+        for name in ("separation_r", "shift_s"):
+            if abs(getattr(self, name) or 0.0) > MAX_SCALE:
+                raise ValidationError(f"|{name}| must be at most {MAX_SCALE:g}")
+        if (self.separation_r or 0.0) * self.rate_lambda > MAX_SEPARATION_POINTS:
+            raise ValidationError(
+                "separation_r * rate_lambda must be at most "
+                f"{MAX_SEPARATION_POINTS:g}: beyond it cross-line distances "
+                "round into ties")
         if self.kind == INTERSECTING and not 0.0 < (self.alpha or 0.0) < math.pi:
             raise ValidationError("intersecting lines need alpha in (0, pi)")
         if self.kind == PARALLEL and not (self.separation_r or 0.0) > 0:

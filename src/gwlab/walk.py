@@ -94,16 +94,17 @@ def cross_distance(spec, u, v, sqrt=math.sqrt):
 
     Parallel lines: hypot of the abscissa gap and the separation.
     Intersecting lines: law of cosines on the two arms, with signed
-    abscissas (so opposite half-lines come out right).  Pass numpy arrays
-    with sqrt=np.sqrt for an elementwise result.  Every engine computes the
-    metric here, in this expression order, so their distances agree bit for
-    bit.
+    abscissas (so opposite half-lines come out right); at an angle near 0
+    or pi the cosine law can round below zero for u near v or -v, so its
+    magnitude is taken.  Pass numpy arrays with sqrt=np.sqrt for an
+    elementwise result.  Every engine computes the metric here, in this
+    expression order, so their distances agree bit for bit.
     """
     r = spec.separation_r
     if r is not None:
         du = u - v
         return sqrt(du * du + r * r)
-    return sqrt(u * u + v * v - 2.0 * u * v * spec.cos_alpha)
+    return sqrt(abs(u * u + v * v - 2.0 * u * v * spec.cos_alpha))
 
 
 def distance(spec, a: Site, b: Site) -> float:
@@ -383,72 +384,45 @@ def _run_walk_py(real: Realization, start: Site, rule: StopRule) -> Trajectory:
 
 def run_walk_naive(real: Realization, start: Site = Site(0.0, 0),
                    rule: StopRule = StopRule()) -> Trajectory:
-    """Reference engine: full linear scan per step.  Oracle for run_walk."""
+    """Reference engine, the oracle for run_walk: the rule itself.  Each
+    step measures every point, a visited one as inf, and takes the first
+    minimum; line 0 comes before line 1, each sorted, so that is the tie
+    rule (the lower line, then the smaller u)."""
     _check_start(real, start)
-    spec = real.spec
-    n0, n1 = len(real.line0), len(real.line1)
+    spec, n0 = real.spec, len(real.line0)
     us_all = np.concatenate((real.line0, real.line1))
-    ln_all = np.concatenate(
-        (np.zeros(n0, dtype=np.int8), np.ones(n1, dtype=np.int8))
-    )
-    alive = np.ones(n0 + n1, dtype=bool)
-    n_alive = n0 + n1
-    truncating = rule.mode == TRUNCATION_SAFE
+    vis = np.full(len(us_all), -1, dtype=np.int64)
+    order, dists = [], []
     cu, cl = start.u, start.line
-    us: list[float] = []
-    lines: list[int] = []
-    dists: list[float] = []
-    vis = (
-        np.full(n0, -1, dtype=np.int64),
-        np.full(n1, -1, dtype=np.int64),
-    )
-    reason = EXHAUSTED
-    step = 0
-    while n_alive:
-        same = ln_all == cl
-        d = np.empty(n0 + n1)
-        d[same] = np.abs(us_all[same] - cu)
-        cross = ~same
+    while len(order) < len(us_all):
+        d = np.abs(us_all - cu)
+        other = slice(n0, None) if cl == 0 else slice(n0)
         if spec.kind != SINGLE_LINE:
-            d[cross] = cross_distance(spec, cu, us_all[cross], np.sqrt)
-        d_live = np.where(alive, d, np.inf)
-        # us_all is line 0 then line 1, each sorted, so the first minimum
-        # is the tie-break winner: the lower line, then the smaller u
-        k = int(np.argmin(d_live))
-        dmin = d_live[k]
-        if truncating and dmin >= stop_margin(real, cu, cl):
-            reason = TRUNCATED
+            d[other] = cross_distance(spec, cu, us_all[other], np.sqrt)
+        d[vis >= 0] = np.inf
+        k = int(np.argmin(d))
+        if rule.mode == TRUNCATION_SAFE and d[k] >= stop_margin(real, cu, cl):
             break
-        step += 1
-        alive[k] = False
-        n_alive -= 1
-        cu = float(us_all[k])
-        cl = int(ln_all[k])
-        if k < n0:
-            vis[0][k] = step
-        else:
-            vis[1][k - n0] = step
-        us.append(cu)
-        lines.append(cl)
-        dists.append(float(dmin))
-    return Trajectory(
-        start=start,
-        us=np.asarray(us, dtype=np.float64),
-        lines=np.asarray(lines, dtype=np.int8),
-        step_distances=np.asarray(dists, dtype=np.float64),
-        stop_reason=reason,
-        visited_step0=vis[0],
-        visited_step1=vis[1],
-    )
+        order.append(k)
+        dists.append(d[k])
+        vis[k] = len(order)
+        cu, cl = float(us_all[k]), int(k >= n0)
+    steps = np.array(order, dtype=np.int64)
+    return Trajectory(start, us_all[steps], (steps >= n0).astype(np.int8),
+                      np.array(dists), EXHAUSTED if len(steps) == len(us_all)
+                      else TRUNCATED, vis[:n0], vis[n0:])
 
 
 def trajectories_equal(a: Trajectory, b: Trajectory) -> bool:
-    """Exact step-for-step equality (positions, lines, distances, stop)."""
+    """Exact step-for-step equality (positions, lines, distances, stop,
+    and the visit step of every point)."""
     return (
         a.stop_reason == b.stop_reason
         and np.array_equal(a.us, b.us)
         and np.array_equal(a.lines, b.lines)
         and np.array_equal(a.step_distances, b.step_distances)
+        and np.array_equal(a.visited_step0, b.visited_step0)
+        and np.array_equal(a.visited_step1, b.visited_step1)
     )
 
 

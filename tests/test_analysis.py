@@ -617,6 +617,30 @@ def test_consecutive_on_generated_runs(spec_for):
         assert check_reduced_alignment(real, traj) is True
 
 
+def test_traversal_verdict_implies_alignment(spec_for):
+    # unless the traversal verdict is False, each entered non-zero cluster
+    # is one block of steps entered and, if finished, left at its lead, so
+    # every step between clusters leaves or lands on a lead or the zero
+    # cluster; cluster-traversal counts from the verdict alone
+    rng = np.random.default_rng(5)
+    seen = set()
+    for i in range(30):
+        r = (0.5, 1.0, 2.0)[i % 3]
+        real = generate(spec_for("parallel-duplicated", separation_r=r,
+                                 window_L=30.0), stream_seed(5, i))
+        traj = run_walk(real)
+        n = len(traj)
+        walks = [traj, reorder_steps(traj, rng.permutation(n)),
+                 *(swap_steps(traj, k) for k in range(1, n - 1, 5))]
+        walks += [cut_prefix(t, int(rng.integers(1, n + 1))) for t in walks]
+        for t in walks:
+            consec = check_cluster_consecutive(real, t)
+            aligned = check_reduced_alignment(real, t)
+            assert consec is False or aligned
+            seen.add((consec, aligned))
+    assert seen == {(True, True), (None, True), (False, False), (False, True)}
+
+
 def entry_counts(real, trajs):
     """The indented-entry counts per trajectory, as "e.v.u.x" words."""
     return " ".join(

@@ -14,11 +14,13 @@ import pytest
 from gwlab import (
     CONSTRUCTIONS,
     ProcessSpec,
+    ValidationError,
     __version__,
     generate,
     intersect_Bn_bound,
     read_summaries_csv,
     realization_from_dict,
+    realization_to_dict,
     run_walk,
     trajectory_from_binary,
 )
@@ -245,6 +247,50 @@ def test_seeds_outside_64_bits_exit_2(tmp_path, capsys, seed, command):
     assert main([command, *args[command], f"--seed={seed}"]) == 2
     assert "--seed must be an integer in [0, 2**64)" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# Specs outside the domain on which the engines agree: squares the metric
+# forms overflow (the first three) or underflow (the fourth), or cross-line
+# distances round into ties (r * lambda = 1e8)
+OUT_OF_DOMAIN = [
+    ("intersecting", dict(window_L=1e200, rate_lambda=1e-200,
+                          alpha=math.pi / 3)),
+    ("parallel-duplicated", dict(window_L=20.0, separation_r=1e200)),
+    ("parallel-shifted", dict(window_L=25.0, separation_r=1e200,
+                              shift_s=5e199)),
+    ("intersecting", dict(window_L=1e-160, rate_lambda=1e160, alpha=1.0)),
+    ("parallel-duplicated", dict(window_L=30.0, separation_r=1e8)),
+]
+
+
+@pytest.mark.parametrize("construction, params", OUT_OF_DOMAIN)
+def test_spec_domain_is_bounded_at_every_door(tmp_path, capsys, construction,
+                                              params):
+    with pytest.raises(ValidationError, match="must be"):
+        ProcessSpec(construction, **params)
+    # CLI flags
+    assert main(["simulate", "--construction", construction,
+                 *(f"--{k.replace('_', '-')}={v!r}"
+                   for k, v in params.items())]) == 2
+    assert "must be" in capsys.readouterr().err
+    # a sweep config
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "name": "x", "construction": construction, "n_runs": 1,
+        "base_seed": 0, **params}))
+    assert main(["sweep", "--config", str(cfg_path),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert "must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # run import
+    run = realization_to_dict(generate(ProcessSpec.build(
+        construction, window_L=4.0, alpha=1.0, separation_r=1.0,
+        shift_s=0.3), 0))
+    for k, v in params.items():
+        spec = run["spec"]
+        (spec["space"] if k in spec["space"] else spec)[k] = v
+    with pytest.raises(ValidationError, match="must be"):
+        realization_from_dict(run)
 
 
 @pytest.mark.parametrize("flag", ["--window-L", "--rate-lambda",
