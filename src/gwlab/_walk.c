@@ -1,16 +1,19 @@
-/* The compiled library: the greedy walk's step loop gw_walk and the lemma
- * audits gw_audit.  walk.py builds this file into a shared library and
+/* The compiled library: the greedy walk's step loop gw_walk, and three
+ * linear passes over a walk for analysis.py: the lemma audits gw_audit,
+ * the deficiency records gw_deficiency and the cluster-visit table
+ * gw_cluster_visits.  walk.py builds this file into a shared library and
  * loads it through ctypes; run_walk calls gw_walk and builds the
- * Trajectory from what it writes, and analysis.audit_lemmas calls gw_audit.
- * Where the library does not build, the Python loop and the numpy audit
- * run instead, with the same results.
+ * Trajectory from what it writes, and analysis.audit_lemmas, compute_Dx
+ * and cluster_visits call the passes.  Where the library does not build,
+ * the Python loop and the numpy passes run instead, with the same results.
  *
  * walk._run_walk_py is gw_walk line for line in Python, so a change to
- * gw_walk changes _run_walk_py in the same commit.
+ * gw_walk changes _run_walk_py in the same commit; each pass keeps the
+ * numpy function it replaces equal to it.
  *
- * The walk's trajectories must equal the Python loop's bit for bit: every
- * distance is computed in the expression order of cross_distance and
- * stop_margin, the build turns floating-point contraction off (no fused
+ * Every double must equal Python's and numpy's bit for bit: each distance
+ * and deficiency term is computed in the expression order of the Python
+ * code, the build turns floating-point contraction off (no fused
  * multiply-add), and a target that evaluates doubles in wider precision
  * (x87) refuses to build, so walk.py falls back there.
  *
@@ -389,5 +392,187 @@ int gw_audit(const double *line0, int64_t n0, const double *line1,
     return 0;
 bad:
     free(mem);
+    return 1;
+}
+
+/* ------------------------------------------------------------------------
+ * The deficiency records: the numpy compute_Dx of analysis.py
+ * (_compute_Dx_numpy) in one linear pass, with its values bit for bit. */
+
+/* np.maximum's step: a NaN on either side wins */
+static double max_nan(double acc, double x)
+{
+    return acc >= x || isnan(acc) ? acc : x;
+}
+
+/* Records at the m ascending positive levels xs over line0 and line1,
+ * whose visit steps are vis0 and vis1 (< 1: never visited), for the n
+ * steps us from abscissa start.  Writes the rows t_ray (each level's
+ * first passage into [x, inf), inf beyond the prefix) and value of a
+ * 2 x m table, each level's interior count to n_interior, and the first
+ * passage below 0 to *t_left.  Returns 0, or 1 when the trajectory is not
+ * one this pass can read (a line not finite and increasing, a NaN start or
+ * step) and 2 when memory runs out.
+ *
+ * The decided, non-degenerate levels are the prefix with t_ray < t_left.
+ * The positive base points come in ascending order from a merge of the
+ * two lines, each with the step its last copy was visited (inf when some
+ * copy was not); a point b is interior at the levels x > b whose t_ray is
+ * at most that step, a contiguous run [lo, hi) of that prefix.  Each
+ * level keeps the previous interior point prev (0 at first) and the max
+ * of its terms 2*b - prev - x, closed by 2*x - prev - x; the pair (x, 0)
+ * that numpy's table puts between two levels is below the closing term
+ * (or it is NaN), so it is left out. */
+int gw_deficiency(const double *line0, int64_t n0, const double *line1,
+                  int64_t n1, const int64_t *vis0, const int64_t *vis1,
+                  const double *us, int64_t n, double start,
+                  const double *xs, int64_t m, double *table,
+                  int64_t *n_interior, double *t_left)
+{
+    int64_t i, j, k, t, lo, hi, mid, nd, tl = n + 1;
+    double b, last, run, *prev, *t_ray = table, *value = table + m;
+
+    if (unsorted(line0, n0) || unsorted(line1, n1) || isnan(start))
+        return 1;
+    if (start < 0.0)
+        tl = 0;
+    for (t = 1; t <= n; t++) {
+        if (isnan(us[t - 1]))
+            return 1;
+        if (us[t - 1] < 0.0 && tl > n)
+            tl = t;
+    }
+    prev = malloc((size_t)(m > 0 ? m : 1) * sizeof(double));
+    if (prev == NULL)
+        return 2;
+    *t_left = tl <= n ? (double)tl : INFINITY;
+    for (t = 0, run = start, nd = 0, i = 0; i < m; i++) {
+        while (t <= n && run < xs[i])
+            if (++t <= n && us[t - 1] > run)
+                run = us[t - 1];
+        t_ray[i] = t <= n ? (double)t : INFINITY;
+        if (t < tl)
+            nd = i + 1;
+        value[i] = t < tl ? -INFINITY : tl < t ? 0.0 : NAN;
+        prev[i] = 0.0;
+        n_interior[i] = 0;
+    }
+    for (i = j = lo = 0; i < n0 || j < n1;) {
+        if (j == n1 || (i < n0 && line0[i] < line1[j])) {
+            b = line0[i];
+            last = vis0[i] >= 1 ? (double)vis0[i] : INFINITY;
+            i++;
+        } else if (i == n0 || line1[j] < line0[i]) {
+            b = line1[j];
+            last = vis1[j] >= 1 ? (double)vis1[j] : INFINITY;
+            j++;
+        } else {
+            b = line0[i];
+            last = vis0[i] >= 1 && vis1[j] >= 1
+                       ? (double)(vis0[i] > vis1[j] ? vis0[i] : vis1[j])
+                       : INFINITY;
+            i++;
+            j++;
+        }
+        if (!(b > 0.0))
+            continue;
+        while (lo < nd && xs[lo] <= b)
+            lo++;
+        for (k = lo, hi = nd; k < hi;) { /* the first t_ray past last */
+            mid = k + (hi - k) / 2;
+            if (t_ray[mid] <= last)
+                k = mid + 1;
+            else
+                hi = mid;
+        }
+        for (k = lo; k < hi; k++) {
+            value[k] = max_nan(value[k], 2.0 * b - prev[k] - xs[k]);
+            prev[k] = b;
+            n_interior[k]++;
+        }
+    }
+    for (k = 0; k < nd; k++)
+        value[k] = max_nan(value[k], 2.0 * xs[k] - prev[k] - xs[k]);
+    free(prev);
+    return 0;
+}
+
+/* ------------------------------------------------------------------------
+ * The cluster-visit table: the numpy cluster_visits of analysis.py
+ * (_cluster_visits_numpy) in one pass over the clusters. */
+
+/* How the n steps met the k clusters that begin at starts over p indexes,
+ * each of whose copies on line 0 and line 1 was visited at vis0 and vis1
+ * (< 1: never).  Writes the rows count, first, last, entry line, entry
+ * index, exit line and exit index of a 7 x k table, and the rows
+ * consecutive and undecided of a 2 x k one.  Returns 0, or 1 when the
+ * input is not one this pass reads (starts not 0 then strictly increasing
+ * below p, a visit step past n) and 2 when memory runs out.
+ *
+ * As in numpy, a step maps to the copy written last for it, line 0's
+ * copies first and each line in index order, and step 0 to (-1, -1);
+ * last is the max of the raw visit steps, and first is -1 where no copy
+ * was visited. */
+int gw_cluster_visits(const int64_t *vis0, const int64_t *vis1, int64_t p,
+                      const int64_t *starts, int64_t k, int64_t n,
+                      int64_t *table, unsigned char *verdicts)
+{
+    int64_t c, i, end, size, count, first, last, *copy;
+    const int64_t *vis[2] = {vis0, vis1};
+    int line, run;
+
+    for (c = 0; c < k; c++)
+        if (starts[c] >= p || (c ? starts[c] <= starts[c - 1] : starts[c]))
+            return 1;
+    copy = malloc((size_t)(n + 1) * sizeof(int64_t));
+    if (copy == NULL)
+        return 2;
+    for (i = 0; i <= n; i++)
+        copy[i] = -1;
+    for (line = 0; line < 2; line++) /* the copy of each step, as 2i + line */
+        for (i = 0; i < p; i++)
+            if (vis[line][i] >= 1) {
+                if (vis[line][i] > n)
+                    goto bad;
+                copy[vis[line][i]] = 2 * i + line;
+            }
+    for (c = 0; c < k; c++) {
+        end = c + 1 < k ? starts[c + 1] : p;
+        size = end - starts[c];
+        count = 0;
+        first = INT64_MAX;
+        last = INT64_MIN;
+        for (i = starts[c]; i < end; i++)
+            for (line = 0; line < 2; line++) {
+                int64_t v = vis[line][i];
+                if (v > last)
+                    last = v;
+                if (v >= 1) {
+                    count++;
+                    if (v < first)
+                        first = v;
+                }
+            }
+        if (count == 0)
+            first = -1;
+        table[c] = count;
+        table[k + c] = first;
+        table[2 * k + c] = last;
+        /* step 0 when no copy was visited, which maps to (-1, -1) */
+        for (i = 0; i < 2; i++) {
+            int64_t at = copy[count > 0 ? (i ? last : first) : 0];
+            table[(3 + 2 * i) * k + c] = at < 0 ? -1 : at % 2;
+            table[(4 + 2 * i) * k + c] = at < 0 ? -1 : at / 2;
+        }
+        /* the copies took consecutive steps, all of them or up to the end */
+        run = count > 0 && last - first + 1 == count;
+        verdicts[c] = (unsigned char)(run && count == 2 * size);
+        verdicts[k + c] = (unsigned char)(run && count < 2 * size
+                                          && last == n);
+    }
+    free(copy);
+    return 0;
+bad:
+    free(copy);
     return 1;
 }

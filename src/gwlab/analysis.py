@@ -9,15 +9,20 @@ walk engines and extracts derived quantities:
 * origin crossings and half-line change bookkeeping,
 * the clusters of the parallel constructions, as index arrays of each
   cluster's first member and lead, and one table of how the walk visited
-  each, which the reduced walk and traversal checks read,
+  each (cluster_visits), which the reduced walk and traversal checks read,
 * return-event detection ("A_*" families, one table of numpy columns per
   run) and the implication check tying those events to an early return to
   the negative half-axis (the povratak check),
 * lemma audits that flag any step contradicting the structural facts the
-  analysis relies on, as queries on when each point was visited: one
-  linear pass in the compiled library that holds the walk (``gw_audit`` in
-  ``_walk.c``) wherever it loads, else the numpy audit, which is also the
-  reference the compiled one is tested against.
+  analysis relies on, as queries on when each point was visited.
+
+The deficiency records, the cluster-visit table and the audits are each
+one linear pass in the compiled library that holds the walk
+(``gw_deficiency``, ``gw_cluster_visits`` and ``gw_audit`` in
+``_walk.c``) wherever it loads and reads the input in place, else a numpy
+function (``_compute_Dx_numpy``, ``_cluster_visits_numpy``,
+``_audit_numpy``), which is also the reference the compiled pass is tested
+against, bit for bit.
 
 Decidability convention: a trajectory is only a prefix of the unbounded
 walk, so detectors report True (witnessed), False (ruled out), or None
@@ -27,6 +32,7 @@ an undecided entry has decided False and value NaN.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -115,10 +121,65 @@ def compute_Dx(real: Realization, traj: Trajectory, xs) -> DeficiencyRecords:
     2*z_next - z_prev - x, z the interior padded with 0 and x.  t_ray
     does not decrease as x grows, so the decided, non-degenerate levels
     are a prefix and each point is interior on one contiguous run of them.
+    The pass runs in the compiled library where it loads, else in numpy,
+    with the same records bit for bit.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
-    if not np.all(xs > 0.0) or np.any(np.diff(xs) < 0.0):
+    if not np.all(xs > 0.0) or np.any(xs[1:] < xs[:-1]):
         raise ValidationError("deficiency levels must be positive and ascending")
+    lib = walk._kernel()
+    dx = None if lib is None else _compute_Dx_compiled(lib, real, traj, xs)
+    return _compute_Dx_numpy(real, traj, xs) if dx is None else dx
+
+
+def _in_place(a: np.ndarray, dtype) -> bool:
+    """Whether the compiled library can read `a` where it lies: one
+    contiguous dimension of `dtype`."""
+    return a.dtype == dtype and a.ndim == 1 and a.flags.c_contiguous
+
+
+def _run_args(real: Realization, traj: Trajectory) -> tuple | None:
+    """The arguments gw_audit and gw_deficiency begin with: the address and
+    length of each line, the addresses of their visit steps, the address
+    and length of the shadows, and the start; None where the compiled
+    library cannot read them in place (a dtype, length or stride is off)."""
+    line0, line1 = real.line0, real.line1
+    vis0, vis1, us = traj.visited_step0, traj.visited_step1, traj.us
+    if not (_in_place(line0, np.float64) and _in_place(line1, np.float64)
+            and _in_place(vis0, np.int64) and _in_place(vis1, np.int64)
+            and _in_place(us, np.float64)
+            and len(vis0) == len(line0) and len(vis1) == len(line1)):
+        return None
+    return (line0.ctypes.data, len(line0), line1.ctypes.data, len(line1),
+            vis0.ctypes.data, vis1.ctypes.data, us.ctypes.data, len(us),
+            traj.start.u)
+
+
+def _compute_Dx_compiled(lib, real: Realization, traj: Trajectory,
+                         xs: np.ndarray) -> DeficiencyRecords | None:
+    """compute_Dx's records from gw_deficiency in the compiled library
+    `lib`, one linear pass; None where the run is not one it reads (a
+    dtype, length or stride is off, or the start or a step is NaN)."""
+    args = _run_args(real, traj)
+    if args is None or not _in_place(xs, np.float64):
+        return None
+    out = np.empty((2, len(xs)))
+    n_interior = np.empty(len(xs), dtype=np.int64)
+    t_left = ctypes.c_double()
+    if lib.gw_deficiency(*args, xs.ctypes.data, len(xs), out.ctypes.data,
+                         n_interior.ctypes.data, ctypes.byref(t_left)):
+        return None
+    t_ray, value = out
+    degenerate = t_left.value < t_ray
+    return DeficiencyRecords(xs, value, degenerate, degenerate | (t_ray < np.inf),
+                             t_ray, t_left.value, n_interior)
+
+
+def _compute_Dx_numpy(real: Realization, traj: Trajectory,
+                      xs: np.ndarray) -> DeficiencyRecords:
+    """compute_Dx in numpy, on levels it has checked: the fallback where
+    the compiled library does not load, and the reference the compiled
+    pass is tested against."""
     t_ray = first_passage(traj, xs)
     t_left = float(first_passage(traj, [0.0], down=True, strict=True)[0])
     n = int(np.searchsorted(t_ray, t_left))  # the decided, non-degenerate prefix
@@ -176,11 +237,12 @@ def validate_dx_record(construction: str, dx: DeficiencyRecords,
 
 
 def detect_crossings(traj: Trajectory) -> int:
-    """Sign changes of the shadow between consecutive steps."""
-    us = traj.us
-    if len(us) < 2:
-        return 0
-    return int(np.count_nonzero(us[:-1] * us[1:] < 0.0))
+    """Sign changes of the shadow between consecutive steps.  The signs
+    are compared, not multiplied: the product of two tiny shadows
+    underflows to zero."""
+    pos, neg = traj.us > 0.0, traj.us < 0.0
+    return int(np.count_nonzero(pos[:-1] & neg[1:])
+               + np.count_nonzero(neg[:-1] & pos[1:]))
 
 
 def extract_halfline_changes(traj: Trajectory) -> np.ndarray:
@@ -348,11 +410,43 @@ class ClusterVisits:
 
 
 def cluster_visits(dec: ClusterDecomposition, traj: Trajectory) -> ClusterVisits:
+    """The table in the compiled library where it loads, else in numpy,
+    with the same columns bit for bit."""
     v0, v1 = traj.visited_step0, traj.visited_step1
     if not len(v0) == len(v1) == len(dec.points):
         raise ValidationError(
             f"cluster visits need {len(dec.points)} points on each line, "
             f"got {len(v0)} and {len(v1)}")
+    lib = walk._kernel()
+    t = None if lib is None else _cluster_visits_compiled(lib, dec, traj)
+    return _cluster_visits_numpy(dec, traj) if t is None else t
+
+
+def _cluster_visits_compiled(lib, dec: ClusterDecomposition,
+                             traj: Trajectory) -> ClusterVisits | None:
+    """cluster_visits' table from gw_cluster_visits in the compiled library
+    `lib`, one pass over the clusters; None where the input is not one it
+    reads (a dtype or stride is off, the starts are not a decomposition's,
+    or a visit step lies past the prefix)."""
+    v0, v1, starts = traj.visited_step0, traj.visited_step1, dec.starts
+    if not all(_in_place(a, np.int64) for a in (v0, v1, starts)):
+        return None
+    k = len(starts)
+    table = np.empty((7, k), dtype=np.int64)
+    verdicts = np.empty((2, k), dtype=bool)
+    if lib.gw_cluster_visits(v0.ctypes.data, v1.ctypes.data, len(v0),
+                             starts.ctypes.data, k, len(traj),
+                             table.ctypes.data, verdicts.ctypes.data):
+        return None
+    return ClusterVisits(*table, *verdicts)
+
+
+def _cluster_visits_numpy(dec: ClusterDecomposition,
+                          traj: Trajectory) -> ClusterVisits:
+    """cluster_visits in numpy, on lines it has checked: the fallback
+    where the compiled library does not load, and the reference the
+    compiled pass is tested against."""
+    v0, v1 = traj.visited_step0, traj.visited_step1
     starts, m = dec.starts, dec.sizes
     n = len(traj)
     count = np.add.reduceat((v0 >= 1).astype(np.int64) + (v1 >= 1), starts)
@@ -833,27 +927,18 @@ _STEP_KEYS = (("replay-max", "u", "z", "expected"),
 def _audit_compiled(lib, real: Realization, traj: Trajectory):
     """The numpy audit's LemmaAudit, from gw_audit in the compiled library
     `lib`, which makes one linear pass; None where the trajectory is not
-    one it reads (a dtype or length is off, or the visit steps and us
-    disagree), which the numpy audit takes at face value."""
-    lines = [np.ascontiguousarray(a) for a in (real.line0, real.line1)]
-    vis = [np.ascontiguousarray(v) for v in (traj.visited_step0,
-                                            traj.visited_step1)]
-    us = np.ascontiguousarray(traj.us)
-    if (us.dtype != np.float64 or us.ndim != 1
-            or any(v.dtype != np.int64 or v.shape != a.shape
-                   for v, a in zip(vis, lines))):
+    one it reads (a dtype, length or stride is off, or the visit steps and
+    us disagree), which the numpy audit takes at face value."""
+    args = _run_args(real, traj)
+    if args is None:
         return None
     counts = np.zeros(5, dtype=np.int64)
     caps = (16, 16)
     while True:  # twice at most: the second time with every violation's room
         pairs, steps = np.empty(caps[0], _PAIR_ROW), np.empty(caps[1], _STEP_ROW)
-        if lib.gw_audit(
-                lines[0].ctypes.data, len(lines[0]), lines[1].ctypes.data,
-                len(lines[1]), vis[0].ctypes.data, vis[1].ctypes.data,
-                us.ctypes.data, len(us), traj.start.u,
-                real.spec.separation_r or 0.0,
-                pairs.ctypes.data, caps[0], steps.ctypes.data, caps[1],
-                counts.ctypes.data):
+        if lib.gw_audit(*args, real.spec.separation_r or 0.0,
+                        pairs.ctypes.data, caps[0], steps.ctypes.data,
+                        caps[1], counts.ctypes.data):
             return None
         found = (int(counts[3]), int(counts[4]))
         if found[0] <= caps[0] and found[1] <= caps[1]:

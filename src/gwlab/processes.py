@@ -321,7 +321,11 @@ class Realization:
 
     @cached_property
     def base_points(self) -> np.ndarray:
-        """The sorted union of line0 and line1: the shadow process."""
+        """The sorted union of line0 and line1: the shadow process.  A
+        duplicated pair's lines are equal (check_invariants), so it is
+        line0."""
+        if self.spec.construction == PARALLEL_DUPLICATED:
+            return self.line0
         return _frozen(np.union1d(self.line0, self.line1))
 
     @cached_property

@@ -25,7 +25,9 @@ loop keeps per-point tables.
 
 * The compiled step loop, ``gw_walk`` in ``_walk.c``: ``run_walk`` runs it
   wherever it loads.  The C source ships with the package, and its library
-  also holds ``gw_audit``, the lemma audits ``analysis.audit_lemmas`` runs.
+  also holds three passes that analysis.py runs over a walk: ``gw_audit``
+  (``audit_lemmas``), ``gw_deficiency`` (``compute_Dx``) and
+  ``gw_cluster_visits`` (``cluster_visits``).
   On first use in a process the library is compiled with the system C
   compiler (``cc``, else ``gcc``) into ``$XDG_CACHE_HOME/gwlab`` (default
   ``~/.cache/gwlab``), once per source and flag set, and loaded with
@@ -199,10 +201,11 @@ def _check_start(real: Realization, start: Site) -> None:
         raise ValidationError(f"start {start} is not a site of the space")
 
 
-# the compiled library: _walk.c, with the step loop gw_walk and the lemma
-# audits gw_audit (which analysis.audit_lemmas calls), built by the system C
-# compiler into the user's cache once per source and flag set, and loaded
-# with ctypes
+# the compiled library: _walk.c, with the step loop gw_walk and the three
+# passes analysis.py calls (the lemma audits gw_audit, the deficiency
+# records gw_deficiency and the cluster-visit table gw_cluster_visits),
+# built by the system C compiler into the user's cache once per source and
+# flag set, and loaded with ctypes
 _SOURCE = Path(__file__).with_name("_walk.c")
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _KINDS = {SINGLE_LINE: 0, INTERSECTING: 1, PARALLEL: 2}  # _walk.c's enum
@@ -216,12 +219,19 @@ _SIGNATURES = {  # symbol: (argument types, result type)
     "gw_audit": ((_P, _Q, _P, _Q,  # line0, n0, line1, n1
                   _P, _P, _P, _Q, _D, _D,  # vis0, vis1, us, n, start, r
                   _P, _Q, _P, _Q, _P), _I),  # pv, pcap, sv, scap, counts
+    "gw_deficiency": ((_P, _Q, _P, _Q,  # line0, n0, line1, n1
+                       _P, _P, _P, _Q, _D,  # vis0, vis1, us, n, start
+                       _P, _Q, _P,  # xs, m, table
+                       _P, _P), _I),  # n_interior, t_left
+    "gw_cluster_visits": ((_P, _P, _Q,  # vis0, vis1, p
+                           _P, _Q, _Q,  # starts, k, n
+                           _P, _P), _I),  # table, verdicts
 }
 
 
 def _build(cc: str | None, cache: Path):
     """The library built from _walk.c, loaded from its build in `cache`
-    with gw_walk and gw_audit typed; the build is made with the compiler
+    with each entry of _SIGNATURES typed; the build is made with the compiler
     `cc` when the cache has none.  None when that fails.  The compiler
     writes a temporary file that is then renamed into place, so processes
     building at once never load a partial library."""
@@ -254,9 +264,10 @@ def _build(cc: str | None, cache: Path):
 
 @functools.cache
 def _kernel():
-    """The compiled library (its gw_walk and gw_audit), built or loaded on
-    first use from $XDG_CACHE_HOME/gwlab (default ~/.cache/gwlab); None
-    where there is no C compiler or no home directory, or the build fails."""
+    """The compiled library (gw_walk, gw_audit, gw_deficiency and
+    gw_cluster_visits), built or loaded on first use from
+    $XDG_CACHE_HOME/gwlab (default ~/.cache/gwlab); None where there is no
+    C compiler or no home directory, or the build fails."""
     try:
         cache = Path(os.environ.get("XDG_CACHE_HOME")
                      or Path.home() / ".cache") / "gwlab"
@@ -271,14 +282,17 @@ _scratch = threading.local()
 
 
 def _buffers(size: int):
-    """This thread's flat table, links, visit steps, order and distances,
-    sized for at least `size` flat entries."""
+    """This thread's flat table, visit steps, order and distances, sized
+    for at least `size` flat entries, and the addresses of those four and
+    of the two link arrays, taken when they were allocated (ndarray.ctypes
+    costs about a microsecond a call)."""
     bufs = getattr(_scratch, "bufs", None)
-    if bufs is None or len(bufs[0]) < size:
-        bufs = _scratch.bufs = (
-            np.empty(size), np.empty((2, size), dtype=np.int64),
-            np.empty(size, dtype=np.int64), np.empty(size, dtype=np.int64),
-            np.empty(size))
+    if bufs is None or len(bufs[0][0]) < size:
+        links = np.empty((2, size), dtype=np.int64)
+        arrays = (np.empty(size), np.empty(size, dtype=np.int64),
+                  np.empty(size, dtype=np.int64), np.empty(size))
+        bufs = _scratch.bufs = (arrays, links, tuple(
+            a.ctypes.data for a in (*arrays, *links)))
     return bufs
 
 
@@ -293,18 +307,18 @@ def run_walk(real: Realization, start: Site = Site(0.0, 0),
     inf = math.inf
     n0, n1 = len(real.line0), len(real.line1)
     size = n0 + n1 + 4
-    F, links, vis, order, dists = _buffers(size)
+    (F, vis, order, dists), _, (pF, pvis, porder, pdists, pprv, pnxt) = (
+        _buffers(size))
     F, vis = F[:size], vis[:size]
     F[0], F[n0 + 1:n0 + 3], F[-1] = -inf, (inf, -inf), inf
     F[1:n0 + 1], F[n0 + 3:-1] = real.line0, real.line1
     (lo0, hi0), (lo1, hi1) = real.windows
     spec = real.spec
     step = kernel.gw_walk(
-        F.ctypes.data, n0, n1, _KINDS[spec.kind], spec.separation_r or 0.0,
+        pF, n0, n1, _KINDS[spec.kind], spec.separation_r or 0.0,
         spec.cos_alpha if spec.kind == INTERSECTING else 0.0,
         lo0, hi0, lo1, hi1, rule.mode == TRUNCATION_SAFE, start.u,
-        int(start.line), links[0].ctypes.data, links[1].ctypes.data,
-        vis.ctypes.data, order.ctypes.data, dists.ctypes.data)
+        int(start.line), pprv, pnxt, pvis, porder, pdists)
     return _trajectory(start, F, order[:step], dists[:step], vis, n0)
 
 

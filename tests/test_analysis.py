@@ -9,7 +9,7 @@ import hashlib
 import importlib.util
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +116,19 @@ def test_compute_dx_consumed_interior(hand_real, hand_traj):
     # 3 was visited before the passage step, so the region is bare
     assert dx.value.tolist() == [10.0]
     assert dx.n_interior.tolist() == [0]
+
+
+def test_compute_dx_waits_for_the_last_copy(hand_real, hand_traj):
+    # 1.0 stays interior at level 2.0, reached at step 2, while either of
+    # its copies is unvisited: here one is visited at step 1, the other at 3
+    real = hand_real("parallel-duplicated", [1.0, 2.0, 3.0])
+    for lines in ([0, 0, 1], [1, 0, 0]):
+        traj = hand_traj(real, [1.0, 2.0, 1.0], lines)
+        for records in (compute_Dx, analysis._compute_Dx_numpy):
+            dx = records(real, traj, np.array([2.0, 3.0]))
+            # max(2*1 - 0 - 2, 2*2 - 1 - 2); level 3.0 is not reached
+            assert dx.value[0] == 1.0 and math.isnan(dx.value[1])
+            assert dx.n_interior.tolist() == [1, 0]
 
 
 def test_compute_dx_degenerate(hand_real, hand_traj):
@@ -249,6 +262,68 @@ def test_deficiency_records_match_definition(hand_real, hand_traj,
                    for x in xs.tolist()]
 
 
+def differing_columns(a, b):
+    """The fields in which two tables of one dataclass differ in dtype,
+    shape or any bit: NaN positions and zero signs count."""
+    def key(column):
+        column = np.asarray(column)
+        return column.dtype, column.shape, column.tobytes()
+
+    return [f.name for f in fields(a)
+            if key(getattr(a, f.name)) != key(getattr(b, f.name))]
+
+
+def drawn_run(hand_real, hand_traj, construction, line0, line1, start_u,
+              rnd, walked, keep, mirrored):
+    """A run on the drawn lines: the greedy walk to exhaustion from
+    start_u, or every point in a shuffled order, with two steps swapped,
+    cut after a `keep` share of its steps and, when mirrored, reflected
+    through the origin."""
+    real = hand_real(construction, sorted(line0), sorted(line1),
+                     separation_r=1.0, shift_s=0.25)
+    start = Site(start_u, 0)
+    if walked:
+        traj = run_walk(real, start, EXH)
+    else:
+        order = [(u, 0) for u in real.line0] + [(u, 1) for u in real.line1]
+        rnd.shuffle(order)
+        traj = hand_traj(real, [u for u, _ in order],
+                         [l for _, l in order], start=start)
+    if len(traj) >= 2:
+        traj = swap_steps(traj, rnd.randint(1, len(traj) - 1))
+    traj = cut_prefix(traj, round(keep * len(traj)))
+    if mirrored:
+        real, traj = mirror_realization(real), mirror_trajectory(traj)
+    return real, traj
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(["single-line", "parallel-duplicated",
+                        "parallel-thinned", "parallel-shifted"]),
+       st.lists(quarters, max_size=9, unique=True),
+       st.lists(quarters, max_size=9, unique=True),
+       st.lists(st.one_of(quarters.filter(lambda q: q > 0.0),
+                          st.just(math.inf)), max_size=4),
+       quarters, st.randoms(), st.booleans(), st.floats(0.0, 1.0),
+       st.booleans())
+def test_compiled_deficiency_matches_numpy(hand_real, hand_traj,
+                                           construction, line0, line1,
+                                           levels, start_u, rnd, walked,
+                                           keep, mirrored):
+    # greedy, shuffled, swapped and cut runs from starts on either side of
+    # the origin, with empty lines, mirrored runs (zeros turn -0.0), and
+    # levels that repeat, fall on base points or lie at inf
+    real, traj = drawn_run(hand_real, hand_traj, construction, line0, line1,
+                           start_u, rnd, walked, keep, mirrored)
+    xs = np.sort(np.append(real.base_points[real.base_points > 0.0], levels))
+    lib = walk._kernel()
+    assert (lib is None
+            or analysis._compute_Dx_compiled(lib, real, traj, xs) is not None)
+    assert differing_columns(compute_Dx(real, traj, xs),
+                             analysis._compute_Dx_numpy(real, traj, xs)) == []
+
+
 def test_last_visit_steps(hand_real, hand_traj):
     real = hand_real("parallel-duplicated", [1.0, 2.0], separation_r=1.0)
     last = last_visit_steps(real, hand_traj(real, [1.0, 1.0], [0, 1]))
@@ -273,6 +348,13 @@ def test_detect_crossings(hand_real, hand_traj):
     # a step landing exactly on 0 breaks the sign run without crossing
     zreal = hand_real("single-line", [-1.0, 0.0, 1.0])
     assert detect_crossings(hand_traj(zreal, [1.0, 0.0, -1.0], [0, 0, 0])) == 0
+    # the product of these two shadows underflows to -0.0, their signs
+    # still differ
+    tiny = hand_real("single-line", [-3e-170, 2e-170], window_L=1e-150)
+    traj = run_walk(tiny, rule=EXH)
+    assert traj.us.tolist() == [2e-170, -3e-170]
+    assert detect_crossings(traj) == 1
+    assert extract_halfline_changes(traj).tolist() == [1]
 
 
 def test_extract_halfline_changes(hand_real, hand_traj):
@@ -758,6 +840,50 @@ def test_cluster_visits_matches_definition(spec_for, construction, params):
                        v.exit_line.tolist(), v.exit_index.tolist(),
                        v.consecutive, v.undecided)]
             assert got == visits_by_definition(dec, t)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(["parallel-duplicated", "parallel-shifted"]),
+       st.lists(quarters, max_size=12, unique=True),
+       st.sampled_from([0.25, 1.0, 2.5, 100.0]),
+       quarters, st.randoms(), st.booleans(), st.floats(0.0, 1.0),
+       st.booleans())
+def test_compiled_cluster_visits_match_numpy(hand_real, hand_traj,
+                                             construction, line0, threshold,
+                                             start_u, rnd, walked, keep,
+                                             mirrored):
+    # the construction's clusters and coarser or finer ones, on greedy,
+    # shuffled, swapped, cut and mirrored runs, empty lines included
+    real, traj = drawn_run(hand_real, hand_traj, construction, line0, [],
+                           start_u, rnd, walked, keep, mirrored)
+    lib = walk._kernel()
+    for dec in (clusters_of(real), decompose_clusters(real.line0, threshold)):
+        assert (lib is None or analysis._cluster_visits_compiled(
+            lib, dec, traj) is not None)
+        assert differing_columns(cluster_visits(dec, traj),
+                                 analysis._cluster_visits_numpy(dec, traj)) == []
+
+
+def test_cluster_visits_of_inconsistent_steps(hand_real, hand_traj):
+    # a step that two copies claim maps to the copy numpy writes last
+    # (line 1 after line 0, a higher index after a lower one), even in a
+    # cluster that copy is not in; the compiled table is numpy's
+    real = hand_real("parallel-duplicated", [-0.5, 4.0, 4.4])
+    good = hand_traj(real, [4.0, 4.0, 4.4, 4.4], [0, 1, 1, 0])
+    dec = clusters_of(real)
+    odd = [replace(good, visited_step1=np.array([1, 2, 3])),
+           replace(good, visited_step0=np.array([2, 1, 4])),
+           replace(good, visited_step0=np.array([-1, 1, 1]))]
+    lib = walk._kernel()
+    for traj in odd:
+        assert lib is None or analysis._cluster_visits_compiled(
+            lib, dec, traj) is not None
+        assert differing_columns(cluster_visits(dec, traj),
+                                 analysis._cluster_visits_numpy(dec, traj)) == []
+    # step 1 is -0.5's copy on line 1 and 4.0 on line 0
+    t = cluster_visits(dec, odd[0])
+    assert (t.entry_line.tolist(), t.entry_index.tolist()) == ([1, 1], [0, 0])
 
 
 def test_cluster_visits_needs_shared_indexes(spec_for):
@@ -1527,6 +1653,79 @@ def test_audit_runs_numpy_without_a_kernel(monkeypatch, spec_for):
     ran.clear()
     assert [audit_result(audit_lemmas(real, t)) for real, t in runs] == want
     assert len(ran) == len(runs)
+
+
+def test_tables_run_numpy_without_a_kernel(monkeypatch, spec_for):
+    # where the compiled library loads, compute_Dx and cluster_visits never
+    # run their numpy passes on a walk; where it does not, they run them,
+    # and every record, cluster and event column is the same bit for bit
+    runs = []
+    for construction, shift_s in (("parallel-duplicated", 0.3),
+                                  ("parallel-thinned", 0.3),
+                                  ("parallel-shifted", 0.3),
+                                  ("parallel-shifted", -0.3)):
+        real = generate(spec_for(construction, window_L=100.0,
+                                 shift_s=shift_s), stream_seed(929, 0))
+        traj = run_walk(real)
+        runs += [(real, traj), (real, reorder_steps(
+            traj, np.random.default_rng(929).permutation(len(traj))))]
+
+    def tables():
+        out = []
+        for real, traj in runs:
+            out += [compute_Dx(real, traj,
+                               real.base_points[real.base_points > 0.0]),
+                    detect_A_events(real, traj)]
+            if real.spec.construction != "parallel-thinned":
+                out.append(cluster_visits(clusters_of(real), traj))
+        return out
+
+    ran = []
+    for name in ("_compute_Dx_numpy", "_cluster_visits_numpy"):
+        def spy(*args, numpy_pass=getattr(analysis, name), name=name):
+            ran.append(name)
+            return numpy_pass(*args)
+
+        monkeypatch.setattr(analysis, name, spy)
+    want = tables()
+    assert ran == [] or walk._kernel() is None
+    monkeypatch.setattr(walk, "_kernel", lambda: None)
+    ran.clear()
+    got = tables()
+    assert [differing_columns(a, b) for a, b in zip(got, want)] == [
+        []] * len(want)
+    # per run one compute_Dx call, and one in each thinned or shifted
+    # run's gap events; per duplicated or shifted run one cluster table,
+    # and one in each duplicated run's band events
+    assert sorted(ran) == sorted(
+        ["_compute_Dx_numpy"] * 14 + ["_cluster_visits_numpy"] * 8)
+
+
+def test_odd_arrays_take_the_numpy_tables(spec_for):
+    # the compiled passes read int64 visit steps and float64 shadows in
+    # place; another dtype or a strided view goes to numpy, whose tables
+    # equal those of the plain arrays
+    real = generate(spec_for("parallel-shifted", window_L=50.0),
+                    stream_seed(77, 0))
+    traj = run_walk(real)
+    dec = clusters_of(real)
+    xs = real.line0[real.line0 > 0.0]
+    narrow = replace(traj, visited_step0=traj.visited_step0.astype(np.int32))
+    strided = replace(traj, us=np.repeat(traj.us, 2)[::2])
+    assert not strided.us.flags.c_contiguous
+    lib = walk._kernel()
+    want = compute_Dx(real, traj, xs)
+    for odd in (narrow, strided):
+        assert lib is None or analysis._compute_Dx_compiled(
+            lib, real, odd, xs) is None
+        assert differing_columns(compute_Dx(real, odd, xs), want) == []
+    want = cluster_visits(dec, traj)
+    for odd_dec, odd in ((dec, narrow),
+                         (replace(dec, starts=np.repeat(dec.starts, 2)[::2]),
+                          traj)):
+        assert lib is None or analysis._cluster_visits_compiled(
+            lib, odd_dec, odd) is None
+        assert differing_columns(cluster_visits(odd_dec, odd), want) == []
 
 
 def test_inconsistent_trajectories_take_the_numpy_audit(hand_real,

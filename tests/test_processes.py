@@ -60,7 +60,10 @@ def test_intersecting_lines_are_independent(spec_for):
 def test_duplicated_twins(spec_for):
     real = generate(spec_for("parallel-duplicated"), SEED)
     assert np.array_equal(real.line0, real.line1)
-    assert np.array_equal(real.base_points, real.line0)
+    # the union of two equal lines is line 0 itself, frozen, not a copy
+    assert real.base_points is real.line0
+    assert real.base_points.tobytes() == np.union1d(real.line0,
+                                                    real.line1).tobytes()
 
 
 def test_thinned_flags_describe_lines(spec_for):

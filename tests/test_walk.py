@@ -284,7 +284,7 @@ def test_kernel_loads_where_there_is_a_compiler():
     lib = walk._kernel()
     assert lib is not None or not COMPILER
     if lib is not None:
-        assert lib.gw_walk.argtypes and lib.gw_audit.argtypes
+        assert all(getattr(lib, name).argtypes for name in walk._SIGNATURES)
 
 
 @pytest.mark.skipif(not COMPILER, reason="no C compiler on PATH")
