@@ -503,11 +503,12 @@ int gw_deficiency(const double *line0, int64_t n0, const double *line1,
 
 /* How the n steps met the k clusters that begin at starts over p indexes,
  * each of whose copies on line 0 and line 1 was visited at vis0 and vis1
- * (< 1: never).  Writes the rows count, first, last, entry line, entry
+ * (-1: never).  Writes the rows count, first, last, entry line, entry
  * index, exit line and exit index of a 7 x k table, and the rows
  * consecutive and undecided of a 2 x k one.  Returns 0, or 1 when the
  * input is not one this pass reads (starts not 0 then strictly increasing
- * below p, a visit step past n) and 2 when memory runs out.
+ * below p, a visit step neither -1 nor in [1, n]) and 2 when memory runs
+ * out.
  *
  * As in numpy, a step maps to the copy written last for it, line 0's
  * copies first and each line in index order, and step 0 to (-1, -1);
@@ -535,6 +536,8 @@ int gw_cluster_visits(const int64_t *vis0, const int64_t *vis1, int64_t p,
                 if (vis[line][i] > n)
                     goto bad;
                 copy[vis[line][i]] = 2 * i + line;
+            } else if (vis[line][i] != -1) {
+                goto bad;
             }
     for (c = 0; c < k; c++) {
         end = c + 1 < k ? starts[c + 1] : p;

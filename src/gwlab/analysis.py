@@ -339,26 +339,25 @@ class ClusterDecomposition:
         return np.arange(len(self.starts)) != self.zero_cluster
 
 
-def _leads(us: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Per run of the sorted us beginning at starts, the index of its
-    (|u|, -u)-minimal element: closest to 0, ties right."""
-    a = np.abs(us)
-    least = np.repeat(np.minimum.reduceat(a, starts),
-                      np.diff(np.append(starts, len(us))))
-    return np.maximum.reduceat(np.where(a == least, np.arange(len(us)), -1),
-                               starts)
-
-
 def decompose_clusters(points, threshold: float) -> ClusterDecomposition:
+    """The clusters of the sorted points at gap threshold `threshold`."""
     pts = np.asarray(points, dtype=np.float64)
     if not threshold > 0.0:
         raise ValidationError("cluster threshold must be positive")
     if len(pts) == 0:
         none = np.empty(0, dtype=np.int64)
         return ClusterDecomposition(pts, threshold, none, none, -1)
-    starts = np.flatnonzero(np.diff(pts, prepend=-np.inf) >= threshold)
-    leads = _leads(pts, starts)
-    zero = int(_leads(pts[leads], np.zeros(1, dtype=np.int64))[0])
+    cuts = np.flatnonzero(pts[1:] - pts[:-1] >= threshold)
+    starts = np.concatenate(([0], cuts + 1))
+    ends = np.concatenate((cuts, [len(pts) - 1]))
+    # |u| falls then rises along the sorted points, so the global lead
+    # jstar leads its own cluster, and every other cluster leads at its
+    # end nearest jstar: the clip of jstar to the cluster
+    jstar = int(pts.searchsorted(0.0))
+    if jstar == len(pts) or (jstar > 0 and -pts[jstar - 1] < pts[jstar]):
+        jstar -= 1
+    leads = np.minimum(np.maximum(starts, jstar), ends)
+    zero = int(starts.searchsorted(jstar, "right")) - 1
     return ClusterDecomposition(pts, threshold, starts, leads, zero)
 
 
@@ -411,7 +410,9 @@ class ClusterVisits:
 
 def cluster_visits(dec: ClusterDecomposition, traj: Trajectory) -> ClusterVisits:
     """The table in the compiled library where it loads, else in numpy,
-    with the same columns bit for bit."""
+    with the same columns bit for bit.  ValidationError unless both lines
+    hold the decomposition's points and every visit step is -1 or a step
+    of the prefix."""
     v0, v1 = traj.visited_step0, traj.visited_step1
     if not len(v0) == len(v1) == len(dec.points):
         raise ValidationError(
@@ -419,7 +420,14 @@ def cluster_visits(dec: ClusterDecomposition, traj: Trajectory) -> ClusterVisits
             f"got {len(v0)} and {len(v1)}")
     lib = walk._kernel()
     t = None if lib is None else _cluster_visits_compiled(lib, dec, traj)
-    return _cluster_visits_numpy(dec, traj) if t is None else t
+    if t is not None:
+        return t
+    n = len(traj)
+    for vis in (v0, v1):
+        if np.any((vis != -1) & ((vis < 1) | (vis > n))):
+            raise ValidationError(
+                f"visit steps must be -1 or in [1, {n}], the prefix's steps")
+    return _cluster_visits_numpy(dec, traj)
 
 
 def _cluster_visits_compiled(lib, dec: ClusterDecomposition,
@@ -427,7 +435,7 @@ def _cluster_visits_compiled(lib, dec: ClusterDecomposition,
     """cluster_visits' table from gw_cluster_visits in the compiled library
     `lib`, one pass over the clusters; None where the input is not one it
     reads (a dtype or stride is off, the starts are not a decomposition's,
-    or a visit step lies past the prefix)."""
+    or a visit step is neither -1 nor a step of the prefix)."""
     v0, v1, starts = traj.visited_step0, traj.visited_step1, dec.starts
     if not all(_in_place(a, np.int64) for a in (v0, v1, starts)):
         return None

@@ -323,7 +323,7 @@ class Realization:
     def base_points(self) -> np.ndarray:
         """The sorted union of line0 and line1: the shadow process.  A
         duplicated pair's lines are equal (check_invariants), so it is
-        line0."""
+        line0; generate hands a thinned draw's base to this cache."""
         if self.spec.construction == PARALLEL_DUPLICATED:
             return self.line0
         return _frozen(np.union1d(self.line0, self.line1))
@@ -346,7 +346,7 @@ class Realization:
     def check_invariants(self) -> None:
         """Raise ValidationError on any structural violation."""
         for arr, name in ((self.line0, "line0"), (self.line1, "line1")):
-            if len(arr) > 1 and not np.all(np.diff(arr) > 0):
+            if not (arr[1:] > arr[:-1]).all():
                 raise ValidationError(f"{name} not strictly increasing")
         (lo0, hi0), (lo1, hi1) = self.windows
         if len(self.line0) and not (lo0 <= self.line0[0] and self.line0[-1] <= hi0):
@@ -379,7 +379,11 @@ def sample_poisson(rate: float, window: tuple[float, float],
     if rate < 0:
         raise ValidationError("rate must be non-negative")
     n = int(rng.poisson(rate * (hi - lo)))
-    return np.unique(rng.uniform(lo, hi, size=n))
+    pts = rng.uniform(lo, hi, size=n)
+    pts.sort()
+    if (pts[1:] == pts[:-1]).any():
+        pts = np.unique(pts)
+    return pts
 
 
 def generate(spec: ProcessSpec, seed: int) -> Realization:
@@ -411,7 +415,11 @@ def generate(spec: ProcessSpec, seed: int) -> Realization:
     else:  # PARALLEL_SHIFTED
         line0 = sample_poisson(spec.rate_lambda, win, rng)
         line1 = line0 + spec.shift_s
-    return Realization(spec=spec, seed=seed, line0=line0, line1=line1)
+    real = Realization(spec=spec, seed=seed, line0=line0, line1=line1)
+    if c == PARALLEL_THINNED:
+        # every base point lands on a line, so base is the union of both
+        real.__dict__["base_points"] = _frozen(base)
+    return real
 
 
 def mirror_realization(real: Realization) -> Realization:

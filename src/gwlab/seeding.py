@@ -9,6 +9,8 @@ The algorithm identifier below is pinned into run manifests.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from .errors import ValidationError
@@ -43,6 +45,26 @@ def stream_seed(base_seed: int, run_index: int) -> int:
     return splitmix64(splitmix64(base_seed & _MASK64) ^ run_index)
 
 
+_local = threading.local()
+_ZEROS = (0, 0, 0, 0)
+
+
 def make_generator(seed: int) -> np.random.Generator:
-    """Philox-backed Generator for a 64-bit seed; streams are platform-stable."""
-    return np.random.Generator(np.random.Philox(key=seed & _MASK64))
+    """This thread's Philox-backed Generator, keyed with a 64-bit seed;
+    streams are platform-stable.
+
+    The state is set whole, as Philox(key=seed) starts: key [seed, 0], a
+    zero counter and an empty buffer.  That skips the entropy SeedSequence
+    a new Philox draws and its key then overrides.  Each thread has one
+    generator, so the next call on the same thread re-keys the one this
+    call returned.
+    """
+    rng = getattr(_local, "rng", None)
+    if rng is None:
+        rng = _local.rng = np.random.Generator(np.random.Philox(key=0))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS, "key": (seed & _MASK64, 0)},
+        "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return rng

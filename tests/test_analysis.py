@@ -536,6 +536,51 @@ def test_decompose_invariants(raw, thr):
     assert all(zkey <= (abs(pts[l]), -pts[l]) for l in leads)
 
 
+def reduceat_leads(us, starts):
+    """Per run of the sorted us beginning at starts, the index of its
+    (|u|, -u)-minimal element, by a min and a max per run: the rule
+    decompose_clusters computed before it clipped one global lead."""
+    a = np.abs(us)
+    least = np.repeat(np.minimum.reduceat(a, starts),
+                      np.diff(np.append(starts, len(us))))
+    return np.maximum.reduceat(np.where(a == least, np.arange(len(us)), -1),
+                               starts)
+
+
+@st.composite
+def signed_points(draw):
+    """Sorted distinct points on a grid of `unit`: mixed signs with exact
+    |u| ties, all negative (a zero turns -0.0) or all positive."""
+    unit = draw(st.sampled_from([1e-12, 1e-9, 0.25, 1.0, 3.0, 1e6, 1e9]))
+    ks = draw(st.lists(st.integers(0, 40), min_size=1, max_size=25))
+    signs = draw(st.sampled_from(["mixed", "negative", "positive"]))
+    us = []
+    for k in ks:
+        if signs == "mixed":
+            us += [k * unit, -k * unit][:draw(st.integers(1, 2))]
+            if draw(st.booleans()):
+                us.reverse()
+        else:
+            us.append((-1.0 if signs == "negative" else 1.0) * k * unit)
+    return np.unique(np.array(us, dtype=np.float64))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(signed_points(),
+       st.one_of(st.integers(-9, 9).map(lambda e: 10.0 ** e),
+                 st.floats(1e-9, 1e9), st.sampled_from([0.25, 1.0, 3.0])))
+def test_decompose_leads_match_reduceat(pts, thr):
+    # the clipped global lead against the per-cluster reduceat, by value
+    # and dtype, ties of +k and -k, -0.0 and one-sided sets included
+    dec = decompose_clusters(pts, thr)
+    starts = np.flatnonzero(np.diff(pts, prepend=-np.inf) >= thr)
+    leads = reduceat_leads(pts, starts)
+    zero = int(reduceat_leads(pts[leads], np.zeros(1, dtype=np.int64))[0])
+    for got, want in ((dec.starts, starts), (dec.leads, leads)):
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert type(dec.zero_cluster) is int and dec.zero_cluster == zero
+
+
 # ---------------------------------------------------------------------------
 # reduced walk and traversal discipline (duplicated pairs)
 
@@ -892,6 +937,32 @@ def test_cluster_visits_needs_shared_indexes(spec_for):
     assert len(real.line0) != len(real.line1)
     with pytest.raises(ValidationError):
         cluster_visits(clusters_of(real), run_walk(real))
+
+
+@pytest.mark.parametrize("compiled", [True, False])
+def test_cluster_visits_refuse_steps_off_the_prefix(monkeypatch, spec_for,
+                                                    compiled):
+    # a visit step past the last step, or 0, or below -1, is no step of the
+    # prefix: the table and the two checks that read it refuse it, on the
+    # compiled pass and on numpy alike
+    if not compiled:
+        monkeypatch.setattr(walk, "_kernel", lambda: None)
+    real = generate(spec_for("parallel-duplicated", window_L=10.0), 3)
+    traj = run_walk(real)
+    n = len(traj)
+    dec = clusters_of(real)
+    callers = (lambda t: cluster_visits(dec, t),
+               lambda t: check_cluster_consecutive(real, t),
+               lambda t: detect_A_events(real, t))
+    for line in ("visited_step0", "visited_step1"):
+        for step in (n + 5, n + 1, 0, -2):
+            vis = getattr(traj, line).copy()
+            vis[0] = step
+            bad = replace(traj, **{line: vis})
+            for call in callers:
+                with pytest.raises(ValidationError, match="visit steps"):
+                    call(bad)
+    assert cluster_visits(dec, traj).count.sum() == n
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,13 @@
 import dataclasses
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from gwlab import (
+    CONSTRUCTIONS,
     FLAG_BOTH,
     FLAG_LINE0,
     FLAG_LINER,
@@ -15,6 +17,7 @@ from gwlab import (
     ProcessSpec,
     Realization,
     ValidationError,
+    couple_restrict,
     generate,
     make_generator,
     mirror_realization,
@@ -64,6 +67,19 @@ def test_duplicated_twins(spec_for):
     assert real.base_points is real.line0
     assert real.base_points.tobytes() == np.union1d(real.line0,
                                                     real.line1).tobytes()
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+def test_thinned_base_is_the_union(spec_for, p):
+    # generate caches its base draw, since every base point lands on a
+    # line; restrictions and mirrors derive theirs, byte for byte the same
+    real = generate(spec_for("parallel-thinned", thinning_p=p), SEED)
+    assert "base_points" in vars(real)
+    for r in (real, couple_restrict(real, real.spec.window_L / 3),
+              mirror_realization(real)):
+        assert r.base_points.tobytes() == np.union1d(r.line0,
+                                                     r.line1).tobytes()
+        assert not r.base_points.flags.writeable
 
 
 def test_thinned_flags_describe_lines(spec_for):
@@ -133,6 +149,86 @@ def test_sample_poisson_window_and_order():
     assert len(sample_poisson(0.0, (-5.0, 5.0), rng)) == 0
     with pytest.raises(ValidationError):
         sample_poisson(1.0, (5.0, -5.0), rng)
+
+
+def test_sample_poisson_drops_an_exact_tie():
+    # a repeated position (probability zero from a real generator) is kept
+    # once
+    class Tied:
+        def poisson(self, lam):
+            return 4
+
+        def uniform(self, lo, hi, size):
+            return np.array([0.5, -1.0, 0.5, 2.0])[:size]
+
+    pts = sample_poisson(1.0, (-5.0, 5.0), Tied())
+    assert pts.tolist() == [-1.0, 0.5, 2.0] and pts.dtype == np.float64
+
+
+def fresh_generator(seed):
+    return np.random.Generator(np.random.Philox(key=seed))
+
+
+def philox_state(rng):
+    state = rng.bit_generator.state
+    return (state["state"]["counter"].tolist(), state["state"]["key"].tolist(),
+            state["buffer"].tolist(), state["buffer_pos"],
+            state["has_uint32"], state["uinteger"])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_make_generator_rekeys_to_a_fresh_philox(spec_for, monkeypatch, seed):
+    # after draws that leave a counter, a part-used buffer and a held
+    # uint32 behind, re-keying gives a new Philox(key=seed)'s state, and
+    # generate draws that generator's stream
+    dirty = make_generator(12345)
+    dirty.random(3)
+    dirty.integers(0, 2**32, size=3, dtype=np.uint32)
+    assert dirty.bit_generator.state["has_uint32"] == 1
+    rng = make_generator(seed)
+    assert philox_state(rng) == philox_state(fresh_generator(seed))
+    assert rng.random(5).tolist() == fresh_generator(seed).random(5).tolist()
+
+    specs = [spec_for(c) for c in CONSTRUCTIONS]
+    drawn = [generate(spec, seed) for spec in specs]
+    monkeypatch.setattr("gwlab.processes.make_generator", fresh_generator)
+    for spec, real in zip(specs, drawn):
+        want = generate(spec, seed)
+        for name in ("line0", "line1", "base_points"):
+            assert getattr(real, name).tobytes() == getattr(want,
+                                                            name).tobytes()
+
+
+def test_make_generator_is_per_thread():
+    # each thread re-keys its own generator: both threads key theirs
+    # before either draws, so one shared generator would serve one key
+    seeds = [stream_seed(5, i) for i in range(40)]
+    barrier = threading.Barrier(2, timeout=30)
+    got = {}
+
+    def draw(name, order):
+        out = []
+        for seed in order:
+            rng = make_generator(seed)
+            barrier.wait()
+            out.append((seed, rng.random(4).tolist(),
+                        rng.integers(0, 2**32, dtype=np.uint32).item()))
+            barrier.wait()
+        got[name] = out
+
+    threads = [threading.Thread(target=draw, args=(name, order))
+               for name, order in (("a", seeds), ("b", seeds[::-1]))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    assert sorted(got) == ["a", "b"]
+    for out in got.values():
+        for seed, floats, word in out:
+            want = fresh_generator(seed)
+            assert floats == want.random(4).tolist()
+            assert word == want.integers(0, 2**32, dtype=np.uint32).item()
 
 
 def test_sample_poisson_mean_count():
