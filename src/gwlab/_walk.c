@@ -7,9 +7,15 @@
  * and cluster_visits call the passes.  Where the library does not build,
  * the Python loop and the numpy passes run instead, with the same results.
  *
+ * The passes read lines that Realization keeps finite, strictly increasing,
+ * read-only and contiguous, so they never check them.  Each returns 1 for
+ * a run it does not read (every one refuses a visit step that is neither
+ * -1 nor a step of the prefix) and 2 when memory runs out; analysis.py
+ * raises ValidationError and MemoryError for them.
+ *
  * walk._run_walk_py is gw_walk line for line in Python, so a change to
  * gw_walk changes _run_walk_py in the same commit; each pass keeps the
- * numpy function it replaces equal to it.
+ * numpy function it replaces equal to it, in what it refuses too.
  *
  * Every double must equal Python's and numpy's bit for bit: each distance
  * and deficiency term is computed in the expression order of the Python
@@ -199,6 +205,17 @@ int64_t gw_walk(const double *F, int64_t n0, int64_t n1, int kind, double r,
     return step;
 }
 
+/* 1 unless each of the p visit steps is -1 (never visited) or a step of
+ * the prefix, in [1, n]: the rule every pass refuses a run by */
+static int off_prefix(const int64_t *vis, int64_t p, int64_t n)
+{
+    int64_t i;
+    for (i = 0; i < p; i++)
+        if (vis[i] != -1 && (vis[i] < 1 || vis[i] > n))
+            return 1;
+    return 0;
+}
+
 /* ------------------------------------------------------------------------
  * The lemma audits: the numpy audit of analysis.py (_audit_numpy) in one
  * linear pass, with its counts and its violations in its order. */
@@ -233,27 +250,17 @@ static int64_t root(int64_t *link, int64_t k)
     return r;
 }
 
-/* 1 unless the line is finite and strictly increasing */
-static int unsorted(const double *a, int64_t n)
-{
-    int64_t i;
-    for (i = 0; i < n; i++)
-        if (!isfinite(a[i]) || (i > 0 && !(a[i - 1] < a[i])))
-            return 1;
-    return 0;
-}
-
 /* Audit the n steps us (from abscissa start) over line0 and line1, whose
- * visit steps are vis0 and vis1 (< 1: never visited); the pair audit runs
+ * visit steps are vis0 and vis1 (-1: never visited); the pair audit runs
  * when the separation r is positive, which it is on parallel lines only.
  * Writes up to pcap pair violations, in scan order (by i, then j, over the
  * merged table), and up to scap step violations, in step order, and sets
  * counts to the pair, replay and empty-interval checks and the pair and
  * step violations found, all of them even past a capacity.  Returns 0,
- * or 1 when the trajectory is not one this pass can read (a line not
- * finite and increasing, a visit step past n, a step given to no point or
- * to two, us[t - 1] not the point visited at t, a start that is NaN) and 2
- * when memory runs out; then nothing is written.
+ * or 1 when the trajectory is not one this pass can read (a visit step
+ * off the prefix, a step given to no point or to two, us[t - 1] not the
+ * point visited at t, a start that is NaN) and 2 when memory runs out;
+ * then nothing is written.
  *
  * The points merge into one sorted table mu (line 0 first on a tie), with
  * each point's line and visit step (n + 1 when never visited).  Step t
@@ -278,7 +285,7 @@ int gw_audit(const double *line0, int64_t n0, const double *line1,
     unsigned char *ml;
     void *mem;
 
-    if (unsorted(line0, n0) || unsorted(line1, n1) || isnan(start))
+    if (off_prefix(vis0, n0, n) || off_prefix(vis1, n1, n) || isnan(start))
         return 1;
     mem = malloc((size_t)(5 * m + n + 3) * sizeof(int64_t)
                  + (size_t)m * (sizeof(double) + 1));
@@ -298,8 +305,6 @@ int gw_audit(const double *line0, int64_t n0, const double *line1,
         int64_t v = l ? vis1[j] : vis0[i];
         mu[k] = l ? line1[j++] : line0[i++];
         ml[k] = (unsigned char)l;
-        if (v > n)
-            goto bad;
         ms[k] = v < 1 ? never : v;
     }
     for (t = 0; t <= n; t++)
@@ -406,12 +411,12 @@ static double max_nan(double acc, double x)
 }
 
 /* Records at the m ascending positive levels xs over line0 and line1,
- * whose visit steps are vis0 and vis1 (< 1: never visited), for the n
+ * whose visit steps are vis0 and vis1 (-1: never visited), for the n
  * steps us from abscissa start.  Writes the rows t_ray (each level's
  * first passage into [x, inf), inf beyond the prefix) and value of a
  * 2 x m table, each level's interior count to n_interior, and the first
  * passage below 0 to *t_left.  Returns 0, or 1 when the trajectory is not
- * one this pass can read (a line not finite and increasing, a NaN start or
+ * one this pass can read (a visit step off the prefix, a NaN start or
  * step) and 2 when memory runs out.
  *
  * The decided, non-degenerate levels are the prefix with t_ray < t_left.
@@ -432,7 +437,7 @@ int gw_deficiency(const double *line0, int64_t n0, const double *line1,
     int64_t i, j, k, t, lo, hi, mid, nd, tl = n + 1;
     double b, last, run, *prev, *t_ray = table, *value = table + m;
 
-    if (unsorted(line0, n0) || unsorted(line1, n1) || isnan(start))
+    if (off_prefix(vis0, n0, n) || off_prefix(vis1, n1, n) || isnan(start))
         return 1;
     if (start < 0.0)
         tl = 0;
@@ -525,6 +530,8 @@ int gw_cluster_visits(const int64_t *vis0, const int64_t *vis1, int64_t p,
     for (c = 0; c < k; c++)
         if (starts[c] >= p || (c ? starts[c] <= starts[c - 1] : starts[c]))
             return 1;
+    if (off_prefix(vis0, p, n) || off_prefix(vis1, p, n))
+        return 1;
     copy = malloc((size_t)(n + 1) * sizeof(int64_t));
     if (copy == NULL)
         return 2;
@@ -532,13 +539,8 @@ int gw_cluster_visits(const int64_t *vis0, const int64_t *vis1, int64_t p,
         copy[i] = -1;
     for (line = 0; line < 2; line++) /* the copy of each step, as 2i + line */
         for (i = 0; i < p; i++)
-            if (vis[line][i] >= 1) {
-                if (vis[line][i] > n)
-                    goto bad;
+            if (vis[line][i] >= 1)
                 copy[vis[line][i]] = 2 * i + line;
-            } else if (vis[line][i] != -1) {
-                goto bad;
-            }
     for (c = 0; c < k; c++) {
         end = c + 1 < k ? starts[c + 1] : p;
         size = end - starts[c];
@@ -575,7 +577,4 @@ int gw_cluster_visits(const int64_t *vis0, const int64_t *vis1, int64_t p,
     }
     free(copy);
     return 0;
-bad:
-    free(copy);
-    return 1;
 }

@@ -19,10 +19,11 @@ walk engines and extracts derived quantities:
 The deficiency records, the cluster-visit table and the audits are each
 one linear pass in the compiled library that holds the walk
 (``gw_deficiency``, ``gw_cluster_visits`` and ``gw_audit`` in
-``_walk.c``) wherever it loads and reads the input in place, else a numpy
-function (``_compute_Dx_numpy``, ``_cluster_visits_numpy``,
-``_audit_numpy``), which is also the reference the compiled pass is tested
-against, bit for bit.
+``_walk.c``) wherever ``walk._kernel()`` loads it, else a numpy function
+(``_compute_Dx_numpy``, ``_cluster_visits_numpy``, ``_audit_numpy``),
+the reference the compiled pass is tested against, bit for bit.  Either
+path raises ValidationError for a run its pass does not read (_DX_RULE,
+_AUDIT_RULE, _CLUSTER_RULE).
 
 Decidability convention: a trajectory is only a prefix of the unbounded
 walk, so detectors report True (witnessed), False (ruled out), or None
@@ -55,6 +56,15 @@ from .walk import Site, Trajectory, mirror_trajectory
 A_M_PARALLEL = "A_m_parallel"
 A_K_THINNED = "A_k_thinned"
 A_K_SHIFTED = "A_k_shifted"
+_DX_TOL = 1e-9  # validate_dx_record's slack on the bounds 0 and x
+
+# the runs each pass refuses, in the compiled library and in numpy alike
+_DX_RULE = ("deficiency records need visit steps -1 or of the prefix, and "
+            "no NaN start or shadow")
+_AUDIT_RULE = ("audits need visit steps -1 or of the prefix, each step of it "
+               "visiting one point, at its shadow, and no NaN start")
+_CLUSTER_RULE = ("cluster visits need visit steps -1 or of the prefix, and "
+                 "starts 0 and then increasing below the point count")
 
 
 # ---------------------------------------------------------------------------
@@ -122,57 +132,67 @@ def compute_Dx(real: Realization, traj: Trajectory, xs) -> DeficiencyRecords:
     does not decrease as x grows, so the decided, non-degenerate levels
     are a prefix and each point is interior on one contiguous run of them.
     The pass runs in the compiled library where it loads, else in numpy,
-    with the same records bit for bit.
+    with the same records, and refusals (_DX_RULE), bit for bit.
     """
-    xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
-    if not np.all(xs > 0.0) or np.any(xs[1:] < xs[:-1]):
-        raise ValidationError("deficiency levels must be positive and ascending")
+    xs = np.ascontiguousarray(xs, dtype=np.float64)
+    if xs.ndim > 1 or not (xs > 0.0).all() or (xs[1:] < xs[:-1]).any():
+        raise ValidationError("deficiency levels must be a positive ascending row")
+    v0, v1 = _visit_steps(traj, len(real.line0), len(real.line1))
     lib = walk._kernel()
-    dx = None if lib is None else _compute_Dx_compiled(lib, real, traj, xs)
-    return _compute_Dx_numpy(real, traj, xs) if dx is None else dx
-
-
-def _in_place(a: np.ndarray, dtype) -> bool:
-    """Whether the compiled library can read `a` where it lies: one
-    contiguous dimension of `dtype`."""
-    return a.dtype == dtype and a.ndim == 1 and a.flags.c_contiguous
-
-
-def _run_args(real: Realization, traj: Trajectory) -> tuple | None:
-    """The arguments gw_audit and gw_deficiency begin with: the address and
-    length of each line, the addresses of their visit steps, the address
-    and length of the shadows, and the start; None where the compiled
-    library cannot read them in place (a dtype, length or stride is off)."""
-    line0, line1 = real.line0, real.line1
-    vis0, vis1, us = traj.visited_step0, traj.visited_step1, traj.us
-    if not (_in_place(line0, np.float64) and _in_place(line1, np.float64)
-            and _in_place(vis0, np.int64) and _in_place(vis1, np.int64)
-            and _in_place(us, np.float64)
-            and len(vis0) == len(line0) and len(vis1) == len(line1)):
-        return None
-    return (line0.ctypes.data, len(line0), line1.ctypes.data, len(line1),
-            vis0.ctypes.data, vis1.ctypes.data, us.ctypes.data, len(us),
-            traj.start.u)
-
-
-def _compute_Dx_compiled(lib, real: Realization, traj: Trajectory,
-                         xs: np.ndarray) -> DeficiencyRecords | None:
-    """compute_Dx's records from gw_deficiency in the compiled library
-    `lib`, one linear pass; None where the run is not one it reads (a
-    dtype, length or stride is off, or the start or a step is NaN)."""
-    args = _run_args(real, traj)
-    if args is None or not _in_place(xs, np.float64):
-        return None
+    if lib is None:
+        return _compute_Dx_numpy(real, traj, xs)
+    us = np.ascontiguousarray(traj.us, dtype=np.float64)
     out = np.empty((2, len(xs)))
     n_interior = np.empty(len(xs), dtype=np.int64)
     t_left = ctypes.c_double()
-    if lib.gw_deficiency(*args, xs.ctypes.data, len(xs), out.ctypes.data,
-                         n_interior.ctypes.data, ctypes.byref(t_left)):
-        return None
+    _refuse(lib.gw_deficiency(*_run_args(real, traj, v0, v1, us),
+                              xs.ctypes.data, len(xs), out.ctypes.data,
+                              n_interior.ctypes.data, ctypes.byref(t_left)),
+            _DX_RULE)
     t_ray, value = out
     degenerate = t_left.value < t_ray
     return DeficiencyRecords(xs, value, degenerate, degenerate | (t_ray < np.inf),
                              t_ray, t_left.value, n_interior)
+
+
+def _refuse(status: int, rule: str) -> None:
+    """Raise for a pass's status: 1 (or a numpy check's True) for a run
+    that breaks `rule`, 2 for memory that ran out; 0 passes."""
+    if status == 2:
+        raise MemoryError("the compiled library ran out of memory")
+    if status:
+        raise ValidationError(rule)
+
+
+def _off_prefix(n: int, *steps: np.ndarray) -> bool:
+    """Whether one of the visit steps is neither -1 nor a step of an n-step
+    prefix: the rule every pass refuses a run by (off_prefix in _walk.c)."""
+    return any(((v != -1) & ((v < 1) | (v > n))).any() for v in steps)
+
+
+def _visit_steps(traj: Trajectory, n0: int, n1: int):
+    """traj's visit steps as C-contiguous int64 arrays, themselves where
+    they are; ValidationError unless they are integers, n0 and n1 of them."""
+    v0, v1 = traj.visited_step0, traj.visited_step1
+    if v0.shape != (n0,) or v1.shape != (n1,):
+        raise ValidationError(f"visit steps must be one per point, {n0} and "
+                              f"{n1}, got {v0.shape} and {v1.shape}")
+    try:
+        return (v0.astype(np.int64, order="C", casting="safe", copy=False),
+                v1.astype(np.int64, order="C", casting="safe", copy=False))
+    except TypeError:
+        raise ValidationError("visit steps must be integers") from None
+
+
+def _run_args(real: Realization, traj: Trajectory, v0: np.ndarray,
+              v1: np.ndarray, us: np.ndarray) -> tuple:
+    """The arguments gw_audit and gw_deficiency begin with: each line, the
+    visit steps v0 and v1, the shadows us and the start.  The caller holds
+    v0, v1 and us, contiguous, until the call returns; lines always are."""
+    line0, line1 = real.line0, real.line1
+    return (line0.ctypes.data, len(line0), line1.ctypes.data, len(line1),
+            v0.ctypes.data, v1.ctypes.data, us.ctypes.data, len(us),
+            traj.start.u)
 
 
 def _compute_Dx_numpy(real: Realization, traj: Trajectory,
@@ -180,6 +200,8 @@ def _compute_Dx_numpy(real: Realization, traj: Trajectory,
     """compute_Dx in numpy, on levels it has checked: the fallback where
     the compiled library does not load, and the reference the compiled
     pass is tested against."""
+    _refuse(_off_prefix(len(traj), traj.visited_step0, traj.visited_step1)
+            or math.isnan(traj.start.u) or np.isnan(traj.us).any(), _DX_RULE)
     t_ray = first_passage(traj, xs)
     t_left = float(first_passage(traj, [0.0], down=True, strict=True)[0])
     n = int(np.searchsorted(t_ray, t_left))  # the decided, non-degenerate prefix
@@ -208,8 +230,8 @@ def _compute_Dx_numpy(real: Realization, traj: Trajectory,
                              t_ray, t_left, n_interior)
 
 
-def validate_dx_record(construction: str, dx: DeficiencyRecords,
-                       tol: float = 1e-9) -> list[tuple[float, str]]:
+def validate_dx_record(construction: str,
+                       dx: DeficiencyRecords) -> list[tuple[float, str]]:
     """Bound violations of the decided levels as (x, problem) pairs, in
     level order and within a level in rule order (empty: all in bounds).
 
@@ -223,7 +245,7 @@ def validate_dx_record(construction: str, dx: DeficiencyRecords,
     v, x = dx.value, dx.x
     live = dx.decided & ~dx.degenerate
     bad = np.stack((dx.decided & dx.degenerate & (v != 0.0),
-                    live & (v > x + tol), live & (v < -tol),
+                    live & (v > x + _DX_TOL), live & (v < -_DX_TOL),
                     live & ~(v > 0.0) & (construction == PARALLEL_THINNED)))
     problems = ("degenerate record has value {v!r} != 0",
                 "value {v!r} exceeds level x={x!r}", "value {v!r} negative",
@@ -306,7 +328,7 @@ def intersect_Bn_bound(alpha: float, n: int) -> float:
     if n < 1:
         raise ValidationError("level n must be >= 1")
     sa = math.sin(alpha)
-    return 4.0 * math.exp(1.0 - n * sa) / (1.0 - math.exp(-sa))
+    return 4.0 * math.exp(1.0 - n * sa) / -math.expm1(-sa)
 
 
 # ---------------------------------------------------------------------------
@@ -410,53 +432,33 @@ class ClusterVisits:
 
 def cluster_visits(dec: ClusterDecomposition, traj: Trajectory) -> ClusterVisits:
     """The table in the compiled library where it loads, else in numpy,
-    with the same columns bit for bit.  ValidationError unless both lines
-    hold the decomposition's points and every visit step is -1 or a step
-    of the prefix."""
-    v0, v1 = traj.visited_step0, traj.visited_step1
-    if not len(v0) == len(v1) == len(dec.points):
-        raise ValidationError(
-            f"cluster visits need {len(dec.points)} points on each line, "
-            f"got {len(v0)} and {len(v1)}")
+    with the same columns, and refusals (_CLUSTER_RULE), bit for bit;
+    ValidationError unless both lines hold the decomposition's points."""
+    p = len(dec.points)
+    v0, v1 = _visit_steps(traj, p, p)
+    starts = np.ascontiguousarray(dec.starts, dtype=np.int64)
     lib = walk._kernel()
-    t = None if lib is None else _cluster_visits_compiled(lib, dec, traj)
-    if t is not None:
-        return t
-    n = len(traj)
-    for vis in (v0, v1):
-        if np.any((vis != -1) & ((vis < 1) | (vis > n))):
-            raise ValidationError(
-                f"visit steps must be -1 or in [1, {n}], the prefix's steps")
-    return _cluster_visits_numpy(dec, traj)
-
-
-def _cluster_visits_compiled(lib, dec: ClusterDecomposition,
-                             traj: Trajectory) -> ClusterVisits | None:
-    """cluster_visits' table from gw_cluster_visits in the compiled library
-    `lib`, one pass over the clusters; None where the input is not one it
-    reads (a dtype or stride is off, the starts are not a decomposition's,
-    or a visit step is neither -1 nor a step of the prefix)."""
-    v0, v1, starts = traj.visited_step0, traj.visited_step1, dec.starts
-    if not all(_in_place(a, np.int64) for a in (v0, v1, starts)):
-        return None
+    if lib is None:
+        return _cluster_visits_numpy(v0, v1, starts, len(traj))
     k = len(starts)
     table = np.empty((7, k), dtype=np.int64)
     verdicts = np.empty((2, k), dtype=bool)
-    if lib.gw_cluster_visits(v0.ctypes.data, v1.ctypes.data, len(v0),
-                             starts.ctypes.data, k, len(traj),
-                             table.ctypes.data, verdicts.ctypes.data):
-        return None
+    _refuse(lib.gw_cluster_visits(v0.ctypes.data, v1.ctypes.data, p,
+                                  starts.ctypes.data, k, len(traj),
+                                  table.ctypes.data, verdicts.ctypes.data),
+            _CLUSTER_RULE)
     return ClusterVisits(*table, *verdicts)
 
 
-def _cluster_visits_numpy(dec: ClusterDecomposition,
-                          traj: Trajectory) -> ClusterVisits:
-    """cluster_visits in numpy, on lines it has checked: the fallback
-    where the compiled library does not load, and the reference the
-    compiled pass is tested against."""
-    v0, v1 = traj.visited_step0, traj.visited_step1
-    starts, m = dec.starts, dec.sizes
-    n = len(traj)
+def _cluster_visits_numpy(v0: np.ndarray, v1: np.ndarray, starts: np.ndarray,
+                          n: int) -> ClusterVisits:
+    """cluster_visits in numpy from the visit steps of an n-step prefix and
+    the cluster starts: the fallback where the compiled library does not
+    load, and the reference the compiled pass is tested against."""
+    _refuse(_off_prefix(n, v0, v1) or len(starts) > 0 and (
+        starts[0] != 0 or starts[-1] >= len(v0)
+        or (starts[1:] <= starts[:-1]).any()), _CLUSTER_RULE)
+    m = np.diff(starts, append=len(v0))
     count = np.add.reduceat((v0 >= 1).astype(np.int64) + (v1 >= 1), starts)
     big = np.iinfo(np.int64).max
     first = np.minimum.reduceat(
@@ -732,24 +734,23 @@ def _gap_events(family: str, pts: np.ndarray, level_offset: float,
     - anchor + extra, where the anchor is the last point <= 0.  Gaps not
     exceeding `extra` alone cannot beat it, and need no deficiency level.
     """
-    pos = np.nonzero(pts[:-1] > 0.0)[0]
-    neg = pts[pts <= 0.0]
-    anchor = neg[-1] if len(neg) else np.nan
-    x, next_x = pts[pos], pts[pos + 1]
+    lo = int(pts.searchsorted(0.0, "right"))  # the first positive point
+    anchor = pts[lo - 1] if lo else np.nan
+    x, next_x = pts[lo:-1], pts[lo + 1:]
     gap = next_x - x
     wide = np.nonzero(gap > extra)[0]
-    index = np.arange(1, len(pos) + 1)
+    index = np.arange(1, len(x) + 1)
     if not len(wide):  # no deficiency level to compute: every event refuted
-        return _event_table(family, index, np.zeros(len(pos)), mirrored,
+        return _event_table(family, index, np.zeros(len(x)), mirrored,
                             x=x, next_x=next_x, gap=gap)
     dx = compute_Dx(real, traj, x[wide] + level_offset)
-    decided = dx.decided & (len(neg) > 0)
-    occurred = np.zeros(len(pos), dtype=np.int8)
+    decided = dx.decided & (lo > 0)
+    occurred = np.zeros(len(x), dtype=np.int8)
     occurred[wide] = -1
-    note = np.zeros(len(pos), dtype=np.int8)
-    note[wide[~decided]] = 2 if len(neg) else 1
-    value, rhs, ray_x = (np.full(len(pos), np.nan) for _ in range(3))
-    degenerate = np.zeros(len(pos), dtype=bool)
+    note = np.zeros(len(x), dtype=np.int8)
+    note[wide[~decided]] = 2 if lo else 1
+    value, rhs, ray_x = (np.full(len(x), np.nan) for _ in range(3))
+    degenerate = np.zeros(len(x), dtype=bool)
     k = wide[decided]
     value[k] = dx.value[decided]
     rhs[k] = value[k] - anchor + extra
@@ -932,43 +933,17 @@ _STEP_KEYS = (("replay-max", "u", "z", "expected"),
               ("empty-interval", "c", "b_prev", "alive_inside"))
 
 
-def _audit_compiled(lib, real: Realization, traj: Trajectory):
-    """The numpy audit's LemmaAudit, from gw_audit in the compiled library
-    `lib`, which makes one linear pass; None where the trajectory is not
-    one it reads (a dtype, length or stride is off, or the visit steps and
-    us disagree), which the numpy audit takes at face value."""
-    args = _run_args(real, traj)
-    if args is None:
-        return None
-    counts = np.zeros(5, dtype=np.int64)
-    caps = (16, 16)
-    while True:  # twice at most: the second time with every violation's room
-        pairs, steps = np.empty(caps[0], _PAIR_ROW), np.empty(caps[1], _STEP_ROW)
-        if lib.gw_audit(*args, real.spec.separation_r or 0.0,
-                        pairs.ctypes.data, caps[0], steps.ctypes.data,
-                        caps[1], counts.ctypes.data):
-            return None
-        found = (int(counts[3]), int(counts[4]))
-        if found[0] <= caps[0] and found[1] <= caps[1]:
-            break
-        caps = found
-    audit = LemmaAudit(*counts[:3].tolist())
-    audit.violations.extend(
-        {"kind": "pair-distance", "x": x, "y": y, "gate": gate,
-         "t_break": t_break}
-        for x, y, gate, t_break in pairs[:found[0]].tolist())
-    for kind, step, u, ref, value in steps[:found[1]].tolist():
-        name, key_u, key_ref, key_value = _STEP_KEYS[kind]
-        audit.violations.append({"kind": name, "step": step, key_u: u,
-                                 key_ref: ref, key_value: value})
-    return audit
-
-
 def _audit_numpy(real: Realization, traj: Trajectory) -> LemmaAudit:
     """audit_lemmas in numpy: the fallback where the compiled library does
     not load, and the reference the compiled audit is tested against."""
-    audit = LemmaAudit()
     mu, ml, ms = _merged_shadows(real, traj)
+    n, hit = len(traj), ms < np.inf
+    t = ms[hit].astype(np.int64)
+    _refuse(_off_prefix(n, traj.visited_step0, traj.visited_step1)
+            or math.isnan(traj.start.u)
+            or not (np.bincount(t, minlength=n + 1)[1:] == 1).all()
+            or not (traj.us[t - 1] == mu[hit]).all(), _AUDIT_RULE)
+    audit = LemmaAudit()
     if real.spec.kind == PARALLEL:
         _audit_pairs(real, traj, audit, mu, ml, ms)
     _audit_replay(traj, audit, mu, ms)
@@ -978,12 +953,36 @@ def _audit_numpy(real: Realization, traj: Trajectory) -> LemmaAudit:
 def audit_lemmas(real: Realization, traj: Trajectory) -> LemmaAudit:
     """Run every structural audit that applies to this construction: in
     the compiled library where it loads, else in numpy, with the same
-    result.
+    result, and the same refusals (_AUDIT_RULE).
 
     Not defined for intersecting lines (their cross-line metric has no
     shadow ordering to audit)."""
     if real.spec.kind == INTERSECTING:
         raise ValidationError("audits are defined for parallel/single-line runs")
+    v0, v1 = _visit_steps(traj, len(real.line0), len(real.line1))
     lib = walk._kernel()
-    audit = None if lib is None else _audit_compiled(lib, real, traj)
-    return _audit_numpy(real, traj) if audit is None else audit
+    if lib is None:
+        return _audit_numpy(real, traj)
+    us = np.ascontiguousarray(traj.us, dtype=np.float64)
+    args = _run_args(real, traj, v0, v1, us)
+    counts = np.zeros(5, dtype=np.int64)
+    caps = (16, 16)
+    while True:  # twice at most: the second time with every violation's room
+        pairs, steps = np.empty(caps[0], _PAIR_ROW), np.empty(caps[1], _STEP_ROW)
+        _refuse(lib.gw_audit(*args, real.spec.separation_r or 0.0,
+                             pairs.ctypes.data, caps[0], steps.ctypes.data,
+                             caps[1], counts.ctypes.data), _AUDIT_RULE)
+        *checks, found_pairs, found_steps = counts.tolist()
+        if found_pairs <= caps[0] and found_steps <= caps[1]:
+            break
+        caps = (found_pairs, found_steps)
+    audit = LemmaAudit(*checks)
+    audit.violations.extend(
+        {"kind": "pair-distance", "x": x, "y": y, "gate": gate,
+         "t_break": t_break}
+        for x, y, gate, t_break in pairs[:found_pairs].tolist())
+    for kind, step, u, ref, value in steps[:found_steps].tolist():
+        name, key_u, key_ref, key_value = _STEP_KEYS[kind]
+        audit.violations.append({"kind": name, "step": step, key_u: u,
+                                 key_ref: ref, key_value: value})
+    return audit

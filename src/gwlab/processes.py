@@ -279,7 +279,7 @@ def _require(d, keys: tuple[str, ...], what: str,
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
+    a = np.ascontiguousarray(a, dtype=np.float64)
     a.setflags(write=False)
     return a
 

@@ -49,7 +49,8 @@ def hand_traj():
 
     Builds consistent visited-step arrays and true geometric step
     distances; it does not enforce that the order is greedy, which is the
-    point: analysis code must take any trajectory at face value.
+    point: analysis code must take any consistent trajectory at face
+    value, greedy or not.
     """
 
     def build(real, us, lines, start=Site(0.0, 0), stop_reason="truncated"):

@@ -9,8 +9,10 @@ import hashlib
 import importlib.util
 import json
 import math
+import re
 from dataclasses import fields, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -144,8 +146,11 @@ def test_compute_dx_undecidable(hand_real, hand_traj):
     traj = hand_traj(real, [3.0], [0])
     dx = compute_Dx(real, traj, 10.0)
     assert dx.decided.tolist() == [False] and math.isnan(dx.value[0])
-    with pytest.raises(ValidationError):
-        compute_Dx(real, traj, 0.0)
+    # a level <= 0, or levels not in one row, on either path
+    for levels in (0.0, [[10.0]], [[3.0, 10.0], [4.0, 11.0]]):
+        for path in (compute_Dx, lambda *a: on_numpy(compute_Dx, *a)):
+            with pytest.raises(ValidationError, match="ascending row"):
+                path(real, traj, levels)
 
 
 def test_validate_dx_record_limits():
@@ -262,6 +267,13 @@ def test_deficiency_records_match_definition(hand_real, hand_traj,
                    for x in xs.tolist()]
 
 
+def on_numpy(call, *args):
+    """call(*args) with the compiled library hidden, so that every pass it
+    makes runs in numpy."""
+    with mock.patch.object(walk, "_kernel", lambda: None):
+        return call(*args)
+
+
 def differing_columns(a, b):
     """The fields in which two tables of one dataclass differ in dtype,
     shape or any bit: NaN positions and zero signs count."""
@@ -317,9 +329,6 @@ def test_compiled_deficiency_matches_numpy(hand_real, hand_traj,
     real, traj = drawn_run(hand_real, hand_traj, construction, line0, line1,
                            start_u, rnd, walked, keep, mirrored)
     xs = np.sort(np.append(real.base_points[real.base_points > 0.0], levels))
-    lib = walk._kernel()
-    assert (lib is None
-            or analysis._compute_Dx_compiled(lib, real, traj, xs) is not None)
     assert differing_columns(compute_Dx(real, traj, xs),
                              analysis._compute_Dx_numpy(real, traj, xs)) == []
 
@@ -902,12 +911,9 @@ def test_compiled_cluster_visits_match_numpy(hand_real, hand_traj,
     # shuffled, swapped, cut and mirrored runs, empty lines included
     real, traj = drawn_run(hand_real, hand_traj, construction, line0, [],
                            start_u, rnd, walked, keep, mirrored)
-    lib = walk._kernel()
     for dec in (clusters_of(real), decompose_clusters(real.line0, threshold)):
-        assert (lib is None or analysis._cluster_visits_compiled(
-            lib, dec, traj) is not None)
         assert differing_columns(cluster_visits(dec, traj),
-                                 analysis._cluster_visits_numpy(dec, traj)) == []
+                                 on_numpy(cluster_visits, dec, traj)) == []
 
 
 def test_cluster_visits_of_inconsistent_steps(hand_real, hand_traj):
@@ -920,12 +926,9 @@ def test_cluster_visits_of_inconsistent_steps(hand_real, hand_traj):
     odd = [replace(good, visited_step1=np.array([1, 2, 3])),
            replace(good, visited_step0=np.array([2, 1, 4])),
            replace(good, visited_step0=np.array([-1, 1, 1]))]
-    lib = walk._kernel()
     for traj in odd:
-        assert lib is None or analysis._cluster_visits_compiled(
-            lib, dec, traj) is not None
         assert differing_columns(cluster_visits(dec, traj),
-                                 analysis._cluster_visits_numpy(dec, traj)) == []
+                                 on_numpy(cluster_visits, dec, traj)) == []
     # step 1 is -0.5's copy on line 1 and 4.0 on line 0
     t = cluster_visits(dec, odd[0])
     assert (t.entry_line.tolist(), t.entry_index.tolist()) == ([1, 1], [0, 0])
@@ -939,30 +942,64 @@ def test_cluster_visits_needs_shared_indexes(spec_for):
         cluster_visits(clusters_of(real), run_walk(real))
 
 
+# the rule each pass refuses a run by, which its callers raise too
+RULES = {"deficiency": analysis._DX_RULE, "audit": analysis._AUDIT_RULE,
+         "cluster": analysis._CLUSTER_RULE}
+
+
+def callers_by_pass(real, traj):
+    """The public callers of each pass that apply to real, by pass; the
+    gap events call compute_Dx only where some gap is wide, as on traj."""
+    c = real.spec.construction
+    xs = real.base_points[real.base_points > 0.0]
+    callers = {"deficiency": [lambda t: compute_Dx(real, t, xs)],
+               "audit": [], "cluster": []}
+    if c != "intersecting":
+        callers["audit"].append(lambda t: audit_lemmas(real, t))
+    if c in ("parallel-duplicated", "parallel-shifted"):
+        dec = clusters_of(real)
+        callers["cluster"].append(lambda t: cluster_visits(dec, t))
+    if c == "parallel-duplicated":
+        callers["cluster"] += [lambda t: check_cluster_consecutive(real, t),
+                               lambda t: detect_A_events(real, t)]
+    elif c in ("parallel-thinned", "parallel-shifted"):
+        ev = detect_A_events(real, traj)
+        if ((ev.note > 0) | ~np.isnan(ev.ray_x)).any():
+            callers["deficiency"] += [lambda t: detect_A_events(real, t),
+                                      lambda t: check_povratak(real, t)]
+    return callers
+
+
 @pytest.mark.parametrize("compiled", [True, False])
 def test_cluster_visits_refuse_steps_off_the_prefix(monkeypatch, spec_for,
                                                     compiled):
     # a visit step past the last step, or 0, or below -1, is no step of the
-    # prefix: the table and the two checks that read it refuse it, on the
-    # compiled pass and on numpy alike
+    # prefix: every pass refuses it, and so does each caller of one, on the
+    # compiled passes and on numpy alike
     if not compiled:
         monkeypatch.setattr(walk, "_kernel", lambda: None)
-    real = generate(spec_for("parallel-duplicated", window_L=10.0), 3)
-    traj = run_walk(real)
-    n = len(traj)
-    dec = clusters_of(real)
-    callers = (lambda t: cluster_visits(dec, t),
-               lambda t: check_cluster_consecutive(real, t),
-               lambda t: detect_A_events(real, t))
-    for line in ("visited_step0", "visited_step1"):
-        for step in (n + 5, n + 1, 0, -2):
-            vis = getattr(traj, line).copy()
-            vis[0] = step
-            bad = replace(traj, **{line: vis})
-            for call in callers:
-                with pytest.raises(ValidationError, match="visit steps"):
-                    call(bad)
-    assert cluster_visits(dec, traj).count.sum() == n
+    for construction in ("parallel-duplicated", "parallel-thinned",
+                         "parallel-shifted"):
+        real = generate(spec_for(construction, window_L=10.0), 3)
+        traj = run_walk(real)
+        n = len(traj)
+        by_pass = callers_by_pass(real, traj)
+        # the gap events of these runs compute deficiency records
+        assert len(by_pass["deficiency"]) == (
+            1 if construction == "parallel-duplicated" else 3)
+        callers = [(call, RULES[name]) for name, calls in by_pass.items()
+                   for call in calls]
+        for call, _ in callers:
+            call(traj)
+        for line in ("visited_step0", "visited_step1"):
+            for step in (n + 5, n + 1, 0, -2):
+                vis = getattr(traj, line).copy()
+                vis[0] = step
+                bad = replace(traj, **{line: vis})
+                for call, rule in callers:
+                    with pytest.raises(ValidationError,
+                                       match=re.escape(rule)):
+                        call(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -1442,21 +1479,11 @@ def test_deficiency_pinned(spec_for):
 # structural audits
 
 
-def compiled_audit(real, traj):
-    """The audit in the compiled library, which must read every trajectory
-    these tests build.  Where the library does not load it is audit_lemmas'
-    numpy fallback, and test_kernel_loads_where_there_is_a_compiler fails
-    wherever there is a compiler."""
-    lib = walk._kernel()
-    if lib is None:
-        return audit_lemmas(real, traj)
-    audit = analysis._audit_compiled(lib, real, traj)
-    assert audit is not None
-    return audit
-
-
-# the two audit engines, which must give one answer
-AUDITS = (compiled_audit, analysis._audit_numpy)
+# the two audit engines, which must give one answer: audit_lemmas runs the
+# compiled audit wherever the library loads, and
+# test_kernel_loads_where_there_is_a_compiler fails wherever there is a
+# compiler and it does not
+AUDITS = (audit_lemmas, analysis._audit_numpy)
 
 
 def audit_result(audit):
@@ -1683,7 +1710,7 @@ def test_audit_engines_agree_at_large_L(spec_for, construction):
         traj, np.random.default_rng(918).permutation(len(traj)))
     for t in (traj, shuffled):
         want = analysis._audit_numpy(real, t)
-        assert audit_result(compiled_audit(real, t)) == audit_result(want)
+        assert audit_result(audit_lemmas(real, t)) == audit_result(want)
     assert len(want.violations) > 10000
 
 
@@ -1694,7 +1721,7 @@ def test_audit_engines_agree_on_signed_zeros(hand_real, hand_traj):
     for us, b_prev in (([-3.0, -0.5, -1.0], "-0.0"),
                        ([0.0, -3.0, -0.5, -1.0], "0.0")):
         traj = hand_traj(real, us, [0] * len(us), start=Site(-0.0, 0))
-        got = audit_result(compiled_audit(real, traj))
+        got = audit_result(audit_lemmas(real, traj))
         assert got == audit_result(analysis._audit_numpy(real, traj))
         assert f'"b_prev": {b_prev},' in got[1]
 
@@ -1772,52 +1799,138 @@ def test_tables_run_numpy_without_a_kernel(monkeypatch, spec_for):
         ["_compute_Dx_numpy"] * 14 + ["_cluster_visits_numpy"] * 8)
 
 
-def test_odd_arrays_take_the_numpy_tables(spec_for):
-    # the compiled passes read int64 visit steps and float64 shadows in
-    # place; another dtype or a strided view goes to numpy, whose tables
-    # equal those of the plain arrays
-    real = generate(spec_for("parallel-shifted", window_L=50.0),
-                    stream_seed(77, 0))
+def mutated(real, traj, mutation, rnd):
+    """traj with the one fault `mutation` at a place rnd picks; None where
+    traj has no place for it."""
+    n = len(traj)
+    if mutation == "NaN start":
+        return replace(traj, start=Site(math.nan, traj.start.line))
+    if n == 0:
+        return None
+    t = rnd.randint(1, n)
+    if mutation in ("NaN shadow", "shadow moved"):
+        us = traj.us.copy()
+        others = real.base_points[real.base_points != us[t - 1]]
+        if mutation == "shadow moved" and not len(others):
+            return None
+        us[t - 1] = math.nan if mutation == "NaN shadow" else rnd.choice(others)
+        return replace(traj, us=us)
+    # every point as (line, index), and the one that step t visited
+    points = [(line, i) for line in ("visited_step0", "visited_step1")
+              for i in range(len(getattr(traj, line)))]
+    owner = next(p for p in points if getattr(traj, p[0])[p[1]] == t)
+    if mutation == "unclaimed":
+        line, i, step = *owner, -1
+    elif mutation == "claimed twice":
+        if len(points) < 2:
+            return None
+        line, i = rnd.choice([p for p in points if p != owner])
+        step = t
+    else:  # a step off the prefix
+        line, i = rnd.choice(points)
+        step = {"step n + 1": n + 1, "step 0": 0, "step -2": -2}[mutation]
+    vis = getattr(traj, line).copy()
+    vis[i] = step
+    return replace(traj, **{line: vis})
+
+
+# the passes that refuse each fault: all three a step off the prefix, only
+# the audits a step claimed twice or by no point, or a moved shadow, and
+# the two passes that read the shadows a NaN start or shadow
+REFUSED_BY = {
+    "step n + 1": RULES, "step 0": RULES, "step -2": RULES,
+    "claimed twice": ["audit"], "unclaimed": ["audit"],
+    "shadow moved": ["audit"], "NaN start": ["deficiency", "audit"],
+    "NaN shadow": ["deficiency", "audit"],
+}
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(["single-line", "intersecting", "parallel-duplicated",
+                        "parallel-thinned", "parallel-shifted"]),
+       st.sampled_from([2.0, 5.0, 20.0]), st.sampled_from([0.3, -0.3]),
+       st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from(
+           sorted(REFUSED_BY)), st.randoms(use_true_random=False))
+def test_passes_refuse_malformed_runs_on_both_paths(spec_for, construction,
+                                                    L, shift_s, seed,
+                                                    exhaust, mutation, rnd):
+    # a generated walk reads; with one fault, every caller of each pass
+    # that refuses the fault raises, with the compiled library and without
+    real = generate(spec_for(construction, window_L=L, shift_s=shift_s), seed)
+    traj = run_walk(real, rule=EXH if exhaust else StopRule())
+    bad = mutated(real, traj, mutation, rnd)
+    assume(bad is not None)
+    by_pass = callers_by_pass(real, traj)
+    for calls in by_pass.values():
+        for call in calls:
+            call(traj)
+    for name in REFUSED_BY[mutation]:
+        for call in by_pass[name]:
+            for path in (call, lambda t: on_numpy(call, t)):
+                with pytest.raises(ValidationError,
+                                   match=re.escape(RULES[name])):
+                    path(bad)
+
+
+def strided(a):
+    """a as a view that steps over every other entry of a buffer."""
+    out = np.repeat(a, 2)[::2]
+    assert len(a) < 2 or not out.flags.c_contiguous
+    return out
+
+
+@pytest.mark.parametrize("construction", [
+    "single-line", "parallel-duplicated", "parallel-thinned",
+    "parallel-shifted",
+])
+def test_layout_variants_read_alike_on_both_paths(spec_for, construction):
+    # the compiled passes read int64 visit steps and cluster starts and
+    # float64 shadows and levels, each contiguous; narrower integers and
+    # strided views are converted at the call, and every table is the
+    # plain arrays' bit for bit, on either path
+    real = generate(spec_for(construction, window_L=50.0), stream_seed(77, 0))
     traj = run_walk(real)
-    dec = clusters_of(real)
-    xs = real.line0[real.line0 > 0.0]
-    narrow = replace(traj, visited_step0=traj.visited_step0.astype(np.int32))
-    strided = replace(traj, us=np.repeat(traj.us, 2)[::2])
-    assert not strided.us.flags.c_contiguous
-    lib = walk._kernel()
-    want = compute_Dx(real, traj, xs)
-    for odd in (narrow, strided):
-        assert lib is None or analysis._compute_Dx_compiled(
-            lib, real, odd, xs) is None
-        assert differing_columns(compute_Dx(real, odd, xs), want) == []
-    want = cluster_visits(dec, traj)
-    for odd_dec, odd in ((dec, narrow),
-                         (replace(dec, starts=np.repeat(dec.starts, 2)[::2]),
-                          traj)):
-        assert lib is None or analysis._cluster_visits_compiled(
-            lib, odd_dec, odd) is None
-        assert differing_columns(cluster_visits(odd_dec, odd), want) == []
+    xs = real.base_points[real.base_points > 0.0]
+    shared = construction in ("parallel-duplicated", "parallel-shifted")
+    dec = clusters_of(real) if shared else None
 
+    def tables(t, levels, d):
+        out = [compute_Dx(real, t, levels), audit_lemmas(real, t)]
+        if d is not None:
+            out.append(cluster_visits(d, t))
+        if construction != "single-line":
+            out.append(detect_A_events(real, t))
+        return out
 
-def test_inconsistent_trajectories_take_the_numpy_audit(hand_real,
-                                                         hand_traj):
-    # the compiled audit refuses a trajectory whose visit steps and us
-    # disagree, and audit_lemmas then reads it at face value in numpy
-    real = hand_real("parallel-thinned", [0.5, 1.0, 2.0, 3.0],
-                     line1=[1.0, 1.5, 2.5], separation_r=1.0)
-    good = hand_traj(real, [1.0, 1.5, 2.0, 0.5], [0, 1, 0, 0])
-    trajs = []
-    for step in (len(good) + 5, 2**40):
-        late = good.visited_step0.copy()
-        late[3] = step  # 3.0, never visited, at a step past the prefix
-        trajs.append(replace(good, visited_step0=late))
-    twice = good.visited_step1.copy()
-    twice[2] = 2  # 2.5, never visited, at 1.5's step
-    moved = good.us.copy()
-    moved[2] = 2.5  # step 3 visits 2.0
-    trajs += [replace(good, visited_step1=twice), replace(good, us=moved)]
-    lib = walk._kernel()
-    for bad in trajs:
-        assert lib is None or analysis._audit_compiled(lib, real, bad) is None
-        assert (audit_result(audit_lemmas(real, bad))
-                == audit_result(analysis._audit_numpy(real, bad)))
+    def same(a, b):
+        if isinstance(a, analysis.LemmaAudit):
+            return audit_result(a) == audit_result(b)
+        return differing_columns(a, b) == []
+
+    want = tables(traj, xs, dec)
+    narrow = replace(traj, visited_step0=traj.visited_step0.astype(np.int32),
+                     visited_step1=traj.visited_step1.astype(np.int16))
+    views = replace(traj, us=strided(traj.us),
+                    visited_step0=strided(traj.visited_step0),
+                    visited_step1=strided(traj.visited_step1))
+    view_dec = replace(dec, starts=strided(dec.starts)) if shared else None
+    for args in ((narrow, xs, dec), (views, strided(xs), view_dec)):
+        for got in (tables(*args), on_numpy(tables, *args)):
+            assert all(map(same, got, want))
+    # a realization built from strided lines holds them contiguous
+    lines = replace(real, line0=strided(real.line0), line1=strided(real.line1))
+    assert lines.line0.flags.c_contiguous and lines.line1.flags.c_contiguous
+    assert same(compute_Dx(lines, traj, xs), want[0])
+    assert same(audit_lemmas(lines, traj), want[1])
+    # visit steps that are not integers, or not one per point, are refused
+    # at the door, on either path
+    p0, p1 = traj.visited_step0, traj.visited_step1
+    for odd in ({"visited_step0": p0.astype(np.float64)},
+                {"visited_step1": p1.astype(np.uint64)},
+                {"visited_step0": p0[:-1]},
+                {"visited_step0": p0[:, None]}):
+        bad = replace(traj, **odd)
+        for path in (tables, lambda *a: on_numpy(tables, *a)):
+            with pytest.raises(ValidationError, match="visit steps must be"):
+                path(bad, xs, dec)

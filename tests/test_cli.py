@@ -318,6 +318,19 @@ def test_bounds_prints_every_level(capsys):
             f"{n}\t{intersect_Bn_bound(alpha, n):.9g}\n" for n in range(1, 13))
 
 
+@pytest.mark.parametrize("alpha, value", [
+    ("1e-17", "1.08731273e+18"), ("2e-16", "5.43656366e+16"),
+    ("1e-300", "1.08731273e+301"), ("5e-324", "inf")])
+def test_bounds_at_a_small_angle(capsys, alpha, value):
+    # 1 - exp(-sin alpha) rounds to 0 below alpha ~ 1.1e-16, and loses
+    # digits well above it; -expm1(-sin alpha) keeps them, and the bound
+    # 4e/sin(alpha) overflows to inf only at the smallest subnormal
+    assert main(["bounds", "--alpha", alpha, "--n-max", "2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"1\t{value}\n2\t{value}\n"
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("n_max", ["0", "-1"],
                          ids=["intersecting-Bn-0", "intersecting-Bn--1"])
 def test_bounds_empty_table_exits_2(capsys, n_max):
