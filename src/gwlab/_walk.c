@@ -7,8 +7,9 @@
  * and cluster_visits call the passes.  Where the library does not build,
  * the Python loop and the numpy passes run instead, with the same results.
  *
- * The passes read lines that Realization keeps finite, strictly increasing,
- * read-only and contiguous, so they never check them.  Each returns 1 for
+ * Every walk starts at the origin on line 0, its step 0.  The passes read
+ * lines that Realization keeps finite, strictly increasing, read-only and
+ * contiguous, so they never check them.  Each returns 1 for
  * a run it does not read (every one refuses a visit step that is neither
  * -1 nor a step of the prefix) and 2 when memory runs out; analysis.py
  * raises ValidationError and MemoryError for them.
@@ -129,7 +130,7 @@ static int64_t skip(const int64_t *vis, int64_t *link, int64_t j)
     return k;
 }
 
-/* Walk from abscissa cu on line cl over the flat table F of n0 + n1 points
+/* Walk from the origin on line 0 over the flat table F of n0 + n1 points
  * drawn on the windows [lo0, hi0] and [lo1, hi1], stopping at the first
  * step whose distance reaches the stop margin when truncating, else when
  * every point is visited.  prv and nxt are scratch of n0 + n1 + 4 entries;
@@ -139,15 +140,16 @@ static int64_t skip(const int64_t *vis, int64_t *link, int64_t j)
  * exactly when every point was visited. */
 int64_t gw_walk(const double *F, int64_t n0, int64_t n1, int kind, double r,
                 double cos_alpha, double lo0, double hi0, double lo1,
-                double hi1, int truncating, double cu, int cl, int64_t *prv,
-                int64_t *nxt, int64_t *vis, int64_t *order, double *dists)
+                double hi1, int truncating, int64_t *prv, int64_t *nxt,
+                int64_t *vis, int64_t *order, double *dists)
 {
     const Space sp = {kind, r, cos_alpha, {lo0, lo1}, {hi0, hi1}};
     const int64_t size = n0 + n1 + 4;
     const int64_t lo[2] = {0, n0 + 2}, hi[2] = {n0 + 1, n0 + n1 + 3};
-    int ol = 1 - cl, t;
+    int cl = 0, ol = 1, t;
     int64_t k, i, p, s, xp, xs, near[2], step = 0;
-    double d, d_s, dcp, dcs, m = truncating ? margin(&sp, cu, cl) : INFINITY;
+    double cu = 0.0, d, d_s, dcp, dcs;
+    double m = truncating ? margin(&sp, cu, cl) : INFINITY;
 
     for (k = 0; k < size; k++) {
         prv[k] = k - 1;
@@ -250,7 +252,7 @@ static int64_t root(int64_t *link, int64_t k)
     return r;
 }
 
-/* Audit the n steps us (from abscissa start) over line0 and line1, whose
+/* Audit the n steps us (from the origin) over line0 and line1, whose
  * visit steps are vis0 and vis1 (-1: never visited); the pair audit runs
  * when the separation r is positive, which it is on parallel lines only.
  * Writes up to pcap pair violations, in scan order (by i, then j, over the
@@ -259,8 +261,8 @@ static int64_t root(int64_t *link, int64_t k)
  * step violations found, all of them even past a capacity.  Returns 0,
  * or 1 when the trajectory is not one this pass can read (a visit step
  * off the prefix, a step given to no point or to two, us[t - 1] not the
- * point visited at t, a start that is NaN) and 2 when memory runs out;
- * then nothing is written.
+ * point visited at t) and 2 when memory runs out; then nothing is
+ * written.
  *
  * The points merge into one sorted table mu (line 0 first on a tie), with
  * each point's line and visit step (n + 1 when never visited).  Step t
@@ -273,7 +275,7 @@ static int64_t root(int64_t *link, int64_t k)
  * witness). */
 int gw_audit(const double *line0, int64_t n0, const double *line1,
              int64_t n1, const int64_t *vis0, const int64_t *vis1,
-             const double *us, int64_t n, double start, double r,
+             const double *us, int64_t n, double r,
              PairViolation *pv, int64_t pcap, StepViolation *sv,
              int64_t scap, int64_t *counts)
 {
@@ -285,7 +287,7 @@ int gw_audit(const double *line0, int64_t n0, const double *line1,
     unsigned char *ml;
     void *mem;
 
-    if (off_prefix(vis0, n0, n) || off_prefix(vis1, n1, n) || isnan(start))
+    if (off_prefix(vis0, n0, n) || off_prefix(vis1, n1, n))
         return 1;
     mem = malloc((size_t)(5 * m + n + 3) * sizeof(int64_t)
                  + (size_t)m * (sizeof(double) + 1));
@@ -321,16 +323,16 @@ int gw_audit(const double *line0, int64_t n0, const double *line1,
             goto bad;
 
     if (r > 0.0) {
-        /* first passages, 0 at the start and never beyond the prefix:
+        /* first passages, 0 at the origin and never beyond the prefix:
          * each level's is the first step at which the running max is
          * >= it (up) or the running min <= it (down) */
-        for (t = 0, run = start, k = 0; k < m; k++) {
+        for (t = 0, run = 0.0, k = 0; k < m; k++) {
             while (t <= n && run < mu[k])
                 if (++t <= n && us[t - 1] > run)
                     run = us[t - 1];
             up[k] = t;
         }
-        for (t = 0, run = start, k = m - 1; k >= 0; k--) {
+        for (t = 0, run = 0.0, k = m - 1; k >= 0; k--) {
             while (t <= n && run > mu[k])
                 if (++t <= n && us[t - 1] < run)
                     run = us[t - 1];
@@ -355,10 +357,10 @@ int gw_audit(const double *line0, int64_t n0, const double *line1,
 
     for (k = 0; k <= m; k++)
         nx[k] = pr[k] = k;
-    for (i = 0, past_z = 0; i < m; i++) /* where start falls in mu */
-        past_z += mu[i] <= start;
+    for (i = 0, past_z = 0; i < m; i++) /* where the origin falls in mu */
+        past_z += mu[i] <= 0.0;
     past_b = past_z;
-    a = b = z = start;
+    a = b = z = 0.0;
     for (t = 1; t <= n; t++) {
         q = pos[t];
         u = us[t - 1];
@@ -412,12 +414,12 @@ static double max_nan(double acc, double x)
 
 /* Records at the m ascending positive levels xs over line0 and line1,
  * whose visit steps are vis0 and vis1 (-1: never visited), for the n
- * steps us from abscissa start.  Writes the rows t_ray (each level's
+ * steps us from the origin.  Writes the rows t_ray (each level's
  * first passage into [x, inf), inf beyond the prefix) and value of a
  * 2 x m table, each level's interior count to n_interior, and the first
  * passage below 0 to *t_left.  Returns 0, or 1 when the trajectory is not
- * one this pass can read (a visit step off the prefix, a NaN start or
- * step) and 2 when memory runs out.
+ * one this pass can read (a visit step off the prefix, a NaN step) and 2
+ * when memory runs out.
  *
  * The decided, non-degenerate levels are the prefix with t_ray < t_left.
  * The positive base points come in ascending order from a merge of the
@@ -430,17 +432,14 @@ static double max_nan(double acc, double x)
  * (or it is NaN), so it is left out. */
 int gw_deficiency(const double *line0, int64_t n0, const double *line1,
                   int64_t n1, const int64_t *vis0, const int64_t *vis1,
-                  const double *us, int64_t n, double start,
-                  const double *xs, int64_t m, double *table,
-                  int64_t *n_interior, double *t_left)
+                  const double *us, int64_t n, const double *xs, int64_t m,
+                  double *table, int64_t *n_interior, double *t_left)
 {
     int64_t i, j, k, t, lo, hi, mid, nd, tl = n + 1;
     double b, last, run, *prev, *t_ray = table, *value = table + m;
 
-    if (off_prefix(vis0, n0, n) || off_prefix(vis1, n1, n) || isnan(start))
+    if (off_prefix(vis0, n0, n) || off_prefix(vis1, n1, n))
         return 1;
-    if (start < 0.0)
-        tl = 0;
     for (t = 1; t <= n; t++) {
         if (isnan(us[t - 1]))
             return 1;
@@ -451,7 +450,7 @@ int gw_deficiency(const double *line0, int64_t n0, const double *line1,
     if (prev == NULL)
         return 2;
     *t_left = tl <= n ? (double)tl : INFINITY;
-    for (t = 0, run = start, nd = 0, i = 0; i < m; i++) {
+    for (t = 0, run = 0.0, nd = 0, i = 0; i < m; i++) {
         while (t <= n && run < xs[i])
             if (++t <= n && us[t - 1] > run)
                 run = us[t - 1];

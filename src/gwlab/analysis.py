@@ -1,7 +1,8 @@
 """Trajectory observables and structural checks.
 
 Everything here consumes a (realization, trajectory) pair produced by the
-walk engines and extracts derived quantities:
+walk engines, a walk that starts at the origin (its step 0), and extracts
+derived quantities:
 
 * first passages of the running shadow extremes, and the deficiency
   records built from them: every level of a run in one pass (compute_Dx),
@@ -23,7 +24,8 @@ one linear pass in the compiled library that holds the walk
 (``_compute_Dx_numpy``, ``_cluster_visits_numpy``, ``_audit_numpy``),
 the reference the compiled pass is tested against, bit for bit.  Either
 path raises ValidationError for a run its pass does not read (_DX_RULE,
-_AUDIT_RULE, _CLUSTER_RULE).
+_AUDIT_RULE, _CLUSTER_RULE), and for shadows or cluster starts that are
+not one row.
 
 Decidability convention: a trajectory is only a prefix of the unbounded
 walk, so detectors report True (witnessed), False (ruled out), or None
@@ -60,9 +62,9 @@ _DX_TOL = 1e-9  # validate_dx_record's slack on the bounds 0 and x
 
 # the runs each pass refuses, in the compiled library and in numpy alike
 _DX_RULE = ("deficiency records need visit steps -1 or of the prefix, and "
-            "no NaN start or shadow")
+            "no NaN shadow")
 _AUDIT_RULE = ("audits need visit steps -1 or of the prefix, each step of it "
-               "visiting one point, at its shadow, and no NaN start")
+               "visiting one point, at its shadow")
 _CLUSTER_RULE = ("cluster visits need visit steps -1 or of the prefix, and "
                  "starts 0 and then increasing below the point count")
 
@@ -73,12 +75,12 @@ _CLUSTER_RULE = ("cluster visits need visit steps -1 or of the prefix, and "
 
 def first_passage(traj: Trajectory, levels, down: bool = False,
                   strict: bool = False) -> np.ndarray:
-    """Per level, the first step (0 = the start site) at which the running
-    max of the shadow is >= the level (> when strict), or with down the
-    running min is <= it (<); +inf when that does not happen within the
-    prefix (it may or may not happen in the unbounded walk)."""
+    """Per level, the first step (0 = the origin) at which the running max
+    of the shadow is >= the level (> when strict), or with down the running
+    min is <= it (<); +inf when that does not happen within the prefix (it
+    may or may not happen in the unbounded walk)."""
     sign = -1.0 if down else 1.0
-    run = np.maximum.accumulate(sign * np.append(traj.start.u, traj.us))
+    run = np.maximum.accumulate(sign * np.append(0.0, traj.us))
     t = np.searchsorted(run, sign * np.asarray(levels, dtype=np.float64),
                         "right" if strict else "left")
     return np.where(t < len(run), t, np.inf)
@@ -138,14 +140,14 @@ def compute_Dx(real: Realization, traj: Trajectory, xs) -> DeficiencyRecords:
     if xs.ndim > 1 or not (xs > 0.0).all() or (xs[1:] < xs[:-1]).any():
         raise ValidationError("deficiency levels must be a positive ascending row")
     v0, v1 = _visit_steps(traj, len(real.line0), len(real.line1))
+    us = _row(traj.us, np.float64, "shadows")
     lib = walk._kernel()
     if lib is None:
         return _compute_Dx_numpy(real, traj, xs)
-    us = np.ascontiguousarray(traj.us, dtype=np.float64)
     out = np.empty((2, len(xs)))
     n_interior = np.empty(len(xs), dtype=np.int64)
     t_left = ctypes.c_double()
-    _refuse(lib.gw_deficiency(*_run_args(real, traj, v0, v1, us),
+    _refuse(lib.gw_deficiency(*_run_args(real, v0, v1, us),
                               xs.ctypes.data, len(xs), out.ctypes.data,
                               n_interior.ctypes.data, ctypes.byref(t_left)),
             _DX_RULE)
@@ -184,15 +186,22 @@ def _visit_steps(traj: Trajectory, n0: int, n1: int):
         raise ValidationError("visit steps must be integers") from None
 
 
-def _run_args(real: Realization, traj: Trajectory, v0: np.ndarray,
-              v1: np.ndarray, us: np.ndarray) -> tuple:
+def _row(a: np.ndarray, dtype, name: str) -> np.ndarray:
+    """a as a C-contiguous array of dtype, itself where it is one;
+    ValidationError unless it is one row."""
+    if np.ndim(a) != 1:
+        raise ValidationError(f"{name} must be one row, not {np.shape(a)}")
+    return np.ascontiguousarray(a, dtype=dtype)
+
+
+def _run_args(real: Realization, v0: np.ndarray, v1: np.ndarray,
+              us: np.ndarray) -> tuple:
     """The arguments gw_audit and gw_deficiency begin with: each line, the
-    visit steps v0 and v1, the shadows us and the start.  The caller holds
-    v0, v1 and us, contiguous, until the call returns; lines always are."""
+    visit steps v0 and v1 and the shadows us.  The caller holds v0, v1 and
+    us, contiguous, until the call returns; lines always are."""
     line0, line1 = real.line0, real.line1
     return (line0.ctypes.data, len(line0), line1.ctypes.data, len(line1),
-            v0.ctypes.data, v1.ctypes.data, us.ctypes.data, len(us),
-            traj.start.u)
+            v0.ctypes.data, v1.ctypes.data, us.ctypes.data, len(us))
 
 
 def _compute_Dx_numpy(real: Realization, traj: Trajectory,
@@ -201,7 +210,7 @@ def _compute_Dx_numpy(real: Realization, traj: Trajectory,
     the compiled library does not load, and the reference the compiled
     pass is tested against."""
     _refuse(_off_prefix(len(traj), traj.visited_step0, traj.visited_step1)
-            or math.isnan(traj.start.u) or np.isnan(traj.us).any(), _DX_RULE)
+            or np.isnan(traj.us).any(), _DX_RULE)
     t_ray = first_passage(traj, xs)
     t_left = float(first_passage(traj, [0.0], down=True, strict=True)[0])
     n = int(np.searchsorted(t_ray, t_left))  # the decided, non-degenerate prefix
@@ -269,8 +278,8 @@ def detect_crossings(traj: Trajectory) -> int:
 
 def extract_halfline_changes(traj: Trajectory) -> np.ndarray:
     """1-based steps k such that step k and step k+1 lie on different
-    half-lines (a half-line is a (line, sign) pair; the start site at the
-    origin lies on none)."""
+    half-lines (a half-line is a (line, sign) pair; the origin, where the
+    walk starts, lies on none)."""
     us, lines = traj.us, traj.lines
     if len(us) < 2:
         return np.empty(0, dtype=np.int64)
@@ -301,7 +310,7 @@ class UVRecord:
 def extract_UV_sequences(traj: Trajectory) -> list[UVRecord]:
     us, lines = traj.us, traj.lines
     records: list[UVRecord] = []
-    norm_prev = abs(traj.start.u)
+    norm_prev = 0.0
     # the changes list every half-line switch, so the run ending at change
     # j starts one past the change before it, or at step 1
     k = 1
@@ -436,7 +445,7 @@ def cluster_visits(dec: ClusterDecomposition, traj: Trajectory) -> ClusterVisits
     ValidationError unless both lines hold the decomposition's points."""
     p = len(dec.points)
     v0, v1 = _visit_steps(traj, p, p)
-    starts = np.ascontiguousarray(dec.starts, dtype=np.int64)
+    starts = _row(dec.starts, np.int64, "cluster starts")
     lib = walk._kernel()
     if lib is None:
         return _cluster_visits_numpy(v0, v1, starts, len(traj))
@@ -739,10 +748,6 @@ def _gap_events(family: str, pts: np.ndarray, level_offset: float,
     x, next_x = pts[lo:-1], pts[lo + 1:]
     gap = next_x - x
     wide = np.nonzero(gap > extra)[0]
-    index = np.arange(1, len(x) + 1)
-    if not len(wide):  # no deficiency level to compute: every event refuted
-        return _event_table(family, index, np.zeros(len(x)), mirrored,
-                            x=x, next_x=next_x, gap=gap)
     dx = compute_Dx(real, traj, x[wide] + level_offset)
     decided = dx.decided & (lo > 0)
     occurred = np.zeros(len(x), dtype=np.int8)
@@ -757,8 +762,8 @@ def _gap_events(family: str, pts: np.ndarray, level_offset: float,
     ray_x[k] = next_x[k]
     degenerate[k] = dx.degenerate[decided]
     occurred[k] = gap[k] > rhs[k]
-    return _event_table(family, index, occurred, mirrored, x=x,
-                        next_x=next_x, gap=gap, rhs=rhs, dx=value,
+    return _event_table(family, np.arange(1, len(x) + 1), occurred, mirrored,
+                        x=x, next_x=next_x, gap=gap, rhs=rhs, dx=value,
                         ray_x=ray_x, degenerate=degenerate, note=note)
 
 
@@ -851,8 +856,8 @@ def _audit_pairs(real: Realization, traj: Trajectory, audit: LemmaAudit,
                  mu, ml, ms) -> None:
     """Offline scan: once the walk has been at-or-left of x and at-or-right
     of y, a cross-line pair x < y at shadow gap <= r must already have lost
-    a member.  The gate is the first time (start counts as time 0) both
-    extremes hold; the pair must break within one step of it."""
+    a member.  The gate is the first time (the origin counts as time 0)
+    both extremes hold; the pair must break within one step of it."""
     r = real.spec.separation_r
     M = len(mu)
     # candidates j > i up to a bound padded past every rounding of the
@@ -877,8 +882,8 @@ def _audit_pairs(real: Realization, traj: Trajectory, audit: LemmaAudit,
 
 def _audit_replay(traj: Trajectory, audit: LemmaAudit, mu, ms) -> None:
     """The two facts about each step t with previous shadow z and running
-    extremes a_prev/b_prev (start included), as range-max queries over the
-    visit steps of the sorted shadows:
+    extremes a_prev/b_prev (the origin included), as range-max queries
+    over the visit steps of the sorted shadows:
 
     * landing on u inside the swept stretch [a_prev, z] must hit the
       largest alive shadow <= z: every shadow in (u, z] was visited before t;
@@ -892,7 +897,7 @@ def _audit_replay(traj: Trajectory, audit: LemmaAudit, mu, ms) -> None:
     if len(u) == 0:
         return
     t = np.arange(1, len(u) + 1)
-    z = np.concatenate(([traj.start.u], u[:-1]))
+    z = np.concatenate(([0.0], u[:-1]))
     a_prev, b_prev = np.minimum.accumulate(z), np.maximum.accumulate(z)
     at_u, past_u, past_z, past_b = (
         np.searchsorted(mu, v, side) for v, side in
@@ -940,7 +945,6 @@ def _audit_numpy(real: Realization, traj: Trajectory) -> LemmaAudit:
     n, hit = len(traj), ms < np.inf
     t = ms[hit].astype(np.int64)
     _refuse(_off_prefix(n, traj.visited_step0, traj.visited_step1)
-            or math.isnan(traj.start.u)
             or not (np.bincount(t, minlength=n + 1)[1:] == 1).all()
             or not (traj.us[t - 1] == mu[hit]).all(), _AUDIT_RULE)
     audit = LemmaAudit()
@@ -960,11 +964,11 @@ def audit_lemmas(real: Realization, traj: Trajectory) -> LemmaAudit:
     if real.spec.kind == INTERSECTING:
         raise ValidationError("audits are defined for parallel/single-line runs")
     v0, v1 = _visit_steps(traj, len(real.line0), len(real.line1))
+    us = _row(traj.us, np.float64, "shadows")
     lib = walk._kernel()
     if lib is None:
         return _audit_numpy(real, traj)
-    us = np.ascontiguousarray(traj.us, dtype=np.float64)
-    args = _run_args(real, traj, v0, v1, us)
+    args = _run_args(real, v0, v1, us)
     counts = np.zeros(5, dtype=np.int64)
     caps = (16, 16)
     while True:  # twice at most: the second time with every violation's room

@@ -1,8 +1,9 @@
 """Greedy-walk engines and the metric they measure with.
 
-The walk starts at a site (default: the origin on line 0) and repeatedly
-jumps to the nearest not-yet-visited point, breaking measure-zero ties by
-lower line label, then smaller abscissa.
+The walk starts at the origin on line 0 (for intersecting lines, the
+intersection point) and repeatedly jumps to the nearest not-yet-visited
+point, breaking measure-zero ties by lower line label, then smaller
+abscissa.
 
 A site is addressed by its signed arc-length abscissa `u` along a line plus
 a line label.  For intersecting lines both abscissas are measured from the
@@ -43,7 +44,7 @@ loop keeps per-point tables.
 Stopping.  With the default truncation-safe rule the walk stops as soon as
 the chosen step distance reaches the shortest distance to any location
 outside the drawn windows (``stop_margin``; ``margin`` in ``_walk.c``),
-which each loop computes itself, the start's included.  Every emitted step
+which each loop computes itself, the origin's included.  Every emitted step
 therefore beats every point the window did not sample, so the emitted
 prefix is exactly the prefix of the walk on the unbounded process.  A walk
 that took one step per point exhausted them; any other stopped at the margin.
@@ -82,9 +83,7 @@ TRUNCATION_SAFE = "truncation-safe"
 class Site:
     """A location on the space: signed abscissa `u` on line `line` (0 or 1).
 
-    Line 1 is the second line (the "line r" of a parallel pair).  The walk's
-    default start Site(0.0, 0) is the origin; for intersecting lines that is
-    the intersection point itself.
+    Line 1 is the second line (the "line r" of a parallel pair).
     """
 
     u: float
@@ -138,13 +137,12 @@ class StopRule:
 class Trajectory:
     """The ordered outcome of one walk.
 
-    us/lines/step_distances are parallel arrays over steps 1..N (the start
-    site is not part of them).  visited_step0/visited_step1 map each
-    realization point index to the 1-based step that visited it, -1 if it
-    was never reached.
+    us/lines/step_distances are parallel arrays over steps 1..N (the walk
+    starts at the origin on line 0, step 0, which is not part of them).
+    visited_step0/visited_step1 map each realization point index to the
+    1-based step that visited it, -1 if it was never reached.
     """
 
-    start: Site
     us: np.ndarray
     lines: np.ndarray
     step_distances: np.ndarray
@@ -193,14 +191,6 @@ def _centre(spec, u):
     return u * spec.cos_alpha if spec.kind == INTERSECTING else u
 
 
-def _check_start(real: Realization, start: Site) -> None:
-    """Both engines' guard: start must be on a line of the space, at a
-    finite abscissa."""
-    if not (isinstance(start.line, (int, np.integer)) and math.isfinite(start.u)
-            and 0 <= start.line < real.spec.n_lines):
-        raise ValidationError(f"start {start} is not a site of the space")
-
-
 # the compiled library: _walk.c, with the step loop gw_walk and the three
 # passes analysis.py calls (the lemma audits gw_audit, the deficiency
 # records gw_deficiency and the cluster-visit table gw_cluster_visits),
@@ -214,13 +204,13 @@ _SIGNATURES = {  # symbol: (argument types, result type)
     "gw_walk": ((_P, _Q, _Q,  # F, n0, n1
                  _I, _D, _D,  # kind, r, cos_alpha
                  _D, _D, _D, _D,  # lo0, hi0, lo1, hi1
-                 _I, _D, _I,  # truncating, cu, cl
+                 _I,  # truncating
                  _P, _P, _P, _P, _P), _Q),  # prv, nxt, vis, order, dists
     "gw_audit": ((_P, _Q, _P, _Q,  # line0, n0, line1, n1
-                  _P, _P, _P, _Q, _D, _D,  # vis0, vis1, us, n, start, r
+                  _P, _P, _P, _Q, _D,  # vis0, vis1, us, n, r
                   _P, _Q, _P, _Q, _P), _I),  # pv, pcap, sv, scap, counts
     "gw_deficiency": ((_P, _Q, _P, _Q,  # line0, n0, line1, n1
-                       _P, _P, _P, _Q, _D,  # vis0, vis1, us, n, start
+                       _P, _P, _P, _Q,  # vis0, vis1, us, n
                        _P, _Q, _P,  # xs, m, table
                        _P, _P), _I),  # n_interior, t_left
     "gw_cluster_visits": ((_P, _P, _Q,  # vis0, vis1, p
@@ -296,14 +286,13 @@ def _buffers(size: int):
     return bufs
 
 
-def run_walk(real: Realization, start: Site = Site(0.0, 0),
-             rule: StopRule = StopRule()) -> Trajectory:
-    """Greedy walk with the compiled step loop where it loads, else with
-    the Python loop; both give the same trajectory bit for bit."""
-    _check_start(real, start)
+def run_walk(real: Realization, *, rule: StopRule = StopRule()) -> Trajectory:
+    """Greedy walk from the origin with the compiled step loop where it
+    loads, else with the Python loop; both give the same trajectory bit for
+    bit."""
     kernel = _kernel()
     if kernel is None:
-        return _run_walk_py(real, start, rule)
+        return _run_walk_py(real, rule=rule)
     inf = math.inf
     n0, n1 = len(real.line0), len(real.line1)
     size = n0 + n1 + 4
@@ -317,17 +306,16 @@ def run_walk(real: Realization, start: Site = Site(0.0, 0),
     step = kernel.gw_walk(
         pF, n0, n1, _KINDS[spec.kind], spec.separation_r or 0.0,
         spec.cos_alpha if spec.kind == INTERSECTING else 0.0,
-        lo0, hi0, lo1, hi1, rule.mode == TRUNCATION_SAFE, start.u,
-        int(start.line), pprv, pnxt, pvis, porder, pdists)
-    return _trajectory(start, F, order[:step], dists[:step], vis, n0)
+        lo0, hi0, lo1, hi1, rule.mode == TRUNCATION_SAFE,
+        pprv, pnxt, pvis, porder, pdists)
+    return _trajectory(F, order[:step], dists[:step], vis, n0)
 
 
-def _trajectory(start: Site, F, steps, dists, vis, n0: int) -> Trajectory:
+def _trajectory(F, steps, dists, vis, n0: int) -> Trajectory:
     """A step loop's Trajectory from its flat table F, the flat index and
     distance of each step, and the visit step per flat index; a loop that
     took one step per point exhausted them (it steps inf only then)."""
     return Trajectory(
-        start=start,
         us=F[steps],
         lines=(steps > n0 + 1).astype(np.int8),
         step_distances=dists.copy(),
@@ -337,7 +325,7 @@ def _trajectory(start: Site, F, steps, dists, vis, n0: int) -> Trajectory:
     )
 
 
-def _run_walk_py(real: Realization, start: Site, rule: StopRule) -> Trajectory:
+def _run_walk_py(real: Realization, *, rule: StopRule) -> Trajectory:
     """run_walk's Python loop, for where the compiled one does not load:
     gw_walk in _walk.c line for line, on lists."""
     spec = real.spec
@@ -351,8 +339,7 @@ def _run_walk_py(real: Realization, start: Site, rule: StopRule) -> Trajectory:
     vis = [-1] * size
     order, dists = [], []
     truncating = rule.mode == TRUNCATION_SAFE
-    cu, cl = start.u, start.line
-    ol = 1 - cl
+    cu, cl, ol = 0.0, 0, 1
     m = stop_margin(real, cu, cl) if truncating else inf
     s = bisect_left(F, cu, lo[cl] + 1, hi[cl])
     p = s - 1
@@ -392,22 +379,21 @@ def _run_walk_py(real: Realization, start: Site, rule: StopRule) -> Trajectory:
         xs = bisect_left(F, _centre(spec, cu), lo[ol] + 1, hi[ol])
         xp = _skip_visited(vis, prv, xs - 1)
         xs = _skip_visited(vis, nxt, xs)
-    return _trajectory(start, np.array(F), np.array(order, dtype=np.int64),
+    return _trajectory(np.array(F), np.array(order, dtype=np.int64),
                        np.array(dists), np.array(vis, dtype=np.int64), n0)
 
 
-def run_walk_naive(real: Realization, start: Site = Site(0.0, 0),
+def run_walk_naive(real: Realization, *,
                    rule: StopRule = StopRule()) -> Trajectory:
     """Reference engine, the oracle for run_walk: the rule itself.  Each
     step measures every point, a visited one as inf, and takes the first
     minimum; line 0 comes before line 1, each sorted, so that is the tie
     rule (the lower line, then the smaller u)."""
-    _check_start(real, start)
     spec, n0 = real.spec, len(real.line0)
     us_all = np.concatenate((real.line0, real.line1))
     vis = np.full(len(us_all), -1, dtype=np.int64)
     order, dists = [], []
-    cu, cl = start.u, start.line
+    cu, cl = 0.0, 0
     while len(order) < len(us_all):
         d = np.abs(us_all - cu)
         other = slice(n0, None) if cl == 0 else slice(n0)
@@ -422,7 +408,7 @@ def run_walk_naive(real: Realization, start: Site = Site(0.0, 0),
         vis[k] = len(order)
         cu, cl = float(us_all[k]), int(k >= n0)
     steps = np.array(order, dtype=np.int64)
-    return Trajectory(start, us_all[steps], (steps >= n0).astype(np.int8),
+    return Trajectory(us_all[steps], (steps >= n0).astype(np.int8),
                       np.array(dists), EXHAUSTED if len(steps) == len(us_all)
                       else TRUNCATED, vis[:n0], vis[n0:])
 
@@ -447,7 +433,6 @@ def mirror_trajectory(traj: Trajectory) -> Trajectory:
     their order, so the per-point visit-step arrays are reversed to match.
     """
     return Trajectory(
-        start=Site(-traj.start.u, traj.start.line),
         us=-traj.us,
         lines=traj.lines,
         step_distances=traj.step_distances,

@@ -48,17 +48,17 @@ def hand_traj():
     """Trajectory from an explicit visit order.
 
     Builds consistent visited-step arrays and true geometric step
-    distances; it does not enforce that the order is greedy, which is the
-    point: analysis code must take any consistent trajectory at face
-    value, greedy or not.
+    distances, the first measured from the origin; it does not enforce
+    that the order is greedy, which is the point: analysis code must take
+    any consistent trajectory at face value, greedy or not.
     """
 
-    def build(real, us, lines, start=Site(0.0, 0), stop_reason="truncated"):
+    def build(real, us, lines, stop_reason="truncated"):
         us = np.asarray(us, dtype=np.float64)
         lines = np.asarray(lines, dtype=np.int8)
         vis0 = np.full(len(real.line0), -1, dtype=np.int64)
         vis1 = np.full(len(real.line1), -1, dtype=np.int64)
-        prev = start
+        prev = Site(0.0, 0)
         dists = []
         for t, (u, l) in enumerate(zip(us, lines), start=1):
             arr = real.line0 if l == 0 else real.line1
@@ -69,7 +69,6 @@ def hand_traj():
             dists.append(distance(real.spec, prev, here))
             prev = here
         return Trajectory(
-            start=start,
             us=us,
             lines=lines,
             step_distances=np.asarray(dists, dtype=np.float64),

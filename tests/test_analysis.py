@@ -9,6 +9,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import random
 import re
 from dataclasses import fields, replace
 from pathlib import Path
@@ -16,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from gwlab import (
@@ -71,7 +72,7 @@ EXH = StopRule(mode=RUN_TO_EXHAUSTION)
 def test_hitting_times(hand_real, hand_traj):
     real = hand_real("single-line", [-1.0, 0.0, 1.0, 2.0, 3.0])
     traj = hand_traj(real, [1.0, 2.0, -1.0, 3.0], [0, 0, 0, 0])
-    # the start site counts as step 0
+    # the origin, where the walk starts, counts as step 0
     assert first_passage(traj, [0.5, 2.0, 2.5, 4.0, 0.0]).tolist() == [
         1, 2, 4, math.inf, 0]
     assert first_passage(traj, [2.0], strict=True).tolist() == [4]
@@ -88,8 +89,6 @@ def test_hitting_times(hand_real, hand_traj):
     dx = compute_Dx(real, traj, 4.0)
     assert (dx.t_ray.tolist(), dx.t_left, dx.degenerate.tolist()) == (
         [math.inf], 3, [True])
-    started = hand_traj(real, [3.0], [0], start=Site(2.0, 0))
-    assert compute_Dx(real, started, 1.5).t_ray.tolist() == [0]
     at_zero = hand_traj(real, [1.0, 0.0, 3.0], [0, 0, 0])
     dx = compute_Dx(real, at_zero, 3.0)
     assert (dx.t_ray.tolist(), dx.t_left, dx.degenerate.tolist()) == (
@@ -216,7 +215,7 @@ def deficiency_by_definition(real, traj, x):
     """(value, degenerate, decided, n_interior, t_ray, t_left) at level x,
     from a scan of the steps and of every copy's visit step; value None
     and n_interior 0 when the prefix cannot decide the level."""
-    sites = [traj.start.u, *traj.us.tolist()]
+    sites = [0.0, *traj.us.tolist()]
     t_ray = next((t for t, u in enumerate(sites) if u >= x), None)
     t_left = next((t for t, u in enumerate(sites) if u < 0.0), None)
     if t_left is not None and (t_ray is None or t_left < t_ray):
@@ -240,19 +239,18 @@ def deficiency_by_definition(real, traj, x):
        st.lists(quarters, min_size=1, max_size=9, unique=True),
        st.lists(quarters, max_size=9, unique=True),
        st.lists(quarters.filter(lambda q: q > 0.0), max_size=4),
-       quarters, st.randoms(), st.floats(0.0, 1.0))
+       st.randoms(), st.floats(0.0, 1.0))
 def test_deficiency_records_match_definition(hand_real, hand_traj,
                                              construction, line0, line1,
-                                             levels, start_u, rnd, keep):
-    # any visit order, cut anywhere, from any start; levels at the base
-    # points and between them
+                                             levels, rnd, keep):
+    # any visit order, cut anywhere; levels at the base points and between
+    # them
     real = hand_real(construction, sorted(line0), sorted(line1),
                      separation_r=1.0, shift_s=0.25)
     order = [(u, 0) for u in real.line0] + [(u, 1) for u in real.line1]
     rnd.shuffle(order)
     order = order[:round(keep * len(order))]
-    traj = hand_traj(real, [u for u, _ in order], [l for _, l in order],
-                     start=Site(start_u, 0))
+    traj = hand_traj(real, [u for u, _ in order], [l for _, l in order])
     xs = np.unique(np.append(real.base_points[real.base_points > 0.0], levels))
     dx = compute_Dx(real, traj, xs)
 
@@ -285,22 +283,19 @@ def differing_columns(a, b):
             if key(getattr(a, f.name)) != key(getattr(b, f.name))]
 
 
-def drawn_run(hand_real, hand_traj, construction, line0, line1, start_u,
-              rnd, walked, keep, mirrored):
-    """A run on the drawn lines: the greedy walk to exhaustion from
-    start_u, or every point in a shuffled order, with two steps swapped,
-    cut after a `keep` share of its steps and, when mirrored, reflected
-    through the origin."""
+def drawn_run(hand_real, hand_traj, construction, line0, line1, rnd, walked,
+              keep, mirrored):
+    """A run on the drawn lines: the greedy walk to exhaustion, or every
+    point in a shuffled order, with two steps swapped, cut after a `keep`
+    share of its steps and, when mirrored, reflected through the origin."""
     real = hand_real(construction, sorted(line0), sorted(line1),
                      separation_r=1.0, shift_s=0.25)
-    start = Site(start_u, 0)
     if walked:
-        traj = run_walk(real, start, EXH)
+        traj = run_walk(real, rule=EXH)
     else:
         order = [(u, 0) for u in real.line0] + [(u, 1) for u in real.line1]
         rnd.shuffle(order)
-        traj = hand_traj(real, [u for u, _ in order],
-                         [l for _, l in order], start=start)
+        traj = hand_traj(real, [u for u, _ in order], [l for _, l in order])
     if len(traj) >= 2:
         traj = swap_steps(traj, rnd.randint(1, len(traj) - 1))
     traj = cut_prefix(traj, round(keep * len(traj)))
@@ -317,17 +312,16 @@ def drawn_run(hand_real, hand_traj, construction, line0, line1, start_u,
        st.lists(quarters, max_size=9, unique=True),
        st.lists(st.one_of(quarters.filter(lambda q: q > 0.0),
                           st.just(math.inf)), max_size=4),
-       quarters, st.randoms(), st.booleans(), st.floats(0.0, 1.0),
-       st.booleans())
+       st.randoms(), st.booleans(), st.floats(0.0, 1.0), st.booleans())
 def test_compiled_deficiency_matches_numpy(hand_real, hand_traj,
                                            construction, line0, line1,
-                                           levels, start_u, rnd, walked,
-                                           keep, mirrored):
-    # greedy, shuffled, swapped and cut runs from starts on either side of
-    # the origin, with empty lines, mirrored runs (zeros turn -0.0), and
-    # levels that repeat, fall on base points or lie at inf
+                                           levels, rnd, walked, keep,
+                                           mirrored):
+    # greedy, shuffled, swapped and cut runs, with empty lines, mirrored
+    # runs (zeros turn -0.0), and levels that repeat, fall on base points
+    # or lie at inf
     real, traj = drawn_run(hand_real, hand_traj, construction, line0, line1,
-                           start_u, rnd, walked, keep, mirrored)
+                           rnd, walked, keep, mirrored)
     xs = np.sort(np.append(real.base_points[real.base_points > 0.0], levels))
     assert differing_columns(compute_Dx(real, traj, xs),
                              analysis._compute_Dx_numpy(real, traj, xs)) == []
@@ -419,20 +413,18 @@ def uv_pin_values(spec_for):
     """What uv_pins.json pins, per run and order: the number of landmark
     records, the B and C verdict counts and a sha256 digest of every
     record (n, j, k, U, V, verdict) as JSON in order.  Intersecting walks
-    at three angles, from the origin and from two starts off it (the
-    first landmark must beat |start.u|), are taken greedy, cut at half
-    their length, with steps k, k+1 swapped for every 7th k (summed over
-    the swaps, digests chained), and fully shuffled."""
+    at three angles, each named by its start, the origin, are taken
+    greedy, cut at half their length, with steps k, k+1 swapped for every
+    7th k (summed over the swaps, digests chained), and fully shuffled."""
     alphas = {"pi/3": math.pi / 3, "pi/2": math.pi / 2,
               "2pi/3": 2 * math.pi / 3}
-    starts = (Site(0.0, 0), Site(1.5, 1), Site(-2.25, 0))
-    runs = [(a, 50.0, i, starts[i % 3]) for a in alphas for i in range(24)]
-    runs += [(a, 400.0, 0, starts[0]) for a in alphas]
+    runs = [(a, 50.0, i) for a in alphas for i in range(0, 24, 3)]
+    runs += [(a, 400.0, 0) for a in alphas]
     out = {}
-    for a, L, i, start in runs:
+    for a, L, i in runs:
         spec = spec_for("intersecting", window_L=L, alpha=alphas[a])
         real = generate(spec, stream_seed(14, i))
-        traj = run_walk(real, start)
+        traj = run_walk(real)
         n = len(traj)
         orders = {
             "greedy": [traj], "cut": [cut_prefix(traj, n // 2)],
@@ -440,7 +432,7 @@ def uv_pin_values(spec_for):
             "shuffled": [reorder_steps(
                 traj, np.random.default_rng(i).permutation(n))],
         }
-        name = f"alpha={a}/L={L:g}/{i}/start={start.u:g},{start.line}"
+        name = f"alpha={a}/L={L:g}/{i}/start=0,0"
         for order, trajs in orders.items():
             digest = hashlib.sha256()
             records, verdicts = 0, [0, 0]
@@ -600,7 +592,7 @@ def cut_prefix(traj, k):
     def seen(vis):
         return np.where(vis <= k, vis, -1)
 
-    return Trajectory(start=traj.start, us=traj.us[:k], lines=traj.lines[:k],
+    return Trajectory(us=traj.us[:k], lines=traj.lines[:k],
                       step_distances=traj.step_distances[:k],
                       stop_reason="truncated",
                       visited_step0=seen(traj.visited_step0),
@@ -618,7 +610,7 @@ def reorder_steps(traj, order):
     def moved(vis):
         return np.where(vis >= 1, new_step[vis], -1)
 
-    return Trajectory(start=traj.start, us=traj.us[order],
+    return Trajectory(us=traj.us[order],
                       lines=traj.lines[order],
                       step_distances=traj.step_distances[order],
                       stop_reason=traj.stop_reason,
@@ -901,16 +893,14 @@ def test_cluster_visits_matches_definition(spec_for, construction, params):
 @given(st.sampled_from(["parallel-duplicated", "parallel-shifted"]),
        st.lists(quarters, max_size=12, unique=True),
        st.sampled_from([0.25, 1.0, 2.5, 100.0]),
-       quarters, st.randoms(), st.booleans(), st.floats(0.0, 1.0),
-       st.booleans())
+       st.randoms(), st.booleans(), st.floats(0.0, 1.0), st.booleans())
 def test_compiled_cluster_visits_match_numpy(hand_real, hand_traj,
                                              construction, line0, threshold,
-                                             start_u, rnd, walked, keep,
-                                             mirrored):
+                                             rnd, walked, keep, mirrored):
     # the construction's clusters and coarser or finer ones, on greedy,
     # shuffled, swapped, cut and mirrored runs, empty lines included
     real, traj = drawn_run(hand_real, hand_traj, construction, line0, [],
-                           start_u, rnd, walked, keep, mirrored)
+                           rnd, walked, keep, mirrored)
     for dec in (clusters_of(real), decompose_clusters(real.line0, threshold)):
         assert differing_columns(cluster_visits(dec, traj),
                                  on_numpy(cluster_visits, dec, traj)) == []
@@ -947,9 +937,8 @@ RULES = {"deficiency": analysis._DX_RULE, "audit": analysis._AUDIT_RULE,
          "cluster": analysis._CLUSTER_RULE}
 
 
-def callers_by_pass(real, traj):
-    """The public callers of each pass that apply to real, by pass; the
-    gap events call compute_Dx only where some gap is wide, as on traj."""
+def callers_by_pass(real):
+    """The public callers of each pass that apply to real, by pass."""
     c = real.spec.construction
     xs = real.base_points[real.base_points > 0.0]
     callers = {"deficiency": [lambda t: compute_Dx(real, t, xs)],
@@ -963,10 +952,8 @@ def callers_by_pass(real, traj):
         callers["cluster"] += [lambda t: check_cluster_consecutive(real, t),
                                lambda t: detect_A_events(real, t)]
     elif c in ("parallel-thinned", "parallel-shifted"):
-        ev = detect_A_events(real, traj)
-        if ((ev.note > 0) | ~np.isnan(ev.ray_x)).any():
-            callers["deficiency"] += [lambda t: detect_A_events(real, t),
-                                      lambda t: check_povratak(real, t)]
+        callers["deficiency"] += [lambda t: detect_A_events(real, t),
+                                  lambda t: check_povratak(real, t)]
     return callers
 
 
@@ -983,8 +970,9 @@ def test_cluster_visits_refuse_steps_off_the_prefix(monkeypatch, spec_for,
         real = generate(spec_for(construction, window_L=10.0), 3)
         traj = run_walk(real)
         n = len(traj)
-        by_pass = callers_by_pass(real, traj)
-        # the gap events of these runs compute deficiency records
+        by_pass = callers_by_pass(real)
+        # the gap events of thinned and shifted runs compute deficiency
+        # records
         assert len(by_pass["deficiency"]) == (
             1 if construction == "parallel-duplicated" else 3)
         callers = [(call, RULES[name]) for name, calls in by_pass.items()
@@ -1039,13 +1027,11 @@ def test_indented_entry_leads(hand_real, hand_traj):
 
 def test_indented_entry_consecutive(hand_real, hand_traj):
     real = hand_real("parallel-shifted", [-2.5, -2.0, 0.1], shift_s=0.3)
-    traj = hand_traj(real, [-2.0, -2.5, -2.2, -1.7], [0, 0, 1, 1],
-                     start=Site(-1.2, 1))
+    traj = hand_traj(real, [-2.0, -2.5, -2.2, -1.7], [0, 0, 1, 1])
     s = check_indented_entry(real, traj)
     assert (s.entries, s.undecided, s.early_exits, s.violation_details) == (1, 0, 0, ())
     # the same whole traversal entered off the lead: no entry, no exit
-    traj = hand_traj(real, [-1.7, -2.0, -2.5, -2.2], [1, 0, 0, 1],
-                     start=Site(-1.2, 1))
+    traj = hand_traj(real, [-1.7, -2.0, -2.5, -2.2], [1, 0, 0, 1])
     s = check_indented_entry(real, traj)
     assert (s.entries, s.early_exits) == (0, 0)
 
@@ -1360,13 +1346,19 @@ def test_event_table_edge_cases(hand_real, hand_traj, construction, line0,
     assert_events_match_oracle(real, hand_traj(real, us, lines))
 
 
-def test_gap_events_without_wide_gap_skip_deficiency(spec_for, monkeypatch):
-    # thinned r=5 runs with no gap wider than r have no deficiency level
-    # to compute: compute_Dx is not called, and the table is the oracle's
-    def no_call(*args):
-        raise AssertionError("compute_Dx called without a wide gap")
+def test_gap_events_without_wide_gap_read_zero_levels(spec_for, monkeypatch):
+    # thinned r=5 runs with no gap wider than r take the one path through
+    # the gap events: deficiency records at zero levels, once for the table
+    # and once in check_povratak, and the oracle's table, every event
+    # refuted
+    levels = []
+    compute = analysis.compute_Dx
 
-    monkeypatch.setattr("gwlab.analysis.compute_Dx", no_call)
+    def spy(real, traj, xs):
+        levels.append(len(xs))
+        return compute(real, traj, xs)
+
+    monkeypatch.setattr(analysis, "compute_Dx", spy)
     spec = spec_for("parallel-thinned", window_L=50.0, separation_r=5.0)
     reals = [generate(spec, stream_seed(5, i)) for i in range(20)]
     narrow = [real for real in reals if np.diff(real.base_points).max() <= 5.0]
@@ -1374,6 +1366,7 @@ def test_gap_events_without_wide_gap_skip_deficiency(spec_for, monkeypatch):
     for real in narrow:
         events = assert_events_match_oracle(real, run_walk(real))
         assert len(events) > 0 and not events.occurred.any()
+    assert levels == [0] * 2 * len(narrow)
 
 
 def test_bench_tracer_event_counts(spec_for):
@@ -1553,7 +1546,7 @@ def audits_by_definition(real, traj):
                  key=lambda p: p[0])
     mu = [p[0] for p in pts]
     step = [p[2] if p[2] >= 1 else math.inf for p in pts]
-    seen = [traj.start.u] + traj.us.tolist()
+    seen = [0.0] + traj.us.tolist()
     counts, out = [0, 0, 0], []
     if real.spec.kind == "parallel":
         r = real.spec.separation_r
@@ -1597,19 +1590,17 @@ def audits_by_definition(real, traj):
                         "parallel-thinned", "parallel-shifted"]),
        st.lists(quarters, min_size=1, max_size=9, unique=True),
        st.lists(quarters, max_size=9, unique=True),
-       st.sampled_from([0.5, 1.0, 2.0]), quarters, st.randoms(),
-       st.floats(0.0, 1.0))
+       st.sampled_from([0.5, 1.0, 2.0]), st.randoms(), st.floats(0.0, 1.0))
 def test_audits_match_definition(hand_real, hand_traj, construction, line0,
-                                 line1, r, start_u, rnd, keep):
-    # any visit order, cut anywhere, from any start: the greedy walk's
-    # facts fail often, so every violation kind is compared too
+                                 line1, r, rnd, keep):
+    # any visit order, cut anywhere: the greedy walk's facts fail often,
+    # so every violation kind is compared too
     real = hand_real(construction, sorted(line0), sorted(line1),
                      separation_r=r, shift_s=r / 4)
     order = [(u, 0) for u in real.line0] + [(u, 1) for u in real.line1]
     rnd.shuffle(order)
     order = order[:round(keep * len(order))]
-    traj = hand_traj(real, [u for u, _ in order], [l for _, l in order],
-                     start=Site(start_u, 0))
+    traj = hand_traj(real, [u for u, _ in order], [l for _, l in order])
     want = audits_by_definition(real, traj)
     for run_audit in AUDITS:
         audit = run_audit(real, traj)
@@ -1716,11 +1707,12 @@ def test_audit_engines_agree_at_large_L(spec_for, construction):
 
 def test_audit_engines_agree_on_signed_zeros(hand_real, hand_traj):
     # an empty-interval violation's b_prev is the running max of the
-    # shadows, which keeps the later of two equal zeros, as numpy does
-    real = hand_real("single-line", [-3.0, -1.0, -0.75, -0.5, 0.0, 1.0])
-    for us, b_prev in (([-3.0, -0.5, -1.0], "-0.0"),
-                       ([0.0, -3.0, -0.5, -1.0], "0.0")):
-        traj = hand_traj(real, us, [0] * len(us), start=Site(-0.0, 0))
+    # shadows from the origin, 0.0, which keeps the later of two equal
+    # zeros, as numpy does: a visit to the point at -0.0 turns it -0.0
+    real = hand_real("single-line", [-3.0, -1.0, -0.75, -0.5, -0.0, 1.0])
+    for us, b_prev in (([-0.0, -3.0, -0.5, -1.0], "-0.0"),
+                       ([-3.0, -0.5, -1.0], "0.0")):
+        traj = hand_traj(real, us, [0] * len(us))
         got = audit_result(audit_lemmas(real, traj))
         assert got == audit_result(analysis._audit_numpy(real, traj))
         assert f'"b_prev": {b_prev},' in got[1]
@@ -1803,8 +1795,6 @@ def mutated(real, traj, mutation, rnd):
     """traj with the one fault `mutation` at a place rnd picks; None where
     traj has no place for it."""
     n = len(traj)
-    if mutation == "NaN start":
-        return replace(traj, start=Site(math.nan, traj.start.line))
     if n == 0:
         return None
     t = rnd.randint(1, n)
@@ -1836,12 +1826,11 @@ def mutated(real, traj, mutation, rnd):
 
 # the passes that refuse each fault: all three a step off the prefix, only
 # the audits a step claimed twice or by no point, or a moved shadow, and
-# the two passes that read the shadows a NaN start or shadow
+# the two passes that read the shadows a NaN shadow
 REFUSED_BY = {
     "step n + 1": RULES, "step 0": RULES, "step -2": RULES,
     "claimed twice": ["audit"], "unclaimed": ["audit"],
-    "shadow moved": ["audit"], "NaN start": ["deficiency", "audit"],
-    "NaN shadow": ["deficiency", "audit"],
+    "shadow moved": ["audit"], "NaN shadow": ["deficiency", "audit"],
 }
 
 
@@ -1852,6 +1841,12 @@ REFUSED_BY = {
        st.sampled_from([2.0, 5.0, 20.0]), st.sampled_from([0.3, -0.3]),
        st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from(
            sorted(REFUSED_BY)), st.randoms(use_true_random=False))
+# runs in which no gap is wider than the family's extra: their gap events
+# still compute the (empty) deficiency records, so they refuse the fault
+@example(construction="parallel-thinned", L=5.0, shift_s=0.3, seed=3,
+         exhaust=False, mutation="step n + 1", rnd=random.Random(0))
+@example(construction="parallel-shifted", L=5.0, shift_s=-0.3, seed=6,
+         exhaust=False, mutation="NaN shadow", rnd=random.Random(0))
 def test_passes_refuse_malformed_runs_on_both_paths(spec_for, construction,
                                                     L, shift_s, seed,
                                                     exhaust, mutation, rnd):
@@ -1861,7 +1856,7 @@ def test_passes_refuse_malformed_runs_on_both_paths(spec_for, construction,
     traj = run_walk(real, rule=EXH if exhaust else StopRule())
     bad = mutated(real, traj, mutation, rnd)
     assume(bad is not None)
-    by_pass = callers_by_pass(real, traj)
+    by_pass = callers_by_pass(real)
     for calls in by_pass.values():
         for call in calls:
             call(traj)
@@ -1934,3 +1929,16 @@ def test_layout_variants_read_alike_on_both_paths(spec_for, construction):
         for path in (tables, lambda *a: on_numpy(tables, *a)):
             with pytest.raises(ValidationError, match="visit steps must be"):
                 path(bad, xs, dec)
+    # and so are shadows and cluster starts that are not one row, by each
+    # pass that reads them
+    column = replace(traj, us=traj.us[:, None])
+    cases = [("shadows", lambda: compute_Dx(real, column, xs)),
+             ("shadows", lambda: audit_lemmas(real, column))]
+    if shared:
+        cases.append(("cluster starts", lambda: cluster_visits(
+            replace(dec, starts=dec.starts[:, None]), traj)))
+    for name, call in cases:
+        for path in (call, lambda: on_numpy(call)):
+            with pytest.raises(ValidationError,
+                               match=f"{name} must be one row"):
+                path()

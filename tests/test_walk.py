@@ -52,19 +52,19 @@ EXH = StopRule(mode=RUN_TO_EXHAUSTION)
 COMPILER = shutil.which("cc") or shutil.which("gcc")
 
 
-def python_loop(real, start=Site(0.0, 0), rule=StopRule()):
+def python_loop(real, *, rule=StopRule()):
     """run_walk's Python loop, which runs where the compiled one does not."""
-    return walk._run_walk_py(real, start, rule)
+    return walk._run_walk_py(real, rule=rule)
 
 
 # run_walk is the compiled loop wherever it loads
 ENGINES = (run_walk, python_loop, run_walk_naive)
 
 
-def assert_engines_agree(real, start, rule, engines=ENGINES):
+def assert_engines_agree(real, rule, engines=ENGINES):
     """Each engine walks `real` to the same trajectory, visit steps
     included."""
-    a, *others = (engine(real, start=start, rule=rule) for engine in engines)
+    a, *others = (engine(real, rule=rule) for engine in engines)
     for b in others:
         assert trajectories_equal(a, b)
 
@@ -127,35 +127,17 @@ def test_intersecting_walk_through_crossing(hand_real):
     assert traj.step_distances.tolist() == [0.5, math.sqrt(1.25)]
 
 
-def test_intersecting_start_projects_across(hand_real):
-    # from u=2 on line 0 the nearest point across surrounds 2*cos(pi/3) = 1,
-    # not 2: v=1 is sqrt(3) away, v=1.5 sqrt(3.25)
-    real = hand_real("intersecting", [10.0], line1=[0.5, 1.0, 1.5, 3.0],
-                     alpha=math.pi / 3)
-    for engine in ENGINES:
-        traj = engine(real, start=Site(2.0, 0), rule=EXH)
-        assert traj.us.tolist() == [1.0, 0.5, 1.5, 3.0, 10.0]
-        assert traj.lines.tolist() == [1, 1, 1, 1, 0]
-
-
-def test_nonzero_start(hand_real):
-    real = hand_real("single-line", [-1.0, 3.0])
-    traj = run_walk(real, start=Site(2.0, 0), rule=EXH)
-    assert traj.us.tolist() == [3.0, -1.0]
-    assert traj.start == Site(2.0, 0)
-
-
-@pytest.mark.parametrize("engine", [run_walk, run_walk_naive])
-def test_start_must_be_a_site(spec_for, engine):
-    single = generate(spec_for("single-line", window_L=10.0), 1)
-    pair = generate(spec_for("parallel-duplicated", window_L=10.0), 1)
-    for real, start in ((single, Site(1.0, 1)), (single, Site(math.nan, 0)),
-                        (single, Site(math.inf, 0)), (single, Site(0.0, -1)),
-                        (pair, Site(0.0, 2)), (pair, Site(0.0, 0.5)),
-                        (pair, Site(-math.inf, 1))):
-        with pytest.raises(ValidationError):
-            engine(real, start=start)
-    assert len(engine(pair, start=Site(0.5, 1))) > 0
+@pytest.mark.parametrize("engine", ENGINES)
+def test_a_stale_positional_start_fails_loudly(spec_for, engine):
+    # every walk starts at the origin, and the stop rule is keyword-only,
+    # so a start site passed where it used to go is a TypeError, not a
+    # rule without a mode
+    real = generate(spec_for("parallel-duplicated", window_L=10.0), 1)
+    for args, kwargs in (((Site(2.0, 0),), {}), ((Site(2.0, 0), EXH), {}),
+                         ((), {"start": Site(2.0, 0)})):
+        with pytest.raises(TypeError):
+            engine(real, *args, **kwargs)
+    assert trajectories_equal(engine(real), run_walk(real, rule=StopRule()))
 
 
 def test_empty_realization(hand_real):
@@ -238,16 +220,11 @@ def windows_variants(real):
 
 @pytest.mark.parametrize("construction", CONSTRUCTIONS)
 def test_engines_agree(spec_for, construction):
-    rng = np.random.default_rng(901)
     for i in range(8):
         drawn = generate(spec_for(construction), stream_seed(901, i))
         for real in windows_variants(drawn):
-            starts = [Site(0.0, 0)] + [
-                Site(float(rng.uniform(*real.windows[line])), line)
-                for line in range(real.spec.n_lines)]
-            for start in starts:
-                for rule in (StopRule(), EXH):
-                    assert_engines_agree(real, start, rule)
+            for rule in (StopRule(), EXH):
+                assert_engines_agree(real, rule)
 
 
 # Long walks on an integer grid, where own-line gaps tie and cross ties
@@ -271,11 +248,8 @@ def test_engines_agree_on_long_grid_walks(hand_real, construction):
     real = hand_real(construction, line0, line1=line1, window_L=240.0,
                      **params)
     assert all(len(a) >= 300 for a in (real.line0, real.line1) if len(a))
-    # from the origin, and off the grid far from it: on intersecting lines
-    # at pi/2 every projection then falls next to the origin
-    for start in (Site(0.0, 0), Site(100.5, real.spec.n_lines - 1)):
-        for rule in (StopRule(), EXH):
-            assert_engines_agree(real, start, rule)
+    for rule in (StopRule(), EXH):
+        assert_engines_agree(real, rule)
 
 
 def test_kernel_loads_where_there_is_a_compiler():
@@ -333,16 +307,16 @@ def test_python_loop_runs_without_a_kernel(monkeypatch, tmp_path, spec_for):
     ran = []
     loop = walk._run_walk_py
 
-    def spy(*args):
+    def spy(*args, **kwargs):
         ran.append(args)
-        return loop(*args)
+        return loop(*args, **kwargs)
 
     monkeypatch.setattr(walk, "_kernel", lambda: None)
     monkeypatch.setattr(walk, "_run_walk_py", spy)
     for construction in CONSTRUCTIONS:
         real = generate(spec_for(construction), stream_seed(909, 0))
         for rule in (StopRule(), EXH):
-            assert_engines_agree(real, Site(0.0, 0), rule,
+            assert_engines_agree(real, rule,
                                  engines=(run_walk, run_walk_naive))
     assert len(ran) == 2 * len(CONSTRUCTIONS)
 
@@ -365,20 +339,8 @@ def test_kernel_edge_cases(hand_real):
                   line1=[7.541889647968408], alpha=1e-300),
     ]
     for real in reals:
-        # at the origin, on a point (1.0 on line 0, 0.5 or 0.0 on line 1
-        # where there is one), at either window edge and one past it, on
-        # each line
-        for line in range(real.spec.n_lines):
-            lo, hi = real.windows[line]
-            for u in (0.0, (1.0, 0.5)[line], lo, hi, lo - 1.0, hi + 1.0):
-                for rule in (StopRule(), EXH):
-                    assert_engines_agree(real, Site(u, line), rule)
-                if not lo <= u <= hi:
-                    # outside the window the margin is negative
-                    for engine in ENGINES:
-                        traj = engine(real, start=Site(u, line))
-                        assert len(traj) == 0
-                        assert traj.stop_reason == TRUNCATED
+        for rule in (StopRule(), EXH):
+            assert_engines_agree(real, rule)
 
 
 @pytest.mark.parametrize("construction", CONSTRUCTIONS)
@@ -389,8 +351,7 @@ def test_kernel_matches_python_loop_at_large_L(spec_for, construction):
     real = generate(spec_for(construction, window_L=20000.0),
                     stream_seed(908, 0))
     assert len(python_loop(real)) > 10000
-    assert_engines_agree(real, Site(0.0, 0), StopRule(),
-                         engines=(run_walk, python_loop))
+    assert_engines_agree(real, StopRule(), engines=(run_walk, python_loop))
 
 
 # prints whether the compiled loop loaded and a digest of one walk
@@ -432,19 +393,16 @@ PINS = Path(__file__).parent / "data" / "walk_pins.json"
 def pinned_walks(spec_for):
     """(name, trajectory) for every walk whose digests walk_pins.json pins:
     each construction at L=2000, as drawn, restricted to L=1000 and (where
-    defined) mirrored, under both stop rules, from the origin and from
-    u=3.25 on the second line (the only line, for single-line)."""
+    defined) mirrored, under both stop rules.  Each name ends in the
+    walk's start, the origin on line 0."""
     for construction in CONSTRUCTIONS:
         real = generate(spec_for(construction, window_L=2000.0),
                         stream_seed(906, 0))
-        far = Site(3.25, real.spec.n_lines - 1)
         for variant, r in zip(("drawn", "restricted", "mirrored"),
                               windows_variants(real)):
             for rule in (StopRule(), EXH):
-                for start in (Site(0.0, 0), far):
-                    name = (f"{construction}/{variant}/{rule.mode}/"
-                            f"{start.u}@{start.line}")
-                    yield name, run_walk(r, start=start, rule=rule)
+                name = f"{construction}/{variant}/{rule.mode}/0.0@0"
+                yield name, run_walk(r, rule=rule)
 
 
 def trajectory_digests(traj):
@@ -474,8 +432,7 @@ def test_trajectories_pinned(spec_for):
 def test_trajectories_equal_detects_difference(hand_real):
     real = hand_real("single-line", [-1.0, 1.0])
     a = run_walk(real, rule=EXH)
-    b = run_walk(real, start=Site(1.5, 0), rule=EXH)
-    assert not trajectories_equal(a, b)
+    assert not trajectories_equal(a, mirror_trajectory(a))
     # the same steps, with one point's visit step off
     real = hand_real("parallel-duplicated", [-1.0, 1.0])
     a = run_walk(real, rule=EXH)
@@ -633,16 +590,13 @@ half_grid = st.integers(-40, 40).map(lambda k: k / 2)
 @given(st.lists(half_grid, min_size=1, max_size=10, unique=True),
        st.lists(half_grid, max_size=10, unique=True),
        st.sampled_from(["single-line", "parallel-duplicated",
-                        "parallel-thinned"]),
-       half_grid, st.integers(0, 1))
-def test_engines_agree_on_arbitrary_points(hand_real, pts, pts1, construction,
-                                           start_u, start_line):
+                        "parallel-thinned"]))
+def test_engines_agree_on_arbitrary_points(hand_real, pts, pts1, construction):
     # line1 is independent of line0 only for parallel-thinned
     kw = {} if construction == "single-line" else {"separation_r": 1.0}
     real = hand_real(construction, sorted(pts), line1=sorted(pts1), **kw)
-    start = Site(start_u, min(start_line, real.spec.n_lines - 1))
     for rule in (StopRule(), EXH):
-        assert_engines_agree(real, start, rule)
+        assert_engines_agree(real, rule)
 
 
 # the narrowest and widest angles a spec accepts
@@ -692,7 +646,7 @@ def test_engines_agree_on_the_spec_domain(spec, seed, rule):
     # every magnitude a spec accepts; pyproject turns any RuntimeWarning
     # from gwlab (an overflow in the metric) into an error
     real = generate(spec, seed)
-    assert_engines_agree(real, Site(0.0, 0), rule)
+    assert_engines_agree(real, rule)
     if rule == EXH:
         traj = run_walk(real, rule=rule)
         assert traj.stop_reason == EXHAUSTED
