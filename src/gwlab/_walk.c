@@ -5,7 +5,7 @@
  * loads it through ctypes; run_walk calls gw_walk and builds the
  * Trajectory from what it writes, and analysis.audit_lemmas, compute_Dx
  * and cluster_visits call the passes.  Where the library does not build,
- * the Python loop and the numpy passes run instead, with the same results.
+ * they raise OSError; gwlab has no other engine.
  *
  * Every walk starts at the origin on line 0, its step 0.  The passes read
  * lines that Realization keeps finite, strictly increasing, read-only and
@@ -14,15 +14,15 @@
  * -1 nor a step of the prefix) and 2 when memory runs out; analysis.py
  * raises ValidationError and MemoryError for them.
  *
- * walk._run_walk_py is gw_walk line for line in Python, so a change to
- * gw_walk changes _run_walk_py in the same commit; each pass keeps the
- * numpy function it replaces equal to it, in what it refuses too.
+ * tests/oracles.py holds each entry's reference, python_loop being gw_walk
+ * line for line in Python; a change to an entry keeps its reference equal
+ * to it, in what it refuses too.
  *
  * Every double must equal Python's and numpy's bit for bit: each distance
  * and deficiency term is computed in the expression order of the Python
  * code, the build turns floating-point contraction off (no fused
  * multiply-add), and a target that evaluates doubles in wider precision
- * (x87) refuses to build, so walk.py falls back there.
+ * (x87) refuses to build.
  *
  * Both lines sit in one flat table [-inf, line0..., +inf, -inf, line1...,
  * +inf]; a sentinel is never visited, so a search along a line ends at a
@@ -219,8 +219,8 @@ static int off_prefix(const int64_t *vis, int64_t p, int64_t n)
 }
 
 /* ------------------------------------------------------------------------
- * The lemma audits: the numpy audit of analysis.py (_audit_numpy) in one
- * linear pass, with its counts and its violations in its order. */
+ * The lemma audits: the numpy audit of tests/oracles.py (audit_numpy) in
+ * one linear pass, with its counts and its violations in its order. */
 
 typedef struct { /* a close cross-line pair that broke too late */
     double x, y, gate, t_break;
@@ -403,8 +403,8 @@ bad:
 }
 
 /* ------------------------------------------------------------------------
- * The deficiency records: the numpy compute_Dx of analysis.py
- * (_compute_Dx_numpy) in one linear pass, with its values bit for bit. */
+ * The deficiency records: the numpy compute_Dx of tests/oracles.py
+ * (compute_Dx_numpy) in one linear pass, with its values bit for bit. */
 
 /* np.maximum's step: a NaN on either side wins */
 static double max_nan(double acc, double x)
@@ -502,8 +502,8 @@ int gw_deficiency(const double *line0, int64_t n0, const double *line1,
 }
 
 /* ------------------------------------------------------------------------
- * The cluster-visit table: the numpy cluster_visits of analysis.py
- * (_cluster_visits_numpy) in one pass over the clusters. */
+ * The cluster-visit table: the numpy cluster_visits of tests/oracles.py
+ * (cluster_visits_numpy) in one pass over the clusters. */
 
 /* How the n steps met the k clusters that begin at starts over p indexes,
  * each of whose copies on line 0 and line 1 was visited at vis0 and vis1

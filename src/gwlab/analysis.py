@@ -20,12 +20,10 @@ derived quantities:
 The deficiency records, the cluster-visit table and the audits are each
 one linear pass in the compiled library that holds the walk
 (``gw_deficiency``, ``gw_cluster_visits`` and ``gw_audit`` in
-``_walk.c``) wherever ``walk._kernel()`` loads it, else a numpy function
-(``_compute_Dx_numpy``, ``_cluster_visits_numpy``, ``_audit_numpy``),
-the reference the compiled pass is tested against, bit for bit.  Either
-path raises ValidationError for a run its pass does not read (_DX_RULE,
-_AUDIT_RULE, _CLUSTER_RULE), and for shadows or cluster starts that are
-not one row.
+``_walk.c``, loaded by ``walk._kernel()``), tested bit for bit against
+its numpy reference in ``tests/oracles.py``.  Each raises
+ValidationError for a run its pass does not read (_DX_RULE, _AUDIT_RULE,
+_CLUSTER_RULE), and for shadows or cluster starts that are not one row.
 
 Decidability convention: a trajectory is only a prefix of the unbounded
 walk, so detectors report True (witnessed), False (ruled out), or None
@@ -45,7 +43,6 @@ import numpy as np
 from .errors import ValidationError
 from .processes import (
     INTERSECTING,
-    PARALLEL,
     PARALLEL_DUPLICATED,
     PARALLEL_SHIFTED,
     PARALLEL_THINNED,
@@ -60,7 +57,7 @@ A_K_THINNED = "A_k_thinned"
 A_K_SHIFTED = "A_k_shifted"
 _DX_TOL = 1e-9  # validate_dx_record's slack on the bounds 0 and x
 
-# the runs each pass refuses, in the compiled library and in numpy alike
+# the runs each pass refuses, in the compiled library and in its reference
 _DX_RULE = ("deficiency records need visit steps -1 or of the prefix, and "
             "no NaN shadow")
 _AUDIT_RULE = ("audits need visit steps -1 or of the prefix, each step of it "
@@ -133,8 +130,7 @@ def compute_Dx(real: Realization, traj: Trajectory, xs) -> DeficiencyRecords:
     2*z_next - z_prev - x, z the interior padded with 0 and x.  t_ray
     does not decrease as x grows, so the decided, non-degenerate levels
     are a prefix and each point is interior on one contiguous run of them.
-    The pass runs in the compiled library where it loads, else in numpy,
-    with the same records, and refusals (_DX_RULE), bit for bit.
+    The pass runs in the compiled library; it refuses a run by _DX_RULE.
     """
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     if xs.ndim > 1 or not (xs > 0.0).all() or (xs[1:] < xs[:-1]).any():
@@ -142,8 +138,6 @@ def compute_Dx(real: Realization, traj: Trajectory, xs) -> DeficiencyRecords:
     v0, v1 = _visit_steps(traj, len(real.line0), len(real.line1))
     us = _row(traj.us, np.float64, "shadows")
     lib = walk._kernel()
-    if lib is None:
-        return _compute_Dx_numpy(real, traj, xs)
     out = np.empty((2, len(xs)))
     n_interior = np.empty(len(xs), dtype=np.int64)
     t_left = ctypes.c_double()
@@ -158,18 +152,12 @@ def compute_Dx(real: Realization, traj: Trajectory, xs) -> DeficiencyRecords:
 
 
 def _refuse(status: int, rule: str) -> None:
-    """Raise for a pass's status: 1 (or a numpy check's True) for a run
-    that breaks `rule`, 2 for memory that ran out; 0 passes."""
+    """Raise for a pass's status: 1 (or a reference's True) for a run that
+    breaks `rule`, 2 for memory that ran out; 0 passes."""
     if status == 2:
         raise MemoryError("the compiled library ran out of memory")
     if status:
         raise ValidationError(rule)
-
-
-def _off_prefix(n: int, *steps: np.ndarray) -> bool:
-    """Whether one of the visit steps is neither -1 nor a step of an n-step
-    prefix: the rule every pass refuses a run by (off_prefix in _walk.c)."""
-    return any(((v != -1) & ((v < 1) | (v > n))).any() for v in steps)
 
 
 def _visit_steps(traj: Trajectory, n0: int, n1: int):
@@ -202,41 +190,6 @@ def _run_args(real: Realization, v0: np.ndarray, v1: np.ndarray,
     line0, line1 = real.line0, real.line1
     return (line0.ctypes.data, len(line0), line1.ctypes.data, len(line1),
             v0.ctypes.data, v1.ctypes.data, us.ctypes.data, len(us))
-
-
-def _compute_Dx_numpy(real: Realization, traj: Trajectory,
-                      xs: np.ndarray) -> DeficiencyRecords:
-    """compute_Dx in numpy, on levels it has checked: the fallback where
-    the compiled library does not load, and the reference the compiled
-    pass is tested against."""
-    _refuse(_off_prefix(len(traj), traj.visited_step0, traj.visited_step1)
-            or np.isnan(traj.us).any(), _DX_RULE)
-    t_ray = first_passage(traj, xs)
-    t_left = float(first_passage(traj, [0.0], down=True, strict=True)[0])
-    n = int(np.searchsorted(t_ray, t_left))  # the decided, non-degenerate prefix
-    pos = real.base_points > 0.0
-    b = real.base_points[pos]
-    lo = np.searchsorted(xs[:n], b, "right")
-    hi = np.searchsorted(t_ray[:n], last_visit_steps(real, traj)[pos], "right")
-    count = np.maximum(hi - lo, 0)
-    # the (level, point) pairs, ordered by level and then by point
-    level = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(count.sum())
-    by_level = np.argsort(level, kind="stable")
-    level = level[by_level]
-    n_interior = np.bincount(level, minlength=len(xs))
-    # per level the sequence 0, interior points, x, all levels end to end
-    seg = n_interior[:n] + 2
-    ends = np.cumsum(seg)
-    z = np.zeros(seg.sum())
-    z[np.arange(len(level)) + 2 * level + 1] = np.repeat(b, count)[by_level]
-    z[ends - 1] = xs[:n]
-    # a pair (x, 0) spanning two levels is < 0, below each level's last term x - z
-    terms = 2.0 * z[1:] - z[:-1] - np.repeat(xs[:n], seg)[1:]
-    degenerate = t_left < t_ray
-    value = np.where(degenerate, 0.0, np.nan)
-    value[:n] = np.maximum.reduceat(terms, ends - seg)
-    return DeficiencyRecords(xs, value, degenerate, degenerate | (t_ray < np.inf),
-                             t_ray, t_left, n_interior)
 
 
 def validate_dx_record(construction: str,
@@ -440,15 +393,13 @@ class ClusterVisits:
 
 
 def cluster_visits(dec: ClusterDecomposition, traj: Trajectory) -> ClusterVisits:
-    """The table in the compiled library where it loads, else in numpy,
-    with the same columns, and refusals (_CLUSTER_RULE), bit for bit;
-    ValidationError unless both lines hold the decomposition's points."""
+    """The table, in the compiled library; ValidationError unless both
+    lines hold the decomposition's points, and for a run _CLUSTER_RULE
+    refuses."""
     p = len(dec.points)
     v0, v1 = _visit_steps(traj, p, p)
     starts = _row(dec.starts, np.int64, "cluster starts")
     lib = walk._kernel()
-    if lib is None:
-        return _cluster_visits_numpy(v0, v1, starts, len(traj))
     k = len(starts)
     table = np.empty((7, k), dtype=np.int64)
     verdicts = np.empty((2, k), dtype=bool)
@@ -457,41 +408,6 @@ def cluster_visits(dec: ClusterDecomposition, traj: Trajectory) -> ClusterVisits
                                   table.ctypes.data, verdicts.ctypes.data),
             _CLUSTER_RULE)
     return ClusterVisits(*table, *verdicts)
-
-
-def _cluster_visits_numpy(v0: np.ndarray, v1: np.ndarray, starts: np.ndarray,
-                          n: int) -> ClusterVisits:
-    """cluster_visits in numpy from the visit steps of an n-step prefix and
-    the cluster starts: the fallback where the compiled library does not
-    load, and the reference the compiled pass is tested against."""
-    _refuse(_off_prefix(n, v0, v1) or len(starts) > 0 and (
-        starts[0] != 0 or starts[-1] >= len(v0)
-        or (starts[1:] <= starts[:-1]).any()), _CLUSTER_RULE)
-    m = np.diff(starts, append=len(v0))
-    count = np.add.reduceat((v0 >= 1).astype(np.int64) + (v1 >= 1), starts)
-    big = np.iinfo(np.int64).max
-    first = np.minimum.reduceat(
-        np.minimum(np.where(v0 >= 1, v0, big), np.where(v1 >= 1, v1, big)),
-        starts)
-    last = np.maximum.reduceat(np.maximum(v0, v1), starts)
-    # step -> (line, index) of the copy it visited; step 0 maps to (-1, -1)
-    line_of = np.full(n + 1, -1, dtype=np.int64)
-    index_of = np.full(n + 1, -1, dtype=np.int64)
-    for line, vis in enumerate((v0, v1)):
-        w = np.nonzero(vis >= 1)[0]
-        line_of[vis[w]] = line
-        index_of[vis[w]] = w
-    entered = count > 0
-    t_in = np.where(entered, first, 0)
-    t_out = np.where(entered, last, 0)
-    run = entered & (last - t_in + 1 == count)
-    return ClusterVisits(
-        count=count, first=np.where(entered, first, -1), last=last,
-        entry_line=line_of[t_in], entry_index=index_of[t_in],
-        exit_line=line_of[t_out], exit_index=index_of[t_out],
-        consecutive=run & (count == 2 * m),
-        undecided=run & (count < 2 * m) & (last == n),
-    )
 
 
 def reduce_to_cluster_leads(real: Realization, traj: Trajectory) -> np.ndarray:
@@ -823,110 +739,6 @@ class LemmaAudit:
     violations: list = field(default_factory=list)
 
 
-def _merged_shadows(real: Realization, traj: Trajectory):
-    """The merged visit-step table: every point's shadow, sorted (line 0
-    first on a tie), with its line and the step that visited it (+inf when
-    none did).  A shadow is alive at step t iff its visit step is >= t."""
-    n0 = len(real.line0)
-    mu = np.concatenate((real.line0, real.line1))
-    ml = np.concatenate((np.zeros(n0, dtype=np.int8),
-                         np.ones(len(real.line1), dtype=np.int8)))
-    ms = np.concatenate((traj.visited_step0, traj.visited_step1)).astype(np.float64)
-    order = np.argsort(mu, kind="stable")
-    return mu[order], ml[order], np.where(ms >= 1, ms, np.inf)[order]
-
-
-def _range_max(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """max(values[lo:hi]) per pair of index arrays (-inf for an empty
-    range), all from one sparse table: row k holds the maxima of the
-    windows of width 2**k, and two overlapping windows cover any range."""
-    M = len(values)
-    table = np.full((M.bit_length(), M), -np.inf)
-    table[0] = values
-    for k in range(1, len(table)):
-        w = 1 << (k - 1)
-        table[k, :-w] = np.maximum(table[k - 1, :-w], table[k - 1, w:])
-    k = np.frexp(np.maximum(hi - lo, 1))[1] - 1
-    out = np.maximum(table[k, np.minimum(lo, M - 1)],
-                     table[k, np.maximum(hi - (1 << k), 0)])
-    return np.where(hi > lo, out, -np.inf)
-
-
-def _audit_pairs(real: Realization, traj: Trajectory, audit: LemmaAudit,
-                 mu, ml, ms) -> None:
-    """Offline scan: once the walk has been at-or-left of x and at-or-right
-    of y, a cross-line pair x < y at shadow gap <= r must already have lost
-    a member.  The gate is the first time (the origin counts as time 0)
-    both extremes hold; the pair must break within one step of it."""
-    r = real.spec.separation_r
-    M = len(mu)
-    # candidates j > i up to a bound padded past every rounding of the
-    # exact gap test below; listed by i, then by j, as gw_audit scans them
-    ends = np.searchsorted(mu, mu + r + 1e-12 * (np.abs(mu) + r), "right")
-    count = ends - np.arange(M) - 1
-    ii = np.repeat(np.arange(M), count)
-    off = np.arange(len(ii)) - np.repeat(np.cumsum(count) - count, count) + 1
-    jj = ii + off
-    gap = mu[jj] - mu[ii]
-    sel = (gap <= r) & (gap > 0.0) & (ml[ii] != ml[jj])
-    ii, jj = ii[sel], jj[sel]
-    audit.pair_checks += len(ii)
-    gate = np.maximum(first_passage(traj, mu[ii], down=True),
-                      first_passage(traj, mu[jj]))
-    t_break = np.minimum(ms[ii], ms[jj])
-    audit.violations.extend(
-        {"kind": "pair-distance", "x": float(mu[ii[b]]), "y": float(mu[jj[b]]),
-         "gate": float(gate[b]), "t_break": float(t_break[b])}
-        for b in np.flatnonzero((gate < np.inf) & (gate < t_break)))
-
-
-def _audit_replay(traj: Trajectory, audit: LemmaAudit, mu, ms) -> None:
-    """The two facts about each step t with previous shadow z and running
-    extremes a_prev/b_prev (the origin included), as range-max queries
-    over the visit steps of the sorted shadows:
-
-    * landing on u inside the swept stretch [a_prev, z] must hit the
-      largest alive shadow <= z: every shadow in (u, z] was visited before t;
-    * when the visit kills the last copy at its shadow value c = u (no twin
-      at c visited after t), with z >= c and a_prev < c strictly (the walk
-      has crossed c from the left before, so at most one copy at c could
-      survive that crossing), no alive shadow may remain in (c, b_prev]:
-      every shadow there was visited by step t.
-    """
-    u = traj.us  # the visited shadows, in step order
-    if len(u) == 0:
-        return
-    t = np.arange(1, len(u) + 1)
-    z = np.concatenate(([0.0], u[:-1]))
-    a_prev, b_prev = np.minimum.accumulate(z), np.maximum.accumulate(z)
-    at_u, past_u, past_z, past_b = (
-        np.searchsorted(mu, v, side) for v, side in
-        ((u, "left"), (u, "right"), (z, "right"), (b_prev, "right")))
-    twin, left_alive, right_alive = _range_max(
-        ms, np.stack((at_u, past_u, past_u)),
-        np.stack((past_u, past_z, past_b)))
-    replay = (a_prev <= u) & (u <= z)
-    empty = (twin <= t) & (z >= u) & (a_prev < u)
-    audit.replay_checks += int(np.count_nonzero(replay))
-    audit.empty_interval_checks += int(np.count_nonzero(empty))
-    bad_max = replay & (left_alive >= t)
-    bad_empty = empty & (right_alive > t)
-    for i in np.flatnonzero(bad_max | bad_empty):
-        step, lo = int(i) + 1, past_u[i]
-        if bad_max[i]:
-            k = lo + np.flatnonzero(ms[lo:past_z[i]] >= step)[-1]
-            audit.violations.append({
-                "kind": "replay-max", "step": step, "u": float(u[i]),
-                "z": float(z[i]), "expected": float(mu[k]),
-            })
-        if bad_empty[i]:
-            k = lo + np.flatnonzero(ms[lo:past_b[i]] > step)[0]
-            audit.violations.append({
-                "kind": "empty-interval", "step": step, "c": float(u[i]),
-                "b_prev": float(b_prev[i]), "alive_inside": float(mu[k]),
-            })
-
-
 # gw_audit's violation rows (_walk.c's PairViolation and StepViolation),
 # and the keys of a step violation's dict by its kind
 _PAIR_ROW = np.dtype([("x", np.float64), ("y", np.float64),
@@ -938,26 +750,9 @@ _STEP_KEYS = (("replay-max", "u", "z", "expected"),
               ("empty-interval", "c", "b_prev", "alive_inside"))
 
 
-def _audit_numpy(real: Realization, traj: Trajectory) -> LemmaAudit:
-    """audit_lemmas in numpy: the fallback where the compiled library does
-    not load, and the reference the compiled audit is tested against."""
-    mu, ml, ms = _merged_shadows(real, traj)
-    n, hit = len(traj), ms < np.inf
-    t = ms[hit].astype(np.int64)
-    _refuse(_off_prefix(n, traj.visited_step0, traj.visited_step1)
-            or not (np.bincount(t, minlength=n + 1)[1:] == 1).all()
-            or not (traj.us[t - 1] == mu[hit]).all(), _AUDIT_RULE)
-    audit = LemmaAudit()
-    if real.spec.kind == PARALLEL:
-        _audit_pairs(real, traj, audit, mu, ml, ms)
-    _audit_replay(traj, audit, mu, ms)
-    return audit
-
-
 def audit_lemmas(real: Realization, traj: Trajectory) -> LemmaAudit:
-    """Run every structural audit that applies to this construction: in
-    the compiled library where it loads, else in numpy, with the same
-    result, and the same refusals (_AUDIT_RULE).
+    """Run every structural audit that applies to this construction, in
+    the compiled library; it refuses a run by _AUDIT_RULE.
 
     Not defined for intersecting lines (their cross-line metric has no
     shadow ordering to audit)."""
@@ -966,8 +761,6 @@ def audit_lemmas(real: Realization, traj: Trajectory) -> LemmaAudit:
     v0, v1 = _visit_steps(traj, len(real.line0), len(real.line1))
     us = _row(traj.us, np.float64, "shadows")
     lib = walk._kernel()
-    if lib is None:
-        return _audit_numpy(real, traj)
     args = _run_args(real, v0, v1, us)
     counts = np.zeros(5, dtype=np.int64)
     caps = (16, 16)

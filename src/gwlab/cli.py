@@ -10,7 +10,8 @@ Subcommands:
 * export-plot-data: per-run CSV files ready for plotting.
 
 Exit codes: 0 success, 1 verification failure or nothing checked, 2 usage
-or domain error, or an output path that cannot be written.
+or domain error, an output path that cannot be written, or a compiled
+library that cannot be built (no C compiler, or a failed build).
 """
 
 from __future__ import annotations
@@ -260,7 +261,8 @@ def main(argv=None) -> int:
             check_seed("--seed", args.seed)
         return args.handler(args)
     except (ValidationError, OSError) as e:
-        # an OSError here is an output path that cannot be written
+        # an OSError here is an output path that cannot be written, or the
+        # compiled library that cannot be built (walk._kernel)
         print(f"error: {e}", file=sys.stderr)
         return 2
 

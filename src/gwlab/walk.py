@@ -12,34 +12,32 @@ abscissa is the first coordinate (the "shadow") of the point.  All
 distances are Euclidean in the plane embedding; the metric reads the run's
 ProcessSpec: its kind, alpha and separation_r.
 
-Three engines produce step-for-step identical trajectories.  The first
-two are one algorithm in two languages.  They walk one flat table of both
-lines, ``[-inf, line0..., +inf, -inf, line1..., +inf]``, whose sentinels
-are never visited, so a step needs no bounds checks and a step of distance
-inf means every point is visited.  The nearest unvisited point is one of at
-most four: the alive neighbors of the current point on its own line, read
-from prev/next links spliced on each visit, and the alive neighbors of its
-projection (u, or u*cos(alpha) on intersecting lines) on the other line,
-found by bisecting that line and skipping past visited points with a
-path-compressing search.  Each step measures those four directly; neither
-loop keeps per-point tables.
+Two engines produce step-for-step identical trajectories.
 
-* The compiled step loop, ``gw_walk`` in ``_walk.c``: ``run_walk`` runs it
-  wherever it loads.  The C source ships with the package, and its library
-  also holds three passes that analysis.py runs over a walk: ``gw_audit``
+* The compiled step loop, ``gw_walk`` in ``_walk.c``, which ``run_walk``
+  runs.  It walks one flat table of both lines, ``[-inf, line0..., +inf,
+  -inf, line1..., +inf]``, whose sentinels are never visited, so a step
+  needs no bounds checks and a step of distance inf means every point is
+  visited.  The nearest unvisited point is one of at most four: the alive
+  neighbors of the current point on its own line, read from prev/next
+  links spliced on each visit, and the alive neighbors of its projection
+  (u, or u*cos(alpha) on intersecting lines) on the other line, found by
+  galloping out from the walk's last index on that line and skipping past
+  visited points with a path-compressing search.  Each step measures
+  those four directly; the loop keeps no per-point tables.
+  The C source ships with the package, and its library also holds three
+  passes that analysis.py runs over a walk: ``gw_audit``
   (``audit_lemmas``), ``gw_deficiency`` (``compute_Dx``) and
-  ``gw_cluster_visits`` (``cluster_visits``).
-  On first use in a process the library is compiled with the system C
-  compiler (``cc``, else ``gcc``) into ``$XDG_CACHE_HOME/gwlab`` (default
-  ``~/.cache/gwlab``), once per source and flag set, and loaded with
-  ``ctypes``.  Its bisect gallops out from the walk's last index on the
-  other line.
-* The Python loop, ``_run_walk_py``: ``gw_walk`` line for line, on lists.
-  ``run_walk`` runs it where there is no C compiler or the build fails,
-  with the same output, only slower.  It is also the second engine of the
-  large-L differential tests.
+  ``gw_cluster_visits`` (``cluster_visits``).  On first use in a process
+  the library is compiled with the system C compiler (``cc``, else
+  ``gcc``) into ``$XDG_CACHE_HOME/gwlab`` (default ``~/.cache/gwlab``),
+  once per source and flag set, and loaded with ``ctypes``.  A C compiler
+  is required: where neither the cache holds a build nor a compiler is
+  found, or the build fails, ``_kernel()`` raises OSError.
 * ``run_walk_naive``: a linear scan over every unvisited point per step.
-  It exists purely as a differential oracle for the other two.
+  It exists purely as a differential oracle for ``run_walk``.
+  ``tests/oracles.py`` holds the other reference, ``gw_walk`` line for
+  line in Python, which the tests also run at sizes the scan cannot reach.
 
 Stopping.  With the default truncation-safe rule the walk stops as soon as
 the chosen step distance reaches the shortest distance to any location
@@ -63,7 +61,6 @@ import struct
 import subprocess
 import tempfile
 import threading
-from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -154,25 +151,10 @@ class Trajectory:
         return len(self.us)
 
 
-def _skip_visited(vis, link, j: int) -> int:
-    """The first unvisited index reached from j by following link (the prev
-    or next links of the flat table); vis[k] >= 0 marks a visited k.  A
-    sentinel is never visited, so every search ends at a point or at its
-    line's sentinel.  Every visited index passed on the way is re-linked to
-    the result (path compression), so repeated searches stay short."""
-    path = []
-    while vis[j] >= 0:
-        path.append(j)
-        j = link[j]
-    for k in path:
-        link[k] = j
-    return j
-
-
 def stop_margin(real: Realization, u: float, line: int) -> float:
     """Shortest distance from abscissa u on `line` to any location outside
     the realization's per-line windows, with minima taken as _walk.c's
-    margin takes them, so both loops stop at the same step.  Only two terms
+    margin takes them, so the engines stop at the same step.  Only two terms
     can bind: the own line's window ends, and on parallel lines the way
     across from h, the distance along the line to the other window's nearer
     end (h < 0 puts u outside that window, where the own-line term is below
@@ -183,12 +165,6 @@ def stop_margin(real: Realization, u: float, line: int) -> float:
     if real.spec.kind == PARALLEL:
         m = min(m, cross_distance(real.spec, min(u - lo_o, hi_o - u), 0.0))
     return m
-
-
-def _centre(spec, u):
-    """Where abscissa u projects onto the other line: the foot of the
-    perpendicular, which the nearest points across surround."""
-    return u * spec.cos_alpha if spec.kind == INTERSECTING else u
 
 
 # the compiled library: _walk.c, with the step loop gw_walk and the three
@@ -222,33 +198,43 @@ _SIGNATURES = {  # symbol: (argument types, result type)
 def _build(cc: str | None, cache: Path):
     """The library built from _walk.c, loaded from its build in `cache`
     with each entry of _SIGNATURES typed; the build is made with the compiler
-    `cc` when the cache has none.  None when that fails.  The compiler
-    writes a temporary file that is then renamed into place, so processes
-    building at once never load a partial library."""
-    try:
-        key = hashlib.sha256(b"\0".join(
-            (_SOURCE.read_bytes(), " ".join(_CFLAGS).encode(),
-             platform.machine().encode()))).hexdigest()[:16]
-        path = cache / f"_walk-{key}.so"
-        if not path.exists():
-            if cc is None:
-                return None
-            cache.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=cache)
-            os.close(fd)
+    `cc` when the cache has none.  OSError when there is neither, or the
+    build or the load fails, with the compiler's exit status and the tail
+    of its stderr for a failed build.  The compiler writes a temporary file
+    that is then renamed into place, so processes building at once never
+    load a partial library."""
+    key = hashlib.sha256(b"\0".join(
+        (_SOURCE.read_bytes(), " ".join(_CFLAGS).encode(),
+         platform.machine().encode()))).hexdigest()[:16]
+    path = cache / f"_walk-{key}.so"
+    if not path.exists():
+        if cc is None:
+            raise OSError("gwlab needs a C compiler to build its compiled "
+                          "library, and found neither cc nor gcc on PATH")
+        cache.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=cache)
+        os.close(fd)
+        try:
             try:
-                subprocess.run([cc, *_CFLAGS, "-o", tmp, str(_SOURCE), "-lm"],
-                               check=True, capture_output=True, timeout=120)
-                os.replace(tmp, path)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-        lib = ctypes.CDLL(str(path))
-        for name, (argtypes, restype) in _SIGNATURES.items():
-            fn = getattr(lib, name)
-            fn.argtypes, fn.restype = argtypes, restype
-    except (OSError, AttributeError, subprocess.SubprocessError):
-        return None
+                proc = subprocess.run(
+                    [cc, *_CFLAGS, "-o", tmp, str(_SOURCE), "-lm"],
+                    capture_output=True, text=True, errors="replace",
+                    timeout=120)
+            except subprocess.TimeoutExpired:
+                raise OSError(f"{cc} did not build {_SOURCE.name} within "
+                              "120 s") from None
+            if proc.returncode:
+                raise OSError(f"{cc} could not build {_SOURCE.name} (exit "
+                              f"status {proc.returncode}): "
+                              f"{proc.stderr[-2000:].strip()}")
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    lib = ctypes.CDLL(str(path))
+    for name, (argtypes, restype) in _SIGNATURES.items():
+        fn = getattr(lib, name)
+        fn.argtypes, fn.restype = argtypes, restype
     return lib
 
 
@@ -256,13 +242,14 @@ def _build(cc: str | None, cache: Path):
 def _kernel():
     """The compiled library (gw_walk, gw_audit, gw_deficiency and
     gw_cluster_visits), built or loaded on first use from
-    $XDG_CACHE_HOME/gwlab (default ~/.cache/gwlab); None where there is no
-    C compiler or no home directory, or the build fails."""
+    $XDG_CACHE_HOME/gwlab (default ~/.cache/gwlab); OSError where it is
+    not there and cannot be built."""
     try:
         cache = Path(os.environ.get("XDG_CACHE_HOME")
                      or Path.home() / ".cache") / "gwlab"
     except RuntimeError:  # no home directory
-        return None
+        raise OSError("no cache directory for gwlab's compiled library: "
+                      "set XDG_CACHE_HOME") from None
     return _build(shutil.which("cc") or shutil.which("gcc"), cache)
 
 
@@ -287,12 +274,8 @@ def _buffers(size: int):
 
 
 def run_walk(real: Realization, *, rule: StopRule = StopRule()) -> Trajectory:
-    """Greedy walk from the origin with the compiled step loop where it
-    loads, else with the Python loop; both give the same trajectory bit for
-    bit."""
+    """Greedy walk from the origin, in the compiled step loop gw_walk."""
     kernel = _kernel()
-    if kernel is None:
-        return _run_walk_py(real, rule=rule)
     inf = math.inf
     n0, n1 = len(real.line0), len(real.line1)
     size = n0 + n1 + 4
@@ -323,64 +306,6 @@ def _trajectory(F, steps, dists, vis, n0: int) -> Trajectory:
         visited_step0=vis[1:n0 + 1].copy(),
         visited_step1=vis[n0 + 3:-1].copy(),
     )
-
-
-def _run_walk_py(real: Realization, *, rule: StopRule) -> Trajectory:
-    """run_walk's Python loop, for where the compiled one does not load:
-    gw_walk in _walk.c line for line, on lists."""
-    spec = real.spec
-    inf = math.inf
-    n0, n1 = len(real.line0), len(real.line1)
-    F = [-inf, *real.line0.tolist(), inf, -inf, *real.line1.tolist(), inf]
-    size = n0 + n1 + 4
-    lo, hi = (0, n0 + 2), (n0 + 1, n0 + n1 + 3)
-    prv = list(range(-1, size - 1))
-    nxt = list(range(1, size + 1))
-    vis = [-1] * size
-    order, dists = [], []
-    truncating = rule.mode == TRUNCATION_SAFE
-    cu, cl, ol = 0.0, 0, 1
-    m = stop_margin(real, cu, cl) if truncating else inf
-    s = bisect_left(F, cu, lo[cl] + 1, hi[cl])
-    p = s - 1
-    xs = bisect_left(F, _centre(spec, cu), lo[ol] + 1, hi[ol])
-    xp = xs - 1
-    while True:
-        # the nearest unvisited point on each side of cu on its own line,
-        # then on each side of its projection on the other line; on a tie
-        # the lower line wins, then the smaller u (the pred side).  A cross
-        # sentinel is inf by index: on intersecting lines the formula is
-        # NaN at +-inf
-        dcp = inf if xp == lo[ol] else cross_distance(spec, cu, F[xp])
-        dcs = inf if xs == hi[ol] else cross_distance(spec, cu, F[xs])
-        d = cu - F[p]
-        d_s = F[s] - cu
-        if d_s < d:
-            d, i = d_s, s
-        else:
-            i = p
-        if dcs < dcp:
-            dcp, xp = dcs, xs
-        if dcp < d or (dcp == d and ol == 0):
-            d, i, cl, ol = dcp, xp, ol, cl
-        # a step of inf means every point is visited, and without a margin
-        # m is inf, so one test covers both stops
-        if d >= m:
-            break
-        order.append(i)
-        dists.append(d)
-        vis[i] = len(order)
-        p, s = prv[i], nxt[i]
-        nxt[p] = s
-        prv[s] = p
-        cu = F[i]
-        if truncating:
-            m = stop_margin(real, cu, cl)
-        xs = bisect_left(F, _centre(spec, cu), lo[ol] + 1, hi[ol])
-        xp = _skip_visited(vis, prv, xs - 1)
-        xs = _skip_visited(vis, nxt, xs)
-    return _trajectory(np.array(F), np.array(order, dtype=np.int64),
-                       np.array(dists), np.array(vis, dtype=np.int64), n0)
 
 
 def run_walk_naive(real: Realization, *,

@@ -13,7 +13,6 @@ import random
 import re
 from dataclasses import fields, replace
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -51,7 +50,7 @@ from gwlab import (
     stream_seed,
     validate_dx_record,
 )
-from gwlab import analysis, walk
+from gwlab import analysis
 from gwlab.checks import run_checks
 from gwlab.walk import Trajectory
 from gwlab.analysis import (
@@ -61,6 +60,8 @@ from gwlab.analysis import (
     first_passage,
     last_visit_steps,
 )
+
+import oracles
 
 EXH = StopRule(mode=RUN_TO_EXHAUSTION)
 
@@ -125,7 +126,7 @@ def test_compute_dx_waits_for_the_last_copy(hand_real, hand_traj):
     real = hand_real("parallel-duplicated", [1.0, 2.0, 3.0])
     for lines in ([0, 0, 1], [1, 0, 0]):
         traj = hand_traj(real, [1.0, 2.0, 1.0], lines)
-        for records in (compute_Dx, analysis._compute_Dx_numpy):
+        for records in (compute_Dx, oracles.compute_Dx_numpy):
             dx = records(real, traj, np.array([2.0, 3.0]))
             # max(2*1 - 0 - 2, 2*2 - 1 - 2); level 3.0 is not reached
             assert dx.value[0] == 1.0 and math.isnan(dx.value[1])
@@ -145,11 +146,10 @@ def test_compute_dx_undecidable(hand_real, hand_traj):
     traj = hand_traj(real, [3.0], [0])
     dx = compute_Dx(real, traj, 10.0)
     assert dx.decided.tolist() == [False] and math.isnan(dx.value[0])
-    # a level <= 0, or levels not in one row, on either path
+    # a level <= 0, or levels not in one row, refused before the pass
     for levels in (0.0, [[10.0]], [[3.0, 10.0], [4.0, 11.0]]):
-        for path in (compute_Dx, lambda *a: on_numpy(compute_Dx, *a)):
-            with pytest.raises(ValidationError, match="ascending row"):
-                path(real, traj, levels)
+        with pytest.raises(ValidationError, match="ascending row"):
+            compute_Dx(real, traj, levels)
 
 
 def test_validate_dx_record_limits():
@@ -265,11 +265,12 @@ def test_deficiency_records_match_definition(hand_real, hand_traj,
                    for x in xs.tolist()]
 
 
-def on_numpy(call, *args):
-    """call(*args) with the compiled library hidden, so that every pass it
-    makes runs in numpy."""
-    with mock.patch.object(walk, "_kernel", lambda: None):
-        return call(*args)
+def numpy_cluster_visits(dec, traj):
+    """The reference cluster-visit table, on the arrays cluster_visits
+    hands its compiled pass."""
+    return oracles.cluster_visits_numpy(traj.visited_step0,
+                                        traj.visited_step1, dec.starts,
+                                        len(traj))
 
 
 def differing_columns(a, b):
@@ -324,7 +325,7 @@ def test_compiled_deficiency_matches_numpy(hand_real, hand_traj,
                            rnd, walked, keep, mirrored)
     xs = np.sort(np.append(real.base_points[real.base_points > 0.0], levels))
     assert differing_columns(compute_Dx(real, traj, xs),
-                             analysis._compute_Dx_numpy(real, traj, xs)) == []
+                             oracles.compute_Dx_numpy(real, traj, xs)) == []
 
 
 def test_last_visit_steps(hand_real, hand_traj):
@@ -903,7 +904,7 @@ def test_compiled_cluster_visits_match_numpy(hand_real, hand_traj,
                            rnd, walked, keep, mirrored)
     for dec in (clusters_of(real), decompose_clusters(real.line0, threshold)):
         assert differing_columns(cluster_visits(dec, traj),
-                                 on_numpy(cluster_visits, dec, traj)) == []
+                                 numpy_cluster_visits(dec, traj)) == []
 
 
 def test_cluster_visits_of_inconsistent_steps(hand_real, hand_traj):
@@ -918,7 +919,7 @@ def test_cluster_visits_of_inconsistent_steps(hand_real, hand_traj):
            replace(good, visited_step0=np.array([-1, 1, 1]))]
     for traj in odd:
         assert differing_columns(cluster_visits(dec, traj),
-                                 on_numpy(cluster_visits, dec, traj)) == []
+                                 numpy_cluster_visits(dec, traj)) == []
     # step 1 is -0.5's copy on line 1 and 4.0 on line 0
     t = cluster_visits(dec, odd[0])
     assert (t.entry_line.tolist(), t.entry_index.tolist()) == ([1, 1], [0, 0])
@@ -957,24 +958,35 @@ def callers_by_pass(real):
     return callers
 
 
+def references_by_pass(real):
+    """Each pass's reference in tests/oracles.py, called as callers_by_pass
+    calls the pass, for the passes that apply to real."""
+    xs = real.base_points[real.base_points > 0.0]
+    refs = {"deficiency": [lambda t: oracles.compute_Dx_numpy(real, t, xs)],
+            "audit": [], "cluster": []}
+    if real.spec.construction != "intersecting":
+        refs["audit"].append(lambda t: oracles.audit_numpy(real, t))
+    if real.spec.construction in ("parallel-duplicated", "parallel-shifted"):
+        dec = clusters_of(real)
+        refs["cluster"].append(lambda t: numpy_cluster_visits(dec, t))
+    return refs
+
+
 @pytest.mark.parametrize("compiled", [True, False])
-def test_cluster_visits_refuse_steps_off_the_prefix(monkeypatch, spec_for,
-                                                    compiled):
+def test_cluster_visits_refuse_steps_off_the_prefix(spec_for, compiled):
     # a visit step past the last step, or 0, or below -1, is no step of the
-    # prefix: every pass refuses it, and so does each caller of one, on the
-    # compiled passes and on numpy alike
-    if not compiled:
-        monkeypatch.setattr(walk, "_kernel", lambda: None)
+    # prefix: every compiled pass refuses it, and so does each caller of
+    # one, and each pass's numpy reference refuses it by the same rule
     for construction in ("parallel-duplicated", "parallel-thinned",
                          "parallel-shifted"):
         real = generate(spec_for(construction, window_L=10.0), 3)
         traj = run_walk(real)
         n = len(traj)
-        by_pass = callers_by_pass(real)
-        # the gap events of thinned and shifted runs compute deficiency
-        # records
-        assert len(by_pass["deficiency"]) == (
-            1 if construction == "parallel-duplicated" else 3)
+        by_pass = (callers_by_pass if compiled else references_by_pass)(real)
+        if compiled:  # the gap events of thinned and shifted runs compute
+            # deficiency records
+            assert len(by_pass["deficiency"]) == (
+                1 if construction == "parallel-duplicated" else 3)
         callers = [(call, RULES[name]) for name, calls in by_pass.items()
                    for call in calls]
         for call, _ in callers:
@@ -1472,11 +1484,9 @@ def test_deficiency_pinned(spec_for):
 # structural audits
 
 
-# the two audit engines, which must give one answer: audit_lemmas runs the
-# compiled audit wherever the library loads, and
-# test_kernel_loads_where_there_is_a_compiler fails wherever there is a
-# compiler and it does not
-AUDITS = (audit_lemmas, analysis._audit_numpy)
+# the two audit engines, which must give one answer: audit_lemmas, which
+# runs the compiled audit, and its numpy reference
+AUDITS = (audit_lemmas, oracles.audit_numpy)
 
 
 def audit_result(audit):
@@ -1700,7 +1710,7 @@ def test_audit_engines_agree_at_large_L(spec_for, construction):
     shuffled = reorder_steps(
         traj, np.random.default_rng(918).permutation(len(traj)))
     for t in (traj, shuffled):
-        want = analysis._audit_numpy(real, t)
+        want = oracles.audit_numpy(real, t)
         assert audit_result(audit_lemmas(real, t)) == audit_result(want)
     assert len(want.violations) > 10000
 
@@ -1714,42 +1724,28 @@ def test_audit_engines_agree_on_signed_zeros(hand_real, hand_traj):
                        ([-3.0, -0.5, -1.0], "0.0")):
         traj = hand_traj(real, us, [0] * len(us))
         got = audit_result(audit_lemmas(real, traj))
-        assert got == audit_result(analysis._audit_numpy(real, traj))
+        assert got == audit_result(oracles.audit_numpy(real, traj))
         assert f'"b_prev": {b_prev},' in got[1]
 
 
-def test_audit_runs_numpy_without_a_kernel(monkeypatch, spec_for):
-    # where the compiled library loads, audit_lemmas never runs the numpy
-    # audit on a walk; where it does not, it runs it, with the same result
-    runs = []
+def test_audit_matches_numpy_on_walks(spec_for):
+    # greedy and shuffled walks of every construction the audits read: the
+    # compiled audit gives the numpy reference's counts and violations
     for construction in ("single-line", "parallel-duplicated",
                          "parallel-thinned", "parallel-shifted"):
         real = generate(spec_for(construction, window_L=100.0),
                         stream_seed(919, 0))
         traj = run_walk(real)
-        runs += [(real, traj), (real, reorder_steps(
-            traj, np.random.default_rng(919).permutation(len(traj))))]
-    ran = []
-    numpy_audit = analysis._audit_numpy
-
-    def spy(*args):
-        ran.append(args)
-        return numpy_audit(*args)
-
-    monkeypatch.setattr(analysis, "_audit_numpy", spy)
-    want = [audit_result(audit_lemmas(real, t)) for real, t in runs]
-    assert len(ran) == (0 if walk._kernel() else len(runs))
-    monkeypatch.setattr(walk, "_kernel", lambda: None)
-    ran.clear()
-    assert [audit_result(audit_lemmas(real, t)) for real, t in runs] == want
-    assert len(ran) == len(runs)
+        for t in (traj, reorder_steps(
+                traj, np.random.default_rng(919).permutation(len(traj)))):
+            assert audit_result(audit_lemmas(real, t)) == audit_result(
+                oracles.audit_numpy(real, t))
 
 
-def test_tables_run_numpy_without_a_kernel(monkeypatch, spec_for):
-    # where the compiled library loads, compute_Dx and cluster_visits never
-    # run their numpy passes on a walk; where it does not, they run them,
-    # and every record, cluster and event column is the same bit for bit
-    runs = []
+def test_tables_match_numpy_on_walks(spec_for):
+    # greedy and shuffled walks of the parallel constructions: every
+    # deficiency record and cluster-visit column is the numpy reference's,
+    # bit for bit
     for construction, shift_s in (("parallel-duplicated", 0.3),
                                   ("parallel-thinned", 0.3),
                                   ("parallel-shifted", 0.3),
@@ -1757,38 +1753,16 @@ def test_tables_run_numpy_without_a_kernel(monkeypatch, spec_for):
         real = generate(spec_for(construction, window_L=100.0,
                                  shift_s=shift_s), stream_seed(929, 0))
         traj = run_walk(real)
-        runs += [(real, traj), (real, reorder_steps(
-            traj, np.random.default_rng(929).permutation(len(traj))))]
-
-    def tables():
-        out = []
-        for real, traj in runs:
-            out += [compute_Dx(real, traj,
-                               real.base_points[real.base_points > 0.0]),
-                    detect_A_events(real, traj)]
-            if real.spec.construction != "parallel-thinned":
-                out.append(cluster_visits(clusters_of(real), traj))
-        return out
-
-    ran = []
-    for name in ("_compute_Dx_numpy", "_cluster_visits_numpy"):
-        def spy(*args, numpy_pass=getattr(analysis, name), name=name):
-            ran.append(name)
-            return numpy_pass(*args)
-
-        monkeypatch.setattr(analysis, name, spy)
-    want = tables()
-    assert ran == [] or walk._kernel() is None
-    monkeypatch.setattr(walk, "_kernel", lambda: None)
-    ran.clear()
-    got = tables()
-    assert [differing_columns(a, b) for a, b in zip(got, want)] == [
-        []] * len(want)
-    # per run one compute_Dx call, and one in each thinned or shifted
-    # run's gap events; per duplicated or shifted run one cluster table,
-    # and one in each duplicated run's band events
-    assert sorted(ran) == sorted(
-        ["_compute_Dx_numpy"] * 14 + ["_cluster_visits_numpy"] * 8)
+        xs = real.base_points[real.base_points > 0.0]
+        for t in (traj, reorder_steps(
+                traj, np.random.default_rng(929).permutation(len(traj)))):
+            assert differing_columns(
+                compute_Dx(real, t, xs),
+                oracles.compute_Dx_numpy(real, t, xs)) == []
+            if construction != "parallel-thinned":
+                dec = clusters_of(real)
+                assert differing_columns(cluster_visits(dec, t),
+                                         numpy_cluster_visits(dec, t)) == []
 
 
 def mutated(real, traj, mutation, rnd):
@@ -1851,21 +1825,20 @@ def test_passes_refuse_malformed_runs_on_both_paths(spec_for, construction,
                                                     L, shift_s, seed,
                                                     exhaust, mutation, rnd):
     # a generated walk reads; with one fault, every caller of each pass
-    # that refuses the fault raises, with the compiled library and without
+    # that refuses the fault raises, and so does the pass's numpy reference,
+    # by the same rule
     real = generate(spec_for(construction, window_L=L, shift_s=shift_s), seed)
     traj = run_walk(real, rule=EXH if exhaust else StopRule())
     bad = mutated(real, traj, mutation, rnd)
     assume(bad is not None)
-    by_pass = callers_by_pass(real)
-    for calls in by_pass.values():
-        for call in calls:
+    by_pass, refs = callers_by_pass(real), references_by_pass(real)
+    for name in RULES:
+        for call in by_pass[name] + refs[name]:
             call(traj)
     for name in REFUSED_BY[mutation]:
-        for call in by_pass[name]:
-            for path in (call, lambda t: on_numpy(call, t)):
-                with pytest.raises(ValidationError,
-                                   match=re.escape(RULES[name])):
-                    path(bad)
+        for call in by_pass[name] + refs[name]:
+            with pytest.raises(ValidationError, match=re.escape(RULES[name])):
+                call(bad)
 
 
 def strided(a):
@@ -1883,7 +1856,7 @@ def test_layout_variants_read_alike_on_both_paths(spec_for, construction):
     # the compiled passes read int64 visit steps and cluster starts and
     # float64 shadows and levels, each contiguous; narrower integers and
     # strided views are converted at the call, and every table is the
-    # plain arrays' bit for bit, on either path
+    # plain arrays' bit for bit, which is the numpy references' too
     real = generate(spec_for(construction, window_L=50.0), stream_seed(77, 0))
     traj = run_walk(real)
     xs = real.base_points[real.base_points > 0.0]
@@ -1904,6 +1877,11 @@ def test_layout_variants_read_alike_on_both_paths(spec_for, construction):
         return differing_columns(a, b) == []
 
     want = tables(traj, xs, dec)
+    refs = [oracles.compute_Dx_numpy(real, traj, xs),
+            oracles.audit_numpy(real, traj)]
+    if shared:
+        refs.append(numpy_cluster_visits(dec, traj))
+    assert all(map(same, refs, want))
     narrow = replace(traj, visited_step0=traj.visited_step0.astype(np.int32),
                      visited_step1=traj.visited_step1.astype(np.int16))
     views = replace(traj, us=strided(traj.us),
@@ -1911,24 +1889,21 @@ def test_layout_variants_read_alike_on_both_paths(spec_for, construction):
                     visited_step1=strided(traj.visited_step1))
     view_dec = replace(dec, starts=strided(dec.starts)) if shared else None
     for args in ((narrow, xs, dec), (views, strided(xs), view_dec)):
-        for got in (tables(*args), on_numpy(tables, *args)):
-            assert all(map(same, got, want))
+        assert all(map(same, tables(*args), want))
     # a realization built from strided lines holds them contiguous
     lines = replace(real, line0=strided(real.line0), line1=strided(real.line1))
     assert lines.line0.flags.c_contiguous and lines.line1.flags.c_contiguous
     assert same(compute_Dx(lines, traj, xs), want[0])
     assert same(audit_lemmas(lines, traj), want[1])
     # visit steps that are not integers, or not one per point, are refused
-    # at the door, on either path
+    # at the door, before any pass
     p0, p1 = traj.visited_step0, traj.visited_step1
     for odd in ({"visited_step0": p0.astype(np.float64)},
                 {"visited_step1": p1.astype(np.uint64)},
                 {"visited_step0": p0[:-1]},
                 {"visited_step0": p0[:, None]}):
-        bad = replace(traj, **odd)
-        for path in (tables, lambda *a: on_numpy(tables, *a)):
-            with pytest.raises(ValidationError, match="visit steps must be"):
-                path(bad, xs, dec)
+        with pytest.raises(ValidationError, match="visit steps must be"):
+            tables(replace(traj, **odd), xs, dec)
     # and so are shadows and cluster starts that are not one row, by each
     # pass that reads them
     column = replace(traj, us=traj.us[:, None])
@@ -1938,7 +1913,5 @@ def test_layout_variants_read_alike_on_both_paths(spec_for, construction):
         cases.append(("cluster starts", lambda: cluster_visits(
             replace(dec, starts=dec.starts[:, None]), traj)))
     for name, call in cases:
-        for path in (call, lambda: on_numpy(call)):
-            with pytest.raises(ValidationError,
-                               match=f"{name} must be one row"):
-                path()
+        with pytest.raises(ValidationError, match=f"{name} must be one row"):
+            call()

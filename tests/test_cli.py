@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import json
 import math
+import os
 import shlex
 import subprocess
 import sys
@@ -494,6 +495,26 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys, argv):
     assert main([a.format(**paths) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(tmp_path) in err
+
+
+def test_no_compiler_exits_2_with_one_error_line(tmp_path):
+    # with no cached build and neither cc nor gcc on PATH, a command fails
+    # on one error line naming both, and leaves the cache empty
+    cache, bare = tmp_path / "cache", tmp_path / "bin"
+    cache.mkdir()
+    bare.mkdir()
+    env = dict(os.environ, XDG_CACHE_HOME=str(cache), PATH=str(bare),
+               PYTHONPATH=os.pathsep.join(filter(None, (
+                   str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
+    done = subprocess.run(
+        [sys.executable, "-m", "gwlab.cli", "simulate", "--construction",
+         "single-line", "--seed", "7"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    [line] = done.stderr.splitlines()
+    assert line.startswith("error: ") and "cc" in line and "gcc" in line
+    assert list(cache.iterdir()) == []
 
 
 def test_export_plot_data_parallel(tmp_path, capsys):
