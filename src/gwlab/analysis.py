@@ -234,8 +234,6 @@ def extract_halfline_changes(traj: Trajectory) -> np.ndarray:
     half-lines (a half-line is a (line, sign) pair; the origin, where the
     walk starts, lies on none)."""
     us, lines = traj.us, traj.lines
-    if len(us) < 2:
-        return np.empty(0, dtype=np.int64)
     pos = us > 0.0
     change = (lines[:-1] != lines[1:]) | (pos[:-1] != pos[1:])
     return np.nonzero(change)[0].astype(np.int64) + 1
@@ -450,8 +448,6 @@ def check_reduced_alignment(real: Realization, traj: Trajectory) -> bool:
     if real.spec.construction != PARALLEL_DUPLICATED:
         raise ValidationError("alignment check is defined for parallel-duplicated")
     dec = clusters_of(real)
-    if len(traj) < 2:
-        return True
     sc = np.searchsorted(dec.starts, np.searchsorted(dec.points, traj.us),
                          "right") - 1
     lead_u = dec.points[dec.leads]
@@ -517,21 +513,15 @@ def check_indented_entry(real: Realization,
 
 @dataclass(frozen=True)
 class EventRecord:
-    """One detected/refuted/undecided return event.
-
-    occurred None = not decidable from the prefix.  details carry the
-    quantities that went into the verdict.
-    """
+    """The verdict of one return event: occurred is True, False or None
+    (not decidable from the prefix)."""
 
     family: str
     index: int
     occurred: bool | None
-    details: dict = field(default_factory=dict)
 
 
 _VERDICTS = {1: True, 0: False, -1: None}
-_NOTES = (None, "no anchor point <= 0 in window",
-          "deficiency undecidable within prefix")
 
 
 @dataclass(frozen=True)
@@ -545,7 +535,7 @@ class EventTable:
     has a note code (1: no anchor, 2: deficiency undecided) or, when
     decided, rhs, dx, degenerate and ray_x, which are NaN (False) where not
     computed.  A band event (A_m) has entered instead, and NaN gap columns.
-    len, indexing and iteration give the rows as EventRecords.
+    len counts the rows; iteration gives their verdicts as EventRecords.
     """
 
     family: str
@@ -565,39 +555,9 @@ class EventTable:
     def __len__(self) -> int:
         return len(self.index)
 
-    def __getitem__(self, i):
-        """Row i as an EventRecord; a slice or an index array gives a list
-        of them."""
-        if isinstance(i, (int, np.integer)):
-            return self._rows([i])[0]
-        return self._rows(i)
-
     def __iter__(self):
-        return iter(self._rows(slice(None)))
-
-    def _rows(self, sel) -> list[EventRecord]:
-        if self.family == A_M_PARALLEL:
-            details = [{"entered": e} for e in self.entered[sel].tolist()]
-        else:
-            details = list(map(self._gap_details, *(
-                getattr(self, c)[sel].tolist() for c in
-                ("x", "next_x", "gap", "rhs", "dx", "ray_x", "degenerate",
-                 "note"))))
-        return list(map(EventRecord, repeat(self.family),
-                        self.index[sel].tolist(),
-                        map(_VERDICTS.get, self.occurred[sel].tolist()),
-                        details))
-
-    def _gap_details(self, x, next_x, gap, rhs, dx, ray_x, degenerate,
-                     note) -> dict:
-        details = {"x": x, "next_x": next_x, "gap": gap}
-        if self.mirrored:
-            details["mirrored"] = True
-        if note:
-            details["note"] = _NOTES[note]
-        elif not math.isnan(ray_x):
-            details.update(rhs=rhs, dx=dx, degenerate=degenerate, ray_x=ray_x)
-        return details
+        return map(EventRecord, repeat(self.family), self.index.tolist(),
+                   map(_VERDICTS.get, self.occurred.tolist()))
 
 
 _EMPTY = dict(x=np.nan, next_x=np.nan, gap=np.nan, rhs=np.nan, dx=np.nan,
@@ -699,6 +659,19 @@ class PovratakSummary:
     violation_details: tuple = ()
 
 
+def _violation(ev: EventTable, i: int, t_ray: float, t_left: float) -> dict:
+    """The details of the decided gap event in row i of ev, whose ray the
+    walk reached at step t_ray, before its return at t_left."""
+    def cells(*columns):
+        return {c: getattr(ev, c)[i].item() for c in columns}
+
+    return {"family": ev.family, "index": ev.index[i].item(),
+            "t_ray": _step(t_ray), "t_left": _step(t_left),
+            **cells("x", "next_x", "gap"),
+            **({"mirrored": True} if ev.mirrored else {}),
+            **cells("rhs", "dx", "degenerate", "ray_x")}
+
+
 def check_povratak(real: Realization, traj: Trajectory) -> PovratakSummary:
     c = real.spec.construction
     if c not in (PARALLEL_THINNED, PARALLEL_SHIFTED):
@@ -715,11 +688,9 @@ def check_povratak(real: Realization, traj: Trajectory) -> PovratakSummary:
     sign = -1.0 if ev.mirrored else 1.0
     t_left = first_passage(traj, [0.0], down=not ev.mirrored, strict=True)[0]
     t_ray = first_passage(traj, sign * ev.ray_x[checked], down=ev.mirrored)
-    late = t_ray < t_left
-    bad = ev[checked[late]] if late.any() else []
-    details = tuple({"family": rec.family, "index": rec.index,
-                     "t_ray": _step(t), "t_left": _step(t_left), **rec.details}
-                    for rec, t in zip(bad, t_ray[late]))
+    late = np.nonzero(t_ray < t_left)[0]
+    details = tuple(_violation(ev, checked[j], t_ray[j], t_left)
+                    for j in late)
     unknowns = int(np.count_nonzero(np.isinf(t_ray) & np.isinf(t_left)))
     return PovratakSummary(int(np.count_nonzero(occurred)), len(details),
                            unknowns, details)

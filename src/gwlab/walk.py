@@ -238,19 +238,31 @@ def _build(cc: str | None, cache: Path):
     return lib
 
 
-@functools.cache
 def _kernel():
     """The compiled library (gw_walk, gw_audit, gw_deficiency and
     gw_cluster_visits), built or loaded on first use from
     $XDG_CACHE_HOME/gwlab (default ~/.cache/gwlab); OSError where it is
-    not there and cannot be built."""
+    not there and cannot be built, the same one on every call."""
+    lib = _built()
+    if isinstance(lib, OSError):
+        raise lib.with_traceback(None)
+    return lib
+
+
+@functools.cache
+def _built():
+    """_kernel's library, or the OSError that says why there is none: kept
+    either way, so that a process runs the compiler at most once."""
     try:
         cache = Path(os.environ.get("XDG_CACHE_HOME")
                      or Path.home() / ".cache") / "gwlab"
     except RuntimeError:  # no home directory
-        raise OSError("no cache directory for gwlab's compiled library: "
-                      "set XDG_CACHE_HOME") from None
-    return _build(shutil.which("cc") or shutil.which("gcc"), cache)
+        return OSError("no cache directory for gwlab's compiled library: "
+                       "set XDG_CACHE_HOME")
+    try:
+        return _build(shutil.which("cc") or shutil.which("gcc"), cache)
+    except OSError as err:
+        return err
 
 
 # per thread, the compiled loop's buffers, grown to the largest walk yet:

@@ -1,7 +1,9 @@
 """Shared builders: specs with default parameters, hand-built realizations
 and trajectories for fixture tests that need exact point placement."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,3 +80,13 @@ def hand_traj():
         )
 
     return build
+
+
+@pytest.fixture(scope="session")
+def bench_tracer():
+    """bench/tracer.py, loaded as a module (bench/ is not a package)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer

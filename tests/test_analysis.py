@@ -6,12 +6,12 @@ values are checked against pencil-and-paper runs of the definitions.
 """
 
 import hashlib
-import importlib.util
 import json
 import math
 import random
 import re
-from dataclasses import fields, replace
+from dataclasses import dataclass, fields, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 from gwlab import (
     RUN_TO_EXHAUSTION,
     DeficiencyRecords,
-    EventRecord,
     EventTable,
     PovratakSummary,
     Site,
@@ -370,6 +369,10 @@ def test_extract_halfline_changes(hand_real, hand_traj):
     traj = hand_traj(par, [1.0, 2.0, -1.0, 1.0], [0, 1, 1, 1])
     # line change, then sign change, then a same-half-line step
     assert extract_halfline_changes(traj).tolist() == [1, 2, 3]
+    # no step and one step have no pair of steps to compare
+    for us, lines in (([], []), ([1.0], [0])):
+        got = extract_halfline_changes(hand_traj(par, us, lines))
+        assert got.tolist() == [] and got.dtype == np.int64
 
 
 def test_uv_single_record(hand_real, hand_traj):
@@ -727,6 +730,10 @@ def test_alignment_violation(hand_real, hand_traj):
         real, hand_traj(real, [4.4, -0.5], [0, 0])) is False
     assert check_reduced_alignment(
         real, hand_traj(real, [4.0, -0.5], [0, 0])) is True
+    # no step and one step, even off a lead, have no transition
+    for us, lines in (([], []), ([4.4], [0])):
+        assert check_reduced_alignment(
+            real, hand_traj(real, us, lines)) is True
 
 
 def test_traversal_checks_construction_guard(hand_real):
@@ -1076,62 +1083,61 @@ def test_indented_entry_cut_prefix(hand_real, hand_traj):
 def test_thinned_events(hand_real, hand_traj):
     real = hand_real("parallel-thinned", [-1.0, 3.0, 4.0, 9.0], line1=[],
                      separation_r=1.0)
-    recs = detect_A_events(real, hand_traj(real, [4.0], [0]))
-    assert [r.family for r in recs] == [A_K_THINNED] * 2
-    assert [r.index for r in recs] == [1, 2]
-    assert recs[0].occurred is False          # gap 1 <= r is trivially dead
-    assert recs[1].occurred is True           # gap 5 > D(4) + 1 + 1 = 4
-    assert recs[1].details["dx"] == 2.0
-    assert recs[1].details["rhs"] == 4.0
-    assert recs[1].details["ray_x"] == 9.0
+    ev = detect_A_events(real, hand_traj(real, [4.0], [0]))
+    assert ev.family == A_K_THINNED and len(ev) == 2
+    assert ev.index.tolist() == [1, 2]
+    assert ev.occurred[0] == 0                # gap 1 <= r is trivially dead
+    assert ev.occurred[1] == 1                # gap 5 > D(4) + 1 + 1 = 4
+    assert ev.dx[1] == 2.0
+    assert ev.rhs[1] == 4.0
+    assert ev.ray_x[1] == 9.0
     # the last positive point has no in-window successor: right-censored
 
 
 def test_thinned_events_no_anchor(hand_real, hand_traj):
     real = hand_real("parallel-thinned", [3.0, 9.0, 11.0], line1=[],
                      separation_r=1.0)
-    recs = detect_A_events(real, hand_traj(real, [3.0], [0]))
-    assert recs[0].occurred is None
-    assert "anchor" in recs[0].details["note"]
+    ev = detect_A_events(real, hand_traj(real, [3.0], [0]))
+    assert ev.occurred[0] == -1
+    assert ev.note[0] == 1                    # no anchor point <= 0
 
 
 def test_thinned_events_undecidable_deficiency(hand_real, hand_traj):
     real = hand_real("parallel-thinned", [-1.0, 2.0, 3.0, 9.0], line1=[],
                      separation_r=1.0)
-    recs = detect_A_events(real, hand_traj(real, [2.0], [0]))
-    assert [r.occurred for r in recs] == [False, None]
-    assert "undecidable" in recs[1].details["note"]
+    ev = detect_A_events(real, hand_traj(real, [2.0], [0]))
+    assert ev.occurred.tolist() == [0, -1]
+    assert ev.note[1] == 2                    # the deficiency is undecidable
 
 
 def test_shifted_events(hand_real, hand_traj):
     real = hand_real("parallel-shifted", [-1.0, 2.0, 8.0], shift_s=0.3)
-    recs = detect_A_events(real, hand_traj(real, [2.0, 2.3], [0, 1]))
-    assert len(recs) == 1
-    rec = recs[0]
-    assert rec.family == A_K_SHIFTED and rec.index == 1
-    assert rec.occurred is True               # gap 6 > 2.3 + 1 + 1.3 = 4.6
-    assert rec.details["rhs"] == pytest.approx(4.6)
-    assert "mirrored" not in rec.details
+    ev = detect_A_events(real, hand_traj(real, [2.0, 2.3], [0, 1]))
+    assert len(ev) == 1
+    assert ev.family == A_K_SHIFTED and ev.index[0] == 1
+    assert ev.occurred[0] == 1                # gap 6 > 2.3 + 1 + 1.3 = 4.6
+    assert ev.rhs[0] == pytest.approx(4.6)
+    assert not ev.mirrored
 
 
 def test_shifted_events_negative_s_mirrors(hand_real, hand_traj):
     real = hand_real("parallel-shifted", [-8.0, -2.0, 1.0], shift_s=-0.3)
-    recs = detect_A_events(real, hand_traj(real, [-2.0, -2.3], [0, 1]))
-    assert len(recs) == 1
-    assert recs[0].occurred is True
-    assert recs[0].details["mirrored"] is True
-    assert recs[0].details["x"] == 2.0        # reported in mirrored frame
+    ev = detect_A_events(real, hand_traj(real, [-2.0, -2.3], [0, 1]))
+    assert len(ev) == 1
+    assert ev.occurred[0] == 1
+    assert ev.mirrored
+    assert ev.x[0] == 2.0                     # reported in mirrored frame
 
 
 def test_parallel_band_events(hand_real, hand_traj):
     real = hand_real("parallel-duplicated", [-0.5, 4.0, 4.4], separation_r=1.0)
     traj = hand_traj(real, [4.0, 4.4, 4.4, 4.0, -0.5, -0.5],
                      [0, 0, 1, 1, 1, 0])
-    recs = detect_A_events(real, traj)
-    assert [r.family for r in recs] == [A_M_PARALLEL] * 5
-    assert [r.occurred for r in recs] == [None, None, None, None, True]
-    assert recs[4].index == 4
-    assert all(not r.details["entered"] for r in recs[:4])
+    ev = detect_A_events(real, traj)
+    assert ev.family == A_M_PARALLEL and len(ev) == 5
+    assert ev.occurred.tolist() == [-1, -1, -1, -1, 1]
+    assert ev.index[4] == 4
+    assert not ev.entered[:4].any()
 
 
 def test_events_construction_guard(hand_real):
@@ -1198,8 +1204,19 @@ def test_povratak_construction_guard(hand_real):
 # the event table against the per-record loops that preceded it
 
 
+@dataclass(frozen=True)
+class OracleEvent:
+    """One return event as the per-event loop builds it: its verdict and a
+    dict of the quantities that went into it."""
+
+    family: str
+    index: int
+    occurred: bool | None
+    details: dict
+
+
 def oracle_events(real, traj):
-    """detect_A_events as one EventRecord per event, built in a loop."""
+    """detect_A_events as one OracleEvent per event, built in a loop."""
     c = real.spec.construction
     if c == "parallel-duplicated":
         u = reduce_to_cluster_leads(real, traj)
@@ -1208,9 +1225,9 @@ def oracle_events(real, traj):
         entered = set(band[pos].tolist())
         # the final reduced position has an unknown successor
         witnessed = set(band[:-1][pos[:-1] & (u[1:] < 0.0)].tolist())
-        return [EventRecord(A_M_PARALLEL, m, True, {"entered": True})
+        return [OracleEvent(A_M_PARALLEL, m, True, {"entered": True})
                 if m in witnessed else
-                EventRecord(A_M_PARALLEL, m, None, {"entered": m in entered})
+                OracleEvent(A_M_PARALLEL, m, None, {"entered": m in entered})
                 for m in range(max(entered, default=-1) + 1)]
     if c == "parallel-thinned":
         return oracle_gap_events(A_K_THINNED, real.base_points, 0.0,
@@ -1251,7 +1268,7 @@ def oracle_gap_events(family, pts, level_offset, extra, real, traj, mirrored):
             details.update(rhs=rhs, dx=value, degenerate=bool(dx.degenerate[i]),
                            ray_x=float(pts[bi + 1]))
             occurred = bool(gap > rhs)
-        records.append(EventRecord(family, k, occurred, details))
+        records.append(OracleEvent(family, k, occurred, details))
     return records
 
 
@@ -1275,14 +1292,52 @@ def oracle_povratak(real, traj):
     return PovratakSummary(len(occurred), len(details), unknowns, details)
 
 
+_NOTES = (None, "no anchor point <= 0 in window",
+          "deficiency undecidable within prefix")
+# each cell's value where a row leaves it out
+_EMPTY_CELLS = {**dict.fromkeys(("x", "next_x", "gap", "rhs", "dx", "ray_x"),
+                                math.nan),
+                "degenerate": False, "note": 0, "entered": False}
+
+
+def event_rows(events):
+    """The table's rows as the oracle renders its records: family, index,
+    verdict and the details dict, in Python scalars.  Every cell a row's
+    details leave out must hold its empty value, so that a wrong entry in
+    any column shows."""
+    cols = {c: getattr(events, c).tolist() for c in _EMPTY_CELLS}
+    verdicts = {1: True, 0: False, -1: None}
+    rows = []
+    for i, (k, v) in enumerate(zip(events.index.tolist(),
+                                   events.occurred.tolist())):
+        if events.family == A_M_PARALLEL:
+            details = {"entered": cols["entered"][i]}
+        else:
+            details = {c: cols[c][i] for c in ("x", "next_x", "gap")}
+            if events.mirrored:
+                details["mirrored"] = True
+            if cols["note"][i]:
+                details["note"] = _NOTES[cols["note"][i]]
+            elif not math.isnan(cols["ray_x"][i]):
+                details.update({c: cols[c][i] for c in
+                                ("rhs", "dx", "degenerate", "ray_x")})
+        for c, empty in _EMPTY_CELLS.items():
+            assert c in details or repr(cols[c][i]) == repr(empty), (i, c)
+        rows.append({"family": events.family, "index": k,
+                     "occurred": verdicts[v], "details": details})
+    return rows
+
+
 def assert_events_match_oracle(real, traj):
     """Rows, fields, key order and value types (repr tells True from 1,
-    a float from np.float64 and 0.0 from -0.0) all agree."""
+    a float from np.float64 and 0.0 from -0.0) all agree, and so do the
+    verdicts the table's iteration gives."""
     events = detect_A_events(real, traj)
     assert isinstance(events, EventTable)
     want = [vars(rec) for rec in oracle_events(real, traj)]
-    assert repr([vars(rec) for rec in events]) == repr(want)
-    assert repr([vars(events[i]) for i in range(len(events))]) == repr(want)
+    assert repr(event_rows(events)) == repr(want)
+    assert repr([vars(rec) for rec in events]) == repr(
+        [{k: row[k] for k in ("family", "index", "occurred")} for row in want])
     assert len(events) == len(want)
     if real.spec.construction != "parallel-duplicated":
         assert (repr(vars(check_povratak(real, traj)))
@@ -1321,6 +1376,62 @@ def test_event_table_matches_oracle(spec_for, construction, kw):
         # at r=1 every verdict state the family has occurs
         assert verdicts[True] and verdicts[None]
         assert verdicts[False] or construction == "parallel-duplicated"
+
+
+def perturbed(events, column, i):
+    """A copy of the table with entry i of the column changed: the next
+    float up (1.0 for NaN), the other bool, or the next code."""
+    values = getattr(events, column).copy()
+    v = values[i]
+    if values.dtype == bool:
+        values[i] = not v
+    elif column == "occurred":
+        values[i] = (v + 2) % 3 - 1       # 1 -> -1 -> 0 -> 1
+    elif column == "note":
+        values[i] = (v + 1) % 3
+    else:
+        values[i] = 1.0 if np.isnan(v) else np.nextafter(v, np.inf)
+    return replace(events, **{column: values})
+
+
+@pytest.mark.parametrize("column", ["occurred", "x", "next_x", "gap", "rhs",
+                                    "dx", "ray_x", "degenerate", "note",
+                                    "entered"])
+def test_oracle_comparison_fails_on_a_perturbed_column(spec_for, column):
+    # the comparison above catches one wrong entry in any column of any row:
+    # each run's table as the greedy walk, cut after 5 steps and shuffled
+    # holds rows of each verdict, of each family, degenerate and not, and
+    # undecided for want of a deficiency level
+    seen = set()
+    for construction, kw in (("parallel-thinned", {"separation_r": 1.0}),
+                             ("parallel-shifted", {"shift_s": 0.3}),
+                             ("parallel-shifted", {"shift_s": -0.3}),
+                             ("parallel-duplicated", {"separation_r": 1.0})):
+        real = generate(spec_for(construction, window_L=50.0, **kw),
+                        stream_seed(15, 6))
+        traj = run_walk(real)
+        for t in (traj, cut_prefix(traj, 5), reorder_steps(
+                traj, np.random.default_rng(6).permutation(len(traj)))):
+            want = repr([vars(rec) for rec in oracle_events(real, t)])
+
+            def matches(events):
+                try:
+                    return repr(event_rows(events)) == want
+                except AssertionError:  # a cell left out of its row is set
+                    return False
+
+            events = detect_A_events(real, t)
+            assert matches(events)
+            seen.update(zip(repeat(events.family), events.occurred.tolist(),
+                            events.note.tolist(),
+                            events.degenerate.tolist()))
+            for i in range(len(events)):
+                assert not matches(perturbed(events, column, i)), i
+    assert {(f, v) for f, v, _, _ in seen} == {
+        (f, v) for f in (A_K_THINNED, A_K_SHIFTED, A_M_PARALLEL)
+        for v in (1, 0, -1)} - {(A_M_PARALLEL, 0)}
+    assert {(A_K_THINNED, -1, 2, False), (A_K_SHIFTED, -1, 2, False),
+            (A_K_THINNED, 1, 0, True), (A_K_SHIFTED, 1, 0, False)} <= seen
 
 
 @pytest.mark.parametrize("construction,line0,kw,us,lines", [
@@ -1381,14 +1492,10 @@ def test_gap_events_without_wide_gap_read_zero_levels(spec_for, monkeypatch):
     assert levels == [0] * 2 * len(narrow)
 
 
-def test_bench_tracer_event_counts(spec_for):
-    # bench/tracer.py counts a detect_A_events result through its row view:
-    # the rows, and those whose verdict is decided
-    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
-    module = importlib.util.spec_from_file_location("bench_tracer", path)
-    tracer = importlib.util.module_from_spec(module)
-    module.loader.exec_module(tracer)
-    count = tracer.TRACED["gwlab.analysis"]["detect_A_events"][1]
+def test_bench_tracer_event_counts(bench_tracer, spec_for):
+    # bench/tracer.py counts a detect_A_events result through its verdict
+    # iterator: the rows, and those whose verdict is decided
+    count = bench_tracer.TRACED["gwlab.analysis"]["detect_A_events"][1]
     # each walk cut where some verdicts are decided and some are not
     for construction, kw, seed, steps in (
             ("parallel-thinned", {}, 1, 2),
@@ -1449,8 +1556,7 @@ def dx_pin_values(spec_for):
                                          summary.unknowns)):
                     povratak[j] += got
                 for h, value in zip(digests, (
-                        vars(dx), [vars(rec) for rec in events],
-                        vars(summary))):
+                        vars(dx), event_rows(events), vars(summary))):
                     h.update(json.dumps(value).encode())
             out[f"{name}/{order}"] = {
                 "records": records, "verdicts": verdicts,

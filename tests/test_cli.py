@@ -1,7 +1,6 @@
 """CLI behavior, exercised in-process through main(argv)."""
 
 import importlib
-import importlib.util
 import json
 import math
 import os
@@ -17,6 +16,9 @@ from gwlab import (
     ProcessSpec,
     ValidationError,
     __version__,
+    audit_lemmas,
+    check_povratak,
+    detect_A_events,
     generate,
     intersect_Bn_bound,
     read_summaries_csv,
@@ -572,18 +574,37 @@ def test_version_flag(capsys):
     assert __version__ in capsys.readouterr().out
 
 
-def test_bench_traced_functions_exist():
+def test_bench_traced_functions_exist(bench_tracer):
     # bench/tracer.py wraps gwlab functions by name for `bench/run.py
     # --trace 1`; a renamed function would only break that run
-    path = ROOT / "bench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("bench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    missing = [f"{mod}.{name}" for mod, funcs in tracer.TRACED.items()
+    missing = [f"{mod}.{name}" for mod, funcs in bench_tracer.TRACED.items()
                for name in funcs
                if not callable(getattr(importlib.import_module(mod), name,
                                        None))]
     assert missing == []
+
+
+def test_bench_tracer_counts_real_results(bench_tracer, spec_for):
+    # the traced pass counts each call's work from what its result carries
+    # (an EventTable's len and its rows' .occurred, a trajectory's len, the
+    # audit's check tallies); a result that stops carrying it would only
+    # break `bench/run.py --trace 1`
+    count = {name: fn for funcs in bench_tracer.TRACED.values()
+             for name, (_, fn) in funcs.items()}
+    for construction in CONSTRUCTIONS:
+        real = generate(spec_for(construction, window_L=50.0), 3)
+        traj = run_walk(real)
+        results = {"generate": real, "run_walk": traj}
+        if construction != "intersecting":
+            results["audit_lemmas"] = audit_lemmas(real, traj)
+        if construction.startswith("parallel"):
+            results["detect_A_events"] = detect_A_events(real, traj)
+        if construction in ("parallel-thinned", "parallel-shifted"):
+            results["check_povratak"] = check_povratak(real, traj)
+        for name, res in results.items():
+            got = count[name](res, (real, traj), {})
+            assert got and all(type(v) is int for v in got.values()), (
+                construction, name, got)
 
 
 @pytest.mark.parametrize("workload", [

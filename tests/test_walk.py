@@ -307,6 +307,27 @@ def test_a_failed_build_raises_the_compilers_error(tmp_path):
     assert all(getattr(lib, name).argtypes for name in walk._SIGNATURES)
 
 
+def test_a_failed_build_is_not_retried(tmp_path, monkeypatch):
+    # _kernel keeps a failed build's OSError, as it keeps a library, so a
+    # caller that catches the error does not run the compiler again
+    log = tmp_path / "runs.log"
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    fake = bin_dir / "cc"
+    fake.write_text(f"#!/bin/sh\necho run >> '{log}'\nexit 3\n")
+    fake.chmod(0o755)
+    monkeypatch.setenv("PATH", str(bin_dir))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    walk._built.cache_clear()
+    try:
+        for _ in range(3):
+            with pytest.raises(OSError, match="status 3"):
+                walk._kernel()
+    finally:
+        walk._built.cache_clear()
+    assert log.read_text() == "run\n"
+
+
 def test_kernel_edge_cases(hand_real):
     reals = [
         # an empty line 1 on two lines, and an empty line 0
