@@ -2,9 +2,10 @@
 
 Each check names the structural fact it tests, the constructions it applies
 to, and a per-run function that turns one (realization, trajectory) pair
-into named counts and violation details.  ``gwlab verify`` sums one check
-over many seeded runs; the acceptance tests feed their corpora through the
-same functions.
+into named counts and violation details.  Only the per-run function names
+a check's counts, and their order is the order verify prints them in.
+``gwlab verify`` sums one check over many seeded runs; the acceptance tests
+feed their corpora through the same functions.
 
 A per-run function returns outcomes keyed by check name and may answer
 several checks at once: the three audits share one ``audit_lemmas`` call.
@@ -46,10 +47,11 @@ class Outcome:
 
     counts are the named counts verify prints, in print order; checks is
     the check total of its PASS/FAIL line; details hold one dict per
-    violation, with the spec dict and seed of its run.
+    violation, with the spec dict and seed of its run.  Outcome() is the
+    empty sum: += adds counts by name, keeping the first-seen order.
     """
 
-    counts: dict[str, int]
+    counts: dict[str, int] = field(default_factory=dict)
     checks: int = 0
     details: list = field(default_factory=list)
 
@@ -59,7 +61,7 @@ class Outcome:
 
     def __iadd__(self, other: "Outcome") -> "Outcome":
         for k, v in other.counts.items():
-            self.counts[k] += v
+            self.counts[k] = self.counts.get(k, 0) + v
         self.checks += other.checks
         self.details += other.details
         return self
@@ -67,16 +69,13 @@ class Outcome:
 
 @dataclass(frozen=True)
 class Check:
-    """One verify suite; fields names the counts it prints, in order."""
+    """One verify suite; its per-run function names the counts it prints,
+    in print order."""
 
     name: str
     constructions: tuple[str, ...]
     description: str
-    fields: tuple[str, ...]
     per_run: Callable[[Realization, Trajectory], dict[str, Outcome]]
-
-    def empty(self) -> Outcome:
-        return Outcome(dict.fromkeys(self.fields, 0))
 
 
 def _where(real: Realization, **detail) -> dict:
@@ -163,37 +162,31 @@ _SINGLE_AND_PARALLEL = (SINGLE_POISSON,) + PARALLEL_CONSTRUCTIONS
 
 CHECKS = {c.name: c for c in (
     Check("lemma-distance", PARALLEL_CONSTRUCTIONS,
-          "close cross-line pairs must lose a member once straddled",
-          ("checks", "violations"), _audits),
+          "close cross-line pairs must lose a member once straddled", _audits),
     Check("lemma-replay", _SINGLE_AND_PARALLEL,
           "steps into swept territory must hit the largest alive shadow",
-          ("checks", "violations"), _audits),
+          _audits),
     Check("empty-interval", _SINGLE_AND_PARALLEL,
           "killing the last copy at a crossed shadow leaves no alive site "
-          "above it up to and including the running max",
-          ("checks", "violations"), _audits),
+          "above it up to and including the running max", _audits),
     Check("dx-bounds", (PARALLEL_THINNED, PARALLEL_SHIFTED),
           "deficiency records stay within their per-construction bounds",
-          ("records", "violations"), _dx_bounds),
+          _dx_bounds),
     Check("povratak", (PARALLEL_THINNED, PARALLEL_SHIFTED),
           "every occurred gap event returns to the negative half-axis before "
-          "passing the gap",
-          ("occurrences", "violations", "unknowns"), _povratak),
+          "passing the gap", _povratak),
     Check("cluster-traversal", (PARALLEL_DUPLICATED,),
           "entered non-zero clusters are swallowed whole, lead to lead",
-          ("ok", "undecided", "violations"), _cluster_traversal),
+          _cluster_traversal),
     Check("indented-entry", (PARALLEL_SHIFTED,),
           "clusters first entered at their indented leading point are "
-          "traversed consecutively",
-          ("indented_lead_entries", "violations", "undecided", "early_exits"),
-          _indented_entry),
+          "traversed consecutively", _indented_entry),
     Check("uv-verdicts", (INTERSECTING_INDEPENDENT,),
           "landmark pairs never produce a C verdict at a finite step",
-          ("records", "B", "C"), _uv_verdicts),
+          _uv_verdicts),
     Check("oracle-equivalence", CONSTRUCTIONS,
           "optimized walk engine matches the exhaustive-scan engine step "
-          "for step",
-          ("mismatches",), _oracle),
+          "for step", _oracle),
 )}
 
 

@@ -31,7 +31,7 @@ from .analysis import (
     extract_halfline_changes,
     intersect_Bn_bound,
 )
-from .checks import CHECKS
+from .checks import CHECKS, Outcome
 from .errors import ValidationError
 from .processes import (
     CONSTRUCTIONS,
@@ -118,7 +118,7 @@ def _cmd_verify(args) -> int:
           f"{args.runs} runs each, seed {args.seed}")
     checks = violations = 0
     for label, spec in specs:
-        total = check.empty()
+        total = Outcome()
         for i in range(args.runs):
             real = generate(spec, stream_seed(args.seed, i))
             total += check.per_run(real, run_walk(real))[check.name]

@@ -2,7 +2,7 @@
 
 Determinism contract: for a fixed config, the CSV and the report are byte
 identical across repeat invocations and across worker counts (runs are
-independently seeded by index and re-sorted after a parallel map).  The
+independently seeded by index, and a pool maps them in order).  The
 manifest carries a wall-clock timestamp and is exempt from that contract.
 """
 
@@ -51,8 +51,8 @@ class ExperimentConfig:
     checked by to_spec: one the construction does not read stays at its
     default.  audit toggles the per-run replay/pair audits (auto-skipped
     for intersecting lines); detect_events toggles return-event detection
-    (parallel constructions only).  workers > 1 runs the sweep in a process
-    pool, capped at n_runs and the core count.
+    (parallel constructions only).  workers > 1 runs a sweep or a coupled
+    study in a process pool, capped at n_runs and the core count.
     """
 
     name: str
@@ -177,26 +177,37 @@ def summarize_run(cfg: ExperimentConfig, run_index: int, real, traj) -> RunSumma
     )
 
 
-def _run_one(cfg: ExperimentConfig, spec: ProcessSpec,
-             run_index: int) -> RunSummary:
-    seed = stream_seed(cfg.base_seed, run_index)
-    real = generate(spec, seed)
-    traj = run_walk(real)
-    return summarize_run(cfg, run_index, real, traj)
+def _run_one(cfg: ExperimentConfig, spec: ProcessSpec, windows,
+             run_index: int) -> list[RunSummary]:
+    """Run run_index drawn once from spec and summarized at each of windows
+    by exact restriction, which is the drawn run itself at spec's window."""
+    real = generate(spec, stream_seed(cfg.base_seed, run_index))
+    rows = []
+    for L in windows:
+        small = couple_restrict(real, L)
+        rows.append(summarize_run(cfg, run_index, small, run_walk(small)))
+    return rows
 
 
-def run_experiment(cfg: ExperimentConfig) -> list[RunSummary]:
-    # built once, so domain errors fail before any work starts
-    run_one = partial(_run_one, cfg, cfg.to_spec())
+def _run_all(cfg: ExperimentConfig, spec: ProcessSpec,
+             windows) -> dict[float, list[RunSummary]]:
+    """The rows of cfg's runs per window, in run order."""
+    run_one = partial(_run_one, cfg, spec, windows)
     # no more processes than runs or cores: a fork pool starts them all
     workers = min(cfg.workers, cfg.n_runs, os.cpu_count() or 1)
     if workers == 1:
-        return [run_one(i) for i in range(cfg.n_runs)]
-    chunk = max(1, cfg.n_runs // (8 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(run_one, range(cfg.n_runs), chunksize=chunk))
-    rows.sort(key=lambda r: r.run_index)
-    return rows
+        per_run = [run_one(i) for i in range(cfg.n_runs)]
+    else:
+        chunk = max(1, cfg.n_runs // (8 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            per_run = list(pool.map(run_one, range(cfg.n_runs),
+                                    chunksize=chunk))
+    return dict(zip(windows, map(list, zip(*per_run))))
+
+
+def run_experiment(cfg: ExperimentConfig) -> list[RunSummary]:
+    # the spec is built before any work, so domain errors fail first
+    return _run_all(cfg, cfg.to_spec(), [cfg.window_L])[cfg.window_L]
 
 
 def coupled_window_study(cfg: ExperimentConfig,
@@ -209,17 +220,8 @@ def coupled_window_study(cfg: ExperimentConfig,
         raise ValidationError("need at least one window half-width")
     if Ls[0] <= 0:
         raise ValidationError("window half-widths must be positive")
-    cfg_max = dataclasses.replace(cfg, window_L=Ls[-1])
-    spec = cfg_max.to_spec()
-    results: dict[float, list[RunSummary]] = {L: [] for L in Ls}
-    for i in range(cfg.n_runs):
-        seed = stream_seed(cfg.base_seed, i)
-        real = generate(spec, seed)
-        for L in Ls:
-            restricted = couple_restrict(real, L)
-            traj = run_walk(restricted)
-            results[L].append(summarize_run(cfg_max, i, restricted, traj))
-    return results
+    return _run_all(cfg, dataclasses.replace(cfg, window_L=Ls[-1]).to_spec(),
+                    Ls)
 
 
 # ---------------------------------------------------------------------------

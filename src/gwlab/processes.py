@@ -100,7 +100,7 @@ MAX_SEPARATION_POINTS = 1e4
 @dataclass(frozen=True)
 class ProcessSpec:
     """Everything needed to draw a realization, minus the seed; also the
-    geometry the walk measures on (kind, n_lines, cos_alpha).
+    geometry the walk measures on (kind, cos_alpha).
 
     A parameter the construction does not read (CONSTRUCTION_PARAMS) must
     stay at its default.
@@ -175,10 +175,6 @@ class ProcessSpec:
     def kind(self) -> str:
         """SINGLE_LINE, INTERSECTING or PARALLEL: the lines it draws on."""
         return _KIND_FOR[self.construction]
-
-    @property
-    def n_lines(self) -> int:
-        return 1 if self.kind == SINGLE_LINE else 2
 
     @cached_property
     def cos_alpha(self) -> float:
@@ -451,12 +447,18 @@ def couple_restrict(real: Realization, smaller_L: float) -> Realization:
     if smaller_L == real.spec.window_L:
         return real
     spec = replace(real.spec, window_L=smaller_L)
-    (lo0, hi0), (lo1, hi1) = drawn_windows(spec)
+    lo, hi = drawn_windows(spec)[0]
+    keep0 = (real.line0 >= lo) & (real.line0 <= hi)
+    # the lines share a window unless shifted; a shifted line 1 is line 0
+    # moved by s and keeps its mask, since fl(x + s) can land on line 1's
+    # window end for an x just past line 0's
+    keep1 = keep0 if spec.construction == PARALLEL_SHIFTED else (
+        (real.line1 >= lo) & (real.line1 <= hi))
     return Realization(
         spec=spec,
         seed=real.seed,
-        line0=real.line0[(real.line0 >= lo0) & (real.line0 <= hi0)],
-        line1=real.line1[(real.line1 >= lo1) & (real.line1 <= hi1)],
+        line0=real.line0[keep0],
+        line1=real.line1[keep1],
         provenance=f"{real.provenance}; restricted to L={smaller_L!r}",
     )
 

@@ -38,7 +38,7 @@ from gwlab import (
     sign_test_p,
     stream_seed,
 )
-from gwlab.checks import CHECKS, run_checks
+from gwlab.checks import CHECKS, Outcome, run_checks
 
 
 def _emit(num: int, ok: bool, detail: str) -> None:
@@ -63,7 +63,7 @@ _TALLIED = ("lemma-distance", "lemma-replay", "empty-interval", "dx-bounds")
 @dataclass
 class Tally:
     outcomes: dict = field(default_factory=lambda: {
-        name: CHECKS[name].empty() for name in _TALLIED})
+        name: Outcome() for name in _TALLIED})
     summary_failures: int = 0  # lemma failures reported by experiment rows
 
     def add(self, real, traj) -> None:
@@ -175,7 +175,7 @@ def test_criterion_3_prefix_stability(c3_stats):
 
 @pytest.fixture(scope="module")
 def c4_stats():
-    stats = CHECKS["cluster-traversal"].empty()
+    stats = Outcome()
     for k, (r, n_runs) in enumerate([(0.5, 334), (1.0, 333), (2.0, 333)]):
         spec = ProcessSpec.build(PARALLEL_DUPLICATED, window_L=50.0,
                                  separation_r=r)
@@ -324,7 +324,7 @@ def c7_stats():
     out = {}
     for label, construction, r, base_seed in legs:
         spec = ProcessSpec.build(construction, **dict(PARAMS, separation_r=r))
-        stats = CHECKS["povratak"].empty()
+        stats = Outcome()
         for i in range(2000):
             real = generate(spec, stream_seed(base_seed, i))
             traj = run_walk(real)
@@ -422,7 +422,7 @@ def test_criterion_9_landmark_tail_bound(c9_stats):
 @pytest.fixture(scope="module")
 def c10_stats():
     spec = ProcessSpec.build(PARALLEL_SHIFTED, **PARAMS)
-    stats = CHECKS["indented-entry"].empty()
+    stats = Outcome()
     first_early = None
     for i in range(1000):
         real = generate(spec, stream_seed(9110, i))

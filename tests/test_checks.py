@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gwlab import ProcessSpec, generate, run_walk, stream_seed
-from gwlab.checks import CHECKS
+from gwlab.checks import CHECKS, Outcome
 
 # a construction each suite applies to and can fail on; povratak and
 # indented-entry flag perturbed walks only at r ~ 1 (the spec_for default)
@@ -45,7 +45,7 @@ def test_every_suite_can_fail(spec_for, hand_traj, name):
     check = CHECKS[name]
     spec = spec_for(REGIMES[name], window_L=50.0)
     assert spec.construction in check.constructions
-    greedy, perturbed = check.empty(), check.empty()
+    greedy, perturbed = Outcome(), Outcome()
     for i in range(10):
         real = generate(spec, stream_seed(2024, i))
         traj = run_walk(real)
@@ -62,3 +62,34 @@ def test_every_suite_can_fail(spec_for, hand_traj, name):
             perturbed += outcome
     assert greedy.violations == 0
     assert perturbed.violations >= 1
+
+
+# the counts each suite's verify line prints, in print order
+COUNT_NAMES = {
+    "lemma-distance": ("checks", "violations"),
+    "lemma-replay": ("checks", "violations"),
+    "empty-interval": ("checks", "violations"),
+    "dx-bounds": ("records", "violations"),
+    "povratak": ("occurrences", "violations", "unknowns"),
+    "cluster-traversal": ("ok", "undecided", "violations"),
+    "indented-entry": ("indented_lead_entries", "violations", "undecided",
+                       "early_exits"),
+    "uv-verdicts": ("records", "B", "C"),
+    "oracle-equivalence": ("mismatches",),
+}
+
+
+@pytest.mark.parametrize("name", CHECKS)
+def test_count_names_pinned(spec_for, name):
+    # verify prints the summed counts, so every run on every construction
+    # names the same counts in the same order, and so does their sum
+    check = CHECKS[name]
+    for construction in check.constructions:
+        spec = spec_for(construction, window_L=10.0)
+        total = Outcome()
+        for i in range(3):
+            real = generate(spec, stream_seed(31, i))
+            outcome = check.per_run(real, run_walk(real))[name]
+            assert tuple(outcome.counts) == COUNT_NAMES[name]
+            total += outcome
+        assert tuple(total.counts) == COUNT_NAMES[name]

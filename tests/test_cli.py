@@ -142,7 +142,7 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
         return {"always-bad": Outcome({"bad": 1}, 1, [{}])}
 
     monkeypatch.setitem(CHECKS, "always-bad", Check(
-        "always-bad", ("single-line",), "test shim", ("bad",), always_bad))
+        "always-bad", ("single-line",), "test shim", always_bad))
     assert main(["verify", "--suite", "always-bad", "--runs", "1"]) == 1
     assert "always-bad: FAIL (1 violations / 1 checks)" in capsys.readouterr().out
 
@@ -178,7 +178,7 @@ def test_verify_runs_suite_registered_after_parser_build(monkeypatch, capsys):
         return {"late": Outcome({"good": 1}, 1, [])}
 
     monkeypatch.setitem(CHECKS, "late", Check(
-        "late", ("single-line",), "test shim", ("good",), clean))
+        "late", ("single-line",), "test shim", clean))
     assert main(["verify", "--suite", "late", "--runs", "1"]) == 0
     assert "late: PASS (0 violations / 1 checks)" in capsys.readouterr().out
 

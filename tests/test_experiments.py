@@ -107,6 +107,11 @@ def test_worker_count_equivalence():
     serial = run_experiment(cfg_for("parallel-duplicated", n_runs=6))
     pooled = run_experiment(cfg_for("parallel-duplicated", n_runs=6, workers=2))
     assert serial == pooled
+    cfg = cfg_for("parallel-thinned", n_runs=5, window_L=50.0)
+    serial = coupled_window_study(cfg, [10.0, 25.0, 50.0])
+    pooled = coupled_window_study(dataclasses.replace(cfg, workers=2),
+                                  [10.0, 25.0, 50.0])
+    assert serial == pooled
 
 
 def test_pool_size_capped(monkeypatch):
@@ -130,15 +135,22 @@ def test_pool_size_capped(monkeypatch):
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
     serial = run_experiment(cfg_for("parallel-duplicated", n_runs=3))
+    coupled = coupled_window_study(cfg_for("parallel-duplicated", n_runs=3),
+                                   [10.0, 25.0])
     for cores, workers, n_runs, size in [(64, 500, 3, 3), (2, 500, 3, 2),
                                          (64, 2, 3, 2), (None, 500, 3, None),
                                          (64, 500, 1, None)]:
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        cfg = cfg_for("parallel-duplicated", n_runs=n_runs, workers=workers)
         sizes.clear()
-        rows = run_experiment(cfg_for("parallel-duplicated", n_runs=n_runs,
-                                      workers=workers))
+        rows = run_experiment(cfg)
         assert sizes == ([] if size is None else [size])
         assert rows == serial[:n_runs]
+        # a coupled study sizes its pool the same way
+        sizes.clear()
+        res = coupled_window_study(cfg, [10.0, 25.0])
+        assert sizes == ([] if size is None else [size])
+        assert res == {L: col[:n_runs] for L, col in coupled.items()}
 
 
 def test_summary_optional_columns():
@@ -177,6 +189,33 @@ def test_coupled_window_study():
         coupled_window_study(cfg, [])
     with pytest.raises(ValidationError):
         coupled_window_study(cfg, [-1.0, 25.0])
+
+
+@pytest.mark.parametrize("construction", CONSTRUCTIONS)
+def test_coupled_window_study_at_one_window_is_the_sweep(construction):
+    cfg = cfg_for(construction, n_runs=3)
+    assert coupled_window_study(cfg, [cfg.window_L]) == {
+        cfg.window_L: run_experiment(cfg)}
+
+
+def test_sweep_keeps_an_int_window(tmp_path):
+    # the sweep runs the config's spec as given: an int window_L is
+    # written as an int, as it always was
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({
+        "name": "int-L", "construction": "parallel-shifted", "n_runs": 3,
+        "base_seed": 5, "window_L": 50, "separation_r": 1.0,
+        "shift_s": 0.3}))
+    cfg = load_config(p)
+    paths = write_outputs(cfg, run_experiment(cfg), tmp_path)
+    assert open(paths["csv"], encoding="utf-8").read() == (
+        ",".join(CSV_COLUMNS) + "\n"
+        "0,18074882946671919669,parallel-shifted,1.0,1.0,0.3,,,50,228,122,"
+        "truncated,2,28,8,0\n"
+        "1,16247700015443706586,parallel-shifted,1.0,1.0,0.3,,,50,220,124,"
+        "truncated,1,26,4,0\n"
+        "2,2611768881034074630,parallel-shifted,1.0,1.0,0.3,,,50,206,110,"
+        "truncated,1,28,3,0\n")
 
 
 def test_sign_test_p():

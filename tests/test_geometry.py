@@ -109,10 +109,10 @@ def test_space_validation_rejects(kwargs, message):
         ProcessSpec(**kwargs)
 
 
-def test_n_lines():
-    assert (SP_SINGLE.kind, SP_SINGLE.n_lines) == (SINGLE_LINE, 1)
-    assert (SP_PAR.kind, SP_PAR.n_lines) == (PARALLEL, 2)
-    assert (SP_RIGHT.kind, SP_RIGHT.n_lines) == (INTERSECTING, 2)
+def test_kind():
+    assert SP_SINGLE.kind == SINGLE_LINE
+    assert SP_PAR.kind == PARALLEL
+    assert SP_RIGHT.kind == INTERSECTING
 
 
 @pytest.mark.parametrize(
@@ -126,7 +126,7 @@ def test_triangle_inequality_sweep(spec):
     rng = np.random.default_rng(20250815)
     n = 10_000
     us = rng.uniform(-10.0, 10.0, size=(n, 3))
-    lines = rng.integers(0, spec.n_lines, size=(n, 3))
+    lines = rng.integers(0, 1 if spec.kind == SINGLE_LINE else 2, size=(n, 3))
     worst = -math.inf
     for (u1, u2, u3), (l1, l2, l3) in zip(us, lines):
         a, b, c = Site(u1, int(l1)), Site(u2, int(l2)), Site(u3, int(l3))

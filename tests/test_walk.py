@@ -26,6 +26,7 @@ from gwlab import (
     EXHAUSTED,
     RUN_TO_EXHAUSTION,
     SHIFT_RATIO_LIMIT,
+    SINGLE_LINE,
     TRUNCATED,
     ProcessSpec,
     Site,
@@ -175,12 +176,13 @@ def test_stop_margin_lower_bounds_outside_distance(hand_real, construction):
     # every site beyond the drawn windows is at least the margin away
     real = hand_real(construction, [0.0], line1=[], alpha=0.4, window_L=10.0)
     spec = real.spec
+    lines = range(1 if spec.kind == SINGLE_LINE else 2)
     rng = np.random.default_rng(3)
-    for line in range(spec.n_lines):
+    for line in lines:
         for u in rng.uniform(*real.windows[line], size=50):
             here = Site(float(u), line)
             m = stop_margin(real, here.u, line)
-            for other in range(spec.n_lines):
+            for other in lines:
                 lo, hi = real.windows[other]
                 gaps = rng.exponential(2.0, size=20)
                 for e in np.concatenate((lo - gaps, hi + gaps)):
@@ -473,6 +475,22 @@ def test_couple_restrict_masks_points(spec_for):
         couple_restrict(real, 0.0)
     with pytest.raises(ValidationError):
         couple_restrict(real, 50.5)
+
+
+@pytest.mark.parametrize("line0", [
+    [-0.5, 0.25, np.nextafter(1.0, 2.0)],
+    [np.nextafter(-1.0, -2.0), -0.25, 0.5],
+], ids=["upper-end", "lower-end"])
+def test_couple_restrict_shifted_rounding(hand_real, line0):
+    # the point just past line 0's window end shifts onto line 1's:
+    # fl(nextafter(1, 2) + 5000) == 5001.0 == fl(1 + 5000), and mirrored
+    real = hand_real("parallel-shifted", line0, window_L=2.0,
+                     separation_r=1e4, shift_s=5000.0)
+    assert real.line1[[0, -1]].tolist() in ([4999.5, 5001.0],
+                                            [4999.0, 5000.5])
+    small = couple_restrict(real, 1.0)
+    assert small.line0.tolist() == [u for u in line0 if abs(u) <= 1.0]
+    assert np.array_equal(small.line1, small.line0 + 5000.0)
 
 
 @pytest.mark.parametrize("construction", [
