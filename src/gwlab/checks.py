@@ -2,13 +2,12 @@
 
 Each check names the structural fact it tests, the constructions it applies
 to, and a per-run function that turns one (realization, trajectory) pair
-into named counts and violation details.  Only the per-run function names
-a check's counts, and their order is the order verify prints them in.
+into the one Outcome of its suite.  Only the per-run function names a
+check's counts, and their order is the order verify prints them in.
 ``gwlab verify`` sums one check over many seeded runs; the acceptance tests
-feed their corpora through the same functions.
+feed their corpora through the same functions, except that criterion 8
+reads the lemma audits from ``audit_lemmas`` directly, once per run.
 
-A per-run function returns outcomes keyed by check name and may answer
-several checks at once: the three audits share one ``audit_lemmas`` call.
 The analysis functions are looked up as module globals at call time, so a
 caller can rebind them (tracing, test shims).
 """
@@ -16,6 +15,7 @@ caller can rebind them (tracing, test shims).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from .analysis import (
@@ -24,6 +24,8 @@ from .analysis import (
     check_indented_entry,
     check_povratak,
     check_reduced_alignment,
+    cluster_visits,
+    clusters_of,
     compute_Dx,
     extract_UV_sequences,
     validate_dx_record,
@@ -69,13 +71,13 @@ class Outcome:
 
 @dataclass(frozen=True)
 class Check:
-    """One verify suite; its per-run function names the counts it prints,
-    in print order."""
+    """One verify suite; its per-run function returns the suite's Outcome
+    on one run, whose counts name what verify prints, in print order."""
 
     name: str
     constructions: tuple[str, ...]
     description: str
-    per_run: Callable[[Realization, Trajectory], dict[str, Outcome]]
+    per_run: Callable[[Realization, Trajectory], Outcome]
 
 
 def _where(real: Realization, **detail) -> dict:
@@ -83,22 +85,13 @@ def _where(real: Realization, **detail) -> dict:
     return {"spec": real.spec.to_dict(), "seed": real.seed, **detail}
 
 
-_AUDITS = (
-    ("lemma-distance", "pair-distance", "pair_checks"),
-    ("lemma-replay", "replay-max", "replay_checks"),
-    ("empty-interval", "empty-interval", "empty_interval_checks"),
-)
-
-
-def _audits(real, traj):
+def _audit(kind, counter, real, traj):
+    """One lemma audit: the checks audit_lemmas counts under `counter` and
+    its violations of `kind`."""
     audit = audit_lemmas(real, traj)
-    out = {}
-    for name, kind, counter in _AUDITS:
-        bad = [_where(real, **v) for v in audit.violations
-               if v["kind"] == kind]
-        n = getattr(audit, counter)
-        out[name] = Outcome({"checks": n, "violations": len(bad)}, n, bad)
-    return out
+    bad = [_where(real, **v) for v in audit.violations if v["kind"] == kind]
+    n = getattr(audit, counter)
+    return Outcome({"checks": n, "violations": len(bad)}, n, bad)
 
 
 def _dx_bounds(real, traj):
@@ -106,69 +99,74 @@ def _dx_bounds(real, traj):
     bad = [_where(real, x=x, problem=p)
            for x, p in validate_dx_record(real.spec.construction, dx)]
     n = int(dx.decided.sum())
-    return {"dx-bounds": Outcome({"records": n, "violations": len(bad)}, n, bad)}
+    return Outcome({"records": n, "violations": len(bad)}, n, bad)
 
 
 def _povratak(real, traj):
     s = check_povratak(real, traj)
     bad = [_where(real, **d) for d in s.violation_details]
-    return {"povratak": Outcome(
-        {"occurrences": s.occurrences, "violations": s.violations,
-         "unknowns": s.unknowns},
-        s.occurrences, bad)}
+    return Outcome({"occurrences": s.occurrences, "violations": s.violations,
+                    "unknowns": s.unknowns}, s.occurrences, bad)
 
 
 # The traversal verdict alone sets the counts.  Unless it is False, each
 # entered non-zero cluster is one block of consecutive steps that enters
 # and, if finished, leaves at its lead, so every step between clusters
 # leaves from or lands on a lead or the zero cluster: the alignment check
-# holds, and it runs only to fill a violation's detail.
+# holds, and it runs only to fill a violation's detail.  None and False
+# need an entered non-zero cluster; True holds vacuously on a walk that
+# entered none, and such a run checked nothing.
 _TRAVERSAL_COUNT = {True: "ok", None: "undecided", False: "violations"}
 
 
 def _cluster_traversal(real, traj):
     consec = check_cluster_consecutive(real, traj)
     counts = dict.fromkeys(_TRAVERSAL_COUNT.values(), 0)
+    if consec is True:
+        dec = clusters_of(real)
+        if not (cluster_visits(dec, traj).entered & dec.nonzero()).any():
+            return Outcome(counts, 0, [])
     counts[_TRAVERSAL_COUNT[consec]] = 1
     bad = [] if consec is not False else [_where(
         real, consecutive=False, aligned=check_reduced_alignment(real, traj))]
-    return {"cluster-traversal": Outcome(counts, 1, bad)}
+    return Outcome(counts, 1, bad)
 
 
 def _indented_entry(real, traj):
     s = check_indented_entry(real, traj)
     bad = [_where(real, **d) for d in s.violation_details]
-    return {"indented-entry": Outcome(
-        {"indented_lead_entries": s.entries, "violations": len(bad),
-         "undecided": s.undecided, "early_exits": s.early_exits},
-        s.entries, bad)}
+    return Outcome({"indented_lead_entries": s.entries, "violations": len(bad),
+                    "undecided": s.undecided, "early_exits": s.early_exits},
+                   s.entries, bad)
 
 
 def _uv_verdicts(real, traj):
     records = extract_UV_sequences(traj)
     bad = [_where(real, n=rec.n) for rec in records if rec.verdict == "C"]
-    return {"uv-verdicts": Outcome(
+    return Outcome(
         {"records": len(records), "B": len(records) - len(bad), "C": len(bad)},
-        len(records), bad)}
+        len(records), bad)
 
 
 def _oracle(real, traj):
     same = trajectories_equal(traj, run_walk_naive(real))
     bad = [] if same else [_where(real)]
-    return {"oracle-equivalence": Outcome({"mismatches": len(bad)}, 1, bad)}
+    return Outcome({"mismatches": len(bad)}, 1, bad)
 
 
 _SINGLE_AND_PARALLEL = (SINGLE_POISSON,) + PARALLEL_CONSTRUCTIONS
 
 CHECKS = {c.name: c for c in (
     Check("lemma-distance", PARALLEL_CONSTRUCTIONS,
-          "close cross-line pairs must lose a member once straddled", _audits),
+          "close cross-line pairs must lose a member once straddled",
+          partial(_audit, "pair-distance", "pair_checks")),
     Check("lemma-replay", _SINGLE_AND_PARALLEL,
           "steps into swept territory must hit the largest alive shadow",
-          _audits),
+          partial(_audit, "replay-max", "replay_checks")),
     Check("empty-interval", _SINGLE_AND_PARALLEL,
           "killing the last copy at a crossed shadow leaves no alive site "
-          "above it up to and including the running max", _audits),
+          "above it up to and including the running max",
+          partial(_audit, "empty-interval", "empty_interval_checks")),
     Check("dx-bounds", (PARALLEL_THINNED, PARALLEL_SHIFTED),
           "deficiency records stay within their per-construction bounds",
           _dx_bounds),
@@ -188,14 +186,3 @@ CHECKS = {c.name: c for c in (
           "optimized walk engine matches the exhaustive-scan engine step "
           "for step", _oracle),
 )}
-
-
-def run_checks(real: Realization, traj: Trajectory,
-               names) -> dict[str, Outcome]:
-    """Outcomes of the named checks on one run; checks that share a per-run
-    function share one call of it."""
-    out: dict[str, Outcome] = {}
-    for name in names:
-        if name not in out:
-            out.update(CHECKS[name].per_run(real, traj))
-    return {name: out[name] for name in names}

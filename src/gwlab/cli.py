@@ -97,8 +97,7 @@ def _cmd_verify(args) -> int:
             print(f"{check.name}: {check.description}")
         return 0
     if args.suite is None:
-        print("error: --suite NAME or --list-suites required", file=sys.stderr)
-        return 2
+        raise ValidationError("--suite NAME or --list-suites required")
     if args.suite not in CHECKS:
         raise ValidationError(f"unknown suite {args.suite!r}; known suites: "
                               f"{', '.join(sorted(CHECKS))}")
@@ -121,7 +120,7 @@ def _cmd_verify(args) -> int:
         total = Outcome()
         for i in range(args.runs):
             real = generate(spec, stream_seed(args.seed, i))
-            total += check.per_run(real, run_walk(real))[check.name]
+            total += check.per_run(real, run_walk(real))
         counts = " ".join(f"{k}={v}" for k, v in total.counts.items())
         print(f"  {label}: runs={args.runs} {counts}")
         checks += total.checks

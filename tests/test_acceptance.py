@@ -26,7 +26,9 @@ from gwlab import (
     PARALLEL_THINNED,
     SINGLE_POISSON,
     ExperimentConfig,
+    LemmaAudit,
     ProcessSpec,
+    audit_lemmas,
     couple_restrict,
     coupled_window_study,
     detect_crossings,
@@ -38,7 +40,7 @@ from gwlab import (
     sign_test_p,
     stream_seed,
 )
-from gwlab.checks import CHECKS, Outcome, run_checks
+from gwlab.checks import CHECKS, Outcome
 
 
 def _emit(num: int, ok: bool, detail: str) -> None:
@@ -51,30 +53,33 @@ PARAMS = dict(window_L=50.0, separation_r=1.0, alpha=math.pi / 3,
 
 
 def _check(name: str, real, traj):
-    return run_checks(real, traj, (name,))[name]
+    return CHECKS[name].per_run(real, traj)
 
 
 # ---------------------------------------------------------------------------
 # shared audit / deficiency tally fed by the criterion 1-7 corpora
 
-_TALLIED = ("lemma-distance", "lemma-replay", "empty-interval", "dx-bounds")
-
-
 @dataclass
 class Tally:
-    outcomes: dict = field(default_factory=lambda: {
-        name: Outcome() for name in _TALLIED})
+    audit: LemmaAudit = field(default_factory=LemmaAudit)  # summed over runs
+    dx: Outcome = field(default_factory=Outcome)
     summary_failures: int = 0  # lemma failures reported by experiment rows
 
     def add(self, real, traj) -> None:
+        if real.spec.construction == INTERSECTING_INDEPENDENT:
+            return  # the audits have no shadow ordering to read there
+        run = audit_lemmas(real, traj)
+        self.audit.pair_checks += run.pair_checks
+        self.audit.replay_checks += run.replay_checks
+        self.audit.empty_interval_checks += run.empty_interval_checks
+        self.audit.violations += [{"spec": real.spec.to_dict(),
+                                   "seed": real.seed, **v}
+                                  for v in run.violations]
         # full per-level sweeps are capped at half-width 50 to keep the
         # quadratic cost bounded; larger coupled windows are audited only
-        small = real.spec.window_L <= 50.0
-        names = [n for n in _TALLIED
-                 if real.spec.construction in CHECKS[n].constructions
-                 and (small or n != "dx-bounds")]
-        for name, outcome in run_checks(real, traj, names).items():
-            self.outcomes[name] += outcome
+        if (real.spec.window_L <= 50.0
+                and real.spec.construction in CHECKS["dx-bounds"].constructions):
+            self.dx += _check("dx-bounds", real, traj)
 
 
 TALLY = Tally()
@@ -350,18 +355,17 @@ def test_criterion_7_povratak(c7_stats):
 
 def test_criterion_8_audits_clean(c1_stats, c2_stats, c3_stats, c4_stats,
                                   c5_stats, c6_stats, c7_stats):
-    out = TALLY.outcomes
-    n_audit = sum(out[n].violations for n in _TALLIED[:3])
-    n_dx = out["dx-bounds"].violations
-    ok = (n_audit == 0 and n_dx == 0 and TALLY.summary_failures == 0
-          and all(o.checks > 0 for o in out.values()))
-    _emit(8, ok, f"{out['lemma-distance'].checks} pair, "
-                 f"{out['lemma-replay'].checks} replay, "
-                 f"{out['empty-interval'].checks} empty-interval checks and "
-                 f"{out['dx-bounds'].checks} deficiency records over the "
-                 f"criterion 1-7 corpora: {n_audit} audit, {n_dx} deficiency, "
+    audit, dx = TALLY.audit, TALLY.dx
+    n_audit = len(audit.violations)
+    ok = (n_audit == 0 and dx.violations == 0 and TALLY.summary_failures == 0
+          and all(n > 0 for n in (audit.pair_checks, audit.replay_checks,
+                                  audit.empty_interval_checks, dx.checks)))
+    _emit(8, ok, f"{audit.pair_checks} pair, {audit.replay_checks} replay, "
+                 f"{audit.empty_interval_checks} empty-interval checks and "
+                 f"{dx.checks} deficiency records over the criterion 1-7 "
+                 f"corpora: {n_audit} audit, {dx.violations} deficiency, "
                  f"{TALLY.summary_failures} summary-reported violations")
-    assert ok, [o.details[:3] for o in out.values()]
+    assert ok, (audit.violations[:3], dx.details[:3])
 
 
 # ---------------------------------------------------------------------------

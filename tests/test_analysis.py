@@ -50,7 +50,7 @@ from gwlab import (
     validate_dx_record,
 )
 from gwlab import analysis
-from gwlab.checks import run_checks
+from gwlab.checks import CHECKS
 from gwlab.walk import Trajectory
 from gwlab.analysis import (
     A_K_SHIFTED,
@@ -780,8 +780,8 @@ def test_traversal_verdict_implies_alignment(spec_for):
 def entry_counts(real, trajs):
     """The indented-entry counts per trajectory, as "e.v.u.x" words."""
     return " ".join(
-        ".".join(str(v) for v in run_checks(
-            real, t, ("indented-entry",))["indented-entry"].counts.values())
+        ".".join(str(v) for v in
+                 CHECKS["indented-entry"].per_run(real, t).counts.values())
         for t in trajs)
 
 
@@ -1545,7 +1545,7 @@ def dx_pin_values(spec_for):
             digests = [hashlib.sha256() for _ in range(3)]
             records, verdicts, povratak = 0, [0, 0, 0], [0, 0, 0]
             for t in trajs:
-                dx = run_checks(real, t, ["dx-bounds"])["dx-bounds"]
+                dx = CHECKS["dx-bounds"].per_run(real, t)
                 events = detect_A_events(real, t)
                 summary = check_povratak(real, t)
                 records += dx.checks

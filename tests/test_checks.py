@@ -49,10 +49,10 @@ def test_every_suite_can_fail(spec_for, hand_traj, name):
     for i in range(10):
         real = generate(spec, stream_seed(2024, i))
         traj = run_walk(real)
-        greedy += check.per_run(real, traj)[name]
+        greedy += check.per_run(real, traj)
         for bad in _perturbed(hand_traj, real, traj,
                               np.random.default_rng(i)):
-            outcome = check.per_run(real, bad)[name]
+            outcome = check.per_run(real, bad)
             for d in outcome.details:
                 # its spec dict and seed draw the very run the check saw
                 again = generate(ProcessSpec.from_dict(d["spec"]), d["seed"])
@@ -89,7 +89,7 @@ def test_count_names_pinned(spec_for, name):
         total = Outcome()
         for i in range(3):
             real = generate(spec, stream_seed(31, i))
-            outcome = check.per_run(real, run_walk(real))[name]
+            outcome = check.per_run(real, run_walk(real))
             assert tuple(outcome.counts) == COUNT_NAMES[name]
             total += outcome
         assert tuple(total.counts) == COUNT_NAMES[name]

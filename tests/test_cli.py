@@ -27,6 +27,7 @@ from gwlab import (
     run_walk,
     trajectory_from_binary,
 )
+from gwlab import checks
 from gwlab.checks import CHECKS, Check, Outcome
 from gwlab.cli import DEFAULT_SEED, _build_parser, main
 from gwlab.walk import trajectory_to_dicts
@@ -139,7 +140,7 @@ def test_verify_output_pinned(capsys):
 
 def test_verify_failure_exit_code(monkeypatch, capsys):
     def always_bad(real, traj):
-        return {"always-bad": Outcome({"bad": 1}, 1, [{}])}
+        return Outcome({"bad": 1}, 1, [{}])
 
     monkeypatch.setitem(CHECKS, "always-bad", Check(
         "always-bad", ("single-line",), "test shim", always_bad))
@@ -147,12 +148,38 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     assert "always-bad: FAIL (1 violations / 1 checks)" in capsys.readouterr().out
 
 
+_PARALLEL_RAN = ("  parallel-duplicated: runs=3 {0}\n"
+                 "  parallel-thinned: runs=3 {0}\n"
+                 "  parallel-shifted: runs=3 {0}\n")
+_AUDIT_RAN = ("  single-line: runs=3 checks=0 violations=0\n"
+              + _PARALLEL_RAN.format("checks=0 violations=0"))
+
+
 @pytest.mark.parametrize("argv, ran", [
     ("--suite povratak --runs 20 --window-L 2 --construction parallel-thinned",
      "  parallel-thinned: runs=20 occurrences=0 violations=0 unknowns=0\n"),
     ("--suite uv-verdicts --runs 3 --window-L 0.01",
      "  intersecting: runs=3 records=0 B=0 C=0\n"),
-], ids=["povratak", "uv-verdicts"])
+    ("--suite lemma-distance --runs 3 --window-L 0.001",
+     _PARALLEL_RAN.format("checks=0 violations=0")),
+    ("--suite lemma-replay --runs 3 --window-L 0.001", _AUDIT_RAN),
+    ("--suite empty-interval --runs 3 --window-L 0.001", _AUDIT_RAN),
+    ("--suite dx-bounds --runs 3 --window-L 0.001",
+     "  parallel-thinned: runs=3 records=0 violations=0\n"
+     "  parallel-shifted: runs=3 records=0 violations=0\n"),
+    # the traversal verdict holds vacuously on a walk that enters no
+    # non-zero cluster: on no points, and where every point lies in the
+    # zero cluster (all 200 runs of the second call)
+    ("--suite cluster-traversal --runs 20 --window-L 0.001",
+     "  parallel-duplicated: runs=20 ok=0 undecided=0 violations=0\n"),
+    ("--suite cluster-traversal --runs 200 --window-L 0.5 --seed 3",
+     "  parallel-duplicated: runs=200 ok=0 undecided=0 violations=0\n"),
+    ("--suite indented-entry --runs 3 --window-L 0.001",
+     "  parallel-shifted: runs=3 indented_lead_entries=0 violations=0 "
+     "undecided=0 early_exits=0\n"),
+], ids=["povratak", "uv-verdicts", "lemma-distance", "lemma-replay",
+        "empty-interval", "dx-bounds", "cluster-traversal",
+        "cluster-traversal-zero-cluster", "indented-entry"])
 def test_verify_without_checks_does_not_pass(capsys, argv, ran):
     # runs that give a suite nothing to check must not read as a clean
     # verification; the per-construction lines still show what ran
@@ -160,6 +187,24 @@ def test_verify_without_checks_does_not_pass(capsys, argv, ran):
     out = capsys.readouterr().out
     assert ran in out
     assert out.endswith(": NO CHECKS (0 violations / 0 checks)\n")
+
+
+@pytest.mark.parametrize("suite", ["lemma-distance", "lemma-replay",
+                                   "empty-interval"])
+def test_verify_audits_once_per_run(monkeypatch, capsys, suite):
+    # each audit suite reads its own counts off one audit_lemmas call per
+    # run, so no suite recomputes another's work
+    calls = []
+
+    def counting(real, traj):
+        calls.append(real.seed)
+        return audit_lemmas(real, traj)
+
+    monkeypatch.setattr(checks, "audit_lemmas", counting)
+    assert main(["verify", "--suite", suite, "--construction",
+                 "parallel-duplicated", "--runs", "3"]) == 0
+    assert f"{suite}: PASS" in capsys.readouterr().out
+    assert len(calls) == 3
 
 
 def test_verify_rejects_unknown_suite(capsys):
@@ -175,7 +220,7 @@ def test_verify_runs_suite_registered_after_parser_build(monkeypatch, capsys):
     _build_parser()
 
     def clean(real, traj):
-        return {"late": Outcome({"good": 1}, 1, [])}
+        return Outcome({"good": 1}, 1, [])
 
     monkeypatch.setitem(CHECKS, "late", Check(
         "late", ("single-line",), "test shim", clean))
