@@ -38,11 +38,9 @@ from .walk import (
     RUN_TO_EXHAUSTION,
     TRUNCATED,
     TRUNCATION_SAFE,
-    Site,
     StopRule,
     Trajectory,
     cross_distance,
-    distance,
     mirror_trajectory,
     run_walk,
     run_walk_naive,

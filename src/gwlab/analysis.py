@@ -50,7 +50,7 @@ from .processes import (
     mirror_realization,
 )
 from . import walk
-from .walk import Site, Trajectory, mirror_trajectory
+from .walk import Trajectory, mirror_trajectory
 
 A_M_PARALLEL = "A_m_parallel"
 A_K_THINNED = "A_k_thinned"
@@ -246,20 +246,27 @@ class UVRecord:
     j is the 1-based step of the n-th qualifying half-line change (far
     enough out to beat both the integer level n and the previous
     landmark's norm); k <= j starts the maximal same-half-line run ending
-    at j.  U and V are the sites at steps k and j; verdict is "B" when
-    the run begins no farther out than it ends (|U| <= |V|), else "C".
+    at j.  U and V are the sites (abscissa, line) at steps k and j, in the
+    order the UV pins hash; verdict is "B" when the run begins no farther
+    out than it ends (|U| <= |V|), else "C".  A greedy walk never gives C
+    (proof in README, under bounds): V was strictly nearer than U to the
+    site before the run.  In floating point only a rounded tie or an
+    inversion of the metric can give one.
     """
 
     n: int
     j: int
     k: int
-    U: Site
-    V: Site
+    u_U: float
+    line_U: int
+    u_V: float
+    line_V: int
     verdict: str
 
 
 def extract_UV_sequences(traj: Trajectory) -> list[UVRecord]:
-    us, lines = traj.us, traj.lines
+    """The landmark records of any walk, greedy or not, one per level n."""
+    us, lines = traj.us.tolist(), traj.lines.tolist()
     records: list[UVRecord] = []
     norm_prev = 0.0
     # the changes list every half-line switch, so the run ending at change
@@ -269,12 +276,9 @@ def extract_UV_sequences(traj: Trajectory) -> list[UVRecord]:
         n = len(records) + 1
         norm = abs(us[j - 1])
         if norm > max(float(n), norm_prev):
-            U = Site(float(us[k - 1]), int(lines[k - 1]))
-            V = Site(float(us[j - 1]), int(lines[j - 1]))
-            records.append(
-                UVRecord(n=n, j=j, k=k, U=U, V=V,
-                         verdict="B" if abs(U.u) <= abs(V.u) else "C")
-            )
+            records.append(UVRecord(
+                n, j, k, us[k - 1], lines[k - 1], us[j - 1], lines[j - 1],
+                "B" if abs(us[k - 1]) <= norm else "C"))
             norm_prev = norm
         k = j + 1
     return records

@@ -76,17 +76,6 @@ RUN_TO_EXHAUSTION = "run-to-exhaustion"
 TRUNCATION_SAFE = "truncation-safe"
 
 
-@dataclass(frozen=True)
-class Site:
-    """A location on the space: signed abscissa `u` on line `line` (0 or 1).
-
-    Line 1 is the second line (the "line r" of a parallel pair).
-    """
-
-    u: float
-    line: int = 0
-
-
 def cross_distance(spec, u, v, sqrt=math.sqrt):
     """Distance from abscissa u on one line to abscissa v on the other.
 
@@ -103,15 +92,6 @@ def cross_distance(spec, u, v, sqrt=math.sqrt):
         du = u - v
         return sqrt(du * du + r * r)
     return sqrt(abs(u * u + v * v - 2.0 * u * v * spec.cos_alpha))
-
-
-def distance(spec, a: Site, b: Site) -> float:
-    """Euclidean distance between two sites on a ProcessSpec's lines."""
-    if a.line == b.line:
-        return abs(a.u - b.u)
-    if spec.kind == SINGLE_LINE:
-        raise ValidationError("single-line space has no second line")
-    return cross_distance(spec, a.u, b.u)
 
 
 @dataclass(frozen=True)

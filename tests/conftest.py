@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gwlab import ProcessSpec, Realization, Site, Trajectory, distance
+from gwlab import ProcessSpec, Realization, Trajectory, cross_distance
 
 
 # the CLI's defaults; ProcessSpec.build ignores the ones a construction
@@ -60,16 +60,16 @@ def hand_traj():
         lines = np.asarray(lines, dtype=np.int8)
         vis0 = np.full(len(real.line0), -1, dtype=np.int64)
         vis1 = np.full(len(real.line1), -1, dtype=np.int64)
-        prev = Site(0.0, 0)
+        pu, pl = 0.0, 0
         dists = []
         for t, (u, l) in enumerate(zip(us, lines), start=1):
             arr = real.line0 if l == 0 else real.line1
             i = int(np.searchsorted(arr, u))
             assert i < len(arr) and arr[i] == u, f"({u}, {l}) not in realization"
             (vis0 if l == 0 else vis1)[i] = t
-            here = Site(float(u), int(l))
-            dists.append(distance(real.spec, prev, here))
-            prev = here
+            dists.append(abs(u - pu) if l == pl
+                         else cross_distance(real.spec, pu, u))
+            pu, pl = u, l
         return Trajectory(
             us=us,
             lines=lines,

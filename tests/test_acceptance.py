@@ -398,7 +398,11 @@ def test_criterion_9_landmark_tail_bound(c9_stats):
     # The bound is above 1 at n = 1 and 2, and at n = 3 it is 0.86 against
     # a B frequency of 6.0e-4; no run records a level n >= 4.  The bound
     # is far from the data at every level, so on greedy walks the live
-    # check is the count of C verdicts, which must be 0.
+    # check is the count of C verdicts, which must be 0.  That count is
+    # forced by the greedy rule (proof in README, under bounds): V is
+    # strictly nearer than U to the site before the run, so a C can come
+    # only from a rounded tie or an inverted metric.  It checks the step
+    # rule, not the claim that the walk misses points.
     n_runs = c9_stats["n_runs"]
     worst = None
     ok = c9_stats["c_total"] == 0

@@ -10,7 +10,7 @@ import json
 import math
 import random
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from itertools import repeat
 from pathlib import Path
 
@@ -24,7 +24,6 @@ from gwlab import (
     DeficiencyRecords,
     EventTable,
     PovratakSummary,
-    Site,
     StopRule,
     ValidationError,
     audit_lemmas,
@@ -383,7 +382,7 @@ def test_uv_single_record(hand_real, hand_traj):
     assert len(recs) == 1
     rec = recs[0]
     assert (rec.n, rec.j, rec.k) == (1, 3, 1)
-    assert rec.U == Site(1.0, 0) and rec.V == Site(3.0, 0)
+    assert (rec.u_U, rec.line_U, rec.u_V, rec.line_V) == (1.0, 0, 3.0, 0)
     assert rec.verdict == "B"
 
 
@@ -410,16 +409,17 @@ def test_uv_two_levels(hand_real, hand_traj):
     assert [(r.n, r.j, r.k, r.verdict) for r in recs] == [
         (1, 1, 1, "B"), (2, 2, 2, "B"),
     ]
-    assert recs[1].U == Site(-2.5, 1)
+    assert (recs[1].u_U, recs[1].line_U) == (-2.5, 1)
 
 
 def uv_pin_values(spec_for):
     """What uv_pins.json pins, per run and order: the number of landmark
     records, the B and C verdict counts and a sha256 digest of every
-    record (n, j, k, U, V, verdict) as JSON in order.  Intersecting walks
-    at three angles, each named by its start, the origin, are taken
-    greedy, cut at half their length, with steps k, k+1 swapped for every
-    7th k (summed over the swaps, digests chained), and fully shuffled."""
+    record (its fields, n, j, k, U, V, verdict) as JSON in order.
+    Intersecting walks at three angles, each named by its start, the
+    origin, are taken greedy, cut at half their length, with steps k, k+1
+    swapped for every 7th k (summed over the swaps, digests chained), and
+    fully shuffled."""
     alphas = {"pi/3": math.pi / 3, "pi/2": math.pi / 2,
               "2pi/3": 2 * math.pi / 3}
     runs = [(a, 50.0, i) for a in alphas for i in range(0, 24, 3)]
@@ -445,9 +445,7 @@ def uv_pin_values(spec_for):
                 records += len(recs)
                 for r in recs:
                     verdicts["BC".index(r.verdict)] += 1
-                digest.update(json.dumps(
-                    [[r.n, r.j, r.k, r.U.u, r.U.line, r.V.u, r.V.line,
-                      r.verdict] for r in recs]).encode())
+                digest.update(json.dumps(list(map(astuple, recs))).encode())
             out[f"{name}/{order}"] = {"records": records,
                                       "verdicts": verdicts,
                                       "records_sha256": digest.hexdigest()}
@@ -629,6 +627,24 @@ def swap_steps(traj, k):
     order = np.arange(len(traj))
     order[[k - 1, k]] = order[[k, k - 1]]
     return reorder_steps(traj, order)
+
+
+@pytest.mark.parametrize("construction", ["single-line", "intersecting",
+                                          "parallel-shifted"])
+def test_oracle_mismatch_names_its_first_differing_step(spec_for,
+                                                        construction):
+    # the step the walks part at, or one past a walk cut short
+    real = generate(spec_for(construction, window_L=10.0), stream_seed(61, 0))
+    traj = run_walk(real)
+    n = len(traj)
+    assert n > 3
+    check = CHECKS["oracle-equivalence"]
+    for k in (1, n // 2, n - 1):
+        [detail] = check.per_run(real, swap_steps(traj, k)).details
+        assert detail["step"] == k
+    [detail] = check.per_run(real, cut_prefix(traj, n - 2)).details
+    assert detail["step"] == n - 1
+    assert check.per_run(real, traj).details == []
 
 
 def test_reduce_to_cluster_leads(hand_real, hand_traj):

@@ -2,10 +2,13 @@
 and at least one once a small corpus of them is made non-greedy, and each
 violation names the run it was found on."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
-from gwlab import ProcessSpec, generate, run_walk, stream_seed
+from gwlab import (ProcessSpec, extract_UV_sequences, generate, run_walk,
+                   stream_seed)
 from gwlab.checks import CHECKS, Outcome
 
 # a construction each suite applies to and can fail on; povratak and
@@ -62,6 +65,22 @@ def test_every_suite_can_fail(spec_for, hand_traj, name):
             perturbed += outcome
     assert greedy.violations == 0
     assert perturbed.violations >= 1
+
+
+def test_uv_violations_carry_their_records(spec_for, hand_traj):
+    # a C detail is the whole landmark record, so it names its steps j and
+    # k and both sites; checked on the shuffled walks of the corpus above
+    spec = spec_for(REGIMES["uv-verdicts"], window_L=50.0)
+    found = 0
+    for i in range(10):
+        real = generate(spec, stream_seed(2024, i))
+        *_, shuffled = _perturbed(hand_traj, real, run_walk(real),
+                                  np.random.default_rng(i))
+        want = [{"spec": real.spec.to_dict(), "seed": real.seed, **asdict(r)}
+                for r in extract_UV_sequences(shuffled) if r.verdict == "C"]
+        assert CHECKS["uv-verdicts"].per_run(real, shuffled).details == want
+        found += len(want)
+    assert found >= 1
 
 
 # the counts each suite's verify line prints, in print order

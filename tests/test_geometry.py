@@ -13,12 +13,15 @@ from gwlab import (
     INTERSECTING_INDEPENDENT,
     PARALLEL,
     PARALLEL_DUPLICATED,
+    RUN_TO_EXHAUSTION,
     SINGLE_LINE,
     SINGLE_POISSON,
     ProcessSpec,
-    Site,
+    Realization,
+    StopRule,
     ValidationError,
-    distance,
+    cross_distance,
+    run_walk,
 )
 
 SP_SINGLE = ProcessSpec(SINGLE_POISSON, window_L=10.0)
@@ -29,40 +32,44 @@ SP_RIGHT = ProcessSpec(INTERSECTING_INDEPENDENT, window_L=10.0,
 finite_u = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 
 
+def site_distance(spec, a, b):
+    """Distance between sites (u, line), as every engine measures a step."""
+    (u, l), (v, m) = a, b
+    return abs(u - v) if l == m else cross_distance(spec, u, v)
+
+
 def test_same_line_distance_is_abscissa_gap():
-    assert distance(SP_PAR, Site(1.5, 0), Site(-2.0, 0)) == 3.5
-    assert distance(SP_SINGLE, Site(4.0, 0), Site(4.0, 0)) == 0.0
+    # a step along one line is the abscissa gap, from the origin on
+    real = Realization(spec=SP_SINGLE, seed=0, line0=np.array([-2.0, 1.5]),
+                       line1=np.empty(0))
+    traj = run_walk(real, rule=StopRule(RUN_TO_EXHAUSTION))
+    assert traj.step_distances.tolist() == [1.5, 3.5]
 
 
 def test_parallel_cross_line_distance():
-    assert distance(SP_PAR, Site(3.0, 0), Site(0.0, 1)) == pytest.approx(
+    assert cross_distance(SP_PAR, 3.0, 0.0) == pytest.approx(
         math.hypot(3.0, 1.0)
     )
     # directly across: exactly the separation
-    assert distance(SP_PAR, Site(2.0, 0), Site(2.0, 1)) == 1.0
+    assert cross_distance(SP_PAR, 2.0, 2.0) == 1.0
 
 
 def test_intersecting_right_angle_distance():
-    assert distance(SP_RIGHT, Site(3.0, 0), Site(4.0, 1)) == pytest.approx(5.0)
+    assert cross_distance(SP_RIGHT, 3.0, 4.0) == pytest.approx(5.0)
     # abscissas are signed from the intersection point
-    assert distance(SP_RIGHT, Site(0.0, 0), Site(-2.5, 1)) == 2.5
+    assert cross_distance(SP_RIGHT, 0.0, -2.5) == 2.5
 
 
 def test_intersecting_sign_matters():
     sp = ProcessSpec(INTERSECTING_INDEPENDENT, window_L=10.0,
                      alpha=math.pi / 3)
-    near = distance(sp, Site(2.0, 0), Site(2.0, 1))
-    far = distance(sp, Site(2.0, 0), Site(-2.0, 1))
+    near = cross_distance(sp, 2.0, 2.0)
+    far = cross_distance(sp, 2.0, -2.0)
     assert near < far
     # law of cosines against an explicit plane embedding
     a, b = 2.0, 2.0
     expect = math.sqrt(a * a + b * b - 2 * a * b * math.cos(math.pi / 3))
     assert near == pytest.approx(expect)
-
-
-def test_single_line_has_no_second_line():
-    with pytest.raises(ValidationError):
-        distance(SP_SINGLE, Site(0.0, 0), Site(1.0, 1))
 
 
 # the geometry values a spec rejects, with the message naming the rule
@@ -129,22 +136,23 @@ def test_triangle_inequality_sweep(spec):
     lines = rng.integers(0, 1 if spec.kind == SINGLE_LINE else 2, size=(n, 3))
     worst = -math.inf
     for (u1, u2, u3), (l1, l2, l3) in zip(us, lines):
-        a, b, c = Site(u1, int(l1)), Site(u2, int(l2)), Site(u3, int(l3))
-        slack = distance(spec, a, b) + distance(spec, b, c) - distance(spec, a, c)
+        a, b, c = (u1, l1), (u2, l2), (u3, l3)
+        slack = (site_distance(spec, a, b) + site_distance(spec, b, c)
+                 - site_distance(spec, a, c))
         worst = max(worst, -slack)
     assert worst <= 1e-12
 
 
-@given(u=finite_u, v=finite_u, la=st.integers(0, 1), lb=st.integers(0, 1))
-def test_distance_symmetric_nonnegative(u, v, la, lb):
+@given(u=finite_u, v=finite_u)
+def test_distance_symmetric_nonnegative(u, v):
     for spec in (SP_PAR, SP_RIGHT):
-        d1 = distance(spec, Site(u, la), Site(v, lb))
-        d2 = distance(spec, Site(v, lb), Site(u, la))
+        d1 = cross_distance(spec, u, v)
+        d2 = cross_distance(spec, v, u)
         assert d1 == d2
         assert d1 >= 0.0
 
 
 @given(u=finite_u, v=finite_u)
 def test_parallel_cross_distance_dominates_separation(u, v):
-    assert distance(SP_PAR, Site(u, 0), Site(v, 1)) >= SP_PAR.separation_r
+    assert cross_distance(SP_PAR, u, v) >= SP_PAR.separation_r
 

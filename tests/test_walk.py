@@ -29,11 +29,10 @@ from gwlab import (
     SINGLE_LINE,
     TRUNCATED,
     ProcessSpec,
-    Site,
     StopRule,
     ValidationError,
     couple_restrict,
-    distance,
+    cross_distance,
     generate,
     mirror_realization,
     mirror_trajectory,
@@ -129,8 +128,8 @@ def test_a_stale_positional_start_fails_loudly(spec_for, engine):
     # so a start site passed where it used to go is a TypeError, not a
     # rule without a mode
     real = generate(spec_for("parallel-duplicated", window_L=10.0), 1)
-    for args, kwargs in (((Site(2.0, 0),), {}), ((Site(2.0, 0), EXH), {}),
-                         ((), {"start": Site(2.0, 0)})):
+    for args, kwargs in ((((2.0, 0),), {}), (((2.0, 0), EXH), {}),
+                         ((), {"start": (2.0, 0)})):
         with pytest.raises(TypeError):
             engine(real, *args, **kwargs)
     assert trajectories_equal(engine(real), run_walk(real, rule=StopRule()))
@@ -180,13 +179,13 @@ def test_stop_margin_lower_bounds_outside_distance(hand_real, construction):
     rng = np.random.default_rng(3)
     for line in lines:
         for u in rng.uniform(*real.windows[line], size=50):
-            here = Site(float(u), line)
-            m = stop_margin(real, here.u, line)
+            m = stop_margin(real, float(u), line)
             for other in lines:
                 lo, hi = real.windows[other]
                 gaps = rng.exponential(2.0, size=20)
                 for e in np.concatenate((lo - gaps, hi + gaps)):
-                    assert m <= distance(spec, here, Site(float(e), other))
+                    assert m <= (abs(u - e) if other == line
+                                 else cross_distance(spec, u, e))
 
 
 @pytest.mark.parametrize("construction", [
