@@ -1,22 +1,25 @@
-/* The compiled library: the greedy walk's step loop gw_walk, and three
- * linear passes over a walk for analysis.py: the lemma audits gw_audit,
+/* The compiled library: the greedy walk's step loop gw_walk, three
+ * linear passes over a walk for analysis.py (the lemma audits gw_audit,
  * the deficiency records gw_deficiency and the cluster-visit table
- * gw_cluster_visits.  walk.py builds this file into a shared library and
+ * gw_cluster_visits) and gw_summary, a sweep run's counts over those
+ * passes in one call.  walk.py builds this file into a shared library and
  * loads it through ctypes; run_walk calls gw_walk and builds the
- * Trajectory from what it writes, and analysis.audit_lemmas, compute_Dx
- * and cluster_visits call the passes.  Where the library does not build,
- * they raise OSError; gwlab has no other engine.
+ * Trajectory from what it writes, analysis.audit_lemmas, compute_Dx and
+ * cluster_visits call the passes, and analysis.summary_counts calls
+ * gw_summary.  Where the library does not build, they raise OSError;
+ * gwlab has no other engine.
  *
  * Every walk starts at the origin on line 0, its step 0.  The passes read
  * lines that Realization keeps finite, strictly increasing, read-only and
  * contiguous, so they never check them.  Each returns 1 for
  * a run it does not read (every one refuses a visit step that is neither
- * -1 nor a step of the prefix) and 2 when memory runs out; analysis.py
- * raises ValidationError and MemoryError for them.
+ * -1 nor a step of the prefix; gw_summary returns 1, 4 or 3 by the pass
+ * that refused) and 2 when memory runs out; analysis.py raises
+ * ValidationError and MemoryError for them.
  *
  * tests/oracles.py holds each entry's reference, python_loop being gw_walk
- * line for line in Python; a change to an entry keeps its reference equal
- * to it, in what it refuses too.
+ * line for line in Python and summarize_reference gw_summary's; a change
+ * to an entry keeps its reference equal to it, in what it refuses too.
  *
  * Every double must equal Python's and numpy's bit for bit: each distance
  * and deficiency term is computed in the expression order of the Python
@@ -575,5 +578,283 @@ int gw_cluster_visits(const int64_t *vis0, const int64_t *vis1, int64_t p,
                                           && last == n);
     }
     free(copy);
+    return 0;
+}
+
+/* ------------------------------------------------------------------------
+ * A sweep run's summary: the counts experiments.summarize_run reports, in
+ * one call over the passes above.  Its reference is the composition of
+ * analysis functions it replaced (summarize_reference in tests/oracles.py):
+ * detect_A_events, then audit_lemmas, detect_crossings and
+ * extract_halfline_changes.  It refuses the runs that composition refuses,
+ * by the pass that refuses them first. */
+
+enum { NO_EVENTS, DUPLICATED, THINNED, SHIFTED }; /* the event families */
+enum { REFUSED_DX = 1, NO_MEMORY = 2, REFUSED_AUDIT = 3, REFUSED_CLUSTER = 4 };
+
+/* a pass's status as gw_summary's: 1 becomes `refused` */
+static int status_of(int status, int refused)
+{
+    return status == 1 ? refused : status;
+}
+
+/* numpy's floor division of a >= 0 by b > 0 (npy_divmod, which Python's
+ * // matches): the quotient of a - fmod(a, b), snapped to the nearest
+ * integer, not floor(a / b); 1.0 // 0.1 is 9 */
+static int64_t floor_div(double a, double b)
+{
+    double div = (a - fmod(a, b)) / b, fl = floor(div);
+    return (int64_t)(div - fl > 0.5 ? fl + 1.0 : fl);
+}
+
+static int by_value(const void *a, const void *b)
+{
+    int64_t x = *(const int64_t *)a, y = *(const int64_t *)b;
+    return (x > y) - (x < y);
+}
+
+/* The occurred band events of a duplicated pair, whose lines both hold
+ * the p points pts: analysis._band_events.  The clusters of pts at gap
+ * threshold r, each led by its member nearest the global lead jstar,
+ * ordered by their first visit step (stably: by index on a tie, which only
+ * a malformed run has), give the reduced walk's lead shadows u; a band
+ * u // r is witnessed when some u >= 0 in it is followed by a u < 0, and
+ * *found counts the distinct witnessed bands. */
+static int band_events(const double *pts, int64_t p, const int64_t *vis0,
+                       const int64_t *vis1, int64_t n, double r,
+                       int64_t *found)
+{
+    const int64_t q = p > 0 ? p : 1;
+    int64_t c, i, k, t, m, jstar, lead, prev_lead;
+    int64_t *starts, *table, *head, *seq, *bands;
+    unsigned char *verdicts;
+    int status;
+    void *mem = malloc((size_t)(10 * q + n + 2) * sizeof(int64_t)
+                       + (size_t)(2 * q));
+
+    if (mem == NULL)
+        return NO_MEMORY;
+    starts = mem;
+    table = starts + q;  /* 7 x k: count, first, ... */
+    head = table + 7 * q;  /* n + 2: clusters first visited before t */
+    seq = head + n + 2;  /* the entered clusters, by first visit */
+    bands = seq + q;  /* the witnessed bands */
+    verdicts = (unsigned char *)(bands + q);
+
+    for (k = 0, i = 0; i < p; i++)
+        if (i == 0 || pts[i] - pts[i - 1] >= r)
+            starts[k++] = i;
+    status = gw_cluster_visits(vis0, vis1, p, starts, k, n, table, verdicts);
+    if (status) {
+        free(mem);
+        return status_of(status, REFUSED_CLUSTER);
+    }
+    for (jstar = 0; jstar < p && pts[jstar] < 0.0; jstar++)
+        ;
+    if (jstar == p || (jstar > 0 && -pts[jstar - 1] < pts[jstar]))
+        jstar--;
+
+    for (t = 0; t <= n + 1; t++)
+        head[t] = 0;
+    for (c = 0; c < k; c++)
+        if (table[c] > 0)
+            head[table[k + c] + 1]++;
+    for (t = 1; t <= n + 1; t++)
+        head[t] += head[t - 1];
+    for (c = 0; c < k; c++)
+        if (table[c] > 0)
+            seq[head[table[k + c]]++] = c;
+    m = head[n + 1];
+
+    *found = 0;
+    for (i = 0, prev_lead = -1; i < m; i++) {
+        c = seq[i];
+        lead = jstar < starts[c] ? starts[c] : jstar;
+        t = (c + 1 < k ? starts[c + 1] : p) - 1;
+        lead = lead < t ? lead : t;
+        if (prev_lead >= 0 && pts[prev_lead] >= 0.0 && pts[lead] < 0.0)
+            bands[(*found)++] = floor_div(pts[prev_lead], r);
+        prev_lead = lead;
+    }
+    qsort(bands, (size_t)*found, sizeof(int64_t), by_value);
+    for (i = k = 0; i < *found; i++)
+        k += i == 0 || bands[i] != bands[i - 1];
+    *found = k;
+    free(mem);
+    return 0;
+}
+
+/* The occurred gap events over the p sorted points pts of the lines
+ * line0 and line1 walked by the n steps us: analysis._gap_events.  For the
+ * k-th positive point x with successor x', the event occurs when the gap
+ * x' - x is wider than the deficiency at x + offset, minus the anchor (the
+ * last point <= 0) and plus extra, in that order; it needs the anchor and
+ * a decided deficiency level.  Only gaps wider than extra get a level, but
+ * the deficiency pass runs, and refuses, without any. */
+static int gap_events(const double *pts, int64_t p, double offset,
+                      double extra, const double *line0, int64_t n0,
+                      const double *line1, int64_t n1, const int64_t *vis0,
+                      const int64_t *vis1, const double *us, int64_t n,
+                      int64_t *found)
+{
+    int64_t i, j, lo, m;
+    double *xs, *table, t_left, anchor;
+    int status;
+    void *mem;
+
+    for (lo = 0; lo < p && pts[lo] <= 0.0; lo++)
+        ;
+    for (m = 0, i = lo; i + 1 < p; i++)
+        m += pts[i + 1] - pts[i] > extra;
+    mem = malloc((size_t)(m > 0 ? m : 1) * (3 * sizeof(double)
+                                            + sizeof(int64_t)));
+    if (mem == NULL)
+        return NO_MEMORY;
+    xs = mem;
+    table = xs + m;  /* 2 x m: t_ray, value */
+    for (j = 0, i = lo; i + 1 < p; i++)
+        if (pts[i + 1] - pts[i] > extra)
+            xs[j++] = pts[i] + offset;
+    status = gw_deficiency(line0, n0, line1, n1, vis0, vis1, us, n, xs, m,
+                           table, (int64_t *)(table + 2 * m), &t_left);
+    *found = 0;
+    if (status == 0 && lo > 0) {
+        anchor = pts[lo - 1];
+        for (j = 0, i = lo; i + 1 < p; i++) {
+            double gap = pts[i + 1] - pts[i], t_ray, value;
+            if (!(gap > extra))
+                continue;
+            t_ray = table[j];
+            value = table[m + j++];
+            if ((t_left < t_ray || t_ray < INFINITY)
+                && gap > value - anchor + extra)
+                (*found)++;
+        }
+    }
+    free(mem);
+    return status_of(status, REFUSED_DX);
+}
+
+/* The thinned events: the gap events over the union of both lines, the
+ * base points, at offset 0 and extra r. */
+static int thinned_events(const double *line0, int64_t n0,
+                          const double *line1, int64_t n1,
+                          const int64_t *vis0, const int64_t *vis1,
+                          const double *us, int64_t n, double r,
+                          int64_t *found)
+{
+    int64_t i, j, p;
+    int status;
+    double *base = malloc((size_t)(n0 + n1 > 0 ? n0 + n1 : 1)
+                          * sizeof(double));
+
+    if (base == NULL)
+        return NO_MEMORY;
+    for (i = j = p = 0; i < n0 || j < n1; p++) {
+        if (j == n1 || (i < n0 && line0[i] < line1[j]))
+            base[p] = line0[i++];
+        else if (i == n0 || line1[j] < line0[i])
+            base[p] = line1[j++];
+        else {
+            base[p] = line0[i++];
+            j++;
+        }
+    }
+    status = gap_events(base, p, 0.0, r, line0, n0, line1, n1, vis0, vis1,
+                        us, n, found);
+    free(base);
+    return status;
+}
+
+/* The shifted events: the gap events over line 0 at offset s and extra
+ * r + s, in the frame u -> -u when s < 0 (mirror_realization and
+ * mirror_trajectory: each line negated and reversed, as its visit steps,
+ * and the steps negated). */
+static int shifted_events(const double *line0, int64_t n0,
+                          const double *line1, int64_t n1,
+                          const int64_t *vis0, const int64_t *vis1,
+                          const double *us, int64_t n, double r, double s,
+                          int64_t *found)
+{
+    int64_t i, *v0, *v1;
+    double *l0, *l1, *u;
+    int status;
+    void *mem;
+
+    if (!(s < 0.0))
+        return gap_events(line0, n0, s, r + s, line0, n0, line1, n1, vis0,
+                          vis1, us, n, found);
+    mem = malloc((size_t)(2 * (n0 + n1) + n + 1) * sizeof(double));
+    if (mem == NULL)
+        return NO_MEMORY;
+    l0 = mem;
+    l1 = l0 + n0;
+    u = l1 + n1;
+    v0 = (int64_t *)(u + n);
+    v1 = v0 + n0;
+    for (i = 0; i < n0; i++) {
+        l0[i] = -line0[n0 - 1 - i];
+        v0[i] = vis0[n0 - 1 - i];
+    }
+    for (i = 0; i < n1; i++) {
+        l1[i] = -line1[n1 - 1 - i];
+        v1[i] = vis1[n1 - 1 - i];
+    }
+    for (i = 0; i < n; i++)
+        u[i] = -us[i];
+    s = -s;
+    status = gap_events(l0, n0, s, r + s, l0, n0, l1, n1, v0, v1, u, n,
+                        found);
+    free(mem);
+    return status;
+}
+
+/* The counts of an n-step walk over two lines of n0 and n1 points, read
+ * from the tables F = [line0, line1, us] (the lines and the steps' shadows)
+ * and I = [vis0, vis1, lines, counts] (the visit steps, -1 for never, the
+ * steps' lines and room for the four counts): counts[0] the sign changes
+ * between consecutive shadows, counts[1] the steps k whose step k + 1 lies
+ * on another half-line (line, sign), counts[2] the occurred return events
+ * of `family` (0 when NO_EVENTS) and counts[3] the lemma-audit violations
+ * (0 unless audit is set).  r is the separation (0 off parallel lines) and
+ * s the shift.  Returns 0; 1, 4 or 3 for a run the deficiency, cluster or
+ * audit pass refuses, the events' pass first, as the composition runs
+ * them; and 2 when memory runs out. */
+int gw_summary(const double *F, int64_t n0, int64_t n1, int64_t *I,
+               int64_t n, int family, double r, double s, int audit)
+{
+    const double *line0 = F, *line1 = F + n0, *us = F + n0 + n1;
+    const int64_t *vis0 = I, *vis1 = I + n0, *lines = I + n0 + n1;
+    int64_t *counts = I + n0 + n1 + n;
+    int64_t t, crossings = 0, changes = 0, found = 0, audit_counts[5];
+    int status = 0;
+
+    if (family == DUPLICATED)
+        status = band_events(line0, n0, vis0, vis1, n, r, &found);
+    else if (family == THINNED)
+        status = thinned_events(line0, n0, line1, n1, vis0, vis1, us, n, r,
+                                &found);
+    else if (family == SHIFTED)
+        status = shifted_events(line0, n0, line1, n1, vis0, vis1, us, n, r,
+                                s, &found);
+    if (status)
+        return status;
+    counts[2] = found;
+    counts[3] = 0;
+    if (audit) {
+        status = gw_audit(line0, n0, line1, n1, vis0, vis1, us, n, r, NULL,
+                          0, NULL, 0, audit_counts);
+        if (status)
+            return status_of(status, REFUSED_AUDIT);
+        counts[3] = audit_counts[3] + audit_counts[4];
+    }
+    for (t = 1; t < n; t++) {
+        crossings += (us[t - 1] > 0.0 && us[t] < 0.0)
+                     || (us[t - 1] < 0.0 && us[t] > 0.0);
+        changes += lines[t - 1] != lines[t]
+                   || (us[t - 1] > 0.0) != (us[t] > 0.0);
+    }
+    counts[0] = crossings;
+    counts[1] = changes;
     return 0;
 }

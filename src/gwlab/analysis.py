@@ -15,15 +15,20 @@ derived quantities:
   run) and the implication check tying those events to an early return to
   the negative half-axis (the povratak check),
 * lemma audits that flag any step contradicting the structural facts the
-  analysis relies on, as queries on when each point was visited.
+  analysis relies on, as queries on when each point was visited,
+* a sweep run's counts of all of these (summary_counts).
 
 The deficiency records, the cluster-visit table and the audits are each
 one linear pass in the compiled library that holds the walk
 (``gw_deficiency``, ``gw_cluster_visits`` and ``gw_audit`` in
 ``_walk.c``, loaded by ``walk._kernel()``), tested bit for bit against
-its numpy reference in ``tests/oracles.py``.  Each raises
-ValidationError for a run its pass does not read (_DX_RULE, _AUDIT_RULE,
-_CLUSTER_RULE), and for shadows or cluster starts that are not one row.
+its numpy reference in ``tests/oracles.py``.  A fourth entry,
+``gw_summary``, runs them for summary_counts and counts a run's crossings,
+half-line changes, occurred events and audit violations in one call; its
+reference is the composition of the functions here that it replaced.
+Each raises ValidationError for a run its pass does not read (_DX_RULE,
+_AUDIT_RULE, _CLUSTER_RULE), and for shadows or cluster starts that are
+not one row.
 
 Decidability convention: a trajectory is only a prefix of the unbounded
 walk, so detectors report True (witnessed), False (ruled out), or None
@@ -325,6 +330,15 @@ class ClusterDecomposition:
         return np.arange(len(self.starts)) != self.zero_cluster
 
 
+def global_lead(pts: np.ndarray) -> int:
+    """The index of the sorted points' member nearest the origin, ties to
+    the right; -1 when there are none."""
+    j = int(pts.searchsorted(0.0))
+    if j == len(pts) or (j > 0 and -pts[j - 1] < pts[j]):
+        j -= 1
+    return j
+
+
 def decompose_clusters(points, threshold: float) -> ClusterDecomposition:
     """The clusters of the sorted points at gap threshold `threshold`."""
     pts = np.asarray(points, dtype=np.float64)
@@ -339,9 +353,7 @@ def decompose_clusters(points, threshold: float) -> ClusterDecomposition:
     # |u| falls then rises along the sorted points, so the global lead
     # jstar leads its own cluster, and every other cluster leads at its
     # end nearest jstar: the clip of jstar to the cluster
-    jstar = int(pts.searchsorted(0.0))
-    if jstar == len(pts) or (jstar > 0 and -pts[jstar - 1] < pts[jstar]):
-        jstar -= 1
+    jstar = global_lead(pts)
     leads = np.minimum(np.maximum(starts, jstar), ends)
     zero = int(starts.searchsorted(jstar, "right")) - 1
     return ClusterDecomposition(pts, threshold, starts, leads, zero)
@@ -698,6 +710,51 @@ def check_povratak(real: Realization, traj: Trajectory) -> PovratakSummary:
     unknowns = int(np.count_nonzero(np.isinf(t_ray) & np.isinf(t_left)))
     return PovratakSummary(int(np.count_nonzero(occurred)), len(details),
                            unknowns, details)
+
+
+# ---------------------------------------------------------------------------
+# a sweep run's counts
+
+
+# gw_summary's event families (_walk.c's enum), and the rule of each
+# status it refuses a run with
+_FAMILIES = {PARALLEL_DUPLICATED: 1, PARALLEL_THINNED: 2, PARALLEL_SHIFTED: 3}
+_SUMMARY_RULES = {1: _DX_RULE, 3: _AUDIT_RULE, 4: _CLUSTER_RULE}
+
+
+def summary_counts(real: Realization, traj: Trajectory, *, audit: bool,
+                   events: bool) -> tuple:
+    """A sweep run's counts in one compiled call (gw_summary): its
+    crossings (detect_crossings), half-line changes
+    (extract_halfline_changes), occurred return events (detect_A_events)
+    and lemma-audit violations (audit_lemmas).  The events are None unless
+    `events` is set on a parallel construction, the violations None unless
+    `audit` is set off intersecting lines.  It refuses a run by the rule of
+    the pass that refuses it first, the events' pass before the audit's."""
+    spec = real.spec
+    family = _FAMILIES.get(spec.construction, 0) if events else 0
+    audit = audit and spec.kind != INTERSECTING
+    n0, n1 = len(real.line0), len(real.line1)
+    v0, v1 = _visit_steps(traj, n0, n1)
+    us = _row(traj.us, np.float64, "shadows")
+    n = len(us)
+    if np.shape(traj.lines) != (n,):
+        raise ValidationError(f"lines must be one per step, {n}, got "
+                              f"{np.shape(traj.lines)}")
+    m = n0 + n1
+    # the step loop's per-thread buffers, whose addresses are kept: a sweep
+    # run's arrays are short, so copying them costs less than taking each
+    # one's address
+    (F, I, _, _), _, (pF, pI, *_) = walk._buffers(m + n + 4)
+    F[:n0], F[n0:m], F[m:m + n] = real.line0, real.line1, us
+    I[:n0], I[n0:m], I[m:m + n] = v0, v1, traj.lines
+    status = walk._kernel().gw_summary(
+        pF, n0, n1, pI, n, family, spec.separation_r or 0.0,
+        spec.shift_s or 0.0, audit)
+    _refuse(status, _SUMMARY_RULES.get(status))
+    crossings, changes, found, failures = I[m + n:m + n + 4].tolist()
+    return (crossings, changes, found if family else None,
+            failures if audit else None)
 
 
 # ---------------------------------------------------------------------------

@@ -18,16 +18,17 @@ from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable
 
+import numpy as np
+
 from .analysis import (
     audit_lemmas,
     check_cluster_consecutive,
     check_indented_entry,
     check_povratak,
     check_reduced_alignment,
-    cluster_visits,
-    clusters_of,
     compute_Dx,
     extract_UV_sequences,
+    global_lead,
     validate_dx_record,
 )
 from .processes import (
@@ -119,13 +120,27 @@ def _povratak(real, traj):
 _TRAVERSAL_COUNT = {True: "ok", None: "undecided", False: "violations"}
 
 
+def _entered_nonzero(real, traj) -> bool:
+    """Whether the walk visited, on either line, a point outside the zero
+    cluster's index range: whether a cut (a gap of at least r) lies
+    between the global lead, which the zero cluster holds, and the first
+    or the last point visited."""
+    seen = np.flatnonzero((traj.visited_step0 >= 1)
+                          | (traj.visited_step1 >= 1))
+    if not len(seen):
+        return False
+    pts = real.base_points
+    j = global_lead(pts)
+    lo, hi = min(seen[0], j), max(seen[-1], j)
+    return bool((pts[lo + 1:hi + 1] - pts[lo:hi]
+                 >= real.spec.separation_r).any())
+
+
 def _cluster_traversal(real, traj):
     consec = check_cluster_consecutive(real, traj)
     counts = dict.fromkeys(_TRAVERSAL_COUNT.values(), 0)
-    if consec is True:
-        dec = clusters_of(real)
-        if not (cluster_visits(dec, traj).entered & dec.nonzero()).any():
-            return Outcome(counts, 0, [])
+    if consec is True and not _entered_nonzero(real, traj):
+        return Outcome(counts, 0, [])
     counts[_TRAVERSAL_COUNT[consec]] = 1
     bad = [] if consec is not False else [_where(
         real, consecutive=False, aligned=check_reduced_alignment(real, traj))]

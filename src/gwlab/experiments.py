@@ -23,17 +23,10 @@ from functools import partial
 import numpy as np
 
 from ._version import __version__
-from .analysis import (
-    audit_lemmas,
-    detect_A_events,
-    detect_crossings,
-    extract_halfline_changes,
-)
+from .analysis import summary_counts
 from .errors import ValidationError
 from .processes import (
     CONSTRUCTIONS,
-    INTERSECTING_INDEPENDENT,
-    PARALLEL_CONSTRUCTIONS,
     SPEC_PARAMS,
     ProcessSpec,
     couple_restrict,
@@ -149,14 +142,9 @@ _CSV_TYPES = {"int": int, "float": float, "str": str}
 
 
 def summarize_run(cfg: ExperimentConfig, run_index: int, real, traj) -> RunSummary:
+    crossings, changes, a_events, failures = summary_counts(
+        real, traj, audit=cfg.audit, events=cfg.detect_events)
     spec = real.spec
-    a_events = None
-    if cfg.detect_events and spec.construction in PARALLEL_CONSTRUCTIONS:
-        events = detect_A_events(real, traj)
-        a_events = int(np.count_nonzero(events.occurred == 1))
-    failures = None
-    if cfg.audit and spec.construction != INTERSECTING_INDEPENDENT:
-        failures = len(audit_lemmas(real, traj).violations)
     return RunSummary(
         run_index=run_index,
         seed=real.seed,
@@ -170,8 +158,8 @@ def summarize_run(cfg: ExperimentConfig, run_index: int, real, traj) -> RunSumma
         n_points=real.n_points,
         n_steps=len(traj),
         stop_reason=traj.stop_reason,
-        crossings=detect_crossings(traj),
-        halfline_changes=len(extract_halfline_changes(traj)),
+        crossings=crossings,
+        halfline_changes=changes,
         a_events=a_events,
         lemma_failures=failures,
     )

@@ -25,13 +25,15 @@ Two engines produce step-for-step identical trajectories.
   galloping out from the walk's last index on that line and skipping past
   visited points with a path-compressing search.  Each step measures
   those four directly; the loop keeps no per-point tables.
-  The C source ships with the package, and its library also holds three
-  passes that analysis.py runs over a walk: ``gw_audit``
+  The C source ships with the package, and its library also holds four
+  entries that analysis.py runs over a walk: three passes, ``gw_audit``
   (``audit_lemmas``), ``gw_deficiency`` (``compute_Dx``) and
-  ``gw_cluster_visits`` (``cluster_visits``).  On first use in a process
-  the library is compiled with the system C compiler (``cc``, else
-  ``gcc``) into ``$XDG_CACHE_HOME/gwlab`` (default ``~/.cache/gwlab``),
-  once per source and flag set, and loaded with ``ctypes``.  A C compiler
+  ``gw_cluster_visits`` (``cluster_visits``), and ``gw_summary``
+  (``summary_counts``), a sweep run's counts over those passes in one
+  call.  On first use in a process the library is compiled with the
+  system C compiler (``cc``, else ``gcc``) into ``$XDG_CACHE_HOME/gwlab``
+  (default ``~/.cache/gwlab``), once per source and flag set, and loaded
+  with ``ctypes``.  A C compiler
   is required: where neither the cache holds a build nor a compiler is
   found, or the build fails, ``_kernel()`` raises OSError.
 * ``run_walk_naive``: a linear scan over every unvisited point per step.
@@ -147,11 +149,12 @@ def stop_margin(real: Realization, u: float, line: int) -> float:
     return m
 
 
-# the compiled library: _walk.c, with the step loop gw_walk and the three
-# passes analysis.py calls (the lemma audits gw_audit, the deficiency
-# records gw_deficiency and the cluster-visit table gw_cluster_visits),
-# built by the system C compiler into the user's cache once per source and
-# flag set, and loaded with ctypes
+# the compiled library: _walk.c, with the step loop gw_walk and the four
+# entries analysis.py calls (the lemma audits gw_audit, the deficiency
+# records gw_deficiency, the cluster-visit table gw_cluster_visits and a
+# sweep run's counts over them, gw_summary), built by the system C
+# compiler into the user's cache once per source and flag set, and loaded
+# with ctypes
 _SOURCE = Path(__file__).with_name("_walk.c")
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _KINDS = {SINGLE_LINE: 0, INTERSECTING: 1, PARALLEL: 2}  # _walk.c's enum
@@ -172,6 +175,8 @@ _SIGNATURES = {  # symbol: (argument types, result type)
     "gw_cluster_visits": ((_P, _P, _Q,  # vis0, vis1, p
                            _P, _Q, _Q,  # starts, k, n
                            _P, _P), _I),  # table, verdicts
+    "gw_summary": ((_P, _Q, _Q, _P, _Q,  # F, n0, n1, I, n
+                    _I, _D, _D, _I), _I),  # family, r, s, audit
 }
 
 
@@ -219,8 +224,8 @@ def _build(cc: str | None, cache: Path):
 
 
 def _kernel():
-    """The compiled library (gw_walk, gw_audit, gw_deficiency and
-    gw_cluster_visits), built or loaded on first use from
+    """The compiled library (gw_walk, gw_audit, gw_deficiency,
+    gw_cluster_visits and gw_summary), built or loaded on first use from
     $XDG_CACHE_HOME/gwlab (default ~/.cache/gwlab); OSError where it is
     not there and cannot be built, the same one on every call."""
     lib = _built()
@@ -254,7 +259,9 @@ def _buffers(size: int):
     """This thread's flat table, visit steps, order and distances, sized
     for at least `size` flat entries, and the addresses of those four and
     of the two link arrays, taken when they were allocated (ndarray.ctypes
-    costs about a microsecond a call)."""
+    costs about a microsecond a call).  A Trajectory holds copies, so
+    between walks analysis.summary_counts fills the first two as its
+    tables."""
     bufs = getattr(_scratch, "bufs", None)
     if bufs is None or len(bufs[0][0]) < size:
         links = np.empty((2, size), dtype=np.int64)

@@ -12,6 +12,11 @@ bit for bit, in what it returns and in what it refuses.
   (``_AUDIT_RULE``, ``_DX_RULE``, ``_CLUSTER_RULE``); the checks the
   public entries make before any pass (visit steps, shadows, levels,
   cluster starts) are not repeated here.
+* ``summarize_reference``: ``experiments.summarize_run`` as the
+  composition of ``detect_A_events``, ``audit_lemmas``,
+  ``detect_crossings`` and ``extract_halfline_changes`` it was, the
+  reference of ``gw_summary``; it refuses a run by the rule of the pass
+  that refuses it first.
 
 A change to a compiled entry keeps its reference here equal to it.
 """
@@ -31,10 +36,21 @@ from gwlab.analysis import (
     DeficiencyRecords,
     LemmaAudit,
     _refuse,
+    audit_lemmas,
+    detect_A_events,
+    detect_crossings,
+    extract_halfline_changes,
     first_passage,
     last_visit_steps,
 )
-from gwlab.processes import INTERSECTING, PARALLEL, Realization
+from gwlab.experiments import RunSummary
+from gwlab.processes import (
+    INTERSECTING,
+    INTERSECTING_INDEPENDENT,
+    PARALLEL,
+    PARALLEL_CONSTRUCTIONS,
+    Realization,
+)
 from gwlab.walk import (
     TRUNCATION_SAFE,
     StopRule,
@@ -324,3 +340,39 @@ def _audit_replay(traj: Trajectory, audit: LemmaAudit, mu, ms) -> None:
                 "kind": "empty-interval", "step": step, "c": float(u[i]),
                 "b_prev": float(b_prev[i]), "alive_inside": float(mu[k]),
             })
+
+
+# ---------------------------------------------------------------------------
+# a sweep run's summary
+
+
+def summarize_reference(cfg, run_index: int, real: Realization,
+                        traj: Trajectory) -> RunSummary:
+    """experiments.summarize_run as a composition of the public analysis
+    functions, one pass each: the reference gw_summary is tested against."""
+    spec = real.spec
+    a_events = None
+    if cfg.detect_events and spec.construction in PARALLEL_CONSTRUCTIONS:
+        events = detect_A_events(real, traj)
+        a_events = int(np.count_nonzero(events.occurred == 1))
+    failures = None
+    if cfg.audit and spec.construction != INTERSECTING_INDEPENDENT:
+        failures = len(audit_lemmas(real, traj).violations)
+    return RunSummary(
+        run_index=run_index,
+        seed=real.seed,
+        construction=spec.construction,
+        rate_lambda=spec.rate_lambda,
+        separation_r=spec.separation_r,
+        shift_s=spec.shift_s,
+        thinning_p=spec.thinning_p,
+        alpha=spec.alpha,
+        window_L=spec.window_L,
+        n_points=real.n_points,
+        n_steps=len(traj),
+        stop_reason=traj.stop_reason,
+        crossings=detect_crossings(traj),
+        halfline_changes=len(extract_halfline_changes(traj)),
+        a_events=a_events,
+        lemma_failures=failures,
+    )

@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from gwlab import (
+    PARALLEL_CONSTRUCTIONS,
     RUN_TO_EXHAUSTION,
     DeficiencyRecords,
     EventTable,
@@ -34,6 +35,7 @@ from gwlab import (
     cluster_visits,
     clusters_of,
     compute_Dx,
+    couple_restrict,
     decompose_clusters,
     detect_A_events,
     detect_crossings,
@@ -48,7 +50,7 @@ from gwlab import (
     stream_seed,
     validate_dx_record,
 )
-from gwlab import analysis
+from gwlab import analysis, walk
 from gwlab.checks import CHECKS
 from gwlab.walk import Trajectory
 from gwlab.analysis import (
@@ -57,7 +59,9 @@ from gwlab.analysis import (
     A_M_PARALLEL,
     first_passage,
     last_visit_steps,
+    summary_counts,
 )
+from gwlab.experiments import ExperimentConfig, RunSummary, summarize_run
 
 import oracles
 
@@ -961,23 +965,37 @@ RULES = {"deficiency": analysis._DX_RULE, "audit": analysis._AUDIT_RULE,
          "cluster": analysis._CLUSTER_RULE}
 
 
+def summary_of(real, audit, events):
+    """summary_counts on real's runs with the two switches, as a caller."""
+    return lambda t: summary_counts(real, t, audit=audit, events=events)
+
+
 def callers_by_pass(real):
-    """The public callers of each pass that apply to real, by pass."""
+    """The public callers of each pass that apply to real, by pass; a
+    sweep's summary is listed under the pass that refuses first, which is
+    the events' pass where it counts events."""
     c = real.spec.construction
     xs = real.base_points[real.base_points > 0.0]
     callers = {"deficiency": [lambda t: compute_Dx(real, t, xs)],
                "audit": [], "cluster": []}
     if c != "intersecting":
-        callers["audit"].append(lambda t: audit_lemmas(real, t))
+        callers["audit"] += [lambda t: audit_lemmas(real, t),
+                             summary_of(real, True, False)]
     if c in ("parallel-duplicated", "parallel-shifted"):
         dec = clusters_of(real)
         callers["cluster"].append(lambda t: cluster_visits(dec, t))
     if c == "parallel-duplicated":
         callers["cluster"] += [lambda t: check_cluster_consecutive(real, t),
-                               lambda t: detect_A_events(real, t)]
+                               lambda t: detect_A_events(real, t),
+                               summary_of(real, True, True),
+                               summary_of(real, False, True)]
     elif c in ("parallel-thinned", "parallel-shifted"):
         callers["deficiency"] += [lambda t: detect_A_events(real, t),
-                                  lambda t: check_povratak(real, t)]
+                                  lambda t: check_povratak(real, t),
+                                  summary_of(real, True, True),
+                                  summary_of(real, False, True)]
+    elif c == "single-line":
+        callers["audit"].append(summary_of(real, True, True))
     return callers
 
 
@@ -1007,9 +1025,10 @@ def test_cluster_visits_refuse_steps_off_the_prefix(spec_for, compiled):
         n = len(traj)
         by_pass = (callers_by_pass if compiled else references_by_pass)(real)
         if compiled:  # the gap events of thinned and shifted runs compute
-            # deficiency records
+            # deficiency records, in detect_A_events, check_povratak and
+            # the two summaries that count events
             assert len(by_pass["deficiency"]) == (
-                1 if construction == "parallel-duplicated" else 3)
+                1 if construction == "parallel-duplicated" else 5)
         callers = [(call, RULES[name]) for name, calls in by_pass.items()
                    for call in calls]
         for call, _ in callers:
@@ -2037,3 +2056,135 @@ def test_layout_variants_read_alike_on_both_paths(spec_for, construction):
     for name, call in cases:
         with pytest.raises(ValidationError, match=f"{name} must be one row"):
             call()
+
+
+# ---------------------------------------------------------------------------
+# a sweep run's summary
+
+# summarize_run reads its counts from one compiled call (gw_summary), which
+# ports the composition it replaced; its reference is that composition,
+# oracles.summarize_reference.  Two traps in the port:
+# * a duplicated pair's band is u // r, numpy's divmod-based floor
+#   division, not floor(u / r): 1.0 // 0.1 is 9;
+# * a_events on duplicated lines counts the distinct witnessed bands, not
+#   the transitions that witness them; on thinned and shifted lines it keeps
+#   rhs = value - anchor + extra, in that order, and compares gap > rhs.
+
+
+def outcome(call):
+    """call's result, or the type and message of the error it refused
+    the run with."""
+    try:
+        return call()
+    except (ValidationError, MemoryError) as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(["single-line", "intersecting", "parallel-duplicated",
+                        "parallel-thinned", "parallel-shifted"]),
+       st.sampled_from([10.0, 40.0]), st.sampled_from([0.1, 1.0, 3.0]),
+       st.sampled_from([0.3, -0.3, 0.05, -0.5]),
+       st.sampled_from([0.2, 0.5, 0.9]), st.integers(0, 2**32 - 1),
+       st.booleans(), st.sampled_from([1.0, 0.5]),
+       st.sampled_from(["walk", "walk", "cut", "shuffled", "mutated"]),
+       st.booleans(), st.booleans(), st.randoms(use_true_random=False))
+@example(construction="parallel-shifted", L=40.0, r=1.0, shift=-0.3, p=0.5,
+         seed=1, exhaust=False, window=1.0, form="walk", audit=True,
+         events=True, rnd=random.Random(0))
+def test_summary_matches_its_reference(spec_for, construction, L, r, shift,
+                                       p, seed, exhaust, window, form, audit,
+                                       events, rnd):
+    # every RunSummary field equals the composition's, on greedy walks of
+    # every construction (shifted both ways), both stop rules and coupled
+    # windows, on cut and shuffled walks, with either switch off; and the
+    # summary refuses exactly the runs the composition refuses, by the
+    # same rule
+    spec = spec_for(construction, window_L=L, separation_r=r,
+                    shift_s=shift * r, thinning_p=p)
+    real = couple_restrict(generate(spec, seed), window * L)
+    traj = run_walk(real, rule=EXH if exhaust else StopRule())
+    n = len(traj)
+    if form == "cut":
+        traj = cut_prefix(traj, rnd.randint(0, n))
+    elif form == "shuffled":
+        traj = reorder_steps(traj, rnd.sample(range(n), n))
+    elif form == "mutated":
+        form = rnd.choice(sorted(REFUSED_BY))
+        traj = mutated(real, traj, form, rnd)
+        assume(traj is not None)
+    cfg = ExperimentConfig(name="t", construction=construction, n_runs=1,
+                           base_seed=0, audit=audit, detect_events=events)
+    got = outcome(lambda: summarize_run(cfg, 7, real, traj))
+    want = outcome(lambda: oracles.summarize_reference(cfg, 7, real, traj))
+    if form == "claimed twice" and isinstance(want, RunSummary):
+        # two clusters may then share a first visit, which numpy's argsort
+        # orders either way: only the refusal is compared
+        assert isinstance(got, RunSummary)
+    else:
+        assert got == want
+    if isinstance(want, RunSummary):
+        assert (want.a_events is None) == (
+            not events or construction not in PARALLEL_CONSTRUCTIONS)
+        assert (want.lemma_failures is None) == (
+            not audit or construction == "intersecting")
+        # narrower integers and strided views read alike
+        odd = replace(traj, us=strided(traj.us),
+                      lines=traj.lines.astype(np.int64),
+                      visited_step0=strided(traj.visited_step0),
+                      visited_step1=traj.visited_step1.astype(np.int32))
+        assert outcome(lambda: summarize_run(cfg, 7, real, odd)) == got
+
+
+def test_summary_refuses_by_its_status(spec_for, monkeypatch):
+    # gw_summary's status names the pass that refused the run, or memory
+    # that ran out
+    real = generate(spec_for("parallel-thinned", window_L=10.0), 3)
+    traj = run_walk(real)
+
+    class Kernel:
+        def __init__(self, status):
+            self.status = status
+
+        def gw_summary(self, *args):
+            return self.status
+
+    for status, error, message in (
+            (1, ValidationError, analysis._DX_RULE),
+            (2, MemoryError, "ran out of memory"),
+            (3, ValidationError, analysis._AUDIT_RULE),
+            (4, ValidationError, analysis._CLUSTER_RULE)):
+        monkeypatch.setattr(walk, "_kernel", lambda: Kernel(status))
+        with pytest.raises(error, match=re.escape(message)):
+            summary_counts(real, traj, audit=True, events=True)
+    monkeypatch.undo()
+    assert summary_counts(real, traj, audit=True, events=True)[3] == 0
+
+
+@pytest.mark.parametrize("construction, line0, line1", [
+    # a point at the origin is the anchor, and gaps of exactly r cut
+    # clusters and do not exceed extra
+    ("parallel-duplicated", [-3.0, -2.0, 0.0, 1.0, 2.0, 2.5, 4.0], None),
+    ("parallel-duplicated", [-1.5, -0.5, 0.5, 1.5, 2.5, 3.5], None),
+    ("parallel-thinned", [-2.0, 0.0, 1.0, 3.5, 4.0],
+     [-2.0, -1.0, 0.0, 2.0, 4.0, 6.0]),
+    ("parallel-shifted", [-3.0, -1.5, 0.0, 1.3, 2.6, 5.0], None),
+    ("single-line", [-2.0, -1.0, 0.0, 1.0, 3.0], None),
+])
+def test_summary_matches_its_reference_on_ties(hand_real, construction,
+                                               line0, line1):
+    # hand-placed points where a comparison's tie decides: the summary
+    # agrees with the composition on the walk and on shuffles of it
+    kw = {"shift_s": 0.3, "window_L": 8.0}
+    for real in (hand_real(construction, line0, line1, **kw),
+                 mirror_realization(hand_real(construction, line0, line1,
+                                              **kw))):
+        traj = run_walk(real, rule=EXH)
+        rng = np.random.default_rng(5)
+        for t in (traj, *(reorder_steps(traj, rng.permutation(len(traj)))
+                          for _ in range(20))):
+            cfg = ExperimentConfig(name="t", construction=construction,
+                                   n_runs=1, base_seed=0)
+            assert summarize_run(cfg, 0, real, t) == (
+                oracles.summarize_reference(cfg, 0, real, t))

@@ -7,9 +7,9 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from gwlab import (ProcessSpec, extract_UV_sequences, generate, run_walk,
-                   stream_seed)
-from gwlab.checks import CHECKS, Outcome
+from gwlab import (ProcessSpec, cluster_visits, clusters_of,
+                   extract_UV_sequences, generate, run_walk, stream_seed)
+from gwlab.checks import CHECKS, Outcome, _entered_nonzero
 
 # a construction each suite applies to and can fail on; povratak and
 # indented-entry flag perturbed walks only at r ~ 1 (the spec_for default)
@@ -112,3 +112,37 @@ def test_count_names_pinned(spec_for, name):
             assert tuple(outcome.counts) == COUNT_NAMES[name]
             total += outcome
         assert tuple(total.counts) == COUNT_NAMES[name]
+
+
+def test_entered_nonzero_reads_the_cluster_table(spec_for, hand_real,
+                                                 hand_traj):
+    # cluster-traversal tells a vacuous True from the visit steps alone:
+    # whether the walk entered a non-zero cluster, as the cluster-visit
+    # table says, on walks cut short, perturbed or of one step
+    def by_table(real, traj):
+        dec = clusters_of(real)
+        return bool((cluster_visits(dec, traj).entered & dec.nonzero()).any())
+
+    seen = set()
+    for r in (0.2, 1.0, 4.0):
+        spec = spec_for("parallel-duplicated", window_L=10.0, separation_r=r)
+        for i in range(10):
+            real = generate(spec, stream_seed(31, i))
+            traj = run_walk(real)
+            rng = np.random.default_rng(i)
+            for k in range(min(len(traj), 6)):
+                cut = hand_traj(real, traj.us[:k], traj.lines[:k])
+                seen.add(_entered_nonzero(real, cut))
+                assert _entered_nonzero(real, cut) == by_table(real, cut)
+            for bad in (traj, *_perturbed(hand_traj, real, traj, rng)):
+                seen.add(_entered_nonzero(real, bad))
+                assert _entered_nonzero(real, bad) == by_table(real, bad)
+    assert seen == {False, True}
+    # a gap of exactly r cuts; no points, no entry
+    real = hand_real("parallel-duplicated", [-1.0, 0.0, 1.0])
+    for us, lines, entered in (([0.0, 0.0], [0, 1], False),
+                               ([0.0, 1.0], [0, 0], True),
+                               ([-1.0], [1], True)):
+        assert _entered_nonzero(real, hand_traj(real, us, lines)) is entered
+    empty = hand_real("parallel-duplicated", [])
+    assert _entered_nonzero(empty, hand_traj(empty, [], [])) is False

@@ -10,6 +10,7 @@ import pytest
 
 from gwlab import (
     CONSTRUCTIONS,
+    PARALLEL_CONSTRUCTIONS,
     RNG_ALGORITHM,
     ExperimentConfig,
     ValidationError,
@@ -22,7 +23,7 @@ from gwlab import (
     write_outputs,
     write_summaries_csv,
 )
-from gwlab import experiments
+from gwlab import analysis, experiments
 from gwlab.experiments import CSV_COLUMNS, mean_and_se
 
 
@@ -306,3 +307,23 @@ def test_write_outputs(tmp_path):
 
     report = json.loads(open(p1["report"]).read())
     assert report == aggregate(rows)
+
+
+def test_sweep_summarizes_each_run_in_one_compiled_call(monkeypatch):
+    # a sweep run's counts come from summary_counts' one compiled call,
+    # not from the per-pass analysis functions, which it must not call
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep called a per-pass analysis function")
+
+    for module in (experiments, analysis):
+        for name in ("audit_lemmas", "detect_A_events", "compute_Dx",
+                     "cluster_visits", "detect_crossings",
+                     "extract_halfline_changes"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    for construction in CONSTRUCTIONS:
+        rows = run_experiment(cfg_for(construction, n_runs=3))
+        assert [r.run_index for r in rows] == [0, 1, 2]
+        assert all((r.a_events is None) == (construction not in
+                                            PARALLEL_CONSTRUCTIONS)
+                   and (r.lemma_failures is None) == (
+                       construction == "intersecting") for r in rows)
