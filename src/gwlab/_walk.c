@@ -1,13 +1,14 @@
 /* The compiled library: the greedy walk's step loop gw_walk, three
  * linear passes over a walk for analysis.py (the lemma audits gw_audit,
  * the deficiency records gw_deficiency and the cluster-visit table
- * gw_cluster_visits) and gw_summary, a sweep run's counts over those
- * passes in one call.  walk.py builds this file into a shared library and
- * loads it through ctypes; run_walk calls gw_walk and builds the
- * Trajectory from what it writes, analysis.audit_lemmas, compute_Dx and
- * cluster_visits call the passes, and analysis.summary_counts calls
- * gw_summary.  Where the library does not build, they raise OSError;
- * gwlab has no other engine.
+ * gw_cluster_visits) and gw_summary, a run's return events and a sweep
+ * run's counts over those passes in one call.  walk.py builds this file
+ * into a shared library and loads it through ctypes; run_walk calls
+ * gw_walk and builds the Trajectory from what it writes,
+ * analysis.audit_lemmas, compute_Dx and cluster_visits call the passes,
+ * and analysis.detect_A_events and summary_counts call gw_summary.  Where
+ * the library does not build, they raise OSError; gwlab has no other
+ * engine.
  *
  * Every walk starts at the origin on line 0, its step 0.  The passes read
  * lines that Realization keeps finite, strictly increasing, read-only and
@@ -18,8 +19,9 @@
  * ValidationError and MemoryError for them.
  *
  * tests/oracles.py holds each entry's reference, python_loop being gw_walk
- * line for line in Python and summarize_reference gw_summary's; a change
- * to an entry keeps its reference equal to it, in what it refuses too.
+ * line for line in Python, oracle_events gw_summary's event pass and
+ * summarize_reference its counts; a change to an entry keeps its reference
+ * equal to it, in what it refuses too.
  *
  * Every double must equal Python's and numpy's bit for bit: each distance
  * and deficiency term is computed in the expression order of the Python
@@ -582,15 +584,33 @@ int gw_cluster_visits(const int64_t *vis0, const int64_t *vis1, int64_t p,
 }
 
 /* ------------------------------------------------------------------------
- * A sweep run's summary: the counts experiments.summarize_run reports, in
- * one call over the passes above.  Its reference is the composition of
- * analysis functions it replaced (summarize_reference in tests/oracles.py):
- * detect_A_events, then audit_lemmas, detect_crossings and
- * extract_halfline_changes.  It refuses the runs that composition refuses,
- * by the pass that refuses them first. */
+ * The return events and a sweep run's summary: gw_summary, in one call
+ * over the passes above, counts what experiments.summarize_run reports
+ * and, given a table, writes a run's events for analysis.detect_A_events,
+ * the one implementation of their rule. */
 
 enum { NO_EVENTS, DUPLICATED, THINNED, SHIFTED }; /* the event families */
 enum { REFUSED_DX = 1, NO_MEMORY = 2, REFUSED_AUDIT = 3, REFUSED_CLUSTER = 4 };
+
+/* A run's events: found counts the occurred ones, and rows is the length
+ * of their table, which is written when f is not NULL and it fits in cap
+ * rows.  The table is six columns of doubles at f, x, next_x, gap, rhs,
+ * dx and ray_x (NaN where not computed), then four of bytes at b,
+ * occurred (1, 0, or -1 for undecided), note, degenerate and entered. */
+typedef struct {
+    double *f;
+    int8_t *b;
+    int64_t cap, rows, found;
+} Events;
+
+static void put_row(Events *ev, int64_t k, const double *d, const int8_t *b)
+{
+    int i;
+    for (i = 0; i < 6; i++)
+        ev->f[i * ev->cap + k] = d[i];
+    for (i = 0; i < 4; i++)
+        ev->b[i * ev->cap + k] = b[i];
+}
 
 /* a pass's status as gw_summary's: 1 becomes `refused` */
 static int status_of(int status, int refused)
@@ -613,19 +633,18 @@ static int by_value(const void *a, const void *b)
     return (x > y) - (x < y);
 }
 
-/* The occurred band events of a duplicated pair, whose lines both hold
- * the p points pts: analysis._band_events.  The clusters of pts at gap
- * threshold r, each led by its member nearest the global lead jstar,
- * ordered by their first visit step (stably: by index on a tie, which only
- * a malformed run has), give the reduced walk's lead shadows u; a band
- * u // r is witnessed when some u >= 0 in it is followed by a u < 0, and
- * *found counts the distinct witnessed bands. */
+/* The band events of a duplicated pair, whose lines both hold the p points
+ * pts.  The clusters of pts at gap threshold r, each led by its member
+ * nearest the global lead jstar, ordered by their first visit step
+ * (stably: by index on a tie, which only a malformed run has), give the
+ * reduced walk's lead shadows u.  A row per band u // r, 0 up to the highest
+ * a u >= 0 entered, is witnessed (1, else -1) when some u >= 0 in it is
+ * followed by a u < 0; found counts the distinct witnessed bands. */
 static int band_events(const double *pts, int64_t p, const int64_t *vis0,
-                       const int64_t *vis1, int64_t n, double r,
-                       int64_t *found)
+                       const int64_t *vis1, int64_t n, double r, Events *ev)
 {
     const int64_t q = p > 0 ? p : 1;
-    int64_t c, i, k, t, m, jstar, lead, prev_lead;
+    int64_t c, i, k, t, m, w, jstar, lead;
     int64_t *starts, *table, *head, *seq, *bands;
     unsigned char *verdicts;
     int status;
@@ -641,8 +660,9 @@ static int band_events(const double *pts, int64_t p, const int64_t *vis0,
     bands = seq + q;  /* the witnessed bands */
     verdicts = (unsigned char *)(bands + q);
 
-    for (k = 0, i = 0; i < p; i++)
-        if (i == 0 || pts[i] - pts[i - 1] >= r)
+    starts[0] = 0;
+    for (k = p > 0, i = 1; i < p; i++)
+        if (pts[i] - pts[i - 1] >= r)
             starts[k++] = i;
     status = gw_cluster_visits(vis0, vis1, p, starts, k, n, table, verdicts);
     if (status) {
@@ -666,48 +686,58 @@ static int band_events(const double *pts, int64_t p, const int64_t *vis0,
             seq[head[table[k + c]]++] = c;
     m = head[n + 1];
 
-    *found = 0;
-    for (i = 0, prev_lead = -1; i < m; i++) {
+    for (i = w = 0; i < m; i++) { /* each lead's band, -1 for a u < 0 */
         c = seq[i];
         lead = jstar < starts[c] ? starts[c] : jstar;
         t = (c + 1 < k ? starts[c + 1] : p) - 1;
         lead = lead < t ? lead : t;
-        if (prev_lead >= 0 && pts[prev_lead] >= 0.0 && pts[lead] < 0.0)
-            bands[(*found)++] = floor_div(pts[prev_lead], r);
-        prev_lead = lead;
+        seq[i] = pts[lead] >= 0.0 ? floor_div(pts[lead], r) : -1;
+        ev->rows = seq[i] < ev->rows ? ev->rows : seq[i] + 1;
+        if (i > 0 && seq[i - 1] >= 0 && seq[i] < 0)
+            bands[w++] = seq[i - 1];
     }
-    qsort(bands, (size_t)*found, sizeof(int64_t), by_value);
-    for (i = k = 0; i < *found; i++)
-        k += i == 0 || bands[i] != bands[i - 1];
-    *found = k;
+    qsort(bands, (size_t)w, sizeof(int64_t), by_value);
+    for (i = 0; i < w; i++)
+        ev->found += i == 0 || bands[i] != bands[i - 1];
+    if (ev->f != NULL && ev->rows <= ev->cap) {
+        for (t = 0; t < ev->rows; t++)
+            put_row(ev, t, (const double[]){NAN, NAN, NAN, NAN, NAN, NAN},
+                    (const int8_t[]){-1, 0, 0, 0});
+        for (i = 0; i < m; i++)
+            if (seq[i] >= 0)
+                ev->b[3 * ev->cap + seq[i]] = 1;
+        for (i = 0; i < w; i++)
+            ev->b[bands[i]] = 1;
+    }
     free(mem);
     return 0;
 }
 
-/* The occurred gap events over the p sorted points pts of the lines
- * line0 and line1 walked by the n steps us: analysis._gap_events.  For the
- * k-th positive point x with successor x', the event occurs when the gap
- * x' - x is wider than the deficiency at x + offset, minus the anchor (the
- * last point <= 0) and plus extra, in that order; it needs the anchor and
- * a decided deficiency level.  Only gaps wider than extra get a level, but
- * the deficiency pass runs, and refuses, without any. */
+/* The gap events over the p sorted points pts of the lines line0 and line1
+ * walked by the n steps us, a row per positive point x with a successor x'.
+ * A gap x' - x no wider than extra does not occur (0).  A wider one is
+ * undecided (-1) without the anchor, the last point <= 0 (note 1), or a
+ * decided deficiency level at x + offset (note 2); else it occurs when the
+ * gap is wider than rhs = dx - anchor + extra, in that order, dx being the
+ * level's value, with its degenerate flag and ray_x = x'.  The deficiency
+ * pass runs, and refuses, without any level. */
 static int gap_events(const double *pts, int64_t p, double offset,
                       double extra, const double *line0, int64_t n0,
                       const double *line1, int64_t n1, const int64_t *vis0,
                       const int64_t *vis1, const double *us, int64_t n,
-                      int64_t *found)
+                      Events *ev)
 {
     int64_t i, j, lo, m;
-    double *xs, *table, t_left, anchor;
-    int status;
+    double *xs, *table, t_left;
+    int status, write;
     void *mem;
 
     for (lo = 0; lo < p && pts[lo] <= 0.0; lo++)
         ;
     for (m = 0, i = lo; i + 1 < p; i++)
         m += pts[i + 1] - pts[i] > extra;
-    mem = malloc((size_t)(m > 0 ? m : 1) * (3 * sizeof(double)
-                                            + sizeof(int64_t)));
+    mem = calloc((size_t)(m > 0 ? m : 1), 3 * sizeof(double)
+                                              + sizeof(int64_t));
     if (mem == NULL)
         return NO_MEMORY;
     xs = mem;
@@ -717,19 +747,28 @@ static int gap_events(const double *pts, int64_t p, double offset,
             xs[j++] = pts[i] + offset;
     status = gw_deficiency(line0, n0, line1, n1, vis0, vis1, us, n, xs, m,
                            table, (int64_t *)(table + 2 * m), &t_left);
-    *found = 0;
-    if (status == 0 && lo > 0) {
-        anchor = pts[lo - 1];
-        for (j = 0, i = lo; i + 1 < p; i++) {
-            double gap = pts[i + 1] - pts[i], t_ray, value;
-            if (!(gap > extra))
-                continue;
+    ev->rows = lo + 1 < p ? p - lo - 1 : 0;
+    write = ev->f != NULL && ev->rows <= ev->cap;
+    for (j = 0, i = lo; status == 0 && i + 1 < p; i++) {
+        double gap = pts[i + 1] - pts[i], t_ray, value;
+        double d[6] = {pts[i], pts[i + 1], gap, NAN, NAN, NAN};
+        int8_t b[4] = {0, 0, 0, 0};
+        if (gap > extra) {
             t_ray = table[j];
             value = table[m + j++];
-            if ((t_left < t_ray || t_ray < INFINITY)
-                && gap > value - anchor + extra)
-                (*found)++;
+            b[0] = -1;
+            b[1] = lo == 0 ? 1 : t_left < t_ray || t_ray < INFINITY ? 0 : 2;
+            if (b[1] == 0) {
+                d[3] = value - pts[lo - 1] + extra;
+                d[4] = value;
+                d[5] = pts[i + 1];
+                b[0] = gap > d[3];
+                b[2] = t_left < t_ray;
+                ev->found += b[0];
+            }
         }
+        if (write)
+            put_row(ev, i - lo, d, b);
     }
     free(mem);
     return status_of(status, REFUSED_DX);
@@ -740,8 +779,7 @@ static int gap_events(const double *pts, int64_t p, double offset,
 static int thinned_events(const double *line0, int64_t n0,
                           const double *line1, int64_t n1,
                           const int64_t *vis0, const int64_t *vis1,
-                          const double *us, int64_t n, double r,
-                          int64_t *found)
+                          const double *us, int64_t n, double r, Events *ev)
 {
     int64_t i, j, p;
     int status;
@@ -761,20 +799,19 @@ static int thinned_events(const double *line0, int64_t n0,
         }
     }
     status = gap_events(base, p, 0.0, r, line0, n0, line1, n1, vis0, vis1,
-                        us, n, found);
+                        us, n, ev);
     free(base);
     return status;
 }
 
 /* The shifted events: the gap events over line 0 at offset s and extra
- * r + s, in the frame u -> -u when s < 0 (mirror_realization and
- * mirror_trajectory: each line negated and reversed, as its visit steps,
- * and the steps negated). */
+ * r + s, in the frame u -> -u when s < 0 (each line negated and reversed,
+ * as its visit steps, and the steps negated), the table's frame too. */
 static int shifted_events(const double *line0, int64_t n0,
                           const double *line1, int64_t n1,
                           const int64_t *vis0, const int64_t *vis1,
                           const double *us, int64_t n, double r, double s,
-                          int64_t *found)
+                          Events *ev)
 {
     int64_t i, *v0, *v1;
     double *l0, *l1, *u;
@@ -783,7 +820,7 @@ static int shifted_events(const double *line0, int64_t n0,
 
     if (!(s < 0.0))
         return gap_events(line0, n0, s, r + s, line0, n0, line1, n1, vis0,
-                          vis1, us, n, found);
+                          vis1, us, n, ev);
     mem = malloc((size_t)(2 * (n0 + n1) + n + 1) * sizeof(double));
     if (mem == NULL)
         return NO_MEMORY;
@@ -803,8 +840,7 @@ static int shifted_events(const double *line0, int64_t n0,
     for (i = 0; i < n; i++)
         u[i] = -us[i];
     s = -s;
-    status = gap_events(l0, n0, s, r + s, l0, n0, l1, n1, v0, v1, u, n,
-                        found);
+    status = gap_events(l0, n0, s, r + s, l0, n0, l1, n1, v0, v1, u, n, ev);
     free(mem);
     return status;
 }
@@ -812,35 +848,41 @@ static int shifted_events(const double *line0, int64_t n0,
 /* The counts of an n-step walk over two lines of n0 and n1 points, read
  * from the tables F = [line0, line1, us] (the lines and the steps' shadows)
  * and I = [vis0, vis1, lines, counts] (the visit steps, -1 for never, the
- * steps' lines and room for the four counts): counts[0] the sign changes
+ * steps' lines and room for five counts): counts[0] the sign changes
  * between consecutive shadows, counts[1] the steps k whose step k + 1 lies
  * on another half-line (line, sign), counts[2] the occurred return events
- * of `family` (0 when NO_EVENTS) and counts[3] the lemma-audit violations
- * (0 unless audit is set).  r is the separation (0 off parallel lines) and
- * s the shift.  Returns 0; 1, 4 or 3 for a run the deficiency, cluster or
- * audit pass refuses, the events' pass first, as the composition runs
- * them; and 2 when memory runs out. */
+ * of `family` (0 when NO_EVENTS), counts[3] the lemma-audit violations (0
+ * unless audit is set) and counts[4] the rows of the events' table, laid
+ * out as Events at events, cap rows (NULL and 0: counts only).  r is the
+ * separation (0 off parallel lines) and s the shift.  Returns 0; 1, 4 or 3
+ * for a run the deficiency, cluster or audit pass refuses, the events'
+ * pass first, as the composition runs them; and 2 when memory runs out. */
 int gw_summary(const double *F, int64_t n0, int64_t n1, int64_t *I,
-               int64_t n, int family, double r, double s, int audit)
+               int64_t n, int family, double r, double s, int audit,
+               double *events, int64_t cap)
 {
     const double *line0 = F, *line1 = F + n0, *us = F + n0 + n1;
     const int64_t *vis0 = I, *vis1 = I + n0, *lines = I + n0 + n1;
     int64_t *counts = I + n0 + n1 + n;
-    int64_t t, crossings = 0, changes = 0, found = 0, audit_counts[5];
+    int64_t t, crossings = 0, changes = 0, audit_counts[5];
+    Events ev = {events, NULL, cap, 0, 0};
     int status = 0;
 
+    if (events != NULL)
+        ev.b = (int8_t *)(events + 6 * cap);
     if (family == DUPLICATED)
-        status = band_events(line0, n0, vis0, vis1, n, r, &found);
+        status = band_events(line0, n0, vis0, vis1, n, r, &ev);
     else if (family == THINNED)
         status = thinned_events(line0, n0, line1, n1, vis0, vis1, us, n, r,
-                                &found);
+                                &ev);
     else if (family == SHIFTED)
         status = shifted_events(line0, n0, line1, n1, vis0, vis1, us, n, r,
-                                s, &found);
+                                s, &ev);
     if (status)
         return status;
-    counts[2] = found;
+    counts[2] = ev.found;
     counts[3] = 0;
+    counts[4] = ev.rows;
     if (audit) {
         status = gw_audit(line0, n0, line1, n1, vis0, vis1, us, n, r, NULL,
                           0, NULL, 0, audit_counts);

@@ -12,8 +12,8 @@ derived quantities:
   cluster's first member and lead, and one table of how the walk visited
   each (cluster_visits), which the reduced walk and traversal checks read,
 * return-event detection ("A_*" families, one table of numpy columns per
-  run) and the implication check tying those events to an early return to
-  the negative half-axis (the povratak check),
+  run, detect_A_events) and the implication check tying those events to
+  an early return to the negative half-axis (the povratak check),
 * lemma audits that flag any step contradicting the structural facts the
   analysis relies on, as queries on when each point was visited,
 * a sweep run's counts of all of these (summary_counts).
@@ -23,9 +23,10 @@ one linear pass in the compiled library that holds the walk
 (``gw_deficiency``, ``gw_cluster_visits`` and ``gw_audit`` in
 ``_walk.c``, loaded by ``walk._kernel()``), tested bit for bit against
 its numpy reference in ``tests/oracles.py``.  A fourth entry,
-``gw_summary``, runs them for summary_counts and counts a run's crossings,
-half-line changes, occurred events and audit violations in one call; its
-reference is the composition of the functions here that it replaced.
+``gw_summary``, runs them in one call, the one implementation of the
+return events: detect_A_events reads a run's event table from it, and
+summary_counts its crossings, half-line changes, occurred events and
+audit violations (references: oracle_events, summarize_reference).
 Each raises ValidationError for a run its pass does not read (_DX_RULE,
 _AUDIT_RULE, _CLUSTER_RULE), and for shadows or cluster starts that are
 not one row.
@@ -52,10 +53,9 @@ from .processes import (
     PARALLEL_SHIFTED,
     PARALLEL_THINNED,
     Realization,
-    mirror_realization,
 )
 from . import walk
-from .walk import Trajectory, mirror_trajectory
+from .walk import Trajectory
 
 A_M_PARALLEL = "A_m_parallel"
 A_K_THINNED = "A_k_thinned"
@@ -432,7 +432,8 @@ def reduce_to_cluster_leads(real: Realization, traj: Trajectory) -> np.ndarray:
     dec = clusters_of(real)
     t = cluster_visits(dec, traj)
     entered = t.entered
-    return dec.points[dec.leads[entered]][np.argsort(t.first[entered])]
+    return dec.points[dec.leads[entered]][np.argsort(t.first[entered],
+                                                     kind="stable")]
 
 
 def check_cluster_consecutive(real: Realization,
@@ -542,8 +543,9 @@ _VERDICTS = {1: True, 0: False, -1: None}
 
 @dataclass(frozen=True)
 class EventTable:
-    """The return events of one run, one row per event and one numpy column
-    per field; family and mirrored hold for every row.
+    """The return events of one run as gw_summary's event pass writes them,
+    one row per event and one numpy column per field; family and mirrored
+    hold for every row.
 
     occurred is 1, 0 or -1 for True, False and None (not decidable from the
     prefix).  A gap event (A_k families) has its point x, the successor
@@ -576,87 +578,37 @@ class EventTable:
                    map(_VERDICTS.get, self.occurred.tolist()))
 
 
-_EMPTY = dict(x=np.nan, next_x=np.nan, gap=np.nan, rhs=np.nan, dx=np.nan,
-              ray_x=np.nan, degenerate=False, note=np.int8(0), entered=False)
-
-
-def _event_table(family: str, index: np.ndarray, occurred: np.ndarray,
-                 mirrored: bool = False, **columns) -> EventTable:
-    """An EventTable whose unnamed columns hold their empty value."""
-    for c, fill in _EMPTY.items():
-        if c not in columns:
-            columns[c] = np.full(len(index), fill)
-    return EventTable(family, mirrored, index, occurred.astype(np.int8),
-                      **columns)
+# gw_summary's event families (_walk.c's enum) with their names, and the
+# rule of each status it refuses a run with
+_FAMILIES = {PARALLEL_DUPLICATED: (1, A_M_PARALLEL),
+             PARALLEL_THINNED: (2, A_K_THINNED),
+             PARALLEL_SHIFTED: (3, A_K_SHIFTED)}
+_SUMMARY_RULES = {1: _DX_RULE, 3: _AUDIT_RULE, 4: _CLUSTER_RULE}
 
 
 def detect_A_events(real: Realization, traj: Trajectory) -> EventTable:
+    """The run's return events, from gw_summary's event pass with its table:
+    band events on duplicated lines, gap events on thinned and shifted ones
+    (s < 0 in the mirrored frame u -> -u).  It refuses a run by the rule of
+    the pass it reads, _CLUSTER_RULE for bands and _DX_RULE for gaps."""
     c = real.spec.construction
-    if c == PARALLEL_DUPLICATED:
-        return _band_events(real, traj)
-    if c == PARALLEL_THINNED:
-        r = real.spec.separation_r
-        return _gap_events(A_K_THINNED, real.base_points, 0.0, r,
-                           real, traj, mirrored=False)
-    if c == PARALLEL_SHIFTED:
-        mirrored = real.spec.shift_s < 0
-        if mirrored:
-            real, traj = mirror_realization(real), mirror_trajectory(traj)
-        r, s = real.spec.separation_r, real.spec.shift_s
-        return _gap_events(A_K_SHIFTED, real.line0, s, r + s,
-                           real, traj, mirrored)
-    raise ValidationError(f"no return-event families for construction {c!r}")
-
-
-def _band_events(real: Realization, traj: Trajectory) -> EventTable:
-    """Band events of the reduced walk: the lead shadow sits in
-    [r*m, r*(m+1)) and the next lead shadow is negative.  Bands 0 up to the
-    highest one entered are listed; an event is witnessed (True) or, as the
-    final reduced position has an unknown successor, undecided."""
-    u = reduce_to_cluster_leads(real, traj)
-    band = (u // real.spec.separation_r).astype(np.int64)
-    pos = u >= 0.0
-    n = int(band[pos].max()) + 1 if pos.any() else 0
-    entered = np.zeros(n, dtype=bool)
-    entered[band[pos]] = True
-    witnessed = np.zeros(n, dtype=bool)
-    witnessed[band[:-1][pos[:-1] & (u[1:] < 0.0)]] = True
-    return _event_table(A_M_PARALLEL, np.arange(n),
-                        np.where(witnessed, 1, -1), entered=entered)
-
-
-def _gap_events(family: str, pts: np.ndarray, level_offset: float,
-                extra: float, real: Realization, traj: Trajectory,
-                mirrored: bool) -> EventTable:
-    """Shared gap-event scan for the thinned and shifted constructions.
-
-    For the k-th positive point X_k with in-window successor X_{k+1}:
-    the event holds iff the gap beats (deficiency at X_k + level_offset)
-    - anchor + extra, where the anchor is the last point <= 0.  Gaps not
-    exceeding `extra` alone cannot beat it, and need no deficiency level.
-    """
-    lo = int(pts.searchsorted(0.0, "right"))  # the first positive point
-    anchor = pts[lo - 1] if lo else np.nan
-    x, next_x = pts[lo:-1], pts[lo + 1:]
-    gap = next_x - x
-    wide = np.nonzero(gap > extra)[0]
-    dx = compute_Dx(real, traj, x[wide] + level_offset)
-    decided = dx.decided & (lo > 0)
-    occurred = np.zeros(len(x), dtype=np.int8)
-    occurred[wide] = -1
-    note = np.zeros(len(x), dtype=np.int8)
-    note[wide[~decided]] = 2 if lo else 1
-    value, rhs, ray_x = (np.full(len(x), np.nan) for _ in range(3))
-    degenerate = np.zeros(len(x), dtype=bool)
-    k = wide[decided]
-    value[k] = dx.value[decided]
-    rhs[k] = value[k] - anchor + extra
-    ray_x[k] = next_x[k]
-    degenerate[k] = dx.degenerate[decided]
-    occurred[k] = gap[k] > rhs[k]
-    return _event_table(family, np.arange(1, len(x) + 1), occurred, mirrored,
-                        x=x, next_x=next_x, gap=gap, rhs=rhs, dx=value,
-                        ray_x=ray_x, degenerate=degenerate, note=note)
+    if c not in _FAMILIES:
+        raise ValidationError(f"no return-event families for construction {c!r}")
+    family, name = _FAMILIES[c]
+    # _walk.c's Events: cap rows of six double columns, then four byte ones
+    cap = len(real.line0) + len(real.line1)  # every gap row, most band rows
+    while True:  # twice at most: the second time with every band's room
+        table = np.empty(52 * cap, dtype=np.uint8)
+        rows = _summary(real, traj, family, False, table.ctypes.data, cap)[4]
+        if rows <= cap:
+            break
+        cap = rows
+    doubles = table[:48 * cap].view(np.float64).reshape(6, cap)[:, :rows]
+    occurred, note, degenerate, entered = (
+        table[48 * cap:].view(np.int8).reshape(4, cap)[:, :rows])
+    return EventTable(name, c == PARALLEL_SHIFTED and real.spec.shift_s < 0,
+                      np.arange(rows) + (c != PARALLEL_DUPLICATED), occurred,
+                      *doubles, degenerate.view(bool), note, entered.view(bool))
 
 
 @dataclass(frozen=True)
@@ -716,12 +668,6 @@ def check_povratak(real: Realization, traj: Trajectory) -> PovratakSummary:
 # a sweep run's counts
 
 
-# gw_summary's event families (_walk.c's enum), and the rule of each
-# status it refuses a run with
-_FAMILIES = {PARALLEL_DUPLICATED: 1, PARALLEL_THINNED: 2, PARALLEL_SHIFTED: 3}
-_SUMMARY_RULES = {1: _DX_RULE, 3: _AUDIT_RULE, 4: _CLUSTER_RULE}
-
-
 def summary_counts(real: Realization, traj: Trajectory, *, audit: bool,
                    events: bool) -> tuple:
     """A sweep run's counts in one compiled call (gw_summary): its
@@ -731,9 +677,18 @@ def summary_counts(real: Realization, traj: Trajectory, *, audit: bool,
     `events` is set on a parallel construction, the violations None unless
     `audit` is set off intersecting lines.  It refuses a run by the rule of
     the pass that refuses it first, the events' pass before the audit's."""
-    spec = real.spec
-    family = _FAMILIES.get(spec.construction, 0) if events else 0
-    audit = audit and spec.kind != INTERSECTING
+    family = _FAMILIES.get(real.spec.construction, (0,))[0] if events else 0
+    audit = audit and real.spec.kind != INTERSECTING
+    crossings, changes, found, failures, _ = _summary(real, traj, family,
+                                                      audit)
+    return (crossings, changes, found if family else None,
+            failures if audit else None)
+
+
+def _summary(real: Realization, traj: Trajectory, family: int, audit: bool,
+             table=None, cap: int = 0) -> list:
+    """gw_summary's five counts for the run (family 0: no events), and its
+    event table at the address `table`, of cap rows, where they fit."""
     n0, n1 = len(real.line0), len(real.line1)
     v0, v1 = _visit_steps(traj, n0, n1)
     us = _row(traj.us, np.float64, "shadows")
@@ -745,16 +700,14 @@ def summary_counts(real: Realization, traj: Trajectory, *, audit: bool,
     # the step loop's per-thread buffers, whose addresses are kept: a sweep
     # run's arrays are short, so copying them costs less than taking each
     # one's address
-    (F, I, _, _), _, (pF, pI, *_) = walk._buffers(m + n + 4)
+    (F, I, _, _), _, (pF, pI, *_) = walk._buffers(m + n + 5)
     F[:n0], F[n0:m], F[m:m + n] = real.line0, real.line1, us
     I[:n0], I[n0:m], I[m:m + n] = v0, v1, traj.lines
     status = walk._kernel().gw_summary(
-        pF, n0, n1, pI, n, family, spec.separation_r or 0.0,
-        spec.shift_s or 0.0, audit)
+        pF, n0, n1, pI, n, family, real.spec.separation_r or 0.0,
+        real.spec.shift_s or 0.0, audit, table, cap)
     _refuse(status, _SUMMARY_RULES.get(status))
-    crossings, changes, found, failures = I[m + n:m + n + 4].tolist()
-    return (crossings, changes, found if family else None,
-            failures if audit else None)
+    return I[m + n:m + n + 5].tolist()
 
 
 # ---------------------------------------------------------------------------

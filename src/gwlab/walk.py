@@ -29,8 +29,8 @@ Two engines produce step-for-step identical trajectories.
   entries that analysis.py runs over a walk: three passes, ``gw_audit``
   (``audit_lemmas``), ``gw_deficiency`` (``compute_Dx``) and
   ``gw_cluster_visits`` (``cluster_visits``), and ``gw_summary``
-  (``summary_counts``), a sweep run's counts over those passes in one
-  call.  On first use in a process the library is compiled with the
+  (``detect_A_events``, ``summary_counts``), a run's return events and a
+  sweep run's counts over those passes in one call.  On first use in a process the library is compiled with the
   system C compiler (``cc``, else ``gcc``) into ``$XDG_CACHE_HOME/gwlab``
   (default ``~/.cache/gwlab``), once per source and flag set, and loaded
   with ``ctypes``.  A C compiler
@@ -151,10 +151,10 @@ def stop_margin(real: Realization, u: float, line: int) -> float:
 
 # the compiled library: _walk.c, with the step loop gw_walk and the four
 # entries analysis.py calls (the lemma audits gw_audit, the deficiency
-# records gw_deficiency, the cluster-visit table gw_cluster_visits and a
-# sweep run's counts over them, gw_summary), built by the system C
-# compiler into the user's cache once per source and flag set, and loaded
-# with ctypes
+# records gw_deficiency, the cluster-visit table gw_cluster_visits and
+# gw_summary, a run's return events, with their table when given one, and
+# a sweep run's counts over them), built by the system C compiler into the
+# user's cache once per source and flag set, and loaded with ctypes
 _SOURCE = Path(__file__).with_name("_walk.c")
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _KINDS = {SINGLE_LINE: 0, INTERSECTING: 1, PARALLEL: 2}  # _walk.c's enum
@@ -176,7 +176,8 @@ _SIGNATURES = {  # symbol: (argument types, result type)
                            _P, _Q, _Q,  # starts, k, n
                            _P, _P), _I),  # table, verdicts
     "gw_summary": ((_P, _Q, _Q, _P, _Q,  # F, n0, n1, I, n
-                    _I, _D, _D, _I), _I),  # family, r, s, audit
+                    _I, _D, _D, _I,  # family, r, s, audit
+                    _P, _Q), _I),  # events, cap
 }
 
 
@@ -260,8 +261,8 @@ def _buffers(size: int):
     for at least `size` flat entries, and the addresses of those four and
     of the two link arrays, taken when they were allocated (ndarray.ctypes
     costs about a microsecond a call).  A Trajectory holds copies, so
-    between walks analysis.summary_counts fills the first two as its
-    tables."""
+    between walks analysis.detect_A_events and summary_counts fill the
+    first two as gw_summary's tables."""
     bufs = getattr(_scratch, "bufs", None)
     if bufs is None or len(bufs[0][0]) < size:
         links = np.empty((2, size), dtype=np.int64)

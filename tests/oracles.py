@@ -12,11 +12,14 @@ bit for bit, in what it returns and in what it refuses.
   (``_AUDIT_RULE``, ``_DX_RULE``, ``_CLUSTER_RULE``); the checks the
   public entries make before any pass (visit steps, shadows, levels,
   cluster starts) are not repeated here.
+* ``oracle_events``: the return events, one record per event built in a
+  loop over the reduced walk (``reduce_to_cluster_leads``) or the
+  deficiency records (``compute_Dx``), the reference of ``gw_summary``'s
+  event pass, which ``detect_A_events`` reads its table from.
 * ``summarize_reference``: ``experiments.summarize_run`` as the
-  composition of ``detect_A_events``, ``audit_lemmas``,
-  ``detect_crossings`` and ``extract_halfline_changes`` it was, the
-  reference of ``gw_summary``; it refuses a run by the rule of the pass
-  that refuses it first.
+  composition of ``oracle_events``, ``audit_lemmas``, ``detect_crossings``
+  and ``extract_halfline_changes``, the reference of ``gw_summary``; it
+  refuses a run by the rule of the pass that refuses it first.
 
 A change to a compiled entry keeps its reference here equal to it.
 """
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,16 +36,20 @@ from gwlab.analysis import (
     _AUDIT_RULE,
     _CLUSTER_RULE,
     _DX_RULE,
+    A_K_SHIFTED,
+    A_K_THINNED,
+    A_M_PARALLEL,
     ClusterVisits,
     DeficiencyRecords,
     LemmaAudit,
     _refuse,
     audit_lemmas,
-    detect_A_events,
+    compute_Dx,
     detect_crossings,
     extract_halfline_changes,
     first_passage,
     last_visit_steps,
+    reduce_to_cluster_leads,
 )
 from gwlab.experiments import RunSummary
 from gwlab.processes import (
@@ -49,7 +57,10 @@ from gwlab.processes import (
     INTERSECTING_INDEPENDENT,
     PARALLEL,
     PARALLEL_CONSTRUCTIONS,
+    PARALLEL_DUPLICATED,
+    PARALLEL_THINNED,
     Realization,
+    mirror_realization,
 )
 from gwlab.walk import (
     TRUNCATION_SAFE,
@@ -57,6 +68,7 @@ from gwlab.walk import (
     Trajectory,
     _trajectory,
     cross_distance,
+    mirror_trajectory,
     stop_margin,
 )
 
@@ -343,18 +355,95 @@ def _audit_replay(traj: Trajectory, audit: LemmaAudit, mu, ms) -> None:
 
 
 # ---------------------------------------------------------------------------
+# the return events
+
+
+@dataclass(frozen=True)
+class OracleEvent:
+    """One return event as the per-event loop builds it: its verdict and a
+    dict of the quantities that went into it."""
+
+    family: str
+    index: int
+    occurred: bool | None
+    details: dict
+
+
+def oracle_events(real: Realization, traj: Trajectory) -> list[OracleEvent]:
+    """detect_A_events as one OracleEvent per event, built in a loop over
+    the reduced walk or the deficiency records: the reference of
+    gw_summary's event pass (band_events and gap_events in _walk.c)."""
+    c = real.spec.construction
+    if c == PARALLEL_DUPLICATED:
+        u = reduce_to_cluster_leads(real, traj)
+        band = (u // real.spec.separation_r).astype(np.int64)
+        pos = u >= 0.0
+        entered = set(band[pos].tolist())
+        # the final reduced position has an unknown successor
+        witnessed = set(band[:-1][pos[:-1] & (u[1:] < 0.0)].tolist())
+        return [OracleEvent(A_M_PARALLEL, m, True, {"entered": True})
+                if m in witnessed else
+                OracleEvent(A_M_PARALLEL, m, None, {"entered": m in entered})
+                for m in range(max(entered, default=-1) + 1)]
+    if c == PARALLEL_THINNED:
+        return oracle_gap_events(A_K_THINNED, real.base_points, 0.0,
+                                 real.spec.separation_r, real, traj, False)
+    mirrored = real.spec.shift_s < 0
+    if mirrored:
+        real, traj = mirror_realization(real), mirror_trajectory(traj)
+    r, s = real.spec.separation_r, real.spec.shift_s
+    return oracle_gap_events(A_K_SHIFTED, real.line0, s, r + s, real, traj,
+                             mirrored)
+
+
+def oracle_gap_events(family, pts, level_offset, extra, real, traj, mirrored):
+    """The gap event of each positive point of pts with a successor, in the
+    frame of real and traj."""
+    pos = np.nonzero(pts[:-1] > 0.0)[0]
+    neg = np.nonzero(pts <= 0.0)[0]
+    anchor = float(pts[neg[-1]]) if len(neg) else None
+    gaps = pts[pos + 1] - pts[pos]
+    wide = gaps > extra
+    dx = compute_Dx(real, traj, pts[pos[wide]] + level_offset)
+    row = np.cumsum(wide) - 1  # the deficiency level of each wide gap
+    records = []
+    for k, (bi, gap, i) in enumerate(
+            zip(pos.tolist(), gaps.tolist(), row.tolist()), start=1):
+        details = {"x": float(pts[bi]), "next_x": float(pts[bi + 1]),
+                   "gap": gap}
+        if mirrored:
+            details["mirrored"] = True
+        occurred = None
+        if gap <= extra:
+            occurred = False
+        elif anchor is None:
+            details["note"] = "no anchor point <= 0 in window"
+        elif not dx.decided[i]:
+            details["note"] = "deficiency undecidable within prefix"
+        else:
+            value = float(dx.value[i])
+            rhs = value - anchor + extra
+            details.update(rhs=rhs, dx=value, degenerate=bool(dx.degenerate[i]),
+                           ray_x=float(pts[bi + 1]))
+            occurred = bool(gap > rhs)
+        records.append(OracleEvent(family, k, occurred, details))
+    return records
+
+
+# ---------------------------------------------------------------------------
 # a sweep run's summary
 
 
 def summarize_reference(cfg, run_index: int, real: Realization,
                         traj: Trajectory) -> RunSummary:
     """experiments.summarize_run as a composition of the public analysis
-    functions, one pass each: the reference gw_summary is tested against."""
+    functions and oracle_events, one pass each: the reference gw_summary is
+    tested against."""
     spec = real.spec
     a_events = None
     if cfg.detect_events and spec.construction in PARALLEL_CONSTRUCTIONS:
-        events = detect_A_events(real, traj)
-        a_events = int(np.count_nonzero(events.occurred == 1))
+        a_events = sum(rec.occurred is True
+                       for rec in oracle_events(real, traj))
     failures = None
     if cfg.audit and spec.construction != INTERSECTING_INDEPENDENT:
         failures = len(audit_lemmas(real, traj).violations)

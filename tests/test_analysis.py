@@ -10,7 +10,7 @@ import json
 import math
 import random
 import re
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, fields, replace
 from itertools import repeat
 from pathlib import Path
 
@@ -50,7 +50,7 @@ from gwlab import (
     stream_seed,
     validate_dx_record,
 )
-from gwlab import analysis, walk
+from gwlab import analysis, processes, walk
 from gwlab.checks import CHECKS
 from gwlab.walk import Trajectory
 from gwlab.analysis import (
@@ -1236,80 +1236,12 @@ def test_povratak_construction_guard(hand_real):
 
 
 # ---------------------------------------------------------------------------
-# the event table against the per-record loops that preceded it
-
-
-@dataclass(frozen=True)
-class OracleEvent:
-    """One return event as the per-event loop builds it: its verdict and a
-    dict of the quantities that went into it."""
-
-    family: str
-    index: int
-    occurred: bool | None
-    details: dict
-
-
-def oracle_events(real, traj):
-    """detect_A_events as one OracleEvent per event, built in a loop."""
-    c = real.spec.construction
-    if c == "parallel-duplicated":
-        u = reduce_to_cluster_leads(real, traj)
-        band = (u // real.spec.separation_r).astype(np.int64)
-        pos = u >= 0.0
-        entered = set(band[pos].tolist())
-        # the final reduced position has an unknown successor
-        witnessed = set(band[:-1][pos[:-1] & (u[1:] < 0.0)].tolist())
-        return [OracleEvent(A_M_PARALLEL, m, True, {"entered": True})
-                if m in witnessed else
-                OracleEvent(A_M_PARALLEL, m, None, {"entered": m in entered})
-                for m in range(max(entered, default=-1) + 1)]
-    if c == "parallel-thinned":
-        return oracle_gap_events(A_K_THINNED, real.base_points, 0.0,
-                                 real.spec.separation_r, real, traj, False)
-    mirrored = real.spec.shift_s < 0
-    if mirrored:
-        real, traj = mirror_realization(real), mirror_trajectory(traj)
-    r, s = real.spec.separation_r, real.spec.shift_s
-    return oracle_gap_events(A_K_SHIFTED, real.line0, s, r + s, real, traj,
-                             mirrored)
-
-
-def oracle_gap_events(family, pts, level_offset, extra, real, traj, mirrored):
-    pos = np.nonzero(pts[:-1] > 0.0)[0]
-    neg = np.nonzero(pts <= 0.0)[0]
-    anchor = float(pts[neg[-1]]) if len(neg) else None
-    gaps = pts[pos + 1] - pts[pos]
-    wide = gaps > extra
-    dx = compute_Dx(real, traj, pts[pos[wide]] + level_offset)
-    row = np.cumsum(wide) - 1  # the deficiency level of each wide gap
-    records = []
-    for k, (bi, gap, i) in enumerate(
-            zip(pos.tolist(), gaps.tolist(), row.tolist()), start=1):
-        details = {"x": float(pts[bi]), "next_x": float(pts[bi + 1]),
-                   "gap": gap}
-        if mirrored:
-            details["mirrored"] = True
-        occurred = None
-        if gap <= extra:
-            occurred = False
-        elif anchor is None:
-            details["note"] = "no anchor point <= 0 in window"
-        elif not dx.decided[i]:
-            details["note"] = "deficiency undecidable within prefix"
-        else:
-            value = float(dx.value[i])
-            rhs = value - anchor + extra
-            details.update(rhs=rhs, dx=value, degenerate=bool(dx.degenerate[i]),
-                           ray_x=float(pts[bi + 1]))
-            occurred = bool(gap > rhs)
-        records.append(OracleEvent(family, k, occurred, details))
-    return records
+# the event table against its reference, oracles.oracle_events
 
 
 def oracle_povratak(real, traj):
     """check_povratak over the oracle's records."""
-    occurred = [rec for rec in oracle_events(real, traj)
+    occurred = [rec for rec in oracles.oracle_events(real, traj)
                 if rec.occurred is True]
     if real.spec.construction == "parallel-shifted" and real.spec.shift_s < 0:
         traj = mirror_trajectory(traj)  # the frame of the events' details
@@ -1369,7 +1301,7 @@ def assert_events_match_oracle(real, traj):
     verdicts the table's iteration gives."""
     events = detect_A_events(real, traj)
     assert isinstance(events, EventTable)
-    want = [vars(rec) for rec in oracle_events(real, traj)]
+    want = [vars(rec) for rec in oracles.oracle_events(real, traj)]
     assert repr(event_rows(events)) == repr(want)
     assert repr([vars(rec) for rec in events]) == repr(
         [{k: row[k] for k in ("family", "index", "occurred")} for row in want])
@@ -1447,7 +1379,7 @@ def test_oracle_comparison_fails_on_a_perturbed_column(spec_for, column):
         traj = run_walk(real)
         for t in (traj, cut_prefix(traj, 5), reorder_steps(
                 traj, np.random.default_rng(6).permutation(len(traj)))):
-            want = repr([vars(rec) for rec in oracle_events(real, t)])
+            want = repr([vars(rec) for rec in oracles.oracle_events(real, t)])
 
             def matches(events):
                 try:
@@ -1497,6 +1429,9 @@ def test_oracle_comparison_fails_on_a_perturbed_column(spec_for, column):
     ("parallel-duplicated", [-0.5, 4.0, 4.4], {},
      [4.0, 4.4, 4.4, 4.0, -0.5, -0.5], [0, 0, 1, 1, 1, 0]),
     ("parallel-duplicated", [-0.5, 4.0, 4.4], {}, [-0.5, -0.5], [0, 1]),
+    # more bands than points, past the table's first room: a second call
+    ("parallel-duplicated", [-0.5, 20.0, 20.4], {},
+     [20.0, 20.4, 20.4, 20.0, -0.5, -0.5], [0, 0, 1, 1, 1, 0]),
 ])
 def test_event_table_edge_cases(hand_real, hand_traj, construction, line0,
                                 kw, us, lines):
@@ -1504,19 +1439,10 @@ def test_event_table_edge_cases(hand_real, hand_traj, construction, line0,
     assert_events_match_oracle(real, hand_traj(real, us, lines))
 
 
-def test_gap_events_without_wide_gap_read_zero_levels(spec_for, monkeypatch):
+def test_gap_events_without_wide_gap_read_zero_levels(spec_for):
     # thinned r=5 runs with no gap wider than r take the one path through
-    # the gap events: deficiency records at zero levels, once for the table
-    # and once in check_povratak, and the oracle's table, every event
-    # refuted
-    levels = []
-    compute = analysis.compute_Dx
-
-    def spy(real, traj, xs):
-        levels.append(len(xs))
-        return compute(real, traj, xs)
-
-    monkeypatch.setattr(analysis, "compute_Dx", spy)
+    # the gap events that asks the deficiency pass for no level: the table
+    # is the oracle's, and every event is refuted
     spec = spec_for("parallel-thinned", window_L=50.0, separation_r=5.0)
     reals = [generate(spec, stream_seed(5, i)) for i in range(20)]
     narrow = [real for real in reals if np.diff(real.base_points).max() <= 5.0]
@@ -1524,7 +1450,68 @@ def test_gap_events_without_wide_gap_read_zero_levels(spec_for, monkeypatch):
     for real in narrow:
         events = assert_events_match_oracle(real, run_walk(real))
         assert len(events) > 0 and not events.occurred.any()
-    assert levels == [0] * 2 * len(narrow)
+
+
+PARALLEL_RUNS = (("parallel-duplicated", {}),
+                 ("parallel-thinned", {}),
+                 ("parallel-shifted", {"shift_s": 0.3}),
+                 ("parallel-shifted", {"shift_s": -0.3}))
+
+
+def test_events_make_one_compiled_call(spec_for, monkeypatch):
+    # the events and the return implication read the table gw_summary
+    # writes, in one call, on every parallel construction and a shift of
+    # either sign: none of the passes the event rule was once built from
+    # runs
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the events ran a pass outside gw_summary")
+
+    for name in ("compute_Dx", "cluster_visits", "reduce_to_cluster_leads"):
+        monkeypatch.setattr(analysis, name, forbidden)
+    monkeypatch.setattr(processes, "mirror_realization", forbidden)
+    monkeypatch.setattr(walk, "mirror_trajectory", forbidden)
+    assert not hasattr(analysis, "mirror_realization")
+    assert not hasattr(analysis, "mirror_trajectory")
+    lib, calls = walk._kernel(), []
+
+    class Counting:
+        def __getattr__(self, name):
+            calls.append(name)
+            return getattr(lib, name)
+
+    monkeypatch.setattr(walk, "_kernel", Counting)
+    for construction, kw in PARALLEL_RUNS:
+        real = generate(spec_for(construction, window_L=50.0, **kw), 4)
+        traj = run_walk(real)
+        calls.clear()
+        assert len(detect_A_events(real, traj)) > 0
+        if construction != "parallel-duplicated":
+            check_povratak(real, traj)
+        assert calls == ["gw_summary"] * (
+            1 if construction == "parallel-duplicated" else 2)
+
+
+def test_events_count_what_the_summary_counts(spec_for):
+    # the sweep's a_events is the table's count of occurred events, on
+    # greedy, cut and shuffled walks, and a run one refuses the other
+    # refuses by the same rule
+    for construction, kw in PARALLEL_RUNS:
+        for i in range(3):
+            real = generate(spec_for(construction, window_L=50.0, **kw),
+                            stream_seed(34, i))
+            traj = run_walk(real)
+            n = len(traj)
+            off = traj.visited_step0.copy()
+            off[0] = n + 1
+            rng = np.random.default_rng(i)
+            for t in (traj, cut_prefix(traj, n // 2),
+                      reorder_steps(traj, rng.permutation(n)),
+                      replace(traj, visited_step0=off)):
+                table = outcome(lambda: int(np.count_nonzero(
+                    detect_A_events(real, t).occurred == 1)))
+                assert outcome(lambda: summary_counts(
+                    real, t, audit=False, events=True)[2]) == table
+            assert table[0] is ValidationError
 
 
 def test_bench_tracer_event_counts(bench_tracer, spec_for):
@@ -2050,11 +2037,22 @@ def test_layout_variants_read_alike_on_both_paths(spec_for, construction):
     column = replace(traj, us=traj.us[:, None])
     cases = [("shadows", lambda: compute_Dx(real, column, xs)),
              ("shadows", lambda: audit_lemmas(real, column))]
+    if construction != "single-line":
+        cases.append(("shadows", lambda: detect_A_events(real, column)))
     if shared:
         cases.append(("cluster starts", lambda: cluster_visits(
             replace(dec, starts=dec.starts[:, None]), traj)))
     for name, call in cases:
         with pytest.raises(ValidationError, match=f"{name} must be one row"):
+            call()
+    # and lines that are not one per step, by the calls that pack them for
+    # gw_summary
+    short = replace(traj, lines=traj.lines[:-1])
+    packed = [lambda: summary_counts(real, short, audit=True, events=True)]
+    if construction != "single-line":
+        packed.append(lambda: detect_A_events(real, short))
+    for call in packed:
+        with pytest.raises(ValidationError, match="lines must be one per step"):
             call()
 
 
@@ -2093,6 +2091,11 @@ def outcome(call):
 @example(construction="parallel-shifted", L=40.0, r=1.0, shift=-0.3, p=0.5,
          seed=1, exhaust=False, window=1.0, form="walk", audit=True,
          events=True, rnd=random.Random(0))
+# a step claimed twice, which gives two clusters one first visit: the
+# reduced walk orders them by index, and numpy's default sort would not
+@example(construction="parallel-duplicated", L=10.0, r=0.1, shift=0.3, p=0.5,
+         seed=3, exhaust=False, window=1.0, form="mutated", audit=False,
+         events=True, rnd=random.Random(1))
 def test_summary_matches_its_reference(spec_for, construction, L, r, shift,
                                        p, seed, exhaust, window, form, audit,
                                        events, rnd):
@@ -2118,12 +2121,7 @@ def test_summary_matches_its_reference(spec_for, construction, L, r, shift,
                            base_seed=0, audit=audit, detect_events=events)
     got = outcome(lambda: summarize_run(cfg, 7, real, traj))
     want = outcome(lambda: oracles.summarize_reference(cfg, 7, real, traj))
-    if form == "claimed twice" and isinstance(want, RunSummary):
-        # two clusters may then share a first visit, which numpy's argsort
-        # orders either way: only the refusal is compared
-        assert isinstance(got, RunSummary)
-    else:
-        assert got == want
+    assert got == want
     if isinstance(want, RunSummary):
         assert (want.a_events is None) == (
             not events or construction not in PARALLEL_CONSTRUCTIONS)
