@@ -27,7 +27,6 @@ from .processes import (
     Realization,
     couple_restrict,
     generate,
-    mirror_realization,
     realization_from_dict,
     realization_to_dict,
     sample_poisson,
@@ -41,7 +40,6 @@ from .walk import (
     StopRule,
     Trajectory,
     cross_distance,
-    mirror_trajectory,
     run_walk,
     run_walk_naive,
     stop_margin,
@@ -73,7 +71,6 @@ from .analysis import (
     extract_UV_sequences,
     extract_halfline_changes,
     intersect_Bn_bound,
-    reduce_to_cluster_leads,
     validate_dx_record,
 )
 from .experiments import (

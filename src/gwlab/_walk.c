@@ -1,14 +1,15 @@
 /* The compiled library: the greedy walk's step loop gw_walk, three
  * linear passes over a walk for analysis.py (the lemma audits gw_audit,
  * the deficiency records gw_deficiency and the cluster-visit table
- * gw_cluster_visits) and gw_summary, a run's return events and a sweep
- * run's counts over those passes in one call.  walk.py builds this file
- * into a shared library and loads it through ctypes; run_walk calls
- * gw_walk and builds the Trajectory from what it writes,
+ * gw_cluster_visits), gw_summary, a run's return events and its counts
+ * over those passes in one call, and gw_sweep, which walks a chunk of a
+ * sweep's runs and counts each walk as gw_summary does.  walk.py builds
+ * this file into a shared library and loads it through ctypes; run_walk
+ * calls gw_walk and builds the Trajectory from what it writes,
  * analysis.audit_lemmas, compute_Dx and cluster_visits call the passes,
- * and analysis.detect_A_events and summary_counts call gw_summary.  Where
- * the library does not build, they raise OSError; gwlab has no other
- * engine.
+ * analysis.detect_A_events calls gw_summary and analysis.sweep_counts
+ * gw_sweep.  Where the library does not build, they raise OSError; gwlab
+ * has no other engine.
  *
  * Every walk starts at the origin on line 0, its step 0.  The passes read
  * lines that Realization keeps finite, strictly increasing, read-only and
@@ -20,8 +21,9 @@
  *
  * tests/oracles.py holds each entry's reference, python_loop being gw_walk
  * line for line in Python, oracle_events gw_summary's event pass and
- * summarize_reference its counts; a change to an entry keeps its reference
- * equal to it, in what it refuses too.
+ * summarize_reference its counts, and gw_sweep's rows are
+ * summarize_reference's of run_walk's walk; a change to an entry keeps its
+ * reference equal to it, in what it refuses too.
  *
  * Every double must equal Python's and numpy's bit for bit: each distance
  * and deficiency term is computed in the expression order of the Python
@@ -37,6 +39,7 @@
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 #if !defined(FLT_EVAL_METHOD) || FLT_EVAL_METHOD != 0
 #error "the step loop needs double expressions evaluated in double"
@@ -845,44 +848,39 @@ static int shifted_events(const double *line0, int64_t n0,
     return status;
 }
 
-/* The counts of an n-step walk over two lines of n0 and n1 points, read
- * from the tables F = [line0, line1, us] (the lines and the steps' shadows)
- * and I = [vis0, vis1, lines, counts] (the visit steps, -1 for never, the
- * steps' lines and room for five counts): counts[0] the sign changes
- * between consecutive shadows, counts[1] the steps k whose step k + 1 lies
- * on another half-line (line, sign), counts[2] the occurred return events
- * of `family` (0 when NO_EVENTS), counts[3] the lemma-audit violations (0
- * unless audit is set) and counts[4] the rows of the events' table, laid
- * out as Events at events, cap rows (NULL and 0: counts only).  r is the
- * separation (0 off parallel lines) and s the shift.  Returns 0; 1, 4 or 3
- * for a run the deficiency, cluster or audit pass refuses, the events'
- * pass first, as the composition runs them; and 2 when memory runs out. */
-int gw_summary(const double *F, int64_t n0, int64_t n1, int64_t *I,
-               int64_t n, int family, double r, double s, int audit,
-               double *events, int64_t cap)
+/* The counts of an n-step walk over the lines line0 and line1, of n0 and n1
+ * points visited at vis0 and vis1 (-1 for never), whose steps have the
+ * shadows us and the lines `lines`: counts[0] the sign changes between
+ * consecutive shadows, counts[1] the steps k whose step k + 1 lies on
+ * another half-line (line, sign), counts[2] the occurred return events of
+ * `family` (0 when NO_EVENTS), counts[3] the lemma-audit violations (0
+ * unless audit is set) and counts[4] the rows of the events' table, which
+ * ev writes where it has room.  r is the separation (0 off parallel lines)
+ * and s the shift.  Returns 0; 1, 4 or 3 for a run the deficiency, cluster
+ * or audit pass refuses, the events' pass first, as the composition runs
+ * them; and 2 when memory runs out. */
+static int summarize(const double *line0, int64_t n0, const double *line1,
+                     int64_t n1, const int64_t *vis0, const int64_t *vis1,
+                     const double *us, const int64_t *lines, int64_t n,
+                     int family, double r, double s, int audit, Events *ev,
+                     int64_t *counts)
 {
-    const double *line0 = F, *line1 = F + n0, *us = F + n0 + n1;
-    const int64_t *vis0 = I, *vis1 = I + n0, *lines = I + n0 + n1;
-    int64_t *counts = I + n0 + n1 + n;
     int64_t t, crossings = 0, changes = 0, audit_counts[5];
-    Events ev = {events, NULL, cap, 0, 0};
     int status = 0;
 
-    if (events != NULL)
-        ev.b = (int8_t *)(events + 6 * cap);
     if (family == DUPLICATED)
-        status = band_events(line0, n0, vis0, vis1, n, r, &ev);
+        status = band_events(line0, n0, vis0, vis1, n, r, ev);
     else if (family == THINNED)
         status = thinned_events(line0, n0, line1, n1, vis0, vis1, us, n, r,
-                                &ev);
+                                ev);
     else if (family == SHIFTED)
         status = shifted_events(line0, n0, line1, n1, vis0, vis1, us, n, r,
-                                s, &ev);
+                                s, ev);
     if (status)
         return status;
-    counts[2] = ev.found;
+    counts[2] = ev->found;
     counts[3] = 0;
-    counts[4] = ev.rows;
+    counts[4] = ev->rows;
     if (audit) {
         status = gw_audit(line0, n0, line1, n1, vis0, vis1, us, n, r, NULL,
                           0, NULL, 0, audit_counts);
@@ -899,4 +897,66 @@ int gw_summary(const double *F, int64_t n0, int64_t n1, int64_t *I,
     counts[0] = crossings;
     counts[1] = changes;
     return 0;
+}
+
+/* summarize over the tables F = [line0, line1, us] and I = [vis0, vis1,
+ * lines, counts], with counts room for five, and the events' table laid out
+ * as Events at events, cap rows (NULL and 0: counts only). */
+int gw_summary(const double *F, int64_t n0, int64_t n1, int64_t *I,
+               int64_t n, int family, double r, double s, int audit,
+               double *events, int64_t cap)
+{
+    Events ev = {events, NULL, cap, 0, 0};
+
+    if (events != NULL)
+        ev.b = (int8_t *)(events + 6 * cap);
+    return summarize(F, n0, F + n0, n1, I, I + n0, F + n0 + n1, I + n0 + n1,
+                     n, family, r, s, audit, &ev, I + n0 + n1 + n);
+}
+
+/* ------------------------------------------------------------------------
+ * A sweep's chunk: gw_sweep walks each of k runs with gw_walk and counts
+ * that walk with summarize, in one call for experiments' chunk of runs. */
+
+/* The k runs packed in D, their windows (lo0, hi0, lo1, hi1 per run) and
+ * then each run's line 0 and line 1, of N[2i] and N[2i + 1] points, each
+ * walked truncation-safe on the geometry kind, r, cos_alpha and counted as
+ * gw_summary counts it with family, r, s and audit.  F, prv, nxt and vis
+ * are scratch of the largest run's n0 + n1 + 4 entries, order and dists of
+ * its n0 + n1.  Writes a row of six per run to rows: the steps, counts[0]
+ * to counts[3] (meaningless where refused) and summarize's status.
+ * Returns the status of the first run refused, 0 when every run reads. */
+int gw_sweep(const double *D, const int64_t *N, int64_t k, int kind,
+              double r, double cos_alpha, int family, double s, int audit,
+              double *F, int64_t *prv, int64_t *nxt, int64_t *vis,
+              int64_t *order, double *dists, int64_t *rows)
+{
+    const double *w = D, *pts = D + 4 * k;
+    int64_t i, t, n0, n1, n, *row, counts[5] = {0, 0, 0, 0, 0};
+    int first = 0;
+    Events ev;
+
+    for (i = 0; i < k; i++, w += 4, pts += n0 + n1) {
+        n0 = N[2 * i];
+        n1 = N[2 * i + 1];
+        row = rows + 6 * i;
+        F[0] = F[n0 + 2] = -INFINITY;
+        F[n0 + 1] = F[n0 + n1 + 3] = INFINITY;
+        memcpy(F + 1, pts, (size_t)n0 * sizeof(double));
+        memcpy(F + n0 + 3, pts + n0, (size_t)n1 * sizeof(double));
+        n = gw_walk(F, n0, n1, kind, r, cos_alpha, w[0], w[1], w[2], w[3], 1,
+                    prv, nxt, vis, order, dists);
+        for (t = 0; t < n; t++) { /* the shadows to dists, lines to order */
+            dists[t] = F[order[t]];
+            order[t] = order[t] > n0 + 1;
+        }
+        ev = (Events){NULL, NULL, 0, 0, 0};
+        row[0] = n;
+        row[5] = summarize(F + 1, n0, F + n0 + 3, n1, vis + 1, vis + n0 + 3,
+                           dists, order, n, family, r, s, audit, &ev, counts);
+        memcpy(row + 1, counts, 4 * sizeof(int64_t));
+        if (first == 0)
+            first = (int)row[5];
+    }
+    return first;
 }

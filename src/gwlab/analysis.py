@@ -16,7 +16,7 @@ derived quantities:
   an early return to the negative half-axis (the povratak check),
 * lemma audits that flag any step contradicting the structural facts the
   analysis relies on, as queries on when each point was visited,
-* a sweep run's counts of all of these (summary_counts).
+* a sweep chunk's walks and their counts of all of these (sweep_counts).
 
 The deficiency records, the cluster-visit table and the audits are each
 one linear pass in the compiled library that holds the walk
@@ -24,9 +24,11 @@ one linear pass in the compiled library that holds the walk
 ``_walk.c``, loaded by ``walk._kernel()``), tested bit for bit against
 its numpy reference in ``tests/oracles.py``.  A fourth entry,
 ``gw_summary``, runs them in one call, the one implementation of the
-return events: detect_A_events reads a run's event table from it, and
-summary_counts its crossings, half-line changes, occurred events and
-audit violations (references: oracle_events, summarize_reference).
+return events: detect_A_events reads a run's event table from it
+(reference: oracle_events).  A fifth, ``gw_sweep``, walks a chunk of a
+sweep's runs and counts each walk's crossings, half-line changes,
+occurred events and audit violations as ``gw_summary`` does, which
+sweep_counts reads (reference: summarize_reference of run_walk's walk).
 Each raises ValidationError for a run its pass does not read (_DX_RULE,
 _AUDIT_RULE, _CLUSTER_RULE), and for shadows or cluster starts that are
 not one row.
@@ -424,18 +426,6 @@ def cluster_visits(dec: ClusterDecomposition, traj: Trajectory) -> ClusterVisits
     return ClusterVisits(*table, *verdicts)
 
 
-def reduce_to_cluster_leads(real: Realization, traj: Trajectory) -> np.ndarray:
-    """Lead shadows of the entered clusters of a duplicated realization, in
-    first-visit order: the walk reduced to one site per cluster."""
-    if real.spec.construction != PARALLEL_DUPLICATED:
-        raise ValidationError("reduced walk is defined for parallel-duplicated")
-    dec = clusters_of(real)
-    t = cluster_visits(dec, traj)
-    entered = t.entered
-    return dec.points[dec.leads[entered]][np.argsort(t.first[entered],
-                                                     kind="stable")]
-
-
 def check_cluster_consecutive(real: Realization,
                               traj: Trajectory) -> bool | None:
     """Every entered non-zero cluster of a duplicated realization must be
@@ -595,11 +585,28 @@ def detect_A_events(real: Realization, traj: Trajectory) -> EventTable:
     if c not in _FAMILIES:
         raise ValidationError(f"no return-event families for construction {c!r}")
     family, name = _FAMILIES[c]
+    n0, n1 = len(real.line0), len(real.line1)
+    v0, v1 = _visit_steps(traj, n0, n1)
+    us = _row(traj.us, np.float64, "shadows")
+    n, m = len(us), n0 + n1
+    if np.shape(traj.lines) != (n,):
+        raise ValidationError(f"lines must be one per step, {n}, got "
+                              f"{np.shape(traj.lines)}")
+    # gw_summary's tables in the step loop's per-thread buffers, whose
+    # addresses are kept: a run's arrays are short, so copying them costs
+    # less than taking each one's address
+    (F, I, _, _), _, (pF, pI, *_) = walk._buffers(m + n + 5)
+    F[:n0], F[n0:m], F[m:m + n] = real.line0, real.line1, us
+    I[:n0], I[n0:m], I[m:m + n] = v0, v1, traj.lines
     # _walk.c's Events: cap rows of six double columns, then four byte ones
-    cap = len(real.line0) + len(real.line1)  # every gap row, most band rows
+    cap = m  # every gap row, most band rows
     while True:  # twice at most: the second time with every band's room
         table = np.empty(52 * cap, dtype=np.uint8)
-        rows = _summary(real, traj, family, False, table.ctypes.data, cap)[4]
+        status = walk._kernel().gw_summary(
+            pF, n0, n1, pI, n, family, real.spec.separation_r,
+            real.spec.shift_s or 0.0, False, table.ctypes.data, cap)
+        _refuse(status, _SUMMARY_RULES.get(status))
+        rows = int(I[m + n + 4])
         if rows <= cap:
             break
         cap = rows
@@ -665,49 +672,39 @@ def check_povratak(real: Realization, traj: Trajectory) -> PovratakSummary:
 
 
 # ---------------------------------------------------------------------------
-# a sweep run's counts
+# a sweep chunk's counts
 
 
-def summary_counts(real: Realization, traj: Trajectory, *, audit: bool,
-                   events: bool) -> tuple:
-    """A sweep run's counts in one compiled call (gw_summary): its
-    crossings (detect_crossings), half-line changes
-    (extract_halfline_changes), occurred return events (detect_A_events)
-    and lemma-audit violations (audit_lemmas).  The events are None unless
-    `events` is set on a parallel construction, the violations None unless
-    `audit` is set off intersecting lines.  It refuses a run by the rule of
-    the pass that refuses it first, the events' pass before the audit's."""
-    family = _FAMILIES.get(real.spec.construction, (0,))[0] if events else 0
-    audit = audit and real.spec.kind != INTERSECTING
-    crossings, changes, found, failures, _ = _summary(real, traj, family,
-                                                      audit)
-    return (crossings, changes, found if family else None,
-            failures if audit else None)
-
-
-def _summary(real: Realization, traj: Trajectory, family: int, audit: bool,
-             table=None, cap: int = 0) -> list:
-    """gw_summary's five counts for the run (family 0: no events), and its
-    event table at the address `table`, of cap rows, where they fit."""
-    n0, n1 = len(real.line0), len(real.line1)
-    v0, v1 = _visit_steps(traj, n0, n1)
-    us = _row(traj.us, np.float64, "shadows")
-    n = len(us)
-    if np.shape(traj.lines) != (n,):
-        raise ValidationError(f"lines must be one per step, {n}, got "
-                              f"{np.shape(traj.lines)}")
-    m = n0 + n1
-    # the step loop's per-thread buffers, whose addresses are kept: a sweep
-    # run's arrays are short, so copying them costs less than taking each
-    # one's address
-    (F, I, _, _), _, (pF, pI, *_) = walk._buffers(m + n + 5)
-    F[:n0], F[n0:m], F[m:m + n] = real.line0, real.line1, us
-    I[:n0], I[n0:m], I[m:m + n] = v0, v1, traj.lines
-    status = walk._kernel().gw_summary(
-        pF, n0, n1, pI, n, family, real.spec.separation_r or 0.0,
-        real.spec.shift_s or 0.0, audit, table, cap)
-    _refuse(status, _SUMMARY_RULES.get(status))
-    return I[m + n:m + n + 5].tolist()
+def sweep_counts(reals, *, audit: bool, events: bool) -> list[tuple]:
+    """Per realization of reals, all of one spec but for window_L, its
+    truncation-safe walk's steps, crossings (detect_crossings), half-line
+    changes (extract_halfline_changes), occurred return events
+    (detect_A_events) and lemma-audit violations (audit_lemmas), walked and
+    counted in one compiled call (gw_sweep) with no Trajectory.  The events
+    are None unless `events` is set on a parallel construction, the
+    violations None unless `audit` is set off intersecting lines."""
+    spec = reals[0].spec
+    family = _FAMILIES.get(spec.construction, (0,))[0] if events else 0
+    audit = audit and spec.kind != INTERSECTING
+    k = len(reals)
+    D = np.concatenate([np.array([w for real in reals for win in real.windows
+                                  for w in win])]
+                       + [a for real in reals for a in (real.line0, real.line1)])
+    N = np.array([len(a) for real in reals for a in (real.line0, real.line1)],
+                 dtype=np.int64)
+    rows = np.empty((k, 6), dtype=np.int64)
+    _, _, scratch = walk._buffers(int((N[::2] + N[1::2]).max()) + 4)
+    pF, pvis, porder, pdists, pprv, pnxt = scratch
+    status = walk._kernel().gw_sweep(
+        D.ctypes.data, N.ctypes.data, k, walk._KINDS[spec.kind],
+        spec.separation_r or 0.0,
+        spec.cos_alpha if spec.kind == INTERSECTING else 0.0, family,
+        spec.shift_s or 0.0, audit, pF, pprv, pnxt, pvis, porder, pdists,
+        rows.ctypes.data)
+    _refuse(status, _SUMMARY_RULES.get(status))  # the first run refused
+    return [(n, crossings, changes, found if family else None,
+             failures if audit else None)
+            for n, crossings, changes, found, failures, _ in rows.tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ from .walk import (
     RUN_TO_EXHAUSTION,
     TRUNCATION_SAFE,
     StopRule,
+    _write_in_place,
     run_walk,
     trajectory_to_binary,
     trajectory_to_dicts,
@@ -81,9 +82,8 @@ def _cmd_simulate(args) -> int:
             "trajectory": trajectory_to_dicts(traj),
             "stop_reason": traj.stop_reason,
         }
-        with open(args.export_run, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
-            fh.write("\n")
+        _write_in_place(args.export_run, [
+            (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")])
         print(f"wrote {args.export_run}")
     if args.export_binary:
         trajectory_to_binary(traj, args.export_binary)
@@ -158,21 +158,20 @@ def _cmd_export_plot_data(args) -> int:
     traj = run_walk(real)
     os.makedirs(args.out_dir, exist_ok=True)
     tpath = os.path.join(args.out_dir, "prefix_trajectory.csv")
-    with open(tpath, "w", encoding="utf-8") as fh:
-        fh.write("step,line,u\n")
-        for i, (u, l) in enumerate(zip(traj.us, traj.lines), start=1):
-            fh.write(f"{i},{int(l)},{float(u)!r}\n")
+    rows = ["step,line,u\n", *(f"{i},{l},{u!r}\n" for i, (u, l) in enumerate(
+        zip(traj.us.tolist(), traj.lines.tolist()), start=1))]
+    _write_in_place(tpath, ["".join(rows).encode()])
     cpath = os.path.join(args.out_dir, "prefix_clusters.csv")
-    with open(cpath, "w", encoding="utf-8") as fh:
-        fh.write("cluster_index,signed_index,lo_u,hi_u,lead_u,size,is_zero\n")
-        if args.construction in PARALLEL_CONSTRUCTIONS:
-            dec = clusters_of(real)
-            lo = dec.points[dec.starts].tolist()
-            hi = dec.points[dec.starts + dec.sizes - 1].tolist()
-            lead = dec.points[dec.leads].tolist()
-            for ci, m in enumerate(dec.sizes.tolist()):
-                fh.write(f"{ci},{ci - dec.zero_cluster},{lo[ci]!r},{hi[ci]!r},"
-                         f"{lead[ci]!r},{m},{int(ci == dec.zero_cluster)}\n")
+    rows = ["cluster_index,signed_index,lo_u,hi_u,lead_u,size,is_zero\n"]
+    if args.construction in PARALLEL_CONSTRUCTIONS:
+        dec = clusters_of(real)
+        lo = dec.points[dec.starts].tolist()
+        hi = dec.points[dec.starts + dec.sizes - 1].tolist()
+        lead = dec.points[dec.leads].tolist()
+        for ci, m in enumerate(dec.sizes.tolist()):
+            rows.append(f"{ci},{ci - dec.zero_cluster},{lo[ci]!r},{hi[ci]!r},"
+                        f"{lead[ci]!r},{m},{int(ci == dec.zero_cluster)}\n")
+    _write_in_place(cpath, ["".join(rows).encode()])
     print(f"wrote {tpath}")
     print(f"wrote {cpath}")
     return 0

@@ -2,7 +2,7 @@
 
 Determinism contract: for a fixed config, the CSV and the report are byte
 identical across repeat invocations and across worker counts (runs are
-independently seeded by index, and a pool maps them in order).  The
+independently seeded by index; a pool maps chunks of them in order).  The
 manifest carries a wall-clock timestamp and is exempt from that contract.
 """
 
@@ -23,17 +23,24 @@ from functools import partial
 import numpy as np
 
 from ._version import __version__
-from .analysis import summary_counts
+from .analysis import sweep_counts
 from .errors import ValidationError
 from .processes import (
     CONSTRUCTIONS,
+    SINGLE_LINE,
     SPEC_PARAMS,
     ProcessSpec,
     couple_restrict,
     generate,
 )
 from .seeding import RNG_ALGORITHM, check_seed, stream_seed
-from .walk import run_walk
+from .walk import EXHAUSTED, TRUNCATED, _write_in_place
+
+# the points one compiled call (gw_sweep) walks at most, unless a single
+# run's restrictions hold more: the runs of a sweep are walked in chunks of
+# as many runs as this budget expects, whose lines are all held at once
+CHUNK_POINTS = 1 << 16
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -141,56 +148,51 @@ CSV_COLUMNS = tuple(_CSV_RENAMED.get(f.name, f.name) for f in _CSV_FIELDS)
 _CSV_TYPES = {"int": int, "float": float, "str": str}
 
 
-def summarize_run(cfg: ExperimentConfig, run_index: int, real, traj) -> RunSummary:
-    crossings, changes, a_events, failures = summary_counts(
-        real, traj, audit=cfg.audit, events=cfg.detect_events)
-    spec = real.spec
-    return RunSummary(
-        run_index=run_index,
-        seed=real.seed,
-        construction=spec.construction,
-        rate_lambda=spec.rate_lambda,
-        separation_r=spec.separation_r,
-        shift_s=spec.shift_s,
-        thinning_p=spec.thinning_p,
-        alpha=spec.alpha,
-        window_L=spec.window_L,
-        n_points=real.n_points,
-        n_steps=len(traj),
-        stop_reason=traj.stop_reason,
-        crossings=crossings,
-        halfline_changes=changes,
-        a_events=a_events,
-        lemma_failures=failures,
-    )
+def _run_chunk(cfg: ExperimentConfig, spec: ProcessSpec, windows,
+               runs: range) -> list[RunSummary]:
+    """The rows of runs, by run and then by window: each run drawn once
+    from spec and restricted to each of windows by couple_restrict (the
+    drawn run itself at spec's window)."""
+    reals = [couple_restrict(generate(spec, stream_seed(cfg.base_seed, i)), L)
+             for i in runs for L in windows]
+    return _summaries(cfg, [i for i in runs for _ in windows], reals)
 
 
-def _run_one(cfg: ExperimentConfig, spec: ProcessSpec, windows,
-             run_index: int) -> list[RunSummary]:
-    """Run run_index drawn once from spec and summarized at each of windows
-    by exact restriction, which is the drawn run itself at spec's window."""
-    real = generate(spec, stream_seed(cfg.base_seed, run_index))
-    rows = []
-    for L in windows:
-        small = couple_restrict(real, L)
-        rows.append(summarize_run(cfg, run_index, small, run_walk(small)))
-    return rows
+def _summaries(cfg: ExperimentConfig, run_indexes,
+               reals) -> list[RunSummary]:
+    """The row of each of reals, all of one spec but for window_L, with its
+    run index: each walked and counted in one call of sweep_counts."""
+    counts = sweep_counts(reals, audit=cfg.audit, events=cfg.detect_events)
+    return [RunSummary(
+        i, real.seed, spec.construction, spec.rate_lambda, spec.separation_r,
+        spec.shift_s, spec.thinning_p, spec.alpha, spec.window_L,
+        real.n_points, n, EXHAUSTED if n == real.n_points else TRUNCATED,
+        crossings, changes, a_events, failures)
+        for i, real, spec, (n, crossings, changes, a_events, failures) in zip(
+            run_indexes, reals, (real.spec for real in reals), counts)]
 
 
 def _run_all(cfg: ExperimentConfig, spec: ProcessSpec,
              windows) -> dict[float, list[RunSummary]]:
-    """The rows of cfg's runs per window, in run order."""
-    run_one = partial(_run_one, cfg, spec, windows)
+    """The rows of cfg's runs per window, in run order, from chunks of
+    consecutive runs that CHUNK_POINTS bounds and no worker's share of the
+    runs exceeds."""
+    expected = spec.rate_lambda * 2 * sum(windows) * (
+        1 if spec.kind == SINGLE_LINE else 2)
     # no more processes than runs or cores: a fork pool starts them all
     workers = min(cfg.workers, cfg.n_runs, os.cpu_count() or 1)
+    size = max(1, int(min(CHUNK_POINTS // max(expected, 1.0),
+                          -(-cfg.n_runs // workers))))
+    chunks = [range(i, min(i + size, cfg.n_runs))
+              for i in range(0, cfg.n_runs, size)]
+    run_chunk = partial(_run_chunk, cfg, spec, windows)
     if workers == 1:
-        per_run = [run_one(i) for i in range(cfg.n_runs)]
+        per_chunk = map(run_chunk, chunks)
     else:
-        chunk = max(1, cfg.n_runs // (8 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_run = list(pool.map(run_one, range(cfg.n_runs),
-                                    chunksize=chunk))
-    return dict(zip(windows, map(list, zip(*per_run))))
+            per_chunk = list(pool.map(run_chunk, chunks))
+    rows = [row for chunk in per_chunk for row in chunk]
+    return {L: rows[j::len(windows)] for j, L in enumerate(windows)}
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[RunSummary]:
@@ -279,8 +281,7 @@ def write_summaries_csv(rows: list[RunSummary], path) -> None:
     for r in rows:
         w.writerow(["" if v is None else v
                     for v in (getattr(r, f.name) for f in _CSV_FIELDS)])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(buf.getvalue())
+    _write_in_place(path, [buf.getvalue().encode("utf-8")])
 
 
 def _csv_cell(f: dataclasses.Field, cell: str):
@@ -322,9 +323,7 @@ def write_outputs(cfg: ExperimentConfig, rows: list[RunSummary],
         "manifest": os.path.join(out_dir, f"{cfg.name}.manifest.json"),
     }
     write_summaries_csv(rows, paths["csv"])
-    with open(paths["report"], "w", encoding="utf-8") as fh:
-        json.dump(aggregate(rows), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(paths["report"], aggregate(rows))
     manifest = {
         "config": dataclasses.asdict(cfg),
         "rng_algorithm": RNG_ALGORITHM,
@@ -333,7 +332,11 @@ def write_outputs(cfg: ExperimentConfig, rows: list[RunSummary],
         "outputs": [os.path.basename(paths["csv"]),
                     os.path.basename(paths["report"])],
     }
-    with open(paths["manifest"], "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(paths["manifest"], manifest)
     return paths
+
+
+def _write_json(path, obj) -> None:
+    """obj as sorted, indented JSON and a newline, rewritten in place."""
+    _write_in_place(path, [(json.dumps(obj, sort_keys=True, indent=2)
+                            + "\n").encode("utf-8")])

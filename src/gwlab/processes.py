@@ -95,6 +95,9 @@ MAX_EXPECTED_POINTS = 10**8
 # and the full scan and the step loops' two neighbours break the tie apart.
 MAX_SCALE = 1e150
 MAX_SEPARATION_POINTS = 1e4
+# The duplicated pair's bands u // separation_r up to window_L / separation_r
+# are counted as integers; from 2**53 on, consecutive ones are one double.
+MAX_BANDS = 2.0**53
 
 
 @dataclass(frozen=True)
@@ -159,6 +162,11 @@ class ProcessSpec:
             raise ValidationError("intersecting lines need alpha in (0, pi)")
         if self.kind == PARALLEL and not (self.separation_r or 0.0) > 0:
             raise ValidationError("parallel lines need separation_r > 0")
+        if self.kind == PARALLEL and not (
+                self.window_L / self.separation_r < MAX_BANDS):
+            raise ValidationError(
+                f"window_L / separation_r must be below {MAX_BANDS:g}: "
+                "beyond it consecutive bands u // r are not distinct doubles")
         if self.construction == PARALLEL_THINNED:
             if self.thinning_p is None or not 0.0 <= self.thinning_p <= 1.0:
                 raise ValidationError("parallel-thinned needs thinning_p in [0, 1]")
@@ -416,22 +424,6 @@ def generate(spec: ProcessSpec, seed: int) -> Realization:
         # every base point lands on a line, so base is the union of both
         real.__dict__["base_points"] = _frozen(base)
     return real
-
-
-def mirror_realization(real: Realization) -> Realization:
-    """Reflect the realization through the vertical axis u -> -u."""
-    if real.spec.kind == INTERSECTING:
-        raise ValidationError("cannot mirror an intersecting-lines realization")
-    spec = real.spec
-    if spec.construction == PARALLEL_SHIFTED:
-        spec = replace(spec, shift_s=-spec.shift_s)
-    return Realization(
-        spec=spec,
-        seed=real.seed,
-        line0=np.sort(-real.line0),
-        line1=np.sort(-real.line1),
-        provenance=f"{real.provenance}; mirrored",
-    )
 
 
 def couple_restrict(real: Realization, smaller_L: float) -> Realization:

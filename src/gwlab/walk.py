@@ -29,13 +29,16 @@ Two engines produce step-for-step identical trajectories.
   entries that analysis.py runs over a walk: three passes, ``gw_audit``
   (``audit_lemmas``), ``gw_deficiency`` (``compute_Dx``) and
   ``gw_cluster_visits`` (``cluster_visits``), and ``gw_summary``
-  (``detect_A_events``, ``summary_counts``), a run's return events and a
-  sweep run's counts over those passes in one call.  On first use in a process the library is compiled with the
-  system C compiler (``cc``, else ``gcc``) into ``$XDG_CACHE_HOME/gwlab``
-  (default ``~/.cache/gwlab``), once per source and flag set, and loaded
-  with ``ctypes``.  A C compiler
-  is required: where neither the cache holds a build nor a compiler is
-  found, or the build fails, ``_kernel()`` raises OSError.
+  (``detect_A_events``), a run's return events and its counts over those
+  passes in one call; and ``gw_sweep`` (``analysis.sweep_counts``), which
+  walks a chunk of a sweep's runs and counts each walk as ``gw_summary``
+  does, with no Trajectory, tested against ``summarize_reference`` of
+  ``run_walk``'s walk.  On first use in a process the library is compiled
+  with the system C compiler (``cc``, else ``gcc``) into
+  ``$XDG_CACHE_HOME/gwlab`` (default ``~/.cache/gwlab``), once per source
+  and flag set, and loaded with ``ctypes``.  A C compiler is required:
+  where neither the cache holds a build nor a compiler is found, or the
+  build fails, ``_kernel()`` raises OSError.
 * ``run_walk_naive``: a linear scan over every unvisited point per step.
   It exists purely as a differential oracle for ``run_walk``.
   ``tests/oracles.py`` holds the other reference, ``gw_walk`` line for
@@ -149,12 +152,14 @@ def stop_margin(real: Realization, u: float, line: int) -> float:
     return m
 
 
-# the compiled library: _walk.c, with the step loop gw_walk and the four
+# the compiled library: _walk.c, with the step loop gw_walk and the five
 # entries analysis.py calls (the lemma audits gw_audit, the deficiency
-# records gw_deficiency, the cluster-visit table gw_cluster_visits and
+# records gw_deficiency, the cluster-visit table gw_cluster_visits,
 # gw_summary, a run's return events, with their table when given one, and
-# a sweep run's counts over them), built by the system C compiler into the
-# user's cache once per source and flag set, and loaded with ctypes
+# its counts over them, and gw_sweep, a sweep chunk's walks and their
+# counts, whose reference is tests/oracles.py's summarize_reference), built
+# by the system C compiler into the user's cache once per source and flag
+# set, and loaded with ctypes
 _SOURCE = Path(__file__).with_name("_walk.c")
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _KINDS = {SINGLE_LINE: 0, INTERSECTING: 1, PARALLEL: 2}  # _walk.c's enum
@@ -178,6 +183,11 @@ _SIGNATURES = {  # symbol: (argument types, result type)
     "gw_summary": ((_P, _Q, _Q, _P, _Q,  # F, n0, n1, I, n
                     _I, _D, _D, _I,  # family, r, s, audit
                     _P, _Q), _I),  # events, cap
+    "gw_sweep": ((_P, _P, _Q,  # D, N, k
+                  _I, _D, _D,  # kind, r, cos_alpha
+                  _I, _D, _I,  # family, s, audit
+                  _P, _P, _P, _P, _P, _P,  # F, prv, nxt, vis, order, dists
+                  _P), _I),  # rows
 }
 
 
@@ -226,9 +236,9 @@ def _build(cc: str | None, cache: Path):
 
 def _kernel():
     """The compiled library (gw_walk, gw_audit, gw_deficiency,
-    gw_cluster_visits and gw_summary), built or loaded on first use from
-    $XDG_CACHE_HOME/gwlab (default ~/.cache/gwlab); OSError where it is
-    not there and cannot be built, the same one on every call."""
+    gw_cluster_visits, gw_summary and gw_sweep), built or loaded on first
+    use from $XDG_CACHE_HOME/gwlab (default ~/.cache/gwlab); OSError where
+    it is not there and cannot be built, the same one on every call."""
     lib = _built()
     if isinstance(lib, OSError):
         raise lib.with_traceback(None)
@@ -261,8 +271,9 @@ def _buffers(size: int):
     for at least `size` flat entries, and the addresses of those four and
     of the two link arrays, taken when they were allocated (ndarray.ctypes
     costs about a microsecond a call).  A Trajectory holds copies, so
-    between walks analysis.detect_A_events and summary_counts fill the
-    first two as gw_summary's tables."""
+    between walks analysis.detect_A_events fills the first two as
+    gw_summary's tables, and analysis.sweep_counts hands all six to
+    gw_sweep as the scratch of a chunk's walks."""
     bufs = getattr(_scratch, "bufs", None)
     if bufs is None or len(bufs[0][0]) < size:
         links = np.empty((2, size), dtype=np.int64)
@@ -351,22 +362,6 @@ def trajectories_equal(a: Trajectory, b: Trajectory) -> bool:
     )
 
 
-def mirror_trajectory(traj: Trajectory) -> Trajectory:
-    """The walk's image under u -> -u (pairs with mirror_realization).
-
-    mirror_realization re-sorts the negated point arrays, which reverses
-    their order, so the per-point visit-step arrays are reversed to match.
-    """
-    return Trajectory(
-        us=-traj.us,
-        lines=traj.lines,
-        step_distances=traj.step_distances,
-        stop_reason=traj.stop_reason,
-        visited_step0=traj.visited_step0[::-1].copy(),
-        visited_step1=traj.visited_step1[::-1].copy(),
-    )
-
-
 def trajectory_to_dicts(traj: Trajectory) -> list[dict]:
     """JSON-friendly per-step rows: {step, line, u, dist}."""
     return [
@@ -380,19 +375,36 @@ def trajectory_to_dicts(traj: Trajectory) -> list[dict]:
 _BIN_MAGIC = b"GWTRAJ01"
 
 
+def _write_in_place(path, parts, head: bytes = b"") -> None:
+    """Write head and then the byte strings of parts to path, over what it
+    holds, and cut it to their length where it was longer (a device such as
+    /dev/null cannot be cut): the file is opened without O_TRUNC, which on
+    some filesystems (ext4 mounted with discard) costs more than the write.
+    head is written last, over as many zero bytes, so a write that fails
+    partway leaves zeros where it goes."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(bytes(len(head)))
+        for part in parts:
+            fh.write(part)
+        fh.flush()
+        if os.fstat(fh.fileno()).st_size > fh.tell():
+            fh.truncate()
+        fh.seek(0)
+        fh.write(head)
+
+
 def trajectory_to_binary(traj: Trajectory, path) -> None:
     """Columnar dump for large runs.
 
     Layout: 8-byte magic "GWTRAJ01", little-endian uint64 step count, then
     three little-endian float64 arrays of that length: u, line, distance.
+    The magic is written last, so trajectory_from_binary refuses a dump
+    whose write failed partway.
     """
-    n = len(traj)
-    with open(path, "wb") as fh:
-        fh.write(_BIN_MAGIC)
-        fh.write(struct.pack("<Q", n))
-        fh.write(traj.us.astype("<f8").tobytes())
-        fh.write(traj.lines.astype("<f8").tobytes())
-        fh.write(traj.step_distances.astype("<f8").tobytes())
+    _write_in_place(path, (struct.pack("<Q", len(traj)),
+                           *(a.astype("<f8") for a in
+                             (traj.us, traj.lines, traj.step_distances))),
+                    _BIN_MAGIC)
 
 
 def trajectory_from_binary(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

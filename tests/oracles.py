@@ -15,11 +15,15 @@ bit for bit, in what it returns and in what it refuses.
 * ``oracle_events``: the return events, one record per event built in a
   loop over the reduced walk (``reduce_to_cluster_leads``) or the
   deficiency records (``compute_Dx``), the reference of ``gw_summary``'s
-  event pass, which ``detect_A_events`` reads its table from.
-* ``summarize_reference``: ``experiments.summarize_run`` as the
-  composition of ``oracle_events``, ``audit_lemmas``, ``detect_crossings``
-  and ``extract_halfline_changes``, the reference of ``gw_summary``; it
-  refuses a run by the rule of the pass that refuses it first.
+  event pass, which ``detect_A_events`` reads its table from; a negative
+  shift is read in the mirrored frame (``mirror_realization``,
+  ``mirror_trajectory``).
+* ``summarize_reference``: a sweep run's RunSummary as the composition of
+  ``oracle_events``, ``audit_lemmas``, ``detect_crossings`` and
+  ``extract_halfline_changes``, the reference of ``gw_summary``'s counts;
+  on ``run_walk``'s walk of a run it is the reference of ``gw_sweep``'s
+  row for that run, which ``experiments`` builds the sweep's rows from.
+  It refuses a run by the rule of the pass that refuses it first.
 
 A change to a compiled entry keeps its reference here equal to it.
 """
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,13 +48,15 @@ from gwlab.analysis import (
     LemmaAudit,
     _refuse,
     audit_lemmas,
+    cluster_visits,
+    clusters_of,
     compute_Dx,
     detect_crossings,
     extract_halfline_changes,
     first_passage,
     last_visit_steps,
-    reduce_to_cluster_leads,
 )
+from gwlab.errors import ValidationError
 from gwlab.experiments import RunSummary
 from gwlab.processes import (
     INTERSECTING,
@@ -58,9 +64,9 @@ from gwlab.processes import (
     PARALLEL,
     PARALLEL_CONSTRUCTIONS,
     PARALLEL_DUPLICATED,
+    PARALLEL_SHIFTED,
     PARALLEL_THINNED,
     Realization,
-    mirror_realization,
 )
 from gwlab.walk import (
     TRUNCATION_SAFE,
@@ -68,7 +74,6 @@ from gwlab.walk import (
     Trajectory,
     _trajectory,
     cross_distance,
-    mirror_trajectory,
     stop_margin,
 )
 
@@ -355,6 +360,54 @@ def _audit_replay(traj: Trajectory, audit: LemmaAudit, mu, ms) -> None:
 
 
 # ---------------------------------------------------------------------------
+# the mirror image u -> -u and the reduced walk
+
+
+def mirror_realization(real: Realization) -> Realization:
+    """Reflect the realization through the vertical axis u -> -u."""
+    if real.spec.kind == INTERSECTING:
+        raise ValidationError("cannot mirror an intersecting-lines realization")
+    spec = real.spec
+    if spec.construction == PARALLEL_SHIFTED:
+        spec = replace(spec, shift_s=-spec.shift_s)
+    return Realization(
+        spec=spec,
+        seed=real.seed,
+        line0=np.sort(-real.line0),
+        line1=np.sort(-real.line1),
+        provenance=f"{real.provenance}; mirrored",
+    )
+
+
+def mirror_trajectory(traj: Trajectory) -> Trajectory:
+    """The walk's image under u -> -u (pairs with mirror_realization).
+
+    mirror_realization re-sorts the negated point arrays, which reverses
+    their order, so the per-point visit-step arrays are reversed to match.
+    """
+    return Trajectory(
+        us=-traj.us,
+        lines=traj.lines,
+        step_distances=traj.step_distances,
+        stop_reason=traj.stop_reason,
+        visited_step0=traj.visited_step0[::-1].copy(),
+        visited_step1=traj.visited_step1[::-1].copy(),
+    )
+
+
+def reduce_to_cluster_leads(real: Realization, traj: Trajectory) -> np.ndarray:
+    """Lead shadows of the entered clusters of a duplicated realization, in
+    first-visit order: the walk reduced to one site per cluster."""
+    if real.spec.construction != PARALLEL_DUPLICATED:
+        raise ValidationError("reduced walk is defined for parallel-duplicated")
+    dec = clusters_of(real)
+    t = cluster_visits(dec, traj)
+    entered = t.entered
+    return dec.points[dec.leads[entered]][np.argsort(t.first[entered],
+                                                     kind="stable")]
+
+
+# ---------------------------------------------------------------------------
 # the return events
 
 
@@ -436,9 +489,9 @@ def oracle_gap_events(family, pts, level_offset, extra, real, traj, mirrored):
 
 def summarize_reference(cfg, run_index: int, real: Realization,
                         traj: Trajectory) -> RunSummary:
-    """experiments.summarize_run as a composition of the public analysis
+    """A sweep run's RunSummary as a composition of the public analysis
     functions and oracle_events, one pass each: the reference gw_summary is
-    tested against."""
+    tested against, and on run_walk's walk gw_sweep."""
     spec = real.spec
     a_events = None
     if cfg.detect_events and spec.construction in PARALLEL_CONSTRUCTIONS:

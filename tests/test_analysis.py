@@ -43,14 +43,11 @@ from gwlab import (
     extract_halfline_changes,
     generate,
     intersect_Bn_bound,
-    mirror_realization,
-    mirror_trajectory,
-    reduce_to_cluster_leads,
     run_walk,
     stream_seed,
     validate_dx_record,
 )
-from gwlab import analysis, processes, walk
+from gwlab import analysis, experiments, processes, walk
 from gwlab.checks import CHECKS
 from gwlab.walk import Trajectory
 from gwlab.analysis import (
@@ -59,11 +56,21 @@ from gwlab.analysis import (
     A_M_PARALLEL,
     first_passage,
     last_visit_steps,
-    summary_counts,
+    sweep_counts,
 )
-from gwlab.experiments import ExperimentConfig, RunSummary, summarize_run
+from gwlab.experiments import (
+    ExperimentConfig,
+    RunSummary,
+    coupled_window_study,
+    run_experiment,
+)
 
 import oracles
+from oracles import (
+    mirror_realization,
+    mirror_trajectory,
+    reduce_to_cluster_leads,
+)
 
 EXH = StopRule(mode=RUN_TO_EXHAUSTION)
 
@@ -965,37 +972,23 @@ RULES = {"deficiency": analysis._DX_RULE, "audit": analysis._AUDIT_RULE,
          "cluster": analysis._CLUSTER_RULE}
 
 
-def summary_of(real, audit, events):
-    """summary_counts on real's runs with the two switches, as a caller."""
-    return lambda t: summary_counts(real, t, audit=audit, events=events)
-
-
 def callers_by_pass(real):
-    """The public callers of each pass that apply to real, by pass; a
-    sweep's summary is listed under the pass that refuses first, which is
-    the events' pass where it counts events."""
+    """The public callers of each pass that apply to real, by pass."""
     c = real.spec.construction
     xs = real.base_points[real.base_points > 0.0]
     callers = {"deficiency": [lambda t: compute_Dx(real, t, xs)],
                "audit": [], "cluster": []}
     if c != "intersecting":
-        callers["audit"] += [lambda t: audit_lemmas(real, t),
-                             summary_of(real, True, False)]
+        callers["audit"].append(lambda t: audit_lemmas(real, t))
     if c in ("parallel-duplicated", "parallel-shifted"):
         dec = clusters_of(real)
         callers["cluster"].append(lambda t: cluster_visits(dec, t))
     if c == "parallel-duplicated":
         callers["cluster"] += [lambda t: check_cluster_consecutive(real, t),
-                               lambda t: detect_A_events(real, t),
-                               summary_of(real, True, True),
-                               summary_of(real, False, True)]
+                               lambda t: detect_A_events(real, t)]
     elif c in ("parallel-thinned", "parallel-shifted"):
         callers["deficiency"] += [lambda t: detect_A_events(real, t),
-                                  lambda t: check_povratak(real, t),
-                                  summary_of(real, True, True),
-                                  summary_of(real, False, True)]
-    elif c == "single-line":
-        callers["audit"].append(summary_of(real, True, True))
+                                  lambda t: check_povratak(real, t)]
     return callers
 
 
@@ -1025,10 +1018,9 @@ def test_cluster_visits_refuse_steps_off_the_prefix(spec_for, compiled):
         n = len(traj)
         by_pass = (callers_by_pass if compiled else references_by_pass)(real)
         if compiled:  # the gap events of thinned and shifted runs compute
-            # deficiency records, in detect_A_events, check_povratak and
-            # the two summaries that count events
+            # deficiency records, in detect_A_events and check_povratak
             assert len(by_pass["deficiency"]) == (
-                1 if construction == "parallel-duplicated" else 5)
+                1 if construction == "parallel-duplicated" else 3)
         callers = [(call, RULES[name]) for name, calls in by_pass.items()
                    for call in calls]
         for call, _ in callers:
@@ -1466,12 +1458,13 @@ def test_events_make_one_compiled_call(spec_for, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the events ran a pass outside gw_summary")
 
-    for name in ("compute_Dx", "cluster_visits", "reduce_to_cluster_leads"):
+    for name in ("compute_Dx", "cluster_visits"):
         monkeypatch.setattr(analysis, name, forbidden)
-    monkeypatch.setattr(processes, "mirror_realization", forbidden)
-    monkeypatch.setattr(walk, "mirror_trajectory", forbidden)
-    assert not hasattr(analysis, "mirror_realization")
-    assert not hasattr(analysis, "mirror_trajectory")
+    # the reduced walk and the mirror images are the references' alone
+    for module in (analysis, processes, walk):
+        for name in ("reduce_to_cluster_leads", "mirror_realization",
+                     "mirror_trajectory"):
+            assert not hasattr(module, name)
     lib, calls = walk._kernel(), []
 
     class Counting:
@@ -1492,26 +1485,17 @@ def test_events_make_one_compiled_call(spec_for, monkeypatch):
 
 
 def test_events_count_what_the_summary_counts(spec_for):
-    # the sweep's a_events is the table's count of occurred events, on
-    # greedy, cut and shuffled walks, and a run one refuses the other
-    # refuses by the same rule
+    # the sweep's a_events is the count of occurred events in the table of
+    # the run's walk, at the drawn window and at a restriction of it
     for construction, kw in PARALLEL_RUNS:
-        for i in range(3):
-            real = generate(spec_for(construction, window_L=50.0, **kw),
-                            stream_seed(34, i))
-            traj = run_walk(real)
-            n = len(traj)
-            off = traj.visited_step0.copy()
-            off[0] = n + 1
-            rng = np.random.default_rng(i)
-            for t in (traj, cut_prefix(traj, n // 2),
-                      reorder_steps(traj, rng.permutation(n)),
-                      replace(traj, visited_step0=off)):
-                table = outcome(lambda: int(np.count_nonzero(
-                    detect_A_events(real, t).occurred == 1)))
-                assert outcome(lambda: summary_counts(
-                    real, t, audit=False, events=True)[2]) == table
-            assert table[0] is ValidationError
+        spec = spec_for(construction, window_L=50.0, **kw)
+        reals = [couple_restrict(generate(spec, stream_seed(34, i)), L)
+                 for i in range(3) for L in (50.0, 20.0)]
+        tables = [detect_A_events(real, run_walk(real)) for real in reals]
+        assert [row[3] for row in sweep_counts(
+            reals, audit=False, events=True)] == [
+                int(np.count_nonzero(t.occurred == 1)) for t in tables]
+        assert sum(len(t) for t in tables) > 0
 
 
 def test_bench_tracer_event_counts(bench_tracer, spec_for):
@@ -2045,23 +2029,21 @@ def test_layout_variants_read_alike_on_both_paths(spec_for, construction):
     for name, call in cases:
         with pytest.raises(ValidationError, match=f"{name} must be one row"):
             call()
-    # and lines that are not one per step, by the calls that pack them for
+    # and lines that are not one per step, by the call that packs them for
     # gw_summary
-    short = replace(traj, lines=traj.lines[:-1])
-    packed = [lambda: summary_counts(real, short, audit=True, events=True)]
     if construction != "single-line":
-        packed.append(lambda: detect_A_events(real, short))
-    for call in packed:
+        short = replace(traj, lines=traj.lines[:-1])
         with pytest.raises(ValidationError, match="lines must be one per step"):
-            call()
+            detect_A_events(real, short)
 
 
 # ---------------------------------------------------------------------------
 # a sweep run's summary
 
-# summarize_run reads its counts from one compiled call (gw_summary), which
-# ports the composition it replaced; its reference is that composition,
-# oracles.summarize_reference.  Two traps in the port:
+# a sweep's rows are counted in one compiled call per chunk of runs
+# (gw_sweep), which walks each run and counts the walk as gw_summary does;
+# gw_summary ports the composition it replaced, so a row's reference is
+# oracles.summarize_reference of run_walk's walk.  Two traps in the port:
 # * a duplicated pair's band is u // r, numpy's divmod-based floor
 #   division, not floor(u / r): 1.0 // 0.1 is 9;
 # * a_events on duplicated lines counts the distinct witnessed bands, not
@@ -2078,74 +2060,90 @@ def outcome(call):
         return type(err), str(err)
 
 
-@settings(max_examples=500, deadline=None,
+def reference_rows(cfg, spec, window_Ls):
+    """Per window, oracles.summarize_reference of each of cfg's runs, drawn
+    from spec and restricted to the window, walked by run_walk."""
+    out = {L: [] for L in window_Ls}
+    for i in range(cfg.n_runs):
+        real = generate(spec, stream_seed(cfg.base_seed, i))
+        for L in window_Ls:
+            small = couple_restrict(real, L)
+            out[L].append(oracles.summarize_reference(cfg, i, small,
+                                                      run_walk(small)))
+    return out
+
+
+@settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.sampled_from(["single-line", "intersecting", "parallel-duplicated",
                         "parallel-thinned", "parallel-shifted"]),
-       st.sampled_from([10.0, 40.0]), st.sampled_from([0.1, 1.0, 3.0]),
+       st.sampled_from([0.5, 3.0, 10.0, 40.0]),
+       st.sampled_from([0.2, 1.0, 3.0]), st.sampled_from([0.1, 1.0, 3.0]),
        st.sampled_from([0.3, -0.3, 0.05, -0.5]),
        st.sampled_from([0.2, 0.5, 0.9]), st.integers(0, 2**32 - 1),
-       st.booleans(), st.sampled_from([1.0, 0.5]),
-       st.sampled_from(["walk", "walk", "cut", "shuffled", "mutated"]),
-       st.booleans(), st.booleans(), st.randoms(use_true_random=False))
-@example(construction="parallel-shifted", L=40.0, r=1.0, shift=-0.3, p=0.5,
-         seed=1, exhaust=False, window=1.0, form="walk", audit=True,
-         events=True, rnd=random.Random(0))
-# a step claimed twice, which gives two clusters one first visit: the
-# reduced walk orders them by index, and numpy's default sort would not
-@example(construction="parallel-duplicated", L=10.0, r=0.1, shift=0.3, p=0.5,
-         seed=3, exhaust=False, window=1.0, form="mutated", audit=False,
-         events=True, rnd=random.Random(1))
-def test_summary_matches_its_reference(spec_for, construction, L, r, shift,
-                                       p, seed, exhaust, window, form, audit,
-                                       events, rnd):
-    # every RunSummary field equals the composition's, on greedy walks of
-    # every construction (shifted both ways), both stop rules and coupled
-    # windows, on cut and shuffled walks, with either switch off; and the
-    # summary refuses exactly the runs the composition refuses, by the
-    # same rule
-    spec = spec_for(construction, window_L=L, separation_r=r,
-                    shift_s=shift * r, thinning_p=p)
-    real = couple_restrict(generate(spec, seed), window * L)
-    traj = run_walk(real, rule=EXH if exhaust else StopRule())
-    n = len(traj)
-    if form == "cut":
-        traj = cut_prefix(traj, rnd.randint(0, n))
-    elif form == "shuffled":
-        traj = reorder_steps(traj, rnd.sample(range(n), n))
-    elif form == "mutated":
-        form = rnd.choice(sorted(REFUSED_BY))
-        traj = mutated(real, traj, form, rnd)
-        assume(traj is not None)
-    cfg = ExperimentConfig(name="t", construction=construction, n_runs=1,
-                           base_seed=0, audit=audit, detect_events=events)
-    got = outcome(lambda: summarize_run(cfg, 7, real, traj))
-    want = outcome(lambda: oracles.summarize_reference(cfg, 7, real, traj))
-    assert got == want
-    if isinstance(want, RunSummary):
-        assert (want.a_events is None) == (
+       st.integers(1, 7), st.lists(st.sampled_from([0.5, 0.2]), max_size=2,
+                                   unique=True).map(lambda w: [1.0, *w]),
+       st.sampled_from([1, 100, 1 << 16]), st.booleans(), st.booleans())
+# runs of 0 steps whose line 0 is empty and line 1 is not, in chunks of
+# one run (test_summary_example_has_empty_walks)
+@example(construction="parallel-thinned", L=0.5, rate=1.0, r=1.0, shift=0.3,
+         p=0.9, seed=1, n_runs=4, windows=[1.0], budget=1, audit=True,
+         events=True)
+# seven runs at three coupled windows in chunks of two runs and one
+@example(construction="parallel-shifted", L=10.0, rate=1.0, r=1.0,
+         shift=-0.3, p=0.5, seed=1, n_runs=7, windows=[1.0, 0.5, 0.2],
+         budget=200, audit=True, events=True)
+def test_summary_matches_its_reference(spec_for, monkeypatch, construction,
+                                       L, rate, r, shift, p, seed, n_runs,
+                                       windows, budget, audit, events):
+    # every row of a sweep or a coupled study, walked and counted in
+    # chunks of runs, equals the composition's on run_walk's walk of its
+    # run, on every construction (shifted both ways), at one to three
+    # coupled windows (the largest the drawn one), with either switch off,
+    # in chunks of one run, a few or all of them
+    monkeypatch.setattr(experiments, "CHUNK_POINTS", budget)
+    cfg = ExperimentConfig(
+        name="t", construction=construction, n_runs=n_runs, base_seed=seed,
+        rate_lambda=rate, window_L=L, audit=audit, detect_events=events,
+        **{k: v for k, v in dict(
+            alpha=1.0, separation_r=r, shift_s=shift * r,
+            thinning_p=p).items()
+           if k in processes.CONSTRUCTION_PARAMS[construction]})
+    Ls = [w * L for w in windows]
+    got = (coupled_window_study(cfg, Ls) if len(Ls) > 1
+           else {L: run_experiment(cfg)})
+    assert got == reference_rows(cfg, cfg.to_spec(), sorted(Ls))
+    for rows in got.values():
+        assert all((row.a_events is None) == (
             not events or construction not in PARALLEL_CONSTRUCTIONS)
-        assert (want.lemma_failures is None) == (
-            not audit or construction == "intersecting")
-        # narrower integers and strided views read alike
-        odd = replace(traj, us=strided(traj.us),
-                      lines=traj.lines.astype(np.int64),
-                      visited_step0=strided(traj.visited_step0),
-                      visited_step1=traj.visited_step1.astype(np.int32))
-        assert outcome(lambda: summarize_run(cfg, 7, real, odd)) == got
+            and (row.lemma_failures is None) == (
+                not audit or construction == "intersecting") for row in rows)
+
+
+def test_summary_example_has_empty_walks():
+    # the first example of test_summary_matches_its_reference: runs 0, 2
+    # and 3 have points on line 1 alone, too far across to step to
+    cfg = ExperimentConfig(name="t", construction="parallel-thinned",
+                           n_runs=4, base_seed=1, window_L=0.5,
+                           separation_r=1.0, thinning_p=0.9)
+    rows = run_experiment(cfg)
+    reals = [generate(cfg.to_spec(), stream_seed(1, i)) for i in range(4)]
+    assert [(len(real.line0), row.n_steps) for real, row in zip(
+        reals, rows)] == [(0, 0), (1, 1), (0, 0), (0, 0)]
+    assert all(row.n_points > 0 for row in rows)
 
 
 def test_summary_refuses_by_its_status(spec_for, monkeypatch):
-    # gw_summary's status names the pass that refused the run, or memory
-    # that ran out
-    real = generate(spec_for("parallel-thinned", window_L=10.0), 3)
-    traj = run_walk(real)
+    # gw_sweep's status, that of the first run refused, names the pass
+    # that refused it, or memory that ran out
+    reals = [generate(spec_for("parallel-thinned", window_L=10.0), i)
+             for i in range(3)]
 
     class Kernel:
         def __init__(self, status):
             self.status = status
 
-        def gw_summary(self, *args):
+        def gw_sweep(self, *args):
             return self.status
 
     for status, error, message in (
@@ -2155,9 +2153,10 @@ def test_summary_refuses_by_its_status(spec_for, monkeypatch):
             (4, ValidationError, analysis._CLUSTER_RULE)):
         monkeypatch.setattr(walk, "_kernel", lambda: Kernel(status))
         with pytest.raises(error, match=re.escape(message)):
-            summary_counts(real, traj, audit=True, events=True)
+            sweep_counts(reals, audit=True, events=True)
     monkeypatch.undo()
-    assert summary_counts(real, traj, audit=True, events=True)[3] == 0
+    assert [row[4] for row in sweep_counts(reals, audit=True,
+                                           events=True)] == [0, 0, 0]
 
 
 @pytest.mark.parametrize("construction, line0, line1", [
@@ -2172,17 +2171,16 @@ def test_summary_refuses_by_its_status(spec_for, monkeypatch):
 ])
 def test_summary_matches_its_reference_on_ties(hand_real, construction,
                                                line0, line1):
-    # hand-placed points where a comparison's tie decides: the summary
-    # agrees with the composition on the walk and on shuffles of it
+    # hand-placed points where a comparison's tie decides: a sweep's row
+    # agrees with the composition on the walk, at each window, mirrored too
     kw = {"shift_s": 0.3, "window_L": 8.0}
+    cfg = ExperimentConfig(name="t", construction=construction, n_runs=1,
+                           base_seed=0)
     for real in (hand_real(construction, line0, line1, **kw),
                  mirror_realization(hand_real(construction, line0, line1,
                                               **kw))):
-        traj = run_walk(real, rule=EXH)
-        rng = np.random.default_rng(5)
-        for t in (traj, *(reorder_steps(traj, rng.permutation(len(traj)))
-                          for _ in range(20))):
-            cfg = ExperimentConfig(name="t", construction=construction,
-                                   n_runs=1, base_seed=0)
-            assert summarize_run(cfg, 0, real, t) == (
-                oracles.summarize_reference(cfg, 0, real, t))
+        reals = [couple_restrict(real, L) for L in (8.0, 4.0, 2.5)]
+        assert experiments._summaries(cfg, [0, 1, 2], reals) == [
+            oracles.summarize_reference(cfg, i, small, run_walk(small))
+            for i, small in enumerate(reals)]
+        assert sum(len(run_walk(small)) for small in reals) > 0

@@ -298,8 +298,10 @@ def test_seeds_outside_64_bits_exit_2(tmp_path, capsys, seed, command):
 
 
 # Specs outside the domain on which the engines agree: squares the metric
-# forms overflow (the first three) or underflow (the fourth), or cross-line
-# distances round into ties (r * lambda = 1e8)
+# forms overflow (the first three) or underflow (the fourth), cross-line
+# distances round into ties (r * lambda = 1e8), or a duplicated pair's
+# bands u // r pass 2**53 (L / r = 1e20), where they once overflowed to no
+# events at all
 OUT_OF_DOMAIN = [
     ("intersecting", dict(window_L=1e200, rate_lambda=1e-200,
                           alpha=math.pi / 3)),
@@ -308,6 +310,8 @@ OUT_OF_DOMAIN = [
                               shift_s=5e199)),
     ("intersecting", dict(window_L=1e-160, rate_lambda=1e160, alpha=1.0)),
     ("parallel-duplicated", dict(window_L=30.0, separation_r=1e8)),
+    ("parallel-duplicated", dict(window_L=1e10, rate_lambda=1e-6,
+                                 separation_r=1e-10)),
 ]
 
 

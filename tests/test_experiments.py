@@ -23,7 +23,7 @@ from gwlab import (
     write_outputs,
     write_summaries_csv,
 )
-from gwlab import analysis, experiments
+from gwlab import analysis, experiments, walk
 from gwlab.experiments import CSV_COLUMNS, mean_and_se
 
 
@@ -113,6 +113,44 @@ def test_worker_count_equivalence():
     pooled = coupled_window_study(dataclasses.replace(cfg, workers=2),
                                   [10.0, 25.0, 50.0])
     assert serial == pooled
+
+
+def test_pooled_chunks_write_the_serial_bytes(tmp_path, monkeypatch):
+    # a sweep and a coupled study that span several chunks of runs give
+    # the same rows, CSV and report with one worker and with two
+    monkeypatch.setattr(experiments, "CHUNK_POINTS", 250)
+    calls = []
+    counts = experiments.sweep_counts
+    monkeypatch.setattr(experiments, "sweep_counts",
+                        lambda reals, **kw: calls.append(len(reals))
+                        or counts(reals, **kw))
+    cfg = cfg_for("parallel-shifted", n_runs=7)
+    serial = run_experiment(cfg)
+    assert calls == [2, 2, 2, 1]  # 100 points expected per run
+    pooled = run_experiment(dataclasses.replace(cfg, workers=2))
+    assert pooled == serial
+    outputs = [write_outputs(cfg, rows, tmp_path / name)
+               for name, rows in (("serial", serial), ("pooled", pooled))]
+    for kind in ("csv", "report"):
+        assert len({open(paths[kind], "rb").read() for paths in outputs}) == 1
+    calls.clear()
+    serial = coupled_window_study(cfg, [10.0, 25.0])
+    assert calls == [2] * 7  # a run at two windows expects 140 points
+    assert coupled_window_study(dataclasses.replace(cfg, workers=2),
+                                [10.0, 25.0]) == serial
+
+
+def test_outputs_rewrite_a_longer_file_in_place(tmp_path):
+    # a sweep's outputs over longer files of the same names are the bytes
+    # of a fresh write
+    cfg = cfg_for("parallel-thinned", n_runs=6)
+    rows = run_experiment(cfg)
+    fresh = write_outputs(cfg, rows[:2], tmp_path / "fresh")
+    again = write_outputs(cfg, rows, tmp_path / "again")
+    write_outputs(cfg, rows[:2], tmp_path / "again")
+    for kind in ("csv", "report"):
+        assert open(again[kind], "rb").read() == open(fresh[kind], "rb").read()
+    assert json.loads(open(again["manifest"]).read())["config"]["n_runs"] == 6
 
 
 def test_pool_size_capped(monkeypatch):
@@ -310,18 +348,30 @@ def test_write_outputs(tmp_path):
 
 
 def test_sweep_summarizes_each_run_in_one_compiled_call(monkeypatch):
-    # a sweep run's counts come from summary_counts' one compiled call,
-    # not from the per-pass analysis functions, which it must not call
+    # a sweep walks and counts each chunk of runs in one compiled call,
+    # gw_sweep: it runs no walk of its own, builds no Trajectory and calls
+    # none of the per-pass analysis functions
     def refuse(*args, **kwargs):
-        raise AssertionError("a sweep called a per-pass analysis function")
+        raise AssertionError("a sweep walked a run or called a per-pass "
+                             "analysis function")
 
-    for module in (experiments, analysis):
+    for module in (experiments, analysis, walk):
         for name in ("audit_lemmas", "detect_A_events", "compute_Dx",
                      "cluster_visits", "detect_crossings",
-                     "extract_halfline_changes"):
+                     "extract_halfline_changes", "run_walk", "_trajectory"):
             monkeypatch.setattr(module, name, refuse, raising=False)
+    lib, calls = walk._kernel(), []
+
+    class Counting:
+        def __getattr__(self, name):
+            calls.append(name)
+            return getattr(lib, name)
+
+    monkeypatch.setattr(walk, "_kernel", Counting)
     for construction in CONSTRUCTIONS:
+        calls.clear()
         rows = run_experiment(cfg_for(construction, n_runs=3))
+        assert calls == ["gw_sweep"]
         assert [r.run_index for r in rows] == [0, 1, 2]
         assert all((r.a_events is None) == (construction not in
                                             PARALLEL_CONSTRUCTIONS)

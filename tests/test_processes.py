@@ -20,12 +20,13 @@ from gwlab import (
     couple_restrict,
     generate,
     make_generator,
-    mirror_realization,
     realization_from_dict,
     realization_to_dict,
     sample_poisson,
     stream_seed,
 )
+
+from oracles import mirror_realization
 
 SEED = stream_seed(424242, 0)
 

@@ -34,8 +34,6 @@ from gwlab import (
     couple_restrict,
     cross_distance,
     generate,
-    mirror_realization,
-    mirror_trajectory,
     run_walk,
     run_walk_naive,
     stop_margin,
@@ -45,9 +43,14 @@ from gwlab import (
     trajectory_to_binary,
 )
 from gwlab import walk
-from gwlab.processes import MAX_SCALE, MAX_SEPARATION_POINTS
+from gwlab.processes import MAX_BANDS, MAX_SCALE, MAX_SEPARATION_POINTS
 from gwlab.walk import trajectory_to_dicts
-from oracles import _skip_visited, python_loop
+from oracles import (
+    _skip_visited,
+    mirror_realization,
+    mirror_trajectory,
+    python_loop,
+)
 
 EXH = StopRule(mode=RUN_TO_EXHAUSTION)
 COMPILER = shutil.which("cc") or shutil.which("gcc")
@@ -561,6 +564,56 @@ def test_binary_roundtrip(tmp_path, hand_real):
     assert (us.tolist(), lines.tolist(), dists.tolist()) == ([-2.5], [1], [0.0])
 
 
+def test_binary_export_rewrites_in_place(tmp_path, spec_for, monkeypatch):
+    # an export over a longer file is cut to its own bytes, those of a
+    # fresh write; one that fails after its header leaves a file that is
+    # refused, since the magic is written last
+    long = run_walk(generate(spec_for("parallel-thinned", window_L=200.0), 1))
+    short = run_walk(generate(spec_for("single-line", window_L=20.0), 2))
+    fresh, path = tmp_path / "fresh.bin", tmp_path / "walk.bin"
+    trajectory_to_binary(short, fresh)
+    trajectory_to_binary(long, path)
+    assert path.stat().st_size > fresh.stat().st_size
+    trajectory_to_binary(short, path)
+    assert path.read_bytes() == fresh.read_bytes()
+    # a device that cannot be cut takes the write as before
+    trajectory_to_binary(long, os.devnull)
+
+    class Failing:
+        """A file whose third write, the first after the header, fails."""
+
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 3:
+                raise OSError("no space left")
+            return self.fh.write(data)
+
+    for before in (long, None):
+        if before is None:
+            path.unlink()
+        else:
+            trajectory_to_binary(before, path)
+        monkeypatch.setattr(walk, "open", lambda *a: Failing(open(*a)),
+                            raising=False)
+        with pytest.raises(OSError, match="no space left"):
+            trajectory_to_binary(short, path)
+        monkeypatch.undo()
+        with pytest.raises(ValidationError, match="bad magic"):
+            trajectory_from_binary(path)
+
+
 def test_trajectory_json(hand_real):
     real = hand_real("single-line", [-1.0, 1.0])
     rows = trajectory_to_dicts(run_walk(real, rule=EXH))
@@ -649,7 +702,10 @@ def domain_specs(draw):
         r_max = min(MAX_SCALE, MAX_SEPARATION_POINTS / lam)
         if r_max * lam > MAX_SEPARATION_POINTS:
             r_max = math.nextafter(r_max, 0.0)
-        r = params["separation_r"] = draw(log_uniform(1e-300, r_max))
+        # the domain's least separation: window_L / separation_r is below
+        # MAX_BANDS
+        r_min = math.nextafter(L / MAX_BANDS, math.inf)
+        r = params["separation_r"] = draw(log_uniform(r_min, r_max))
         if construction == "parallel-thinned":
             params["thinning_p"] = draw(st.floats(0.0, 1.0))
         if construction == "parallel-shifted":
