@@ -1,9 +1,9 @@
 /* The compiled library: the greedy walk's step loop gw_walk, three
  * linear passes over a walk for analysis.py (the lemma audits gw_audit,
  * the deficiency records gw_deficiency and the cluster-visit table
- * gw_cluster_visits), gw_summary, a run's return events and its counts
- * over those passes in one call, and gw_sweep, which walks a chunk of a
- * sweep's runs and counts each walk as gw_summary does.  walk.py builds
+ * gw_cluster_visits), gw_summary, a run's return events, and gw_sweep,
+ * which walks a chunk of a sweep's runs and counts each walk over those
+ * passes through the body it shares with gw_summary.  walk.py builds
  * this file into a shared library and loads it through ctypes; run_walk
  * calls gw_walk and builds the Trajectory from what it writes,
  * analysis.audit_lemmas, compute_Dx and cluster_visits call the passes,
@@ -15,14 +15,13 @@
  * lines that Realization keeps finite, strictly increasing, read-only and
  * contiguous, so they never check them.  Each returns 1 for
  * a run it does not read (every one refuses a visit step that is neither
- * -1 nor a step of the prefix; gw_summary returns 1, 4 or 3 by the pass
- * that refused) and 2 when memory runs out; analysis.py raises
+ * -1 nor a step of the prefix; gw_summary and gw_sweep give 1, 4 or 3 by
+ * the pass that refused) and 2 when memory runs out; analysis.py raises
  * ValidationError and MemoryError for them.
  *
  * tests/oracles.py holds each entry's reference, python_loop being gw_walk
- * line for line in Python, oracle_events gw_summary's event pass and
- * summarize_reference its counts, and gw_sweep's rows are
- * summarize_reference's of run_walk's walk; a change to an entry keeps its
+ * line for line in Python, oracle_events gw_summary's event pass, and
+ * gw_sweep's rows are summarize_reference's of run_walk's walk; a change to an entry keeps its
  * reference equal to it, in what it refuses too.
  *
  * Every double must equal Python's and numpy's bit for bit: each distance
@@ -587,10 +586,10 @@ int gw_cluster_visits(const int64_t *vis0, const int64_t *vis1, int64_t p,
 }
 
 /* ------------------------------------------------------------------------
- * The return events and a sweep run's summary: gw_summary, in one call
- * over the passes above, counts what experiments.summarize_run reports
- * and, given a table, writes a run's events for analysis.detect_A_events,
- * the one implementation of their rule. */
+ * The return events and a sweep run's summary: summarize, in one call
+ * over the passes above, counts what a sweep's row reports and, given a
+ * table, writes a run's events, the one implementation of their rule;
+ * gw_summary calls it for analysis.detect_A_events. */
 
 enum { NO_EVENTS, DUPLICATED, THINNED, SHIFTED }; /* the event families */
 enum { REFUSED_DX = 1, NO_MEMORY = 2, REFUSED_AUDIT = 3, REFUSED_CLUSTER = 4 };
@@ -899,19 +898,20 @@ static int summarize(const double *line0, int64_t n0, const double *line1,
     return 0;
 }
 
-/* summarize over the tables F = [line0, line1, us] and I = [vis0, vis1,
- * lines, counts], with counts room for five, and the events' table laid out
- * as Events at events, cap rows (NULL and 0: counts only). */
+/* summarize, with no audit, over the tables F = [line0, line1, us] and
+ * I = [vis0, vis1, lines, counts], with counts room for five, and the
+ * events' table laid out as Events at events, cap rows (NULL and 0: counts
+ * only). */
 int gw_summary(const double *F, int64_t n0, int64_t n1, int64_t *I,
-               int64_t n, int family, double r, double s, int audit,
-               double *events, int64_t cap)
+               int64_t n, int family, double r, double s, double *events,
+               int64_t cap)
 {
     Events ev = {events, NULL, cap, 0, 0};
 
     if (events != NULL)
         ev.b = (int8_t *)(events + 6 * cap);
     return summarize(F, n0, F + n0, n1, I, I + n0, F + n0 + n1, I + n0 + n1,
-                     n, family, r, s, audit, &ev, I + n0 + n1 + n);
+                     n, family, r, s, 0, &ev, I + n0 + n1 + n);
 }
 
 /* ------------------------------------------------------------------------
@@ -921,7 +921,7 @@ int gw_summary(const double *F, int64_t n0, int64_t n1, int64_t *I,
 /* The k runs packed in D, their windows (lo0, hi0, lo1, hi1 per run) and
  * then each run's line 0 and line 1, of N[2i] and N[2i + 1] points, each
  * walked truncation-safe on the geometry kind, r, cos_alpha and counted as
- * gw_summary counts it with family, r, s and audit.  F, prv, nxt and vis
+ * summarize counts it with family, r, s and audit.  F, prv, nxt and vis
  * are scratch of the largest run's n0 + n1 + 4 entries, order and dists of
  * its n0 + n1.  Writes a row of six per run to rows: the steps, counts[0]
  * to counts[3] (meaningless where refused) and summarize's status.

@@ -23,11 +23,11 @@ one linear pass in the compiled library that holds the walk
 (``gw_deficiency``, ``gw_cluster_visits`` and ``gw_audit`` in
 ``_walk.c``, loaded by ``walk._kernel()``), tested bit for bit against
 its numpy reference in ``tests/oracles.py``.  A fourth entry,
-``gw_summary``, runs them in one call, the one implementation of the
-return events: detect_A_events reads a run's event table from it
-(reference: oracle_events).  A fifth, ``gw_sweep``, walks a chunk of a
-sweep's runs and counts each walk's crossings, half-line changes,
-occurred events and audit violations as ``gw_summary`` does, which
+``gw_summary``, is the one implementation of the return events:
+detect_A_events reads a run's event table from it (reference:
+oracle_events).  A fifth, ``gw_sweep``, walks a chunk of a sweep's runs
+and counts each walk's crossings, half-line changes, occurred events and
+audit violations through the body it shares with ``gw_summary``, which
 sweep_counts reads (reference: summarize_reference of run_walk's walk).
 Each raises ValidationError for a run its pass does not read (_DX_RULE,
 _AUDIT_RULE, _CLUSTER_RULE), and for shadows or cluster starts that are
@@ -604,7 +604,7 @@ def detect_A_events(real: Realization, traj: Trajectory) -> EventTable:
         table = np.empty(52 * cap, dtype=np.uint8)
         status = walk._kernel().gw_summary(
             pF, n0, n1, pI, n, family, real.spec.separation_r,
-            real.spec.shift_s or 0.0, False, table.ctypes.data, cap)
+            real.spec.shift_s or 0.0, table.ctypes.data, cap)
         _refuse(status, _SUMMARY_RULES.get(status))
         rows = int(I[m + n + 4])
         if rows <= cap:

@@ -158,8 +158,7 @@ def _run_chunk(cfg: ExperimentConfig, spec: ProcessSpec, windows,
     return _summaries(cfg, [i for i in runs for _ in windows], reals)
 
 
-def _summaries(cfg: ExperimentConfig, run_indexes,
-               reals) -> list[RunSummary]:
+def _summaries(cfg: ExperimentConfig, run_indexes, reals) -> list[RunSummary]:
     """The row of each of reals, all of one spec but for window_L, with its
     run index: each walked and counted in one call of sweep_counts."""
     counts = sweep_counts(reals, audit=cfg.audit, events=cfg.detect_events)
@@ -323,7 +322,8 @@ def write_outputs(cfg: ExperimentConfig, rows: list[RunSummary],
         "manifest": os.path.join(out_dir, f"{cfg.name}.manifest.json"),
     }
     write_summaries_csv(rows, paths["csv"])
-    _write_json(paths["report"], aggregate(rows))
+    _write_in_place(paths["report"], [(json.dumps(
+        aggregate(rows), sort_keys=True, indent=2) + "\n").encode("utf-8")])
     manifest = {
         "config": dataclasses.asdict(cfg),
         "rng_algorithm": RNG_ALGORITHM,
@@ -332,11 +332,6 @@ def write_outputs(cfg: ExperimentConfig, rows: list[RunSummary],
         "outputs": [os.path.basename(paths["csv"]),
                     os.path.basename(paths["report"])],
     }
-    _write_json(paths["manifest"], manifest)
+    _write_in_place(paths["manifest"], [(json.dumps(
+        manifest, sort_keys=True, indent=2) + "\n").encode("utf-8")])
     return paths
-
-
-def _write_json(path, obj) -> None:
-    """obj as sorted, indented JSON and a newline, rewritten in place."""
-    _write_in_place(path, [(json.dumps(obj, sort_keys=True, indent=2)
-                            + "\n").encode("utf-8")])

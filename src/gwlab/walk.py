@@ -29,10 +29,10 @@ Two engines produce step-for-step identical trajectories.
   entries that analysis.py runs over a walk: three passes, ``gw_audit``
   (``audit_lemmas``), ``gw_deficiency`` (``compute_Dx``) and
   ``gw_cluster_visits`` (``cluster_visits``), and ``gw_summary``
-  (``detect_A_events``), a run's return events and its counts over those
-  passes in one call; and ``gw_sweep`` (``analysis.sweep_counts``), which
-  walks a chunk of a sweep's runs and counts each walk as ``gw_summary``
-  does, with no Trajectory, tested against ``summarize_reference`` of
+  (``detect_A_events``), a run's return events; and ``gw_sweep``
+  (``analysis.sweep_counts``), which walks a chunk of a sweep's runs and
+  counts each walk over those passes through the body it shares with
+  ``gw_summary``, with no Trajectory, tested against ``summarize_reference`` of
   ``run_walk``'s walk.  On first use in a process the library is compiled
   with the system C compiler (``cc``, else ``gcc``) into
   ``$XDG_CACHE_HOME/gwlab`` (default ``~/.cache/gwlab``), once per source
@@ -62,6 +62,7 @@ import math
 import os
 import platform
 import shutil
+import stat
 import struct
 import subprocess
 import tempfile
@@ -156,8 +157,8 @@ def stop_margin(real: Realization, u: float, line: int) -> float:
 # entries analysis.py calls (the lemma audits gw_audit, the deficiency
 # records gw_deficiency, the cluster-visit table gw_cluster_visits,
 # gw_summary, a run's return events, with their table when given one, and
-# its counts over them, and gw_sweep, a sweep chunk's walks and their
-# counts, whose reference is tests/oracles.py's summarize_reference), built
+# gw_sweep, a sweep chunk's walks and their counts over the passes, whose
+# reference is tests/oracles.py's summarize_reference), built
 # by the system C compiler into the user's cache once per source and flag
 # set, and loaded with ctypes
 _SOURCE = Path(__file__).with_name("_walk.c")
@@ -181,7 +182,7 @@ _SIGNATURES = {  # symbol: (argument types, result type)
                            _P, _Q, _Q,  # starts, k, n
                            _P, _P), _I),  # table, verdicts
     "gw_summary": ((_P, _Q, _Q, _P, _Q,  # F, n0, n1, I, n
-                    _I, _D, _D, _I,  # family, r, s, audit
+                    _I, _D, _D,  # family, r, s
                     _P, _Q), _I),  # events, cap
     "gw_sweep": ((_P, _P, _Q,  # D, N, k
                   _I, _D, _D,  # kind, r, cos_alpha
@@ -352,42 +353,43 @@ def run_walk_naive(real: Realization, *,
 def trajectories_equal(a: Trajectory, b: Trajectory) -> bool:
     """Exact step-for-step equality (positions, lines, distances, stop,
     and the visit step of every point)."""
-    return (
-        a.stop_reason == b.stop_reason
-        and np.array_equal(a.us, b.us)
-        and np.array_equal(a.lines, b.lines)
-        and np.array_equal(a.step_distances, b.step_distances)
-        and np.array_equal(a.visited_step0, b.visited_step0)
-        and np.array_equal(a.visited_step1, b.visited_step1)
-    )
+    return a.stop_reason == b.stop_reason and all(
+        np.array_equal(getattr(a, f), getattr(b, f)) for f in (
+            "us", "lines", "step_distances", "visited_step0", "visited_step1"))
 
 
 def trajectory_to_dicts(traj: Trajectory) -> list[dict]:
     """JSON-friendly per-step rows: {step, line, u, dist}."""
-    return [
-        {"step": i + 1, "line": int(l), "u": float(u), "dist": float(d)}
-        for i, (u, l, d) in enumerate(
-            zip(traj.us, traj.lines, traj.step_distances)
-        )
-    ]
+    return [{"step": i, "line": int(l), "u": float(u), "dist": float(d)}
+            for i, (u, l, d) in enumerate(
+                zip(traj.us, traj.lines, traj.step_distances), start=1)]
 
 
 _BIN_MAGIC = b"GWTRAJ01"
 
 
 def _write_in_place(path, parts, head: bytes = b"") -> None:
-    """Write head and then the byte strings of parts to path, over what it
-    holds, and cut it to their length where it was longer (a device such as
-    /dev/null cannot be cut): the file is opened without O_TRUNC, which on
-    some filesystems (ext4 mounted with discard) costs more than the write.
-    head is written last, over as many zero bytes, so a write that fails
-    partway leaves zeros where it goes."""
+    """Write head and then the byte strings of parts to path.  A regular
+    file is rewritten in place, without O_TRUNC (which on ext4 mounted with
+    discard costs more than the write), and cut to the written length, on a
+    failed write too; head goes last, over as many zero bytes, so a write
+    that fails partway leaves zeros there.  A pipe or a device takes head
+    and parts in order."""
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        fh.write(bytes(len(head)))
-        for part in parts:
-            fh.write(part)
-        fh.flush()
-        if os.fstat(fh.fileno()).st_size > fh.tell():
+        st = os.fstat(fh.fileno())
+        if not stat.S_ISREG(st.st_mode):
+            for part in (head, *parts):
+                fh.write(part)
+            return
+        try:
+            fh.write(bytes(len(head)))
+            for part in parts:
+                fh.write(part)
+            fh.flush()
+        except BaseException:
+            os.ftruncate(fh.fileno(), fh.raw.tell())
+            raise
+        if st.st_size > fh.tell():
             fh.truncate()
         fh.seek(0)
         fh.write(head)

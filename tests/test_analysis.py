@@ -2060,6 +2060,74 @@ def outcome(call):
         return type(err), str(err)
 
 
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(["parallel-duplicated", "parallel-thinned",
+                        "parallel-shifted"]),
+       st.sampled_from([10.0, 40.0]), st.sampled_from([0.1, 1.0, 3.0]),
+       st.sampled_from([0.3, -0.3, 0.05, -0.5]),
+       st.sampled_from([0.2, 0.5, 0.9]), st.integers(0, 2**32 - 1),
+       st.booleans(), st.sampled_from([1.0, 0.5]),
+       st.sampled_from(["walk", "walk", "cut", "shuffled", "mutated"]),
+       st.randoms(use_true_random=False))
+@example(construction="parallel-shifted", L=40.0, r=1.0, shift=-0.3, p=0.5,
+         seed=1, exhaust=False, window=1.0, form="walk", rnd=random.Random(0))
+# a step claimed twice, which gives two clusters one first visit: the
+# reduced walk orders them by index, and numpy's default sort would not
+@example(construction="parallel-duplicated", L=10.0, r=0.1, shift=0.3, p=0.5,
+         seed=3, exhaust=False, window=1.0, form="mutated",
+         rnd=random.Random(1))
+def test_events_match_their_reference_on_every_form(
+        spec_for, construction, L, r, shift, p, seed, exhaust, window, form,
+        rnd):
+    # the event table equals oracle_events' on greedy walks of every
+    # parallel construction (shifted both ways), both stop rules and coupled
+    # windows, and on cut, shuffled and mutated walks; it refuses exactly
+    # the runs oracle_events refuses, by the same rule; and narrower
+    # integers and strided views read alike
+    spec = spec_for(construction, window_L=L, separation_r=r,
+                    shift_s=shift * r, thinning_p=p)
+    real = couple_restrict(generate(spec, seed), window * L)
+    traj = run_walk(real, rule=EXH if exhaust else StopRule())
+    n = len(traj)
+    if form == "cut":
+        traj = cut_prefix(traj, rnd.randint(0, n))
+    elif form == "shuffled":
+        traj = reorder_steps(traj, rnd.sample(range(n), n))
+    elif form == "mutated":
+        form = rnd.choice(sorted(REFUSED_BY))
+        traj = mutated(real, traj, form, rnd)
+        assume(traj is not None)
+
+    def table(t):
+        return outcome(lambda: repr(event_rows(detect_A_events(real, t))))
+
+    got = table(traj)
+    assert got == outcome(lambda: repr(
+        [vars(rec) for rec in oracles.oracle_events(real, traj)]))
+    if isinstance(got, str):
+        odd = replace(traj, us=strided(traj.us),
+                      lines=traj.lines.astype(np.int64),
+                      visited_step0=strided(traj.visited_step0),
+                      visited_step1=traj.visited_step1.astype(np.int32))
+        assert table(odd) == got
+
+
+def test_events_example_claims_a_step_twice(spec_for):
+    # the second example above: its mutation claims a step twice, and gives
+    # two clusters one first visit
+    spec = spec_for("parallel-duplicated", window_L=10.0, separation_r=0.1,
+                    shift_s=0.03, thinning_p=0.5)
+    real = generate(spec, 3)
+    traj = run_walk(real)
+    rnd = random.Random(1)
+    assert rnd.choice(sorted(REFUSED_BY)) == "claimed twice"
+    bad = mutated(real, traj, "claimed twice", rnd)
+    first = cluster_visits(clusters_of(real), bad).first
+    first = first[first >= 0]
+    assert len(set(first.tolist())) < len(first)
+
+
 def reference_rows(cfg, spec, window_Ls):
     """Per window, oracles.summarize_reference of each of cfg's runs, drawn
     from spec and restricted to the window, walked by run_walk."""
@@ -2073,7 +2141,7 @@ def reference_rows(cfg, spec, window_Ls):
     return out
 
 
-@settings(max_examples=300, deadline=None,
+@settings(max_examples=500, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.sampled_from(["single-line", "intersecting", "parallel-duplicated",
                         "parallel-thinned", "parallel-shifted"]),
@@ -2172,7 +2240,9 @@ def test_summary_refuses_by_its_status(spec_for, monkeypatch):
 def test_summary_matches_its_reference_on_ties(hand_real, construction,
                                                line0, line1):
     # hand-placed points where a comparison's tie decides: a sweep's row
-    # agrees with the composition on the walk, at each window, mirrored too
+    # agrees with the composition on the walk, at each window, mirrored too,
+    # and the event table with oracle_events on the run-to-exhaustion walk
+    # and on shuffles of it
     kw = {"shift_s": 0.3, "window_L": 8.0}
     cfg = ExperimentConfig(name="t", construction=construction, n_runs=1,
                            base_seed=0)
@@ -2184,3 +2254,9 @@ def test_summary_matches_its_reference_on_ties(hand_real, construction,
             oracles.summarize_reference(cfg, i, small, run_walk(small))
             for i, small in enumerate(reals)]
         assert sum(len(run_walk(small)) for small in reals) > 0
+        if construction in PARALLEL_CONSTRUCTIONS:
+            traj = run_walk(real, rule=EXH)
+            rng = np.random.default_rng(5)
+            for t in (traj, *(reorder_steps(traj, rng.permutation(len(traj)))
+                              for _ in range(20))):
+                assert_events_match_oracle(real, t)

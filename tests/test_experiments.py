@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import threading
 
 import pytest
 
@@ -16,6 +17,7 @@ from gwlab import (
     ValidationError,
     aggregate,
     coupled_window_study,
+    generate,
     load_config,
     read_summaries_csv,
     run_experiment,
@@ -151,6 +153,74 @@ def test_outputs_rewrite_a_longer_file_in_place(tmp_path):
     for kind in ("csv", "report"):
         assert open(again[kind], "rb").read() == open(fresh[kind], "rb").read()
     assert json.loads(open(again["manifest"]).read())["config"]["n_runs"] == 6
+
+
+def read_through_fifo(path, write):
+    """The bytes write() sends through a FIFO made at path, read by a
+    thread as they come: a target that cannot seek or be cut."""
+    os.mkfifo(path)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(path.read_bytes()),
+                              daemon=True)
+    reader.start()
+    write()
+    reader.join(30)
+    return got[0]
+
+
+def test_outputs_write_through_a_pipe(tmp_path, spec_for):
+    # a FIFO takes each writer's bytes in order, those of a regular file
+    rows = run_experiment(cfg_for("parallel-thinned", n_runs=3))
+    write_summaries_csv(rows, tmp_path / "fresh.csv")
+    assert read_through_fifo(
+        tmp_path / "csv", lambda: write_summaries_csv(rows, tmp_path / "csv")
+    ) == (tmp_path / "fresh.csv").read_bytes()
+    traj = walk.run_walk(generate(spec_for("parallel-thinned",
+                                           window_L=50.0), 1))
+    walk.trajectory_to_binary(traj, tmp_path / "fresh.bin")
+    assert read_through_fifo(
+        tmp_path / "bin",
+        lambda: walk.trajectory_to_binary(traj, tmp_path / "bin")
+    ) == (tmp_path / "fresh.bin").read_bytes()
+
+
+def test_failed_rewrite_keeps_no_old_tail(tmp_path, monkeypatch):
+    # a CSV rewrite over a longer file that fails halfway through its bytes
+    # leaves those bytes alone, as a fresh write that failed would, and
+    # none of the old file's tail
+    rows = run_experiment(cfg_for("parallel-thinned", n_runs=6))
+    path, fresh = tmp_path / "runs.csv", tmp_path / "fresh.csv"
+    write_summaries_csv(rows, path)
+    write_summaries_csv(rows[:2], fresh)
+    want = fresh.read_bytes()
+
+    class HalfWrite:
+        """A file whose write of more than a byte writes half and fails."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+        def write(self, data):
+            if len(data) > 1:
+                self.fh.write(bytes(data)[:len(data) // 2])
+                raise OSError("no space left")
+            return self.fh.write(data)
+
+    monkeypatch.setattr(walk, "open", lambda *a: HalfWrite(open(*a)),
+                        raising=False)
+    with pytest.raises(OSError, match="no space left"):
+        write_summaries_csv(rows[:2], path)
+    monkeypatch.undo()
+    assert path.read_bytes() == want[:len(want) // 2]
 
 
 def test_pool_size_capped(monkeypatch):
