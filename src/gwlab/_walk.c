@@ -1,28 +1,31 @@
 /* The compiled library: the greedy walk's step loop gw_walk, three
  * linear passes over a walk for analysis.py (the lemma audits gw_audit,
  * the deficiency records gw_deficiency and the cluster-visit table
- * gw_cluster_visits), gw_summary, a run's return events, and gw_sweep,
- * which walks a chunk of a sweep's runs and counts each walk over those
- * passes through the body it shares with gw_summary.  walk.py builds
- * this file into a shared library and loads it through ctypes; run_walk
- * calls gw_walk and builds the Trajectory from what it writes,
- * analysis.audit_lemmas, compute_Dx and cluster_visits call the passes,
- * analysis.detect_A_events calls gw_summary and analysis.sweep_counts
- * gw_sweep.  Where the library does not build, they raise OSError; gwlab
- * has no other engine.
+ * gw_cluster_visits), gw_summary, a run's return events, gw_sweep, which
+ * walks a chunk of a sweep's runs and counts each walk over those passes
+ * through the body it shares with gw_summary, and gw_draw, which draws
+ * that chunk as processes.generate would.  walk.py builds this file into a
+ * shared library and loads it through ctypes; run_walk calls gw_walk and
+ * builds the Trajectory from what it writes, analysis.audit_lemmas,
+ * compute_Dx and cluster_visits call the passes, analysis.detect_A_events
+ * calls gw_summary, analysis.sweep_counts gw_sweep and
+ * experiments._run_chunk gw_draw.  Where the library does not build, they
+ * raise OSError; gwlab has no other engine.
  *
  * Every walk starts at the origin on line 0, its step 0.  The passes read
- * lines that Realization keeps finite, strictly increasing, read-only and
- * contiguous, so they never check them.  Each returns 1 for
- * a run it does not read (every one refuses a visit step that is neither
- * -1 nor a step of the prefix; gw_summary and gw_sweep give 1, 4 or 3 by
- * the pass that refused) and 2 when memory runs out; analysis.py raises
- * ValidationError and MemoryError for them.
+ * lines that Realization, or gw_draw, keeps finite, strictly increasing and
+ * contiguous, so they never check them.  Each returns 1 for a run it does
+ * not read (every one refuses a visit step that is neither -1 nor a step
+ * of the prefix; gw_summary and gw_sweep give 1, 4 or 3 by the pass that
+ * refused), gw_draw BROKEN + i for a run that breaks check_invariants'
+ * rule i, and 2 when memory runs out; Python raises ValidationError and
+ * MemoryError for them.
  *
  * tests/oracles.py holds each entry's reference, python_loop being gw_walk
  * line for line in Python, oracle_events gw_summary's event pass, and
- * gw_sweep's rows are summarize_reference's of run_walk's walk; a change to an entry keeps its
- * reference equal to it, in what it refuses too.
+ * gw_sweep's rows are summarize_reference's of run_walk's walk, as
+ * gw_draw's packed runs are pack_runs' of generate's draws; a change to an
+ * entry keeps its reference equal to it, in what it refuses too.
  *
  * Every double must equal Python's and numpy's bit for bit: each distance
  * and deficiency term is computed in the expression order of the Python
@@ -592,7 +595,8 @@ int gw_cluster_visits(const int64_t *vis0, const int64_t *vis1, int64_t p,
  * gw_summary calls it for analysis.detect_A_events. */
 
 enum { NO_EVENTS, DUPLICATED, THINNED, SHIFTED }; /* the event families */
-enum { REFUSED_DX = 1, NO_MEMORY = 2, REFUSED_AUDIT = 3, REFUSED_CLUSTER = 4 };
+enum { REFUSED_DX = 1, NO_MEMORY = 2, REFUSED_AUDIT = 3, REFUSED_CLUSTER = 4,
+       BROKEN = 5 }; /* BROKEN + i: gw_draw's, for check_invariants' rule i */
 
 /* A run's events: found counts the occurred ones, and rows is the length
  * of their table, which is written when f is not NULL and it fits in cap
@@ -959,4 +963,242 @@ int gw_sweep(const double *D, const int64_t *N, int64_t k, int kind,
             first = (int)row[5];
     }
     return first;
+}
+
+/* ------------------------------------------------------------------------
+ * A sweep chunk's draws: gw_draw draws each run as processes.generate does,
+ * on numpy's stream: Philox4x64-10 (Salmon et al., SC 2011) keyed [seed, 0]
+ * from a zero counter, as make_generator sets it, with numpy's
+ * random_poisson for counts (Hormann's PTRS at lambda >= 10, else the
+ * multiplication method) and random_uniform for positions.  generate, on
+ * numpy, is the reference gw_draw is tested against. */
+
+enum { ONE_LINE, TWO_LINES, COPIED, THINNED_COPY, SHIFTED_COPY }; /* CONSTRUCTIONS */
+
+/* out holds the block of ctr, read up to pos (4: spent) */
+typedef struct { uint64_t ctr[4], key[2], out[4]; int pos; } Philox;
+
+/* numpy's philox_next64: the next word, from a new block once out is
+ * spent, whose counter is bumped (with its carry) first */
+static uint64_t next64(Philox *g)
+{
+    const uint64_t M0 = UINT64_C(0xD2E7470EE14C6C93),
+                   M1 = UINT64_C(0xCA5A826395121157),
+                   W0 = UINT64_C(0x9E3779B97F4A7C15),
+                   W1 = UINT64_C(0xBB67AE8584CAA73B);
+    uint64_t *c = g->out, k0 = g->key[0], k1 = g->key[1];
+    unsigned __int128 p0, p1;
+    int i;
+
+    if (g->pos < 4)
+        return c[g->pos++];
+    for (i = 0; i < 4 && ++g->ctr[i] == 0; i++)
+        ;
+    memcpy(c, g->ctr, sizeof g->ctr);
+    for (i = 0; i < 10; i++, k0 += W0, k1 += W1) {
+        p0 = (unsigned __int128)M0 * c[0];
+        p1 = (unsigned __int128)M1 * c[2];
+        c[0] = (uint64_t)(p1 >> 64) ^ c[1] ^ k0;
+        c[1] = (uint64_t)p1;
+        c[2] = (uint64_t)(p0 >> 64) ^ c[3] ^ k1;
+        c[3] = (uint64_t)p0;
+    }
+    g->pos = 1;
+    return c[0];
+}
+
+/* numpy's next_double: a word's top 53 bits over 2**53 */
+static double next_double(Philox *g)
+{
+    return (double)(next64(g) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* numpy's random_loggam: log Gamma(x) by Stirling's series from x moved up
+ * to 7, and back */
+static double loggam(double x)
+{
+    static const double a[10] = {
+        8.333333333333333e-02, -2.777777777777778e-03, 7.936507936507937e-04,
+        -5.952380952380952e-04, 8.417508417508418e-04, -1.917526917526918e-03,
+        6.410256410256410e-03, -2.955065359477124e-02, 1.796443723688307e-01,
+        -1.39243221690590e+00};
+    int64_t k, n = x < 7.0 ? (int64_t)(7 - x) : 0;
+    double x0 = x + n, x2 = (1.0 / x0) * (1.0 / x0), gl = a[9];
+
+    if (x == 1.0 || x == 2.0)
+        return 0.0;
+    for (k = 8; k >= 0; k--)
+        gl = gl * x2 + a[k];
+    gl = gl / x0 + 0.5 * 1.8378770664093453 + (x0 - 0.5) * log(x0) - x0;
+    for (k = 1; k <= n; k++, x0 -= 1.0)
+        gl -= log(x0 - 1.0);
+    return gl;
+}
+
+/* numpy's random_poisson: PTRS (Hormann 1993) at lam >= 10, else the count
+ * of uniforms whose product stays above exp(-lam) */
+static int64_t poisson(Philox *g, double lam)
+{
+    double b = 0.931 + 2.53 * sqrt(lam), a = -0.059 + 0.02483 * b, U, V, us;
+    double invalpha = 1.1239 + 1.1328 / (b - 3.4), vr = 0.9277 - 3.6224 / (b - 2);
+    int64_t k;
+
+    while (lam >= 10) {
+        U = next_double(g) - 0.5;
+        V = next_double(g);
+        us = 0.5 - fabs(U);
+        k = (int64_t)floor((2 * a / us + b) * U + lam + 0.43);
+        if (us >= 0.07 && V <= vr)
+            return k;
+        if (k >= 0 && (us >= 0.013 || V <= us)
+            && log(V) + log(invalpha) - log(a / (us * us) + b)
+                   <= -lam + k * log(lam) - loggam(k + 1))
+            return k;
+    }
+    for (k = 0, U = 1.0, V = exp(-lam); lam > 0; k++)
+        if (!((U *= next_double(g)) > V))
+            return k;
+    return 0;
+}
+
+/* processes.sample_poisson on (-L, L): a count n, then n uniforms, sorted by
+ * their bits (into about one bucket a draw by the top bits, then by
+ * insertion) before they are scaled, which keeps their order, with exact
+ * duplicates dropped.  The points kept go to the start of *pts, a block of
+ * 5n + 3 words (the rest is scratch) that the caller frees.  Returns how
+ * many, -1 when memory runs out. */
+static int64_t sample(Philox *g, double rate, double L, double **pts)
+{
+    const double lo = -L, range = L - lo;
+    int64_t i, j, nb, n = poisson(g, rate * range), *cnt;
+    uint64_t x, *w, *sorted;
+    int shift = 53;
+    double v;
+
+    if ((*pts = malloc((size_t)(5 * n + 3) * 8)) == NULL)
+        return -1;
+    w = (uint64_t *)(*pts + n);
+    sorted = w + n;
+    cnt = (int64_t *)(sorted + n);
+    for (i = 0; i < n; i++)
+        w[i] = next64(g) >> 11;
+    for (nb = 1; nb < n; nb *= 2) /* 2**(53 - shift) buckets */
+        shift--;
+    memset(cnt, 0, (size_t)(nb + 1) * sizeof *cnt);
+    for (i = 0; i < n; i++)
+        cnt[(w[i] >> shift) + 1]++;
+    for (i = 1; i <= nb; i++)
+        cnt[i] += cnt[i - 1];
+    for (i = 0; i < n; i++)
+        sorted[cnt[w[i] >> shift]++] = w[i];
+    for (i = 1; i < n; i++) {
+        for (x = sorted[i], j = i; j > 0 && sorted[j - 1] > x; j--)
+            sorted[j] = sorted[j - 1];
+        sorted[j] = x;
+    }
+    for (i = j = 0; i < n; i++) {
+        v = lo + range * ((double)sorted[i] * (1.0 / 9007199254740992.0));
+        if (j == 0 || v != (*pts)[j - 1])
+            (*pts)[j++] = v;
+    }
+    return j;
+}
+
+/* check_invariants on a packed run in the windows w: 0, or BROKEN plus the
+ * index of the first of its rules (processes.INVARIANTS) the run breaks */
+static int broken(const double *l0, int64_t n0, const double *l1, int64_t n1,
+                  const double *w, int construction, double s)
+{
+    int64_t i, copy = construction == COPIED || construction == SHIFTED_COPY;
+
+    for (i = 1; i < n0; i++)
+        if (!(l0[i] > l0[i - 1]))
+            return BROKEN;
+    for (i = 1; i < n1; i++)
+        if (!(l1[i] > l1[i - 1]))
+            return BROKEN + 1;
+    if (n0 && !(w[0] <= l0[0] && l0[n0 - 1] <= w[1]))
+        return BROKEN + 2;
+    if (n1 && !(w[2] <= l1[0] && l1[n1 - 1] <= w[3]))
+        return BROKEN + 3;
+    if (construction == ONE_LINE && n1)
+        return BROKEN + 4;
+    for (i = 0; copy && i < (n0 > n1 ? n0 : n1); i++)
+        if (n0 != n1 || !((construction == COPIED ? l0[i] : l0[i] + s) == l1[i]))
+            return construction == COPIED ? BROKEN + 5 : BROKEN + 6;
+    return 0;
+}
+
+/* The k runs of seeds, each drawn as generate draws `construction` (its
+ * index in CONSTRUCTIONS) at rate and L, with p and s, and restricted as
+ * couple_restrict restricts it to each of m windows, whose ends W gives as
+ * drawn_windows does (4 a window, line 0's inside (-L, L)), packed into D
+ * as gw_sweep reads them, with the line counts in N: the 4km window ends,
+ * then each packed run's line 0 and line 1, by run and then by window.
+ * N[2km] receives the doubles the packing takes; where that is above room,
+ * D holds what fits, for a call again with the room.  Returns 0, NO_MEMORY,
+ * or `broken`'s status for the first packed run that breaks a rule. */
+int gw_draw(const uint64_t *seeds, int64_t k, int construction, double rate,
+            double L, double p, double s, const double *W, int64_t m,
+            double *D, int64_t room, int64_t *N)
+{
+    int64_t i, j, q, n0, n1, a0, e0, a1, e1, at = 4 * k * m;
+    int status = 0, shifted = construction == SHIFTED_COPY, to0;
+    const double *w;
+    double *l0, *l1 = NULL;
+    unsigned char *keep;
+
+    for (i = 0; i < k && status == 0; i++) {
+        Philox g = {{0, 0, 0, 0}, {seeds[i], 0}, {0, 0, 0, 0}, 4};
+        n1 = n0 = sample(&g, rate, L, &l0);
+        if (construction == TWO_LINES && n0 >= 0)
+            n1 = sample(&g, rate, L, &l1);
+        else /* a thinned or shifted line 1 in l0's scratch */
+            l1 = construction > COPIED && n0 > 0 ? l0 + n0 : l0;
+        status = n0 < 0 || n1 < 0 ? NO_MEMORY : 0;
+        n1 = construction == ONE_LINE ? 0 : n1;
+        for (j = 0; status == 0 && shifted && j < n0; j++)
+            l1[j] = l0[j] + s;
+        if (status == 0 && construction == THINNED_COPY) {
+            keep = (unsigned char *)(l1 + n0);
+            for (j = 0; j < n0; j++)
+                keep[j] = next_double(&g) < 1.0 - p;
+            for (j = q = n1 = 0; j < n0; j++) { /* line 0 kept in place */
+                to0 = next_double(&g) < 0.5;
+                if (keep[j] || !to0)
+                    l1[n1++] = l0[j];
+                if (keep[j] || to0)
+                    l0[q++] = l0[j];
+            }
+            n0 = q;
+        }
+        for (j = 0, q = i * m, w = W; j < m && status == 0; j++, q++, w += 4) {
+            for (a0 = 0; a0 < n0 && l0[a0] < w[0]; a0++)
+                ;
+            for (e0 = n0; e0 > a0 && l0[e0 - 1] > w[1]; e0--)
+                ;
+            for (a1 = 0; !shifted && a1 < n1 && l1[a1] < w[0]; a1++)
+                ;
+            for (e1 = n1; !shifted && e1 > a1 && l1[e1 - 1] > w[1]; e1--)
+                ;
+            if (shifted) /* line 1 keeps line 0's range */
+                a1 = a0, e1 = e0;
+            N[2 * q] = e0 - a0;
+            N[2 * q + 1] = e1 - a1;
+            status = broken(l0 + a0, e0 - a0, l1 + a1, e1 - a1, w,
+                            construction, s);
+            if (4 * k * m <= room)
+                memcpy(D + 4 * q, w, 4 * sizeof *D);
+            if (at + (e0 - a0) + (e1 - a1) <= room) {
+                memcpy(D + at, l0 + a0, (size_t)(e0 - a0) * sizeof *D);
+                memcpy(D + at + e0 - a0, l1 + a1, (size_t)(e1 - a1) * sizeof *D);
+            }
+            at += (e0 - a0) + (e1 - a1);
+        }
+        if (construction == TWO_LINES)
+            free(l1);
+        free(l0);
+    }
+    N[2 * k * m] = at;
+    return status;
 }

@@ -675,23 +675,18 @@ def check_povratak(real: Realization, traj: Trajectory) -> PovratakSummary:
 # a sweep chunk's counts
 
 
-def sweep_counts(reals, *, audit: bool, events: bool) -> list[tuple]:
-    """Per realization of reals, all of one spec but for window_L, its
-    truncation-safe walk's steps, crossings (detect_crossings), half-line
-    changes (extract_halfline_changes), occurred return events
+def sweep_counts(spec, D, N, *, audit: bool, events: bool) -> list[tuple]:
+    """Per run of spec (but for window_L) packed in D, its window ends
+    (lo0, hi0, lo1, hi1) and then its lines of N[2i] and N[2i + 1] points,
+    its truncation-safe walk's steps, crossings (detect_crossings),
+    half-line changes (extract_halfline_changes), occurred return events
     (detect_A_events) and lemma-audit violations (audit_lemmas), walked and
     counted in one compiled call (gw_sweep) with no Trajectory.  The events
     are None unless `events` is set on a parallel construction, the
     violations None unless `audit` is set off intersecting lines."""
-    spec = reals[0].spec
     family = _FAMILIES.get(spec.construction, (0,))[0] if events else 0
     audit = audit and spec.kind != INTERSECTING
-    k = len(reals)
-    D = np.concatenate([np.array([w for real in reals for win in real.windows
-                                  for w in win])]
-                       + [a for real in reals for a in (real.line0, real.line1)])
-    N = np.array([len(a) for real in reals for a in (real.line0, real.line1)],
-                 dtype=np.int64)
+    k = len(N) // 2
     rows = np.empty((k, 6), dtype=np.int64)
     _, _, scratch = walk._buffers(int((N[::2] + N[1::2]).max()) + 4)
     pF, pvis, porder, pdists, pprv, pnxt = scratch

@@ -10,8 +10,8 @@ Subcommands:
 * export-plot-data: per-run CSV files ready for plotting.
 
 Exit codes: 0 success, 1 verification failure or nothing checked, 2 usage
-or domain error, an output path that cannot be written, or a compiled
-library that cannot be built (no C compiler, or a failed build).
+or domain error, an output path that cannot be written, a compiled library
+that cannot be built (no C compiler, or a failed build), or no memory left.
 """
 
 from __future__ import annotations
@@ -258,7 +258,7 @@ def main(argv=None) -> int:
         if "seed" in args:
             check_seed("--seed", args.seed)
         return args.handler(args)
-    except (ValidationError, OSError) as e:
+    except (ValidationError, OSError, MemoryError) as e:
         # an OSError here is an output path that cannot be written, or the
         # compiled library that cannot be built (walk._kernel)
         print(f"error: {e}", file=sys.stderr)

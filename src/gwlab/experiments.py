@@ -23,22 +23,24 @@ from functools import partial
 import numpy as np
 
 from ._version import __version__
-from .analysis import sweep_counts
+from .analysis import _refuse, sweep_counts
 from .errors import ValidationError
 from .processes import (
     CONSTRUCTIONS,
+    INVARIANTS,
     SINGLE_LINE,
     SPEC_PARAMS,
     ProcessSpec,
-    couple_restrict,
-    generate,
+    check_point_cap,
+    drawn_windows,
 )
 from .seeding import RNG_ALGORITHM, check_seed, stream_seed
+from . import walk
 from .walk import EXHAUSTED, TRUNCATED, _write_in_place
 
-# the points one compiled call (gw_sweep) walks at most, unless a single
-# run's restrictions hold more: the runs of a sweep are walked in chunks of
-# as many runs as this budget expects, whose lines are all held at once
+# the points one chunk of a sweep's runs holds at most, unless a single
+# run's restrictions hold more: each chunk, as many runs as this budget
+# expects, is drawn (gw_draw) and walked (gw_sweep) with its lines all held
 CHUNK_POINTS = 1 << 16
 
 
@@ -148,27 +150,50 @@ CSV_COLUMNS = tuple(_CSV_RENAMED.get(f.name, f.name) for f in _CSV_FIELDS)
 _CSV_TYPES = {"int": int, "float": float, "str": str}
 
 
+def _room(spec: ProcessSpec, k: int, windows) -> int:
+    """The doubles gw_draw is first given for k runs: their window ends and
+    8 standard deviations over the points expected on two lines, each point
+    with at most 2m copies in the m windows."""
+    m, expected = len(windows), 4 * spec.rate_lambda * sum(windows) * k
+    return 4 * k * m + int(expected + 8 * math.sqrt(2 * m * expected)) + 64
+
+
 def _run_chunk(cfg: ExperimentConfig, spec: ProcessSpec, windows,
                runs: range) -> list[RunSummary]:
-    """The rows of runs, by run and then by window: each run drawn once
-    from spec and restricted to each of windows by couple_restrict (the
-    drawn run itself at spec's window)."""
-    reals = [couple_restrict(generate(spec, stream_seed(cfg.base_seed, i)), L)
-             for i in runs for L in windows]
-    return _summaries(cfg, [i for i in runs for _ in windows], reals)
-
-
-def _summaries(cfg: ExperimentConfig, run_indexes, reals) -> list[RunSummary]:
-    """The row of each of reals, all of one spec but for window_L, with its
-    run index: each walked and counted in one call of sweep_counts."""
-    counts = sweep_counts(reals, audit=cfg.audit, events=cfg.detect_events)
+    """The rows of runs, by run and then by window, in two compiled calls:
+    gw_draw draws each run from spec as generate does and packs it
+    restricted to each of windows as couple_restrict restricts it, checked
+    as check_invariants checks it, and sweep_counts walks and counts each."""
+    k, m = len(runs), len(windows)
+    seeds = [stream_seed(cfg.base_seed, i) for i in runs]
+    ends = np.array([w for L in windows for win in drawn_windows(
+        dataclasses.replace(spec, window_L=L)) for w in win], dtype=np.float64)
+    keys = np.array(seeds, dtype=np.uint64)
+    N = np.empty(2 * k * m + 1, dtype=np.int64)
+    room = _room(spec, k, windows)
+    while True:  # twice at most: the second time with the room it takes
+        D = np.empty(room)
+        status = walk._kernel().gw_draw(
+            keys.ctypes.data, k, CONSTRUCTIONS.index(spec.construction),
+            spec.rate_lambda, spec.window_L, spec.thinning_p or 0.0,
+            spec.shift_s or 0.0, ends.ctypes.data, m, D.ctypes.data, room,
+            N.ctypes.data)
+        # 5 + i for a run that breaks INVARIANTS[i] (_walk.c's BROKEN)
+        _refuse(status, INVARIANTS[status - 5] if status >= 5 else None)
+        if N[-1] <= room:
+            break
+        room = int(N[-1])
+    N = N[:-1]
+    counts = sweep_counts(spec, D, N, audit=cfg.audit,
+                          events=cfg.detect_events)
     return [RunSummary(
-        i, real.seed, spec.construction, spec.rate_lambda, spec.separation_r,
-        spec.shift_s, spec.thinning_p, spec.alpha, spec.window_L,
-        real.n_points, n, EXHAUSTED if n == real.n_points else TRUNCATED,
-        crossings, changes, a_events, failures)
-        for i, real, spec, (n, crossings, changes, a_events, failures) in zip(
-            run_indexes, reals, (real.spec for real in reals), counts)]
+        i, seed, spec.construction, spec.rate_lambda, spec.separation_r,
+        spec.shift_s, spec.thinning_p, spec.alpha, L, points, n,
+        EXHAUSTED if n == points else TRUNCATED, crossings, changes,
+        a_events, failures)
+        for (i, seed, L), points, (n, crossings, changes, a_events, failures)
+        in zip(((i, seed, L) for i, seed in zip(runs, seeds)
+                for L in windows), (N[::2] + N[1::2]).tolist(), counts)]
 
 
 def _run_all(cfg: ExperimentConfig, spec: ProcessSpec,
@@ -176,6 +201,7 @@ def _run_all(cfg: ExperimentConfig, spec: ProcessSpec,
     """The rows of cfg's runs per window, in run order, from chunks of
     consecutive runs that CHUNK_POINTS bounds and no worker's share of the
     runs exceeds."""
+    check_point_cap(spec)
     expected = spec.rate_lambda * 2 * sum(windows) * (
         1 if spec.kind == SINGLE_LINE else 2)
     # no more processes than runs or cores: a fork pool starts them all

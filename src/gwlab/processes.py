@@ -299,6 +299,13 @@ def drawn_windows(spec: ProcessSpec) -> tuple[tuple[float, float],
     return (-L, L), (-L + s, L + s)
 
 
+# check_invariants' rules, in its order, which gw_draw's statuses number
+INVARIANTS = ("line0 not strictly increasing", "line1 not strictly increasing",
+              "line0 points outside window", "line1 points outside window",
+              "single line realization has line1 points",
+              "duplicated lines differ", "line1 != line0 + shift_s")
+
+
 @dataclass(frozen=True)
 class Realization:
     """One drawn point configuration, checked on construction.
@@ -348,25 +355,22 @@ class Realization:
         return len(self.line0) + len(self.line1)
 
     def check_invariants(self) -> None:
-        """Raise ValidationError on any structural violation."""
-        for arr, name in ((self.line0, "line0"), (self.line1, "line1")):
-            if not (arr[1:] > arr[:-1]).all():
-                raise ValidationError(f"{name} not strictly increasing")
+        """Raise ValidationError naming the first rule of INVARIANTS the
+        realization breaks."""
         (lo0, hi0), (lo1, hi1) = self.windows
-        if len(self.line0) and not (lo0 <= self.line0[0] and self.line0[-1] <= hi0):
-            raise ValidationError("line0 points outside window")
-        if len(self.line1) and not (lo1 <= self.line1[0] and self.line1[-1] <= hi1):
-            raise ValidationError("line1 points outside window")
-        c = self.spec.construction
-        if c == SINGLE_POISSON and len(self.line1):
-            raise ValidationError("single line realization has line1 points")
-        if c == PARALLEL_DUPLICATED and not np.array_equal(self.line0, self.line1):
-            raise ValidationError("duplicated lines differ")
-        if c == PARALLEL_SHIFTED:
-            if len(self.line0) != len(self.line1) or not np.array_equal(
-                self.line0 + self.spec.shift_s, self.line1
-            ):
-                raise ValidationError("line1 != line0 + shift_s")
+        line0, line1, c = self.line0, self.line1, self.spec.construction
+        broken = (
+            not (line0[1:] > line0[:-1]).all(),
+            not (line1[1:] > line1[:-1]).all(),
+            len(line0) and not (lo0 <= line0[0] and line0[-1] <= hi0),
+            len(line1) and not (lo1 <= line1[0] and line1[-1] <= hi1),
+            c == SINGLE_POISSON and len(line1),
+            c == PARALLEL_DUPLICATED and not np.array_equal(line0, line1),
+            c == PARALLEL_SHIFTED and not np.array_equal(
+                line0 + self.spec.shift_s, line1))
+        for rule, bad in zip(INVARIANTS, broken):
+            if bad:
+                raise ValidationError(rule)
 
 
 def sample_poisson(rate: float, window: tuple[float, float],
@@ -390,12 +394,17 @@ def sample_poisson(rate: float, window: tuple[float, float],
     return pts
 
 
-def generate(spec: ProcessSpec, seed: int) -> Realization:
-    """Draw the realization for (spec, seed); bit-stable for a fixed seed."""
+def check_point_cap(spec: ProcessSpec) -> None:
+    """ValidationError for a draw that expects over MAX_EXPECTED_POINTS."""
     expected = spec.rate_lambda * 2 * spec.window_L
     if not expected <= MAX_EXPECTED_POINTS:
         raise ValidationError(f"a draw would expect {expected:g} points per "
                               f"line, above the cap of {MAX_EXPECTED_POINTS:g}")
+
+
+def generate(spec: ProcessSpec, seed: int) -> Realization:
+    """Draw the realization for (spec, seed); bit-stable for a fixed seed."""
+    check_point_cap(spec)
     rng = make_generator(seed)
     win = drawn_windows(spec)[0]
     c = spec.construction

@@ -29,11 +29,16 @@ Two engines produce step-for-step identical trajectories.
   entries that analysis.py runs over a walk: three passes, ``gw_audit``
   (``audit_lemmas``), ``gw_deficiency`` (``compute_Dx``) and
   ``gw_cluster_visits`` (``cluster_visits``), and ``gw_summary``
-  (``detect_A_events``), a run's return events; and ``gw_sweep``
+  (``detect_A_events``), a run's return events; ``gw_sweep``
   (``analysis.sweep_counts``), which walks a chunk of a sweep's runs and
   counts each walk over those passes through the body it shares with
   ``gw_summary``, with no Trajectory, tested against ``summarize_reference`` of
-  ``run_walk``'s walk.  On first use in a process the library is compiled
+  ``run_walk``'s walk; and ``gw_draw`` (``experiments._run_chunk``), which
+  draws that chunk first, each run as ``processes.generate`` draws it on a
+  port of numpy's Philox stream and Poisson sampler, restricted to each
+  window as ``couple_restrict`` restricts it and checked by
+  ``check_invariants``' rules, with no Realization, tested bit for bit
+  against ``generate``.  On first use in a process the library is compiled
   with the system C compiler (``cc``, else ``gcc``) into
   ``$XDG_CACHE_HOME/gwlab`` (default ``~/.cache/gwlab``), once per source
   and flag set, and loaded with ``ctypes``.  A C compiler is required:
@@ -153,14 +158,15 @@ def stop_margin(real: Realization, u: float, line: int) -> float:
     return m
 
 
-# the compiled library: _walk.c, with the step loop gw_walk and the five
+# the compiled library: _walk.c, with the step loop gw_walk, the five
 # entries analysis.py calls (the lemma audits gw_audit, the deficiency
 # records gw_deficiency, the cluster-visit table gw_cluster_visits,
 # gw_summary, a run's return events, with their table when given one, and
 # gw_sweep, a sweep chunk's walks and their counts over the passes, whose
-# reference is tests/oracles.py's summarize_reference), built
-# by the system C compiler into the user's cache once per source and flag
-# set, and loaded with ctypes
+# reference is tests/oracles.py's summarize_reference) and gw_draw, a sweep
+# chunk's draws, which experiments calls and whose reference is generate,
+# built by the system C compiler into the user's cache once per source and
+# flag set, and loaded with ctypes
 _SOURCE = Path(__file__).with_name("_walk.c")
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _KINDS = {SINGLE_LINE: 0, INTERSECTING: 1, PARALLEL: 2}  # _walk.c's enum
@@ -189,6 +195,9 @@ _SIGNATURES = {  # symbol: (argument types, result type)
                   _I, _D, _I,  # family, s, audit
                   _P, _P, _P, _P, _P, _P,  # F, prv, nxt, vis, order, dists
                   _P), _I),  # rows
+    "gw_draw": ((_P, _Q, _I,  # seeds, k, construction
+                 _D, _D, _D, _D, _P, _Q,  # rate, L, p, s, W, m
+                 _P, _Q, _P), _I),  # D, room, N
 }
 
 
@@ -237,9 +246,10 @@ def _build(cc: str | None, cache: Path):
 
 def _kernel():
     """The compiled library (gw_walk, gw_audit, gw_deficiency,
-    gw_cluster_visits, gw_summary and gw_sweep), built or loaded on first
-    use from $XDG_CACHE_HOME/gwlab (default ~/.cache/gwlab); OSError where
-    it is not there and cannot be built, the same one on every call."""
+    gw_cluster_visits, gw_summary, gw_sweep and gw_draw), built or loaded
+    on first use from $XDG_CACHE_HOME/gwlab (default ~/.cache/gwlab);
+    OSError where it is not there and cannot be built, the same one on
+    every call."""
     lib = _built()
     if isinstance(lib, OSError):
         raise lib.with_traceback(None)

@@ -18,6 +18,10 @@ bit for bit, in what it returns and in what it refuses.
   event pass, which ``detect_A_events`` reads its table from; a negative
   shift is read in the mirrored frame (``mirror_realization``,
   ``mirror_trajectory``).
+* ``pack_runs``: realizations packed as ``sweep_counts`` reads a sweep
+  chunk; of ``couple_restrict(generate(...))`` it is the reference of
+  ``gw_draw``'s packing, and of hand-built realizations the way the tests
+  feed them to the counting call.
 * ``summarize_reference``: a sweep run's RunSummary as the composition of
   ``oracle_events``, ``audit_lemmas``, ``detect_crossings`` and
   ``extract_halfline_changes``, the reference of ``gw_summary``'s counts;
@@ -485,6 +489,17 @@ def oracle_gap_events(family, pts, level_offset, extra, real, traj, mirrored):
 
 # ---------------------------------------------------------------------------
 # a sweep run's summary
+
+
+def pack_runs(reals):
+    """(D, N) for sweep_counts: each realization's window ends (lo0, hi0,
+    lo1, hi1), then each one's line 0 and line 1, with their lengths in N."""
+    D = np.concatenate([np.array([w for real in reals for win in real.windows
+                                  for w in win])]
+                       + [a for real in reals for a in (real.line0, real.line1)])
+    N = np.array([len(a) for real in reals for a in (real.line0, real.line1)],
+                 dtype=np.int64)
+    return D, N
 
 
 def summarize_reference(cfg, run_index: int, real: Realization,

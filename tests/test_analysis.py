@@ -1493,7 +1493,7 @@ def test_events_count_what_the_summary_counts(spec_for):
                  for i in range(3) for L in (50.0, 20.0)]
         tables = [detect_A_events(real, run_walk(real)) for real in reals]
         assert [row[3] for row in sweep_counts(
-            reals, audit=False, events=True)] == [
+            spec, *oracles.pack_runs(reals), audit=False, events=True)] == [
                 int(np.count_nonzero(t.occurred == 1)) for t in tables]
         assert sum(len(t) for t in tables) > 0
 
@@ -2040,10 +2040,11 @@ def test_layout_variants_read_alike_on_both_paths(spec_for, construction):
 # ---------------------------------------------------------------------------
 # a sweep run's summary
 
-# a sweep's rows are counted in one compiled call per chunk of runs
-# (gw_sweep), which walks each run and counts the walk as gw_summary does;
-# gw_summary ports the composition it replaced, so a row's reference is
-# oracles.summarize_reference of run_walk's walk.  Two traps in the port:
+# a sweep's runs are drawn in one compiled call per chunk of runs
+# (gw_draw) and counted in another (gw_sweep), which walks each run and
+# counts the walk as gw_summary does; gw_summary ports the composition it
+# replaced, so a row's reference is oracles.summarize_reference of
+# run_walk's walk of the run generate draws.  Two traps in the port:
 # * a duplicated pair's band is u // r, numpy's divmod-based floor
 #   division, not floor(u / r): 1.0 // 0.1 is 9;
 # * a_events on duplicated lines counts the distinct witnessed bands, not
@@ -2164,11 +2165,12 @@ def reference_rows(cfg, spec, window_Ls):
 def test_summary_matches_its_reference(spec_for, monkeypatch, construction,
                                        L, rate, r, shift, p, seed, n_runs,
                                        windows, budget, audit, events):
-    # every row of a sweep or a coupled study, walked and counted in
+    # every row of a sweep or a coupled study, drawn, walked and counted in
     # chunks of runs, equals the composition's on run_walk's walk of its
-    # run, on every construction (shifted both ways), at one to three
-    # coupled windows (the largest the drawn one), with either switch off,
-    # in chunks of one run, a few or all of them
+    # run as generate draws it and couple_restrict restricts it, on every
+    # construction (shifted both ways), at one to three coupled windows
+    # (the largest the drawn one), with either switch off, in chunks of one
+    # run, a few or all of them
     monkeypatch.setattr(experiments, "CHUNK_POINTS", budget)
     cfg = ExperimentConfig(
         name="t", construction=construction, n_runs=n_runs, base_seed=seed,
@@ -2204,8 +2206,8 @@ def test_summary_example_has_empty_walks():
 def test_summary_refuses_by_its_status(spec_for, monkeypatch):
     # gw_sweep's status, that of the first run refused, names the pass
     # that refused it, or memory that ran out
-    reals = [generate(spec_for("parallel-thinned", window_L=10.0), i)
-             for i in range(3)]
+    spec = spec_for("parallel-thinned", window_L=10.0)
+    packed = oracles.pack_runs([generate(spec, i) for i in range(3)])
 
     class Kernel:
         def __init__(self, status):
@@ -2221,9 +2223,9 @@ def test_summary_refuses_by_its_status(spec_for, monkeypatch):
             (4, ValidationError, analysis._CLUSTER_RULE)):
         monkeypatch.setattr(walk, "_kernel", lambda: Kernel(status))
         with pytest.raises(error, match=re.escape(message)):
-            sweep_counts(reals, audit=True, events=True)
+            sweep_counts(spec, *packed, audit=True, events=True)
     monkeypatch.undo()
-    assert [row[4] for row in sweep_counts(reals, audit=True,
+    assert [row[4] for row in sweep_counts(spec, *packed, audit=True,
                                            events=True)] == [0, 0, 0]
 
 
@@ -2240,9 +2242,9 @@ def test_summary_refuses_by_its_status(spec_for, monkeypatch):
 def test_summary_matches_its_reference_on_ties(hand_real, construction,
                                                line0, line1):
     # hand-placed points where a comparison's tie decides: a sweep's row
-    # agrees with the composition on the walk, at each window, mirrored too,
-    # and the event table with oracle_events on the run-to-exhaustion walk
-    # and on shuffles of it
+    # counts agree with the composition on the walk, at each window,
+    # mirrored too, and the event table with oracle_events on the
+    # run-to-exhaustion walk and on shuffles of it
     kw = {"shift_s": 0.3, "window_L": 8.0}
     cfg = ExperimentConfig(name="t", construction=construction, n_runs=1,
                            base_seed=0)
@@ -2250,9 +2252,13 @@ def test_summary_matches_its_reference_on_ties(hand_real, construction,
                  mirror_realization(hand_real(construction, line0, line1,
                                               **kw))):
         reals = [couple_restrict(real, L) for L in (8.0, 4.0, 2.5)]
-        assert experiments._summaries(cfg, [0, 1, 2], reals) == [
-            oracles.summarize_reference(cfg, i, small, run_walk(small))
-            for i, small in enumerate(reals)]
+        assert sweep_counts(real.spec, *oracles.pack_runs(reals), audit=True,
+                            events=True) == [
+            (row.n_steps, row.crossings, row.halfline_changes, row.a_events,
+             row.lemma_failures)
+            for row in (oracles.summarize_reference(cfg, 0, small,
+                                                    run_walk(small))
+                        for small in reals)]
         assert sum(len(run_walk(small)) for small in reals) > 0
         if construction in PARALLEL_CONSTRUCTIONS:
             traj = run_walk(real, rule=EXH)

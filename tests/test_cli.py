@@ -27,7 +27,7 @@ from gwlab import (
     run_walk,
     trajectory_from_binary,
 )
-from gwlab import checks
+from gwlab import checks, walk
 from gwlab.checks import CHECKS, Check, Outcome
 from gwlab.cli import DEFAULT_SEED, _build_parser, main
 from gwlab.walk import trajectory_to_dicts
@@ -439,6 +439,47 @@ def test_sweep_end_to_end(tmp_path, capsys):
     assert len(rows) == 3
     assert (out_dir / "mini.report.json").exists()
     assert (out_dir / "mini.manifest.json").exists()
+
+
+def test_sweep_refuses_a_draw_above_the_cap(tmp_path, capsys, monkeypatch):
+    # a sweep whose draw expects more points per line than the cap exits 2
+    # on generate's message, before the compiled library is asked for
+    def no_kernel():
+        raise LookupError("drew")
+
+    monkeypatch.setattr(walk, "_kernel", no_kernel)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "name": "huge", "construction": "single-line", "n_runs": 2,
+        "base_seed": 1, "window_L": 1e12}))
+    assert main(["sweep", "--config", str(cfg_path),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: a draw would expect 2e+12 points per line, above "
+                   "the cap of 1e+08\n")
+    assert not (tmp_path / "out" / "huge.csv").exists()
+
+
+def test_sweep_exits_2_when_memory_runs_out(tmp_path, capsys, monkeypatch):
+    # memory the compiled library runs out of is an error line and exit 2,
+    # not a traceback and the exit status of a failed verification
+    lib = walk._kernel()
+
+    class Kernel:
+        gw_draw = lib.gw_draw
+
+        def gw_sweep(self, *args):
+            return 2
+
+    monkeypatch.setattr(walk, "_kernel", Kernel)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "name": "mini", "construction": "parallel-thinned", "n_runs": 2,
+        "base_seed": 17, "separation_r": 1.0, "thinning_p": 0.5}))
+    assert main(["sweep", "--config", str(cfg_path),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: the compiled library ran out of memory\n")
 
 
 def test_sweep_rejects_bad_config(tmp_path, capsys):

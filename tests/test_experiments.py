@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import threading
 
 import pytest
@@ -25,7 +26,7 @@ from gwlab import (
     write_outputs,
     write_summaries_csv,
 )
-from gwlab import analysis, experiments, walk
+from gwlab import analysis, experiments, processes, walk
 from gwlab.experiments import CSV_COLUMNS, mean_and_se
 
 
@@ -124,8 +125,8 @@ def test_pooled_chunks_write_the_serial_bytes(tmp_path, monkeypatch):
     calls = []
     counts = experiments.sweep_counts
     monkeypatch.setattr(experiments, "sweep_counts",
-                        lambda reals, **kw: calls.append(len(reals))
-                        or counts(reals, **kw))
+                        lambda spec, D, N, **kw: calls.append(len(N) // 2)
+                        or counts(spec, D, N, **kw))
     cfg = cfg_for("parallel-shifted", n_runs=7)
     serial = run_experiment(cfg)
     assert calls == [2, 2, 2, 1]  # 100 points expected per run
@@ -418,17 +419,19 @@ def test_write_outputs(tmp_path):
 
 
 def test_sweep_summarizes_each_run_in_one_compiled_call(monkeypatch):
-    # a sweep walks and counts each chunk of runs in one compiled call,
-    # gw_sweep: it runs no walk of its own, builds no Trajectory and calls
-    # none of the per-pass analysis functions
+    # a sweep draws each chunk of runs in one compiled call, gw_draw, and
+    # walks and counts it in another, gw_sweep: it draws no run through
+    # generate, builds no Realization, runs no walk of its own, builds no
+    # Trajectory and calls none of the per-pass analysis functions
     def refuse(*args, **kwargs):
-        raise AssertionError("a sweep walked a run or called a per-pass "
-                             "analysis function")
+        raise AssertionError("a sweep drew or walked a run, or called a "
+                             "per-pass analysis function")
 
-    for module in (experiments, analysis, walk):
+    for module in (experiments, analysis, walk, processes):
         for name in ("audit_lemmas", "detect_A_events", "compute_Dx",
                      "cluster_visits", "detect_crossings",
-                     "extract_halfline_changes", "run_walk", "_trajectory"):
+                     "extract_halfline_changes", "run_walk", "_trajectory",
+                     "generate", "couple_restrict", "Realization"):
             monkeypatch.setattr(module, name, refuse, raising=False)
     lib, calls = walk._kernel(), []
 
@@ -441,9 +444,88 @@ def test_sweep_summarizes_each_run_in_one_compiled_call(monkeypatch):
     for construction in CONSTRUCTIONS:
         calls.clear()
         rows = run_experiment(cfg_for(construction, n_runs=3))
-        assert calls == ["gw_sweep"]
+        assert calls == ["gw_draw", "gw_sweep"]
         assert [r.run_index for r in rows] == [0, 1, 2]
         assert all((r.a_events is None) == (construction not in
                                             PARALLEL_CONSTRUCTIONS)
                    and (r.lemma_failures is None) == (
                        construction == "intersecting") for r in rows)
+
+
+def test_sweep_takes_integer_parameters():
+    # a config's numbers may be JSON integers: a sweep and a coupled study
+    # of integer window_L, separation_r and shift_s give the rows of their
+    # floats, and the points generate draws
+    for construction in CONSTRUCTIONS:
+        ints = cfg_for(construction, window_L=25, **(
+            {"separation_r": 2, "shift_s": 1}
+            if construction == "parallel-shifted" else {}))
+        floats = dataclasses.replace(ints, **{
+            k: float(getattr(ints, k)) for k in ("window_L", "separation_r",
+                                                 "shift_s")
+            if getattr(ints, k) is not None})
+        rows = run_experiment(ints)
+        assert rows == run_experiment(floats)
+        assert [r.n_points for r in rows] == [
+            generate(floats.to_spec(), r.seed).n_points for r in rows]
+        assert coupled_window_study(ints, [5, 25]) == coupled_window_study(
+            floats, [5.0, 25.0])
+
+
+def test_draw_refuses_by_its_status(monkeypatch):
+    # gw_draw's status names the first rule of check_invariants a packed
+    # run breaks, or memory that ran out, before gw_sweep is called
+    lib, calls = walk._kernel(), []
+
+    class Kernel:
+        def __init__(self, status):
+            self.status = status
+
+        def gw_draw(self, *args):
+            calls.append("gw_draw")
+            return self.status
+
+        def gw_sweep(self, *args):
+            calls.append("gw_sweep")
+            return lib.gw_sweep(*args)
+
+    for status, error, message in (
+            (2, MemoryError, "the compiled library ran out of memory"),
+            *((5 + i, ValidationError, rule)
+              for i, rule in enumerate(processes.INVARIANTS))):
+        monkeypatch.setattr(walk, "_kernel", lambda: Kernel(status))
+        calls.clear()
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            run_experiment(cfg_for("parallel-shifted", n_runs=2))
+        assert calls == ["gw_draw"]
+    # and the compiled check itself: line 1's window ends narrowed below
+    # where the draw cuts it put its points outside the window
+    monkeypatch.undo()
+    monkeypatch.setattr(experiments, "drawn_windows", lambda spec: (
+        (-spec.window_L, spec.window_L), (-1.0, 1.0)))
+    with pytest.raises(ValidationError,
+                       match="^line1 points outside window$"):
+        run_experiment(cfg_for("intersecting", n_runs=2))
+
+
+def test_sweep_caps_expected_points(monkeypatch):
+    # a sweep or coupled study whose draw expects more than
+    # MAX_EXPECTED_POINTS per line is refused before anything is drawn,
+    # with generate's message: a draw here would fail with the sentinel
+    def no_draw():
+        raise LookupError("drew")
+
+    monkeypatch.setattr(walk, "_kernel", no_draw)
+    for L, rate in ((1e19, 1.0), (1e12, 1.0), (1e5, 1e4), (5.0000001e7, 1.0)):
+        cfg = cfg_for("single-line", window_L=L, rate_lambda=rate)
+        with pytest.raises(ValidationError, match="above the cap"):
+            run_experiment(cfg)
+        with pytest.raises(ValidationError, match="above the cap"):
+            coupled_window_study(cfg, [1.0, L])
+        with pytest.raises(ValidationError, match="above the cap"):
+            generate(cfg.to_spec(), 1)
+    # exactly at the cap is allowed, and reaches the draw
+    with pytest.raises(LookupError):
+        run_experiment(cfg_for("parallel-duplicated", window_L=5e7))
+    with pytest.raises(LookupError):
+        coupled_window_study(cfg_for("parallel-duplicated"), [1.0, 5e7])

@@ -3,10 +3,13 @@
 import dataclasses
 import json
 import math
+import re
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from gwlab import (
     CONSTRUCTIONS,
@@ -26,7 +29,9 @@ from gwlab import (
     stream_seed,
 )
 
-from oracles import mirror_realization
+from gwlab import experiments, processes
+from gwlab.processes import CONSTRUCTION_PARAMS
+from oracles import mirror_realization, pack_runs
 
 SEED = stream_seed(424242, 0)
 
@@ -415,6 +420,20 @@ def test_invariants_catch_corruption(spec_for):
     b = np.array([1.0, 3.0])
     with pytest.raises(ValidationError):
         Realization(spec=spec, seed=0, line0=a, line1=b).check_invariants()
+    # a run that breaks rule i of INVARIANTS first is refused by its words,
+    # which gw_draw's status 5 + i names too
+    for i, (construction, line0, line1) in enumerate((
+            ("single-line", [2.0, 1.0], []),
+            ("intersecting", [1.0, 2.0], [2.0, 1.0]),
+            ("single-line", [1.0, 30.0], []),
+            ("intersecting", [1.0], [1.0, 30.0]),
+            ("single-line", [1.0], [1.0]),
+            ("parallel-duplicated", [1.0, 2.0], [1.0, 3.0]),
+            ("parallel-shifted", [1.0, 2.0], [1.3, 2.4]))):
+        with pytest.raises(ValidationError,
+                           match=f"^{re.escape(processes.INVARIANTS[i])}$"):
+            Realization(spec=spec_for(construction), seed=0,
+                        line0=np.array(line0), line1=np.array(line1))
 
 
 def test_shadow_and_flags_are_derived(hand_real):
@@ -432,3 +451,86 @@ def test_points_are_frozen(spec_for):
     real = generate(spec_for("single-line"), SEED)
     with pytest.raises(ValueError):
         real.line0[0] = 0.0
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(CONSTRUCTIONS), st.integers(0, 2**64 - 1),
+       st.integers(1, 4), st.sampled_from([0.5, 7.0, 60.0, 2000.0]),
+       st.floats(-1.5, 5.0), st.sampled_from([0.0, 0.5, 1.0]),
+       st.sampled_from([0.3, -0.3, 0.05]),
+       st.lists(st.sampled_from([0.5, 0.2]), max_size=2,
+                unique=True).map(lambda w: sorted([1.0, *w])),
+       st.booleans())
+# lines with no point, at 1/sqrt(10) points expected on each
+@example(construction="intersecting", base_seed=3, n_runs=4, L=0.5,
+         log_points=-0.5, p=0.5, shift=0.3, windows=[1.0], short=False)
+# the PTRS branch at about 10^5 points, restricted twice, after a retry
+@example(construction="parallel-thinned", base_seed=2**64 - 1, n_runs=2,
+         L=2000.0, log_points=5.0, p=0.5, shift=-0.3,
+         windows=[0.2, 0.5, 1.0], short=True)
+def test_draw_is_generate_bit_for_bit(monkeypatch, construction, base_seed,
+                                      n_runs, L, log_points, p, shift,
+                                      windows, short):
+    # a sweep chunk's draw (gw_draw) packs, bit for bit, what
+    # couple_restrict(generate(...)) packs, on every construction, seeds
+    # across 64 bits, rate * 2L from below 1 (empty lines) through both
+    # Poisson branches to 10^5, thinned p of 0, 1/2 and 1, shifts of both
+    # signs and one to three windows, also when its first room is short
+    rate = 10.0**log_points / (2 * L)
+    r = min(1.0, 100.0 / rate)
+    params = dict(alpha=1.0, separation_r=r, thinning_p=p, shift_s=shift * r)
+    cfg = experiments.ExperimentConfig(
+        name="t", construction=construction, n_runs=n_runs,
+        base_seed=base_seed, window_L=L, rate_lambda=rate,
+        **{k: v for k, v in params.items()
+           if k in CONSTRUCTION_PARAMS[construction]})
+    spec, Ls = cfg.to_spec(), [w * L for w in windows]
+    drawn = []
+
+    def capture(spec, D, N, **kw):
+        drawn.append((D, N))
+        return [(0, 0, 0, None, None)] * (len(N) // 2)
+
+    monkeypatch.setattr(experiments, "sweep_counts", capture)
+    if short:
+        monkeypatch.setattr(experiments, "_room", lambda *args: 0)
+    experiments._run_chunk(cfg, spec, Ls, range(n_runs))
+    D_ref, N_ref = pack_runs([couple_restrict(generate(
+        spec, stream_seed(base_seed, i)), x) for i in range(n_runs) for x in Ls])
+    (D, N), = drawn
+    assert np.array_equal(N, N_ref)
+    assert D[:len(D_ref)].tobytes() == D_ref.tobytes()
+
+
+def test_draw_example_has_empty_lines():
+    # the first example above: each line of its runs is empty, but for one
+    # point on line 0 of the first and one on line 1 of the second
+    spec = ProcessSpec.build("intersecting", window_L=0.5,
+                             rate_lambda=10**-0.5, alpha=1.0)
+    assert [(len(real.line0), len(real.line1)) for real in (
+        generate(spec, stream_seed(3, i)) for i in range(4))] == [
+            (1, 0), (0, 1), (0, 0), (0, 0)]
+
+
+def test_draw_counts_are_numpys_poisson_draws(monkeypatch):
+    # the count of each of about 128,000 single-line runs drawn in sweep
+    # chunks is numpy's Generator.poisson on the run's stream, at rate * 2L
+    # from 0.01 through the branch at 10 (multiplication below, PTRS from
+    # there) to 2,000; 84,000 of them take PTRS, which reaches its rarer
+    # branches (the squeeze and the log-gamma test) here
+    drawn = []
+    monkeypatch.setattr(experiments, "sweep_counts",
+                        lambda spec, D, N, **kw: drawn.append(N)
+                        or [(0, 0, 0, None, None)] * (len(N) // 2))
+    lams = [*np.geomspace(0.01, 2000.0, 17), 10.0, math.nextafter(10.0, 0.0)]
+    for j, lam in enumerate(lams):
+        n_runs = int(min(30_000 if lam >= 10 else 4000, 600_000 / lam))
+        cfg = experiments.ExperimentConfig(
+            name="t", construction="single-line", n_runs=n_runs,
+            base_seed=j, window_L=0.5, rate_lambda=lam)
+        drawn.clear()
+        experiments._run_chunk(cfg, cfg.to_spec(), [0.5], range(n_runs))
+        want = [make_generator(stream_seed(j, i)).poisson(lam * (0.5 - -0.5))
+                for i in range(n_runs)]
+        assert drawn[0][::2].tolist() == want
