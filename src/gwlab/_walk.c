@@ -1,25 +1,27 @@
-/* The compiled library: the greedy walk's step loop gw_walk, three
- * linear passes over a walk for analysis.py (the lemma audits gw_audit,
- * the deficiency records gw_deficiency and the cluster-visit table
- * gw_cluster_visits), gw_summary, a run's return events, gw_sweep, which
- * walks a chunk of a sweep's runs and counts each walk over those passes
- * through the body it shares with gw_summary, and gw_draw, which draws
- * that chunk as processes.generate would.  walk.py builds this file into a
- * shared library and loads it through ctypes; run_walk calls gw_walk and
- * builds the Trajectory from what it writes, analysis.audit_lemmas,
- * compute_Dx and cluster_visits call the passes, analysis.detect_A_events
- * calls gw_summary, analysis.sweep_counts gw_sweep and
- * experiments._run_chunk gw_draw.  Where the library does not build, they
- * raise OSError; gwlab has no other engine.
+/* The compiled library: the greedy walk's step loop gw_walk (run_walk),
+ * three linear passes over a walk for analysis.py (the lemma audits
+ * gw_audit, the deficiency records gw_deficiency and the cluster-visit
+ * table gw_cluster_visits, which audit_lemmas, compute_Dx and
+ * cluster_visits call), gw_summary, a run's return events
+ * (detect_A_events), gw_sweep (sweep_counts), which walks a chunk of a
+ * sweep's runs and counts each walk over those passes through the body it
+ * shares with gw_summary, and gw_draw (experiments._run_chunk), which
+ * draws that chunk as processes.generate would.  walk.py builds this file
+ * into a shared library and loads it through ctypes; where it does not
+ * build, they raise OSError, and gwlab has no other engine.
  *
- * Every walk starts at the origin on line 0, its step 0.  The passes read
- * lines that Realization, or gw_draw, keeps finite, strictly increasing and
- * contiguous, so they never check them.  Each returns 1 for a run it does
- * not read (every one refuses a visit step that is neither -1 nor a step
- * of the prefix; gw_summary and gw_sweep give 1, 4 or 3 by the pass that
- * refused), gw_draw BROKEN + i for a run that breaks check_invariants'
- * rule i, and 2 when memory runs out; Python raises ValidationError and
- * MemoryError for them.
+ * Every walk starts at the origin on line 0, its step 0, and every
+ * function that reads one takes it as one Run: gw_audit, gw_deficiency and
+ * gw_summary build it from the tables analysis._pack fills, and gw_sweep
+ * from its walk's scratch; gw_cluster_visits reads a cluster
+ * decomposition's visit steps.  The passes read lines that Realization, or
+ * gw_draw, keeps finite, strictly increasing and contiguous, so they never
+ * check them.  Each returns 1 for a run it does not read (every one
+ * refuses a visit step that is neither -1 nor a step of the prefix;
+ * gw_summary and gw_sweep give 1, 4 or 3 by the pass that refused),
+ * gw_draw BROKEN + i for a run that breaks check_invariants' rule i, and 2
+ * when memory runs out; Python raises ValidationError and MemoryError for
+ * them.
  *
  * tests/oracles.py holds each entry's reference, python_loop being gw_walk
  * line for line in Python, oracle_events gw_summary's event pass, and
@@ -217,14 +219,33 @@ int64_t gw_walk(const double *F, int64_t n0, int64_t n1, int kind, double r,
     return step;
 }
 
-/* 1 unless each of the p visit steps is -1 (never visited) or a step of
- * the prefix, in [1, n]: the rule every pass refuses a run by */
-static int off_prefix(const int64_t *vis, int64_t p, int64_t n)
+/* A walk as the passes read it: both lines, of len[0] and len[1] points,
+ * each point's visit step (-1: never visited), and the shadow and the line
+ * of each of its n steps from the origin. */
+typedef struct {
+    const double *line[2], *us;
+    const int64_t *vis[2], *lines;
+    int64_t len[2], n;
+} Run;
+
+/* the run as analysis._pack packs it: F = [line0, line1, us] and
+ * I = [vis0, vis1, lines, counts], room for five counts */
+static Run unpack(const double *F, int64_t n0, int64_t n1, const int64_t *I,
+                  int64_t n)
 {
-    int64_t i;
-    for (i = 0; i < p; i++)
-        if (vis[i] != -1 && (vis[i] < 1 || vis[i] > n))
-            return 1;
+    return (Run){{F, F + n0}, F + n0 + n1, {I, I + n0}, I + n0 + n1,
+                 {n0, n1}, n};
+}
+
+/* 1 unless each visit step of w is -1 (never visited) or a step of the
+ * prefix, in [1, n]: the rule every pass refuses a run by */
+static int off_prefix(const Run *w)
+{
+    int64_t i, v, l;
+    for (l = 0; l < 2; l++)
+        for (i = 0; i < w->len[l]; i++)
+            if ((v = w->vis[l][i]) != -1 && (v < 1 || v > w->n))
+                return 1;
     return 0;
 }
 
@@ -262,17 +283,15 @@ static int64_t root(int64_t *link, int64_t k)
     return r;
 }
 
-/* Audit the n steps us (from the origin) over line0 and line1, whose
- * visit steps are vis0 and vis1 (-1: never visited); the pair audit runs
- * when the separation r is positive, which it is on parallel lines only.
- * Writes up to pcap pair violations, in scan order (by i, then j, over the
- * merged table), and up to scap step violations, in step order, and sets
- * counts to the pair, replay and empty-interval checks and the pair and
- * step violations found, all of them even past a capacity.  Returns 0,
- * or 1 when the trajectory is not one this pass can read (a visit step
- * off the prefix, a step given to no point or to two, us[t - 1] not the
- * point visited at t) and 2 when memory runs out; then nothing is
- * written.
+/* Audit the run w; the pair audit runs when the separation r is positive,
+ * which it is on parallel lines only.  Writes up to pcap pair violations,
+ * in scan order (by i, then j, over the merged table), and up to scap step
+ * violations, in step order, and sets counts to the pair, replay and
+ * empty-interval checks and the pair and step violations found, all of
+ * them even past a capacity.  Returns 0, or 1 when the trajectory is not
+ * one this pass can read (a visit step off the prefix, a step given to no
+ * point or to two, us[t - 1] not the point visited at t) and 2 when memory
+ * runs out; then nothing is written.
  *
  * The points merge into one sorted table mu (line 0 first on a tie), with
  * each point's line and visit step (n + 1 when never visited).  Step t
@@ -283,12 +302,13 @@ static int64_t root(int64_t *link, int64_t k)
  * deletion arrays, which find the last point still alive before past_z
  * (replay-max's witness) and the first one from past_u on (empty-interval's
  * witness). */
-int gw_audit(const double *line0, int64_t n0, const double *line1,
-             int64_t n1, const int64_t *vis0, const int64_t *vis1,
-             const double *us, int64_t n, double r,
-             PairViolation *pv, int64_t pcap, StepViolation *sv,
-             int64_t scap, int64_t *counts)
+static int audit_lemmas(const Run *w, double r, PairViolation *pv,
+                        int64_t pcap, StepViolation *sv, int64_t scap,
+                        int64_t *counts)
 {
+    const double *line0 = w->line[0], *line1 = w->line[1], *us = w->us;
+    const int64_t *vis0 = w->vis[0], *vis1 = w->vis[1];
+    const int64_t n0 = w->len[0], n1 = w->len[1], n = w->n;
     const int64_t m = n0 + n1, never = n + 1;
     int64_t i, j, k, t, q, at_u, past_u, past_z, past_b, gate, brk;
     int64_t *ms, *pos, *nx, *pr, *up, *down;
@@ -297,7 +317,7 @@ int gw_audit(const double *line0, int64_t n0, const double *line1,
     unsigned char *ml;
     void *mem;
 
-    if (off_prefix(vis0, n0, n) || off_prefix(vis1, n1, n))
+    if (off_prefix(w))
         return 1;
     mem = malloc((size_t)(5 * m + n + 3) * sizeof(int64_t)
                  + (size_t)m * (sizeof(double) + 1));
@@ -412,6 +432,15 @@ bad:
     return 1;
 }
 
+/* audit_lemmas over the packed run (unpack), its counts to I's */
+int gw_audit(const double *F, int64_t n0, int64_t n1, int64_t *I, int64_t n,
+             double r, PairViolation *pv, int64_t pcap, StepViolation *sv,
+             int64_t scap)
+{
+    const Run w = unpack(F, n0, n1, I, n);
+    return audit_lemmas(&w, r, pv, pcap, sv, scap, I + n0 + n1 + n);
+}
+
 /* ------------------------------------------------------------------------
  * The deficiency records: the numpy compute_Dx of tests/oracles.py
  * (compute_Dx_numpy) in one linear pass, with its values bit for bit. */
@@ -422,14 +451,12 @@ static double max_nan(double acc, double x)
     return acc >= x || isnan(acc) ? acc : x;
 }
 
-/* Records at the m ascending positive levels xs over line0 and line1,
- * whose visit steps are vis0 and vis1 (-1: never visited), for the n
- * steps us from the origin.  Writes the rows t_ray (each level's
- * first passage into [x, inf), inf beyond the prefix) and value of a
- * 2 x m table, each level's interior count to n_interior, and the first
- * passage below 0 to *t_left.  Returns 0, or 1 when the trajectory is not
- * one this pass can read (a visit step off the prefix, a NaN step) and 2
- * when memory runs out.
+/* Records at the m ascending positive levels xs over the run w.  Writes
+ * the rows t_ray (each level's first passage into [x, inf), inf beyond the
+ * prefix) and value of a 2 x m table, each level's interior count to
+ * n_interior, and the first passage below 0 to *t_left.  Returns 0, or 1
+ * when the trajectory is not one this pass can read (a visit step off the
+ * prefix, a NaN step) and 2 when memory runs out.
  *
  * The decided, non-degenerate levels are the prefix with t_ray < t_left.
  * The positive base points come in ascending order from a merge of the
@@ -440,15 +467,17 @@ static double max_nan(double acc, double x)
  * of its terms 2*b - prev - x, closed by 2*x - prev - x; the pair (x, 0)
  * that numpy's table puts between two levels is below the closing term
  * (or it is NaN), so it is left out. */
-int gw_deficiency(const double *line0, int64_t n0, const double *line1,
-                  int64_t n1, const int64_t *vis0, const int64_t *vis1,
-                  const double *us, int64_t n, const double *xs, int64_t m,
-                  double *table, int64_t *n_interior, double *t_left)
+static int deficiency_records(const Run *w, const double *xs, int64_t m,
+                              double *table, int64_t *n_interior,
+                              double *t_left)
 {
+    const double *line0 = w->line[0], *line1 = w->line[1], *us = w->us;
+    const int64_t *vis0 = w->vis[0], *vis1 = w->vis[1];
+    const int64_t n0 = w->len[0], n1 = w->len[1], n = w->n;
     int64_t i, j, k, t, lo, hi, mid, nd, tl = n + 1;
     double b, last, run, *prev, *t_ray = table, *value = table + m;
 
-    if (off_prefix(vis0, n0, n) || off_prefix(vis1, n1, n))
+    if (off_prefix(w))
         return 1;
     for (t = 1; t <= n; t++) {
         if (isnan(us[t - 1]))
@@ -511,6 +540,15 @@ int gw_deficiency(const double *line0, int64_t n0, const double *line1,
     return 0;
 }
 
+/* deficiency_records over the packed run (unpack) */
+int gw_deficiency(const double *F, int64_t n0, int64_t n1, const int64_t *I,
+                  int64_t n, const double *xs, int64_t m, double *table,
+                  int64_t *n_interior, double *t_left)
+{
+    const Run w = unpack(F, n0, n1, I, n);
+    return deficiency_records(&w, xs, m, table, n_interior, t_left);
+}
+
 /* ------------------------------------------------------------------------
  * The cluster-visit table: the numpy cluster_visits of tests/oracles.py
  * (cluster_visits_numpy) in one pass over the clusters. */
@@ -532,14 +570,14 @@ int gw_cluster_visits(const int64_t *vis0, const int64_t *vis1, int64_t p,
                       const int64_t *starts, int64_t k, int64_t n,
                       int64_t *table, unsigned char *verdicts)
 {
+    const Run w = {{NULL, NULL}, NULL, {vis0, vis1}, NULL, {p, p}, n};
     int64_t c, i, end, size, count, first, last, *copy;
-    const int64_t *vis[2] = {vis0, vis1};
     int line, run;
 
     for (c = 0; c < k; c++)
         if (starts[c] >= p || (c ? starts[c] <= starts[c - 1] : starts[c]))
             return 1;
-    if (off_prefix(vis0, p, n) || off_prefix(vis1, p, n))
+    if (off_prefix(&w))
         return 1;
     copy = malloc((size_t)(n + 1) * sizeof(int64_t));
     if (copy == NULL)
@@ -548,8 +586,8 @@ int gw_cluster_visits(const int64_t *vis0, const int64_t *vis1, int64_t p,
         copy[i] = -1;
     for (line = 0; line < 2; line++) /* the copy of each step, as 2i + line */
         for (i = 0; i < p; i++)
-            if (vis[line][i] >= 1)
-                copy[vis[line][i]] = 2 * i + line;
+            if (w.vis[line][i] >= 1)
+                copy[w.vis[line][i]] = 2 * i + line;
     for (c = 0; c < k; c++) {
         end = c + 1 < k ? starts[c + 1] : p;
         size = end - starts[c];
@@ -558,7 +596,7 @@ int gw_cluster_visits(const int64_t *vis0, const int64_t *vis1, int64_t p,
         last = INT64_MIN;
         for (i = starts[c]; i < end; i++)
             for (line = 0; line < 2; line++) {
-                int64_t v = vis[line][i];
+                int64_t v = w.vis[line][i];
                 if (v > last)
                     last = v;
                 if (v >= 1) {
@@ -639,18 +677,18 @@ static int by_value(const void *a, const void *b)
     return (x > y) - (x < y);
 }
 
-/* The band events of a duplicated pair, whose lines both hold the p points
- * pts.  The clusters of pts at gap threshold r, each led by its member
- * nearest the global lead jstar, ordered by their first visit step
- * (stably: by index on a tie, which only a malformed run has), give the
- * reduced walk's lead shadows u.  A row per band u // r, 0 up to the highest
- * a u >= 0 entered, is witnessed (1, else -1) when some u >= 0 in it is
- * followed by a u < 0; found counts the distinct witnessed bands. */
-static int band_events(const double *pts, int64_t p, const int64_t *vis0,
-                       const int64_t *vis1, int64_t n, double r, Events *ev)
+/* The band events of the run w of a duplicated pair, whose lines both hold
+ * the p points pts.  The clusters of pts at gap threshold r, each led by
+ * its member nearest the global lead jstar, ordered by their first visit
+ * step (stably: by index on a tie, which only a malformed run has), give
+ * the reduced walk's lead shadows u.  A row per band u // r, 0 up to the
+ * highest a u >= 0 entered, is witnessed (1, else -1) when some u >= 0 in
+ * it is followed by a u < 0; found counts the distinct witnessed bands. */
+static int band_events(const Run *w, double r, Events *ev)
 {
-    const int64_t q = p > 0 ? p : 1;
-    int64_t c, i, k, t, m, w, jstar, lead;
+    const double *pts = w->line[0];
+    const int64_t p = w->len[0], n = w->n, q = p > 0 ? p : 1;
+    int64_t c, i, k, t, m, nb, jstar, lead;
     int64_t *starts, *table, *head, *seq, *bands;
     unsigned char *verdicts;
     int status;
@@ -670,7 +708,8 @@ static int band_events(const double *pts, int64_t p, const int64_t *vis0,
     for (k = p > 0, i = 1; i < p; i++)
         if (pts[i] - pts[i - 1] >= r)
             starts[k++] = i;
-    status = gw_cluster_visits(vis0, vis1, p, starts, k, n, table, verdicts);
+    status = gw_cluster_visits(w->vis[0], w->vis[1], p, starts, k, n, table,
+                               verdicts);
     if (status) {
         free(mem);
         return status_of(status, REFUSED_CLUSTER);
@@ -692,7 +731,7 @@ static int band_events(const double *pts, int64_t p, const int64_t *vis0,
             seq[head[table[k + c]]++] = c;
     m = head[n + 1];
 
-    for (i = w = 0; i < m; i++) { /* each lead's band, -1 for a u < 0 */
+    for (i = nb = 0; i < m; i++) { /* each lead's band, -1 for a u < 0 */
         c = seq[i];
         lead = jstar < starts[c] ? starts[c] : jstar;
         t = (c + 1 < k ? starts[c + 1] : p) - 1;
@@ -700,10 +739,10 @@ static int band_events(const double *pts, int64_t p, const int64_t *vis0,
         seq[i] = pts[lead] >= 0.0 ? floor_div(pts[lead], r) : -1;
         ev->rows = seq[i] < ev->rows ? ev->rows : seq[i] + 1;
         if (i > 0 && seq[i - 1] >= 0 && seq[i] < 0)
-            bands[w++] = seq[i - 1];
+            bands[nb++] = seq[i - 1];
     }
-    qsort(bands, (size_t)w, sizeof(int64_t), by_value);
-    for (i = 0; i < w; i++)
+    qsort(bands, (size_t)nb, sizeof(int64_t), by_value);
+    for (i = 0; i < nb; i++)
         ev->found += i == 0 || bands[i] != bands[i - 1];
     if (ev->f != NULL && ev->rows <= ev->cap) {
         for (t = 0; t < ev->rows; t++)
@@ -712,26 +751,23 @@ static int band_events(const double *pts, int64_t p, const int64_t *vis0,
         for (i = 0; i < m; i++)
             if (seq[i] >= 0)
                 ev->b[3 * ev->cap + seq[i]] = 1;
-        for (i = 0; i < w; i++)
+        for (i = 0; i < nb; i++)
             ev->b[bands[i]] = 1;
     }
     free(mem);
     return 0;
 }
 
-/* The gap events over the p sorted points pts of the lines line0 and line1
- * walked by the n steps us, a row per positive point x with a successor x'.
- * A gap x' - x no wider than extra does not occur (0).  A wider one is
- * undecided (-1) without the anchor, the last point <= 0 (note 1), or a
- * decided deficiency level at x + offset (note 2); else it occurs when the
- * gap is wider than rhs = dx - anchor + extra, in that order, dx being the
- * level's value, with its degenerate flag and ray_x = x'.  The deficiency
- * pass runs, and refuses, without any level. */
+/* The gap events of the run w over the p sorted points pts, a row per
+ * positive point x with a successor x'.  A gap x' - x no wider than extra
+ * does not occur (0).  A wider one is undecided (-1) without the anchor,
+ * the last point <= 0 (note 1), or a decided deficiency level at
+ * x + offset (note 2); else it occurs when the gap is wider than
+ * rhs = dx - anchor + extra, in that order, dx being the level's value,
+ * with its degenerate flag and ray_x = x'.  The deficiency pass runs, and
+ * refuses, without any level. */
 static int gap_events(const double *pts, int64_t p, double offset,
-                      double extra, const double *line0, int64_t n0,
-                      const double *line1, int64_t n1, const int64_t *vis0,
-                      const int64_t *vis1, const double *us, int64_t n,
-                      Events *ev)
+                      double extra, const Run *w, Events *ev)
 {
     int64_t i, j, lo, m;
     double *xs, *table, t_left;
@@ -751,8 +787,8 @@ static int gap_events(const double *pts, int64_t p, double offset,
     for (j = 0, i = lo; i + 1 < p; i++)
         if (pts[i + 1] - pts[i] > extra)
             xs[j++] = pts[i] + offset;
-    status = gw_deficiency(line0, n0, line1, n1, vis0, vis1, us, n, xs, m,
-                           table, (int64_t *)(table + 2 * m), &t_left);
+    status = deficiency_records(w, xs, m, table, (int64_t *)(table + 2 * m),
+                                &t_left);
     ev->rows = lo + 1 < p ? p - lo - 1 : 0;
     write = ev->f != NULL && ev->rows <= ev->cap;
     for (j = 0, i = lo; status == 0 && i + 1 < p; i++) {
@@ -780,13 +816,12 @@ static int gap_events(const double *pts, int64_t p, double offset,
     return status_of(status, REFUSED_DX);
 }
 
-/* The thinned events: the gap events over the union of both lines, the
- * base points, at offset 0 and extra r. */
-static int thinned_events(const double *line0, int64_t n0,
-                          const double *line1, int64_t n1,
-                          const int64_t *vis0, const int64_t *vis1,
-                          const double *us, int64_t n, double r, Events *ev)
+/* The thinned events of w: the gap events over the union of both lines,
+ * the base points, at offset 0 and extra r. */
+static int thinned_events(const Run *w, double r, Events *ev)
 {
+    const double *line0 = w->line[0], *line1 = w->line[1];
+    const int64_t n0 = w->len[0], n1 = w->len[1];
     int64_t i, j, p;
     int status;
     double *base = malloc((size_t)(n0 + n1 > 0 ? n0 + n1 : 1)
@@ -804,56 +839,47 @@ static int thinned_events(const double *line0, int64_t n0,
             j++;
         }
     }
-    status = gap_events(base, p, 0.0, r, line0, n0, line1, n1, vis0, vis1,
-                        us, n, ev);
+    status = gap_events(base, p, 0.0, r, w, ev);
     free(base);
     return status;
 }
 
-/* The shifted events: the gap events over line 0 at offset s and extra
- * r + s, in the frame u -> -u when s < 0 (each line negated and reversed,
- * as its visit steps, and the steps negated), the table's frame too. */
-static int shifted_events(const double *line0, int64_t n0,
-                          const double *line1, int64_t n1,
-                          const int64_t *vis0, const int64_t *vis1,
-                          const double *us, int64_t n, double r, double s,
-                          Events *ev)
+/* The shifted events of w: the gap events over line 0 at offset s and
+ * extra r + s, in the frame u -> -u when s < 0, the table's frame too: a
+ * second run m, with each line negated and reversed, as its visit steps,
+ * and the steps negated. */
+static int shifted_events(const Run *w, double r, double s, Events *ev)
 {
-    int64_t i, *v0, *v1;
-    double *l0, *l1, *u;
+    const int64_t size = w->len[0] + w->len[1];
+    int64_t i, k, l, *v;
+    double *f;
+    Run m = *w;
     int status;
-    void *mem;
 
     if (!(s < 0.0))
-        return gap_events(line0, n0, s, r + s, line0, n0, line1, n1, vis0,
-                          vis1, us, n, ev);
-    mem = malloc((size_t)(2 * (n0 + n1) + n + 1) * sizeof(double));
-    if (mem == NULL)
+        return gap_events(w->line[0], w->len[0], s, r + s, w, ev);
+    f = malloc((size_t)(2 * size + w->n + 1) * sizeof(double));
+    if (f == NULL)
         return NO_MEMORY;
-    l0 = mem;
-    l1 = l0 + n0;
-    u = l1 + n1;
-    v0 = (int64_t *)(u + n);
-    v1 = v0 + n0;
-    for (i = 0; i < n0; i++) {
-        l0[i] = -line0[n0 - 1 - i];
-        v0[i] = vis0[n0 - 1 - i];
+    v = (int64_t *)(f + size + w->n);
+    for (l = k = 0; l < 2; k += w->len[l], l++) {
+        m.line[l] = f + k;
+        m.vis[l] = v + k;
+        for (i = 0; i < w->len[l]; i++) {
+            f[k + i] = -w->line[l][w->len[l] - 1 - i];
+            v[k + i] = w->vis[l][w->len[l] - 1 - i];
+        }
     }
-    for (i = 0; i < n1; i++) {
-        l1[i] = -line1[n1 - 1 - i];
-        v1[i] = vis1[n1 - 1 - i];
-    }
-    for (i = 0; i < n; i++)
-        u[i] = -us[i];
+    for (i = 0; i < w->n; i++)
+        f[size + i] = -w->us[i];
+    m.us = f + size;
     s = -s;
-    status = gap_events(l0, n0, s, r + s, l0, n0, l1, n1, v0, v1, u, n, ev);
-    free(mem);
+    status = gap_events(m.line[0], m.len[0], s, r + s, &m, ev);
+    free(f);
     return status;
 }
 
-/* The counts of an n-step walk over the lines line0 and line1, of n0 and n1
- * points visited at vis0 and vis1 (-1 for never), whose steps have the
- * shadows us and the lines `lines`: counts[0] the sign changes between
+/* The counts of the run w: counts[0] the sign changes between
  * consecutive shadows, counts[1] the steps k whose step k + 1 lies on
  * another half-line (line, sign), counts[2] the occurred return events of
  * `family` (0 when NO_EVENTS), counts[3] the lemma-audit violations (0
@@ -862,36 +888,32 @@ static int shifted_events(const double *line0, int64_t n0,
  * and s the shift.  Returns 0; 1, 4 or 3 for a run the deficiency, cluster
  * or audit pass refuses, the events' pass first, as the composition runs
  * them; and 2 when memory runs out. */
-static int summarize(const double *line0, int64_t n0, const double *line1,
-                     int64_t n1, const int64_t *vis0, const int64_t *vis1,
-                     const double *us, const int64_t *lines, int64_t n,
-                     int family, double r, double s, int audit, Events *ev,
-                     int64_t *counts)
+static int summarize(const Run *w, int family, double r, double s, int audit,
+                     Events *ev, int64_t *counts)
 {
+    const double *us = w->us;
+    const int64_t *lines = w->lines;
     int64_t t, crossings = 0, changes = 0, audit_counts[5];
     int status = 0;
 
     if (family == DUPLICATED)
-        status = band_events(line0, n0, vis0, vis1, n, r, ev);
+        status = band_events(w, r, ev);
     else if (family == THINNED)
-        status = thinned_events(line0, n0, line1, n1, vis0, vis1, us, n, r,
-                                ev);
+        status = thinned_events(w, r, ev);
     else if (family == SHIFTED)
-        status = shifted_events(line0, n0, line1, n1, vis0, vis1, us, n, r,
-                                s, ev);
+        status = shifted_events(w, r, s, ev);
     if (status)
         return status;
     counts[2] = ev->found;
     counts[3] = 0;
     counts[4] = ev->rows;
     if (audit) {
-        status = gw_audit(line0, n0, line1, n1, vis0, vis1, us, n, r, NULL,
-                          0, NULL, 0, audit_counts);
+        status = audit_lemmas(w, r, NULL, 0, NULL, 0, audit_counts);
         if (status)
             return status_of(status, REFUSED_AUDIT);
         counts[3] = audit_counts[3] + audit_counts[4];
     }
-    for (t = 1; t < n; t++) {
+    for (t = 1; t < w->n; t++) {
         crossings += (us[t - 1] > 0.0 && us[t] < 0.0)
                      || (us[t - 1] < 0.0 && us[t] > 0.0);
         changes += lines[t - 1] != lines[t]
@@ -902,20 +924,19 @@ static int summarize(const double *line0, int64_t n0, const double *line1,
     return 0;
 }
 
-/* summarize, with no audit, over the tables F = [line0, line1, us] and
- * I = [vis0, vis1, lines, counts], with counts room for five, and the
- * events' table laid out as Events at events, cap rows (NULL and 0: counts
- * only). */
+/* summarize, with no audit, over the packed run (unpack), its counts to
+ * I's, and the events' table laid out as Events at events, cap rows (NULL
+ * and 0: counts only). */
 int gw_summary(const double *F, int64_t n0, int64_t n1, int64_t *I,
                int64_t n, int family, double r, double s, double *events,
                int64_t cap)
 {
+    const Run w = unpack(F, n0, n1, I, n);
     Events ev = {events, NULL, cap, 0, 0};
 
     if (events != NULL)
         ev.b = (int8_t *)(events + 6 * cap);
-    return summarize(F, n0, F + n0, n1, I, I + n0, F + n0 + n1, I + n0 + n1,
-                     n, family, r, s, 0, &ev, I + n0 + n1 + n);
+    return summarize(&w, family, r, s, 0, &ev, I + n0 + n1 + n);
 }
 
 /* ------------------------------------------------------------------------
@@ -939,6 +960,7 @@ int gw_sweep(const double *D, const int64_t *N, int64_t k, int kind,
     int64_t i, t, n0, n1, n, *row, counts[5] = {0, 0, 0, 0, 0};
     int first = 0;
     Events ev;
+    Run run;
 
     for (i = 0; i < k; i++, w += 4, pts += n0 + n1) {
         n0 = N[2 * i];
@@ -956,8 +978,9 @@ int gw_sweep(const double *D, const int64_t *N, int64_t k, int kind,
         }
         ev = (Events){NULL, NULL, 0, 0, 0};
         row[0] = n;
-        row[5] = summarize(F + 1, n0, F + n0 + 3, n1, vis + 1, vis + n0 + 3,
-                           dists, order, n, family, r, s, audit, &ev, counts);
+        run = (Run){{F + 1, F + n0 + 3}, dists, {vis + 1, vis + n0 + 3}, order,
+                    {n0, n1}, n};
+        row[5] = summarize(&run, family, r, s, audit, &ev, counts);
         memcpy(row + 1, counts, 4 * sizeof(int64_t));
         if (first == 0)
             first = (int)row[5];

@@ -25,13 +25,14 @@ one linear pass in the compiled library that holds the walk
 its numpy reference in ``tests/oracles.py``.  A fourth entry,
 ``gw_summary``, is the one implementation of the return events:
 detect_A_events reads a run's event table from it (reference:
-oracle_events).  A fifth, ``gw_sweep``, walks a chunk of a sweep's runs
-and counts each walk's crossings, half-line changes, occurred events and
-audit violations through the body it shares with ``gw_summary``, which
+oracle_events).  compute_Dx, audit_lemmas and detect_A_events hand their
+entry the run in one layout, which _pack checks and fills.  A fifth,
+``gw_sweep``, walks a chunk of a sweep's runs and counts each walk over
+the passes through the body it shares with ``gw_summary``, which
 sweep_counts reads (reference: summarize_reference of run_walk's walk).
 Each raises ValidationError for a run its pass does not read (_DX_RULE,
-_AUDIT_RULE, _CLUSTER_RULE), and for shadows or cluster starts that are
-not one row.
+_AUDIT_RULE, _CLUSTER_RULE), for visit steps, shadows or lines _pack
+refuses, and for cluster starts that are not one row.
 
 Decidability convention: a trajectory is only a prefix of the unbounded
 walk, so detectors report True (witnessed), False (ruled out), or None
@@ -142,16 +143,13 @@ def compute_Dx(real: Realization, traj: Trajectory, xs) -> DeficiencyRecords:
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     if xs.ndim > 1 or not (xs > 0.0).all() or (xs[1:] < xs[:-1]).any():
         raise ValidationError("deficiency levels must be a positive ascending row")
-    v0, v1 = _visit_steps(traj, len(real.line0), len(real.line1))
-    us = _row(traj.us, np.float64, "shadows")
-    lib = walk._kernel()
+    run, _ = _pack(real, traj)
     out = np.empty((2, len(xs)))
     n_interior = np.empty(len(xs), dtype=np.int64)
     t_left = ctypes.c_double()
-    _refuse(lib.gw_deficiency(*_run_args(real, v0, v1, us),
-                              xs.ctypes.data, len(xs), out.ctypes.data,
-                              n_interior.ctypes.data, ctypes.byref(t_left)),
-            _DX_RULE)
+    _refuse(walk._kernel().gw_deficiency(
+        *run, xs.ctypes.data, len(xs), out.ctypes.data,
+        n_interior.ctypes.data, ctypes.byref(t_left)), _DX_RULE)
     t_ray, value = out
     degenerate = t_left.value < t_ray
     return DeficiencyRecords(xs, value, degenerate, degenerate | (t_ray < np.inf),
@@ -189,14 +187,24 @@ def _row(a: np.ndarray, dtype, name: str) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=dtype)
 
 
-def _run_args(real: Realization, v0: np.ndarray, v1: np.ndarray,
-              us: np.ndarray) -> tuple:
-    """The arguments gw_audit and gw_deficiency begin with: each line, the
-    visit steps v0 and v1 and the shadows us.  The caller holds v0, v1 and
-    us, contiguous, until the call returns; lines always are."""
-    line0, line1 = real.line0, real.line1
-    return (line0.ctypes.data, len(line0), line1.ctypes.data, len(line1),
-            v0.ctypes.data, v1.ctypes.data, us.ctypes.data, len(us))
+def _pack(real: Realization, traj: Trajectory) -> tuple[tuple, np.ndarray]:
+    """The run as gw_audit, gw_deficiency and gw_summary take it, (F, n0,
+    n1, I, n), copied into the step loop's per-thread buffers as
+    F = [line0, line1, us] and I = [vis0, vis1, lines, counts], and the
+    view of I's five counts.  ValidationError unless the visit steps are
+    integers, one per point, the shadows one row and the lines one per
+    step."""
+    n0, n1 = len(real.line0), len(real.line1)
+    v0, v1 = _visit_steps(traj, n0, n1)
+    us = _row(traj.us, np.float64, "shadows")
+    n, m = len(us), n0 + n1
+    if np.shape(traj.lines) != (n,):
+        raise ValidationError(f"lines must be one per step, {n}, got "
+                              f"{np.shape(traj.lines)}")
+    (F, I, _, _), _, (pF, pI, *_) = walk._buffers(m + n + 5)
+    F[:n0], F[n0:m], F[m:m + n] = real.line0, real.line1, us
+    I[:n0], I[n0:m], I[m:m + n] = v0, v1, traj.lines
+    return (pF, n0, n1, pI, n), I[m + n:m + n + 5]
 
 
 def validate_dx_record(construction: str,
@@ -585,28 +593,16 @@ def detect_A_events(real: Realization, traj: Trajectory) -> EventTable:
     if c not in _FAMILIES:
         raise ValidationError(f"no return-event families for construction {c!r}")
     family, name = _FAMILIES[c]
-    n0, n1 = len(real.line0), len(real.line1)
-    v0, v1 = _visit_steps(traj, n0, n1)
-    us = _row(traj.us, np.float64, "shadows")
-    n, m = len(us), n0 + n1
-    if np.shape(traj.lines) != (n,):
-        raise ValidationError(f"lines must be one per step, {n}, got "
-                              f"{np.shape(traj.lines)}")
-    # gw_summary's tables in the step loop's per-thread buffers, whose
-    # addresses are kept: a run's arrays are short, so copying them costs
-    # less than taking each one's address
-    (F, I, _, _), _, (pF, pI, *_) = walk._buffers(m + n + 5)
-    F[:n0], F[n0:m], F[m:m + n] = real.line0, real.line1, us
-    I[:n0], I[n0:m], I[m:m + n] = v0, v1, traj.lines
+    run, counts = _pack(real, traj)
     # _walk.c's Events: cap rows of six double columns, then four byte ones
-    cap = m  # every gap row, most band rows
+    cap = len(real.line0) + len(real.line1)  # every gap row, most band rows
     while True:  # twice at most: the second time with every band's room
         table = np.empty(52 * cap, dtype=np.uint8)
         status = walk._kernel().gw_summary(
-            pF, n0, n1, pI, n, family, real.spec.separation_r,
-            real.spec.shift_s or 0.0, table.ctypes.data, cap)
+            *run, family, real.spec.separation_r, real.spec.shift_s or 0.0,
+            table.ctypes.data, cap)
         _refuse(status, _SUMMARY_RULES.get(status))
-        rows = int(I[m + n + 4])
+        rows = int(counts[4])
         if rows <= cap:
             break
         cap = rows
@@ -735,17 +731,13 @@ def audit_lemmas(real: Realization, traj: Trajectory) -> LemmaAudit:
     shadow ordering to audit)."""
     if real.spec.kind == INTERSECTING:
         raise ValidationError("audits are defined for parallel/single-line runs")
-    v0, v1 = _visit_steps(traj, len(real.line0), len(real.line1))
-    us = _row(traj.us, np.float64, "shadows")
-    lib = walk._kernel()
-    args = _run_args(real, v0, v1, us)
-    counts = np.zeros(5, dtype=np.int64)
+    run, counts = _pack(real, traj)
     caps = (16, 16)
     while True:  # twice at most: the second time with every violation's room
         pairs, steps = np.empty(caps[0], _PAIR_ROW), np.empty(caps[1], _STEP_ROW)
-        _refuse(lib.gw_audit(*args, real.spec.separation_r or 0.0,
-                             pairs.ctypes.data, caps[0], steps.ctypes.data,
-                             caps[1], counts.ctypes.data), _AUDIT_RULE)
+        _refuse(walk._kernel().gw_audit(
+            *run, real.spec.separation_r or 0.0, pairs.ctypes.data, caps[0],
+            steps.ctypes.data, caps[1]), _AUDIT_RULE)
         *checks, found_pairs, found_steps = counts.tolist()
         if found_pairs <= caps[0] and found_steps <= caps[1]:
             break

@@ -25,25 +25,18 @@ Two engines produce step-for-step identical trajectories.
   galloping out from the walk's last index on that line and skipping past
   visited points with a path-compressing search.  Each step measures
   those four directly; the loop keeps no per-point tables.
-  The C source ships with the package, and its library also holds four
-  entries that analysis.py runs over a walk: three passes, ``gw_audit``
-  (``audit_lemmas``), ``gw_deficiency`` (``compute_Dx``) and
-  ``gw_cluster_visits`` (``cluster_visits``), and ``gw_summary``
-  (``detect_A_events``), a run's return events; ``gw_sweep``
-  (``analysis.sweep_counts``), which walks a chunk of a sweep's runs and
-  counts each walk over those passes through the body it shares with
-  ``gw_summary``, with no Trajectory, tested against ``summarize_reference`` of
-  ``run_walk``'s walk; and ``gw_draw`` (``experiments._run_chunk``), which
-  draws that chunk first, each run as ``processes.generate`` draws it on a
-  port of numpy's Philox stream and Poisson sampler, restricted to each
-  window as ``couple_restrict`` restricts it and checked by
-  ``check_invariants``' rules, with no Realization, tested bit for bit
-  against ``generate``.  On first use in a process the library is compiled
-  with the system C compiler (``cc``, else ``gcc``) into
-  ``$XDG_CACHE_HOME/gwlab`` (default ``~/.cache/gwlab``), once per source
-  and flag set, and loaded with ``ctypes``.  A C compiler is required:
-  where neither the cache holds a build nor a compiler is found, or the
-  build fails, ``_kernel()`` raises OSError.
+  The C source ships with the package, and its library also holds the
+  passes analysis.py runs over a walk (``gw_audit``, ``gw_deficiency`` and
+  ``gw_summary``, which read a run in one packed layout, and
+  ``gw_cluster_visits``), a sweep chunk's walks and counts (``gw_sweep``)
+  and its draws (``gw_draw``), each tested bit for bit against its
+  reference; ``_walk.c``'s header says what each does and who calls it.
+  On first use in a process the library is compiled with the system C
+  compiler (``cc``, else ``gcc``) into ``$XDG_CACHE_HOME/gwlab`` (default
+  ``~/.cache/gwlab``), once per source and flag set, and loaded with
+  ``ctypes``.  A C compiler is required: where neither the cache holds a
+  build nor a compiler is found, or the build fails, ``_kernel()`` raises
+  OSError.
 * ``run_walk_naive``: a linear scan over every unvisited point per step.
   It exists purely as a differential oracle for ``run_walk``.
   ``tests/oracles.py`` holds the other reference, ``gw_walk`` line for
@@ -158,15 +151,10 @@ def stop_margin(real: Realization, u: float, line: int) -> float:
     return m
 
 
-# the compiled library: _walk.c, with the step loop gw_walk, the five
-# entries analysis.py calls (the lemma audits gw_audit, the deficiency
-# records gw_deficiency, the cluster-visit table gw_cluster_visits,
-# gw_summary, a run's return events, with their table when given one, and
-# gw_sweep, a sweep chunk's walks and their counts over the passes, whose
-# reference is tests/oracles.py's summarize_reference) and gw_draw, a sweep
-# chunk's draws, which experiments calls and whose reference is generate,
+# the compiled library _walk.c, whose entries the module docstring names,
 # built by the system C compiler into the user's cache once per source and
-# flag set, and loaded with ctypes
+# flag set, and loaded with ctypes; gw_audit, gw_deficiency and gw_summary
+# begin with the one packed run, (F, n0, n1, I, n)
 _SOURCE = Path(__file__).with_name("_walk.c")
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 _KINDS = {SINGLE_LINE: 0, INTERSECTING: 1, PARALLEL: 2}  # _walk.c's enum
@@ -177,19 +165,16 @@ _SIGNATURES = {  # symbol: (argument types, result type)
                  _D, _D, _D, _D,  # lo0, hi0, lo1, hi1
                  _I,  # truncating
                  _P, _P, _P, _P, _P), _Q),  # prv, nxt, vis, order, dists
-    "gw_audit": ((_P, _Q, _P, _Q,  # line0, n0, line1, n1
-                  _P, _P, _P, _Q, _D,  # vis0, vis1, us, n, r
-                  _P, _Q, _P, _Q, _P), _I),  # pv, pcap, sv, scap, counts
-    "gw_deficiency": ((_P, _Q, _P, _Q,  # line0, n0, line1, n1
-                       _P, _P, _P, _Q,  # vis0, vis1, us, n
+    "gw_audit": ((_P, _Q, _Q, _P, _Q,  # F, n0, n1, I, n
+                  _D, _P, _Q, _P, _Q), _I),  # r, pv, pcap, sv, scap
+    "gw_deficiency": ((_P, _Q, _Q, _P, _Q,  # F, n0, n1, I, n
                        _P, _Q, _P,  # xs, m, table
                        _P, _P), _I),  # n_interior, t_left
     "gw_cluster_visits": ((_P, _P, _Q,  # vis0, vis1, p
                            _P, _Q, _Q,  # starts, k, n
                            _P, _P), _I),  # table, verdicts
     "gw_summary": ((_P, _Q, _Q, _P, _Q,  # F, n0, n1, I, n
-                    _I, _D, _D,  # family, r, s
-                    _P, _Q), _I),  # events, cap
+                    _I, _D, _D, _P, _Q), _I),  # family, r, s, events, cap
     "gw_sweep": ((_P, _P, _Q,  # D, N, k
                   _I, _D, _D,  # kind, r, cos_alpha
                   _I, _D, _I,  # family, s, audit
@@ -245,11 +230,10 @@ def _build(cc: str | None, cache: Path):
 
 
 def _kernel():
-    """The compiled library (gw_walk, gw_audit, gw_deficiency,
-    gw_cluster_visits, gw_summary, gw_sweep and gw_draw), built or loaded
-    on first use from $XDG_CACHE_HOME/gwlab (default ~/.cache/gwlab);
-    OSError where it is not there and cannot be built, the same one on
-    every call."""
+    """The compiled library, with every entry of _SIGNATURES, built or
+    loaded on first use from $XDG_CACHE_HOME/gwlab (default
+    ~/.cache/gwlab); OSError where it is not there and cannot be built, the
+    same one on every call."""
     lib = _built()
     if isinstance(lib, OSError):
         raise lib.with_traceback(None)
@@ -282,9 +266,9 @@ def _buffers(size: int):
     for at least `size` flat entries, and the addresses of those four and
     of the two link arrays, taken when they were allocated (ndarray.ctypes
     costs about a microsecond a call).  A Trajectory holds copies, so
-    between walks analysis.detect_A_events fills the first two as
-    gw_summary's tables, and analysis.sweep_counts hands all six to
-    gw_sweep as the scratch of a chunk's walks."""
+    between walks analysis._pack fills the first two with a run for the
+    passes, and analysis.sweep_counts hands all six to gw_sweep as the
+    scratch of a chunk's walks."""
     bufs = getattr(_scratch, "bufs", None)
     if bufs is None or len(bufs[0][0]) < size:
         links = np.empty((2, size), dtype=np.int64)

@@ -9,9 +9,10 @@ bit for bit, in what it returns and in what it refuses.
   ``audit_lemmas``, ``compute_Dx`` and ``cluster_visits`` in numpy, the
   references of ``gw_audit``, ``gw_deficiency`` and ``gw_cluster_visits``.
   Each refuses the runs its compiled pass refuses, with the same rule
-  (``_AUDIT_RULE``, ``_DX_RULE``, ``_CLUSTER_RULE``); the checks the
-  public entries make before any pass (visit steps, shadows, levels,
-  cluster starts) are not repeated here.
+  (``_AUDIT_RULE``, ``_DX_RULE``, ``_CLUSTER_RULE``); the checks made
+  before any pass, by ``analysis._pack`` on the run it packs (visit steps,
+  shadows, step lines) and by the public entries (levels, cluster starts),
+  are not repeated here.
 * ``oracle_events``: the return events, one record per event built in a
   loop over the reduced walk (``reduce_to_cluster_leads``) or the
   deficiency records (``compute_Dx``), the reference of ``gw_summary``'s

@@ -1484,6 +1484,34 @@ def test_events_make_one_compiled_call(spec_for, monkeypatch):
             1 if construction == "parallel-duplicated" else 2)
 
 
+def test_run_passes_share_one_door(spec_for, monkeypatch):
+    # the audits, the deficiency records and the events each hand the
+    # compiled library the run in one layout, (F, n0, n1, I, n), in one
+    # call whose F and I are the per-thread tables walk._buffers keeps the
+    # addresses of
+    real = generate(spec_for("parallel-thinned", window_L=50.0), 4)
+    traj = run_walk(real)
+    xs = real.base_points[real.base_points > 0.0]
+    lib, calls = walk._kernel(), []
+
+    class Spy:
+        def __getattr__(self, name):
+            def call(*args):
+                calls.append((name, args))
+                return getattr(lib, name)(*args)
+            return call
+
+    monkeypatch.setattr(walk, "_kernel", Spy)
+    for entry, call in (("gw_audit", lambda: audit_lemmas(real, traj)),
+                        ("gw_deficiency", lambda: compute_Dx(real, traj, xs)),
+                        ("gw_summary", lambda: detect_A_events(real, traj))):
+        calls.clear()
+        call()
+        pF, pI = walk._buffers(0)[2][:2]
+        assert [(name, args[:5]) for name, args in calls] == [
+            (entry, (pF, len(real.line0), len(real.line1), pI, len(traj)))]
+
+
 def test_events_count_what_the_summary_counts(spec_for):
     # the sweep's a_events is the count of occurred events in the table of
     # the run's walk, at the drawn window and at a restriction of it
@@ -2029,12 +2057,15 @@ def test_layout_variants_read_alike_on_both_paths(spec_for, construction):
     for name, call in cases:
         with pytest.raises(ValidationError, match=f"{name} must be one row"):
             call()
-    # and lines that are not one per step, by the call that packs them for
-    # gw_summary
+    # and lines that are not one per step, by every call that packs the run
+    short = replace(traj, lines=traj.lines[:-1])
+    calls = [lambda: compute_Dx(real, short, xs),
+             lambda: audit_lemmas(real, short)]
     if construction != "single-line":
-        short = replace(traj, lines=traj.lines[:-1])
+        calls.append(lambda: detect_A_events(real, short))
+    for call in calls:
         with pytest.raises(ValidationError, match="lines must be one per step"):
-            detect_A_events(real, short)
+            call()
 
 
 # ---------------------------------------------------------------------------
