@@ -25,7 +25,6 @@ from .processes import (
     SINGLE_POISSON,
     ProcessSpec,
     Realization,
-    couple_restrict,
     generate,
     realization_from_dict,
     realization_to_dict,

@@ -1153,14 +1153,14 @@ static int broken(const double *l0, int64_t n0, const double *l1, int64_t n1,
 }
 
 /* The k runs of seeds, each drawn as generate draws `construction` (its
- * index in CONSTRUCTIONS) at rate and L, with p and s, and restricted as
- * couple_restrict restricts it to each of m windows, whose ends W gives as
- * drawn_windows does (4 a window, line 0's inside (-L, L)), packed into D
- * as gw_sweep reads them, with the line counts in N: the 4km window ends,
- * then each packed run's line 0 and line 1, by run and then by window.
- * N[2km] receives the doubles the packing takes; where that is above room,
- * D holds what fits, for a call again with the room.  Returns 0, NO_MEMORY,
- * or `broken`'s status for the first packed run that breaks a rule. */
+ * index in CONSTRUCTIONS) at rate and L, with p and s, cut to each of m
+ * windows (W: 4 ends a window, as drawn_windows gives them, line 0's inside
+ * (-L, L)) by an index range of each sorted line, the one window cut (the
+ * tests' couple_restrict is its reference), and packed into D as gw_sweep
+ * reads them, with the line counts in N: the 4km window ends, then each
+ * packed run's line 0 and line 1, by run and then by window.  N[2km] gets
+ * the doubles packed; above room, D holds what fits, for a call again with
+ * it.  Returns 0, NO_MEMORY, or `broken`'s status for the first bad run. */
 int gw_draw(const uint64_t *seeds, int64_t k, int construction, double rate,
             double L, double p, double s, const double *W, int64_t m,
             double *D, int64_t room, int64_t *N)

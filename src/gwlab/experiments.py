@@ -161,9 +161,10 @@ def _room(spec: ProcessSpec, k: int, windows) -> int:
 def _run_chunk(cfg: ExperimentConfig, spec: ProcessSpec, windows,
                runs: range) -> list[RunSummary]:
     """The rows of runs, by run and then by window, in two compiled calls:
-    gw_draw draws each run from spec as generate does and packs it
-    restricted to each of windows as couple_restrict restricts it, checked
-    as check_invariants checks it, and sweep_counts walks and counts each."""
+    gw_draw draws each run from spec as generate does, cuts it to each of
+    windows as an index range of each sorted line (the one window
+    restriction), checks each cut as check_invariants checks a run and
+    packs it, and sweep_counts walks and counts each."""
     k, m = len(runs), len(windows)
     seeds = [stream_seed(cfg.base_seed, i) for i in runs]
     ends = np.array([w for L in windows for win in drawn_windows(

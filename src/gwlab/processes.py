@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -433,35 +433,6 @@ def generate(spec: ProcessSpec, seed: int) -> Realization:
         # every base point lands on a line, so base is the union of both
         real.__dict__["base_points"] = _frozen(base)
     return real
-
-
-def couple_restrict(real: Realization, smaller_L: float) -> Realization:
-    """Restrict a realization to the symmetric window of half-width smaller_L.
-
-    The result is exactly what generate would have produced had the smaller
-    window been drawn from the same underlying process, so walks on the pair
-    are coupled: the truncation-safe walk on the restriction is a prefix of
-    the walk on the original.
-    """
-    if not 0 < smaller_L <= real.spec.window_L:
-        raise ValidationError("smaller_L must be in (0, window_L]")
-    if smaller_L == real.spec.window_L:
-        return real
-    spec = replace(real.spec, window_L=smaller_L)
-    lo, hi = drawn_windows(spec)[0]
-    keep0 = (real.line0 >= lo) & (real.line0 <= hi)
-    # the lines share a window unless shifted; a shifted line 1 is line 0
-    # moved by s and keeps its mask, since fl(x + s) can land on line 1's
-    # window end for an x just past line 0's
-    keep1 = keep0 if spec.construction == PARALLEL_SHIFTED else (
-        (real.line1 >= lo) & (real.line1 <= hi))
-    return Realization(
-        spec=spec,
-        seed=real.seed,
-        line0=real.line0[keep0],
-        line1=real.line1[keep1],
-        provenance=f"{real.provenance}; restricted to L={smaller_L!r}",
-    )
 
 
 def realization_to_dict(real: Realization) -> dict:

@@ -12,7 +12,11 @@ abscissa is the first coordinate (the "shadow") of the point.  All
 distances are Euclidean in the plane embedding; the metric reads the run's
 ProcessSpec: its kind, alpha and separation_r.
 
-Two engines produce step-for-step identical trajectories.
+Two engines produce step-for-step identical trajectories, except at
+rounded ties: where two candidates round to one distance, the scan's tie
+rule and the step loop's four candidates can pick different points.
+ROADMAP item 8 records the known cases, hand-built ties and a drawn
+intersecting run at alpha = pi - 1e-7 that parts at step 9,224.
 
 * The compiled step loop, ``gw_walk`` in ``_walk.c``, which ``run_walk``
   runs.  It walks one flat table of both lines, ``[-inf, line0..., +inf,
@@ -104,7 +108,8 @@ class StopRule:
 
     ``truncation-safe`` (default) stops at the first step whose distance is
     >= the margin to unseen territory; ``run-to-exhaustion`` visits every
-    point.  couple_restrict is the way to walk a smaller window.
+    point.  To walk a draw on a smaller window, cut the draw to it, as
+    coupled_window_study does through gw_draw's index-range cut.
     """
 
     mode: str = TRUNCATION_SAFE

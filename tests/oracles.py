@@ -19,10 +19,15 @@ bit for bit, in what it returns and in what it refuses.
   event pass, which ``detect_A_events`` reads its table from; a negative
   shift is read in the mirrored frame (``mirror_realization``,
   ``mirror_trajectory``).
+* ``couple_restrict``: a realization cut to a smaller window by a mask
+  on each line, the reference of ``gw_draw``'s index-range cut, which is
+  the program's one window restriction (``coupled_window_study`` walks a
+  draw on smaller windows through it); a shifted line 1 keeps line 0's
+  mask, as it keeps line 0's range there.
 * ``pack_runs``: realizations packed as ``sweep_counts`` reads a sweep
   chunk; of ``couple_restrict(generate(...))`` it is the reference of
-  ``gw_draw``'s packing, and of hand-built realizations the way the tests
-  feed them to the counting call.
+  ``gw_draw``'s draw, cut and packing, and of hand-built realizations the
+  way the tests feed them to the counting call.
 * ``summarize_reference``: a sweep run's RunSummary as the composition of
   ``oracle_events``, ``audit_lemmas``, ``detect_crossings`` and
   ``extract_halfline_changes``, the reference of ``gw_summary``'s counts;
@@ -72,6 +77,7 @@ from gwlab.processes import (
     PARALLEL_SHIFTED,
     PARALLEL_THINNED,
     Realization,
+    drawn_windows,
 )
 from gwlab.walk import (
     TRUNCATION_SAFE,
@@ -365,13 +371,46 @@ def _audit_replay(traj: Trajectory, audit: LemmaAudit, mu, ms) -> None:
 
 
 # ---------------------------------------------------------------------------
+# a draw on a smaller window
+
+
+def couple_restrict(real: Realization, smaller_L: float) -> Realization:
+    """Restrict a realization to the symmetric window of half-width smaller_L.
+
+    The result is exactly what generate would have produced had the smaller
+    window been drawn from the same underlying process, so walks on the pair
+    are coupled: the truncation-safe walk on the restriction is a prefix of
+    the walk on the original.
+    """
+    if not 0 < smaller_L <= real.spec.window_L:
+        raise ValidationError("smaller_L must be in (0, window_L]")
+    if smaller_L == real.spec.window_L:
+        return real
+    spec = replace(real.spec, window_L=smaller_L)
+    lo, hi = drawn_windows(spec)[0]
+    keep0 = (real.line0 >= lo) & (real.line0 <= hi)
+    # the lines share a window unless shifted; a shifted line 1 is line 0
+    # moved by s and keeps its mask, since fl(x + s) can land on line 1's
+    # window end for an x just past line 0's
+    keep1 = keep0 if spec.construction == PARALLEL_SHIFTED else (
+        (real.line1 >= lo) & (real.line1 <= hi))
+    return Realization(
+        spec=spec,
+        seed=real.seed,
+        line0=real.line0[keep0],
+        line1=real.line1[keep1],
+        provenance=f"{real.provenance}; restricted to L={smaller_L!r}",
+    )
+
+
+# ---------------------------------------------------------------------------
 # the mirror image u -> -u and the reduced walk
 
 
 def mirror_realization(real: Realization) -> Realization:
-    """Reflect the realization through the vertical axis u -> -u."""
-    if real.spec.kind == INTERSECTING:
-        raise ValidationError("cannot mirror an intersecting-lines realization")
+    """Reflect the realization by u -> -u on both lines: a mirror through
+    the vertical axis on parallel lines, the point reflection through the
+    crossing on intersecting ones."""
     spec = real.spec
     if spec.construction == PARALLEL_SHIFTED:
         spec = replace(spec, shift_s=-spec.shift_s)

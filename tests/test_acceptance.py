@@ -29,7 +29,6 @@ from gwlab import (
     LemmaAudit,
     ProcessSpec,
     audit_lemmas,
-    couple_restrict,
     coupled_window_study,
     detect_crossings,
     extract_UV_sequences,
@@ -41,6 +40,7 @@ from gwlab import (
     stream_seed,
 )
 from gwlab.checks import CHECKS, Outcome
+from oracles import couple_restrict
 
 
 def _emit(num: int, ok: bool, detail: str) -> None:

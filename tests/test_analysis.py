@@ -35,7 +35,6 @@ from gwlab import (
     cluster_visits,
     clusters_of,
     compute_Dx,
-    couple_restrict,
     decompose_clusters,
     detect_A_events,
     detect_crossings,
@@ -67,6 +66,7 @@ from gwlab.experiments import (
 
 import oracles
 from oracles import (
+    couple_restrict,
     mirror_realization,
     mirror_trajectory,
     reduce_to_cluster_leads,

@@ -10,6 +10,7 @@ import threading
 
 import pytest
 
+import gwlab
 from gwlab import (
     CONSTRUCTIONS,
     PARALLEL_CONSTRUCTIONS,
@@ -431,8 +432,12 @@ def test_sweep_summarizes_each_run_in_one_compiled_call(monkeypatch):
         for name in ("audit_lemmas", "detect_A_events", "compute_Dx",
                      "cluster_visits", "detect_crossings",
                      "extract_halfline_changes", "run_walk", "_trajectory",
-                     "generate", "couple_restrict", "Realization"):
+                     "generate", "Realization"):
             monkeypatch.setattr(module, name, refuse, raising=False)
+    # gw_draw's cut is the one window restriction: the masked cut is the
+    # tests' reference alone (oracles.couple_restrict)
+    assert not any(hasattr(module, "couple_restrict")
+                   for module in (gwlab, experiments, processes))
     lib, calls = walk._kernel(), []
 
     class Counting:

@@ -20,7 +20,6 @@ from gwlab import (
     ProcessSpec,
     Realization,
     ValidationError,
-    couple_restrict,
     generate,
     make_generator,
     realization_from_dict,
@@ -31,7 +30,7 @@ from gwlab import (
 
 from gwlab import experiments, processes
 from gwlab.processes import CONSTRUCTION_PARAMS
-from oracles import mirror_realization, pack_runs
+from oracles import couple_restrict, mirror_realization, pack_runs
 
 SEED = stream_seed(424242, 0)
 
@@ -261,12 +260,15 @@ def test_generate_caps_expected_points(spec_for, monkeypatch):
 
 
 def test_mirror_is_involution(spec_for):
-    real = generate(spec_for("parallel-thinned", thinning_p=0.5), SEED)
-    back = mirror_realization(mirror_realization(real))
-    assert np.array_equal(back.line0, real.line0)
-    assert np.array_equal(back.line1, real.line1)
-    assert back.duplicate_flags == real.duplicate_flags
-    assert back.windows == real.windows
+    # u -> -u on both lines: a mirror on parallel lines, the point
+    # reflection through the crossing on intersecting ones
+    for construction in ("parallel-thinned", "intersecting"):
+        real = generate(spec_for(construction, thinning_p=0.5), SEED)
+        back = mirror_realization(mirror_realization(real))
+        assert np.array_equal(back.line0, real.line0)
+        assert np.array_equal(back.line1, real.line1)
+        assert back.duplicate_flags == real.duplicate_flags
+        assert back.windows == real.windows
 
 
 def test_mirror_reverses_and_negates(spec_for):
@@ -276,12 +278,6 @@ def test_mirror_reverses_and_negates(spec_for):
     assert m.spec.shift_s == -0.3
     assert m.windows == ((-25.0, 25.0), (-25.3, 24.7))
     m.check_invariants()
-
-
-def test_mirror_intersecting_rejected(spec_for):
-    real = generate(spec_for("intersecting"), SEED)
-    with pytest.raises(ValidationError):
-        mirror_realization(real)
 
 
 @pytest.mark.parametrize("construction", [

@@ -31,7 +31,6 @@ from gwlab import (
     ProcessSpec,
     StopRule,
     ValidationError,
-    couple_restrict,
     cross_distance,
     generate,
     run_walk,
@@ -47,6 +46,7 @@ from gwlab.processes import MAX_BANDS, MAX_SCALE, MAX_SEPARATION_POINTS
 from gwlab.walk import trajectory_to_dicts
 from oracles import (
     _skip_visited,
+    couple_restrict,
     mirror_realization,
     mirror_trajectory,
     python_loop,
@@ -453,10 +453,7 @@ def test_trajectories_equal_detects_difference(hand_real):
         assert not trajectories_equal(a, replace(a, **{field: vis}))
 
 
-@pytest.mark.parametrize("construction", [
-    "single-line", "parallel-duplicated", "parallel-thinned",
-    "parallel-shifted",
-])
+@pytest.mark.parametrize("construction", CONSTRUCTIONS)
 def test_mirror_equivariance(spec_for, construction):
     for i in range(5):
         real = generate(spec_for(construction), stream_seed(902, i))
