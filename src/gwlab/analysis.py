@@ -417,21 +417,24 @@ class ClusterVisits:
 
 
 def cluster_visits(dec: ClusterDecomposition, traj: Trajectory) -> ClusterVisits:
-    """The table, in the compiled library; ValidationError unless both
-    lines hold the decomposition's points, and for a run _CLUSTER_RULE
-    refuses."""
+    """The table, in the compiled library, of the visit steps and cluster
+    starts copied into the step loop's per-thread buffers, as _pack copies
+    a run, and written there; ValidationError unless both lines hold the
+    decomposition's points, and for a run _CLUSTER_RULE refuses."""
     p = len(dec.points)
     v0, v1 = _visit_steps(traj, p, p)
     starts = _row(dec.starts, np.int64, "cluster starts")
-    lib = walk._kernel()
     k = len(starts)
-    table = np.empty((7, k), dtype=np.int64)
-    verdicts = np.empty((2, k), dtype=bool)
-    _refuse(lib.gw_cluster_visits(v0.ctypes.data, v1.ctypes.data, p,
-                                  starts.ctypes.data, k, len(traj),
-                                  table.ctypes.data, verdicts.ctypes.data),
-            _CLUSTER_RULE)
-    return ClusterVisits(*table, *verdicts)
+    (_, I, T, _), _, (_, pI, pT, *_) = walk._buffers(max(2 * p + k, 8 * k))
+    I[:p], I[p:2 * p], I[2 * p:2 * p + k] = v0, v1, starts
+    _refuse(walk._kernel().gw_cluster_visits(
+        pI, pI + 8 * p, p, pI + 16 * p, k, len(traj), pT, pT + 56 * k),
+        _CLUSTER_RULE)
+    # the 7 x k table, then the 2 x k verdicts' bytes, out of the buffer
+    out = T[:7 * k + (k + 3) // 4].copy()
+    flags = out.view(bool)
+    return ClusterVisits(*(out[i * k:i * k + k] for i in range(7)),
+                         flags[56 * k:57 * k], flags[57 * k:58 * k])
 
 
 def check_cluster_consecutive(real: Realization,
@@ -671,15 +674,16 @@ def check_povratak(real: Realization, traj: Trajectory) -> PovratakSummary:
 # a sweep chunk's counts
 
 
-def sweep_counts(spec, D, N, *, audit: bool, events: bool) -> list[tuple]:
-    """Per run of spec (but for window_L) packed in D, its window ends
-    (lo0, hi0, lo1, hi1) and then its lines of N[2i] and N[2i + 1] points,
-    its truncation-safe walk's steps, crossings (detect_crossings),
-    half-line changes (extract_halfline_changes), occurred return events
-    (detect_A_events) and lemma-audit violations (audit_lemmas), walked and
-    counted in one compiled call (gw_sweep) with no Trajectory.  The events
-    are None unless `events` is set on a parallel construction, the
-    violations None unless `audit` is set off intersecting lines."""
+def sweep_counts(spec, D, N, *, audit: bool, events: bool) -> list[list]:
+    """The columns of one row per run of spec (but for window_L) packed in
+    D, its window ends (lo0, hi0, lo1, hi1) and then its lines of N[2i] and
+    N[2i + 1] points: its truncation-safe walk's steps, crossings
+    (detect_crossings), half-line changes (extract_halfline_changes),
+    occurred return events (detect_A_events) and lemma-audit violations
+    (audit_lemmas), walked and counted in one compiled call (gw_sweep) with
+    no Trajectory.  The events are None unless `events` is set on a
+    parallel construction, the violations None unless `audit` is set off
+    intersecting lines."""
     family = _FAMILIES.get(spec.construction, (0,))[0] if events else 0
     audit = audit and spec.kind != INTERSECTING
     k = len(N) // 2
@@ -693,9 +697,9 @@ def sweep_counts(spec, D, N, *, audit: bool, events: bool) -> list[tuple]:
         spec.shift_s or 0.0, audit, pF, pprv, pnxt, pvis, porder, pdists,
         rows.ctypes.data)
     _refuse(status, _SUMMARY_RULES.get(status))  # the first run refused
-    return [(n, crossings, changes, found if family else None,
-             failures if audit else None)
-            for n, crossings, changes, found, failures, _ in rows.tolist()]
+    steps, crossings, changes, found, failures = rows.T[:5].tolist()
+    return [steps, crossings, changes, found if family else [None] * k,
+            failures if audit else [None] * k]
 
 
 # ---------------------------------------------------------------------------

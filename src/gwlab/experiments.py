@@ -14,11 +14,15 @@ import io
 import json
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 from functools import partial
+from itertools import repeat
+from operator import eq, itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,10 +35,11 @@ from .processes import (
     SINGLE_LINE,
     SPEC_PARAMS,
     ProcessSpec,
+    check_finite,
     check_point_cap,
     drawn_windows,
 )
-from .seeding import RNG_ALGORITHM, check_seed, stream_seed
+from .seeding import RNG_ALGORITHM, check_seed, stream_seeds
 from . import walk
 from .walk import EXHAUSTED, TRUNCATED, _write_in_place
 
@@ -51,10 +56,12 @@ class ExperimentConfig:
     name is the stem of the output files: not empty, "." or "..", and
     without a path separator.  The spec parameters follow the spec's rule,
     checked by to_spec: one the construction does not read stays at its
-    default.  audit toggles the per-run replay/pair audits (auto-skipped
-    for intersecting lines); detect_events toggles return-event detection
-    (parallel constructions only).  workers > 1 runs a sweep or a coupled
-    study in a process pool, capped at n_runs and the core count.
+    default, and an integer one is held as its float, so rows, spec and
+    manifest write it alike.  audit toggles the per-run replay/pair audits
+    (auto-skipped for intersecting lines); detect_events toggles
+    return-event detection (parallel constructions only).  workers > 1 runs
+    a sweep or a coupled study in a process pool, capped at n_runs and the
+    core count.
     """
 
     name: str
@@ -83,12 +90,20 @@ class ExperimentConfig:
         check_seed("base_seed", self.base_seed)
         if self.workers < 1:
             raise ValidationError("workers must be >= 1")
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, int) and not isinstance(value, bool):
+                check_finite(name, value)  # an int beyond float range
+                object.__setattr__(self, name, float(value))
 
     def to_spec(self) -> ProcessSpec:
         return ProcessSpec(self.construction,
                            **{k: getattr(self, k) for k in SPEC_PARAMS})
 
 
+# the ExperimentConfig fields that hold a float (or None)
+_FLOAT_FIELDS = tuple(f.name for f in dataclasses.fields(ExperimentConfig)
+                      if f.type.startswith("float"))
 # JSON types per ExperimentConfig annotation; load_config rejects bools as numbers
 _JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool}
 
@@ -120,8 +135,7 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig(**d)
 
 
-@dataclass(frozen=True)
-class RunSummary:
+class RunSummary(NamedTuple):
     run_index: int
     seed: int
     construction: str
@@ -144,10 +158,26 @@ class RunSummary:
 # after the field except for these
 _CSV_RENAMED = {"rate_lambda": "lambda", "separation_r": "r", "shift_s": "s",
                 "thinning_p": "p", "window_L": "L"}
-_CSV_FIELDS = dataclasses.fields(RunSummary)
-CSV_COLUMNS = tuple(_CSV_RENAMED.get(f.name, f.name) for f in _CSV_FIELDS)
+CSV_COLUMNS = tuple(_CSV_RENAMED.get(name, name)
+                    for name in RunSummary._fields)
+# per field, its annotation's text (a ForwardRef's, as the module postpones
+# annotations) as its type's name and whether it is optional
+_CSV_KINDS = [(text.partition(" | ")[0], " | " in text) for text in (
+    getattr(t, "__forward_arg__", t)
+    for t in RunSummary.__annotations__.values())]
 # cell parsers per RunSummary annotation; an empty cell is None where allowed
 _CSV_TYPES = {"int": int, "float": float, "str": str}
+# the cells of a row that the runs of one spec share, from construction
+# to window_L, and its stop reason: write_summaries_csv writes a format of
+# the CSV line once per distinct tuple of these objects (not of their
+# values: 0.0 == -0.0 and 1 == 1.0, but they are written apart)
+_SHARED = itemgetter(*range(RunSummary._fields.index("construction"),
+                            RunSummary._fields.index("window_L") + 1),
+                     RunSummary._fields.index("stop_reason"))
+# the cells a line's format leaves to each row: the int ones
+_PER_ROW = frozenset(j for j, (kind, _) in enumerate(_CSV_KINDS)
+                     if kind == "int")
+_REASONS = (TRUNCATED, EXHAUSTED)  # by whether a run's steps are its points
 
 
 def _room(spec: ProcessSpec, k: int, windows) -> int:
@@ -166,9 +196,9 @@ def _run_chunk(cfg: ExperimentConfig, spec: ProcessSpec, windows,
     restriction), checks each cut as check_invariants checks a run and
     packs it, and sweep_counts walks and counts each."""
     k, m = len(runs), len(windows)
-    seeds = [stream_seed(cfg.base_seed, i) for i in runs]
-    ends = np.array([w for L in windows for win in drawn_windows(
-        dataclasses.replace(spec, window_L=L)) for w in win], dtype=np.float64)
+    seeds = stream_seeds(cfg.base_seed, runs)
+    ends = np.array([w for L in windows for win in drawn_windows(spec, L)
+                     for w in win], dtype=np.float64)
     keys = np.array(seeds, dtype=np.uint64)
     N = np.empty(2 * k * m + 1, dtype=np.int64)
     room = _room(spec, k, windows)
@@ -185,16 +215,17 @@ def _run_chunk(cfg: ExperimentConfig, spec: ProcessSpec, windows,
             break
         room = int(N[-1])
     N = N[:-1]
-    counts = sweep_counts(spec, D, N, audit=cfg.audit,
-                          events=cfg.detect_events)
-    return [RunSummary(
-        i, seed, spec.construction, spec.rate_lambda, spec.separation_r,
-        spec.shift_s, spec.thinning_p, spec.alpha, L, points, n,
-        EXHAUSTED if n == points else TRUNCATED, crossings, changes,
-        a_events, failures)
-        for (i, seed, L), points, (n, crossings, changes, a_events, failures)
-        in zip(((i, seed, L) for i, seed in zip(runs, seeds)
-                for L in windows), (N[::2] + N[1::2]).tolist(), counts)]
+    steps, crossings, changes, events, failures = sweep_counts(
+        spec, D, N, audit=cfg.audit, events=cfg.detect_events)
+    points = (N[::2] + N[1::2]).tolist()
+    return list(map(RunSummary._make, zip(
+        [i for i in runs for _ in windows],
+        [seed for seed in seeds for _ in windows], *map(repeat, (
+            spec.construction, spec.rate_lambda, spec.separation_r,
+            spec.shift_s, spec.thinning_p, spec.alpha)),
+        windows * k, points, steps,
+        map(_REASONS.__getitem__, map(eq, steps, points)),
+        crossings, changes, events, failures)))
 
 
 def _run_all(cfg: ExperimentConfig, spec: ProcessSpec,
@@ -244,15 +275,7 @@ def coupled_window_study(cfg: ExperimentConfig,
 # aggregation
 
 
-def _quantiles(values) -> dict[str, float]:
-    a = np.asarray(values, dtype=np.float64)
-    if len(a) == 0:
-        return {}
-    qs = np.quantile(a, [0.0, 0.25, 0.5, 0.75, 1.0])
-    return {
-        "min": float(qs[0]), "q25": float(qs[1]), "median": float(qs[2]),
-        "q75": float(qs[3]), "max": float(qs[4]),
-    }
+_QUANTILES = ("min", "q25", "median", "q75", "max")
 
 
 def mean_and_se(values) -> tuple[float, float]:
@@ -277,22 +300,26 @@ def sign_test_p(diffs) -> float:
 
 
 def aggregate(rows: list[RunSummary]) -> dict:
-    crossings = [r.crossings for r in rows]
-    steps = [r.n_steps for r in rows]
-    mean_c, se_c = mean_and_se(crossings)
-    reasons: dict[str, int] = {}
-    for r in rows:
-        reasons[r.stop_reason] = reasons.get(r.stop_reason, 0) + 1
-    a_total = sum(r.a_events for r in rows if r.a_events is not None)
-    audited = [r for r in rows if r.lemma_failures is not None]
+    """The report of rows: a mean or se that no run or one run leaves
+    undefined is None, so the report is strict JSON."""
+    cols = RunSummary._make(zip(*rows)) if rows else RunSummary._make(
+        [()] * len(RunSummary._fields))
+    table = np.array([cols.crossings, cols.n_steps], dtype=np.float64)
+    mean_c, se_c = mean_and_se(table[0])  # NaN for no runs, se for one
+    qs = (np.quantile(table, [0.0, 0.25, 0.5, 0.75, 1.0], axis=1).T.tolist()
+          if rows else ([], []))
+    failures = cols.lemma_failures
     return {
         "n_runs": len(rows),
-        "crossings": {"mean": mean_c, "se": se_c, **_quantiles(crossings)},
-        "n_steps": _quantiles(steps),
-        "stop_reasons": dict(sorted(reasons.items())),
-        "a_events_total": a_total,
-        "audited_runs": len(audited),
-        "lemma_failures_total": sum(r.lemma_failures for r in audited),
+        "crossings": {"mean": None if math.isnan(mean_c) else mean_c,
+                      "se": None if math.isnan(se_c) else se_c,
+                      **dict(zip(_QUANTILES, qs[0]))},
+        "n_steps": dict(zip(_QUANTILES, qs[1])),
+        "stop_reasons": dict(sorted(Counter(cols.stop_reason).items())),
+        # filter(None, ...) drops the zeros too, which the sums keep alike
+        "a_events_total": sum(filter(None, cols.a_events)),
+        "audited_runs": len(failures) - failures.count(None),
+        "lemma_failures_total": sum(filter(None, failures)),
     }
 
 
@@ -300,19 +327,30 @@ def aggregate(rows: list[RunSummary]) -> dict:
 # persistence
 
 
-def write_summaries_csv(rows: list[RunSummary], path) -> None:
+def _line_format(row: RunSummary):
+    """The str.format of a CSV line whose shared cells, stop reason and
+    None cells are row's: those written as csv.writer writes them, the
+    other int cells left to each row's arguments."""
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(CSV_COLUMNS)
-    for r in rows:
-        w.writerow(["" if v is None else v
-                    for v in (getattr(r, f.name) for f in _CSV_FIELDS)])
-    _write_in_place(path, [buf.getvalue().encode("utf-8")])
+    csv.writer(buf, lineterminator="\n").writerow([
+        f"{{{j}}}" if j in _PER_ROW and v is not None
+        else v.replace("{", "{{").replace("}", "}}") if isinstance(v, str)
+        else v for j, v in enumerate(row)])
+    return buf.getvalue().format
 
 
-def _csv_cell(f: dataclasses.Field, cell: str):
-    kind, _, optional = f.type.partition(" | ")
-    return None if optional and cell == "" else _CSV_TYPES[kind](cell)
+def write_summaries_csv(rows: list[RunSummary], path) -> None:
+    """The rows' CSV, byte for byte csv.writer's: each row one str.format
+    of its line's format, made once per distinct _SHARED objects and None
+    cells (rows holds every object alive, so their ids are distinct)."""
+    formats = {}
+    lines = [",".join(CSV_COLUMNS) + "\n"]
+    for row in rows:
+        key = (*map(id, _SHARED(row)), row.a_events is None,
+               row.lemma_failures is None)
+        fmt = formats.get(key) or formats.setdefault(key, _line_format(row))
+        lines.append(fmt(*row))
+    _write_in_place(path, ["".join(lines).encode("utf-8")])
 
 
 def read_summaries_csv(path) -> list[RunSummary]:
@@ -330,7 +368,9 @@ def read_summaries_csv(path) -> list[RunSummary]:
                 raise ValidationError(f"{where} has {len(row)} cells, "
                                       f"not {len(CSV_COLUMNS)}")
             try:
-                rows.append(RunSummary(*map(_csv_cell, _CSV_FIELDS, row)))
+                rows.append(RunSummary._make(
+                    None if optional and cell == "" else _CSV_TYPES[kind](cell)
+                    for (kind, optional), cell in zip(_CSV_KINDS, row)))
             except ValueError as e:
                 raise ValidationError(f"{where}: {e}") from None
         return rows
@@ -350,9 +390,10 @@ def write_outputs(cfg: ExperimentConfig, rows: list[RunSummary],
     }
     write_summaries_csv(rows, paths["csv"])
     _write_in_place(paths["report"], [(json.dumps(
-        aggregate(rows), sort_keys=True, indent=2) + "\n").encode("utf-8")])
+        aggregate(rows), sort_keys=True, indent=2, allow_nan=False)
+        + "\n").encode("utf-8")])
     manifest = {
-        "config": dataclasses.asdict(cfg),
+        "config": vars(cfg),
         "rng_algorithm": RNG_ALGORITHM,
         "version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(),
@@ -360,5 +401,6 @@ def write_outputs(cfg: ExperimentConfig, rows: list[RunSummary],
                     os.path.basename(paths["report"])],
     }
     _write_in_place(paths["manifest"], [(json.dumps(
-        manifest, sort_keys=True, indent=2) + "\n").encode("utf-8")])
+        manifest, sort_keys=True, indent=2, allow_nan=False)
+        + "\n").encode("utf-8")])
     return paths

@@ -288,11 +288,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def drawn_windows(spec: ProcessSpec) -> tuple[tuple[float, float],
-                                              tuple[float, float]]:
-    """The per-line intervals a draw of `spec` covers: (-L, L) on both
-    lines, with line 1 moved by s when shifted."""
-    L = spec.window_L
+def drawn_windows(spec: ProcessSpec, L: float | None = None) -> tuple[
+        tuple[float, float], tuple[float, float]]:
+    """The per-line intervals a draw of `spec` covers, at half-width L
+    (default spec.window_L): (-L, L) on both lines, with line 1 moved by s
+    when shifted."""
+    L = spec.window_L if L is None else L
     if spec.construction != PARALLEL_SHIFTED:
         return (-L, L), (-L, L)
     s = spec.shift_s

@@ -42,7 +42,14 @@ def stream_seed(base_seed: int, run_index: int) -> int:
     """64-bit seed for replication `run_index` of an experiment."""
     if run_index < 0:
         raise ValueError("run_index must be non-negative")
-    return splitmix64(splitmix64(base_seed & _MASK64) ^ run_index)
+    return stream_seeds(base_seed, (run_index,))[0]
+
+
+def stream_seeds(base_seed: int, runs) -> list[int]:
+    """stream_seed(base_seed, i) for each i of runs, non-negative, with the
+    base mixed once."""
+    base = splitmix64(base_seed & _MASK64)
+    return [splitmix64(base ^ i) for i in runs]
 
 
 _local = threading.local()

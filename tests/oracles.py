@@ -34,12 +34,20 @@ bit for bit, in what it returns and in what it refuses.
   on ``run_walk``'s walk of a run it is the reference of ``gw_sweep``'s
   row for that run, which ``experiments`` builds the sweep's rows from.
   It refuses a run by the rule of the pass that refuses it first.
+* ``summaries_csv_reference`` and ``aggregate_reference``: a sweep's CSV
+  as ``csv.writer`` writes each row's cells, one ``getattr`` per field,
+  and its report as one quantile call per column, the references of
+  ``write_summaries_csv``'s line formats and ``aggregate``'s one pass
+  over the columns; each is bit for bit what the program wrote before
+  those passes.
 
 A change to a compiled entry keeps its reference here equal to it.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
@@ -67,7 +75,7 @@ from gwlab.analysis import (
     last_visit_steps,
 )
 from gwlab.errors import ValidationError
-from gwlab.experiments import RunSummary
+from gwlab.experiments import CSV_COLUMNS, RunSummary, mean_and_se
 from gwlab.processes import (
     INTERSECTING,
     INTERSECTING_INDEPENDENT,
@@ -573,3 +581,54 @@ def summarize_reference(cfg, run_index: int, real: Realization,
         a_events=a_events,
         lemma_failures=failures,
     )
+
+
+# ---------------------------------------------------------------------------
+# a sweep's outputs
+
+
+def summaries_csv_reference(rows) -> bytes:
+    """The sweep CSV of rows, each cell through csv.writer: None empty,
+    floats by repr, strings quoted where they need it."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(CSV_COLUMNS)
+    for r in rows:
+        w.writerow(["" if v is None else v for v in (
+            getattr(r, name) for name in RunSummary._fields)])
+    return buf.getvalue().encode("utf-8")
+
+
+def _quantiles(values) -> dict[str, float]:
+    a = np.asarray(values, dtype=np.float64)
+    if len(a) == 0:
+        return {}
+    qs = np.quantile(a, [0.0, 0.25, 0.5, 0.75, 1.0])
+    return {
+        "min": float(qs[0]), "q25": float(qs[1]), "median": float(qs[2]),
+        "q75": float(qs[3]), "max": float(qs[4]),
+    }
+
+
+def aggregate_reference(rows) -> dict:
+    """aggregate(rows) one column at a time, with one quantile call each;
+    a NaN mean or se (no run, or one) is None, as the report writes it."""
+    crossings = [r.crossings for r in rows]
+    steps = [r.n_steps for r in rows]
+    mean_c, se_c = mean_and_se(crossings)
+    reasons: dict[str, int] = {}
+    for r in rows:
+        reasons[r.stop_reason] = reasons.get(r.stop_reason, 0) + 1
+    a_total = sum(r.a_events for r in rows if r.a_events is not None)
+    audited = [r for r in rows if r.lemma_failures is not None]
+    return {
+        "n_runs": len(rows),
+        "crossings": {"mean": None if math.isnan(mean_c) else mean_c,
+                      "se": None if math.isnan(se_c) else se_c,
+                      **_quantiles(crossings)},
+        "n_steps": _quantiles(steps),
+        "stop_reasons": dict(sorted(reasons.items())),
+        "a_events_total": a_total,
+        "audited_runs": len(audited),
+        "lemma_failures_total": sum(r.lemma_failures for r in audited),
+    }

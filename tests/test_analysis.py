@@ -1520,8 +1520,8 @@ def test_events_count_what_the_summary_counts(spec_for):
         reals = [couple_restrict(generate(spec, stream_seed(34, i)), L)
                  for i in range(3) for L in (50.0, 20.0)]
         tables = [detect_A_events(real, run_walk(real)) for real in reals]
-        assert [row[3] for row in sweep_counts(
-            spec, *oracles.pack_runs(reals), audit=False, events=True)] == [
+        assert sweep_counts(
+            spec, *oracles.pack_runs(reals), audit=False, events=True)[3] == [
                 int(np.count_nonzero(t.occurred == 1)) for t in tables]
         assert sum(len(t) for t in tables) > 0
 
@@ -2256,8 +2256,7 @@ def test_summary_refuses_by_its_status(spec_for, monkeypatch):
         with pytest.raises(error, match=re.escape(message)):
             sweep_counts(spec, *packed, audit=True, events=True)
     monkeypatch.undo()
-    assert [row[4] for row in sweep_counts(spec, *packed, audit=True,
-                                           events=True)] == [0, 0, 0]
+    assert sweep_counts(spec, *packed, audit=True, events=True)[4] == [0, 0, 0]
 
 
 @pytest.mark.parametrize("construction, line0, line1", [
@@ -2283,8 +2282,8 @@ def test_summary_matches_its_reference_on_ties(hand_real, construction,
                  mirror_realization(hand_real(construction, line0, line1,
                                               **kw))):
         reals = [couple_restrict(real, L) for L in (8.0, 4.0, 2.5)]
-        assert sweep_counts(real.spec, *oracles.pack_runs(reals), audit=True,
-                            events=True) == [
+        assert list(zip(*sweep_counts(real.spec, *oracles.pack_runs(reals),
+                                      audit=True, events=True))) == [
             (row.n_steps, row.crossings, row.halfline_changes, row.a_events,
              row.lemma_failures)
             for row in (oracles.summarize_reference(cfg, 0, small,

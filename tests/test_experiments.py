@@ -9,6 +9,8 @@ import re
 import threading
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import gwlab
 from gwlab import (
@@ -27,8 +29,11 @@ from gwlab import (
     write_outputs,
     write_summaries_csv,
 )
-from gwlab import analysis, experiments, processes, walk
-from gwlab.experiments import CSV_COLUMNS, mean_and_se
+from gwlab import analysis, experiments, processes, seeding, walk
+from gwlab.experiments import CSV_COLUMNS, RunSummary, mean_and_se
+from gwlab.walk import EXHAUSTED, TRUNCATED
+
+import oracles
 
 
 def cfg_for(construction, n_runs=4, **kw):
@@ -309,24 +314,26 @@ def test_coupled_window_study_at_one_window_is_the_sweep(construction):
         cfg.window_L: run_experiment(cfg)}
 
 
-def test_sweep_keeps_an_int_window(tmp_path):
-    # the sweep runs the config's spec as given: an int window_L is
-    # written as an int, as it always was
+def test_sweep_writes_an_int_window_as_its_float(tmp_path):
+    # a config holds an int window_L as its float, so the CSV, the spec
+    # and the manifest write 50.0 as a float config's do
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps({
         "name": "int-L", "construction": "parallel-shifted", "n_runs": 3,
         "base_seed": 5, "window_L": 50, "separation_r": 1.0,
         "shift_s": 0.3}))
     cfg = load_config(p)
+    assert type(cfg.window_L) is float and cfg.to_spec().window_L == 50.0
     paths = write_outputs(cfg, run_experiment(cfg), tmp_path)
     assert open(paths["csv"], encoding="utf-8").read() == (
         ",".join(CSV_COLUMNS) + "\n"
-        "0,18074882946671919669,parallel-shifted,1.0,1.0,0.3,,,50,228,122,"
+        "0,18074882946671919669,parallel-shifted,1.0,1.0,0.3,,,50.0,228,122,"
         "truncated,2,28,8,0\n"
-        "1,16247700015443706586,parallel-shifted,1.0,1.0,0.3,,,50,220,124,"
+        "1,16247700015443706586,parallel-shifted,1.0,1.0,0.3,,,50.0,220,124,"
         "truncated,1,26,4,0\n"
-        "2,2611768881034074630,parallel-shifted,1.0,1.0,0.3,,,50,206,110,"
+        "2,2611768881034074630,parallel-shifted,1.0,1.0,0.3,,,50.0,206,110,"
         "truncated,1,28,3,0\n")
+    assert '"window_L": 50.0' in open(paths["manifest"]).read()
 
 
 def test_sign_test_p():
@@ -355,6 +362,117 @@ def test_aggregate():
     assert agg["lemma_failures_total"] == 0
     assert sum(agg["stop_reasons"].values()) == 5
     assert agg["crossings"]["min"] <= agg["crossings"]["mean"] <= agg["crossings"]["max"]
+
+
+# spec cells: floats at the ends of the double range, ones that print
+# long, equal values that print apart (0.0 and -0.0, 1 and 1.0) and fresh
+# objects of one value from st.floats
+FLOATS = st.sampled_from([5e-324, 1e16, -0.3, 1 / 3, 0.0, -0.0, 1, 1.0, 50.0]
+                         ) | st.floats(allow_nan=False, allow_infinity=False)
+COUNTS = st.integers(0, 10**6)
+
+
+@st.composite
+def summary_rows(draw):
+    """Rows as sweeps and coupled studies write them, of a few specs at a
+    few windows each: every construction and stop reason, None cells, and
+    seeds from 0 to 2**64 - 1."""
+    specs = draw(st.lists(st.tuples(
+        st.sampled_from(CONSTRUCTIONS), FLOATS,
+        *[st.none() | FLOATS] * 4), min_size=1, max_size=3))
+    windows = draw(st.lists(FLOATS, min_size=1, max_size=3))
+    return [RunSummary(i, seed, *spec, L, *cells) for i, seed, spec, L, cells
+            in draw(st.lists(st.tuples(
+                st.integers(0, 10**6),
+                st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1),
+                st.sampled_from(specs), st.sampled_from(windows),
+                st.tuples(COUNTS, COUNTS, st.sampled_from([EXHAUSTED,
+                                                           TRUNCATED]),
+                          COUNTS, COUNTS, st.none() | COUNTS,
+                          st.none() | COUNTS)), max_size=40))]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(summary_rows())
+@example([RunSummary(0, 0, "parallel-thinned", 1, 1.0, None, p, None, 50.0,
+                     9, 9, EXHAUSTED, 0, 0, None, 0)
+          for p in (0.0, -0.0, 0.0)]
+         + [RunSummary(1, 2**64 - 1, "single-line", 1.0, None, None, None,
+                       None, L, 3, 2, TRUNCATED, 1, 1, None, None)
+            for L in (25, 25.0, 5e-324)])
+def test_csv_writer_matches_its_reference(tmp_path, rows):
+    # the line formats write the bytes csv.writer writes cell by cell,
+    # equal values that print apart too, and read back as the rows
+    path = tmp_path / "rows.csv"
+    write_summaries_csv(rows, path)
+    assert path.read_bytes() == oracles.summaries_csv_reference(rows)
+    assert read_summaries_csv(path) == rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(summary_rows())
+def test_aggregate_matches_its_reference(rows):
+    # one pass over the columns, one quantile call: the report of one
+    # quantile call per column, bit for bit
+    assert json.dumps(aggregate(rows), sort_keys=True) == json.dumps(
+        oracles.aggregate_reference(rows), sort_keys=True)
+
+
+@pytest.mark.parametrize("construction", CONSTRUCTIONS)
+def test_sweep_outputs_match_their_references(tmp_path, construction):
+    # a sweep's CSV and report are the references' bytes
+    cfg = cfg_for(construction, n_runs=9)
+    rows = run_experiment(cfg)
+    paths = write_outputs(cfg, rows, tmp_path)
+    assert open(paths["csv"], "rb").read() == (
+        oracles.summaries_csv_reference(rows))
+    assert open(paths["report"], "rb").read() == (json.dumps(
+        oracles.aggregate_reference(rows), sort_keys=True, indent=2)
+        + "\n").encode()
+
+
+@pytest.mark.parametrize("base_seed", [0, 2**64 - 1])
+def test_chunk_seeds_are_stream_seeds(monkeypatch, base_seed):
+    # each chunk mixes its base seed once, and its runs' seeds are
+    # stream_seed's, across chunk boundaries, at every window
+    monkeypatch.setattr(experiments, "CHUNK_POINTS", 250)
+    chunks = []
+    counts = experiments.sweep_counts
+    monkeypatch.setattr(experiments, "sweep_counts",
+                        lambda spec, D, N, **kw: chunks.append(len(N) // 2)
+                        or counts(spec, D, N, **kw))
+    cfg = cfg_for("parallel-shifted", n_runs=7, base_seed=base_seed)
+    want = [seeding.splitmix64(seeding.splitmix64(base_seed) ^ i)
+            for i in range(7)]
+    assert [seeding.stream_seed(base_seed, i) for i in range(7)] == want
+    assert seeding.stream_seeds(base_seed, range(3, 7)) == want[3:]
+    rows = run_experiment(cfg)
+    assert chunks == [2, 2, 2, 1]
+    assert [r.seed for r in rows] == want
+    assert [r.n_points for r in rows] == [
+        generate(cfg.to_spec(), seed).n_points for seed in want]
+    chunks.clear()
+    coupled = coupled_window_study(cfg, [10.0, 25.0])
+    assert chunks == [2] * 7  # one run, at two windows, per chunk
+    assert all([r.seed for r in col] == want for col in coupled.values())
+
+
+def test_one_run_report_is_strict_json(tmp_path):
+    # one run leaves the se undefined: the report writes null there, and
+    # the report and the manifest hold no NaN or infinity
+    cfg = cfg_for("parallel-thinned", n_runs=1)
+    rows = run_experiment(cfg)
+    paths = write_outputs(cfg, rows, tmp_path)
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    report, _ = (json.loads(open(paths[kind]).read(), parse_constant=refuse)
+                 for kind in ("report", "manifest"))
+    assert report["crossings"]["se"] is None
+    assert report["crossings"]["mean"] == rows[0].crossings
+    assert math.isnan(mean_and_se([rows[0].crossings])[1])
 
 
 def test_csv_roundtrip(tmp_path):
@@ -457,20 +575,24 @@ def test_sweep_summarizes_each_run_in_one_compiled_call(monkeypatch):
                        construction == "intersecting") for r in rows)
 
 
-def test_sweep_takes_integer_parameters():
+def test_sweep_takes_integer_parameters(tmp_path):
     # a config's numbers may be JSON integers: a sweep and a coupled study
-    # of integer window_L, separation_r and shift_s give the rows of their
-    # floats, and the points generate draws
+    # of integer rate_lambda, window_L, separation_r and shift_s give the
+    # rows and the CSV bytes of their floats (rows compare 25 == 25.0, the
+    # CSV does not), and the points generate draws
     for construction in CONSTRUCTIONS:
-        ints = cfg_for(construction, window_L=25, **(
+        ints = cfg_for(construction, window_L=25, rate_lambda=1, **(
             {"separation_r": 2, "shift_s": 1}
             if construction == "parallel-shifted" else {}))
-        floats = dataclasses.replace(ints, **{
-            k: float(getattr(ints, k)) for k in ("window_L", "separation_r",
-                                                 "shift_s")
-            if getattr(ints, k) is not None})
+        floats = cfg_for(construction, window_L=25.0, rate_lambda=1.0, **(
+            {"separation_r": 2.0, "shift_s": 1.0}
+            if construction == "parallel-shifted" else {}))
         rows = run_experiment(ints)
         assert rows == run_experiment(floats)
+        for name, cfg in (("ints", ints), ("floats", floats)):
+            write_summaries_csv(run_experiment(cfg), tmp_path / f"{name}.csv")
+        assert (tmp_path / "ints.csv").read_bytes() == (
+            tmp_path / "floats.csv").read_bytes()
         assert [r.n_points for r in rows] == [
             generate(floats.to_spec(), r.seed).n_points for r in rows]
         assert coupled_window_study(ints, [5, 25]) == coupled_window_study(
@@ -506,8 +628,8 @@ def test_draw_refuses_by_its_status(monkeypatch):
     # and the compiled check itself: line 1's window ends narrowed below
     # where the draw cuts it put its points outside the window
     monkeypatch.undo()
-    monkeypatch.setattr(experiments, "drawn_windows", lambda spec: (
-        (-spec.window_L, spec.window_L), (-1.0, 1.0)))
+    monkeypatch.setattr(experiments, "drawn_windows", lambda spec, L: (
+        (-L, L), (-1.0, 1.0)))
     with pytest.raises(ValidationError,
                        match="^line1 points outside window$"):
         run_experiment(cfg_for("intersecting", n_runs=2))

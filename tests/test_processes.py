@@ -486,7 +486,7 @@ def test_draw_is_generate_bit_for_bit(monkeypatch, construction, base_seed,
 
     def capture(spec, D, N, **kw):
         drawn.append((D, N))
-        return [(0, 0, 0, None, None)] * (len(N) // 2)
+        return [[0] * (len(N) // 2)] * 3 + [[None] * (len(N) // 2)] * 2
 
     monkeypatch.setattr(experiments, "sweep_counts", capture)
     if short:
@@ -518,7 +518,8 @@ def test_draw_counts_are_numpys_poisson_draws(monkeypatch):
     drawn = []
     monkeypatch.setattr(experiments, "sweep_counts",
                         lambda spec, D, N, **kw: drawn.append(N)
-                        or [(0, 0, 0, None, None)] * (len(N) // 2))
+                        or [[0] * (len(N) // 2)] * 3
+                        + [[None] * (len(N) // 2)] * 2)
     lams = [*np.geomspace(0.01, 2000.0, 17), 10.0, math.nextafter(10.0, 0.0)]
     for j, lam in enumerate(lams):
         n_runs = int(min(30_000 if lam >= 10 else 4000, 600_000 / lam))
